@@ -102,8 +102,6 @@ def cmd_run(args) -> int:
     from . import barriers
     from .grid import Grid
     from .solver import solve_dirichlet, boundary_slope
-    from .reporting import (build_report, write_report, write_traces_csv,
-                            write_fields_csv, write_heatmap_svg)
 
     outdir = Path(scenario.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -154,18 +152,25 @@ def cmd_run(args) -> int:
             report.field)
 
     extras["audits"] = audit_results
-    out_report = build_report(scenario, report, params, extras)
-    write_report(outdir / "report.json", out_report)
-    write_traces_csv(outdir / "traces.csv", report)
-    write_fields_csv(outdir / "fields.csv", report.field)
-    write_heatmap_svg(outdir / "heatmap.svg", report.field)
-    _say(args.quiet, f"artifacts in {outdir}/")
+    _write_artifacts(outdir, scenario, report, params, extras, args.quiet)
 
     if report.verdict != "converged":
         return EXIT_SOLVER
     if _any_audit_failed(audit_results):
         return EXIT_AUDIT
     return EXIT_OK
+
+
+def _write_artifacts(outdir: Path, scenario, report, params, extras: dict,
+                     quiet: bool) -> None:
+    """report.json, traces.csv, fields.csv and heatmap.svg for one solve."""
+    from .reporting import (build_report, write_report, write_traces_csv,
+                            write_fields_csv, write_heatmap_svg)
+    write_report(outdir / "report.json", build_report(scenario, report, params, extras))
+    write_traces_csv(outdir / "traces.csv", report)
+    write_fields_csv(outdir / "fields.csv", report.field)
+    write_heatmap_svg(outdir / "heatmap.svg", report.field)
+    _say(quiet, f"artifacts in {outdir}/")
 
 
 def _any_audit_failed(audits: dict) -> bool:
@@ -181,8 +186,6 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
     from . import barriers
     from .grid import Grid
     from .solver import solve_dirichlet
-    from .reporting import (build_report, write_report, write_traces_csv,
-                            write_fields_csv, write_heatmap_svg)
 
     exp = scenario.experiment
     extras = {"experiment": {"y0": list(exp.y0), "eps": exp.eps,
@@ -230,12 +233,7 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
     } for rep in reports]
 
     fine = reports[-1]
-    out_report = build_report(scenario, fine, params, extras)
-    write_report(outdir / "report.json", out_report)
-    write_traces_csv(outdir / "traces.csv", fine)
-    write_fields_csv(outdir / "fields.csv", fine.field)
-    write_heatmap_svg(outdir / "heatmap.svg", fine.field)
-    _say(quiet, f"artifacts in {outdir}/")
+    _write_artifacts(outdir, scenario, fine, params, extras, quiet)
 
     if any(r.verdict != "converged" for r in reports):
         return EXIT_SOLVER

@@ -757,7 +757,7 @@ def make_domain(tag: str, n_samples: int = 4096, **params) -> DomainSpec:
 
 
 class PrescribedCurvature:
-    """The inhomogeneity H(x): constant, expression, or tabulated bilinear.
+    """The inhomogeneity H(x): a constant or an expression in x, y.
 
     sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|) are
     sample maxima over a dense interior lattice plus the boundary samples,
@@ -805,30 +805,6 @@ class PrescribedCurvature:
         obj = cls("expression", f, g, f"H = {text}")
         obj.expr = e
         return obj
-
-    @classmethod
-    def tabulated(cls, xs, ys, table) -> "PrescribedCurvature":
-        from scipy.interpolate import RegularGridInterpolator
-
-        xs = np.asarray(xs, dtype=float)
-        ys = np.asarray(ys, dtype=float)
-        table = np.asarray(table, dtype=float)
-        interp = RegularGridInterpolator((xs, ys), table, bounds_error=False, fill_value=None)
-        gx_t, gy_t = np.gradient(table, xs, ys, edge_order=2)
-        interp_gx = RegularGridInterpolator((xs, ys), gx_t, bounds_error=False, fill_value=None)
-        interp_gy = RegularGridInterpolator((xs, ys), gy_t, bounds_error=False, fill_value=None)
-
-        def f(pts):
-            pts = np.asarray(pts, dtype=float)
-            return interp(pts.reshape(-1, 2)).reshape(pts.shape[:-1])
-
-        def g(pts):
-            pts = np.asarray(pts, dtype=float)
-            flat = pts.reshape(-1, 2)
-            out = np.stack([interp_gx(flat), interp_gy(flat)], axis=-1)
-            return out.reshape(pts.shape[:-1] + (2,))
-
-        return cls("tabulated", f, g, f"H tabulated on {len(xs)}x{len(ys)} grid")
 
     # -- evaluation ----------------------------------------------------------
 

@@ -6,8 +6,8 @@ or exterior.  Each interior-to-exterior axis link stores a boundary intercept:
 the fraction theta in (0, 1] of the link at which the boundary is crossed and
 the foot point itself, located by bisection to |d| <= 1e-8.
 
-Ghost values are closed in terms of interior unknowns and Dirichlet foot
-values by one-dimensional extrapolation along the link:
+Each link closes its ghost in terms of interior unknowns and the Dirichlet
+value at its foot by one-dimensional extrapolation along the link:
 
   * theta >= 0.1 and a second interior node available: quadratic through
     (inner neighbor, owner, foot) -- exact for quadratics, which keeps the
@@ -17,16 +17,20 @@ values by one-dimensional extrapolation along the link:
   * single interior node available: linear through (owner, foot), with theta
     clamped below at 0.1 and the clamp flagged.
 
-All finite-difference stencils are assembled once per grid as sparse operator
-pairs (interior block, foot block), so an operator applied to a field is one
-sparse mat-vec and the ghost elimination is identical in nodal evaluation and
-linear-system assembly.
+A ghost owned by several links takes the mean of their extrapolations.  The
+closures are built per boundary link into two sparse elimination matrices,
+ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  Every
+finite-difference stencil is laid out once over interior and ghost columns,
+and eliminating the ghost columns through those matrices gives sparse operator
+pairs (interior block, foot block): an operator applied to a field is one
+sparse mat-vec, and the ghost elimination is identical in nodal evaluation
+and linear-system assembly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -48,7 +52,10 @@ class InvalidFieldError(ValueError):
     pass
 
 
-_AXES = ((1, 0), (-1, 0), (0, 1), (0, -1))
+# link directions, indexed by foot_axis, and the diagonal quadrants in the
+# order the one-sided cross derivative tries them
+_AXES = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)))
+_QUADRANTS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
 class Grid:
@@ -63,7 +70,6 @@ class Grid:
         self._classify()
         self._find_intercepts()
         self._close_ghosts()
-        self._cross_masks()
         self._ops: Optional[dict] = None
 
     # -- construction --------------------------------------------------------
@@ -85,22 +91,11 @@ class Grid:
 
     def _classify(self):
         tol = 1e-12 * max(1.0, max(abs(v) for v in self.domain.bbox))
-        cls = np.zeros((self.nx, self.ny), dtype=np.int8)
         interior = self.d > tol
+        pad = np.pad(interior, 1)
+        ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
+        cls = np.full((self.nx, self.ny), NODE_EXTERIOR, dtype=np.int8)
         cls[interior] = NODE_INTERIOR
-        ghost = np.zeros_like(interior)
-        for dx, dy in _AXES:
-            shifted = np.zeros_like(interior)
-            src = interior
-            if dx == 1:
-                shifted[1:, :] = src[:-1, :]
-            elif dx == -1:
-                shifted[:-1, :] = src[1:, :]
-            elif dy == 1:
-                shifted[:, 1:] = src[:, :-1]
-            else:
-                shifted[:, :-1] = src[:, 1:]
-            ghost |= shifted & ~interior
         cls[ghost] = NODE_GHOST
         self.cls = cls
         self.interior_mask = interior
@@ -109,174 +104,89 @@ class Grid:
         self.n_interior = len(ii)
         if self.n_interior == 0:
             raise GridError("no interior nodes at this spacing")
+        # closures and stencils reach two cells out from an interior node
+        if min(ii.min(), jj.min()) < 2 or ii.max() > self.nx - 3 or jj.max() > self.ny - 3:
+            raise GridError("interior node within two cells of the lattice edge")
         self.node_id = -np.ones((self.nx, self.ny), dtype=np.int64)
         self.node_id[ii, jj] = np.arange(self.n_interior)
         self.interior_xy = np.stack([self.xs[ii], self.ys[jj]], axis=-1)
         self.interior_d = self.d[ii, jj]
-
-    def _find_intercepts(self):
-        """One foot per interior->exterior axis link, by bisection on d."""
-        feet_owner, feet_axis, feet_theta, feet_xy = [], [], [], []
-        lookup = {}
-        cls = self.cls
-        for axis, (dx, dy) in enumerate(_AXES):
-            ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-            ni, nj = ii + dx, jj + dy
-            valid = (ni >= 0) & (ni < self.nx) & (nj >= 0) & (nj < self.ny)
-            ext = np.zeros(len(ii), dtype=bool)
-            ext[valid] = cls[ni[valid], nj[valid]] != NODE_INTERIOR
-            sel = np.nonzero(ext)[0]
-            if len(sel) == 0:
-                continue
-            p0 = self.interior_xy[sel]
-            direction = np.array([dx, dy], dtype=float) * self.h
-            lo = np.zeros(len(sel))
-            hi = np.ones(len(sel))
-            # d(p0) > 0, d(p0 + dir) <= 0: bisect the sign change
-            for _ in range(52):
-                mid = 0.5 * (lo + hi)
-                dm = self.domain.signed_distance(p0 + mid[:, None] * direction)
-                pos = dm > 0.0
-                lo = np.where(pos, mid, lo)
-                hi = np.where(pos, hi, mid)
-            theta = 0.5 * (lo + hi)
-            foot = p0 + theta[:, None] * direction
-            dfoot = np.abs(self.domain.signed_distance(foot))
-            if np.max(dfoot) > _FOOT_TOL:
-                bad = int(np.argmax(dfoot))
-                raise GridError(f"foot localization failed: |d| = {dfoot[bad]:.2e}")
-            base = len(feet_theta) and sum(len(t) for t in feet_theta)
-            for k, s in enumerate(sel):
-                fid = (base or 0) + k
-                lookup[(int(ii[s]), int(jj[s]), axis)] = fid
-            feet_owner.append(self.node_id[ii[sel], jj[sel]])
-            feet_axis.append(np.full(len(sel), axis, dtype=np.int8))
-            feet_theta.append(np.maximum(theta, 1e-12))
-            feet_xy.append(foot)
-        if feet_theta:
-            self.foot_owner = np.concatenate(feet_owner)
-            self.foot_axis = np.concatenate(feet_axis)
-            self.foot_theta = np.concatenate(feet_theta)
-            self.foot_xy = np.concatenate(feet_xy)
-        else:
-            self.foot_owner = np.zeros(0, dtype=np.int64)
-            self.foot_axis = np.zeros(0, dtype=np.int8)
-            self.foot_theta = np.zeros(0)
-            self.foot_xy = np.zeros((0, 2))
-        self.n_feet = len(self.foot_theta)
-        self._foot_lookup = lookup
-        self.foot_s = (self.domain.arclength_of(self.foot_xy)
-                       if self.n_feet else np.zeros(0))
-
-    def _close_ghosts(self):
-        """Express each ghost value as sum(w_k u_k) + sum(v_k phi_k)."""
-        gii, gjj = np.nonzero(self.cls == NODE_GHOST)
-        self.ghost_ij = np.stack([gii, gjj], axis=-1)
-        self.ghost_id = -np.ones((self.nx, self.ny), dtype=np.int64)
-        self.ghost_id[gii, gjj] = np.arange(len(gii))
-        n_ghost = len(gii)
-        self.flags = {"ghost_linear_fallback": 0, "ghost_theta_clamped": 0,
-                      "cross_one_sided": 0, "cross_missing": 0}
-        # up to 2 axes x (2 interior nodes + 1 foot)
-        nodes = -np.ones((n_ghost, 4), dtype=np.int64)
-        node_w = np.zeros((n_ghost, 4))
-        feet = -np.ones((n_ghost, 2), dtype=np.int64)
-        feet_w = np.zeros((n_ghost, 2))
-        # distance of every ghost to the boundary must stay within 2h
-        if n_ghost:
-            gd = -self.d[gii, gjj]
-            if np.max(gd) > 2.0 * self.h + 1e-12:
-                raise GridError("ghost node farther than 2h from the boundary")
-        for g in range(n_ghost):
-            i, j = int(gii[g]), int(gjj[g])
-            per_axis = []
-            for axis, (dx, dy) in enumerate(_AXES):
-                pi, pj = i + dx, j + dy     # neighbor that might own this ghost
-                if not (0 <= pi < self.nx and 0 <= pj < self.ny):
-                    continue
-                if self.cls[pi, pj] != NODE_INTERIOR:
-                    continue
-                # the owner's link toward this ghost points opposite to (dx, dy)
-                back_axis = {(1, 0): 1, (-1, 0): 0, (0, 1): 3, (0, -1): 2}[(dx, dy)]
-                fid = self._foot_lookup.get((pi, pj, back_axis))
-                if fid is None:
-                    continue
-                theta = float(self.foot_theta[fid])
-                p_id = int(self.node_id[pi, pj])
-                qi, qj = pi + dx, pj + dy   # next node inward
-                q_ok = (0 <= qi < self.nx and 0 <= qj < self.ny
-                        and self.cls[qi, qj] == NODE_INTERIOR)
-                ri, rj = pi + 2 * dx, pj + 2 * dy
-                r_ok = (0 <= ri < self.nx and 0 <= rj < self.ny
-                        and self.cls[ri, rj] == NODE_INTERIOR)
-                if q_ok and theta >= _THETA_SWITCH:
-                    q_id = int(self.node_id[qi, qj])
-                    w = ((q_id, (1.0 - theta) / (1.0 + theta)),
-                         (p_id, -2.0 * (1.0 - theta) / theta))
-                    fw = 2.0 / (theta * (1.0 + theta))
-                elif q_ok and r_ok:
-                    q_id = int(self.node_id[qi, qj])
-                    r_id = int(self.node_id[ri, rj])
-                    w = ((r_id, 2.0 * (1.0 - theta) / (2.0 + theta)),
-                         (q_id, -3.0 * (1.0 - theta) / (1.0 + theta)))
-                    fw = 6.0 / ((2.0 + theta) * (1.0 + theta))
-                else:
-                    tc = max(theta, _THETA_SWITCH)
-                    if tc != theta:
-                        self.flags["ghost_theta_clamped"] += 1
-                    self.flags["ghost_linear_fallback"] += 1
-                    w = ((p_id, 1.0 - 1.0 / tc),)
-                    fw = 1.0 / tc
-                per_axis.append((w, fid, fw))
-            if not per_axis:
-                continue
-            scale = 1.0 / len(per_axis)
-            acc_nodes: dict[int, float] = {}
-            acc_feet: dict[int, float] = {}
-            for w, fid, fw in per_axis:
-                for nid, wv in w:
-                    acc_nodes[nid] = acc_nodes.get(nid, 0.0) + scale * wv
-                acc_feet[fid] = acc_feet.get(fid, 0.0) + scale * fw
-            for k, (nid, wv) in enumerate(sorted(acc_nodes.items())[:4]):
-                nodes[g, k] = nid
-                node_w[g, k] = wv
-            for k, (fid, wv) in enumerate(sorted(acc_feet.items())[:2]):
-                feet[g, k] = fid
-                feet_w[g, k] = wv
-        self.ghost_nodes = nodes
-        self.ghost_node_w = node_w
-        self.ghost_feet = feet
-        self.ghost_feet_w = feet_w
-        self.n_ghost = n_ghost
-
-    def _cross_masks(self):
-        """cross_ok: all four diagonal neighbors usable (interior or closed ghost)."""
-        usable = (self.cls == NODE_INTERIOR) | (self.cls == NODE_GHOST)
-        ok = np.ones(self.n_interior, dtype=bool)
-        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        for dx in (-1, 1):
-            for dy in (-1, 1):
-                ni, nj = ii + dx, jj + dy
-                inb = (ni >= 0) & (ni < self.nx) & (nj >= 0) & (nj < self.ny)
-                this_ok = np.zeros(self.n_interior, dtype=bool)
-                this_ok[inb] = usable[ni[inb], nj[inb]]
-                ok &= this_ok
-        self.cross_ok = ok
         # core region for residual reporting: at least 2h inside
         self.core_mask = self.interior_d >= 2.0 * self.h - 1e-12
+        gii, gjj = np.nonzero(ghost)
+        self.ghost_ij = np.stack([gii, gjj], axis=-1)
+        self.n_ghost = len(gii)
+        self.ghost_id = -np.ones((self.nx, self.ny), dtype=np.int64)
+        self.ghost_id[gii, gjj] = np.arange(self.n_ghost)
+        if np.max(-self.d[gii, gjj]) > 2.0 * self.h + 1e-12:
+            raise GridError("ghost node farther than 2h from the boundary")
+
+    def _find_intercepts(self):
+        """One foot per interior->exterior axis link, all bisected together on d."""
+        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
+        leaves = ~self.interior_mask[ii + _AXES[:, :1], jj + _AXES[:, 1:]]
+        axis, owner = np.nonzero(leaves)          # axis-major, owners ascending
+        p0 = self.interior_xy[owner]
+        direction = self.h * _AXES[axis]
+        lo = np.zeros(len(owner))
+        hi = np.ones(len(owner))
+        # d(p0) > 0, d(p0 + dir) <= 0: bisect the sign change
+        for _ in range(52):
+            mid = 0.5 * (lo + hi)
+            pos = self.domain.signed_distance(p0 + mid[:, None] * direction) > 0.0
+            lo = np.where(pos, mid, lo)
+            hi = np.where(pos, hi, mid)
+        theta = 0.5 * (lo + hi)
+        foot = p0 + theta[:, None] * direction
+        dfoot = np.abs(self.domain.signed_distance(foot))
+        if np.max(dfoot) > _FOOT_TOL:
+            raise GridError(f"foot localization failed: |d| = {np.max(dfoot):.2e}")
+        self.foot_owner = owner
+        self.foot_axis = axis.astype(np.int8)
+        self.foot_theta = np.maximum(theta, 1e-12)
+        self.foot_xy = foot
+        self.n_feet = len(theta)
+        self.foot_s = self.domain.arclength_of(foot)
+
+    def _close_ghosts(self):
+        """Ghost values as closure_int @ u + closure_feet @ phi, built per link."""
+        t = self.foot_theta
+        p = self.foot_owner
+        step = _AXES[self.foot_axis]
+        own = self.interior_ij[p]
+        ghost = self.ghost_id[own[:, 0] + step[:, 0], own[:, 1] + step[:, 1]]
+        q = self.node_id[own[:, 0] - step[:, 0], own[:, 1] - step[:, 1]]    # next inward
+        r = self.node_id[own[:, 0] - 2 * step[:, 0], own[:, 1] - 2 * step[:, 1]]
+        quad = (q >= 0) & (t >= _THETA_SWITCH)
+        skip = ~quad & (q >= 0) & (r >= 0)
+        linear = ~quad & ~skip
+        tc = np.maximum(t, _THETA_SWITCH)
+        self.flags = {"ghost_linear_fallback": int(linear.sum()),
+                      "ghost_theta_clamped": int((linear & (t < _THETA_SWITCH)).sum()),
+                      "cross_one_sided": 0, "cross_missing": 0}
+        # per link: up to two interior weights and one foot weight, scaled by
+        # 1 / (links owning the same ghost)
+        share = 1.0 / np.bincount(ghost, minlength=self.n_ghost)[ghost]
+        first = np.select([quad, skip], [q, r], p)
+        first_w = np.select([quad, skip], [(1.0 - t) / (1.0 + t),
+                                           2.0 * (1.0 - t) / (2.0 + t)], 1.0 - 1.0 / tc)
+        second = np.where(quad, p, q)
+        second_w = np.where(quad, -2.0 * (1.0 - t) / t, -3.0 * (1.0 - t) / (1.0 + t))
+        foot_w = np.select([quad, skip], [2.0 / (t * (1.0 + t)),
+                                          6.0 / ((2.0 + t) * (1.0 + t))], 1.0 / tc)
+        two = ~linear
+        self.closure_int = sps.csr_matrix(
+            (np.concatenate([first_w * share, (second_w * share)[two]]),
+             (np.concatenate([ghost, ghost[two]]), np.concatenate([first, second[two]]))),
+            shape=(self.n_ghost, self.n_interior))
+        self.closure_feet = sps.csr_matrix((foot_w * share, (ghost, np.arange(self.n_feet))),
+                                           shape=(self.n_ghost, self.n_feet))
 
     # -- ghost helpers -------------------------------------------------------
 
     def ghost_values(self, u_int: np.ndarray, feet_vals: np.ndarray) -> np.ndarray:
         """Evaluate all ghost closures for interior values + Dirichlet foot values."""
-        vals = np.zeros(self.n_ghost)
-        for k in range(4):
-            sel = self.ghost_nodes[:, k] >= 0
-            vals[sel] += self.ghost_node_w[sel, k] * u_int[self.ghost_nodes[sel, k]]
-        for k in range(2):
-            sel = self.ghost_feet[:, k] >= 0
-            vals[sel] += self.ghost_feet_w[sel, k] * feet_vals[self.ghost_feet[sel, k]]
-        return vals
+        return self.closure_int @ u_int + self.closure_feet @ feet_vals
 
     # -- stencil operators ----------------------------------------------------
 
@@ -286,158 +196,57 @@ class Grid:
             self._ops = self._build_operators()
         return self._ops
 
-    def _neighbor_entries(self, i, j):
-        """(kind, payload) for node (i, j): interior id or ghost closure lists."""
-        c = self.cls[i, j]
-        if c == NODE_INTERIOR:
-            return [(int(self.node_id[i, j]), 1.0)], []
-        if c == NODE_GHOST:
-            g = int(self.ghost_id[i, j])
-            ns = [(int(n), float(w)) for n, w in
-                  zip(self.ghost_nodes[g], self.ghost_node_w[g]) if n >= 0]
-            fs = [(int(f), float(w)) for f, w in
-                  zip(self.ghost_feet[g], self.ghost_feet_w[g]) if f >= 0]
-            return ns, fs
-        return None, None    # exterior: caller must avoid
-
     def _build_operators(self):
-        h = self.h
-        Ni, Nf = self.n_interior, self.n_feet
+        h, Ni = self.h, self.n_interior
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        ids = np.arange(Ni)
+        rows = np.arange(Ni)
+        # column of every usable node: interior unknowns first, then ghosts
+        column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id)
 
-        def neighbor_interior(dx, dy):
-            ni, nj = ii + dx, jj + dy
-            ok = (ni >= 0) & (ni < self.nx) & (nj >= 0) & (nj < self.ny)
-            out = -np.ones(Ni, dtype=np.int64)
-            out[ok] = self.node_id[ni[ok], nj[ok]]
-            return out
+        def at(r, di, dj):
+            return column[ii[r] + di, jj[r] + dj]
 
-        nbr = {}
-        for dx in (-2, -1, 0, 1, 2):
-            for dy in (-2, -1, 0, 1, 2):
-                if abs(dx) + abs(dy) <= 2 and (dx, dy) != (0, 0):
-                    nbr[(dx, dy)] = neighbor_interior(dx, dy)
+        def eliminate(terms):
+            """(interior block, foot block) of a stencil over interior+ghost columns,
+            given as (rows, columns, weights) triplets; duplicates are summed."""
+            r, c, v = (np.concatenate(part) for part in zip(*terms))
+            S = sps.csr_matrix((v, (r, c)), shape=(Ni, Ni + self.n_ghost))
+            S_gh = S[:, Ni:]
+            # sorted rows keep each mat-vec's summation order fixed
+            return ((S[:, :Ni] + S_gh @ self.closure_int).sorted_indices(),
+                    (S_gh @ self.closure_feet).sorted_indices())
 
-        axis_int = ((nbr[(1, 0)] >= 0) & (nbr[(-1, 0)] >= 0)
-                    & (nbr[(0, 1)] >= 0) & (nbr[(0, -1)] >= 0))
-        diag_int = (axis_int & (nbr[(1, 1)] >= 0) & (nbr[(1, -1)] >= 0)
-                    & (nbr[(-1, 1)] >= 0) & (nbr[(-1, -1)] >= 0))
-
-        builders = {}
-        for name, terms in {
+        ops = {}
+        for name, stencil in {
             "Gx": (((1, 0), 0.5 / h), ((-1, 0), -0.5 / h)),
             "Gy": (((0, 1), 0.5 / h), ((0, -1), -0.5 / h)),
             "Dxx": (((1, 0), 1.0 / h**2), ((-1, 0), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
             "Dyy": (((0, 1), 1.0 / h**2), ((0, -1), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
         }.items():
-            rows_i, cols_i, vals_i = [], [], []
-            rows_f, cols_f, vals_f = [], [], []
-            # vectorized bulk
-            bulk = axis_int
-            for (dx, dy), w in terms:
-                tgt = ids[bulk] if (dx, dy) == (0, 0) else nbr[(dx, dy)][bulk]
-                rows_i.append(ids[bulk])
-                cols_i.append(tgt)
-                vals_i.append(np.full(bulk.sum(), w))
-            # collar loop
-            for r in np.nonzero(~bulk)[0]:
-                i, j = int(ii[r]), int(jj[r])
-                for (dx, dy), w in terms:
-                    if (dx, dy) == (0, 0):
-                        rows_i.append([r]); cols_i.append([r]); vals_i.append([w])
-                        continue
-                    ns, fs = self._neighbor_entries(i + dx, j + dy)
-                    if ns is None:
-                        raise GridError("axis neighbor of an interior node is unclassified")
-                    for nid, wv in ns:
-                        rows_i.append([r]); cols_i.append([nid]); vals_i.append([w * wv])
-                    for fid, wv in fs:
-                        rows_f.append([r]); cols_f.append([fid]); vals_f.append([w * wv])
-            builders[name] = (
-                sps.csr_matrix((np.concatenate([np.asarray(v, dtype=float) for v in vals_i]),
-                                (np.concatenate([np.asarray(v) for v in rows_i]),
-                                 np.concatenate([np.asarray(v) for v in cols_i]))),
-                               shape=(Ni, Ni)),
-                sps.csr_matrix((np.concatenate([np.asarray(v, dtype=float) for v in vals_f])
-                                if vals_f else np.zeros(0),
-                                (np.concatenate([np.asarray(v) for v in rows_f])
-                                 if rows_f else np.zeros(0, dtype=int),
-                                 np.concatenate([np.asarray(v) for v in cols_f])
-                                 if cols_f else np.zeros(0, dtype=int))),
-                               shape=(Ni, Nf)),
-            )
+            ops[name] = eliminate([(rows, at(rows, di, dj), np.full(Ni, w))
+                                   for (di, dj), w in stencil])
 
-        # cross derivative: centered where possible, one-sided first-order otherwise
-        rows_i, cols_i, vals_i = [], [], []
-        rows_f, cols_f, vals_f = [], [], []
-        bulk = diag_int
-        w4 = 0.25 / h**2
-        for (dx, dy), w in (((1, 1), w4), ((-1, -1), w4), ((1, -1), -w4), ((-1, 1), -w4)):
-            rows_i.append(ids[bulk])
-            cols_i.append(nbr[(dx, dy)][bulk])
-            vals_i.append(np.full(bulk.sum(), w))
-        one_sided = np.zeros(Ni, dtype=bool)
-        missing = np.zeros(Ni, dtype=bool)
-        usable = (self.cls == NODE_INTERIOR) | (self.cls == NODE_GHOST)
-        for r in np.nonzero(~bulk)[0]:
-            i, j = int(ii[r]), int(jj[r])
-            if self.cross_ok[r]:
-                # all diagonals usable but some are ghosts: still centered
-                for (dx, dy), w in (((1, 1), w4), ((-1, -1), w4), ((1, -1), -w4), ((-1, 1), -w4)):
-                    ns, fs = self._neighbor_entries(i + dx, j + dy)
-                    for nid, wv in ns:
-                        rows_i.append([r]); cols_i.append([nid]); vals_i.append([w * wv])
-                    for fid, wv in fs:
-                        rows_f.append([r]); cols_f.append([fid]); vals_f.append([w * wv])
-                continue
-            # pick a quadrant whose diagonal is usable, preferring interior diagonals
-            quad = None
-            for want_interior in (True, False):
-                for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-                    di, dj = i + a, j + b
-                    if not (0 <= di < self.nx and 0 <= dj < self.ny):
-                        continue
-                    if want_interior and self.cls[di, dj] != NODE_INTERIOR:
-                        continue
-                    if not usable[di, dj]:
-                        continue
-                    quad = (a, b)
-                    break
-                if quad:
-                    break
-            if quad is None:
-                missing[r] = True
-                continue
-            a, b = quad
-            one_sided[r] = True
-            sgn = a * b / h**2
-            for (dx, dy), w in (((a, b), sgn), ((a, 0), -sgn), ((0, b), -sgn), ((0, 0), sgn)):
-                if (dx, dy) == (0, 0):
-                    rows_i.append([r]); cols_i.append([r]); vals_i.append([w])
-                    continue
-                ns, fs = self._neighbor_entries(i + dx, j + dy)
-                for nid, wv in ns:
-                    rows_i.append([r]); cols_i.append([nid]); vals_i.append([w * wv])
-                for fid, wv in fs:
-                    rows_f.append([r]); cols_f.append([fid]); vals_f.append([w * wv])
+        # cross derivative: centered where all four diagonals are usable,
+        # otherwise one-sided first order in one quadrant, preferring a
+        # quadrant whose diagonal is interior
+        qi, qj = ii + _QUADRANTS[:, :1], jj + _QUADRANTS[:, 1:]
+        usable = (self.cls != NODE_EXTERIOR)[qi, qj]
+        inner = self.interior_mask[qi, qj]
+        centred = rows[usable.all(axis=0)]
+        one_sided = ~usable.all(axis=0) & usable.any(axis=0)
+        k = np.where(inner.any(axis=0), inner.argmax(axis=0), usable.argmax(axis=0))[one_sided]
+        a, b = _QUADRANTS[k, 0], _QUADRANTS[k, 1]
+        r1 = rows[one_sided]
+        s = a * b / h**2
+        w4 = np.full(len(centred), 0.25 / h**2)
+        ops["Dxy"] = eliminate([
+            (centred, at(centred, 1, 1), w4), (centred, at(centred, -1, -1), w4),
+            (centred, at(centred, 1, -1), -w4), (centred, at(centred, -1, 1), -w4),
+            (r1, at(r1, a, b), s), (r1, at(r1, a, 0), -s), (r1, at(r1, 0, b), -s), (r1, r1, s),
+        ])
         self.flags["cross_one_sided"] = int(one_sided.sum())
-        self.flags["cross_missing"] = int(missing.sum())
-        self.cross_one_sided = one_sided
-        builders["Dxy"] = (
-            sps.csr_matrix((np.concatenate([np.asarray(v, dtype=float) for v in vals_i]),
-                            (np.concatenate([np.asarray(v) for v in rows_i]),
-                             np.concatenate([np.asarray(v) for v in cols_i]))),
-                           shape=(Ni, Ni)),
-            sps.csr_matrix((np.concatenate([np.asarray(v, dtype=float) for v in vals_f])
-                            if vals_f else np.zeros(0),
-                            (np.concatenate([np.asarray(v) for v in rows_f])
-                             if rows_f else np.zeros(0, dtype=int),
-                             np.concatenate([np.asarray(v) for v in cols_f])
-                             if cols_f else np.zeros(0, dtype=int))),
-                           shape=(Ni, Nf)),
-        )
-        return builders
+        self.flags["cross_missing"] = int((~usable.any(axis=0)).sum())
+        return ops
 
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "

@@ -28,8 +28,9 @@ from .operators import gradient, DIMENSION, _curvature_values
 
 _RELRES_TOL = 1e-10
 _COND_LIMIT = 1e14
-# minimum degree on the pattern of A^T + A: the assembled pattern is already
-# symmetric, and this roughly halves the LU fill of the default COLAMD
+# minimum degree on the pattern of A^T + A, which SuperLU forms itself; on
+# the nearly symmetric stencil pattern this roughly halves the LU fill of
+# the default COLAMD
 _ORDERING = "MMD_AT_PLUS_A"
 
 
@@ -78,12 +79,6 @@ class LinearSystem:
             "worst_dominance_deficit": float(-slack.min()) if bad_dom.any() else 0.0,
         }
 
-    def dump(self, path):
-        """Write the matrix in Matrix Market format next to a .npy of b."""
-        from scipy.io import mmwrite
-        mmwrite(str(path), self.A)
-        np.save(str(path) + ".rhs.npy", self.b)
-
 
 def assemble(v: ScalarField, H, data, n: int = DIMENSION,
              tau: float = 1.0) -> LinearSystem:
@@ -115,8 +110,6 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
                  if grid.n_feet else np.zeros(0))
     hv = _curvature_values(H, grid.interior_xy)
     b = tau * n * hv * w2**1.5 - Af @ feet_vals
-    # symmetrize the sparsity pattern so reordering sees the structural graph
-    A = (A + 0.0 * A.T).tocsr()
     A.sort_indices()
     meta = {"tau": float(tau), "n": int(n),
             "max_w2": float(np.max(w2)), "nnz": int(A.nnz)}
@@ -126,11 +119,14 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
 def solve(system: LinearSystem, check_conditioning: bool = False) -> ScalarField:
     """Direct sparse solve with backward-error acceptance.
 
-    Raises SolverError when the factorization fails and the iterative
-    fallback cannot reach the backward-error tolerance, or when a requested
-    condition estimate exceeds 1e14.
+    Raises SolverError when the system has non-finite entries, when the
+    factorization fails and the iterative fallback cannot reach the
+    backward-error tolerance, or when a requested condition estimate exceeds
+    1e14.
     """
     A, b = system.A, system.b
+    if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
+        raise SolverError("assembled system has non-finite entries")
     x = None
     try:
         lu = spla.splu(A.tocsc(), permc_spec=_ORDERING)
@@ -144,7 +140,7 @@ def solve(system: LinearSystem, check_conditioning: bool = False) -> ScalarField
     norm_A = spla.norm(A, np.inf) if sps.issparse(A) else np.linalg.norm(A, np.inf)
     denom = norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
     relres = float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
-    if relres > _RELRES_TOL:
+    if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
     if check_conditioning:
         cond = condition_estimate(system)

@@ -175,23 +175,20 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
                 step = picard_step(u, H, data, n=n, tau=tau,
                                    check_conditioning=cfg.check_conditioning)
             except SolverError as exc:
-                report.verdict = VERDICT_LINEAR_FAILURE
-                report.message = str(exc)
-                report.field = u
-                _finalize(report, u, H, n, tau, t0, trace, total_iter)
+                _finalize(report, VERDICT_LINEAR_FAILURE, str(exc), u, H, n, tau,
+                          t0, trace, total_iter)
                 return report
             new_vals = (1.0 - damping) * u.values + damping * step.values
             u_new = ScalarField(grid, new_vals, step.feet)
             g = sup_slope(u_new)
             if not np.isfinite(g) or g > cfg.grad_max:
-                report.verdict = VERDICT_DIVERGED
-                report.message = (f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
-                                  f"at tau={tau:g}, iteration {it}")
-                report.field = u_new
                 report.stages.append(StageSummary(tau, it, np.inf, np.inf,
                                                   np.inf, g, damping,
                                                   VERDICT_DIVERGED))
-                _finalize(report, u_new, H, n, tau, t0, trace, total_iter)
+                _finalize(report, VERDICT_DIVERGED,
+                          f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
+                          f"at tau={tau:g}, iteration {it}",
+                          u_new, H, n, tau, t0, trace, total_iter)
                 return report
             res_core, res_collar = residual_norms(u_new, H, n, tau)
             last_update = float(np.max(np.abs(u_new.values - u.values)))
@@ -220,22 +217,22 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
         if cfg.keep_stage_fields:
             report.stage_fields.append((tau, u.copy()))
         if stage_verdict != VERDICT_CONVERGED:
-            report.verdict = stage_verdict
-            report.message = (f"stage tau={tau:g} ended {stage_verdict} after "
-                              f"{it} iterations (defect {res_core:.3e})")
-            report.field = u
-            _finalize(report, u, H, n, tau, t0, trace, total_iter)
+            _finalize(report, stage_verdict,
+                      f"stage tau={tau:g} ended {stage_verdict} after "
+                      f"{it} iterations (defect {res_core:.3e})",
+                      u, H, n, tau, t0, trace, total_iter)
             return report
-    report.field = u
-    report.verdict = VERDICT_CONVERGED
-    _finalize(report, u, H, n, 1.0, t0, trace, total_iter)
+    _finalize(report, VERDICT_CONVERGED, "", u, H, n, 1.0, t0, trace, total_iter)
     if cfg.audit:
         report.audits = _run_audits(u, H, data, n, report)
     return report
 
 
-def _finalize(report: SolveReport, u: ScalarField, H, n, tau, t0, trace,
-              total_iter):
+def _finalize(report: SolveReport, verdict: str, message: str, u: ScalarField,
+              H, n, tau, t0, trace, total_iter):
+    report.verdict = verdict
+    report.message = message
+    report.field = u
     rc, rb = residual_norms(u, H, n, tau)
     report.residual_core = rc
     report.residual_collar = rb

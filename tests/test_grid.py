@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
-                     disk, ellipse)
+                     disk, ellipse, levelset)
 from mcgraph.grid import NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR
 
 
@@ -78,8 +78,13 @@ def test_ghost_closure_exact_for_quadratics(g16):
     assert np.max(np.abs(ghosts - q(gx, gy))) < 1e-9
 
 
-def test_ghost_closure_exact_other_spacing():
-    g = Grid(ellipse(1.0, 0.7), 1.0 / 24.0)
+# on annulus(0.5, 1.0) the lattice nodes (+-0.5, 0), (0, +-0.5) lie on the
+# inner circle, so each is a ghost owned along three links
+@pytest.mark.parametrize("domain, h", [(ellipse(1.0, 0.7), 1.0 / 24.0),
+                                       (annulus(0.5, 1.0), 1.0 / 32.0)],
+                         ids=["ellipse", "annulus"])
+def test_ghost_closure_exact_other_spacing(domain, h):
+    g = Grid(domain, h)
     assert g.flags["ghost_linear_fallback"] == 0
 
     def q(x, y):
@@ -95,6 +100,13 @@ def test_too_coarse_raises():
     # no lattice node falls inside this small off-lattice disk at h = 1
     with pytest.raises(GridError):
         Grid(disk(radius=0.2, center=(0.25, 0.25)), 1.0)
+
+
+def test_interior_reaching_lattice_edge_raises():
+    # the positive side of this level set is the unbounded exterior of the
+    # circle, so interior nodes fill the lattice margin
+    with pytest.raises(GridError):
+        Grid(levelset("x**2 + y**2 - 1", (-1.2, 1.2, -1.2, 1.2)), 1.0 / 8.0)
 
 
 def test_nonpositive_spacing_raises():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mcgraph import (ExpressionData, Grid, PrescribedCurvature, ScalarField,
-                     ZeroData, assemble, disk, solve_linear)
+                     ZeroData, annulus, assemble, disk, solve_linear)
 
 
 @pytest.fixture(scope="module")
@@ -16,14 +16,23 @@ def _zero_state(grid):
     return ScalarField.zeros(grid)
 
 
-def test_manufactured_harmonic_recovery(g32):
+@pytest.fixture(scope="module")
+def annulus32():
+    # the lattice nodes (+-0.5, 0), (0, +-0.5) lie on the inner circle, so
+    # each is a ghost owned along three links
+    return Grid(annulus(0.5, 1.0), 1.0 / 32.0)
+
+
+@pytest.mark.parametrize("grid_name", ["g32", "annulus32"])
+def test_manufactured_harmonic_recovery(grid_name, request):
     # frozen state v = 0, H = 0: the step equation is the Laplace problem,
     # and the closure stencils reproduce quadratics exactly
+    grid = request.getfixturevalue(grid_name)
     data = ExpressionData("x**2 - y**2")
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
+    system = assemble(_zero_state(grid), PrescribedCurvature.constant(0.0),
                       data, n=2, tau=1.0)
     u = solve_linear(system)
-    exact = g32.interior_xy[:, 0] ** 2 - g32.interior_xy[:, 1] ** 2
+    exact = grid.interior_xy[:, 0] ** 2 - grid.interior_xy[:, 1] ** 2
     assert np.max(np.abs(u.values - exact)) < 1e-8
 
 

@@ -98,6 +98,16 @@ def test_stagnation_verdict():
     assert report.verdict == "stagnated"
 
 
+def test_nonfinite_curvature_ends_in_linear_failure():
+    # sqrt(x) is NaN on the left half of the disk, so the load is non-finite;
+    # the solve must end in a verdict, not an exception from the linear layer
+    g = Grid(disk(radius=1.0), 1.0 / 16.0)
+    report = solve_dirichlet(g, PrescribedCurvature.expression("sqrt(x)"),
+                             ZeroData())
+    assert report.verdict == "linear_failure"
+    assert "non-finite" in report.message
+
+
 def test_solution_independent_of_tau_path(cap_grid32, cap_H):
     # same endpoint through a different continuation schedule
     alt = SolveConfig(tau_schedule=(0.5, 1.0))
