@@ -89,6 +89,12 @@ class _Disk:
     def curvature_at(self, s):
         return np.full(np.shape(s), 1.0 / self.radius)
 
+    def diameter(self):
+        return 2.0 * self.radius
+
+    def smoothness_radius(self):
+        return self.radius
+
     def arclength_of_point(self, pts):
         d = pts - self.center
         ang = np.mod(np.arctan2(d[..., 1], d[..., 0]), _TWO_PI)
@@ -114,6 +120,13 @@ class _Ellipse:
     def bbox(self):
         cx, cy = self.center
         return (cx - self.a, cx + self.a, cy - self.b, cy + self.b)
+
+    def diameter(self):
+        return 2.0 * max(self.a, self.b)
+
+    def smoothness_radius(self):
+        # the radius of curvature at the ends of the major axis
+        return min(self.a, self.b) ** 2 / max(self.a, self.b)
 
     def _param(self, t):
         return self.center + np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
@@ -322,6 +335,13 @@ class _Annulus:
         cx, cy = self.center
         r = self.r_out
         return (cx - r, cx + r, cy - r, cy + r)
+
+    def diameter(self):
+        return 2.0 * self.r_out
+
+    def smoothness_radius(self):
+        # half the ring's width: the widest ball fitting between the circles
+        return 0.5 * (self.r_out - self.r_in)
 
     def signed_distance(self, pts):
         rho = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
@@ -629,21 +649,31 @@ class DomainSpec:
 
     @property
     def diameter(self) -> float:
+        """Largest distance between boundary points: the shape's closed form
+        where it has one, a scan over the boundary samples otherwise."""
         if self._diameter is None:
-            self._diameter = _max_pairwise_distance(self.boundary.points)
+            closed = getattr(self.shape, "diameter", None)
+            self._diameter = (float(closed()) if closed is not None
+                              else _max_pairwise_distance(self.boundary.points))
         return self._diameter
 
     def smoothness_radius(self) -> float:
         """Largest t such that the inner parallel strip of width t stays embedded.
 
-        min of the focal bound 1/kappa+ and a pairwise medial-axis clearance
-        estimated from the boundary samples."""
+        The shape's closed form where it has one; otherwise min of the focal
+        bound 1/kappa+ and a pairwise medial-axis clearance estimated from the
+        boundary samples."""
         if self._smoothness_radius is None:
-            kmax = float(np.max(self.boundary.kappa))
-            focal = 1.0 / kmax if kmax > 1e-12 else np.inf
-            medial = _medial_clearance(self.boundary.points, self.boundary.normals)
-            self._smoothness_radius = float(min(focal, medial))
+            closed = getattr(self.shape, "smoothness_radius", None)
+            self._smoothness_radius = (float(closed()) if closed is not None
+                                       else _sampled_smoothness_radius(self.boundary))
         return self._smoothness_radius
+
+
+def _sampled_smoothness_radius(boundary: BoundarySamples) -> float:
+    kmax = float(np.max(boundary.kappa))
+    focal = 1.0 / kmax if kmax > 1e-12 else np.inf
+    return float(min(focal, _medial_clearance(boundary.points, boundary.normals)))
 
 
 def _fd_curvature_of_samples(pts):

@@ -24,7 +24,9 @@ finite-difference stencil is laid out once over interior and ghost columns,
 and eliminating the ghost columns through those matrices gives sparse operator
 pairs (interior block, foot block): an operator applied to a field is one
 sparse mat-vec, and the ghost elimination is identical in nodal evaluation
-and linear-system assembly.
+and linear-system assembly.  For assembly, the union pattern of Dxx, Dyy and
+Dxy is built once per grid, so a frozen-coefficient matrix is one pass over
+fixed weights.
 """
 
 from __future__ import annotations
@@ -70,7 +72,9 @@ class Grid:
         self._classify()
         self._find_intercepts()
         self._close_ghosts()
+        self._choose_cross_stencils()
         self._ops: Optional[dict] = None
+        self._hessian: Optional[tuple] = None
 
     # -- construction --------------------------------------------------------
 
@@ -162,8 +166,7 @@ class Grid:
         linear = ~quad & ~skip
         tc = np.maximum(t, _THETA_SWITCH)
         self.flags = {"ghost_linear_fallback": int(linear.sum()),
-                      "ghost_theta_clamped": int((linear & (t < _THETA_SWITCH)).sum()),
-                      "cross_one_sided": 0, "cross_missing": 0}
+                      "ghost_theta_clamped": int((linear & (t < _THETA_SWITCH)).sum())}
         # per link: up to two interior weights and one foot weight, scaled by
         # 1 / (links owning the same ghost)
         share = 1.0 / np.bincount(ghost, minlength=self.n_ghost)[ghost]
@@ -181,6 +184,22 @@ class Grid:
             shape=(self.n_ghost, self.n_interior))
         self.closure_feet = sps.csr_matrix((foot_w * share, (ghost, np.arange(self.n_feet))),
                                            shape=(self.n_ghost, self.n_feet))
+
+    def _choose_cross_stencils(self):
+        """Cross derivative per interior node: centred where all four diagonals
+        are usable, otherwise one-sided first order in one quadrant, preferring
+        a quadrant whose diagonal is interior."""
+        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
+        qi, qj = ii + _QUADRANTS[:, :1], jj + _QUADRANTS[:, 1:]
+        usable = (self.cls != NODE_EXTERIOR)[qi, qj]
+        inner = self.interior_mask[qi, qj]
+        one_sided = ~usable.all(axis=0) & usable.any(axis=0)
+        k = np.where(inner.any(axis=0), inner.argmax(axis=0), usable.argmax(axis=0))
+        self._cross_centred = usable.all(axis=0)    # a mask: smaller than indices on a kept grid
+        self._cross_one_sided = np.flatnonzero(one_sided)
+        self._cross_quadrant = _QUADRANTS[k[one_sided]]
+        self.flags["cross_one_sided"] = int(one_sided.sum())
+        self.flags["cross_missing"] = int((~usable.any(axis=0)).sum())
 
     # -- ghost helpers -------------------------------------------------------
 
@@ -226,17 +245,8 @@ class Grid:
             ops[name] = eliminate([(rows, at(rows, di, dj), np.full(Ni, w))
                                    for (di, dj), w in stencil])
 
-        # cross derivative: centered where all four diagonals are usable,
-        # otherwise one-sided first order in one quadrant, preferring a
-        # quadrant whose diagonal is interior
-        qi, qj = ii + _QUADRANTS[:, :1], jj + _QUADRANTS[:, 1:]
-        usable = (self.cls != NODE_EXTERIOR)[qi, qj]
-        inner = self.interior_mask[qi, qj]
-        centred = rows[usable.all(axis=0)]
-        one_sided = ~usable.all(axis=0) & usable.any(axis=0)
-        k = np.where(inner.any(axis=0), inner.argmax(axis=0), usable.argmax(axis=0))[one_sided]
-        a, b = _QUADRANTS[k, 0], _QUADRANTS[k, 1]
-        r1 = rows[one_sided]
+        centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
+        a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
         s = a * b / h**2
         w4 = np.full(len(centred), 0.25 / h**2)
         ops["Dxy"] = eliminate([
@@ -244,13 +254,58 @@ class Grid:
             (centred, at(centred, 1, -1), -w4), (centred, at(centred, -1, 1), -w4),
             (r1, at(r1, a, b), s), (r1, at(r1, a, 0), -s), (r1, at(r1, 0, b), -s), (r1, r1, s),
         ])
-        self.flags["cross_one_sided"] = int(one_sided.sum())
-        self.flags["cross_missing"] = int((~usable.any(axis=0)).sum())
         return ops
+
+    def hessian_patterns(self) -> tuple:
+        """(interior block, foot block) union patterns of Dxx, Dyy, Dxy, built
+        on first use so grids that are never solved on do not carry them."""
+        if self._hessian is None:
+            ops = self.operators()
+            self._hessian = tuple(HessianPattern(*(ops[name][k] for name in ("Dxx", "Dyy", "Dxy")))
+                                  for k in (0, 1))
+        return self._hessian
 
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "
                 f"ghosts={self.n_ghost}, feet={self.n_feet})")
+
+
+class HessianPattern:
+    """Union sparsity pattern of one block of (Dxx, Dyy, Dxy), stored as CSR
+    with sorted indices, and the three stencils' weights aligned to it.
+
+    A coefficient combination c11 Dxx + c22 Dyy + c12 Dxy with per-row
+    coefficients is then one gather-and-multiply over the stored entries.
+    Entries a stencil lacks carry weight zero, so the combination equals the
+    sum of the three scaled operators entry by entry, and its pattern is the
+    same for every set of coefficients.
+    """
+
+    def __init__(self, Dxx, Dyy, Dxy):
+        n_rows, n_cols = Dxx.shape
+        parts = [M.tocoo() for M in (Dxx, Dyy, Dxy)]
+        keys = [c.row.astype(np.int64) * n_cols + c.col for c in parts]
+        union = np.unique(np.concatenate(keys))       # row-major: CSR order
+        self.shape = (n_rows, n_cols)
+        self.row = (union // n_cols).astype(np.int32)
+        self.indices = (union % n_cols).astype(np.int32)
+        self.indptr = np.searchsorted(self.row, np.arange(n_rows + 1)).astype(np.int32)
+        # every combination shares the index arrays; freezing them makes an
+        # in-place change to one combination's pattern raise
+        self.indices.flags.writeable = False
+        self.indptr.flags.writeable = False
+        self.weights = []
+        for part, key in zip(parts, keys):
+            w = np.zeros(len(union))
+            np.add.at(w, np.searchsorted(union, key), part.data)
+            self.weights.append(w)
+
+    def combine(self, c11, c22, c12) -> sps.csr_matrix:
+        """c11 Dxx + c22 Dyy + c12 Dxy for per-row coefficient arrays."""
+        wxx, wyy, wxy = self.weights
+        r = self.row
+        data = c11[r] * wxx + c22[r] * wyy + c12[r] * wxy
+        return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -7,11 +7,19 @@ operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the step solves
         = tau * n * H * W_v^3   in the interior,
     u = tau * phi               on the boundary feet,
 
-for the new iterate u.  Assembly reuses the grid's cached stencil operators,
-so the matrix action coincides exactly with the nodal evaluation of the same
-frozen operator; boundary values enter the right-hand side through the foot
-blocks.  Solves go through a sparse LU factorization with a backward-error
-check, plus an iterative fallback when the factorization itself fails.
+for the new iterate u.  Assembly fills the grid's fixed union pattern of the
+cached second-difference operators, so the matrix action coincides exactly
+with the nodal evaluation of the same frozen operator; boundary values enter
+the right-hand side through the foot blocks.
+
+Solves factor rarely (the chord idea, Kelley 1995).  A `HeldFactor` keeps the
+most recent sparse LU; a later frozen system first runs one restart cycle of
+GMRES preconditioned by that LU, from the start x0 = LU^-1 b, and keeps the
+answer when its backward error is within a tenth of the gate.  Otherwise the
+stale factor is dropped and the system is factorized afresh.  When the
+factorization itself fails, the same GMRES runs without a preconditioner.
+Every returned solution passes the backward-error gate
+|Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm.
 """
 
 from __future__ import annotations
@@ -28,6 +36,15 @@ from .operators import gradient, DIMENSION, _curvature_values
 
 _RELRES_TOL = 1e-10
 _COND_LIMIT = 1e14
+# GMRES aims at a residual 1e-14 of the backward-error denominator at its
+# start, near what a direct solve leaves; a looser aim leaves a defect floor
+# above the direct solve's, which trips the solver's damping test on the last
+# iterate of a converged stage.  Its answer is kept at backward error 1e-11,
+# a tenth of the gate.
+_KRYLOV_RTOL = 1e-14
+_REUSE_TOL = 1e-11
+_RESTART = 30
+_FALLBACK_CYCLES = 100       # restart cycles without a preconditioner
 # minimum degree on the pattern of A^T + A, which SuperLU forms itself; on
 # the nearly symmetric stencil pattern this roughly halves the LU fill of
 # the default COLAMD
@@ -36,6 +53,20 @@ _ORDERING = "MMD_AT_PLUS_A"
 
 class SolverError(RuntimeError):
     """Linear subproblem failed: singular factorization or unacceptable error."""
+
+
+class HeldFactor:
+    """The most recent sparse LU of a sequence of frozen systems, reused as a
+    GMRES preconditioner, and the counts of the work done for the sequence.
+
+    The caller owns it and drops it when the sequence ends; `solve` with no
+    held factor uses a fresh one.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
 
 
 @dataclass
@@ -88,66 +119,89 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     here, matching the scaled curvature load on the right-hand side.
     """
     grid = v.grid
-    ops = grid.operators()
     p = gradient(v)
     w2 = 1.0 + np.sum(p**2, axis=-1)
     a11 = w2 - p[:, 0] ** 2
     a22 = w2 - p[:, 1] ** 2
-    a12 = -p[:, 0] * p[:, 1]
-
-    def dscale(c, pair):
-        Di, Df = pair
-        D = sps.diags(c)
-        return D @ Di, D @ Df
-
-    Ai_xx, Af_xx = dscale(a11, ops["Dxx"])
-    Ai_yy, Af_yy = dscale(a22, ops["Dyy"])
-    Ai_xy, Af_xy = dscale(2.0 * a12, ops["Dxy"])
-    A = (Ai_xx + Ai_yy + Ai_xy).tocsr()
-    Af = (Af_xx + Af_yy + Af_xy).tocsr()
+    a12x2 = -2.0 * p[:, 0] * p[:, 1]
+    pattern_int, pattern_feet = grid.hessian_patterns()
+    A = pattern_int.combine(a11, a22, a12x2)
+    Af = pattern_feet.combine(a11, a22, a12x2)
 
     feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
                  if grid.n_feet else np.zeros(0))
     hv = _curvature_values(H, grid.interior_xy)
     b = tau * n * hv * w2**1.5 - Af @ feet_vals
-    A.sort_indices()
     meta = {"tau": float(tau), "n": int(n),
             "max_w2": float(np.max(w2)), "nnz": int(A.nnz)}
     return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals, meta=meta)
 
 
-def solve(system: LinearSystem, check_conditioning: bool = False) -> ScalarField:
-    """Direct sparse solve with backward-error acceptance.
+def solve(system: LinearSystem, check_conditioning: bool = False,
+          held: Optional[HeldFactor] = None) -> ScalarField:
+    """Sparse solve with backward-error acceptance, reusing `held`'s LU.
 
-    Raises SolverError when the system has non-finite entries, when the
-    factorization fails and the iterative fallback cannot reach the
-    backward-error tolerance, or when a requested condition estimate exceeds
-    1e14.
+    Raises SolverError when the system has non-finite entries, when no path
+    reaches the backward-error tolerance, or when a requested condition
+    estimate exceeds 1e14.  `system.meta["relres"]` holds the backward error
+    of the answer, also when the gate rejects it.
     """
     A, b = system.A, system.b
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
         raise SolverError("assembled system has non-finite entries")
+    held = HeldFactor() if held is None else held
+    norm_A = spla.norm(A, np.inf)
     x = None
-    try:
-        lu = spla.splu(A.tocsc(), permc_spec=_ORDERING)
-        x = lu.solve(b)
-    except RuntimeError:
-        x = None
-    if x is None or not np.all(np.isfinite(x)):
-        x, info = spla.lgmres(A, b, rtol=1e-12, atol=0.0, maxiter=2000)
-        if info != 0:
-            raise SolverError(f"factorization failed and lgmres stalled (info={info})")
-    norm_A = spla.norm(A, np.inf) if sps.issparse(A) else np.linalg.norm(A, np.inf)
-    denom = norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
-    relres = float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
+    if held.lu is not None:
+        x = _gmres(A, b, norm_A, held, held.lu.solve, cycles=1)
+        if not _backward_error(A, b, x, norm_A) <= _REUSE_TOL:
+            x = None
+    if x is None:
+        held.lu = None          # drop the stale factor first: two never share memory
+        held.factorizations += 1
+        try:
+            held.lu = spla.splu(A.tocsc(), permc_spec=_ORDERING)
+            x = held.lu.solve(b)
+        except RuntimeError:    # SuperLU refuses an exactly singular matrix
+            pass
+        if x is None or not np.all(np.isfinite(x)):
+            held.lu = None
+            x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
+    relres = _backward_error(A, b, x, norm_A)
+    system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
     if check_conditioning:
         cond = condition_estimate(system)
         if cond > _COND_LIMIT:
             raise SolverError(f"condition estimate {cond:.2e} exceeds {_COND_LIMIT:g}")
-    system.meta["relres"] = relres
     return ScalarField(system.grid, x, system.feet_values.copy())
+
+
+def _backward_error(A, b, x, norm_A) -> float:
+    """|Ax - b| / (|A| |x| + |b|) in the infinity norm."""
+    denom = norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
+    return float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
+
+
+def _gmres(A, b, norm_A, held: HeldFactor, precondition, cycles: int) -> np.ndarray:
+    """Restarted GMRES(30) preconditioned by `precondition` (None: unpreconditioned),
+    from x0 = precondition(b) or zero, for at most `cycles` restart cycles.
+
+    It stops when the residual is _KRYLOV_RTOL of the backward-error
+    denominator at x0; its inner iterations are added to `held`.
+    """
+    x0 = precondition(b) if precondition is not None else np.zeros_like(b)
+    atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x0, np.inf) + np.linalg.norm(b, np.inf))
+    M = (spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
+         if precondition is not None else None)
+
+    def count(_):
+        held.krylov_iterations += 1
+
+    x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART,
+                      maxiter=cycles, M=M, callback=count, callback_type="pr_norm")
+    return x
 
 
 def condition_estimate(system: LinearSystem) -> float:

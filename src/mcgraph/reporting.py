@@ -62,6 +62,8 @@ def build_report(scenario=None, solve_report=None, barrier_params=None,
     if solve_report is not None:
         out["verdict"] = solve_report.verdict
         out["iterations"] = solve_report.iterations
+        out["factorizations"] = solve_report.factorizations
+        out["krylov_iterations"] = solve_report.krylov_iterations
         out["sup_u"] = solve_report.sup_u
         out["sup_gradient"] = solve_report.sup_gradient
         out["residual_core"] = solve_report.residual_core

@@ -11,6 +11,11 @@ stage when the discrete slope blows past `grad_max` (gradient divergence,
 the signature of unattainable boundary data) or when the defect stops
 improving over a trailing window (stagnation).
 
+A solve holds one sparse LU across all its stages and iterates: each frozen
+system goes to GMRES preconditioned with it, and is factorized afresh only
+when that stalls (see `linear`).  The factor is released before the final
+residuals and the audits; the report keeps only the counts.
+
 Converged solves at full load are audited automatically against the height
 and global gradient estimates; the audits ride along in the report.
 """
@@ -26,7 +31,7 @@ import numpy as np
 from .grid import Grid, ScalarField
 from .operators import (DIMENSION, apply_Q, gradient, residual_norms,
                         slope_factor)
-from .linear import assemble, solve as linear_solve, SolverError
+from .linear import HeldFactor, assemble, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged_gradient"
@@ -88,6 +93,8 @@ class SolveReport:
     audits: dict = field(default_factory=dict)
     message: str = ""
     stage_fields: list = field(default_factory=list)
+    factorizations: int = 0          # sparse LU factorizations of the solve
+    krylov_iterations: int = 0       # GMRES inner iterations of the solve
 
     @property
     def converged(self) -> bool:
@@ -101,6 +108,8 @@ class SolveReport:
             "residual_core": self.residual_core,
             "residual_collar": self.residual_collar,
             "iterations": self.iterations,
+            "factorizations": self.factorizations,
+            "krylov_iterations": self.krylov_iterations,
             "wall_time": self.wall_time,
             "stages": [asdict(s) for s in self.stages],
             "audits": self.audits,
@@ -135,10 +144,12 @@ def boundary_slope(u: ScalarField) -> float:
 
 
 def picard_step(u: ScalarField, H, data, n: int, tau: float,
-                check_conditioning: bool = False) -> ScalarField:
-    """One frozen-coefficient step about u at load tau."""
+                check_conditioning: bool = False,
+                held: Optional[HeldFactor] = None) -> ScalarField:
+    """One frozen-coefficient step about u at load tau; `held` carries the LU
+    of earlier steps to reuse (a fresh one when None)."""
     system = assemble(u, H, data, n=n, tau=tau)
-    return linear_solve(system, check_conditioning=check_conditioning)
+    return linear_solve(system, check_conditioning=check_conditioning, held=held)
 
 
 def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
@@ -151,13 +162,24 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     """
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
+    report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
+    held = HeldFactor()
+    verdict, message, u, tau = _continue(grid, H, data, n, cfg, report, held)
+    report.factorizations = held.factorizations
+    report.krylov_iterations = held.krylov_iterations
+    held.lu = None
+    _finalize(report, verdict, message, u, H, n, tau, t0)
+    if verdict == VERDICT_CONVERGED and cfg.audit:
+        report.audits = _run_audits(u, H, data, n, report)
+    return report
+
+
+def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport,
+              held: HeldFactor):
+    """Run the load schedule, filling the report's stages, trace rows and
+    iteration count; returns (verdict, message, last iterate, load)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
     u = ScalarField.zeros(grid, data.scaled(cfg.tau_schedule[0]) if grid.n_feet else None)
-    if u.feet is None:
-        u.feet = np.zeros(grid.n_feet)
-    report = SolveReport(verdict=VERDICT_CONVERGED, field=u)
-    total_iter = 0
-    trace = []
     for tau in cfg.tau_schedule:
         scaled = data.scaled(tau)
         # re-anchor the warm start's trace at this stage's load
@@ -170,14 +192,13 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
         res_core = res_collar = np.inf
         it = 0
         for it in range(1, cfg.max_iters + 1):
-            total_iter += 1
+            report.iterations += 1
             try:
                 step = picard_step(u, H, data, n=n, tau=tau,
-                                   check_conditioning=cfg.check_conditioning)
+                                   check_conditioning=cfg.check_conditioning,
+                                   held=held)
             except SolverError as exc:
-                _finalize(report, VERDICT_LINEAR_FAILURE, str(exc), u, H, n, tau,
-                          t0, trace, total_iter)
-                return report
+                return VERDICT_LINEAR_FAILURE, str(exc), u, tau
             new_vals = (1.0 - damping) * u.values + damping * step.values
             u_new = ScalarField(grid, new_vals, step.feet)
             g = sup_slope(u_new)
@@ -185,16 +206,14 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
                 report.stages.append(StageSummary(tau, it, np.inf, np.inf,
                                                   np.inf, g, damping,
                                                   VERDICT_DIVERGED))
-                _finalize(report, VERDICT_DIVERGED,
-                          f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
-                          f"at tau={tau:g}, iteration {it}",
-                          u_new, H, n, tau, t0, trace, total_iter)
-                return report
+                return (VERDICT_DIVERGED,
+                        f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
+                        f"at tau={tau:g}, iteration {it}", u_new, tau)
             res_core, res_collar = residual_norms(u_new, H, n, tau)
             last_update = float(np.max(np.abs(u_new.values - u.values)))
-            trace.append({"tau": tau, "iter": it, "residual_core": res_core,
-                          "residual_collar": res_collar, "update": last_update,
-                          "sup_gradient": g, "damping": damping})
+            report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
+                                 "residual_collar": res_collar, "update": last_update,
+                                 "sup_gradient": g, "damping": damping})
             if res_core > prev_res * (1.0 + 1e-12) and damping > 0.125:
                 damping = max(0.125, 0.5 * damping)
             prev_res = res_core
@@ -217,19 +236,14 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
         if cfg.keep_stage_fields:
             report.stage_fields.append((tau, u.copy()))
         if stage_verdict != VERDICT_CONVERGED:
-            _finalize(report, stage_verdict,
-                      f"stage tau={tau:g} ended {stage_verdict} after "
-                      f"{it} iterations (defect {res_core:.3e})",
-                      u, H, n, tau, t0, trace, total_iter)
-            return report
-    _finalize(report, VERDICT_CONVERGED, "", u, H, n, 1.0, t0, trace, total_iter)
-    if cfg.audit:
-        report.audits = _run_audits(u, H, data, n, report)
-    return report
+            return (stage_verdict,
+                    f"stage tau={tau:g} ended {stage_verdict} after "
+                    f"{it} iterations (defect {res_core:.3e})", u, tau)
+    return VERDICT_CONVERGED, "", u, 1.0
 
 
 def _finalize(report: SolveReport, verdict: str, message: str, u: ScalarField,
-              H, n, tau, t0, trace, total_iter):
+              H, n, tau, t0):
     report.verdict = verdict
     report.message = message
     report.field = u
@@ -238,8 +252,6 @@ def _finalize(report: SolveReport, verdict: str, message: str, u: ScalarField,
     report.residual_collar = rb
     report.sup_u = u.sup()
     report.sup_gradient = sup_slope(u)
-    report.iterations = total_iter
-    report.trace = trace
     report.wall_time = time.perf_counter() - t0
 
 

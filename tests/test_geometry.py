@@ -180,6 +180,17 @@ def test_smoothness_radius():
     assert ring.smoothness_radius() == pytest.approx(0.4, rel=5e-2)
 
 
+@pytest.mark.parametrize("domain", [disk(1.3, center=(0.2, -0.1)),
+                                    ellipse(0.6, 1.1), annulus(0.5, 1.0)],
+                         ids=["disk", "ellipse", "annulus"])
+def test_closed_form_scalars_match_sampled_scans(domain):
+    from mcgraph.geometry import _max_pairwise_distance, _sampled_smoothness_radius
+    scanned_diameter = _max_pairwise_distance(domain.boundary.points)
+    scanned_radius = _sampled_smoothness_radius(domain.boundary)
+    assert domain.diameter == pytest.approx(scanned_diameter, rel=1e-6)
+    assert domain.smoothness_radius() == pytest.approx(scanned_radius, rel=1e-8)
+
+
 def test_rounded_rect_curvature_bounded():
     d = rounded_rect(1.0, 1.0, 0.25)
     s = np.linspace(0.0, d.boundary.total_length, 2048, endpoint=False)

@@ -96,6 +96,18 @@ def test_ghost_closure_exact_other_spacing(domain, h):
     assert np.max(np.abs(u.ghost_values() - q(gx, gy))) < 1e-9
 
 
+def test_cross_flags_set_at_construction():
+    # the quadrant choice of the cross derivative is made with the grid, so
+    # its flags need no operator build
+    grid = Grid(disk(1.0), 1.0 / 32.0)
+    assert grid._ops is None
+    assert grid.flags["cross_one_sided"] == 72
+    assert grid.flags["cross_missing"] == 0
+    flags = dict(grid.flags)
+    grid.operators()
+    assert grid.flags == flags
+
+
 def test_too_coarse_raises():
     # no lattice node falls inside this small off-lattice disk at h = 1
     with pytest.raises(GridError):

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 
 from mcgraph import (ExpressionData, Grid, PrescribedCurvature, ScalarField,
-                     ZeroData, annulus, assemble, disk, solve_linear)
+                     SolverError, ZeroData, annulus, assemble, disk, gradient,
+                     solve_linear)
+from mcgraph.linear import HeldFactor, LinearSystem
 
 
 @pytest.fixture(scope="module")
@@ -128,3 +131,90 @@ def test_condition_estimate_reasonable(g32):
     cond = condition_estimate(system)
     # Laplacian conditioning scales like h^-2 ~ 1e3 at this spacing
     assert 1.0 < cond < 1e8
+
+
+def test_fixed_pattern_assembly_matches_scaled_operators(g32):
+    # the fixed-pattern combination equals diag(a11) Dxx + diag(a22) Dyy
+    # + diag(2 a12) Dxy entry by entry, in both blocks
+    v = ScalarField.from_callable(g32, lambda x, y: 0.5 * x + 0.25 * y + 0.3 * x * y)
+    p = gradient(v)
+    w2 = 1.0 + np.sum(p**2, axis=-1)
+    a11, a22, a12 = w2 - p[:, 0] ** 2, w2 - p[:, 1] ** 2, -p[:, 0] * p[:, 1]
+    ops = g32.operators()
+    old = [sps.diags(a11) @ ops["Dxx"][k] + sps.diags(a22) @ ops["Dyy"][k]
+           + sps.diags(2.0 * a12) @ ops["Dxy"][k] for k in (0, 1)]
+    system = assemble(v, PrescribedCurvature.constant(0.4), ExpressionData("x*y"),
+                      n=2, tau=0.75)
+    Af = g32.hessian_patterns()[1].combine(a11, a22, 2.0 * a12)
+    assert abs(system.A - old[0]).max() == 0.0
+    assert abs(Af - old[1]).max() == 0.0
+    assert system.A.nnz >= old[0].nnz
+    load = 0.75 * 2 * 0.4 * w2**1.5
+    assert np.allclose(system.b, load - old[1] @ system.feet_values, rtol=1e-13, atol=0)
+
+
+def _tilted(grid, sx, sy):
+    return ScalarField.from_callable(grid, lambda x, y: sx * x + sy * y)
+
+
+def test_held_factor_reused_on_nearby_system(g32):
+    cap = PrescribedCurvature.constant(0.4)
+    held = HeldFactor()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
+    assert held.factorizations == 1 and held.krylov_iterations == 0
+    lu = held.lu
+    system = assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0)
+    u = solve_linear(system, held=held)
+    assert held.factorizations == 1 and held.lu is lu
+    assert held.krylov_iterations > 0
+    assert system.meta["relres"] <= 1e-11
+    fresh = solve_linear(assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
+    assert np.max(np.abs(u.values - fresh.values)) < 1e-10
+
+
+def test_stale_factor_on_steep_system_refactorizes(g32):
+    # the zero state's factor is a poor preconditioner for a bowl of rim
+    # slope 4, so one GMRES cycle stalls and the system is factorized afresh
+    cap = PrescribedCurvature.constant(0.4)
+    held = HeldFactor()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
+    lu = held.lu
+    bowl = ScalarField.from_callable(g32, lambda x, y: 2.0 * (x**2 + y**2))
+    system = assemble(bowl, cap, ZeroData(), n=2, tau=1.0)
+    u = solve_linear(system, held=held)
+    assert held.factorizations == 2 and held.lu is not lu
+    assert held.krylov_iterations == 30
+    assert system.meta["relres"] <= 1e-10
+    fresh = solve_linear(assemble(bowl, cap, ZeroData(), n=2, tau=1.0))
+    assert np.array_equal(u.values, fresh.values)
+
+
+def test_nonfinite_system_raises_with_held_factor(g32):
+    held = HeldFactor()
+    zero = _zero_state(g32)
+    solve_linear(assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(),
+                          n=2, tau=1.0), held=held)
+    system = assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(), n=2, tau=1.0)
+    system.b[3] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_linear(system, held=held)
+    assert held.factorizations == 1
+
+
+def test_failed_factorization_falls_back_to_gmres(g32):
+    # an exactly singular but consistent system: SuperLU refuses it and the
+    # unpreconditioned GMRES solves it
+    n = g32.n_interior
+    diag = np.resize([1.0, 2.0, 4.0], n)
+    diag[7] = 0.0
+    b = np.ones(n)
+    b[7] = 0.0
+    held = HeldFactor()
+    system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
+                          feet_values=np.zeros(g32.n_feet))
+    u = solve_linear(system, held=held)
+    assert held.factorizations == 1 and held.lu is None
+    assert held.krylov_iterations > 0
+    assert system.meta["relres"] <= 1e-10
+    assert np.allclose(u.values * diag, b, rtol=0, atol=1e-12)
+

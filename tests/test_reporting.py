@@ -60,6 +60,13 @@ def test_report_contents(small_solve):
     assert out["wall_time_seconds"] > 0
 
 
+def test_report_carries_linear_layer_counts(small_solve):
+    scn, grid, rep = small_solve
+    out = build_report(scenario=scn, solve_report=rep)
+    assert out["factorizations"] == rep.factorizations >= 1
+    assert out["krylov_iterations"] == rep.krylov_iterations >= 0
+
+
 def test_report_deterministic_modulo_wall_time(small_solve, tmp_path):
     scn, grid, rep = small_solve
     r1 = build_report(scenario=scn, solve_report=rep)

@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import mcgraph.linear
+import mcgraph.solver
 from mcgraph import (BumpData, Grid, PrescribedCurvature, ScalarField,
-                     SolveConfig, ZeroData, boundary_slope, disk, picard_step,
-                     solve_dirichlet, sup_slope)
+                     SolveConfig, ZeroData, adversarial_boundary_data,
+                     boundary_slope, disk, picard_step, solve_dirichlet,
+                     sup_slope)
 from mcgraph.reference import get as get_reference
 
 
@@ -142,3 +145,44 @@ def test_continuation_monotone_in_tau(cap_grid32, cap_H):
     fields = [f for _, f in report.stage_fields]
     for coarse, fine in zip(fields, fields[1:]):
         assert np.max(fine.values - coarse.values) <= 1e-9
+
+
+def _fresh_factor_per_iterate(monkeypatch):
+    # every frozen system factorized afresh: the answer the reuse must keep
+    def solve_fresh(system, check_conditioning=False, held=None):
+        return mcgraph.linear.solve(system, check_conditioning=check_conditioning)
+    monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
+
+
+def _assert_same_solve(reused, fresh):
+    assert reused.verdict == fresh.verdict
+    assert reused.iterations == fresh.iterations
+    assert [s.iters for s in reused.stages] == [s.iters for s in fresh.stages]
+    assert [s.damping_final for s in reused.stages] == [s.damping_final for s in fresh.stages]
+    assert np.max(np.abs(reused.field.values - fresh.field.values)) < 1e-10
+    assert reused.sup_u == pytest.approx(fresh.sup_u, rel=0, abs=1e-10)
+
+
+def test_factor_reuse_keeps_cap_solve(cap_solve32, cap_grid32, cap_H, monkeypatch):
+    _fresh_factor_per_iterate(monkeypatch)
+    fresh = solve_dirichlet(cap_grid32, cap_H, ZeroData())
+    _assert_same_solve(cap_solve32, fresh)
+    assert 1 <= cap_solve32.factorizations < cap_solve32.iterations
+    assert cap_solve32.krylov_iterations > 0
+    summary = cap_solve32.summary_dict()
+    assert summary["factorizations"] == cap_solve32.factorizations
+    assert summary["krylov_iterations"] == cap_solve32.krylov_iterations
+
+
+def test_factor_reuse_keeps_bump_pair(monkeypatch):
+    # the A8 legs on a coarse grid: steep bump data, the most iterates
+    dom = disk(radius=1.0)
+    grid = Grid(dom, 1.0 / 24.0)
+    data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
+    legs = [PrescribedCurvature.constant(h) for h in (0.55, 0.45)]
+    reused = [solve_dirichlet(grid, H, data, n=2) for H in legs]
+    _fresh_factor_per_iterate(monkeypatch)
+    fresh = [solve_dirichlet(grid, H, data, n=2) for H in legs]
+    for r, f in zip(reused, fresh):
+        _assert_same_solve(r, f)
+        assert r.factorizations < r.iterations
