@@ -4,6 +4,11 @@ curvature, and solvability audits.
 Conventions used throughout the package:
   * signed distance d is positive inside the domain, negative outside, zero on
     the boundary; for interior points d(x) = dist(x, boundary),
+  * the sign test `contains` is True strictly inside: an implicit inequality
+    where the shape has one (x^2/a^2 + y^2/b^2 < 1 on ellipses, F > 0 on level
+    sets), d > 0 on the shapes whose distance is a closed form,
+  * ellipse distances come from the exact nearest point (Eberly's bisection),
+    level-set distances from a constrained Newton foot on the traced contour,
   * boundary curves are sampled counterclockwise, normals point into the domain,
   * curvature kappa is positive where the domain is convex (unit disk: +1/r),
     negative on reentrant pieces.
@@ -131,40 +136,71 @@ class _Ellipse:
     def _param(self, t):
         return self.center + np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
 
-    def _nearest_t(self, pts):
-        """Parameter of the nearest boundary point, multi-start Newton."""
+    def contains(self, pts):
+        rel = pts - self.center
+        return (rel[..., 0] / self.a) ** 2 + (rel[..., 1] / self.b) ** 2 < 1.0
+
+    def _nearest(self, pts):
+        """Nearest boundary point and its distance, by Eberly's method ("Distance
+        from a point to an ellipse, an ellipsoid, or a hyperellipsoid",
+        Geometric Tools, 2013).
+
+        With the major semi-axis e0 first and the point folded into the first
+        quadrant, the nearest point is x = (r0 y0 / (s + r0), y1 / (s + 1)),
+        r0 = (e0/e1)^2, where s is the root of the decreasing function
+        g(s) = (r0 z0 / (s + r0))^2 + (z1 / (s + 1))^2 - 1, z = y / e.  The
+        root is bisected in u = s + 1, which keeps its relative precision for
+        points near the major axis, until the bracket stops shrinking or g hits
+        exactly zero; points on an axis take the closed forms."""
         rel = np.atleast_2d(pts) - self.center
-        t0 = np.arctan2(rel[:, 1] / self.b, rel[:, 0] / self.a)
-        best_t = np.full(t0.shape, np.nan)
-        best_d = np.full(t0.shape, np.inf)
-        for off in (0.0, 0.7, -0.7):
-            t = t0 + off
-            for _ in range(60):
-                ct, st = np.cos(t), np.sin(t)
-                px, py = self.a * ct, self.b * st
-                dx, dy = px - rel[:, 0], py - rel[:, 1]
-                # f = (p - x) . p' ; nearest point has f = 0
-                f = dx * (-self.a * st) + dy * (self.b * ct)
-                fp = (dx * (-self.a * ct) + dy * (-self.b * st)
-                      + self.a * self.a * st * st + self.b * self.b * ct * ct)
-                step = f / np.where(np.abs(fp) < 1e-30, 1e-30, fp)
-                step = np.clip(step, -0.5, 0.5)
-                t = t - step
-            ct, st = np.cos(t), np.sin(t)
-            d = np.hypot(self.a * ct - rel[:, 0], self.b * st - rel[:, 1])
-            take = d < best_d
-            best_d = np.where(take, d, best_d)
-            best_t = np.where(take, t, best_t)
-        return np.mod(best_t, _TWO_PI), best_d
+        swap = self.a < self.b
+        e0, e1 = (self.b, self.a) if swap else (self.a, self.b)
+        if swap:
+            rel = rel[:, ::-1]
+        y0, y1 = np.abs(rel[:, 0]), np.abs(rel[:, 1])
+        x0, x1 = np.full(y0.shape, np.nan), np.full(y1.shape, np.nan)
+        # on the major axis the nearest point is off it within (e0^2 - e1^2)/e0
+        # of the centre, and the vertex beyond
+        major = y1 == 0
+        xde0 = np.minimum(e0 * y0[major] / (e0 * e0 - e1 * e1), 1.0) if e0 > e1 else 1.0
+        x0[major] = e0 * xde0
+        x1[major] = e1 * np.sqrt(1.0 - xde0 * xde0)
+        minor = (y0 == 0) & (y1 > 0)
+        x0[minor], x1[minor] = 0.0, e1
+        r0 = (e0 / e1) ** 2
+        z0, z1 = y0 / e0, y1 / e1
+        g = z0 * z0 + z1 * z1 - 1.0
+        quadrant = (y0 > 0) & (y1 > 0)
+        on = quadrant & (g == 0)
+        x0[on], x1[on] = y0[on], y1[on]
+        idx = np.flatnonzero(quadrant & (g != 0))
+        n0, z1i = r0 * z0[idx], z1[idx]
+        lo = z1i
+        hi = np.where(g[idx] < 0, 1.0, np.hypot(n0, z1i))
+        u = np.empty(len(idx))
+        todo = np.arange(len(idx))
+        while todo.size:
+            mid = 0.5 * (lo + hi)
+            gm = (n0[todo] / (mid + (r0 - 1.0))) ** 2 + (z1i[todo] / mid) ** 2 - 1.0
+            done = (mid == lo) | (mid == hi) | (gm == 0)
+            u[todo[done]] = mid[done]
+            keep = ~done
+            todo, lo, hi, mid, up = todo[keep], lo[keep], hi[keep], mid[keep], gm[keep] > 0
+            lo = np.where(up, mid, lo)
+            hi = np.where(up, hi, mid)
+        x0[idx] = r0 * y0[idx] / (u + (r0 - 1.0))
+        x1[idx] = y1[idx] / u
+        dist = np.hypot(x0 - y0, x1 - y1)
+        near = np.stack([np.copysign(x0, rel[:, 0]), np.copysign(x1, rel[:, 1])], axis=-1)
+        if swap:
+            near = near[:, ::-1]
+        return near, dist
 
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
-        _, dist = self._nearest_t(pts)
-        rel = np.atleast_2d(pts) - self.center
-        inside = (rel[:, 0] / self.a) ** 2 + (rel[:, 1] / self.b) ** 2 < 1.0
-        out = np.where(inside, dist, -dist)
-        return out[0] if single else out.reshape(pts.shape[:-1])
+        _, dist = self._nearest(pts)
+        out = np.where(self.contains(np.atleast_2d(pts)), dist, -dist)
+        return out[0] if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
     def _kappa_of_t(self, t):
         a, b = self.a, self.b
@@ -185,7 +221,8 @@ class _Ellipse:
         return self._kappa_of_t(t)
 
     def arclength_of_point(self, pts):
-        t, _ = self._nearest_t(np.atleast_2d(pts))
+        near, _ = self._nearest(pts)
+        t = np.mod(np.arctan2(near[:, 1] / self.b, near[:, 0] / self.a), _TWO_PI)
         return np.interp(t, self._t_table, self._s_table)
 
 
@@ -434,7 +471,8 @@ class _LevelSet:
 
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not hasattr(self, "_tree"):
-            self._tree = cKDTree(self._polyline)
+            # wide leaves: fewer tree levels for the lattice-sized queries
+            self._tree = cKDTree(self._polyline, leafsize=64)
         _, idx = self._tree.query(pts)
         q = self._polyline[idx].copy()
         x = pts
@@ -469,15 +507,15 @@ class _LevelSet:
             q[bad] = self._project(self._polyline[idx][bad])
         return q
 
+    def contains(self, pts):
+        return self.F(pts[..., 0], pts[..., 1]) > 0.0
+
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
-        single = pts.ndim == 1
         p2 = np.atleast_2d(pts)
-        foot = self._nearest_foot(p2)
-        dist = np.linalg.norm(p2 - foot, axis=-1)
-        sign = np.where(self.F(p2[:, 0], p2[:, 1]) > 0.0, 1.0, -1.0)
-        out = sign * dist
-        return out[0] if single else out.reshape(pts.shape[:-1])
+        dist = np.linalg.norm(p2 - self._nearest_foot(p2), axis=-1)
+        out = np.where(self.contains(p2), dist, -dist)
+        return out[0] if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
     def _implicit_kappa(self, pts):
         x, y = pts[:, 0], pts[:, 1]
@@ -610,8 +648,13 @@ class DomainSpec:
         """Positive inside, negative outside, zero on the boundary."""
         return self.shape.signed_distance(np.asarray(pts, dtype=float))
 
-    def contains(self, pts, tol=0.0):
-        return self.signed_distance(pts) > tol
+    def contains(self, pts):
+        """Sign test, True strictly inside: the shape's implicit inequality
+        where it has one, the sign of the signed distance otherwise."""
+        test = getattr(self.shape, "contains", None)
+        if test is None:
+            return self.signed_distance(pts) > 0.0
+        return test(np.asarray(pts, dtype=float))
 
     # -- boundary lookups ----------------------------------------------------
 
@@ -632,12 +675,6 @@ class DomainSpec:
     def arclength_of(self, pts):
         """Arclength coordinate of the boundary point nearest to pts."""
         return self.shape.arclength_of_point(np.asarray(pts, dtype=float))
-
-    def boundary_point(self, s):
-        b = self.boundary
-        s = np.mod(np.asarray(s, dtype=float), b.total_length)
-        idx = np.searchsorted(b.arclength, s) % len(b.arclength)
-        return b.points[idx]
 
     def arc_distance(self, s1, s2):
         """Shortest distance along the boundary between arclengths s1 and s2."""
@@ -939,14 +976,3 @@ def parallel_curvature(domain: DomainSpec, s, t):
         raise FocalPointError(f"parallel curve hits the focal set: min(1 - t*kappa) = {denom.min():.3g}")
     return kappa / denom
 
-
-def smoothness_radius(domain: DomainSpec) -> float:
-    return domain.smoothness_radius()
-
-
-def signed_distance(domain: DomainSpec, pts):
-    return domain.signed_distance(pts)
-
-
-def boundary_curvature(domain: DomainSpec, s):
-    return domain.boundary_curvature(s)

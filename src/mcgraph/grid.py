@@ -4,7 +4,9 @@ Nodes sit at integer multiples of the spacing h and are classified interior
 (signed distance > 0), ghost (exterior but axis-adjacent to an interior node),
 or exterior.  Each interior-to-exterior axis link stores a boundary intercept:
 the fraction theta in (0, 1] of the link at which the boundary is crossed and
-the foot point itself, located by bisection to |d| <= 1e-8.
+the foot point itself.  The feet are bisected on the domain's sign test
+(`DomainSpec.contains`, an implicit inequality where the shape has one) and
+then checked once against the signed distance, |d| <= 1e-8.
 
 Each link closes its ghost in terms of interior unknowns and the Dirichlet
 value at its foot by one-dimensional extrapolation along the link:
@@ -126,7 +128,8 @@ class Grid:
             raise GridError("ghost node farther than 2h from the boundary")
 
     def _find_intercepts(self):
-        """One foot per interior->exterior axis link, all bisected together on d."""
+        """One foot per interior->exterior axis link, all bisected together on
+        the domain's sign test; the feet are then checked once on |d|."""
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         leaves = ~self.interior_mask[ii + _AXES[:, :1], jj + _AXES[:, 1:]]
         axis, owner = np.nonzero(leaves)          # axis-major, owners ascending
@@ -134,10 +137,10 @@ class Grid:
         direction = self.h * _AXES[axis]
         lo = np.zeros(len(owner))
         hi = np.ones(len(owner))
-        # d(p0) > 0, d(p0 + dir) <= 0: bisect the sign change
+        # p0 inside, p0 + dir not: bisect the sign change
         for _ in range(52):
             mid = 0.5 * (lo + hi)
-            pos = self.domain.signed_distance(p0 + mid[:, None] * direction) > 0.0
+            pos = self.domain.contains(p0 + mid[:, None] * direction)
             lo = np.where(pos, mid, lo)
             hi = np.where(pos, hi, mid)
         theta = 0.5 * (lo + hi)

@@ -1,9 +1,16 @@
 """Shared fixtures: small cap and Scherk problems reused across modules."""
 
 import pytest
+from hypothesis import settings
 
 from mcgraph import (Grid, PrescribedCurvature, ZeroData, disk, rect,
                      scherk_trace, solve_dirichlet)
+
+# property tests draw the same examples on every run and write no example
+# database, so a red is reproducible from the checkout alone
+settings.register_profile("mcgraph", derandomize=True, deadline=None,
+                          max_examples=30, database=None)
+settings.load_profile("mcgraph")
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mcgraph import (BumpData, ExpressionData, FocalPointError,
                      MalformedDomainError, PrescribedCurvature, ZeroData,
@@ -256,3 +257,77 @@ def test_expression_data_norms():
     assert p0 == pytest.approx(0.5, rel=1e-2)
     assert p1 == pytest.approx(1.0, rel=1e-2)   # includes |phi| + |grad phi|
     assert p2 == pytest.approx(1.0, rel=1e-2)   # second derivatives vanish
+
+
+# -- ellipse distance: exact values and properties -----------------------------
+
+
+@pytest.mark.parametrize("a, b", [(1.2, 0.7), (0.6, 1.1)])
+def test_ellipse_centre_distance_is_minor_semi_axis(a, b):
+    assert ellipse(a, b).signed_distance(np.array([0.0, 0.0])) == pytest.approx(min(a, b), abs=1e-15)
+
+
+def test_ellipse_distance_near_centre_on_major_axis():
+    # within (a^2 - b^2)/a of the centre the nearest point is off the axis:
+    # d(x, 0) = b sqrt(1 - x^2 / (a^2 - b^2))
+    assert ellipse(1.2, 0.7).signed_distance(np.array([0.1, 0.0])) == \
+        pytest.approx(0.7 * math.sqrt(1.0 - 0.01 / 0.95), abs=1e-15)
+    assert 0.7 * math.sqrt(1.0 - 0.01 / 0.95) == pytest.approx(0.6963060, abs=1e-7)
+
+
+def test_ellipse_centre_arclength_on_minor_vertex():
+    d = ellipse(1.2, 0.7)
+    s = float(np.atleast_1d(d.arclength_of(np.array([0.0, 0.0])))[0])
+    L = d.boundary.total_length
+    # arclength runs ccw from (a, 0): the minor vertices sit at L/4 and 3L/4
+    assert min(abs(s - 0.25 * L), abs(s - 0.75 * L)) < 1e-9
+
+
+def test_contains_is_the_implicit_test():
+    e = ellipse(1.2, 0.7, center=(0.1, -0.2))
+    pts = np.array([[0.1, -0.2], [1.29, -0.2], [1.31, -0.2], [0.1, 0.49], [0.1, 0.51]])
+    assert e.contains(pts).tolist() == [True, True, False, True, False]
+    d = dumbbell(1.0, 1.3)
+    assert d.contains(np.array([[0.0, 0.0], [3.0, 0.0]])).tolist() == [True, False]
+
+
+_semi_axis = st.floats(0.2, 2.0)
+_unit = st.floats(-1.6, 1.6)
+
+
+@given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
+def test_ellipse_distance_sign_matches_implicit_test(a, b, uv):
+    e = ellipse(a, b, n_samples=64)
+    pts = np.array(uv) * (a, b)
+    F = (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 - 1.0
+    sd = e.signed_distance(pts)
+    assert np.all(np.where(F < 0, sd >= 0, sd <= 0))
+    assert np.all((sd != 0) | (np.abs(F) < 1e-12))
+
+
+@given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
+def test_ellipse_foot_on_curve_along_normal(a, b, uv):
+    e = ellipse(a, b, n_samples=64)
+    pts = np.array(uv) * (a, b)
+    foot, dist = e.shape._nearest(pts)
+    assert np.allclose(np.abs(e.signed_distance(pts)), dist, rtol=0, atol=0)
+    assert np.all(np.abs((foot[:, 0] / a) ** 2 + (foot[:, 1] / b) ** 2 - 1.0) < 1e-12)
+    # pts - foot is parallel to the curve's normal grad F = (x / a^2, y / b^2)
+    nx, ny = foot[:, 0] / a**2, foot[:, 1] / b**2
+    rx, ry = pts[:, 0] - foot[:, 0], pts[:, 1] - foot[:, 1]
+    assert np.all(np.abs(rx * ny - ry * nx) <= 1e-9 * np.hypot(nx, ny) * max(a, b))
+
+
+@given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
+def test_ellipse_distance_against_dense_parameter_sample(a, b, uv):
+    e = ellipse(a, b, n_samples=64)
+    pts = np.array(uv) * (a, b)
+    t = np.linspace(0.0, 2.0 * math.pi, 20001)
+    curve = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+    sampled = np.min(np.linalg.norm(pts[:, None, :] - curve[None, :, :], axis=-1), axis=1)
+    dist = np.abs(e.signed_distance(pts))
+    # never beyond a point of the curve; never short of the sample by more
+    # than one sample spacing
+    spacing = np.max(np.linalg.norm(np.diff(curve, axis=0), axis=1))
+    assert np.all(dist <= sampled + 1e-12)
+    assert np.all(sampled <= dist + spacing)

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
-                     disk, ellipse, levelset)
-from mcgraph.grid import NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR
+                     disk, dumbbell, ellipse, levelset, rect)
+from mcgraph.grid import _AXES, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +154,69 @@ def test_refinement_grows_quadratically():
     n16 = Grid(disk(radius=1.0), 1.0 / 16.0).n_interior
     n32 = Grid(disk(radius=1.0), 1.0 / 32.0).n_interior
     assert 3.0 < n32 / n16 < 5.0
+
+
+def test_ellipse_depths_on_major_axis_are_exact():
+    # within (a^2 - b^2)/a of the centre the nearest boundary point leaves the
+    # major axis: d(x, 0) = b sqrt(1 - x^2 / (a^2 - b^2))
+    a, b = 1.2, 0.7
+    g = Grid(ellipse(a, b), 1.0 / 32.0)
+    j = int(np.flatnonzero(g.ys == 0.0)[0])
+    deep = np.abs(g.xs) < (a * a - b * b) / a
+    exact = b * np.sqrt(1.0 - g.xs[deep] ** 2 / (a * a - b * b))
+    assert deep.sum() == 51
+    assert np.max(np.abs(g.d[deep, j] - exact)) < 1e-15
+
+
+_LEVELSET = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("make", [lambda: ellipse(1.2, 0.7), lambda: dumbbell(1.0, 1.3),
+                                  lambda: levelset(_LEVELSET, (-1.1, 1.1, -1.0, 1.0))],
+                         ids=["ellipse", "dumbbell", "levelset"])
+def test_feet_bisected_on_sign_test_match_signed_distance(make, h, monkeypatch):
+    domain = make()
+    by_sign = Grid(domain, h)
+    monkeypatch.setattr(domain, "contains", lambda pts: domain.signed_distance(pts) > 0.0)
+    by_distance = Grid(domain, h)
+    assert np.array_equal(by_sign.foot_owner, by_distance.foot_owner)
+    assert np.array_equal(by_sign.foot_axis, by_distance.foot_axis)
+    assert np.max(np.abs(by_sign.foot_theta - by_distance.foot_theta)) <= 1e-12
+    assert np.max(np.abs(by_sign.foot_s - by_distance.foot_s)) <= 1e-14
+    assert by_sign.flags == by_distance.flags
+
+
+def _fallback_ghosts(g):
+    """Ghosts with a link that falls back to linear extrapolation: no second
+    interior node inward, or theta < 0.1 and no third."""
+    step = _AXES[g.foot_axis]
+    own = g.interior_ij[g.foot_owner]
+
+    def inward(k):
+        return g.node_id[own[:, 0] - k * step[:, 0], own[:, 1] - k * step[:, 1]] >= 0
+
+    linear = ~inward(1) | ((g.foot_theta < 0.1) & ~inward(2))
+    assert linear.sum() == g.flags["ghost_linear_fallback"]
+    return g.ghost_id[own[linear, 0] + step[linear, 0], own[linear, 1] + step[linear, 1]]
+
+
+_SHAPES = {"disk": lambda p, q: disk(0.4 + p, center=(0.1 * q, -0.05)),
+           "ellipse": lambda p, q: ellipse(0.4 + p, 0.4 + q),
+           "rect": lambda p, q: rect(0.4 + p, 0.4 + q),
+           "annulus": lambda p, q: annulus(p, p + 0.3 + q)}
+
+
+@given(shape=st.sampled_from(sorted(_SHAPES)),
+       p=st.floats(0.3, 1.0), q=st.floats(0.3, 1.0), n=st.integers(12, 40),
+       c=st.lists(st.floats(-1.0, 1.0), min_size=6, max_size=6))
+def test_ghost_closures_reproduce_quadratics(shape, p, q, n, c):
+    g = Grid(_SHAPES[shape](p, q), 1.0 / n)
+
+    def quad(x, y):
+        return c[0] + c[1] * x + c[2] * y + c[3] * x * x + c[4] * x * y + c[5] * y * y
+
+    u = ScalarField.from_callable(g, quad)
+    err = np.abs(u.ghost_values() - quad(g.xs[g.ghost_ij[:, 0]], g.ys[g.ghost_ij[:, 1]]))
+    err[_fallback_ghosts(g)] = 0.0
+    assert np.max(err) < 1e-9
