@@ -16,12 +16,13 @@ from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
 from .expressions import Expr2D, compile_expr, ExpressionError
 from .grid import Grid, ScalarField, GridError, InvalidFieldError
-from .operators import (apply_M, apply_M_tensor, apply_Q, gradient, hessian,
-                        coefficient_matrix, slope_factor, residual_norms,
+from .operators import (Evaluation, apply_M, apply_M_tensor, apply_Q, gradient,
+                        hessian, coefficient_matrix, slope_factor, residual_norms,
                         operator_agreement, DIMENSION)
-from .linear import LinearSystem, assemble, solve as solve_linear, SolverError
-from .solver import (SolveConfig, SolveReport, solve_dirichlet, picard_step,
-                     sup_slope, boundary_slope)
+from .linear import (LinearSystem, assemble, correction_system,
+                     solve as solve_linear, SolverError)
+from .solver import (SolveConfig, SolveReport, solve_dirichlet, sup_slope,
+                     boundary_slope)
 from .barriers import (EstimateAudit, BarrierParams, NotApplicable,
                        height_bound, height_barrier, boundary_gradient_package,
                        barrier_pair_checks, global_gradient_bound,
@@ -45,11 +46,11 @@ __all__ = [
     "scherk_trace",
     "Expr2D", "compile_expr", "ExpressionError",
     "Grid", "ScalarField", "GridError", "InvalidFieldError",
-    "apply_M", "apply_M_tensor", "apply_Q", "gradient", "hessian",
+    "Evaluation", "apply_M", "apply_M_tensor", "apply_Q", "gradient", "hessian",
     "coefficient_matrix", "slope_factor", "residual_norms",
     "operator_agreement", "DIMENSION",
-    "LinearSystem", "assemble", "solve_linear", "SolverError",
-    "SolveConfig", "SolveReport", "solve_dirichlet", "picard_step",
+    "LinearSystem", "assemble", "correction_system", "solve_linear", "SolverError",
+    "SolveConfig", "SolveReport", "solve_dirichlet",
     "sup_slope", "boundary_slope",
     "EstimateAudit", "BarrierParams", "NotApplicable", "height_bound",
     "height_barrier", "boundary_gradient_package", "barrier_pair_checks",

@@ -26,9 +26,9 @@ finite-difference stencil is laid out once over interior and ghost columns,
 and eliminating the ghost columns through those matrices gives sparse operator
 pairs (interior block, foot block): an operator applied to a field is one
 sparse mat-vec, and the ghost elimination is identical in nodal evaluation
-and linear-system assembly.  For assembly, the union pattern of Dxx, Dyy and
-Dxy is built once per grid, so a frozen-coefficient matrix is one pass over
-fixed weights.
+and linear-system assembly.  For assembly, the union pattern of Dxx, Dyy,
+Dxy, Gx and Gy is built once per grid, so a frozen-coefficient matrix or a
+Newton Jacobian is one pass over each stencil's fixed weights.
 """
 
 from __future__ import annotations
@@ -260,11 +260,12 @@ class Grid:
         return ops
 
     def hessian_patterns(self) -> tuple:
-        """(interior block, foot block) union patterns of Dxx, Dyy, Dxy, built
-        on first use so grids that are never solved on do not carry them."""
+        """(interior block, foot block) union patterns of Dxx, Dyy, Dxy, Gx, Gy,
+        built on first use so grids that are never solved on do not carry them."""
         if self._hessian is None:
             ops = self.operators()
-            self._hessian = tuple(HessianPattern(*(ops[name][k] for name in ("Dxx", "Dyy", "Dxy")))
+            self._hessian = tuple(HessianPattern(*(ops[name][k] for name in
+                                                   ("Dxx", "Dyy", "Dxy", "Gx", "Gy")))
                                   for k in (0, 1))
         return self._hessian
 
@@ -274,40 +275,41 @@ class Grid:
 
 
 class HessianPattern:
-    """Union sparsity pattern of one block of (Dxx, Dyy, Dxy), stored as CSR
-    with sorted indices, and the three stencils' weights aligned to it.
+    """Union sparsity pattern of one block of (Dxx, Dyy, Dxy, Gx, Gy), stored
+    as CSR with sorted indices, and each stencil's entries located in it.
 
-    A coefficient combination c11 Dxx + c22 Dyy + c12 Dxy with per-row
-    coefficients is then one gather-and-multiply over the stored entries.
-    Entries a stencil lacks carry weight zero, so the combination equals the
-    sum of the three scaled operators entry by entry, and its pattern is the
-    same for every set of coefficients.
+    A coefficient combination c11 Dxx + c22 Dyy + c12 Dxy (+ cx Gx + cy Gy)
+    with per-row coefficients is then one gather-multiply-scatter per stencil
+    over that stencil's own entries.  Positions a stencil lacks get nothing
+    from it, so the combination equals the sum of the scaled operators entry
+    by entry, and its pattern is the same for every set of coefficients.
     """
 
-    def __init__(self, Dxx, Dyy, Dxy):
-        n_rows, n_cols = Dxx.shape
-        parts = [M.tocoo() for M in (Dxx, Dyy, Dxy)]
+    def __init__(self, *blocks):
+        n_rows, n_cols = blocks[0].shape
+        parts = [M.tocoo() for M in blocks]
+        for part in parts:
+            part.sum_duplicates()       # one entry per position: scatters do not collide
         keys = [c.row.astype(np.int64) * n_cols + c.col for c in parts]
         union = np.unique(np.concatenate(keys))       # row-major: CSR order
         self.shape = (n_rows, n_cols)
-        self.row = (union // n_cols).astype(np.int32)
         self.indices = (union % n_cols).astype(np.int32)
-        self.indptr = np.searchsorted(self.row, np.arange(n_rows + 1)).astype(np.int32)
+        self.indptr = np.searchsorted(union // n_cols, np.arange(n_rows + 1)).astype(np.int32)
         # every combination shares the index arrays; freezing them makes an
         # in-place change to one combination's pattern raise
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        self.weights = []
-        for part, key in zip(parts, keys):
-            w = np.zeros(len(union))
-            np.add.at(w, np.searchsorted(union, key), part.data)
-            self.weights.append(w)
+        # per stencil: (position in the union, row, weight) of each entry
+        self.parts = [(np.searchsorted(union, key).astype(np.int32), part.row, part.data)
+                      for part, key in zip(parts, keys)]
 
-    def combine(self, c11, c22, c12) -> sps.csr_matrix:
-        """c11 Dxx + c22 Dyy + c12 Dxy for per-row coefficient arrays."""
-        wxx, wyy, wxy = self.weights
-        r = self.row
-        data = c11[r] * wxx + c22[r] * wyy + c12[r] * wxy
+    def combine(self, *coefficients) -> sps.csr_matrix:
+        """c11 Dxx + c22 Dyy + c12 Dxy + cx Gx + cy Gy for per-row coefficient
+        arrays given in that order; the operators past the last one given
+        contribute nothing."""
+        data = np.zeros(len(self.indices))
+        for c, (pos, row, w) in zip(coefficients, self.parts):
+            data[pos] += c[row] * w
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 

@@ -1,25 +1,35 @@
-"""Frozen-coefficient linear subproblems.
+"""Linear subproblems of the continuation solve: frozen systems and Newton
+corrections on a held LU.
 
 Linearizing about a slope field v freezes the coefficients of the quasilinear
-operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the step solves
+operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the frozen system is
 
     (W_v^2 - v_x^2) u_xx - 2 v_x v_y u_xy + (W_v^2 - v_y^2) u_yy
         = tau * n * H * W_v^3   in the interior,
     u = tau * phi               on the boundary feet,
 
-for the new iterate u.  Assembly fills the grid's fixed union pattern of the
-cached second-difference operators, so the matrix action coincides exactly
-with the nodal evaluation of the same frozen operator; boundary values enter
-the right-hand side through the foot blocks.
+for u (`assemble`).  The solver's damped Newton steps in correction form
+solve J(u) delta = -Q(u) with delta = 0 at the feet (`correction_system`);
+the Jacobian adds to the frozen operator at u the slope derivative of its
+coefficients and of the load W^3:
+
+    J = A(u) + diag(b_x) Gx + diag(b_y) Gy,
+    b_x = 2 (p_x u_yy - p_y u_xy) - 3 tau n H W p_x,
+    b_y = 2 (p_y u_xx - p_x u_xy) - 3 tau n H W p_y.
+
+Both fill the grid's fixed union pattern of the stencil operators, so the
+matrix action coincides exactly with the nodal evaluation; boundary values of
+a frozen system enter the right-hand side through the foot blocks.
 
 Solves factor rarely (the chord idea, Kelley 1995).  A `HeldFactor` keeps the
-most recent sparse LU; a later frozen system first runs one restart cycle of
+most recent sparse LU; a later system first runs one restart cycle of
 GMRES preconditioned by that LU, from the start x0 = LU^-1 b, and keeps the
 answer when its backward error is within a tenth of the gate.  Otherwise the
 stale factor is dropped and the system is factorized afresh.  When the
 factorization itself fails, the same GMRES runs without a preconditioner.
 Every returned solution passes the backward-error gate
-|Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm.
+|Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
+that bounds the error relative to the small step and defect, not to u.
 """
 
 from __future__ import annotations
@@ -32,15 +42,12 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, ScalarField
-from .operators import gradient, DIMENSION, _curvature_values
+from .operators import DIMENSION, Evaluation, _curvature_values, gradient
 
 _RELRES_TOL = 1e-10
-_COND_LIMIT = 1e14
 # GMRES aims at a residual 1e-14 of the backward-error denominator at its
-# start, near what a direct solve leaves; a looser aim leaves a defect floor
-# above the direct solve's, which trips the solver's damping test on the last
-# iterate of a converged stage.  Its answer is kept at backward error 1e-11,
-# a tenth of the gate.
+# start, near what a direct solve leaves.  Its answer is kept at backward
+# error 1e-11, a tenth of the gate.
 _KRYLOV_RTOL = 1e-14
 _REUSE_TOL = 1e-11
 _RESTART = 30
@@ -71,7 +78,7 @@ class HeldFactor:
 
 @dataclass
 class LinearSystem:
-    """Assembled frozen-coefficient system A u = b with its boundary data."""
+    """Assembled system A x = b, frozen or a Newton correction, with its boundary data."""
 
     A: sps.csr_matrix
     b: np.ndarray
@@ -137,14 +144,24 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals, meta=meta)
 
 
-def solve(system: LinearSystem, check_conditioning: bool = False,
-          held: Optional[HeldFactor] = None) -> ScalarField:
+def correction_system(ev: Evaluation) -> LinearSystem:
+    """Newton correction J(u) delta = -Q(u), delta = 0 at the feet, for the
+    evaluation ev of the iterate u."""
+    grid = ev.u.grid
+    px, py = ev.p[:, 0], ev.p[:, 1]
+    load_slope = 3.0 * ev.load * ev.W
+    bx = 2.0 * (px * ev.uyy - py * ev.uxy) - load_slope * px
+    by = 2.0 * (py * ev.uxx - px * ev.uxy) - load_slope * py
+    J = grid.hessian_patterns()[0].combine(ev.a11, ev.a22, 2.0 * ev.a12, bx, by)
+    return LinearSystem(A=J, b=-ev.q, grid=grid, feet_values=np.zeros(grid.n_feet))
+
+
+def solve(system: LinearSystem, held: Optional[HeldFactor] = None) -> ScalarField:
     """Sparse solve with backward-error acceptance, reusing `held`'s LU.
 
-    Raises SolverError when the system has non-finite entries, when no path
-    reaches the backward-error tolerance, or when a requested condition
-    estimate exceeds 1e14.  `system.meta["relres"]` holds the backward error
-    of the answer, also when the gate rejects it.
+    Raises SolverError when the system has non-finite entries or when no path
+    reaches the backward-error tolerance.  `system.meta["relres"]` holds the
+    backward error of the answer, also when the gate rejects it.
     """
     A, b = system.A, system.b
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
@@ -171,10 +188,6 @@ def solve(system: LinearSystem, check_conditioning: bool = False,
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
-    if check_conditioning:
-        cond = condition_estimate(system)
-        if cond > _COND_LIMIT:
-            raise SolverError(f"condition estimate {cond:.2e} exceeds {_COND_LIMIT:g}")
     return ScalarField(system.grid, x, system.feet_values.copy())
 
 

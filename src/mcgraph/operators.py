@@ -74,15 +74,41 @@ def coefficient_matrix(p) -> tuple[np.ndarray, tuple[float, float]]:
     return A, (np.ones_like(w2), w2)
 
 
+class Evaluation:
+    """One field u at load tau, evaluated once; the solver's defect norms,
+    slope guard and Newton Jacobian all read from it.
+
+    Arrays are per interior node: p holds the slopes (n_interior, 2) and
+    W = sqrt(1 + |p|^2); uxx, uyy, uxy the second differences; a11, a22, a12
+    the coefficients of M; load the curvature load tau n H; m = M u and
+    q = Q u = m - load W^3.
+    """
+
+    def __init__(self, u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):
+        self.u = u
+        self.p = p = gradient(u)
+        Hs = hessian(u)
+        self.uxx, self.uyy, self.uxy = Hs[:, 0, 0], Hs[:, 1, 1], Hs[:, 0, 1]
+        w2 = 1.0 + np.sum(p**2, axis=-1)
+        self.W = np.sqrt(w2)
+        self.a11 = w2 - p[:, 0] ** 2
+        self.a22 = w2 - p[:, 1] ** 2
+        self.a12 = -p[:, 0] * p[:, 1]
+        self.m = self.a11 * self.uxx + 2.0 * self.a12 * self.uxy + self.a22 * self.uyy
+        self.load = tau * n * _curvature_values(H, u.grid.interior_xy)
+        self.q = self.m - self.load * self.W**3
+
+    def residual_norms(self) -> tuple[float, float]:
+        """(core, collar) sup norms of q; core excludes the 2h boundary collar."""
+        core = self.u.grid.core_mask
+        r_core = float(np.max(np.abs(self.q[core]))) if core.any() else 0.0
+        r_collar = float(np.max(np.abs(self.q[~core]))) if (~core).any() else 0.0
+        return r_core, r_collar
+
+
 def apply_M(u: ScalarField) -> np.ndarray:
     """Coefficient-form evaluation of M u at interior nodes."""
-    p = gradient(u)
-    Hs = hessian(u)
-    w2 = 1.0 + np.sum(p**2, axis=-1)
-    a11 = w2 - p[:, 0] ** 2
-    a22 = w2 - p[:, 1] ** 2
-    a12 = -p[:, 0] * p[:, 1]
-    return a11 * Hs[:, 0, 0] + 2.0 * a12 * Hs[:, 0, 1] + a22 * Hs[:, 1, 1]
+    return Evaluation(u, 0.0).m
 
 
 def apply_M_tensor(u: ScalarField) -> np.ndarray:
@@ -100,10 +126,7 @@ def apply_Q(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0) -> np.ndarr
 
     H may be a PrescribedCurvature, a callable of points, or a scalar.
     """
-    p = gradient(u)
-    W = slope_factor(p)
-    hv = _curvature_values(H, u.grid.interior_xy)
-    return apply_M(u) - tau * n * hv * W**3
+    return Evaluation(u, H, n, tau).q
 
 
 def _curvature_values(H, pts: np.ndarray) -> np.ndarray:
@@ -114,11 +137,7 @@ def _curvature_values(H, pts: np.ndarray) -> np.ndarray:
 
 def residual_norms(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):
     """(core, collar) sup norms of Q u; core excludes the 2h boundary collar."""
-    q = apply_Q(u, H, n, tau)
-    core = u.grid.core_mask
-    r_core = float(np.max(np.abs(q[core]))) if core.any() else 0.0
-    r_collar = float(np.max(np.abs(q[~core]))) if (~core).any() else 0.0
-    return r_core, r_collar
+    return Evaluation(u, H, n, tau).residual_norms()
 
 
 def operator_agreement(u: ScalarField) -> float:

@@ -1,20 +1,25 @@
-"""Quasilinear solves by damped Picard continuation.
+"""Quasilinear solves by damped Newton continuation in correction form on a
+held LU.
 
-Each stage of the load schedule tau in (0, 1] solves the frozen-coefficient
-problem about the current iterate and blends
+Each stage of the load schedule tau in (0, 1] takes Newton steps about the
+current iterate: it solves J(u) delta = -Q(u) with delta = 0 at the feet and
+sets
 
-    u_next = (1 - damping) * u + damping * step(u),
+    u_next = u + damping * delta,
 
-halving the damping factor whenever the defect grows (floor 0.125) and
-warm-starting the next stage from the converged iterate.  Guards abort a
-stage when the discrete slope blows past `grad_max` (gradient divergence,
-the signature of unattainable boundary data) or when the defect stops
-improving over a trailing window (stagnation).
+halving the damping factor whenever the defect grows while it is still above
+the residual tolerance (floor 0.125), and warm-starting the next stage from
+the converged iterate.  Growth below the tolerance is rounding, which damping
+cannot cure.  Guards abort a stage when the discrete slope blows past
+`grad_max` (gradient divergence, the signature of unattainable boundary
+data) or when the defect stops improving over a trailing window
+(stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
+defect norms, the slope guard and the next Jacobian read from it.
 
-A solve holds one sparse LU across all its stages and iterates: each frozen
+A solve holds one sparse LU across all its stages and iterates: each Newton
 system goes to GMRES preconditioned with it, and is factorized afresh only
-when that stalls (see `linear`).  The factor is released before the final
-residuals and the audits; the report keeps only the counts.
+when that stalls (see `linear`).  The factor is released before the audits;
+the report keeps only the counts.
 
 Converged solves at full load are audited automatically against the height
 and global gradient estimates; the audits ride along in the report.
@@ -29,9 +34,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .operators import (DIMENSION, apply_Q, gradient, residual_norms,
-                        slope_factor)
-from .linear import HeldFactor, assemble, solve as linear_solve, SolverError
+from .operators import DIMENSION, Evaluation, gradient
+from .linear import HeldFactor, correction_system, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged_gradient"
@@ -50,7 +54,6 @@ class SolveConfig:
     tau_schedule: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     grad_max: float = 1e4
     stagnation_window: int = 20
-    check_conditioning: bool = False
     keep_stage_fields: bool = False
     audit: bool = True
 
@@ -117,14 +120,15 @@ class SolveReport:
         }
 
 
-def sup_slope(u: ScalarField) -> float:
+def sup_slope(u: ScalarField, p: Optional[np.ndarray] = None) -> float:
     """Worst discrete slope: interior centered plus one-sided foot slopes.
 
     The one-sided slope (u_owner - phi_foot) / (theta h) along each boundary
     link sees steepening at the boundary a full mesh width before the
     centered interior slopes do, which is what the divergence guard needs.
+    `p` is u's interior slope field when it has been evaluated already.
     """
-    g = gradient(u)
+    g = gradient(u) if p is None else p
     m = float(np.max(np.linalg.norm(g, axis=-1))) if len(g) else 0.0
     return max(m, boundary_slope(u))
 
@@ -143,15 +147,6 @@ def boundary_slope(u: ScalarField) -> float:
     return float(np.max(np.abs(du) / (grid.foot_theta * grid.h)))
 
 
-def picard_step(u: ScalarField, H, data, n: int, tau: float,
-                check_conditioning: bool = False,
-                held: Optional[HeldFactor] = None) -> ScalarField:
-    """One frozen-coefficient step about u at load tau; `held` carries the LU
-    of earlier steps to reuse (a fresh one when None)."""
-    system = assemble(u, H, data, n=n, tau=tau)
-    return linear_solve(system, check_conditioning=check_conditioning, held=held)
-
-
 def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
                     config: Optional[SolveConfig] = None) -> SolveReport:
     """Continuation solve of the prescribed-curvature Dirichlet problem.
@@ -164,26 +159,26 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
     held = HeldFactor()
-    verdict, message, u, tau = _continue(grid, H, data, n, cfg, report, held)
+    verdict, message, ev = _continue(grid, H, data, n, cfg, report, held)
     report.factorizations = held.factorizations
     report.krylov_iterations = held.krylov_iterations
     held.lu = None
-    _finalize(report, verdict, message, u, H, n, tau, t0)
+    _finalize(report, verdict, message, ev, t0)
     if verdict == VERDICT_CONVERGED and cfg.audit:
-        report.audits = _run_audits(u, H, data, n, report)
+        report.audits = _run_audits(ev.u, H, data, n, report)
     return report
 
 
 def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport,
               held: HeldFactor):
     """Run the load schedule, filling the report's stages, trace rows and
-    iteration count; returns (verdict, message, last iterate, load)."""
+    iteration count; returns (verdict, message, evaluation of the last iterate)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
     u = ScalarField.zeros(grid, data.scaled(cfg.tau_schedule[0]) if grid.n_feet else None)
     for tau in cfg.tau_schedule:
-        scaled = data.scaled(tau)
         # re-anchor the warm start's trace at this stage's load
-        u = ScalarField.from_data(grid, u.values, scaled)
+        u = ScalarField.from_data(grid, u.values, data.scaled(tau))
+        ev = Evaluation(u, H, n, tau)
         damping = cfg.damping
         prev_res = np.inf
         window: list[float] = []
@@ -194,30 +189,28 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
         for it in range(1, cfg.max_iters + 1):
             report.iterations += 1
             try:
-                step = picard_step(u, H, data, n=n, tau=tau,
-                                   check_conditioning=cfg.check_conditioning,
-                                   held=held)
+                delta = linear_solve(correction_system(ev), held=held)
             except SolverError as exc:
-                return VERDICT_LINEAR_FAILURE, str(exc), u, tau
-            new_vals = (1.0 - damping) * u.values + damping * step.values
-            u_new = ScalarField(grid, new_vals, step.feet)
-            g = sup_slope(u_new)
+                return VERDICT_LINEAR_FAILURE, str(exc), ev
+            u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)
+            ev_new = Evaluation(u_new, H, n, tau)
+            g = sup_slope(u_new, ev_new.p)
             if not np.isfinite(g) or g > cfg.grad_max:
                 report.stages.append(StageSummary(tau, it, np.inf, np.inf,
                                                   np.inf, g, damping,
                                                   VERDICT_DIVERGED))
                 return (VERDICT_DIVERGED,
                         f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
-                        f"at tau={tau:g}, iteration {it}", u_new, tau)
-            res_core, res_collar = residual_norms(u_new, H, n, tau)
+                        f"at tau={tau:g}, iteration {it}", ev_new)
+            res_core, res_collar = ev_new.residual_norms()
             last_update = float(np.max(np.abs(u_new.values - u.values)))
             report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
                                  "residual_collar": res_collar, "update": last_update,
                                  "sup_gradient": g, "damping": damping})
-            if res_core > prev_res * (1.0 + 1e-12) and damping > 0.125:
+            if res_core > max(tol_res, prev_res * (1.0 + 1e-12)) and damping > 0.125:
                 damping = max(0.125, 0.5 * damping)
             prev_res = res_core
-            u = u_new
+            u, ev = u_new, ev_new
             if last_update <= cfg.tol_update and res_core <= tol_res:
                 stage_verdict = VERDICT_CONVERGED
                 break
@@ -229,29 +222,25 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
                     break
         else:
             stage_verdict = VERDICT_STAGNATED
-        g_final = sup_slope(u)
         report.stages.append(StageSummary(tau, it, res_core, res_collar,
-                                          last_update, g_final, damping,
+                                          last_update, sup_slope(u, ev.p), damping,
                                           stage_verdict))
         if cfg.keep_stage_fields:
             report.stage_fields.append((tau, u.copy()))
         if stage_verdict != VERDICT_CONVERGED:
             return (stage_verdict,
                     f"stage tau={tau:g} ended {stage_verdict} after "
-                    f"{it} iterations (defect {res_core:.3e})", u, tau)
-    return VERDICT_CONVERGED, "", u, 1.0
+                    f"{it} iterations (defect {res_core:.3e})", ev)
+    return VERDICT_CONVERGED, "", ev
 
 
-def _finalize(report: SolveReport, verdict: str, message: str, u: ScalarField,
-              H, n, tau, t0):
+def _finalize(report: SolveReport, verdict: str, message: str, ev: Evaluation, t0):
     report.verdict = verdict
     report.message = message
-    report.field = u
-    rc, rb = residual_norms(u, H, n, tau)
-    report.residual_core = rc
-    report.residual_collar = rb
-    report.sup_u = u.sup()
-    report.sup_gradient = sup_slope(u)
+    report.field = ev.u
+    report.residual_core, report.residual_collar = ev.residual_norms()
+    report.sup_u = ev.u.sup()
+    report.sup_gradient = sup_slope(ev.u, ev.p)
     report.wall_time = time.perf_counter() - t0
 
 

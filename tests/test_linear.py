@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sps
 
-from mcgraph import (ExpressionData, Grid, PrescribedCurvature, ScalarField,
-                     SolverError, ZeroData, annulus, assemble, disk, gradient,
-                     solve_linear)
+from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
+                     ScalarField, SolverError, ZeroData, annulus, apply_Q,
+                     assemble, correction_system, disk, ellipse, gradient,
+                     hessian, solve_linear)
 from mcgraph.linear import HeldFactor, LinearSystem
 
 
@@ -218,3 +219,57 @@ def test_failed_factorization_falls_back_to_gmres(g32):
     assert system.meta["relres"] <= 1e-10
     assert np.allclose(u.values * diag, b, rtol=0, atol=1e-12)
 
+
+# -- Newton corrections -------------------------------------------------------
+
+_JACOBIAN_DOMAINS = {"disk": lambda: disk(radius=1.0), "ellipse": lambda: ellipse(1.2, 0.7),
+                     "annulus": lambda: annulus(0.5, 1.0)}
+_CURVED = PrescribedCurvature.expression("0.4 + 0.1*x")
+
+
+def _wavy(grid):
+    # tilted and not quadratic, so every Jacobian term is exercised
+    return ScalarField.from_callable(
+        grid, lambda x, y: 0.3 * x - 0.2 * y + 0.2 * np.sin(2.0 * x) * np.cos(1.5 * y))
+
+
+@pytest.fixture(scope="module", params=sorted(_JACOBIAN_DOMAINS))
+def wavy_state(request):
+    return _wavy(Grid(_JACOBIAN_DOMAINS[request.param](), 1.0 / 32.0))
+
+
+def test_jacobian_matches_central_difference_of_Q(wavy_state):
+    u = wavy_state
+    x, y = u.grid.interior_xy[:, 0], u.grid.interior_xy[:, 1]
+    v = np.cos(3.0 * x + 1.0) * np.sin(2.0 * y + 0.5)
+    J = correction_system(Evaluation(u, _CURVED, 2, 0.75)).A
+    # Q is cubic in the differences of u, so the difference misses J v by
+    # O(eps^2); short boundary links make that term largest, 1e-8 here
+    eps = 1e-6
+
+    def Q(shift):
+        return apply_Q(ScalarField(u.grid, u.values + shift * v, u.feet), _CURVED, 2, 0.75)
+
+    fd = (Q(eps) - Q(-eps)) / (2.0 * eps)
+    Jv = J @ v
+    assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(Jv))
+
+
+def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
+    # J = A(u) + diag(b_x) Gx + diag(b_y) Gy entry by entry, on the frozen
+    # operator's pattern
+    u = wavy_state
+    p, Hs = gradient(u), hessian(u)
+    W = np.sqrt(1.0 + np.sum(p**2, axis=-1))
+    load = 0.75 * 2 * _CURVED(u.grid.interior_xy)
+    bx = 2.0 * (p[:, 0] * Hs[:, 1, 1] - p[:, 1] * Hs[:, 0, 1]) - 3.0 * load * W * p[:, 0]
+    by = 2.0 * (p[:, 1] * Hs[:, 0, 0] - p[:, 0] * Hs[:, 0, 1]) - 3.0 * load * W * p[:, 1]
+    ops = u.grid.operators()
+    A = assemble(u, _CURVED, ZeroData(), n=2, tau=0.75).A
+    expect = A + sps.diags(bx) @ ops["Gx"][0] + sps.diags(by) @ ops["Gy"][0]
+    system = correction_system(Evaluation(u, _CURVED, 2, 0.75))
+    J = system.A
+    assert abs(J - expect).max() <= 1e-13 * abs(expect).max()
+    assert np.array_equal(J.indptr, A.indptr) and np.array_equal(J.indices, A.indices)
+    assert np.array_equal(system.b, -apply_Q(u, _CURVED, 2, 0.75))
+    assert np.all(system.feet_values == 0.0)

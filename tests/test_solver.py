@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import mcgraph.linear
 import mcgraph.solver
-from mcgraph import (BumpData, Grid, PrescribedCurvature, ScalarField,
-                     SolveConfig, ZeroData, adversarial_boundary_data,
-                     boundary_slope, disk, picard_step, solve_dirichlet,
+from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature,
+                     ScalarField, SolveConfig, ZeroData,
+                     adversarial_boundary_data, boundary_slope,
+                     correction_system, disk, solve_dirichlet, solve_linear,
                      sup_slope)
 from mcgraph.reference import get as get_reference
 
@@ -47,10 +49,42 @@ def test_trace_rows_complete(cap_solve32):
 
 
 def test_fixed_point_property(cap_solve32, cap_H):
-    # one more frozen-coefficient step at the converged state barely moves
-    u = cap_solve32.field
-    v = picard_step(u, cap_H, ZeroData(), 2, 1.0)
-    assert np.max(np.abs(v.values - u.values)) < 1e-6
+    # one more Newton correction at the converged state barely moves
+    delta = solve_linear(correction_system(Evaluation(cap_solve32.field, cap_H, 2, 1.0)))
+    assert np.max(np.abs(delta.values)) < 1e-10
+    assert np.all(delta.feet == 0.0)
+
+
+def test_newton_converges_in_few_iterations(cap_solve32):
+    assert all(s.iters <= 5 for s in cap_solve32.stages)
+    assert cap_solve32.residual_core <= 1e-11
+    assert cap_solve32.factorizations == 1
+
+
+def test_sweep_caps_keep_full_damping(cap_grid32):
+    # defect growth at the rounding floor of a converged stage is no reason
+    # to damp: every stage of every sweep cap ends on full steps
+    for H in np.linspace(0.05, 0.45, 9):
+        report = solve_dirichlet(cap_grid32, PrescribedCurvature.constant(float(H)),
+                                 ZeroData())
+        assert report.verdict == "converged"
+        assert [s.damping_final for s in report.stages] == [1.0] * 4, H
+
+
+@pytest.fixture(scope="module")
+def disk12():
+    return Grid(disk(radius=1.0), 1.0 / 12.0)
+
+
+@given(H=st.floats(-1.5, 1.5), angle=st.floats(0.0, 2.0 * np.pi),
+       width=st.floats(0.05, 1.0), eps=st.floats(-0.5, 0.5))
+def test_solve_ends_in_a_verdict(disk12, H, angle, eps, width):
+    # supercritical curvature (|H| > 1 on the unit disk) and steep bumps
+    # included: every solve ends in one of the four verdicts
+    data = BumpData(disk12.domain, (np.cos(angle), np.sin(angle)), width, eps)
+    report = solve_dirichlet(disk12, PrescribedCurvature.constant(H), data)
+    assert report.verdict in ("converged", "stagnated", "diverged_gradient",
+                              "linear_failure")
 
 
 def test_slope_measures(cap_solve32):
@@ -148,9 +182,9 @@ def test_continuation_monotone_in_tau(cap_grid32, cap_H):
 
 
 def _fresh_factor_per_iterate(monkeypatch):
-    # every frozen system factorized afresh: the answer the reuse must keep
-    def solve_fresh(system, check_conditioning=False, held=None):
-        return mcgraph.linear.solve(system, check_conditioning=check_conditioning)
+    # every Newton system factorized afresh: the answer the reuse must keep
+    def solve_fresh(system, held=None):
+        return mcgraph.linear.solve(system)
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
 
