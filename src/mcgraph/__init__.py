@@ -17,19 +17,18 @@ from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
 from .expressions import Expr2D, compile_expr, ExpressionError
 from .grid import Grid, ScalarField, GridError, InvalidFieldError
 from .operators import (Evaluation, apply_M, apply_M_tensor, apply_Q, gradient,
-                        hessian, coefficient_matrix, slope_factor, residual_norms,
-                        operator_agreement, DIMENSION)
+                        boundary_slope, hessian, coefficient_matrix, slope_factor,
+                        residual_norms, operator_agreement, DIMENSION)
 from .linear import (LinearSystem, assemble, correction_system,
                      solve as solve_linear, SolverError)
-from .solver import (SolveConfig, SolveReport, solve_dirichlet, sup_slope,
-                     boundary_slope)
+from .solver import SolveConfig, SolveReport, solve_dirichlet, sup_slope
 from .barriers import (EstimateAudit, BarrierParams, NotApplicable,
                        height_bound, height_barrier, boundary_gradient_package,
                        barrier_pair_checks, global_gradient_bound,
                        comparison_check, ComparisonResult,
                        nonexistence_bound, NonexistenceCertificate,
                        adversarial_boundary_data, nonexistence_witness,
-                       WitnessReport)
+                       WitnessReport, EstimateLedger, estimate_ledger)
 from .reference import ReferenceSolution, catalog, get as get_reference
 from .config import Scenario, ExperimentSpec, ConfigError, load_scenario
 from .reporting import (build_report, write_report, write_traces_csv,
@@ -57,6 +56,7 @@ __all__ = [
     "global_gradient_bound", "comparison_check", "ComparisonResult",
     "nonexistence_bound", "NonexistenceCertificate",
     "adversarial_boundary_data", "nonexistence_witness", "WitnessReport",
+    "EstimateLedger", "estimate_ledger",
     "ReferenceSolution", "catalog", "get_reference",
     "Scenario", "ExperimentSpec", "ConfigError", "load_scenario",
     "build_report", "write_report", "write_traces_csv", "write_fields_csv",

@@ -4,6 +4,8 @@ Every bound the theory provides is evaluated here as an executable check:
 the height estimate, the boundary-gradient barrier pair, the global gradient
 bound, the comparison principle, and the two-step barrier argument that
 certifies non-existence for supercritical boundary curvature.
+`estimate_ledger` computes one run's height bound, global gradient bound and
+boundary-gradient package once each, with their constants and report entries.
 
 Barriers all have the composite form w = psi(rho(x)) + phi(x) for a C^2
 profile psi and a distance-like function rho with |grad rho| = 1.  Their
@@ -28,7 +30,7 @@ from scipy.special import erfi as _erfi
 
 from .geometry import DomainSpec, check_serrin, check_gradient_condition
 from .grid import Grid, ScalarField
-from .operators import apply_Q, gradient
+from .operators import apply_Q, boundary_slope, foot_slopes, gradient
 
 _GEOM_DIM = 2     # planar domains; distance Laplacians use this, not the n parameter
 
@@ -96,13 +98,6 @@ class BarrierParams:
     R1: Optional[float] = None
     R2: Optional[float] = None
     kappa_S: Optional[float] = None
-
-    def merged(self, other: "BarrierParams") -> "BarrierParams":
-        vals = asdict(self)
-        for key, val in asdict(other).items():
-            if val is not None:
-                vals[key] = val
-        return BarrierParams(**vals)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -386,11 +381,10 @@ class TransformedField:
     def q_values(self, H, n: int = 2, tau: float = 1.0) -> np.ndarray:
         """Q w = M w - tau n H W^3 at the valid nodes (others NaN)."""
         pts = self.grid.interior_xy
-        hv = H(pts) if callable(H) else np.full(len(pts), float(H))
         out = np.full(len(pts), np.nan)
         v = self.valid
         out[v] = (self.m_values[v]
-                  - tau * n * np.asarray(hv)[v] * self.slope_factor[v] ** 3)
+                  - tau * n * np.asarray(H(pts))[v] * self.slope_factor[v] ** 3)
         return out
 
 
@@ -445,9 +439,7 @@ def transform_radial(profile, phi, domain: DomainSpec, grid: Grid,
 
 
 def _h_norms(H, domain: DomainSpec) -> tuple[float, float]:
-    if hasattr(H, "h0"):
-        return float(H.h0(domain)), float(H.h1(domain))
-    return abs(float(H)), 0.0
+    return float(H.h0(domain)), float(H.h1(domain))
 
 
 def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
@@ -467,13 +459,12 @@ def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
     sup_phi = float(data.sup_abs(domain)) if data is not None else 0.0
     bound = sup_phi + profile.slack
     notes = []
-    if hasattr(H, "gradient"):
-        ok, margin = check_gradient_condition(domain, H, n)
-        if not ok:
-            notes.append(f"interior condition |grad H| <= n/(n-1) H^2 fails "
-                         f"globally (margin {margin:.3g}); bound is formal")
-    serrin = check_serrin(domain, H, n) if hasattr(H, "h0") else None
-    if serrin is not None and not serrin.satisfied:
+    ok, margin = check_gradient_condition(domain, H, n)
+    if not ok:
+        notes.append(f"interior condition |grad H| <= n/(n-1) H^2 fails "
+                     f"globally (margin {margin:.3g}); bound is formal")
+    serrin = check_serrin(domain, H, n)
+    if not serrin.satisfied:
         notes.append(f"Serrin margin {serrin.margin:.3g} < 0; bound is formal")
     return EstimateAudit(
         name="height",
@@ -672,6 +663,87 @@ def global_gradient_bound(domain: DomainSpec, H, data=None, n: int = 2,
 
 
 # ---------------------------------------------------------------------------
+# the estimate ledger of one run
+
+
+@dataclass
+class EstimateLedger:
+    """The a priori estimates of one run and the report entries they make.
+
+    height, gradient and package are None when their estimate raised; the
+    package's reason is kept in refusal.  audits maps entry names to report
+    dicts, {"error": message} for an estimate that raised.
+    """
+
+    params: BarrierParams
+    audits: dict
+    height: Optional[EstimateAudit]
+    gradient: Optional[EstimateAudit]
+    package: Optional[GradientPackage]
+    refusal: str
+
+
+def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
+                    names: Sequence[str] = ()) -> EstimateLedger:
+    """Height bound, global gradient bound and boundary-gradient package, once each.
+
+    With a SolveReport the bounds take its sup|u| and boundary slope, and the
+    height and gradient audits measure its sup|u| and sup slope (reported for
+    converged solves only).  Without one, sup|u| is the height bound itself,
+    the boundary slope 0, and nothing is measured.  `names` adds the
+    requested "serrin" entry and, given a report, the barrier-pair checks on
+    its field.  A raising estimate becomes an error entry, never a crash.
+    """
+    errors = {}
+
+    def attempt(name, fn, *args, **kw):
+        try:
+            return fn(*args, **kw)
+        except Exception as exc:    # noqa: BLE001 - an estimate must not kill a run
+            errors[name] = {"error": str(exc)}
+            return None
+
+    measured = report is not None
+    sup_u = report.sup_u if measured else None
+    height = attempt("height", height_bound, domain, H, data, n=n, measured=sup_u)
+    if not measured and height is not None:
+        sup_u = height.bound
+    gradient = attempt("gradient", global_gradient_bound, domain, H, data, n=n,
+                       sup_u=sup_u,
+                       boundary_gradient=boundary_slope(report.field) if measured else 0.0,
+                       measured=report.sup_gradient if measured else None)
+    package = attempt("barrier_pair", boundary_gradient_package, domain, H, data,
+                      n=n, u_sup=sup_u)
+    refusal = "" if package else errors["barrier_pair"]["error"]
+
+    audits = {}
+    if not measured or report.converged:
+        audits["height"] = height.to_dict() if height else errors["height"]
+        audits["gradient"] = gradient.to_dict() if gradient else errors["gradient"]
+    if "serrin" in names:
+        serrin = attempt("serrin", check_serrin, domain, H, n)
+        audits["serrin"] = errors["serrin"] if serrin is None else {
+            "name": "serrin", "passed": bool(serrin.satisfied),
+            "margin": serrin.margin, "worst_point": list(serrin.worst_point),
+            "note": "boundary solvability (Serrin) condition"}
+    if "barrier_pair" in names and measured:
+        checks = package and attempt("barrier_pair", barrier_pair_checks, package,
+                                     report.field, H, data, n=n)
+        if checks:
+            audits.update((key, audit.to_dict()) for key, audit in checks.items())
+        else:
+            audits["barrier_pair"] = errors["barrier_pair"]
+
+    fields = asdict(package.params) if package else {}
+    if height:
+        fields.update(mu=height.params["mu"], delta=height.params["delta"])
+    if gradient:
+        fields["A"] = gradient.params["A"]
+    return EstimateLedger(BarrierParams(**fields), audits, height, gradient, package,
+                          refusal)
+
+
+# ---------------------------------------------------------------------------
 # comparison principle
 
 
@@ -789,18 +861,15 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
                          f"(signed distance {d0:.3g})")
     s0 = float(np.atleast_1d(domain.arclength_of(y0))[0])
     kap0 = float(np.atleast_1d(domain.boundary_curvature(s0))[0])
-    H0 = float(np.atleast_1d(H(y0[None, :]))[0]) if callable(H) else float(H)
+    H0 = float(np.atleast_1d(H(y0[None, :]))[0])
     gap = n * H0 - (n - 1) * kap0
     if gap <= 0:
         raise NotApplicable(
             f"Serrin condition holds at y0: (n-1) kappa = {(n - 1) * kap0:.6g} "
             f">= n H = {n * H0:.6g}; the non-existence mechanism needs strict excess")
-    # H >= 0 near y0 (lemma hypothesis); sample the closure
-    if hasattr(H, "h0"):
-        b = domain.boundary
-        hb = np.asarray(H(b.points))
-        if float(hb.min()) < -1e-12:
-            raise NotApplicable("non-existence construction needs H >= 0")
+    # H >= 0 near y0 (lemma hypothesis); sample the boundary
+    if float(np.min(H(domain.boundary.points))) < -1e-12:
+        raise NotApplicable("non-existence construction needs H >= 0")
     nu_ne = gap / 8.0
     warnings: list[str] = []
 
@@ -813,7 +882,7 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
                + rr[:, None, None] * np.stack([np.cos(t), np.sin(t)], axis=-1)[None, :, :])
         pts = pts.reshape(-1, 2)
         pts = pts[domain.signed_distance(pts) > 0.0]
-        hv = np.asarray(H(pts)) if callable(H) else np.full(len(pts), float(H))
+        hv = np.asarray(H(pts))
         ok_h = len(pts) == 0 or float(np.max(np.abs(hv - H0))) < nu_ne / n
         if ok_h and _connected_on_boundary(domain, y0, R1):
             break
@@ -937,11 +1006,11 @@ def _local_slope(report, y0, radius: float) -> float:
     if near.any():
         g = gradient(u)[near]
         m = float(np.max(np.linalg.norm(g, axis=-1)))
-    if grid.n_feet and u.feet is not None:
+    slopes = foot_slopes(u)
+    if len(slopes):
         fnear = np.linalg.norm(grid.foot_xy - np.asarray(y0), axis=-1) < radius
         if fnear.any():
-            du = u.values[grid.foot_owner[fnear]] - u.feet[fnear]
-            m = max(m, float(np.max(np.abs(du) / (grid.foot_theta[fnear] * grid.h))))
+            m = max(m, float(np.max(slopes[fnear])))
     return m
 
 

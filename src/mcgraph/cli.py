@@ -6,9 +6,13 @@ Subcommands:
   estimates    print the a priori constant ledger without solving
   sweep        refinement or curvature sweeps with a ratio/flag table
 
-Exit codes for run: 0 converged with all requested audits passing, 2 solver
-failure, 3 audit failure, 4 configuration error.  check-serrin exits 0 when
-the solvability condition holds and 1 when violated.
+run, an [experiment] run (on its finest solve) and estimates each take their
+audits and constants from one `barriers.estimate_ledger` call.
+
+Exit codes for run, [experiment] runs included: 0 converged with all
+requested audits passing, 2 solver failure, 3 audit failure, 4 configuration
+error.  check-serrin exits 0 when the solvability condition holds and 1 when
+violated.
 
 MCGRAPH_THREADS caps BLAS thread pools; it is exported to the usual knobs
 (OPENBLAS_NUM_THREADS and friends) before heavy work starts, which is fully
@@ -52,44 +56,6 @@ def _load(config_path: str, grid_h, out_override):
     return scenario
 
 
-def _serrin_audit_dict(scenario):
-    from .geometry import check_serrin
-    audit = check_serrin(scenario.domain, scenario.curvature, scenario.n)
-    return {"name": "serrin", "passed": bool(audit.satisfied),
-            "margin": audit.margin,
-            "worst_point": list(audit.worst_point),
-            "note": "boundary solvability (Serrin) condition"}
-
-
-def _estimate_ledger(scenario, u_sup=None, boundary_gradient=None):
-    """BarrierParams plus audit dicts for the scenario, no solving required."""
-    from . import barriers
-    from .barriers import BarrierParams
-
-    params = BarrierParams()
-    audits = {}
-    hb = barriers.height_bound(scenario.domain, scenario.curvature,
-                               scenario.data, n=scenario.n, measured=u_sup)
-    params = params.merged(BarrierParams(mu=hb.params["mu"],
-                                         delta=hb.params["delta"]))
-    audits["height"] = hb
-    gb = barriers.global_gradient_bound(
-        scenario.domain, scenario.curvature, scenario.data, n=scenario.n,
-        sup_u=u_sup if u_sup is not None else hb.bound,
-        boundary_gradient=boundary_gradient or 0.0)
-    params = params.merged(BarrierParams(A=gb.params["A"]))
-    audits["gradient_formula"] = gb
-    try:
-        pkg = barriers.boundary_gradient_package(
-            scenario.domain, scenario.curvature, scenario.data,
-            n=scenario.n, u_sup=u_sup)
-        params = params.merged(pkg.params)
-        audits["boundary_gradient"] = pkg.audit
-    except barriers.NotApplicable as exc:
-        audits["boundary_gradient"] = str(exc)
-    return params, audits
-
-
 def cmd_run(args) -> int:
     from .config import ConfigError
 
@@ -99,9 +65,9 @@ def cmd_run(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    from . import barriers
+    from .barriers import estimate_ledger
     from .grid import Grid
-    from .solver import solve_dirichlet, boundary_slope
+    from .solver import solve_dirichlet
 
     outdir = Path(scenario.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -125,40 +91,17 @@ def cmd_run(args) -> int:
     _say(args.quiet, f"verdict: {report.verdict} after {report.iterations} "
                      f"iterations, residual {report.residual_core:.3e}")
 
-    params, ledger_audits = _estimate_ledger(
-        scenario, u_sup=report.sup_u,
-        boundary_gradient=boundary_slope(report.field))
-    audit_results = dict(report.audits)
-    if "serrin" in scenario.audits:
-        audit_results["serrin"] = _serrin_audit_dict(scenario)
-    if "barrier_pair" in scenario.audits:
-        pkg_audit = ledger_audits.get("boundary_gradient")
-        if hasattr(pkg_audit, "params"):
-            pkg = barriers.boundary_gradient_package(
-                scenario.domain, scenario.curvature, scenario.data,
-                n=scenario.n, u_sup=report.sup_u)
-            checks = barriers.barrier_pair_checks(
-                pkg, report.field, scenario.curvature, scenario.data,
-                n=scenario.n)
-            for key, audit in checks.items():
-                audit_results[key] = audit.to_dict()
-        else:
-            audit_results["barrier_pair"] = {"error": str(pkg_audit)}
-
+    ledger = estimate_ledger(scenario.domain, scenario.curvature, scenario.data,
+                             scenario.n, report=report, names=scenario.audits)
     if scenario.reference:
         from .reference import get as get_reference
         extras["reference"] = scenario.reference
         extras["reference_error_sup"] = get_reference(scenario.reference).error(
             report.field)
 
-    extras["audits"] = audit_results
-    _write_artifacts(outdir, scenario, report, params, extras, args.quiet)
-
-    if report.verdict != "converged":
-        return EXIT_SOLVER
-    if _any_audit_failed(audit_results):
-        return EXIT_AUDIT
-    return EXIT_OK
+    extras["audits"] = ledger.audits
+    _write_artifacts(outdir, scenario, report, ledger.params, extras, args.quiet)
+    return _exit_code([report], ledger.audits)
 
 
 def _write_artifacts(outdir: Path, scenario, report, params, extras: dict,
@@ -173,16 +116,18 @@ def _write_artifacts(outdir: Path, scenario, report, params, extras: dict,
     _say(quiet, f"artifacts in {outdir}/")
 
 
-def _any_audit_failed(audits: dict) -> bool:
-    for value in audits.values():
-        if isinstance(value, dict):
-            if value.get("passed") is False:
-                return True
-    return False
+def _exit_code(reports, audits: dict) -> int:
+    """Solver failure before audit failure: a failed solve leaves nothing to audit."""
+    if any(r.verdict != "converged" for r in reports):
+        return EXIT_SOLVER
+    if any(isinstance(v, dict) and v.get("passed") is False for v in audits.values()):
+        return EXIT_AUDIT
+    return EXIT_OK
 
 
 def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
-    """Non-existence pipeline: certificate, refinement solves, witness."""
+    """Non-existence pipeline: certificate, refinement solves, witness, and
+    the estimate ledger of the finest solve."""
     from . import barriers
     from .grid import Grid
     from .solver import solve_dirichlet
@@ -233,13 +178,11 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
     } for rep in reports]
 
     fine = reports[-1]
+    extras["audits"] = barriers.estimate_ledger(
+        scenario.domain, scenario.curvature, data, scenario.n, report=fine,
+        names=scenario.audits).audits
     _write_artifacts(outdir, scenario, fine, params, extras, quiet)
-
-    if any(r.verdict != "converged" for r in reports):
-        return EXIT_SOLVER
-    if _any_audit_failed(fine.audits):
-        return EXIT_AUDIT
-    return EXIT_OK
+    return _exit_code(reports, extras["audits"])
 
 
 def cmd_check_serrin(args) -> int:
@@ -291,25 +234,26 @@ def cmd_estimates(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    params, audits = _estimate_ledger(scenario)
-    serrin = _serrin_audit_dict(scenario)
+    from .barriers import estimate_ledger
+
+    ledger = estimate_ledger(scenario.domain, scenario.curvature, scenario.data,
+                             scenario.n, names=("serrin",))
+    serrin, height, grad = ledger.audits["serrin"], ledger.height, ledger.gradient
     print("a priori constant ledger")
     print(f"  solvability margin      = {serrin['margin']:.9g} "
           f"({'ok' if serrin['passed'] else 'VIOLATED'})")
-    height = audits["height"]
     print(f"  mu                      = {height.params['mu']!r}")
     print(f"  delta (diameter)        = {height.params['delta']!r}")
     print(f"  height bound            = {height.bound!r}")
-    grad = audits["gradient_formula"]
     print(f"  gradient exponent A     = {grad.params['A']!r}")
     print(f"  global gradient bound   = {grad.bound!r}")
-    bg = audits["boundary_gradient"]
-    if hasattr(bg, "params"):
+    if ledger.package is not None:
+        bg = ledger.package.audit
         for key in ("C", "nu", "k", "a", "M", "tau_strip"):
             print(f"  {key:<23s} = {bg.params[key]!r}")
         print(f"  boundary gradient bound = {bg.bound!r}")
     else:
-        print(f"  boundary gradient barrier refused: {bg}")
+        print(f"  boundary gradient barrier refused: {ledger.refusal}")
     return EXIT_OK
 
 

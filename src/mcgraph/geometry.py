@@ -21,6 +21,7 @@ The audits encode two pointwise conditions on the curvature data H:
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -226,72 +227,18 @@ class _Ellipse:
         return np.interp(t, self._t_table, self._s_table)
 
 
-class _Rect:
-    """Axis-aligned rectangle; curvature 0 on edges, corners not sampled exactly."""
-
-    tag = "rect"
-
-    def __init__(self, hx, hy, center=(0.0, 0.0)):
-        if hx <= 0 or hy <= 0:
-            raise MalformedDomainError("rectangle half-extents must be positive")
-        self.hx, self.hy = float(hx), float(hy)
-        self.center = np.asarray(center, dtype=float)
-        self.length = 4.0 * (self.hx + self.hy)
-
-    def bbox(self):
-        cx, cy = self.center
-        return (cx - self.hx, cx + self.hx, cy - self.hy, cy + self.hy)
-
-    def signed_distance(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        q = np.abs(pts - self.center) - np.array([self.hx, self.hy])
-        outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
-        inside = np.minimum(np.maximum(q[..., 0], q[..., 1]), 0.0)
-        return -(outside + inside)
-
-    def _walk(self, s):
-        """Point and inner normal at arclength s, ccw from corner (+hx, -hy)... start at (hx - 0, -hy)?"""
-        # walk starts at (+hx, -hy) corner going up the right edge
-        s = np.mod(s, self.length)
-        hx, hy = self.hx, self.hy
-        edges = np.array([2 * hy, 2 * hx, 2 * hy, 2 * hx])
-        cum = np.concatenate([[0.0], np.cumsum(edges)])
-        pts = np.empty(np.shape(s) + (2,))
-        nrm = np.empty_like(pts)
-        e0 = (s >= cum[0]) & (s < cum[1])
-        pts[e0] = np.stack([np.full(np.sum(e0), hx), -hy + (s[e0] - cum[0])], axis=-1)
-        nrm[e0] = (-1.0, 0.0)
-        e1 = (s >= cum[1]) & (s < cum[2])
-        pts[e1] = np.stack([hx - (s[e1] - cum[1]), np.full(np.sum(e1), hy)], axis=-1)
-        nrm[e1] = (0.0, -1.0)
-        e2 = (s >= cum[2]) & (s < cum[3])
-        pts[e2] = np.stack([np.full(np.sum(e2), -hx), hy - (s[e2] - cum[2])], axis=-1)
-        nrm[e2] = (1.0, 0.0)
-        e3 = s >= cum[3]
-        pts[e3] = np.stack([-hx + (s[e3] - cum[3]), np.full(np.sum(e3), -hy)], axis=-1)
-        nrm[e3] = (0.0, 1.0)
-        return pts + self.center, nrm
-
-    def sample(self, m):
-        s = self.length * (np.arange(m) + 0.5) / m   # offset avoids exact corners
-        pts, normals = self._walk(s)
-        return pts, normals, np.zeros(m), s, self.length
-
-    def curvature_at(self, s):
-        return np.zeros(np.shape(s))
-
-    def arclength_of_point(self, pts):
-        return _nearest_sample_arclength(self, pts)
-
-
 class _RoundedRect:
-    """Rectangle with quarter-circle corners of radius r; boundary is C^1,1."""
+    """Rectangle with quarter-circle corners of radius r; boundary is C^1,1.
 
-    tag = "rounded_rect"
+    r = 0 is the plain rectangle (tag "rect"): its arcs are empty and its
+    corners are not sampled exactly."""
 
     def __init__(self, hx, hy, corner_radius, center=(0.0, 0.0)):
-        if corner_radius <= 0 or corner_radius >= min(hx, hy):
+        if hx <= 0 or hy <= 0:
+            raise MalformedDomainError("rectangle half-extents must be positive")
+        if not 0 <= corner_radius < min(hx, hy):
             raise MalformedDomainError("corner radius must lie in (0, min(hx, hy))")
+        self.tag = "rounded_rect" if corner_radius > 0 else "rect"
         self.hx, self.hy, self.r = float(hx), float(hy), float(corner_radius)
         self.center = np.asarray(center, dtype=float)
         ex, ey = self.hx - self.r, self.hy - self.r   # straight half-lengths
@@ -319,7 +266,7 @@ class _RoundedRect:
         pts = np.empty((m, 2))
         nrm = np.empty((m, 2))
         kap = np.zeros(m)
-        for k in range(8):
+        for k in range(0, 8, 1 if r > 0 else 2):
             sel = (s >= cum[k]) & (s < cum[k + 1])
             u = s[sel] - cum[k]
             if k % 2 == 0:  # straight edges
@@ -349,6 +296,8 @@ class _RoundedRect:
         pieces = np.array([2 * ey, qarc, 2 * ex, qarc, 2 * ey, qarc, 2 * ex, qarc])
         cum = np.concatenate([[0.0], np.cumsum(pieces)])
         s = np.mod(np.asarray(s, dtype=float), self.length)
+        if r == 0:
+            return np.zeros(np.shape(s))
         idx = np.searchsorted(cum, s, side="right") - 1
         return np.where(idx % 2 == 1, 1.0 / r, 0.0)
 
@@ -407,7 +356,12 @@ class _Annulus:
         return np.where(outer, 1.0 / self.r_out, -1.0 / self.r_in)
 
     def arclength_of_point(self, pts):
-        return _nearest_sample_arclength(self, pts)
+        # angle times the nearer circle's radius; the inner circle follows the outer
+        d = pts - self.center
+        ang = np.mod(np.arctan2(d[..., 1], d[..., 0]), _TWO_PI)
+        rho = np.hypot(d[..., 0], d[..., 1])
+        outer = self.r_out - rho <= rho - self.r_in
+        return np.where(outer, self.r_out * ang, self.r_out * _TWO_PI + self.r_in * ang)
 
 
 class _LevelSet:
@@ -774,10 +728,12 @@ def ellipse(a, b, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
 
 
 def rect(hx, hy, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
-    return DomainSpec(_Rect(hx, hy, center), n_samples)
+    return DomainSpec(_RoundedRect(hx, hy, 0.0, center), n_samples)
 
 
 def rounded_rect(hx, hy, corner_radius, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
+    if corner_radius <= 0:
+        raise MalformedDomainError("corner radius must lie in (0, min(hx, hy))")
     return DomainSpec(_RoundedRect(hx, hy, corner_radius, center), n_samples)
 
 
@@ -828,7 +784,7 @@ class PrescribedCurvature:
 
     sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|) are
     sample maxima over a dense interior lattice plus the boundary samples,
-    cached per domain.
+    cached per domain object (weakly, so a freed domain's entry goes with it).
     """
 
     def __init__(self, kind, func, grad_func, describe, lattice=256):
@@ -837,7 +793,7 @@ class PrescribedCurvature:
         self._grad = grad_func
         self.describe = describe
         self._lattice = lattice
-        self._norm_cache: dict[int, tuple[float, float]] = {}
+        self._norm_cache = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
 
@@ -895,29 +851,24 @@ class PrescribedCurvature:
         """sup |H| over the closure (exact for constants, sampled otherwise)."""
         if self.kind == "constant":
             return abs(self.value)
-        key = id(domain)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = self._compute_norms(domain)
-        return self._norm_cache[key][0]
+        return self._norms(domain)[0]
 
     def h1(self, domain: DomainSpec) -> float:
         """sup |grad H| over the closure (0 for constants, sampled otherwise)."""
         if self.kind == "constant":
             return 0.0
-        key = id(domain)
-        if key not in self._norm_cache:
-            self._norm_cache[key] = self._compute_norms(domain)
-        return self._norm_cache[key][1]
+        return self._norms(domain)[1]
 
     def norm_c1(self, domain: DomainSpec) -> float:
         """h0 + h1; the C^1 norm entering the gradient estimates."""
         return self.h0(domain) + self.h1(domain)
 
-    def _compute_norms(self, domain):
-        pts = self._closure_points(domain)
-        vals = np.abs(self(pts))
-        grads = np.linalg.norm(self.gradient(pts), axis=-1)
-        return float(vals.max()), float(grads.max())
+    def _norms(self, domain):
+        if domain not in self._norm_cache:
+            pts = self._closure_points(domain)
+            grads = np.linalg.norm(self.gradient(pts), axis=-1)
+            self._norm_cache[domain] = (float(np.abs(self(pts)).max()), float(grads.max()))
+        return self._norm_cache[domain]
 
 
 # ---------------------------------------------------------------------------

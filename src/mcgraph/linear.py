@@ -42,7 +42,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
 from .grid import Grid, ScalarField
-from .operators import DIMENSION, Evaluation, _curvature_values, gradient
+from .operators import DIMENSION, Evaluation, gradient
 
 _RELRES_TOL = 1e-10
 # GMRES aims at a residual 1e-14 of the backward-error denominator at its
@@ -137,7 +137,7 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
 
     feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
                  if grid.n_feet else np.zeros(0))
-    hv = _curvature_values(H, grid.interior_xy)
+    hv = np.asarray(H(grid.interior_xy), dtype=float)
     b = tau * n * hv * w2**1.5 - Af @ feet_vals
     meta = {"tau": float(tau), "n": int(n),
             "max_w2": float(np.max(w2)), "nnz": int(A.nnz)}

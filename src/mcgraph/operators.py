@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .geometry import PrescribedCurvature
 from .grid import Grid, ScalarField, InvalidFieldError
 
 DIMENSION = 2   # graphs over planar domains; n enters bounds explicitly
+_FLAT = PrescribedCurvature.constant(0.0)
 
 
 def gradient(u: ScalarField) -> np.ndarray:
@@ -35,6 +37,25 @@ def gradient(u: ScalarField) -> np.ndarray:
     gx = ops["Gx"][0] @ u.values + ops["Gx"][1] @ feet
     gy = ops["Gy"][0] @ u.values + ops["Gy"][1] @ feet
     return np.stack([gx, gy], axis=-1)
+
+
+def foot_slopes(u: ScalarField) -> np.ndarray:
+    """One-sided slopes |u_owner - phi_foot| / (theta h), one per boundary link."""
+    grid = u.grid
+    if grid.n_feet == 0 or u.feet is None:
+        return np.zeros(0)
+    return np.abs(u.values[grid.foot_owner] - u.feet) / (grid.foot_theta * grid.h)
+
+
+def boundary_slope(u: ScalarField) -> float:
+    """Largest one-sided slope along the boundary links only.
+
+    This approximates sup over the boundary of the normal derivative, the
+    quantity the boundary-gradient estimate bounds; the interior slopes are
+    deliberately excluded.
+    """
+    s = foot_slopes(u)
+    return float(np.max(s)) if len(s) else 0.0
 
 
 def hessian(u: ScalarField) -> np.ndarray:
@@ -95,7 +116,7 @@ class Evaluation:
         self.a22 = w2 - p[:, 1] ** 2
         self.a12 = -p[:, 0] * p[:, 1]
         self.m = self.a11 * self.uxx + 2.0 * self.a12 * self.uxy + self.a22 * self.uyy
-        self.load = tau * n * _curvature_values(H, u.grid.interior_xy)
+        self.load = tau * n * np.asarray(H(u.grid.interior_xy), dtype=float)
         self.q = self.m - self.load * self.W**3
 
     def residual_norms(self) -> tuple[float, float]:
@@ -108,7 +129,7 @@ class Evaluation:
 
 def apply_M(u: ScalarField) -> np.ndarray:
     """Coefficient-form evaluation of M u at interior nodes."""
-    return Evaluation(u, 0.0).m
+    return Evaluation(u, _FLAT).m
 
 
 def apply_M_tensor(u: ScalarField) -> np.ndarray:
@@ -122,17 +143,8 @@ def apply_M_tensor(u: ScalarField) -> np.ndarray:
 
 
 def apply_Q(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0) -> np.ndarray:
-    """Defect Q u = M u - tau n H W^3 at interior nodes.
-
-    H may be a PrescribedCurvature, a callable of points, or a scalar.
-    """
+    """Defect Q u = M u - tau n H W^3 at interior nodes, for a PrescribedCurvature H."""
     return Evaluation(u, H, n, tau).q
-
-
-def _curvature_values(H, pts: np.ndarray) -> np.ndarray:
-    if np.isscalar(H):
-        return np.full(len(pts), float(H))
-    return np.asarray(H(pts), dtype=float)
 
 
 def residual_norms(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):

@@ -60,24 +60,7 @@ def build_report(scenario=None, solve_report=None, barrier_params=None,
         out["spacings"] = list(scenario.spacings)
         out["dimension"] = scenario.n
     if solve_report is not None:
-        out["verdict"] = solve_report.verdict
-        out["iterations"] = solve_report.iterations
-        out["factorizations"] = solve_report.factorizations
-        out["krylov_iterations"] = solve_report.krylov_iterations
-        out["sup_u"] = solve_report.sup_u
-        out["sup_gradient"] = solve_report.sup_gradient
-        out["residual_core"] = solve_report.residual_core
-        out["residual_collar"] = solve_report.residual_collar
-        out["stages"] = [{
-            "tau": s.tau, "iters": s.iters,
-            "residual_core": s.residual_core,
-            "residual_collar": s.residual_collar,
-            "update_norm": s.update_norm, "sup_gradient": s.sup_gradient,
-            "damping_final": s.damping_final, "verdict": s.verdict,
-        } for s in solve_report.stages]
-        out["audits"] = solve_report.audits
-        out["message"] = solve_report.message
-        out["wall_time_seconds"] = solve_report.wall_time
+        out.update(solve_report.summary_dict())
     if barrier_params is not None:
         out["barrier_params"] = barrier_params.to_dict()
     if extras:

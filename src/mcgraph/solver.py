@@ -18,11 +18,11 @@ defect norms, the slope guard and the next Jacobian read from it.
 
 A solve holds one sparse LU across all its stages and iterates: each Newton
 system goes to GMRES preconditioned with it, and is factorized afresh only
-when that stalls (see `linear`).  The factor is released before the audits;
-the report keeps only the counts.
+when that stalls (see `linear`).  The factor is released when the solve
+ends; the report keeps only the counts.
 
-Converged solves at full load are audited automatically against the height
-and global gradient estimates; the audits ride along in the report.
+A solve only solves: checking its answer against the a priori estimates is
+a separate step, taken once per run by the caller.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .grid import Grid, ScalarField
-from .operators import DIMENSION, Evaluation, gradient
+from .operators import DIMENSION, Evaluation, boundary_slope, gradient
 from .linear import HeldFactor, correction_system, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
@@ -55,16 +55,11 @@ class SolveConfig:
     grad_max: float = 1e4
     stagnation_window: int = 20
     keep_stage_fields: bool = False
-    audit: bool = True
 
-    def residual_tolerance(self, H, n: int = DIMENSION, domain=None) -> float:
+    def residual_tolerance(self, H, n: int, domain) -> float:
         if self.tol_residual is not None:
             return float(self.tol_residual)
-        if hasattr(H, "h0"):
-            h0 = float(H.h0(domain)) if domain is not None else abs(getattr(H, "value", 1.0))
-        else:
-            h0 = abs(float(H))
-        return 1e-6 * (1.0 + n * h0)
+        return 1e-6 * (1.0 + n * float(H.h0(domain)))
 
 
 @dataclass
@@ -93,7 +88,6 @@ class SolveReport:
     residual_collar: float = 0.0
     iterations: int = 0
     wall_time: float = 0.0
-    audits: dict = field(default_factory=dict)
     message: str = ""
     stage_fields: list = field(default_factory=list)
     factorizations: int = 0          # sparse LU factorizations of the solve
@@ -113,9 +107,8 @@ class SolveReport:
             "iterations": self.iterations,
             "factorizations": self.factorizations,
             "krylov_iterations": self.krylov_iterations,
-            "wall_time": self.wall_time,
+            "wall_time_seconds": self.wall_time,
             "stages": [asdict(s) for s in self.stages],
-            "audits": self.audits,
             "message": self.message,
         }
 
@@ -131,20 +124,6 @@ def sup_slope(u: ScalarField, p: Optional[np.ndarray] = None) -> float:
     g = gradient(u) if p is None else p
     m = float(np.max(np.linalg.norm(g, axis=-1))) if len(g) else 0.0
     return max(m, boundary_slope(u))
-
-
-def boundary_slope(u: ScalarField) -> float:
-    """Largest one-sided slope along the boundary links only.
-
-    This approximates sup over the boundary of the normal derivative, the
-    quantity the boundary-gradient estimate bounds; the interior slopes are
-    deliberately excluded.
-    """
-    grid = u.grid
-    if grid.n_feet == 0 or u.feet is None:
-        return 0.0
-    du = u.values[grid.foot_owner] - u.feet
-    return float(np.max(np.abs(du) / (grid.foot_theta * grid.h)))
 
 
 def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
@@ -164,8 +143,6 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     report.krylov_iterations = held.krylov_iterations
     held.lu = None
     _finalize(report, verdict, message, ev, t0)
-    if verdict == VERDICT_CONVERGED and cfg.audit:
-        report.audits = _run_audits(ev.u, H, data, n, report)
     return report
 
 
@@ -243,26 +220,3 @@ def _finalize(report: SolveReport, verdict: str, message: str, ev: Evaluation, t
     report.sup_gradient = sup_slope(ev.u, ev.p)
     report.wall_time = time.perf_counter() - t0
 
-
-def _run_audits(u: ScalarField, H, data, n: int, report: SolveReport) -> dict:
-    """Height and global-gradient checks against the a priori estimates.
-
-    The gradient bound consumes the boundary-only one-sided slope, not the
-    global sup, since the estimate propagates boundary control inward.
-    """
-    from .barriers import height_bound, global_gradient_bound   # lazy: avoids cycle
-    out = {}
-    try:
-        hb = height_bound(u.grid.domain, H, data, n=n, measured=report.sup_u)
-        out["height"] = hb.to_dict()
-    except Exception as exc:    # noqa: BLE001 - audits must not kill solves
-        out["height"] = {"error": str(exc)}
-    try:
-        gb = global_gradient_bound(u.grid.domain, H, data, n=n,
-                                   sup_u=report.sup_u,
-                                   boundary_gradient=boundary_slope(u),
-                                   measured=report.sup_gradient)
-        out["gradient"] = gb.to_dict()
-    except Exception as exc:    # noqa: BLE001
-        out["gradient"] = {"error": str(exc)}
-    return out

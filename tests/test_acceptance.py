@@ -28,7 +28,7 @@ import pytest
 from mcgraph import (Grid, ScalarField, PrescribedCurvature, ZeroData,
                      ExpressionData, apply_M, assemble, barrier_pair_checks,
                      boundary_gradient_package, check_serrin,
-                     coefficient_matrix, comparison_check, disk,
+                     coefficient_matrix, comparison_check, disk, estimate_ledger,
                      adversarial_boundary_data, get_reference, height_barrier,
                      nonexistence_bound, nonexistence_witness, rect,
                      scherk_trace, solve_dirichlet, solve_linear)
@@ -187,11 +187,13 @@ def test_A4_ellipticity(capsys):
 def test_A5_estimate_compliance(cap_runs, scherk_runs, capsys):
     reports = [cap_runs["r64"], cap_runs["r128"],
                scherk_runs["r64"], scherk_runs["r128"]]
-    audit_ok = all(rep.audits["height"]["passed"]
-                   and rep.audits["gradient"]["passed"]
-                   for rep in reports if rep.converged)
+    problems = [(CAP_H, ZeroData())] * 2 + [(MINIMAL, scherk_trace())] * 2
+    audits = [estimate_ledger(rep.field.grid.domain, H, data, report=rep).audits
+              for rep, (H, data) in zip(reports, problems)]
+    audit_ok = all(a["height"]["passed"] and a["gradient"]["passed"]
+                   for a, rep in zip(audits, reports) if rep.converged)
     sup = cap_runs["r64"].sup_u
-    bound = cap_runs["r64"].audits["height"]["bound"]
+    bound = audits[0]["height"]["bound"]
     cap_ok = (abs(sup - 0.209) <= 1e-3 and abs(bound - 4.94) <= 1e-2
               and sup <= bound)
     ok = audit_ok and cap_ok and all(r.converged for r in reports)

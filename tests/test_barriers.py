@@ -10,8 +10,9 @@ from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      ScalarField, ZeroData, adversarial_boundary_data,
                      apply_Q, barrier_pair_checks, boundary_gradient_package,
                      comparison_check, compile_expr, disk, ellipse,
-                     global_gradient_bound, height_barrier, height_bound,
-                     nonexistence_bound, nonexistence_witness, solve_dirichlet)
+                     estimate_ledger, global_gradient_bound, height_barrier,
+                     height_bound, nonexistence_bound, nonexistence_witness,
+                     scherk_trace, solve_dirichlet)
 from mcgraph.barriers import (BarrierParams, BoundaryDistance, CircleDistance,
                               EstimateAudit, HeightProfile, LogIntegralProfile,
                               LogProfile, NegatedProfile, RadialDistance,
@@ -323,6 +324,45 @@ def test_barrier_pair_on_converged_cap(unit_disk, cap_H, cap_solve32):
     assert checks["qwp_negative"].passed
     assert checks["qwm_positive"].passed
     assert checks["sandwich"].passed
+
+
+# -- the estimate ledger ------------------------------------------------------
+
+
+def test_ledger_without_a_solve_feeds_the_height_bound(unit_disk, cap_H):
+    led = estimate_ledger(unit_disk, cap_H, ZeroData(), n=2)
+    assert led.gradient.params["sup_u"] == led.height.bound
+    assert led.params.M == led.height.bound          # zero data: |phi|_0 = 0
+    assert (led.params.mu, led.params.A) == (led.height.params["mu"],
+                                             led.gradient.params["A"])
+    assert led.params.nu == led.package.params.nu and led.refusal == ""
+    assert led.audits["height"]["passed"] is None
+    assert set(led.audits) == {"height", "gradient"}
+
+
+def test_ledger_measures_a_solve_and_adds_requested_entries(unit_disk, cap_H,
+                                                            cap_solve32):
+    led = estimate_ledger(unit_disk, cap_H, ZeroData(), n=2, report=cap_solve32,
+                          names=("serrin", "barrier_pair"))
+    assert led.audits["height"]["measured"] == cap_solve32.sup_u
+    assert led.audits["gradient"]["measured"] == cap_solve32.sup_gradient
+    assert led.params.M == cap_solve32.sup_u
+    assert led.audits["serrin"]["margin"] == pytest.approx(0.2)
+    for name in ("height", "gradient", "serrin", "qwp_negative",
+                 "qwm_positive", "sandwich"):
+        assert led.audits[name]["passed"] is True, name
+
+
+def test_ledger_keeps_a_raising_estimate_as_an_entry(scherk_square,
+                                                     scherk_solve32):
+    # the square's sampled corners make nu M overflow in the package
+    led = estimate_ledger(scherk_square, PrescribedCurvature.constant(0.0),
+                          scherk_trace(), n=2, report=scherk_solve32,
+                          names=("barrier_pair",))
+    assert led.package is None and led.refusal
+    assert led.audits["barrier_pair"] == {"error": led.refusal}
+    assert led.audits["height"]["passed"] is True
+    assert led.params.A == 1.0 and led.params.nu is None
 
 
 # -- comparison principle -----------------------------------------------------

@@ -199,3 +199,74 @@ def test_thread_env_does_not_override(monkeypatch):
     monkeypatch.setenv("MCGRAPH_THREADS", "3")
     main(["check-serrin", "--curvature", "0.1"])
     assert os.environ["OMP_NUM_THREADS"] == "7"
+
+
+EXPERIMENT = """\
+[domain]
+shape = disk
+radius = 1.0
+
+[curvature]
+constant = 0.55
+n = 2
+
+[grid]
+spacings = 1/12, 1/24
+
+[experiment]
+y0 = 1.0, 0.0
+eps = 0.05
+width = 0.10
+"""
+
+
+def test_run_experiment_pipeline(tmp_path, capsys):
+    # the finest solve gets the requested audits, and a failing one sets the
+    # exit code as in a plain run: H = 0.55 breaks the Serrin condition
+    text = EXPERIMENT + "\n[audits]\nnames = height, gradient, serrin, barrier_pair\n"
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_AUDIT
+    report = json.loads((out / "report.json").read_text())
+    cert = report["certificate"]
+    assert cert["applicable"] is True
+    assert cert["g_value"] < 0.05 and cert["log10_a"] < -100
+    assert report["nonexistence_witness"]["verdict"] == "NO-WITNESS"
+    assert [r["h"] for r in report["refinements"]] == [1 / 12, 1 / 24]
+    assert all(r["verdict"] == "converged" for r in report["refinements"])
+    assert report["barrier_params"]["nu_ne"] == cert["nu_ne"]
+    audits = report["audits"]
+    assert audits["height"]["passed"] is True
+    assert audits["gradient"]["passed"] is True
+    assert audits["serrin"]["passed"] is False
+    assert "Serrin condition" in audits["barrier_pair"]["error"]
+    for name in ("experiment", "certificate", "nonexistence_witness",
+                 "refinements", "barrier_params", "verdict", "stages"):
+        assert name in report, name
+
+
+def test_sweep_curvature_with_experiment(tmp_path, capsys):
+    text = EXPERIMENT + "\n[sweep]\ncurvatures = 0.45, 0.55\n"
+    cfg = write(tmp_path, text)
+    out = tmp_path / "o"
+    code = main(["sweep", "--config", cfg, "--out", str(out)])
+    assert code == EXIT_OK
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert lines[0] == "H,serrin_margin,certificate,witness"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [float(r[0]) for r in rows] == [0.45, 0.55]
+    assert float(rows[0][1]) > 0 > float(rows[1][1])
+    assert [r[2] for r in rows] == ["not-applicable", "applicable"]
+    assert [r[3] for r in rows] == ["NO-WITNESS", "NO-WITNESS"]
+
+
+def test_run_barrier_pair_audit(tmp_path):
+    cfg = write(tmp_path, CAP.replace("serrin", "serrin, barrier_pair"))
+    out = tmp_path / "o"
+    code = main(["run", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    audits = json.loads((out / "report.json").read_text())["audits"]
+    for name in ("qwp_negative", "qwm_positive", "sandwich"):
+        assert audits[name]["passed"] is True, name
+    assert "barrier_pair" not in audits

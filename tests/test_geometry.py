@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgraph import (BumpData, ExpressionData, FocalPointError,
+from mcgraph import (BumpData, ExpressionData, FocalPointError, Grid,
                      MalformedDomainError, PrescribedCurvature, ZeroData,
                      annulus, check_gradient_condition, check_serrin, disk,
                      dumbbell, ellipse, levelset, make_domain,
@@ -331,3 +331,30 @@ def test_ellipse_distance_against_dense_parameter_sample(a, b, uv):
     spacing = np.max(np.linalg.norm(np.diff(curve, axis=0), axis=1))
     assert np.all(dist <= sampled + 1e-12)
     assert np.all(sampled <= dist + spacing)
+
+
+def test_curvature_norms_follow_the_domain_not_its_address():
+    # a fresh domain may take the address of a freed one; its norms must not
+    H = PrescribedCurvature.expression("x")
+    for r in (1.0, 3.0, 1.5, 2.5, 0.5, 4.0):
+        d = disk(r)
+        assert H.h0(d) == pytest.approx(r, rel=1e-12)
+        del d
+
+
+def test_annulus_foot_arclength_is_exact():
+    g = Grid(annulus(0.8, 1.6), 1.0 / 64.0)
+    outer = g.foot_s < 2.0 * math.pi * 1.6
+    radius = np.where(outer, 1.6, 0.8)
+    ang = np.where(outer, g.foot_s, g.foot_s - 2.0 * math.pi * 1.6) / radius
+    back = radius[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    assert outer.any() and (~outer).any()
+    assert np.max(np.abs(back - g.foot_xy)) <= 1e-12
+
+
+def test_rect_is_rounded_rect_with_square_corners():
+    d = rect(1.0, 0.37, center=(0.2, -0.1))
+    assert d.tag == "rect"
+    assert not np.atleast_1d(d.boundary_curvature(d.boundary.arclength)).any()
+    with pytest.raises(MalformedDomainError):
+        rounded_rect(1.0, 0.37, 0.0)

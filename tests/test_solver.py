@@ -9,8 +9,8 @@ import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature,
                      ScalarField, SolveConfig, ZeroData,
                      adversarial_boundary_data, boundary_slope,
-                     correction_system, disk, solve_dirichlet, solve_linear,
-                     sup_slope)
+                     correction_system, disk, estimate_ledger, solve_dirichlet,
+                     solve_linear, sup_slope)
 from mcgraph.reference import get as get_reference
 
 
@@ -97,8 +97,9 @@ def test_slope_measures(cap_solve32):
     assert ss == pytest.approx(0.4364, abs=5e-3)
 
 
-def test_audits_attached(cap_solve32):
-    audits = cap_solve32.audits
+def test_audits_attached(cap_solve32, cap_H):
+    audits = estimate_ledger(cap_solve32.field.grid.domain, cap_H, ZeroData(),
+                             report=cap_solve32).audits
     assert audits["height"]["passed"] is True
     assert audits["gradient"]["passed"] is True
     assert audits["height"]["measured"] <= audits["height"]["bound"]
