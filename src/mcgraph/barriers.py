@@ -22,6 +22,7 @@ use n = 2 where both coincide.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -33,6 +34,7 @@ from .grid import Grid, ScalarField
 from .operators import apply_Q, boundary_slope, foot_slopes, gradient
 
 _GEOM_DIM = 2     # planar domains; distance Laplacians use this, not the n parameter
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class NotApplicable(RuntimeError):
@@ -515,9 +517,6 @@ class GradientPackage:
     params: BarrierParams
     audit: EstimateAudit
     psi: LogProfile
-    phi_norms: tuple
-    h_norm_c1: float
-    serrin_margin: float
     bound: float
 
 
@@ -572,6 +571,9 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
     if u_sup is None:
         u_sup = height_bound(domain, H, data, n).bound
     M = float(u_sup) + p0
+    if nu * M + math.log(nu) > _LOG_FLOAT_MAX:
+        raise NotApplicable(f"k = nu e^(nu M) overflows: nu M = {nu * M:.3g} "
+                            f"(nu={nu:.3g}, M={M:.3g}, tau={tau_strip:.3g})")
     exp_nm = math.exp(nu * M)
     k = nu * exp_nm
     a = -math.expm1(-nu * M) / nu      # (e^(nu M) - 1)/(nu e^(nu M)), stably
@@ -595,9 +597,7 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
         params={"C": C, "nu": nu, "k": k, "a": a, "M": M,
                 "tau_strip": tau_strip, "phi_norms": (p0, p1, p2)},
     )
-    return GradientPackage(params=params, audit=audit, psi=psi,
-                           phi_norms=(p0, p1, p2), h_norm_c1=h0 + h1,
-                           serrin_margin=serrin.margin, bound=bound)
+    return GradientPackage(params=params, audit=audit, psi=psi, bound=bound)
 
 
 def barrier_pair_checks(pkg: GradientPackage, u: ScalarField, H, data,

@@ -34,22 +34,17 @@ class BoundaryData:
             return self
         return _Scaled(self, float(tau))
 
-    def norms(self, domain: DomainSpec, lattice: int = 192):
+    def norms(self, domain: DomainSpec):
         """(|phi|_0, |phi|_1, |phi|_2) sup-norm ladder over the closure.
 
         |phi|_0 = sup |phi|; |phi|_1 adds sup of the Euclidean gradient norm;
         |phi|_2 adds sup of the Frobenius Hessian norm, which dominates the
         operator norm, so every <Hess phi . v, v> <= |phi|_2 |v|^2 bound in the
-        barrier algebra stays valid.  Requires an extension."""
+        barrier algebra stays valid.  Sampled on a 192 x 192 lattice plus the
+        boundary samples; requires an extension."""
         if self.extension is None:
             raise ValueError(f"{self.kind} data has no C^2 extension; norms undefined")
-        x0, x1, y0, y1 = domain.bbox
-        xs = np.linspace(x0, x1, lattice)
-        ys = np.linspace(y0, y1, lattice)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        pts = pts[domain.signed_distance(pts) >= 0.0]
-        pts = np.concatenate([pts, domain.boundary.points])
+        pts = domain.closure_samples(192)
         x, y = pts[:, 0], pts[:, 1]
         e = self.extension
         p0 = float(np.max(np.abs(e(x, y))))

@@ -13,7 +13,7 @@ Sections:
   [data]       kind = zero|constant|expression|scherk|bump, with value,
                expression, or y0/eps/width as the kind requires
   [grid]       spacing = <number> or spacings = <strictly decreasing list>
-  [solver]     optional solver knobs (max_iters, damping, tau_stages, ...)
+  [solver]     optional solver knobs (max_iters, tau_stages, ...)
   [audits]     names = comma list of estimate audits to run
   [experiment] optional non-existence pipeline: y0, eps, width
   [sweep]      optional: curvatures = <list> for curvature sweeps
@@ -70,7 +70,7 @@ _KNOWN_KEYS = {
     "curvature": {"constant", "expression", "n"},
     "data": {"kind", "value", "expression", "y0", "eps", "width"},
     "grid": {"spacing", "spacings"},
-    "solver": {"max_iters", "damping", "tau_stages", "tol_update",
+    "solver": {"max_iters", "tau_stages", "tol_update",
                "tol_residual", "grad_max", "stagnation_window"},
     "audits": {"names"},
     "experiment": {"y0", "eps", "width"},

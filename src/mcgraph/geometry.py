@@ -636,6 +636,14 @@ class DomainSpec:
         d = np.abs(np.mod(s1 - s2, L))
         return np.minimum(d, L - d)
 
+    def closure_samples(self, m: int) -> np.ndarray:
+        """Sample points of the closure: the m x m lattice over the bounding
+        box where the signed distance is >= 0, then the boundary samples."""
+        x0, x1, y0, y1 = self.bbox
+        X, Y = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m), indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        return np.concatenate([pts[self.signed_distance(pts) >= 0.0], self.boundary.points])
+
     # -- cached scalars -----------------------------------------------------
 
     @property
@@ -783,16 +791,15 @@ class PrescribedCurvature:
     """The inhomogeneity H(x): a constant or an expression in x, y.
 
     sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|) are
-    sample maxima over a dense interior lattice plus the boundary samples,
+    sample maxima over a 256 x 256 lattice plus the boundary samples,
     cached per domain object (weakly, so a freed domain's entry goes with it).
     """
 
-    def __init__(self, kind, func, grad_func, describe, lattice=256):
+    def __init__(self, kind, func, grad_func, describe):
         self.kind = kind
         self._func = func
         self._grad = grad_func
         self.describe = describe
-        self._lattice = lattice
         self._norm_cache = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
@@ -837,16 +844,6 @@ class PrescribedCurvature:
     def gradient(self, pts):
         return self._grad(np.asarray(pts, dtype=float))
 
-    def _closure_points(self, domain: DomainSpec):
-        x0, x1, y0, y1 = domain.bbox
-        m = self._lattice
-        xs = np.linspace(x0, x1, m)
-        ys = np.linspace(y0, y1, m)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        inside = domain.signed_distance(pts) >= 0.0
-        return np.concatenate([pts[inside], domain.boundary.points])
-
     def h0(self, domain: DomainSpec) -> float:
         """sup |H| over the closure (exact for constants, sampled otherwise)."""
         if self.kind == "constant":
@@ -859,13 +856,9 @@ class PrescribedCurvature:
             return 0.0
         return self._norms(domain)[1]
 
-    def norm_c1(self, domain: DomainSpec) -> float:
-        """h0 + h1; the C^1 norm entering the gradient estimates."""
-        return self.h0(domain) + self.h1(domain)
-
     def _norms(self, domain):
         if domain not in self._norm_cache:
-            pts = self._closure_points(domain)
+            pts = domain.closure_samples(256)
             grads = np.linalg.norm(self.gradient(pts), axis=-1)
             self._norm_cache[domain] = (float(np.abs(self(pts)).max()), float(grads.max()))
         return self._norm_cache[domain]
@@ -901,15 +894,9 @@ def check_serrin(domain: DomainSpec, H: PrescribedCurvature, n: int = 2) -> Serr
 
 
 def check_gradient_condition(domain: DomainSpec, H: PrescribedCurvature,
-                             n: int = 2, lattice: int = 201) -> tuple[bool, float]:
+                             n: int = 2) -> tuple[bool, float]:
     """Interior condition |grad H| <= n/(n-1) * H^2, reported as (ok, margin)."""
-    x0, x1, y0, y1 = domain.bbox
-    xs = np.linspace(x0, x1, lattice)
-    ys = np.linspace(y0, y1, lattice)
-    X, Y = np.meshgrid(xs, ys, indexing="ij")
-    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-    pts = pts[domain.signed_distance(pts) >= 0.0]
-    pts = np.concatenate([pts, domain.boundary.points])
+    pts = domain.closure_samples(201)
     margin = (n / (n - 1)) * H(pts) ** 2 - np.linalg.norm(H.gradient(pts), axis=-1)
     m = float(margin.min())
     return m >= 0.0, m

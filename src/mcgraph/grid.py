@@ -21,14 +21,15 @@ value at its foot by one-dimensional extrapolation along the link:
 
 A ghost owned by several links takes the mean of their extrapolations.  The
 closures are built per boundary link into two sparse elimination matrices,
-ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  Every
-finite-difference stencil is laid out once over interior and ghost columns,
-and eliminating the ghost columns through those matrices gives sparse operator
-pairs (interior block, foot block): an operator applied to a field is one
-sparse mat-vec, and the ghost elimination is identical in nodal evaluation
-and linear-system assembly.  For assembly, the union pattern of Dxx, Dyy,
-Dxy, Gx and Gy is built once per grid, so a frozen-coefficient matrix or a
-Newton Jacobian is one pass over each stencil's fixed weights.
+ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  Each
+finite-difference stencil of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) is laid out over
+interior and ghost columns, its ghost columns are eliminated through those
+matrices, and the results are stacked in that order into one sparse pair
+(interior block, foot block): all five stencils applied to a field are one
+mat-vec pair, and the ghost elimination is identical in nodal evaluation and
+linear-system assembly.  For assembly, the union pattern of the five interior
+blocks is built once per grid, so a frozen-coefficient matrix or a Newton
+Jacobian is one scatter of the stacked weights times their coefficients.
 """
 
 from __future__ import annotations
@@ -43,6 +44,9 @@ import scipy.sparse as sps
 from .geometry import DomainSpec
 
 NODE_EXTERIOR, NODE_INTERIOR, NODE_GHOST = 0, 1, 2
+# row blocks of the stacked operator; second differences lead, so a frozen
+# operator combines the leading three and a Jacobian sums in this order
+STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
 
 _THETA_SWITCH = 0.1      # below this, extrapolation skips the owner node
 _FOOT_TOL = 1e-8         # |signed distance| at accepted foot points
@@ -75,8 +79,8 @@ class Grid:
         self._find_intercepts()
         self._close_ghosts()
         self._choose_cross_stencils()
-        self._ops: Optional[dict] = None
-        self._hessian: Optional[tuple] = None
+        self._ops: Optional[tuple] = None
+        self._pattern: Optional[StencilPattern] = None
 
     # -- construction --------------------------------------------------------
 
@@ -212,8 +216,10 @@ class Grid:
 
     # -- stencil operators ----------------------------------------------------
 
-    def operators(self) -> dict:
-        """Sparse pairs (interior block, foot block) for Gx, Gy, Dxx, Dyy, Dxy."""
+    def operators(self) -> tuple:
+        """Stacked sparse pair (interior block, foot block) of the STENCILS:
+        row block k, rows k N to (k + 1) N for N interior nodes, applies
+        STENCILS[k]."""
         if self._ops is None:
             self._ops = self._build_operators()
         return self._ops
@@ -234,82 +240,86 @@ class Grid:
             r, c, v = (np.concatenate(part) for part in zip(*terms))
             S = sps.csr_matrix((v, (r, c)), shape=(Ni, Ni + self.n_ghost))
             S_gh = S[:, Ni:]
-            # sorted rows keep each mat-vec's summation order fixed
-            return ((S[:, :Ni] + S_gh @ self.closure_int).sorted_indices(),
-                    (S_gh @ self.closure_feet).sorted_indices())
+            return S[:, :Ni] + S_gh @ self.closure_int, S_gh @ self.closure_feet
 
-        ops = {}
-        for name, stencil in {
-            "Gx": (((1, 0), 0.5 / h), ((-1, 0), -0.5 / h)),
-            "Gy": (((0, 1), 0.5 / h), ((0, -1), -0.5 / h)),
-            "Dxx": (((1, 0), 1.0 / h**2), ((-1, 0), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
-            "Dyy": (((0, 1), 1.0 / h**2), ((0, -1), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
-        }.items():
-            ops[name] = eliminate([(rows, at(rows, di, dj), np.full(Ni, w))
-                                   for (di, dj), w in stencil])
+        def axial(*stencil):
+            return lambda: [(rows, at(rows, di, dj), np.full(Ni, w)) for (di, dj), w in stencil]
 
-        centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
-        a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
-        s = a * b / h**2
-        w4 = np.full(len(centred), 0.25 / h**2)
-        ops["Dxy"] = eliminate([
-            (centred, at(centred, 1, 1), w4), (centred, at(centred, -1, -1), w4),
-            (centred, at(centred, 1, -1), -w4), (centred, at(centred, -1, 1), -w4),
-            (r1, at(r1, a, b), s), (r1, at(r1, a, 0), -s), (r1, at(r1, 0, b), -s), (r1, r1, s),
-        ])
-        return ops
+        def cross():
+            centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
+            a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
+            s = a * b / h**2
+            w4 = np.full(len(centred), 0.25 / h**2)
+            return [(centred, at(centred, 1, 1), w4), (centred, at(centred, -1, -1), w4),
+                    (centred, at(centred, 1, -1), -w4), (centred, at(centred, -1, 1), -w4),
+                    (r1, at(r1, a, b), s), (r1, at(r1, a, 0), -s), (r1, at(r1, 0, b), -s),
+                    (r1, r1, s)]
 
-    def hessian_patterns(self) -> tuple:
-        """(interior block, foot block) union patterns of Dxx, Dyy, Dxy, Gx, Gy,
-        built on first use so grids that are never solved on do not carry them."""
-        if self._hessian is None:
-            ops = self.operators()
-            self._hessian = tuple(HessianPattern(*(ops[name][k] for name in
-                                                   ("Dxx", "Dyy", "Dxy", "Gx", "Gy")))
-                                  for k in (0, 1))
-        return self._hessian
+        terms = {
+            "Dxx": axial(((1, 0), 1.0 / h**2), ((-1, 0), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
+            "Dyy": axial(((0, 1), 1.0 / h**2), ((0, -1), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
+            "Dxy": cross,
+            "Gx": axial(((1, 0), 0.5 / h), ((-1, 0), -0.5 / h)),
+            "Gy": axial(((0, 1), 0.5 / h), ((0, -1), -0.5 / h)),
+        }
+        # one stencil at a time, its terms made when it is eliminated:
+        # eliminating all five at once peaks at over twice the memory
+        blocks = [eliminate(terms[name]()) for name in STENCILS]
+        stacked = tuple(sps.vstack(part, format="csr") for part in zip(*blocks))
+        for M in stacked:
+            M.sort_indices()    # sorted rows keep each mat-vec's summation order fixed
+        return stacked
+
+    def pattern(self) -> "StencilPattern":
+        """Union pattern of the STENCILS' interior blocks, built on first use
+        so grids that are never solved on do not carry it."""
+        if self._pattern is None:
+            self._pattern = StencilPattern(self.operators()[0], self.n_interior)
+        return self._pattern
 
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "
                 f"ghosts={self.n_ghost}, feet={self.n_feet})")
 
 
-class HessianPattern:
-    """Union sparsity pattern of one block of (Dxx, Dyy, Dxy, Gx, Gy), stored
-    as CSR with sorted indices, and each stencil's entries located in it.
+class StencilPattern:
+    """Union sparsity pattern of the STENCILS' interior blocks, stored as CSR
+    with sorted indices, and every stacked entry located in it.
 
-    A coefficient combination c11 Dxx + c22 Dyy + c12 Dxy (+ cx Gx + cy Gy)
-    with per-row coefficients is then one gather-multiply-scatter per stencil
-    over that stencil's own entries.  Positions a stencil lacks get nothing
-    from it, so the combination equals the sum of the scaled operators entry
-    by entry, and its pattern is the same for every set of coefficients.
+    A combination c_0 STENCILS[0] + ... + c_(k-1) STENCILS[k-1] with per-row
+    coefficients is then one multiply and one scatter over the entries of the
+    leading k row blocks.  Positions a stencil lacks get nothing from it, so
+    the combination equals the sum of the scaled operators entry by entry, and
+    its pattern is the same for every set of coefficients.
     """
 
-    def __init__(self, *blocks):
-        n_rows, n_cols = blocks[0].shape
-        parts = [M.tocoo() for M in blocks]
-        for part in parts:
-            part.sum_duplicates()       # one entry per position: scatters do not collide
-        keys = [c.row.astype(np.int64) * n_cols + c.col for c in parts]
-        union = np.unique(np.concatenate(keys))       # row-major: CSR order
-        self.shape = (n_rows, n_cols)
-        self.indices = (union % n_cols).astype(np.int32)
-        self.indptr = np.searchsorted(union // n_cols, np.arange(n_rows + 1)).astype(np.int32)
+    def __init__(self, D: sps.csr_matrix, n: int):
+        self.row_length = np.diff(D.indptr)
+        row_start = np.arange(D.shape[0], dtype=np.int64) % n * n
+        keys = np.repeat(row_start, self.row_length) + D.indices
+        union = np.unique(keys)       # row-major: CSR order
+        self.shape = (n, n)
+        self.indices = (union % n).astype(np.int32)
+        self.indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(np.int32)
         # every combination shares the index arrays; freezing them makes an
         # in-place change to one combination's pattern raise
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        # per stencil: (position in the union, row, weight) of each entry
-        self.parts = [(np.searchsorted(union, key).astype(np.int32), part.row, part.data)
-                      for part, key in zip(parts, keys)]
+        # each stacked entry's position in the union, kept in the intp that
+        # bincount takes so that no combine casts a copy; entries are
+        # block-major, so a position's sum runs in STENCILS order
+        self.position = np.searchsorted(union, keys)
+        self.weight = D.data
 
     def combine(self, *coefficients) -> sps.csr_matrix:
-        """c11 Dxx + c22 Dyy + c12 Dxy + cx Gx + cy Gy for per-row coefficient
-        arrays given in that order; the operators past the last one given
+        """sum_k diag(c_k) STENCILS[k] for per-row coefficient arrays c_k
+        given in STENCILS order; the stencils past the last one given
         contribute nothing."""
-        data = np.zeros(len(self.indices))
-        for c, (pos, row, w) in zip(coefficients, self.parts):
-            data[pos] += c[row] * w
+        rows = len(coefficients) * self.shape[0]
+        values = np.repeat(np.concatenate(coefficients), self.row_length[:rows])
+        values *= self.weight[:len(values)]
+        data = np.bincount(self.position[:len(values)], weights=values,
+                           minlength=len(self.indices))
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 

@@ -17,9 +17,10 @@ coefficients and of the load W^3:
     b_x = 2 (p_x u_yy - p_y u_xy) - 3 tau n H W p_x,
     b_y = 2 (p_y u_xx - p_x u_xy) - 3 tau n H W p_y.
 
-Both fill the grid's fixed union pattern of the stencil operators, so the
-matrix action coincides exactly with the nodal evaluation; boundary values of
-a frozen system enter the right-hand side through the foot blocks.
+Each is one combination of the grid's stacked stencils over their fixed union
+pattern (`Grid.pattern`), so the matrix action coincides exactly with the
+nodal evaluation; boundary values of a frozen system enter the right-hand
+side through the stacked foot block.
 
 Solves factor rarely (the chord idea, Kelley 1995).  A `HeldFactor` keeps the
 most recent sparse LU; a later system first runs one restart cycle of
@@ -41,8 +42,8 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
-from .grid import Grid, ScalarField
-from .operators import DIMENSION, Evaluation, gradient
+from .grid import STENCILS, Grid, ScalarField
+from .operators import DIMENSION, Evaluation
 
 _RELRES_TOL = 1e-10
 # GMRES aims at a residual 1e-14 of the backward-error denominator at its
@@ -126,21 +127,15 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     here, matching the scaled curvature load on the right-hand side.
     """
     grid = v.grid
-    p = gradient(v)
-    w2 = 1.0 + np.sum(p**2, axis=-1)
-    a11 = w2 - p[:, 0] ** 2
-    a22 = w2 - p[:, 1] ** 2
-    a12x2 = -2.0 * p[:, 0] * p[:, 1]
-    pattern_int, pattern_feet = grid.hessian_patterns()
-    A = pattern_int.combine(a11, a22, a12x2)
-    Af = pattern_feet.combine(a11, a22, a12x2)
-
+    ev = Evaluation(v, H, n, tau)
+    coefficients = (ev.a11, ev.a22, 2.0 * ev.a12)
+    A = grid.pattern().combine(*coefficients)
     feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
                  if grid.n_feet else np.zeros(0))
-    hv = np.asarray(H(grid.interior_xy), dtype=float)
-    b = tau * n * hv * w2**1.5 - Af @ feet_vals
-    meta = {"tau": float(tau), "n": int(n),
-            "max_w2": float(np.max(w2)), "nnz": int(A.nnz)}
+    # the feet enter through the same coefficients as the interior stencils
+    on_feet = (grid.operators()[1] @ feet_vals).reshape(len(STENCILS), -1)
+    b = ev.load * ev.W**3 - sum(c * f for c, f in zip(coefficients, on_feet))
+    meta = {"tau": float(tau), "n": int(n), "nnz": int(A.nnz)}
     return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals, meta=meta)
 
 
@@ -152,7 +147,7 @@ def correction_system(ev: Evaluation) -> LinearSystem:
     load_slope = 3.0 * ev.load * ev.W
     bx = 2.0 * (px * ev.uyy - py * ev.uxy) - load_slope * px
     by = 2.0 * (py * ev.uxx - px * ev.uxy) - load_slope * py
-    J = grid.hessian_patterns()[0].combine(ev.a11, ev.a22, 2.0 * ev.a12, bx, by)
+    J = grid.pattern().combine(ev.a11, ev.a22, 2.0 * ev.a12, bx, by)
     return LinearSystem(A=J, b=-ev.q, grid=grid, feet_values=np.zeros(grid.n_feet))
 
 

@@ -23,20 +23,26 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import PrescribedCurvature
-from .grid import Grid, ScalarField, InvalidFieldError
+from .grid import STENCILS, ScalarField
 
 DIMENSION = 2   # graphs over planar domains; n enters bounds explicitly
 _FLAT = PrescribedCurvature.constant(0.0)
 
 
-def gradient(u: ScalarField) -> np.ndarray:
-    """(n_interior, 2) centered slopes, ghosts eliminated through closures."""
+def _stencils(u: ScalarField) -> np.ndarray:
+    """(5, n_interior) array whose row k applies STENCILS[k] to u, ghosts
+    eliminated through the closures: one mat-vec pair."""
     u.validate()
-    ops = u.grid.operators()
+    D, D_feet = u.grid.operators()
     feet = u.feet if u.feet is not None else np.zeros(u.grid.n_feet)
-    gx = ops["Gx"][0] @ u.values + ops["Gx"][1] @ feet
-    gy = ops["Gy"][0] @ u.values + ops["Gy"][1] @ feet
-    return np.stack([gx, gy], axis=-1)
+    out = D @ u.values
+    out += D_feet @ feet
+    return out.reshape(len(STENCILS), -1)
+
+
+def gradient(u: ScalarField) -> np.ndarray:
+    """(n_interior, 2) centered slopes."""
+    return _stencils(u)[3:].T
 
 
 def foot_slopes(u: ScalarField) -> np.ndarray:
@@ -60,12 +66,7 @@ def boundary_slope(u: ScalarField) -> float:
 
 def hessian(u: ScalarField) -> np.ndarray:
     """(n_interior, 2, 2) second differences; cross term one-sided at flagged nodes."""
-    u.validate()
-    ops = u.grid.operators()
-    feet = u.feet if u.feet is not None else np.zeros(u.grid.n_feet)
-    uxx = ops["Dxx"][0] @ u.values + ops["Dxx"][1] @ feet
-    uyy = ops["Dyy"][0] @ u.values + ops["Dyy"][1] @ feet
-    uxy = ops["Dxy"][0] @ u.values + ops["Dxy"][1] @ feet
+    uxx, uyy, uxy = _stencils(u)[:3]
     H = np.empty((u.grid.n_interior, 2, 2))
     H[:, 0, 0] = uxx
     H[:, 1, 1] = uyy
@@ -107,9 +108,9 @@ class Evaluation:
 
     def __init__(self, u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):
         self.u = u
-        self.p = p = gradient(u)
-        Hs = hessian(u)
-        self.uxx, self.uyy, self.uxy = Hs[:, 0, 0], Hs[:, 1, 1], Hs[:, 0, 1]
+        s = _stencils(u)
+        self.uxx, self.uyy, self.uxy = s[:3]
+        self.p = p = s[3:].T
         w2 = 1.0 + np.sum(p**2, axis=-1)
         self.W = np.sqrt(w2)
         self.a11 = w2 - p[:, 0] ** 2

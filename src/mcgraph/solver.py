@@ -50,7 +50,6 @@ class SolveConfig:
     tol_update: float = 1e-9
     tol_residual: Optional[float] = None   # default: 1e-6 * (1 + n * sup|H|)
     max_iters: int = 200
-    damping: float = 1.0
     tau_schedule: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     grad_max: float = 1e4
     stagnation_window: int = 20
@@ -156,7 +155,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
         # re-anchor the warm start's trace at this stage's load
         u = ScalarField.from_data(grid, u.values, data.scaled(tau))
         ev = Evaluation(u, H, n, tau)
-        damping = cfg.damping
+        damping = 1.0
         prev_res = np.inf
         window: list[float] = []
         stage_verdict = VERDICT_STAGNATED

@@ -12,7 +12,7 @@ from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      comparison_check, compile_expr, disk, ellipse,
                      estimate_ledger, global_gradient_bound, height_barrier,
                      height_bound, nonexistence_bound, nonexistence_witness,
-                     scherk_trace, solve_dirichlet)
+                     rect, scherk_trace, solve_dirichlet)
 from mcgraph.barriers import (BarrierParams, BoundaryDistance, CircleDistance,
                               EstimateAudit, HeightProfile, LogIntegralProfile,
                               LogProfile, NegatedProfile, RadialDistance,
@@ -314,6 +314,14 @@ def test_boundary_gradient_refuses_supercritical(unit_disk):
         boundary_gradient_package(unit_disk,
                                   PrescribedCurvature.constant(0.55),
                                   ZeroData(), n=2)
+
+
+def test_boundary_gradient_refuses_overflowing_exponent():
+    # the square's corners make the sampled strip width tau tiny (5.9e-4),
+    # which drives nu M far past the float range of e^(nu M)
+    with pytest.raises(NotApplicable, match="nu M"):
+        boundary_gradient_package(rect(0.6, 0.6), PrescribedCurvature.constant(0.0),
+                                  scherk_trace(), n=2)
 
 
 def test_barrier_pair_on_converged_cap(unit_disk, cap_H, cap_solve32):

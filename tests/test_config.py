@@ -71,7 +71,6 @@ spacings = 1/16, 1/32, 1/64
 
 [solver]
 max_iters = 80
-damping = 0.9
 tau_stages = 0.5, 1.0
 
 [audits]
@@ -84,7 +83,6 @@ reference = cap
     scn = load_scenario(write(tmp_path, text))
     assert scn.spacings == (1.0 / 16, 1.0 / 32, 1.0 / 64)
     assert scn.solver.max_iters == 80
-    assert scn.solver.damping == 0.9
     assert tuple(scn.solver.tau_schedule) == (0.5, 1.0)
     assert scn.audits == ("height", "gradient", "serrin")
     assert scn.outdir == "out/full"

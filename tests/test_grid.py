@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
                      disk, dumbbell, ellipse, levelset, rect)
-from mcgraph.grid import _AXES, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR
+from mcgraph.grid import _AXES, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +95,32 @@ def test_ghost_closure_exact_other_spacing(domain, h):
     gx = g.xs[g.ghost_ij[:, 0]]
     gy = g.ys[g.ghost_ij[:, 1]]
     assert np.max(np.abs(u.ghost_values() - q(gx, gy))) < 1e-9
+
+
+# the grids are chosen with no linear-fallback ghost, so every stencil is
+# exact for quadratics at every interior node
+@pytest.mark.parametrize("domain, h", [(disk(1.0), 1.0 / 32.0),
+                                       (ellipse(1.2, 0.7), 1.0 / 24.0),
+                                       (annulus(0.5, 1.0), 1.0 / 32.0)],
+                         ids=["disk", "ellipse", "annulus"])
+def test_stacked_operator_row_blocks(domain, h):
+    g = Grid(domain, h)
+    assert g.flags["ghost_linear_fallback"] == 0
+    c0, cx, cy, cxx, cxy, cyy = -0.7, 1.0, -0.1, 0.2, -0.15, 0.6
+
+    def q(x, y):
+        return c0 + cx * x + cy * y + cxx * x**2 + cxy * x * y + cyy * y**2
+
+    u = ScalarField.from_callable(g, q)
+    D, D_feet = g.operators()
+    assert D.shape == (5 * g.n_interior, g.n_interior)
+    assert D_feet.shape == (5 * g.n_interior, g.n_feet)
+    blocks = (D @ u.values + D_feet @ u.feet).reshape(5, g.n_interior)
+    x, y = g.interior_xy[:, 0], g.interior_xy[:, 1]
+    exact = (2.0 * cxx, 2.0 * cyy, cxy, cx + 2.0 * cxx * x + cxy * y, cy + cxy * x + 2.0 * cyy * y)
+    assert STENCILS == ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
+    for k in range(5):
+        assert np.max(np.abs(blocks[k] - exact[k])) < 1e-8, STENCILS[k]
 
 
 def test_cross_flags_set_at_construction():
