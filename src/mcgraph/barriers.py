@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import erfi as _erfi
 
-from .geometry import DomainSpec, check_serrin, check_gradient_condition
+from .geometry import DomainSpec, SerrinAudit, check_serrin, check_gradient_condition
 from .grid import Grid, ScalarField
 from .operators import apply_Q, boundary_slope, foot_slopes, gradient
 
@@ -445,14 +445,16 @@ def _h_norms(H, domain: DomainSpec) -> tuple[float, float]:
 
 
 def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
-                 measured: Optional[float] = None) -> EstimateAudit:
+                 measured: Optional[float] = None,
+                 serrin: Optional[SerrinAudit] = None) -> EstimateAudit:
     """sup |u| <= sup_boundary |phi| + (e^(mu delta) - 1)/mu with mu just above n sup|H|.
 
     The slack is increasing in mu, so mu = n h0 (1 + 1e-6) is the tightest
     reportable choice; h0 = 0 degenerates to the analytic limit delta.  The
     interior curvature-growth hypothesis |grad H| <= n/(n-1) H^2 is checked
     globally and reported in the note (the estimate needs it only where the
-    distance function is smooth, so a global failure is advisory).
+    distance function is smooth, so a global failure is advisory).  `serrin`
+    is the domain's Serrin audit when the caller has it already.
     """
     h0, _ = _h_norms(H, domain)
     delta = domain.diameter
@@ -465,7 +467,7 @@ def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
     if not ok:
         notes.append(f"interior condition |grad H| <= n/(n-1) H^2 fails "
                      f"globally (margin {margin:.3g}); bound is formal")
-    serrin = check_serrin(domain, H, n)
+    serrin = serrin or check_serrin(domain, H, n)
     if not serrin.satisfied:
         notes.append(f"Serrin margin {serrin.margin:.3g} < 0; bound is formal")
     return EstimateAudit(
@@ -540,7 +542,8 @@ def _distance_c2_norm(domain: DomainSpec, depth: float) -> float:
 
 def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
                               u_sup: Optional[float] = None,
-                              measured: Optional[float] = None) -> GradientPackage:
+                              measured: Optional[float] = None,
+                              serrin: Optional[SerrinAudit] = None) -> GradientPackage:
     """Constant ledger and log-barrier profile for the boundary gradient bound.
 
     Builds C = 4n(1 + |d|_2 + 1/tau), nu = C(1 + |H|_C1 + |phi|_2)(1 + |phi|_1)^3,
@@ -553,9 +556,10 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
     constant is self-consistently valid where the barrier lives.
 
     u_sup defaults to the height-estimate bound, making the package computable
-    before any solve.
+    before any solve.  `serrin` is the domain's Serrin audit when the caller
+    has it already.
     """
-    serrin = check_serrin(domain, H, n)
+    serrin = serrin or check_serrin(domain, H, n)
     if not serrin.satisfied:
         raise NotApplicable(f"boundary gradient estimate needs the Serrin "
                             f"condition; {serrin}")
@@ -569,7 +573,7 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
     h0, h1 = _h_norms(H, domain)
     nu = C * (1.0 + (h0 + h1) + p2) * (1.0 + p1) ** 3
     if u_sup is None:
-        u_sup = height_bound(domain, H, data, n).bound
+        u_sup = height_bound(domain, H, data, n, serrin=serrin).bound
     M = float(u_sup) + p0
     if nu * M + math.log(nu) > _LOG_FLOAT_MAX:
         raise NotApplicable(f"k = nu e^(nu M) overflows: nu M = {nu * M:.3g} "
@@ -705,7 +709,10 @@ def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
 
     measured = report is not None
     sup_u = report.sup_u if measured else None
-    height = attempt("height", height_bound, domain, H, data, n=n, measured=sup_u)
+    # one Serrin audit feeds both estimates and the "serrin" entry
+    serrin = attempt("serrin", check_serrin, domain, H, n)
+    height = attempt("height", height_bound, domain, H, data, n=n, measured=sup_u,
+                     serrin=serrin)
     if not measured and height is not None:
         sup_u = height.bound
     gradient = attempt("gradient", global_gradient_bound, domain, H, data, n=n,
@@ -713,7 +720,7 @@ def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
                        boundary_gradient=boundary_slope(report.field) if measured else 0.0,
                        measured=report.sup_gradient if measured else None)
     package = attempt("barrier_pair", boundary_gradient_package, domain, H, data,
-                      n=n, u_sup=sup_u)
+                      n=n, u_sup=sup_u, serrin=serrin)
     refusal = "" if package else errors["barrier_pair"]["error"]
 
     audits = {}
@@ -721,7 +728,6 @@ def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
         audits["height"] = height.to_dict() if height else errors["height"]
         audits["gradient"] = gradient.to_dict() if gradient else errors["gradient"]
     if "serrin" in names:
-        serrin = attempt("serrin", check_serrin, domain, H, n)
         audits["serrin"] = errors["serrin"] if serrin is None else {
             "name": "serrin", "passed": bool(serrin.satisfied),
             "margin": serrin.margin, "worst_point": list(serrin.worst_point),

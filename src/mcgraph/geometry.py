@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from .expressions import Expr2D, compile_expr
 
@@ -244,6 +245,10 @@ class _RoundedRect:
         ex, ey = self.hx - self.r, self.hy - self.r   # straight half-lengths
         self.length = 4.0 * (ex + ey) + _TWO_PI * self.r
         self._ex, self._ey = ex, ey
+        # arclength where each piece of the ccw walk starts: right edge, NE
+        # arc, top edge, NW arc, left edge, SW arc, bottom edge, SE arc
+        qarc = 0.5 * math.pi * self.r
+        self._cum = np.cumsum([0.0, 2 * ey, qarc, 2 * ex, qarc, 2 * ey, qarc, 2 * ex, qarc])
 
     def bbox(self):
         cx, cy = self.center
@@ -258,10 +263,7 @@ class _RoundedRect:
 
     def sample(self, m):
         # piecewise walk ccw: right edge, NE arc, top edge, NW arc, ...
-        ex, ey, r = self._ex, self._ey, self.r
-        qarc = 0.5 * math.pi * r
-        pieces = [2 * ey, qarc, 2 * ex, qarc, 2 * ey, qarc, 2 * ex, qarc]
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
+        ex, ey, r, cum = self._ex, self._ey, self.r, self._cum
         s = self.length * (np.arange(m) + 0.5) / m
         pts = np.empty((m, 2))
         nrm = np.empty((m, 2))
@@ -291,18 +293,30 @@ class _RoundedRect:
         return pts + self.center, nrm, kap, s, self.length
 
     def curvature_at(self, s):
-        ex, ey, r = self._ex, self._ey, self.r
-        qarc = 0.5 * math.pi * r
-        pieces = np.array([2 * ey, qarc, 2 * ex, qarc, 2 * ey, qarc, 2 * ex, qarc])
-        cum = np.concatenate([[0.0], np.cumsum(pieces)])
         s = np.mod(np.asarray(s, dtype=float), self.length)
-        if r == 0:
+        if self.r == 0:
             return np.zeros(np.shape(s))
-        idx = np.searchsorted(cum, s, side="right") - 1
-        return np.where(idx % 2 == 1, 1.0 / r, 0.0)
+        idx = np.searchsorted(self._cum, s, side="right") - 1
+        return np.where(idx % 2 == 1, 1.0 / self.r, 0.0)
 
     def arclength_of_point(self, pts):
-        return _nearest_sample_arclength(self, pts)
+        # the nearest boundary point is the nearest point of the core
+        # rectangle [-ex, ex] x [-ey, ey] pushed out by r: on a corner arc
+        # when both coordinates leave the core, else on the edge whose side
+        # is nearer
+        ex, ey, r, cum = self._ex, self._ey, self.r, self._cum
+        q = np.asarray(pts, dtype=float) - self.center
+        x, y = q[..., 0], q[..., 1]
+        out_x, out_y = np.abs(x) > ex, np.abs(y) > ey
+        arc = out_x & out_y
+        vertical = ~arc & (out_x | (~out_y & (ex - np.abs(x) <= ey - np.abs(y))))
+        ang = np.mod(np.arctan2(y - np.sign(y) * ey, x - np.sign(x) * ex), _TWO_PI)
+        quadrant = np.minimum((ang // (0.5 * math.pi)).astype(int), 3)
+        s_arc = cum[2 * quadrant + 1] + r * (ang - 0.5 * math.pi * quadrant)
+        s_vertical = np.where(x > 0, cum[0] + (y + ey), cum[4] + (ey - y))
+        s_horizontal = np.where(y > 0, cum[2] + (ex - x), cum[6] + (x + ex))
+        s = np.where(arc, s_arc, np.where(vertical, s_vertical, s_horizontal))
+        return np.mod(s, self.length)
 
 
 class _Annulus:
@@ -421,8 +435,6 @@ class _LevelSet:
     def _nearest_foot(self, pts, iters=30):
         """Nearest boundary point: nearest polyline vertex, then constrained Newton
         on (F(q) = 0, (x - q) x grad F(q) = 0)."""
-        from scipy.spatial import cKDTree
-
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not hasattr(self, "_tree"):
             # wide leaves: fewer tree levels for the lattice-sized queries
@@ -566,8 +578,6 @@ def _marching_squares(F):
 def _nearest_sample_arclength(shape, pts):
     """Arclength of the boundary point nearest to pts, via the shape's own samples."""
     ref_pts, _, _, ref_s, _ = shape.sample(8192)
-    from scipy.spatial import cKDTree
-
     tree = cKDTree(ref_pts)
     _, idx = tree.query(np.atleast_2d(pts))
     return ref_s[idx]

@@ -8,9 +8,19 @@ sets
     u_next = u + damping * delta,
 
 halving the damping factor whenever the defect grows while it is still above
-the residual tolerance (floor 0.125), and warm-starting the next stage from
-the converged iterate.  Growth below the tolerance is rounding, which damping
-cannot cure.  Guards abort a stage when the discrete slope blows past
+the residual tolerance (floor 0.125).  Growth below the tolerance is
+rounding, which damping cannot cure.
+
+Each stage after the first starts from the secant predictor through the last
+two stage answers,
+
+    u_k + (tau - tau_k) / (tau_k - tau_{k-1}) * (u_k - u_{k-1}),
+
+with (tau_0, u_0) = (0, 0), the exact answer at zero load, and the start's
+trace re-anchored at the stage's load.  An intermediate stage's answer is
+only the next stage's start, so it ends converged once its defect meets the
+residual tolerance; the update tolerance is tested on the final stage only.
+Guards abort a stage when the discrete slope blows past
 `grad_max` (gradient divergence, the signature of unattainable boundary
 data) or when the defect stops improving over a trailing window
 (stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
@@ -150,10 +160,19 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
     """Run the load schedule, filling the report's stages, trace rows and
     iteration count; returns (verdict, message, evaluation of the last iterate)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
-    u = ScalarField.zeros(grid, data.scaled(cfg.tau_schedule[0]) if grid.n_feet else None)
-    for tau in cfg.tau_schedule:
-        # re-anchor the warm start's trace at this stage's load
-        u = ScalarField.from_data(grid, u.values, data.scaled(tau))
+    u = ScalarField.zeros(grid)
+    # (tau_{k-1}, u_{k-1}) and tau_k of the last two stage answers; u = 0
+    # solves the problem at zero load exactly
+    tau_prev, u_prev, tau_k = 0.0, u.values, 0.0
+    for k, tau in enumerate(cfg.tau_schedule):
+        final = k == len(cfg.tau_schedule) - 1
+        values = u.values
+        if tau_k != tau_prev:
+            # secant predictor through the last two stage answers
+            values = values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
+        tau_prev, u_prev = tau_k, u.values
+        # re-anchor the start's trace at this stage's load
+        u = ScalarField.from_data(grid, values, data.scaled(tau))
         ev = Evaluation(u, H, n, tau)
         damping = 1.0
         prev_res = np.inf
@@ -187,7 +206,9 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
                 damping = max(0.125, 0.5 * damping)
             prev_res = res_core
             u, ev = u_new, ev_new
-            if last_update <= cfg.tol_update and res_core <= tol_res:
+            # an intermediate answer is only the next stage's start: its
+            # defect test suffices, the update test is the final stage's
+            if res_core <= tol_res and (last_update <= cfg.tol_update or not final):
                 stage_verdict = VERDICT_CONVERGED
                 break
             window.append(res_core)
@@ -207,6 +228,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
             return (stage_verdict,
                     f"stage tau={tau:g} ended {stage_verdict} after "
                     f"{it} iterations (defect {res_core:.3e})", ev)
+        tau_k = tau
     return VERDICT_CONVERGED, "", ev
 
 

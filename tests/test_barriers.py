@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import mcgraph.barriers
+
 from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      ScalarField, ZeroData, adversarial_boundary_data,
                      apply_Q, barrier_pair_checks, boundary_gradient_package,
@@ -359,6 +361,23 @@ def test_ledger_measures_a_solve_and_adds_requested_entries(unit_disk, cap_H,
     for name in ("height", "gradient", "serrin", "qwp_negative",
                  "qwm_positive", "sandwich"):
         assert led.audits[name]["passed"] is True, name
+
+
+def test_ledger_checks_serrin_once(unit_disk, cap_H, cap_solve32, monkeypatch):
+    # the height bound, the gradient package and the "serrin" entry share
+    # one pass over the boundary samples
+    calls = []
+    check = mcgraph.barriers.check_serrin
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return check(*args, **kw)
+    monkeypatch.setattr(mcgraph.barriers, "check_serrin", counted)
+    led = estimate_ledger(unit_disk, cap_H, ZeroData(), n=2, report=cap_solve32,
+                          names=("serrin", "barrier_pair"))
+    assert len(calls) == 1
+    assert led.audits["serrin"]["passed"] is True
+    assert led.package is not None and led.audits["sandwich"]["passed"] is True
 
 
 def test_ledger_keeps_a_raising_estimate_as_an_entry(scherk_square,

@@ -352,6 +352,36 @@ def test_annulus_foot_arclength_is_exact():
     assert np.max(np.abs(back - g.foot_xy)) <= 1e-12
 
 
+def _rounded_rect_point(hx, hy, r, s):
+    # the ccw walk from the bottom of the right edge: right edge, NE arc,
+    # top edge, NW arc, left edge, SW arc, bottom edge, SE arc
+    ex, ey = hx - r, hy - r
+    out = np.empty((len(s), 2))
+    for k, (x, y) in enumerate(((hx, -ey), (ex, ey), (ex, hy), (-ex, ey),
+                                (-hx, ey), (-ex, -ey), (-ex, -hy), (ex, -ey))):
+        length = 2 * (ey, ex)[k // 2 % 2] if k % 2 == 0 else 0.5 * math.pi * r
+        sel = (s >= 0) & (s <= length)
+        t = s[sel]
+        if k % 2 == 0:
+            step = ((0, 1), (-1, 0), (0, -1), (1, 0))[k // 2]
+            out[sel] = np.stack([x + step[0] * t, y + step[1] * t], axis=-1)
+        else:
+            ang = 0.5 * math.pi * (k // 2) + t / r
+            out[sel] = np.stack([x + r * np.cos(ang), y + r * np.sin(ang)], axis=-1)
+        s = np.where(sel, -1.0, s - length)
+    return out
+
+
+@pytest.mark.parametrize("hx, hy, r", [(1.0, 0.6, 0.25), (0.6, 0.6, 0.0)],
+                         ids=["rounded_rect", "rect"])
+def test_rounded_rect_foot_arclength_is_exact(hx, hy, r):
+    dom = rounded_rect(hx, hy, r) if r else rect(hx, hy)
+    g = Grid(dom, 1.0 / 64.0)
+    back = _rounded_rect_point(hx, hy, r, g.foot_s)
+    assert np.all((g.foot_s >= 0) & (g.foot_s < dom.boundary.total_length))
+    assert np.max(np.abs(back - g.foot_xy)) <= 1e-12
+
+
 def test_rect_is_rounded_rect_with_square_corners():
     d = rect(1.0, 0.37, center=(0.2, -0.1))
     assert d.tag == "rect"

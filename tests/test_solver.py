@@ -61,6 +61,18 @@ def test_newton_converges_in_few_iterations(cap_solve32):
     assert cap_solve32.factorizations == 1
 
 
+def test_predicted_stages_take_fewer_iterations(cap_solve32):
+    # secant-predicted starts and intermediate stages that stop at the defect
+    # tolerance; restarting each stage from the last answer and solving it
+    # to the update tolerance takes 13 iterations here
+    assert cap_solve32.iterations <= 9
+    assert all(s.verdict == "converged" for s in cap_solve32.stages)
+    final = cap_solve32.stages[-1]
+    assert final.update_norm <= SolveConfig().tol_update
+    assert final.residual_core <= 1e-11
+    assert cap_solve32.factorizations == 1
+
+
 def test_sweep_caps_keep_full_damping(cap_grid32):
     # defect growth at the rounding floor of a converged stage is no reason
     # to damp: every stage of every sweep cap ends on full steps
@@ -83,6 +95,20 @@ def test_solve_ends_in_a_verdict(disk12, H, angle, eps, width):
     # included: every solve ends in one of the four verdicts
     data = BumpData(disk12.domain, (np.cos(angle), np.sin(angle)), width, eps)
     report = solve_dirichlet(disk12, PrescribedCurvature.constant(H), data)
+    assert report.verdict in ("converged", "stagnated", "diverged_gradient",
+                              "linear_failure")
+
+
+@given(a=st.floats(-1.5, 1.5), b=st.floats(-1.5, 1.5),
+       angle=st.floats(0.0, 2.0 * np.pi), width=st.floats(0.05, 1.0),
+       eps=st.floats(-0.5, 0.5))
+def test_solve_with_varying_curvature_ends_in_a_verdict(disk12, a, b, angle,
+                                                        width, eps):
+    # H = a + b x, given as an expression: curvature that changes sign across
+    # the disk included
+    data = BumpData(disk12.domain, (np.cos(angle), np.sin(angle)), width, eps)
+    H = PrescribedCurvature.expression(f"{a!r} + {b!r} * x")
+    report = solve_dirichlet(disk12, H, data)
     assert report.verdict in ("converged", "stagnated", "diverged_gradient",
                               "linear_failure")
 
