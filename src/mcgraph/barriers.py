@@ -998,10 +998,6 @@ class WitnessReport:
     boundary_excess: float      # extrapolated u - (sup outside data + eps - tol)
     measure_radius: float
 
-    @property
-    def witnessed(self) -> bool:
-        return self.verdict == "WITNESS"
-
 
 def _local_slope(report, y0, radius: float) -> float:
     u = report.field

@@ -29,11 +29,6 @@ class BoundaryData:
     # extension to the closure, None when the data is boundary-only
     extension: Optional[Expr2D] = None
 
-    def scaled(self, tau: float) -> "BoundaryData":
-        if tau == 1.0:
-            return self
-        return _Scaled(self, float(tau))
-
     def norms(self, domain: DomainSpec):
         """(|phi|_0, |phi|_1, |phi|_2) sup-norm ladder over the closure.
 
@@ -66,9 +61,6 @@ class ZeroData(BoundaryData):
     def trace(self, pts, s=None):
         pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape[:-1])
-
-    def scaled(self, tau):
-        return self
 
     def __repr__(self):
         return "phi = 0"
@@ -134,32 +126,3 @@ class BumpData(BoundaryData):
         return (f"phi = bump(eps={self.eps}, width={float(self.width):.3g}, "
                 f"s0={self.s0:.4f})")
 
-
-class _Scaled(BoundaryData):
-    def __init__(self, base: BoundaryData, tau: float):
-        self.base = base
-        self.tau = tau
-        self.kind = f"scaled({base.kind})"
-        if base.extension is not None:
-            e = base.extension
-            t = tau
-            self.extension = Expr2D(
-                f"{t}*({e.text})",
-                lambda x, y: t * e.f(x, y),
-                lambda x, y: t * e.fx(x, y),
-                lambda x, y: t * e.fy(x, y),
-                lambda x, y: t * e.fxx(x, y),
-                lambda x, y: t * e.fxy(x, y),
-                lambda x, y: t * e.fyy(x, y),
-            )
-        else:
-            self.extension = None
-
-    def trace(self, pts, s=None):
-        return self.tau * self.base.trace(pts, s)
-
-    def scaled(self, tau):
-        return _Scaled(self.base, self.tau * tau)
-
-    def __repr__(self):
-        return f"{self.tau} * ({self.base!r})"

@@ -6,13 +6,21 @@ Subcommands:
   estimates    print the a priori constant ledger without solving
   sweep        refinement or curvature sweeps with a ratio/flag table
 
-run, an [experiment] run (on its finest solve) and estimates each take their
-audits and constants from one `barriers.estimate_ledger` call.
+Configs and check-serrin's --shape build their domains through
+`geometry.make_domain`.  check-serrin takes the flags of its shape's factory
+parameters; a flag of another shape is a configuration error.
 
-Exit codes for run, [experiment] runs included: 0 converged with all
-requested audits passing, 2 solver failure, 3 audit failure, 4 configuration
-error.  check-serrin exits 0 when the solvability condition holds and 1 when
-violated.
+run, an [experiment] run (on its finest solve) and estimates each take their
+audits and constants from one `barriers.estimate_ledger` call.  An
+[experiment] run and a curvature sweep run one non-existence pipeline
+(`_nonexistence`): certificate, bump data, one solve per grid, witness.
+--quiet (run, sweep) silences stdout only; artifacts and sweep.csv are
+written all the same.
+
+Exit codes: 4 on a configuration error for every command, taken in `main`
+alone.  run, [experiment] runs included: 0 converged with all requested
+audits passing, 2 solver failure, 3 audit failure.  check-serrin exits 0 when
+the solvability condition holds and 1 when violated.
 
 MCGRAPH_THREADS caps BLAS thread pools; it is exported to the usual knobs
 (OPENBLAS_NUM_THREADS and friends) before heavy work starts, which is fully
@@ -26,10 +34,25 @@ import os
 import sys
 from pathlib import Path
 
+from . import barriers
+from .config import ConfigError, load_scenario
+from .geometry import (REQUIRED, SHAPE_PARAMETERS, MalformedDomainError,
+                       PrescribedCurvature, check_serrin, make_domain)
+from .grid import Grid
+from .reference import get as get_reference
+from .reporting import (build_report, write_report, write_traces_csv,
+                        write_fields_csv, write_heatmap_svg)
+from .solver import solve_dirichlet
+
 EXIT_OK = 0
 EXIT_SOLVER = 2
 EXIT_AUDIT = 3
 EXIT_CONFIG = 4
+
+# check-serrin's shape flags with their defaults; --shape offers each shape
+# whose required factory parameters all have a flag
+_SHAPE_FLAGS = {"radius": 1.0, "a": 1.0, "b": 1.0, "hx": 1.0, "hy": 1.0,
+                "r_in": 0.5, "r_out": 1.0, "waist": 1.0, "spread": 1.1}
 
 
 def _apply_thread_env() -> None:
@@ -47,7 +70,6 @@ def _say(quiet: bool, *parts) -> None:
 
 
 def _load(config_path: str, grid_h, out_override):
-    from .config import load_scenario
     scenario = load_scenario(config_path)
     if grid_h is not None:
         scenario.spacings = (float(grid_h),)
@@ -57,27 +79,12 @@ def _load(config_path: str, grid_h, out_override):
 
 
 def cmd_run(args) -> int:
-    from .config import ConfigError
-
-    try:
-        scenario = _load(args.config, args.grid_h, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from .barriers import estimate_ledger
-    from .grid import Grid
-    from .solver import solve_dirichlet
-
+    scenario = _load(args.config, args.grid_h, args.out)
+    if scenario.experiment is not None and len(scenario.spacings) < 2:
+        raise ConfigError("[experiment] needs >= 2 grid spacings")
     outdir = Path(scenario.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    extras = {}
-
     if scenario.experiment is not None:
-        if len(scenario.spacings) < 2:
-            print("config error: [experiment] needs >= 2 grid spacings",
-                  file=sys.stderr)
-            return EXIT_CONFIG
         return _run_experiment(scenario, outdir, args.quiet)
 
     h = scenario.spacings[0]
@@ -91,10 +98,11 @@ def cmd_run(args) -> int:
     _say(args.quiet, f"verdict: {report.verdict} after {report.iterations} "
                      f"iterations, residual {report.residual_core:.3e}")
 
-    ledger = estimate_ledger(scenario.domain, scenario.curvature, scenario.data,
-                             scenario.n, report=report, names=scenario.audits)
+    ledger = barriers.estimate_ledger(scenario.domain, scenario.curvature,
+                                      scenario.data, scenario.n, report=report,
+                                      names=scenario.audits)
+    extras = {}
     if scenario.reference:
-        from .reference import get as get_reference
         extras["reference"] = scenario.reference
         extras["reference_error_sup"] = get_reference(scenario.reference).error(
             report.field)
@@ -107,8 +115,6 @@ def cmd_run(args) -> int:
 def _write_artifacts(outdir: Path, scenario, report, params, extras: dict,
                      quiet: bool) -> None:
     """report.json, traces.csv, fields.csv and heatmap.svg for one solve."""
-    from .reporting import (build_report, write_report, write_traces_csv,
-                            write_fields_csv, write_heatmap_svg)
     write_report(outdir / "report.json", build_report(scenario, report, params, extras))
     write_traces_csv(outdir / "traces.csv", report)
     write_fields_csv(outdir / "fields.csv", report.field)
@@ -125,47 +131,57 @@ def _exit_code(reports, audits: dict) -> int:
     return EXIT_OK
 
 
-def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
-    """Non-existence pipeline: certificate, refinement solves, witness, and
-    the estimate ledger of the finest solve."""
-    from . import barriers
-    from .grid import Grid
-    from .solver import solve_dirichlet
-
+def _nonexistence(scenario, H, grids, quiet: bool):
+    """The [experiment] pipeline at curvature H: certificate (or the
+    NotApplicable that refused it), bump data, one solve per grid and the
+    witness over them.  Returns (certificate, data, reports, witness); with
+    fewer than two grids there is nothing to witness, and it stops after the
+    certificate."""
     exp = scenario.experiment
-    extras = {"experiment": {"y0": list(exp.y0), "eps": exp.eps,
-                             "width": exp.width}}
     try:
-        cert = barriers.nonexistence_bound(scenario.domain, scenario.curvature,
-                                           exp.y0, exp.eps, n=scenario.n)
-        extras["certificate"] = {
-            "applicable": True, "nu_ne": cert.nu_ne, "g_value": cert.g_value,
-            "a": cert.a, "log10_a": cert.log10_a, "R1": cert.R1, "R2": cert.R2,
-            "kappa_S": cert.kappa_S, "warnings": list(cert.warnings)}
-        params = cert.params
+        cert = barriers.nonexistence_bound(scenario.domain, H, exp.y0, exp.eps,
+                                           n=scenario.n)
         _say(quiet, f"certificate: a = 10^{cert.log10_a:.1f}, "
                     f"g(a) = {cert.g_value:.4f} < eps = {exp.eps:g}")
     except barriers.NotApplicable as exc:
-        cert = None
-        extras["certificate"] = {"applicable": False, "reason": str(exc)}
-        params = barriers.BarrierParams(eps=exp.eps)
+        cert = exc
         _say(quiet, f"certificate not applicable: {exc}")
+    if len(grids) < 2:
+        return cert, None, [], None
 
     data = barriers.adversarial_boundary_data(scenario.domain, exp.y0,
                                               exp.width, exp.eps)
     reports = []
-    for h in scenario.spacings:
-        grid = Grid(scenario.domain, h)
-        rep = solve_dirichlet(grid, scenario.curvature, data, n=scenario.n,
-                              config=scenario.solver)
-        _say(quiet, f"h={h:g}: {rep.verdict} in {rep.iterations} iterations")
+    for grid in grids:
+        rep = solve_dirichlet(grid, H, data, n=scenario.n, config=scenario.solver)
+        _say(quiet, f"h={grid.h:g}: {rep.verdict} in {rep.iterations} iterations")
         reports.append(rep)
-
     witness = barriers.nonexistence_witness(reports, exp.y0, data, exp.eps,
                                             radius_a=exp.width)
     _say(quiet, f"witness verdict: {witness.verdict} "
                 f"(ratios {['%.2f' % r for r in witness.gradient_ratios]}, "
                 f"attainment gap {witness.attainment_gap:.3e})")
+    return cert, data, reports, witness
+
+
+def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
+    """Non-existence pipeline over the config's spacings, then the estimate
+    ledger of the finest solve."""
+    exp = scenario.experiment
+    grids = [Grid(scenario.domain, h) for h in scenario.spacings]
+    cert, data, reports, witness = _nonexistence(scenario, scenario.curvature,
+                                                 grids, quiet)
+    extras = {"experiment": {"y0": list(exp.y0), "eps": exp.eps,
+                             "width": exp.width}}
+    if isinstance(cert, barriers.NotApplicable):
+        extras["certificate"] = {"applicable": False, "reason": str(cert)}
+        params = barriers.BarrierParams(eps=exp.eps)
+    else:
+        extras["certificate"] = {
+            "applicable": True, "nu_ne": cert.nu_ne, "g_value": cert.g_value,
+            "a": cert.a, "log10_a": cert.log10_a, "R1": cert.R1, "R2": cert.R2,
+            "kappa_S": cert.kappa_S, "warnings": list(cert.warnings)}
+        params = cert.params
     extras["nonexistence_witness"] = {
         "verdict": witness.verdict, "reasons": list(witness.reasons),
         "gradient_ratios": list(witness.gradient_ratios),
@@ -186,20 +202,20 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
 
 
 def cmd_check_serrin(args) -> int:
-    from .config import ConfigError
-    from .geometry import check_serrin, PrescribedCurvature, MalformedDomainError
-
-    try:
-        if args.config:
-            scenario = _load(args.config, None, None)
-            domain, H, n = scenario.domain, scenario.curvature, scenario.n
-        else:
-            domain = _domain_from_args(args)
-            H = PrescribedCurvature.constant(args.curvature)
-            n = args.n
-    except (ConfigError, MalformedDomainError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    if args.config:
+        scenario = _load(args.config, None, None)
+        domain, H, n = scenario.domain, scenario.curvature, scenario.n
+    else:
+        params = SHAPE_PARAMETERS[args.shape]
+        given = {k: v for k, v in vars(args).items() if k in _SHAPE_FLAGS}
+        foreign = sorted(given.keys() - params.keys())
+        if foreign:
+            raise ConfigError(f"--{foreign[0].replace('_', '-')} is not a "
+                              f"parameter of --shape {args.shape}")
+        domain = make_domain(args.shape, **{k: given.get(k, _SHAPE_FLAGS[k])
+                                            for k in params if k in _SHAPE_FLAGS})
+        H = PrescribedCurvature.constant(args.curvature)
+        n = args.n
 
     audit = check_serrin(domain, H, n)
     state = "satisfied" if audit.satisfied else "violated"
@@ -209,35 +225,10 @@ def cmd_check_serrin(args) -> int:
     return 0 if audit.satisfied else 1
 
 
-def _domain_from_args(args):
-    from .geometry import disk, ellipse, rect, annulus, dumbbell
-    shape = args.shape
-    if shape == "disk":
-        return disk(radius=args.radius)
-    if shape == "ellipse":
-        return ellipse(args.a, args.b)
-    if shape == "rect":
-        return rect(args.hx, args.hy)
-    if shape == "annulus":
-        return annulus(args.r_in, args.r_out)
-    if shape == "dumbbell":
-        return dumbbell(waist=args.waist, spread=args.spread)
-    raise SystemExit(f"unknown shape {shape!r}")
-
-
 def cmd_estimates(args) -> int:
-    from .config import ConfigError
-
-    try:
-        scenario = _load(args.config, None, None)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    from .barriers import estimate_ledger
-
-    ledger = estimate_ledger(scenario.domain, scenario.curvature, scenario.data,
-                             scenario.n, names=("serrin",))
+    scenario = _load(args.config, None, None)
+    ledger = barriers.estimate_ledger(scenario.domain, scenario.curvature,
+                                      scenario.data, scenario.n, names=("serrin",))
     serrin, height, grad = ledger.audits["serrin"], ledger.height, ledger.gradient
     print("a priori constant ledger")
     print(f"  solvability margin      = {serrin['margin']:.9g} "
@@ -258,31 +249,25 @@ def cmd_estimates(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from .config import ConfigError
-
-    try:
-        scenario = _load(args.config, None, args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
+    """A curvature or refinement table, printed and written to sweep.csv."""
+    scenario = _load(args.config, None, args.out)
     if scenario.sweep_curvatures:
-        return _sweep_curvature(scenario, args)
-    if len(scenario.spacings) >= 2:
-        return _sweep_refinement(scenario, args)
-    print("config error: sweep needs [sweep] curvatures or multiple "
-          "grid spacings", file=sys.stderr)
-    return EXIT_CONFIG
+        lines = _sweep_curvature(scenario)
+    elif len(scenario.spacings) >= 2:
+        lines = _sweep_refinement(scenario)
+    else:
+        raise ConfigError("sweep needs [sweep] curvatures or multiple "
+                          "grid spacings")
+    table = "\n".join(lines)
+    _say(args.quiet, table)
+    outdir = Path(scenario.outdir)
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "sweep.csv").write_text(table + "\n")
+    return EXIT_OK
 
 
-def _sweep_refinement(scenario, args) -> int:
-    from .grid import Grid
-    from .solver import solve_dirichlet
-
-    reference = None
-    if scenario.reference:
-        from .reference import get as get_reference
-        reference = get_reference(scenario.reference)
+def _sweep_refinement(scenario) -> list:
+    reference = get_reference(scenario.reference) if scenario.reference else None
 
     rows = []
     for h in scenario.spacings:
@@ -300,49 +285,24 @@ def _sweep_refinement(scenario, args) -> int:
             repr(rows[k - 1]["error"] / rows[k]["error"])
         lines.append(f"{row['h']!r},{row['verdict']},{row['iterations']},"
                      f"{row['error']!r},{ratio}")
-    table = "\n".join(lines)
-    print(table)
-    outdir = Path(scenario.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep.csv").write_text(table + "\n")
-    return EXIT_OK
+    return lines
 
 
-def _sweep_curvature(scenario, args) -> int:
-    from . import barriers
-    from .geometry import PrescribedCurvature, check_serrin
-    from .grid import Grid
-    from .solver import solve_dirichlet
-
-    exp = scenario.experiment
+def _sweep_curvature(scenario) -> list:
     lines = ["H,serrin_margin,certificate,witness"]
     grids = [Grid(scenario.domain, h) for h in scenario.spacings]
     for h_val in scenario.sweep_curvatures:
         H = PrescribedCurvature.constant(h_val)
         margin = check_serrin(scenario.domain, H, scenario.n).margin
         cert_flag, wit_flag = "not-applicable", ""
-        if exp is not None:
-            try:
-                barriers.nonexistence_bound(scenario.domain, H, exp.y0,
-                                            exp.eps, n=scenario.n)
+        if scenario.experiment is not None:
+            cert, _, _, witness = _nonexistence(scenario, H, grids, quiet=True)
+            if not isinstance(cert, barriers.NotApplicable):
                 cert_flag = "applicable"
-            except barriers.NotApplicable:
-                cert_flag = "not-applicable"
-            if len(grids) >= 2:
-                data = barriers.adversarial_boundary_data(
-                    scenario.domain, exp.y0, exp.width, exp.eps)
-                reports = [solve_dirichlet(g, H, data, n=scenario.n,
-                                           config=scenario.solver)
-                           for g in grids]
-                wit_flag = barriers.nonexistence_witness(
-                    reports, exp.y0, data, exp.eps, radius_a=exp.width).verdict
+            if witness is not None:
+                wit_flag = witness.verdict
         lines.append(f"{h_val!r},{margin!r},{cert_flag},{wit_flag}")
-    table = "\n".join(lines)
-    print(table)
-    outdir = Path(scenario.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "sweep.csv").write_text(table + "\n")
-    return EXIT_OK
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,25 +322,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ser = sub.add_parser("check-serrin", help="boundary solvability audit")
     p_ser.add_argument("--config", default=None)
-    p_ser.add_argument("--shape", default="disk",
-                       choices=["disk", "ellipse", "rect", "annulus", "dumbbell"])
-    p_ser.add_argument("--radius", type=float, default=1.0)
-    p_ser.add_argument("--a", type=float, default=1.0)
-    p_ser.add_argument("--b", type=float, default=1.0)
-    p_ser.add_argument("--hx", type=float, default=1.0)
-    p_ser.add_argument("--hy", type=float, default=1.0)
-    p_ser.add_argument("--r-in", dest="r_in", type=float, default=0.5)
-    p_ser.add_argument("--r-out", dest="r_out", type=float, default=1.0)
-    p_ser.add_argument("--waist", type=float, default=1.0)
-    p_ser.add_argument("--spread", type=float, default=1.1)
+    p_ser.add_argument("--shape", default="disk", choices=[
+        tag for tag, params in SHAPE_PARAMETERS.items()
+        if all(k in _SHAPE_FLAGS for k, d in params.items() if d is REQUIRED)])
+    for key in _SHAPE_FLAGS:    # unset unless given, so a foreign flag shows
+        p_ser.add_argument("--" + key.replace("_", "-"), dest=key, type=float,
+                           default=argparse.SUPPRESS)
     p_ser.add_argument("--curvature", type=float, default=0.0)
     p_ser.add_argument("--n", type=int, default=2)
-    p_ser.add_argument("--quiet", action="store_true")
     p_ser.set_defaults(func=cmd_check_serrin)
 
     p_est = sub.add_parser("estimates", help="print the constant ledger")
     p_est.add_argument("--config", required=True)
-    p_est.add_argument("--quiet", action="store_true")
     p_est.set_defaults(func=cmd_estimates)
 
     p_sweep = sub.add_parser("sweep", help="refinement or curvature sweep")
@@ -393,9 +346,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_env()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (ConfigError, MalformedDomainError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

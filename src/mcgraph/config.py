@@ -6,9 +6,10 @@ fractions like ``1/64``), quoted or bare strings, points (``1.0, 0.0``), or
 comma lists.  Errors always name the offending section, key, and line.
 
 Sections:
-  [domain]     shape = disk|ellipse|rect|rounded_rect|annulus|dumbbell
-               plus shape parameters (radius, a/b, hx/hy, corner_radius,
-               r_in/r_out, waist/spread, center)
+  [domain]     shape = disk|ellipse|rect|rounded_rect|annulus|dumbbell plus
+               exactly the parameters of that shape's factory in `geometry`
+               (`center` a point, the others numbers); a key of another
+               shape is an unknown key
   [curvature]  constant = <number> or expression = "<formula in x, y>"; n
   [data]       kind = zero|constant|expression|scherk|bump, with value,
                expression, or y0/eps/width as the kind requires
@@ -29,8 +30,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .geometry import (DomainSpec, PrescribedCurvature, disk, ellipse, rect,
-                       rounded_rect, annulus, dumbbell)
+from .geometry import (DomainSpec, PrescribedCurvature, REQUIRED,
+                       SHAPE_PARAMETERS, make_domain)
 from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
 from .solver import SolveConfig
@@ -64,9 +65,8 @@ class Scenario:
     source_path: str = ""
 
 
+# [domain]'s keys depend on its shape: _build_domain checks them
 _KNOWN_KEYS = {
-    "domain": {"shape", "radius", "a", "b", "hx", "hy", "corner_radius",
-               "r_in", "r_out", "waist", "spread", "center"},
     "curvature": {"constant", "expression", "n"},
     "data": {"kind", "value", "expression", "y0", "eps", "width"},
     "grid": {"spacing", "spacings"},
@@ -123,10 +123,15 @@ class _Raw:
             if required:
                 raise ConfigError(f"{self.path}: missing section [{name}]")
             return None
-        for key in self.parser.options(name):
-            if key not in _KNOWN_KEYS[name]:
-                self.fail(name, key, "unknown key")
-        return dict(self.parser.items(name))
+        sec = dict(self.parser.items(name))
+        if name in _KNOWN_KEYS:
+            self.check_keys(name, sec, _KNOWN_KEYS[name])
+        return sec
+
+    def check_keys(self, section: str, sec: dict, known):
+        for key in sec:
+            if key not in known:
+                self.fail(section, key, "unknown key")
 
 
 def _unquote(s: str) -> str:
@@ -169,39 +174,30 @@ def _get_number(raw, section, sec, key, default=None):
     return _number(raw, section, key, sec[key])
 
 
+# levelset takes an expression and a box, which config values do not spell
+_SHAPES = {tag: params for tag, params in SHAPE_PARAMETERS.items()
+           if tag != "levelset"}
+
+
 def _build_domain(raw: _Raw, sec: dict) -> DomainSpec:
     shape = _unquote(sec.get("shape", ""))
-    center = _point(raw, "domain", "center", sec["center"]) if "center" in sec \
-        else (0.0, 0.0)
+    if shape not in _SHAPES:
+        *head, last = _SHAPES
+        raw.fail("domain", "shape", f"unknown shape {shape!r} "
+                                    f"(expected {', '.join(head)}, or {last})")
+    params = _SHAPES[shape]
+    raw.check_keys("domain", sec, {"shape", *params})
+    kw = {}
+    for key, default in params.items():
+        if key in sec:
+            parse = _point if isinstance(default, tuple) else _number
+            kw[key] = parse(raw, "domain", key, sec[key])
+        elif default is REQUIRED:
+            raw.fail("domain", key, "required key missing")
     try:
-        if shape == "disk":
-            return disk(radius=_get_number(raw, "domain", sec, "radius", 1.0),
-                        center=center)
-        if shape == "ellipse":
-            return ellipse(_get_number(raw, "domain", sec, "a"),
-                           _get_number(raw, "domain", sec, "b"), center=center)
-        if shape == "rect":
-            return rect(_get_number(raw, "domain", sec, "hx"),
-                        _get_number(raw, "domain", sec, "hy"), center=center)
-        if shape == "rounded_rect":
-            return rounded_rect(_get_number(raw, "domain", sec, "hx"),
-                                _get_number(raw, "domain", sec, "hy"),
-                                _get_number(raw, "domain", sec, "corner_radius"),
-                                center=center)
-        if shape == "annulus":
-            return annulus(_get_number(raw, "domain", sec, "r_in"),
-                           _get_number(raw, "domain", sec, "r_out"),
-                           center=center)
-        if shape == "dumbbell":
-            return dumbbell(waist=_get_number(raw, "domain", sec, "waist", 1.0),
-                            spread=_get_number(raw, "domain", sec, "spread", 1.1))
-    except ConfigError:
-        raise
+        return make_domain(shape, **kw)
     except Exception as exc:
         raw.fail("domain", "shape", f"invalid domain parameters: {exc}")
-    raw.fail("domain", "shape",
-             f"unknown shape {shape!r} (expected disk, ellipse, rect, "
-             f"rounded_rect, annulus, or dumbbell)")
 
 
 def _build_curvature(raw: _Raw, sec: dict) -> tuple:
@@ -298,11 +294,10 @@ def load_scenario(path: str) -> Scenario:
     """Parse and validate a scenario config file."""
     raw = _Raw(path)
     for name in raw.parser.sections():
-        if name not in _KNOWN_KEYS:
+        if name not in ("domain", *_KNOWN_KEYS):
             raise ConfigError(f"{raw.path}: unknown section [{name}] "
                               f"({raw.line_of(name)})")
-    dom_sec = raw.section("domain")
-    domain = _build_domain(raw, dom_sec)
+    domain = _build_domain(raw, raw.section("domain"))
     H, n = _build_curvature(raw, raw.section("curvature"))
     data = _build_data(raw, raw.section("data", required=False) or {"kind": "zero"},
                        domain)

@@ -20,6 +20,7 @@ The audits encode two pointwise conditions on the curvature data H:
 
 from __future__ import annotations
 
+import inspect
 import math
 import weakref
 from dataclasses import dataclass, field
@@ -785,6 +786,15 @@ _FACTORIES = {
     "dumbbell": dumbbell,
     "levelset": levelset,
 }
+
+
+# the one shape table: each shape's factory parameters, n_samples aside, with
+# their defaults (REQUIRED where the factory has none)
+REQUIRED = inspect.Parameter.empty
+SHAPE_PARAMETERS = {
+    tag: {p.name: p.default for p in inspect.signature(f).parameters.values()
+          if p.name != "n_samples"}
+    for tag, f in _FACTORIES.items()}
 
 
 def make_domain(tag: str, n_samples: int = 4096, **params) -> DomainSpec:

@@ -210,15 +210,3 @@ def _gmres(A, b, norm_A, held: HeldFactor, precondition, cycles: int) -> np.ndar
     x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART,
                       maxiter=cycles, M=M, callback=count, callback_type="pr_norm")
     return x
-
-
-def condition_estimate(system: LinearSystem) -> float:
-    """One-norm condition estimate kappa_1(A) via the Hager bound."""
-    A = system.A.tocsc()
-    lu = spla.splu(A, permc_spec=_ORDERING)
-    n = A.shape[0]
-    inv_op = spla.LinearOperator((n, n), matvec=lu.solve,
-                                 rmatvec=lambda y: lu.solve(y, trans="T"))
-    est = spla.onenormest(inv_op) * spla.onenormest(A)
-    system.meta["cond_estimate"] = float(est)
-    return float(est)

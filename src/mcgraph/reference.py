@@ -18,7 +18,6 @@ from .expressions import Expr2D, compile_expr
 from .geometry import DomainSpec, PrescribedCurvature, disk, rect, annulus
 from .grid import Grid, ScalarField
 from .operators import apply_Q
-from .boundary import BoundaryData, ExpressionData
 
 
 @dataclass(frozen=True)
@@ -35,9 +34,6 @@ class ReferenceSolution:
         """Sample the exact solution at interior nodes and boundary feet."""
         return ScalarField.from_callable(grid, lambda x, y: self.expr.f(x, y),
                                          boundary=lambda x, y: self.expr.f(x, y))
-
-    def boundary_data(self) -> BoundaryData:
-        return ExpressionData(self.expr.text)
 
     def error(self, u: ScalarField) -> float:
         """Sup-norm error of a computed field against the exact solution."""

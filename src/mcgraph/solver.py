@@ -161,6 +161,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
     iteration count; returns (verdict, message, evaluation of the last iterate)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
     u = ScalarField.zeros(grid)
+    phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
     # (tau_{k-1}, u_{k-1}) and tau_k of the last two stage answers; u = 0
     # solves the problem at zero load exactly
     tau_prev, u_prev, tau_k = 0.0, u.values, 0.0
@@ -171,8 +172,8 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
             # secant predictor through the last two stage answers
             values = values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
         tau_prev, u_prev = tau_k, u.values
-        # re-anchor the start's trace at this stage's load
-        u = ScalarField.from_data(grid, values, data.scaled(tau))
+        # re-anchor the start's trace at this stage's load, tau * phi
+        u = ScalarField(grid, values, tau * phi)
         ev = Evaluation(u, H, n, tau)
         damping = 1.0
         prev_res = np.inf

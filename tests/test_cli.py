@@ -127,6 +127,22 @@ def test_check_serrin_from_config(tmp_path, capsys):
     assert "satisfied" in capsys.readouterr().out
 
 
+def test_check_serrin_shape_flags_reach_the_factory(capsys):
+    from mcgraph import PrescribedCurvature, check_serrin, ellipse
+    code = main(["check-serrin", "--shape", "ellipse", "--a", "1.2", "--b", "0.7",
+                 "--curvature", "0.3"])
+    audit = check_serrin(ellipse(1.2, 0.7), PrescribedCurvature.constant(0.3), 2)
+    assert code == (0 if audit.satisfied else 1)
+    assert f"margin = {audit.margin:.9g} " in capsys.readouterr().out
+
+
+def test_check_serrin_foreign_flag_is_config_error(capsys):
+    code = main(["check-serrin", "--shape", "ellipse", "--radius", "3"])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "--radius" in err
+
+
 def test_check_serrin_malformed_domain(capsys):
     code = main(["check-serrin", "--shape", "dumbbell",
                  "--waist", "1.0", "--spread", "2.0"])
@@ -175,6 +191,17 @@ def test_sweep_refinement(tmp_path, capsys):
     ratio = float(lines[2].rsplit(",", 1)[1])
     assert 2.5 < ratio < 6.0
     assert capsys.readouterr().out.strip().startswith("h,verdict")
+
+
+def test_sweep_quiet_writes_table_only(tmp_path, capsys):
+    cfg = write(tmp_path, CAP.replace("spacing = 1/16", "spacings = 1/8, 1/16"))
+    loud, quiet = tmp_path / "loud", tmp_path / "quiet"
+    assert main(["sweep", "--config", cfg, "--out", str(loud)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    assert main(["sweep", "--config", cfg, "--out", str(quiet), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+    table = (quiet / "sweep.csv").read_text()
+    assert table == (loud / "sweep.csv").read_text() == printed
 
 
 def test_sweep_needs_series_or_curvatures(tmp_path, capsys):

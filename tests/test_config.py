@@ -2,9 +2,11 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
-from mcgraph import ConfigError, load_scenario
+from mcgraph import (ConfigError, annulus, disk, dumbbell, ellipse,
+                     load_scenario, rect, rounded_rect)
 from mcgraph.boundary import ZeroData, BumpData, ExpressionData
 from mcgraph.solver import SolveConfig
 
@@ -114,6 +116,26 @@ width = 0.2
     assert scn.experiment.width == 0.2
 
 
+@pytest.mark.parametrize("keys, factory", [
+    ("shape = disk\nradius = 0.8\ncenter = 0.1, -0.2",
+     lambda: disk(0.8, center=(0.1, -0.2))),
+    ("shape = ellipse\na = 1.2\nb = 0.7", lambda: ellipse(1.2, 0.7)),
+    ("shape = rect\nhx = 1.0\nhy = 0.6\ncenter = 0.5, 0.0",
+     lambda: rect(1.0, 0.6, center=(0.5, 0.0))),
+    ("shape = rounded_rect\nhx = 1.0\nhy = 0.6\ncorner_radius = 0.2",
+     lambda: rounded_rect(1.0, 0.6, 0.2)),
+    ("shape = annulus\nr_in = 0.3\nr_out = 1.0", lambda: annulus(0.3, 1.0)),
+    ("shape = dumbbell\nwaist = 1.0\nspread = 1.3", lambda: dumbbell(1.0, 1.3)),
+])
+def test_config_shape_matches_factory(tmp_path, keys, factory):
+    text = BASE.replace("shape = disk\nradius = 1.0", keys)
+    got, want = load_scenario(write(tmp_path, text)).domain, factory()
+    assert got.tag == want.tag
+    assert got.bbox == want.bbox
+    assert np.array_equal(got.boundary.points, want.boundary.points)
+    assert got.diameter == want.diameter
+
+
 def test_sweep_curvatures(tmp_path):
     text = BASE + "\n[sweep]\ncurvatures = 0.3, 0.45, 0.55\n"
     scn = load_scenario(write(tmp_path, text))
@@ -145,6 +167,16 @@ def test_unknown_section(tmp_path):
 def test_unknown_key_names_line(tmp_path):
     text = BASE.replace("radius = 1.0", "radius = 1.0\nradiu = 2.0")
     expect_error(tmp_path, text, "[domain]", "radiu", "(line 4)", "unknown key")
+
+
+def test_foreign_shape_key_names_line(tmp_path):
+    # a key of another shape is as unknown as a misspelt one
+    dumbbell_center = BASE.replace("shape = disk\nradius = 1.0",
+                                   "shape = dumbbell\ncenter = 5.0, 5.0")
+    expect_error(tmp_path, dumbbell_center, "[domain]", "center", "(line 3)",
+                 "unknown key")
+    disk_a = BASE.replace("radius = 1.0", "radius = 1.0\na = 1.2")
+    expect_error(tmp_path, disk_a, "[domain]", " a ", "(line 4)", "unknown key")
 
 
 def test_bad_number_names_key_and_line(tmp_path):

@@ -126,15 +126,6 @@ def test_system_scaling_with_tau(g32):
     assert np.allclose(half.b, 0.5 * full.b, atol=1e-14)
 
 
-def test_condition_estimate_reasonable(g32):
-    from mcgraph.linear import condition_estimate
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
-                      ZeroData(), n=2, tau=1.0)
-    cond = condition_estimate(system)
-    # Laplacian conditioning scales like h^-2 ~ 1e3 at this spacing
-    assert 1.0 < cond < 1e8
-
-
 def _block(M, grid, name):
     """Row block of a stacked operator that applies the named stencil."""
     k = STENCILS.index(name)

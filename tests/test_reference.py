@@ -48,10 +48,3 @@ def test_self_test_rejects_wrong_expression():
         domain=disk(radius=1.0))
     with pytest.raises(AssertionError, match="bogus"):
         _self_test(bogus)
-
-
-def test_boundary_data_matches_trace():
-    scherk = get("scherk")
-    data = scherk.boundary_data()
-    pts = np.array([[0.6, 0.1], [0.6, -0.3]])
-    assert data.trace(pts) == pytest.approx(scherk.expr.f(pts[:, 0], pts[:, 1]))
