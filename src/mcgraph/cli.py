@@ -8,7 +8,8 @@ Subcommands:
 
 Configs and check-serrin's --shape build their domains through
 `geometry.make_domain`.  check-serrin takes the flags of its shape's factory
-parameters; a flag of another shape is a configuration error.
+parameters; a flag of another shape is a configuration error, and so is any
+flag given beside --config.
 
 run, an [experiment] run (on its finest solve) and estimates each take their
 audits and constants from one `barriers.estimate_ledger` call.  An
@@ -53,6 +54,8 @@ EXIT_CONFIG = 4
 # whose required factory parameters all have a flag
 _SHAPE_FLAGS = {"radius": 1.0, "a": 1.0, "b": 1.0, "hx": 1.0, "hy": 1.0,
                 "r_in": 0.5, "r_out": 1.0, "waist": 1.0, "spread": 1.1}
+# check-serrin's other flags besides --config, with their defaults
+_AUDIT_FLAGS = {"shape": "disk", "curvature": 0.0, "n": 2}
 
 
 def _apply_thread_env() -> None:
@@ -202,20 +205,23 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
 
 
 def cmd_check_serrin(args) -> int:
+    given = {k: v for k, v in vars(args).items() if k in _SHAPE_FLAGS or k in _AUDIT_FLAGS}
     if args.config:
+        if given:
+            raise ConfigError(f"--{sorted(given)[0].replace('_', '-')} cannot be "
+                              "given with --config")
         scenario = _load(args.config, None, None)
         domain, H, n = scenario.domain, scenario.curvature, scenario.n
     else:
-        params = SHAPE_PARAMETERS[args.shape]
-        given = {k: v for k, v in vars(args).items() if k in _SHAPE_FLAGS}
+        shape, curvature, n = (given.pop(k, d) for k, d in _AUDIT_FLAGS.items())
+        params = SHAPE_PARAMETERS[shape]
         foreign = sorted(given.keys() - params.keys())
         if foreign:
             raise ConfigError(f"--{foreign[0].replace('_', '-')} is not a "
-                              f"parameter of --shape {args.shape}")
-        domain = make_domain(args.shape, **{k: given.get(k, _SHAPE_FLAGS[k])
-                                            for k in params if k in _SHAPE_FLAGS})
-        H = PrescribedCurvature.constant(args.curvature)
-        n = args.n
+                              f"parameter of --shape {shape}")
+        domain = make_domain(shape, **{k: given.get(k, _SHAPE_FLAGS[k])
+                                       for k in params if k in _SHAPE_FLAGS})
+        H = PrescribedCurvature.constant(curvature)
 
     audit = check_serrin(domain, H, n)
     state = "satisfied" if audit.satisfied else "violated"
@@ -322,14 +328,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ser = sub.add_parser("check-serrin", help="boundary solvability audit")
     p_ser.add_argument("--config", default=None)
-    p_ser.add_argument("--shape", default="disk", choices=[
+    # every flag but --config is unset unless given, so that a foreign shape
+    # flag or any flag beside --config shows; _AUDIT_FLAGS holds the defaults
+    p_ser.add_argument("--shape", default=argparse.SUPPRESS, choices=[
         tag for tag, params in SHAPE_PARAMETERS.items()
         if all(k in _SHAPE_FLAGS for k, d in params.items() if d is REQUIRED)])
-    for key in _SHAPE_FLAGS:    # unset unless given, so a foreign flag shows
+    for key in _SHAPE_FLAGS:
         p_ser.add_argument("--" + key.replace("_", "-"), dest=key, type=float,
                            default=argparse.SUPPRESS)
-    p_ser.add_argument("--curvature", type=float, default=0.0)
-    p_ser.add_argument("--n", type=int, default=2)
+    p_ser.add_argument("--curvature", type=float, default=argparse.SUPPRESS)
+    p_ser.add_argument("--n", type=int, default=argparse.SUPPRESS)
     p_ser.set_defaults(func=cmd_check_serrin)
 
     p_est = sub.add_parser("estimates", help="print the constant ledger")

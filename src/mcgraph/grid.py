@@ -2,7 +2,13 @@
 
 Nodes sit at integer multiples of the spacing h and are classified interior
 (signed distance > 0), ghost (exterior but axis-adjacent to an interior node),
-or exterior.  Each interior-to-exterior axis link stores a boundary intercept:
+or exterior.  The classification reads the signed distance only near the
+boundary (the narrow band of Adalsteinsson & Sethian, J. Comput. Phys. 118,
+1995): the sign test runs on the whole lattice, the exact distance only in a
+band of a few cells that provably holds every node within 2h of the
+boundary, and a node off the band takes the sign test and is core.  `Grid.d`
+and `Grid.interior_d`, the distance at every node, are computed on first
+read.  Each interior-to-exterior axis link stores a boundary intercept:
 the fraction theta in (0, 1] of the link at which the boundary is crossed and
 the foot point itself.  The feet are bisected on the domain's sign test
 (`DomainSpec.contains`, an implicit inequality where the shape has one) and
@@ -21,13 +27,13 @@ value at its foot by one-dimensional extrapolation along the link:
 
 A ghost owned by several links takes the mean of their extrapolations.  The
 closures are built per boundary link into two sparse elimination matrices,
-ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  Each
-finite-difference stencil of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) is laid out over
-interior and ghost columns, its ghost columns are eliminated through those
-matrices, and the results are stacked in that order into one sparse pair
-(interior block, foot block): all five stencils applied to a field are one
-mat-vec pair, and the ghost elimination is identical in nodal evaluation and
-linear-system assembly.  For assembly, the union pattern of the five interior
+ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  The
+finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) are stacked in
+that order into one sparse pair (interior block, foot block): their taps on
+interior nodes are written straight into the stacked arrays, and their taps
+on ghosts are eliminated through those matrices, once for the whole stack.
+All five stencils applied to a field are one mat-vec pair, and the ghost
+elimination is identical in nodal evaluation and linear-system assembly.  For assembly, the union pattern of the five interior
 blocks is built once per grid, so a frozen-coefficient matrix or a Newton
 Jacobian is one scatter of the stacked weights times their coefficients.
 """
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -94,14 +101,59 @@ class Grid:
         self.xs = h * np.arange(i0, i1 + 1)
         self.ys = h * np.arange(j0, j1 + 1)
         self.nx, self.ny = len(self.xs), len(self.ys)
+
+    def _lattice_points(self) -> np.ndarray:
+        """All node coordinates, (nx * ny, 2), row-major in (i, j)."""
         X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-        self.X, self.Y = X, Y
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        self.d = self.domain.signed_distance(pts).reshape(self.nx, self.ny)
+        return np.stack([X.ravel(), Y.ravel()], axis=-1)
+
+    def _band(self, inside: np.ndarray) -> np.ndarray:
+        """Mask of the nodes that may lie within 2h of the boundary.
+
+        The seeds are both nodes of every axis link across which the sign test
+        changes, and the node nearest each boundary sample; the band is every
+        node within r cells (Chebyshev) of a seed.  Consecutive samples are at
+        most delta apart in arclength, so every boundary point lies within
+        delta / 2 of a sample, which lies within h / 2 (per axis) of its node.
+        A node more than r cells from every seed is therefore at least
+        (r + 1/2) h - delta / 2 from the boundary, and r = ceil(3/2 + delta / h)
+        puts it at least 2h + delta / 2 away: the spare delta / 2 covers level
+        sets, whose arclengths are chords, and rounding.  The sign-change seeds
+        add any component of the sign test's boundary that the samples miss,
+        such as a level set's contour other than the traced one."""
+        h, b = self.h, self.domain.boundary
+        gap = float(np.max(np.diff(b.arclength, append=b.arclength[0] + b.total_length)))
+        r = math.ceil(1.5 + gap / h)
+        seed = np.zeros_like(inside)
+        cut = inside[1:] != inside[:-1]
+        seed[1:] |= cut
+        seed[:-1] |= cut
+        cut = inside[:, 1:] != inside[:, :-1]
+        seed[:, 1:] |= cut
+        seed[:, :-1] |= cut
+        i, j = np.rint((b.points - (self.xs[0], self.ys[0])) / h).astype(np.intp).T
+        seed[i, j] = True
+        for axis in (0, 1):
+            near = np.moveaxis(seed, axis, 0)
+            grown = near.copy()
+            for k in range(1, r + 1):
+                grown[k:] |= near[:-k]
+                grown[:-k] |= near[k:]
+            seed = np.moveaxis(grown, 0, axis)
+        return seed
 
     def _classify(self):
+        pts = self._lattice_points()
+        inside = self.domain.contains(pts).reshape(self.nx, self.ny)
+        band = self._band(inside)
+        # the exact distance in the band; off it |d| >= 2h, so the sign test
+        # classifies, interior nodes are core and no exterior node is a ghost
+        # (a ghost is within h of the boundary; one off the band would read
+        # -inf and fail the depth check below)
+        d = np.where(inside, np.inf, -np.inf)
+        d[band] = self.domain.signed_distance(pts[band.ravel()])
         tol = 1e-12 * max(1.0, max(abs(v) for v in self.domain.bbox))
-        interior = self.d > tol
+        interior = d > tol
         pad = np.pad(interior, 1)
         ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
         cls = np.full((self.nx, self.ny), NODE_EXTERIOR, dtype=np.int8)
@@ -120,16 +172,26 @@ class Grid:
         self.node_id = -np.ones((self.nx, self.ny), dtype=np.int64)
         self.node_id[ii, jj] = np.arange(self.n_interior)
         self.interior_xy = np.stack([self.xs[ii], self.ys[jj]], axis=-1)
-        self.interior_d = self.d[ii, jj]
         # core region for residual reporting: at least 2h inside
-        self.core_mask = self.interior_d >= 2.0 * self.h - 1e-12
+        self.core_mask = d[ii, jj] >= 2.0 * self.h - 1e-12
         gii, gjj = np.nonzero(ghost)
         self.ghost_ij = np.stack([gii, gjj], axis=-1)
         self.n_ghost = len(gii)
         self.ghost_id = -np.ones((self.nx, self.ny), dtype=np.int64)
         self.ghost_id[gii, gjj] = np.arange(self.n_ghost)
-        if np.max(-self.d[gii, gjj]) > 2.0 * self.h + 1e-12:
+        if np.max(-d[gii, gjj]) > 2.0 * self.h + 1e-12:
             raise GridError("ghost node farther than 2h from the boundary")
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """Signed distance at every lattice node, (nx, ny), computed on first
+        read: construction needs it only in the band."""
+        return self.domain.signed_distance(self._lattice_points()).reshape(self.nx, self.ny)
+
+    @cached_property
+    def interior_d(self) -> np.ndarray:
+        """Signed distance at the interior nodes, in interior order."""
+        return self.d[self.interior_ij[:, 0], self.interior_ij[:, 1]]
 
     def _find_intercepts(self):
         """One foot per interior->exterior axis link, all bisected together on
@@ -228,47 +290,55 @@ class Grid:
         h, Ni = self.h, self.n_interior
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         rows = np.arange(Ni)
+        centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
+        a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
+        s, w4 = a * b / h**2, 0.25 / h**2
+        # each stencil as taps (rows, node offset, weight); every tap reaches
+        # an interior or ghost node, and no two taps of a row the same node
+        taps = {
+            "Dxx": [(rows, (1, 0), 1.0 / h**2), (rows, (-1, 0), 1.0 / h**2),
+                    (rows, (0, 0), -2.0 / h**2)],
+            "Dyy": [(rows, (0, 1), 1.0 / h**2), (rows, (0, -1), 1.0 / h**2),
+                    (rows, (0, 0), -2.0 / h**2)],
+            "Dxy": [(centred, (1, 1), w4), (centred, (-1, -1), w4),
+                    (centred, (1, -1), -w4), (centred, (-1, 1), -w4),
+                    (r1, (a, b), s), (r1, (a, 0), -s), (r1, (0, b), -s), (r1, (0, 0), s)],
+            "Gx": [(rows, (1, 0), 0.5 / h), (rows, (-1, 0), -0.5 / h)],
+            "Gy": [(rows, (0, 1), 0.5 / h), (rows, (0, -1), -0.5 / h)],
+        }
         # column of every usable node: interior unknowns first, then ghosts
         column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id)
-
-        def at(r, di, dj):
-            return column[ii[r] + di, jj[r] + dj]
-
-        def eliminate(terms):
-            """(interior block, foot block) of a stencil over interior+ghost columns,
-            given as (rows, columns, weights) triplets; duplicates are summed."""
-            r, c, v = (np.concatenate(part) for part in zip(*terms))
-            S = sps.csr_matrix((v, (r, c)), shape=(Ni, Ni + self.n_ghost))
-            S_gh = S[:, Ni:]
-            return S[:, :Ni] + S_gh @ self.closure_int, S_gh @ self.closure_feet
-
-        def axial(*stencil):
-            return lambda: [(rows, at(rows, di, dj), np.full(Ni, w)) for (di, dj), w in stencil]
-
-        def cross():
-            centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
-            a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
-            s = a * b / h**2
-            w4 = np.full(len(centred), 0.25 / h**2)
-            return [(centred, at(centred, 1, 1), w4), (centred, at(centred, -1, -1), w4),
-                    (centred, at(centred, 1, -1), -w4), (centred, at(centred, -1, 1), -w4),
-                    (r1, at(r1, a, b), s), (r1, at(r1, a, 0), -s), (r1, at(r1, 0, b), -s),
-                    (r1, r1, s)]
-
-        terms = {
-            "Dxx": axial(((1, 0), 1.0 / h**2), ((-1, 0), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
-            "Dyy": axial(((0, 1), 1.0 / h**2), ((0, -1), 1.0 / h**2), ((0, 0), -2.0 / h**2)),
-            "Dxy": cross,
-            "Gx": axial(((1, 0), 0.5 / h), ((-1, 0), -0.5 / h)),
-            "Gy": axial(((0, 1), 0.5 / h), ((0, -1), -0.5 / h)),
-        }
-        # one stencil at a time, its terms made when it is eliminated:
-        # eliminating all five at once peaks at over twice the memory
-        blocks = [eliminate(terms[name]()) for name in STENCILS]
-        stacked = tuple(sps.vstack(part, format="csr") for part in zip(*blocks))
-        for M in stacked:
+        # the interior taps of all five stencils are written, grouped by row,
+        # straight into stacked arrays sized for every tap; the few ghost taps
+        # are eliminated through the closures once, for the whole stack
+        size = sum(len(at) for stencil in taps.values() for at, _, _ in stencil)
+        index = np.int32 if size < 2**31 else np.int64
+        data, indices = np.empty(size), np.empty(size, dtype=index)
+        indptr = np.zeros(len(STENCILS) * Ni + 1, dtype=index)
+        ghost_taps = []
+        end = 0
+        for k, name in enumerate(STENCILS):
+            # rows, columns and weights of one stencil's taps at a time, so
+            # that only one stencil's tap arrays are held at once
+            r, c, v = (np.concatenate(part) for part in zip(*(
+                (at, column[ii[at] + di, jj[at] + dj], np.broadcast_to(w, at.shape))
+                for at, (di, dj), w in taps[name])))
+            own = c < Ni
+            ghost_taps.append((r[~own] + k * Ni, c[~own] - Ni, v[~own]))
+            r, c, v = r[own], c[own], v[own]
+            order = np.argsort(r, kind="stable")
+            indices[end:end + len(r)] = c[order]
+            data[end:end + len(r)] = v[order]
+            indptr[k * Ni + 1:(k + 1) * Ni + 1] = end + np.cumsum(np.bincount(r, minlength=Ni))
+            end += len(r)
+        stacked = sps.csr_matrix((data[:end], indices[:end], indptr),
+                                 shape=(len(STENCILS) * Ni, Ni))
+        r, c, v = (np.concatenate(part) for part in zip(*ghost_taps))
+        S_gh = sps.csr_matrix((v, (r, c)), shape=(len(STENCILS) * Ni, self.n_ghost))
+        D, D_feet = stacked + S_gh @ self.closure_int, S_gh @ self.closure_feet
+        for M in (D, D_feet):
             M.sort_indices()    # sorted rows keep each mat-vec's summation order fixed
-        return stacked
+        return D, D_feet
 
     def pattern(self) -> "StencilPattern":
         """Union pattern of the STENCILS' interior blocks, built on first use
@@ -297,7 +367,16 @@ class StencilPattern:
         self.row_length = np.diff(D.indptr)
         row_start = np.arange(D.shape[0], dtype=np.int64) % n * n
         keys = np.repeat(row_start, self.row_length) + D.indices
-        union = np.unique(keys)       # row-major: CSR order
+        # each row block is sorted row-major, so the stable sort (a merge
+        # sort) finds five sorted runs; the union is every key that differs
+        # from the one before it
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        first = np.empty(len(keys), dtype=bool)
+        first[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        union = keys[first]           # row-major: CSR order
+        del keys
         self.shape = (n, n)
         self.indices = (union % n).astype(np.int32)
         self.indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(np.int32)
@@ -308,7 +387,10 @@ class StencilPattern:
         # each stacked entry's position in the union, kept in the intp that
         # bincount takes so that no combine casts a copy; entries are
         # block-major, so a position's sum runs in STENCILS order
-        self.position = np.searchsorted(union, keys)
+        rank = np.cumsum(first)
+        rank -= 1
+        self.position = np.empty_like(rank)
+        self.position[order] = rank
         self.weight = D.data
 
     def combine(self, *coefficients) -> sps.csr_matrix:

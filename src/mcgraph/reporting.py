@@ -61,6 +61,9 @@ def build_report(scenario=None, solve_report=None, barrier_params=None,
         out["dimension"] = scenario.n
     if solve_report is not None:
         out.update(solve_report.summary_dict())
+        # construction counts of the solve's grid: linear ghost fallbacks,
+        # theta clamps, one-sided and missing cross derivatives
+        out["grid_flags"] = dict(solve_report.field.grid.flags)
     if barrier_params is not None:
         out["barrier_params"] = barrier_params.to_dict()
     if extras:

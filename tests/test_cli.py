@@ -127,6 +127,16 @@ def test_check_serrin_from_config(tmp_path, capsys):
     assert "satisfied" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [["--curvature", "0.9"], ["--n", "3"],
+                                   ["--shape", "ellipse"], ["--a", "3"], ["--radius", "1.0"]],
+                         ids=["curvature", "n", "shape", "a", "radius"])
+def test_check_serrin_flag_beside_config_is_config_error(tmp_path, capsys, flags):
+    cfg = write(tmp_path, CAP)
+    assert main(["check-serrin", "--config", cfg, *flags]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and flags[0] in err and "--config" in err
+
+
 def test_check_serrin_shape_flags_reach_the_factory(capsys):
     from mcgraph import PrescribedCurvature, check_serrin, ellipse
     code = main(["check-serrin", "--shape", "ellipse", "--a", "1.2", "--b", "0.7",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
-                     disk, dumbbell, ellipse, levelset, rect)
+                     disk, dumbbell, ellipse, levelset, rect, rounded_rect)
 from mcgraph.grid import _AXES, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
 
 
@@ -246,3 +246,96 @@ def test_ghost_closures_reproduce_quadratics(shape, p, q, n, c):
     err = np.abs(u.ghost_values() - quad(g.xs[g.ghost_ij[:, 0]], g.ys[g.ghost_ij[:, 1]]))
     err[_fallback_ghosts(g)] = 0.0
     assert np.max(err) < 1e-9
+
+
+# -- narrow band: classification against the signed distance at every node --
+
+_BAND_DOMAINS = {
+    "disk": lambda: disk(1.0),
+    "ellipse": lambda: ellipse(1.2, 0.7),
+    "rounded_rect": lambda: rounded_rect(1.0, 0.6, 0.25),
+    "annulus": lambda: annulus(0.8, 1.6),
+    "annulus_on_lattice": lambda: annulus(0.5, 1.0),
+    "dumbbell": lambda: dumbbell(1.0, 1.3),
+    "levelset": lambda: levelset(_LEVELSET, (-1.1, 1.1, -1.0, 1.0)),
+    "thin_ellipse": lambda: ellipse(1.0, 0.09),
+    "square": lambda: rect(0.6, 0.6),
+}
+
+
+def _reference(grid):
+    """cls, core mask (interior order) and ghost depths (ghost order) from
+    the signed distance at every lattice node."""
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    d = grid.domain.signed_distance(np.stack([X.ravel(), Y.ravel()], axis=-1)).reshape(X.shape)
+    tol = 1e-12 * max(1.0, max(abs(v) for v in grid.domain.bbox))
+    interior = d > tol
+    pad = np.pad(interior, 1)
+    ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
+    cls = np.where(interior, NODE_INTERIOR, np.where(ghost, NODE_GHOST, NODE_EXTERIOR))
+    return cls, d[interior] >= 2.0 * grid.h - 1e-12, -d[ghost]
+
+
+def _build_recording(domain, h, monkeypatch):
+    """The grid, and the signed distance at each lattice node that its
+    construction evaluated (NaN elsewhere)."""
+    calls = []
+    exact = domain.signed_distance
+
+    def recording(pts):
+        calls.append((np.array(pts, dtype=float), exact(pts)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(domain, "signed_distance", recording)
+    grid = Grid(domain, h)
+    monkeypatch.undo()
+    seen = np.full((grid.nx, grid.ny), np.nan)
+    for pts, d in calls:
+        i = np.rint((pts[:, 0] - grid.xs[0]) / h).astype(int)
+        j = np.rint((pts[:, 1] - grid.ys[0]) / h).astype(int)
+        node = (grid.xs[i] == pts[:, 0]) & (grid.ys[j] == pts[:, 1])
+        seen[i[node], j[node]] = d[node]
+    return grid, seen, sum(len(pts) for pts, _ in calls)
+
+
+def _assert_matches_reference(grid, seen):
+    cls, core, depth = _reference(grid)
+    assert np.array_equal(grid.cls, cls)
+    assert np.array_equal(grid.core_mask, core)
+    # every ghost's depth was evaluated during construction, and it is the reference's
+    built = -seen[grid.ghost_ij[:, 0], grid.ghost_ij[:, 1]]
+    assert not np.any(np.isnan(built))
+    assert np.max(np.abs(built - depth)) <= 1e-12
+    assert np.max(depth) <= 2.0 * grid.h + 1e-12
+
+
+@pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("name", sorted(_BAND_DOMAINS))
+def test_band_classification_matches_full_lattice(name, h, monkeypatch):
+    grid, seen, _ = _build_recording(_BAND_DOMAINS[name](), h, monkeypatch)
+    _assert_matches_reference(grid, seen)
+
+
+@pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 64.0])
+def test_band_sees_hole_between_nodes(h, monkeypatch):
+    # no node falls inside the hole, so the sign test never changes near it:
+    # only the boundary samples put its four neighbours into the band
+    grid, seen, _ = _build_recording(annulus(0.2 * h, 1.0, center=(h / 2, h / 2)), h,
+                                     monkeypatch)
+    _assert_matches_reference(grid, seen)
+    near = np.hypot(*(grid.interior_xy - h / 2).T) < h
+    assert near.sum() == 4 and not np.any(grid.core_mask[near])
+
+
+@pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 64.0, 1.0 / 128.0])
+def test_band_widens_with_coarse_samples(h, monkeypatch):
+    grid, seen, _ = _build_recording(disk(1.0, n_samples=64), h, monkeypatch)
+    _assert_matches_reference(grid, seen)
+
+
+def test_band_bounds_distance_evaluations(monkeypatch):
+    # the level-set distance is the costly one: construction evaluates it
+    # on the band and at the feet only
+    grid, seen, evaluated = _build_recording(dumbbell(1.0, 1.3), 1.0 / 128.0, monkeypatch)
+    assert evaluated <= 0.1 * grid.nx * grid.ny
+    _assert_matches_reference(grid, seen)

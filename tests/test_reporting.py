@@ -67,6 +67,14 @@ def test_report_carries_linear_layer_counts(small_solve):
     assert out["krylov_iterations"] == rep.krylov_iterations >= 0
 
 
+def test_report_carries_grid_flags(small_solve):
+    scn, grid, rep = small_solve
+    out = build_report(scenario=scn, solve_report=rep)
+    assert out["grid_flags"] == grid.flags
+    assert set(out["grid_flags"]) == {"ghost_linear_fallback", "ghost_theta_clamped",
+                                      "cross_one_sided", "cross_missing"}
+
+
 def test_report_deterministic_modulo_wall_time(small_solve, tmp_path):
     scn, grid, rep = small_solve
     r1 = build_report(scenario=scn, solve_report=rep)
