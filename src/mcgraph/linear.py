@@ -23,12 +23,19 @@ nodal evaluation; boundary values of a frozen system enter the right-hand
 side through the stacked foot block.
 
 Solves factor rarely (the chord idea, Kelley 1995).  A `HeldFactor` keeps the
-most recent sparse LU; a later system first runs one restart cycle of
-GMRES preconditioned by that LU, from the start x0 = LU^-1 b, and keeps the
-answer when its backward error is within a tenth of the gate.  Otherwise the
-stale factor is dropped and the system is factorized afresh.  When the
-factorization itself fails, the same GMRES runs without a preconditioner.
-Every returned solution passes the backward-error gate
+most recent sparse LU (`DissectedLU`).  Every LU is SuperLU's factorization
+of P A P^T in the given column order, where P is the grid's nested-dissection
+order of the interior nodes (`Grid.dissection`, George 1973): median lattice
+lines split the nodes recursively down to parts of 64, and each line comes
+after the two parts it separates.  On the stencil pattern the fill grows like
+N log N, and the factorization and its triangular solves are faster than
+with minimum degree on A^T + A (`scripts/bench_lu_ordering.py` measures
+both).  The factor's `solve` applies P on both sides.  A later system first
+runs one restart cycle of GMRES preconditioned by that LU, from the start
+x0 = LU^-1 b, and keeps the answer when its backward error is within a tenth
+of the gate.  Otherwise the stale factor is dropped and the system is
+factorized afresh.  When the factorization itself fails, the same GMRES runs
+without a preconditioner.  Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
 that bounds the error relative to the small step and defect, not to u.
 """
@@ -53,10 +60,6 @@ _KRYLOV_RTOL = 1e-14
 _REUSE_TOL = 1e-11
 _RESTART = 30
 _FALLBACK_CYCLES = 100       # restart cycles without a preconditioner
-# minimum degree on the pattern of A^T + A, which SuperLU forms itself; on
-# the nearly symmetric stencil pattern this roughly halves the LU fill of
-# the default COLAMD
-_ORDERING = "MMD_AT_PLUS_A"
 
 
 class SolverError(RuntimeError):
@@ -68,13 +71,35 @@ class HeldFactor:
     GMRES preconditioner, and the counts of the work done for the sequence.
 
     The caller owns it and drops it when the sequence ends; `solve` with no
-    held factor uses a fresh one.
+    held factor uses a fresh one.  `fill_nnz` is the largest fill among the
+    factorizations that succeeded, 0 when none did: the entries of L and U
+    in SuperLU's supernodal storage, explicit zeros included.  (Reading
+    SuperLU's L and U as matrices to count nnz(L) + nnz(U) would copy both
+    factors and keep the copies as long as the factor.)
     """
 
     def __init__(self):
         self.lu = None
         self.factorizations = 0
         self.krylov_iterations = 0
+        self.fill_nnz = 0
+
+
+class DissectedLU:
+    """Sparse LU of P A P^T for the nested-dissection order P of the
+    interior nodes, factorized by SuperLU in that order; `solve` applies P
+    to both sides.  Raises RuntimeError when SuperLU finds A singular."""
+
+    def __init__(self, A: sps.spmatrix, order: np.ndarray):
+        self.order = order
+        # through the module attribute, so that a wrapper of splu sees the call
+        self.superlu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.superlu.solve(b[self.order])
+        x = np.empty_like(y)
+        x[self.order] = y
+        return x
 
 
 @dataclass
@@ -96,8 +121,6 @@ class LinearSystem:
         terms break this in general, so violations are reported rather than
         repaired; no artificial diffusion is added.
         """
-        A = self.A.tocoo()
-        off = A.row != A.col
         # convention: assembled operator has negative diagonal (like -Laplace
         # after sign flip); check the Z-pattern of -A
         diag = self.A.diagonal()
@@ -172,7 +195,8 @@ def solve(system: LinearSystem, held: Optional[HeldFactor] = None) -> ScalarFiel
         held.lu = None          # drop the stale factor first: two never share memory
         held.factorizations += 1
         try:
-            held.lu = spla.splu(A.tocsc(), permc_spec=_ORDERING)
+            held.lu = DissectedLU(A, system.grid.dissection)
+            held.fill_nnz = max(held.fill_nnz, held.lu.superlu.nnz)
             x = held.lu.solve(b)
         except RuntimeError:    # SuperLU refuses an exactly singular matrix
             pass

@@ -29,7 +29,7 @@ defect norms, the slope guard and the next Jacobian read from it.
 A solve holds one sparse LU across all its stages and iterates: each Newton
 system goes to GMRES preconditioned with it, and is factorized afresh only
 when that stalls (see `linear`).  The factor is released when the solve
-ends; the report keeps only the counts.
+ends; the report keeps only the counts and the largest LU fill.
 
 A solve only solves: checking its answer against the a priori estimates is
 a separate step, taken once per run by the caller.
@@ -101,6 +101,7 @@ class SolveReport:
     stage_fields: list = field(default_factory=list)
     factorizations: int = 0          # sparse LU factorizations of the solve
     krylov_iterations: int = 0       # GMRES inner iterations of the solve
+    fill_nnz: int = 0                # largest LU fill (stored entries of L and U), 0 if none
 
     @property
     def converged(self) -> bool:
@@ -116,6 +117,7 @@ class SolveReport:
             "iterations": self.iterations,
             "factorizations": self.factorizations,
             "krylov_iterations": self.krylov_iterations,
+            "fill_nnz": self.fill_nnz,
             "wall_time_seconds": self.wall_time,
             "stages": [asdict(s) for s in self.stages],
             "message": self.message,
@@ -150,6 +152,7 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     verdict, message, ev = _continue(grid, H, data, n, cfg, report, held)
     report.factorizations = held.factorizations
     report.krylov_iterations = held.krylov_iterations
+    report.fill_nnz = held.fill_nnz
     held.lu = None
     _finalize(report, verdict, message, ev, t0)
     return report

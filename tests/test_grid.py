@@ -339,3 +339,43 @@ def test_band_bounds_distance_evaluations(monkeypatch):
     grid, seen, evaluated = _build_recording(dumbbell(1.0, 1.3), 1.0 / 128.0, monkeypatch)
     assert evaluated <= 0.1 * grid.nx * grid.ny
     _assert_matches_reference(grid, seen)
+
+
+# -- nested-dissection order ---------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["disk", "annulus_on_lattice", "dumbbell", "thin_ellipse"])
+def test_dissection_is_a_deterministic_permutation(name):
+    grid = Grid(_BAND_DOMAINS[name](), 1.0 / 32.0)
+    order = grid.dissection
+    assert order.shape == (grid.n_interior,)
+    assert np.array_equal(np.sort(order), np.arange(grid.n_interior))
+    assert np.array_equal(order, Grid(_BAND_DOMAINS[name](), 1.0 / 32.0).dissection)
+    assert grid.dissection is order            # computed once per grid
+
+
+def test_dissection_orders_the_top_separator_last():
+    # the last nodes are the median line across the longer extent; the
+    # halves it splits come first, one after the other, and no stencil tap
+    # joins them (on this ellipse no ghost closure reaches across the line)
+    grid = Grid(ellipse(1.2, 0.7), 1.0 / 32.0)
+    ij = grid.interior_ij[grid.dissection]
+    median = np.sort(grid.interior_ij[:, 0])[grid.n_interior // 2]
+    line = ij[:, 0] == median
+    assert line.sum() > 0 and np.all(line[-line.sum():])
+    rest = ij[:-line.sum(), 0]
+    k = np.sum(rest < median)
+    assert np.all(rest[:k] < median) and np.all(rest[k:] > median)
+    D = grid.operators()[0]
+    rank = np.empty(grid.n_interior, dtype=int)
+    rank[grid.dissection] = np.arange(grid.n_interior)
+    rows, cols = D.nonzero()
+    r, c = rank[rows % grid.n_interior], rank[cols]
+    assert not np.any((r < k) & (c >= k) & (c < len(rest)))
+
+
+def test_operators_do_not_compute_dissection():
+    grid = Grid(disk(1.0), 1.0 / 32.0)
+    grid.operators()
+    grid.pattern()
+    assert "dissection" not in vars(grid)

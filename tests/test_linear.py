@@ -5,11 +5,12 @@ import pytest
 import scipy.sparse as sps
 
 from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
-                     ScalarField, SolverError, ZeroData, annulus, apply_Q,
-                     assemble, correction_system, disk, ellipse, gradient,
-                     hessian, solve_linear)
+                     ScalarField, SolverError, ZeroData, adversarial_boundary_data,
+                     annulus, apply_Q, assemble, correction_system, disk, dumbbell,
+                     ellipse, gradient, hessian, levelset, rounded_rect,
+                     solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
-from mcgraph.linear import HeldFactor, LinearSystem
+from mcgraph.linear import DissectedLU, HeldFactor, LinearSystem
 
 
 @pytest.fixture(scope="module")
@@ -268,3 +269,82 @@ def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
     assert np.array_equal(J.indptr, A.indptr) and np.array_equal(J.indices, A.indices)
     assert np.array_equal(system.b, -apply_Q(u, _CURVED, 2, 0.75))
     assert np.all(system.feet_values == 0.0)
+
+
+# -- nested-dissection LU ------------------------------------------------------
+
+_ORDERED_DOMAINS = {
+    "disk": lambda: disk(1.0),
+    "ellipse": lambda: ellipse(1.2, 0.7),
+    "rounded_rect": lambda: rounded_rect(1.0, 0.6, 0.25),
+    "annulus": lambda: annulus(0.8, 1.6),
+    "annulus_on_lattice": lambda: annulus(0.5, 1.0),
+    "dumbbell": lambda: dumbbell(1.0, 1.3),
+    "levelset": lambda: levelset("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                                 (-1.1, 1.1, -1.0, 1.0)),
+}
+
+
+def _max_backward_error(A, b, x):
+    denom = abs(A).sum(axis=1).max() * np.max(np.abs(x)) + np.max(np.abs(b))
+    return np.max(np.abs(A @ x - b)) / denom
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("name", sorted(_ORDERED_DOMAINS))
+def test_first_jacobian_solves_in_dissection_order(name, h):
+    grid = Grid(_ORDERED_DOMAINS[name](), h)
+    zero = ScalarField.zeros(grid, ZeroData())
+    system = correction_system(Evaluation(zero, PrescribedCurvature.constant(0.4), 2, 0.25))
+    lu = DissectedLU(system.A, grid.dissection)
+    rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
+    for b in (system.b, rhs):
+        assert _max_backward_error(system.A, b, lu.solve(b)) <= 1e-12
+
+
+def test_dissected_lu_solves_systems_off_the_stencil(g32):
+    # the order is a permutation of the unknowns, so a system whose pattern
+    # ignores the separators still solves exactly; it only fills more
+    n = g32.n_interior
+    rng = np.random.default_rng(5)
+    A = (sps.diags(4.0 + rng.random(n)) + sps.random(n, n, density=2.0 / n, random_state=rng)
+         ).tocsr()
+    b = rng.standard_normal(n)
+    x = DissectedLU(A, g32.dissection).solve(b)
+    assert _max_backward_error(A, b, x) <= 1e-12
+    diag = np.resize([1.0, 2.0, 4.0], n)
+    x = DissectedLU(sps.diags(diag).tocsr(), g32.dissection).solve(b)
+    assert np.array_equal(x, b / diag)
+
+
+def test_held_factor_records_largest_fill(g32):
+    held = HeldFactor()
+    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
+                      n=2, tau=1.0)
+    solve_linear(system, held=held)
+    assert held.fill_nnz == held.lu.superlu.nnz > 0
+    small = LinearSystem(A=sps.identity(g32.n_interior, format="csr"), b=system.b,
+                         grid=g32, feet_values=np.zeros(g32.n_feet))
+    held.lu = None
+    solve_linear(small, held=held)
+    assert held.factorizations == 2 and held.lu.superlu.nnz < held.fill_nnz
+
+
+def test_dissection_order_keeps_reference_solves():
+    # counts and heights recorded with the minimum-degree LU ordering that
+    # the dissection order replaced: the held LU only starts and
+    # preconditions GMRES, so its order leaves the Newton path and the
+    # answer as they were
+    dom = disk(1.0)
+    cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
+    grid = Grid(dom, 1.0 / 48.0)
+    data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
+    legs = [solve_dirichlet(grid, PrescribedCurvature.constant(H), data, n=2)
+            for H in (0.55, 0.45)]
+    expected = [(8, 1, 40, 0.2087100275413615), (11, 1, 110, 0.298989692410781),
+                (10, 1, 86, 0.23697423597353587)]
+    for report, (iterations, factorizations, krylov, sup_u) in zip([cap, *legs], expected):
+        assert report.verdict == "converged"
+        assert (report.iterations, report.factorizations, report.krylov_iterations) == (
+            iterations, factorizations, krylov)
+        assert report.sup_u == pytest.approx(sup_u, rel=0, abs=1e-12)

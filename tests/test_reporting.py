@@ -65,6 +65,7 @@ def test_report_carries_linear_layer_counts(small_solve):
     out = build_report(scenario=scn, solve_report=rep)
     assert out["factorizations"] == rep.factorizations >= 1
     assert out["krylov_iterations"] == rep.krylov_iterations >= 0
+    assert out["fill_nnz"] == rep.fill_nnz > 0
 
 
 def test_report_carries_grid_flags(small_solve):

@@ -247,3 +247,14 @@ def test_factor_reuse_keeps_bump_pair(monkeypatch):
     for r, f in zip(reused, fresh):
         _assert_same_solve(r, f)
         assert r.factorizations < r.iterations
+
+
+def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
+    # the cap solve factorizes once, its first Jacobian: the report carries
+    # the entries that LU stores
+    assert cap_solve32.factorizations == 1
+    zero = ScalarField.zeros(cap_grid32, ZeroData())
+    J = correction_system(Evaluation(zero, cap_H, 2, 0.25)).A
+    lu = mcgraph.linear.DissectedLU(J, cap_grid32.dissection)
+    assert cap_solve32.fill_nnz == lu.superlu.nnz > 0
+    assert cap_solve32.summary_dict()["fill_nnz"] == cap_solve32.fill_nnz
