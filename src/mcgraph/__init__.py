@@ -10,15 +10,14 @@ for supercritical curvature.
 from .geometry import (DomainSpec, PrescribedCurvature, SerrinAudit,
                        check_serrin, check_gradient_condition, make_domain,
                        disk, ellipse, rect, rounded_rect, annulus, dumbbell,
-                       levelset, parallel_curvature, FocalPointError,
-                       MalformedDomainError)
+                       levelset, MalformedDomainError)
 from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
 from .expressions import Expr2D, compile_expr, ExpressionError
 from .grid import Grid, ScalarField, GridError, InvalidFieldError
-from .operators import (Evaluation, apply_M, apply_M_tensor, apply_Q, gradient,
-                        boundary_slope, hessian, coefficient_matrix, slope_factor,
-                        residual_norms, operator_agreement, DIMENSION)
+from .operators import (Evaluation, apply_M, apply_M_tensor, gradient,
+                        boundary_slope, coefficient_matrix, operator_agreement,
+                        DIMENSION)
 from .linear import (LinearSystem, assemble, correction_system,
                      solve as solve_linear, SolverError)
 from .solver import SolveConfig, SolveReport, solve_dirichlet, sup_slope
@@ -39,14 +38,12 @@ __version__ = "0.1.0"
 __all__ = [
     "DomainSpec", "PrescribedCurvature", "SerrinAudit", "check_serrin",
     "check_gradient_condition", "make_domain", "disk", "ellipse", "rect",
-    "rounded_rect", "annulus", "dumbbell", "levelset", "parallel_curvature",
-    "FocalPointError", "MalformedDomainError",
+    "rounded_rect", "annulus", "dumbbell", "levelset", "MalformedDomainError",
     "BoundaryData", "ZeroData", "ExpressionData", "BumpData", "constant_data",
     "scherk_trace",
     "Expr2D", "compile_expr", "ExpressionError",
     "Grid", "ScalarField", "GridError", "InvalidFieldError",
-    "Evaluation", "apply_M", "apply_M_tensor", "apply_Q", "gradient", "hessian",
-    "coefficient_matrix", "slope_factor", "residual_norms",
+    "Evaluation", "apply_M", "apply_M_tensor", "gradient", "coefficient_matrix",
     "operator_agreement", "DIMENSION",
     "LinearSystem", "assemble", "correction_system", "solve_linear", "SolverError",
     "SolveConfig", "SolveReport", "solve_dirichlet",

@@ -31,7 +31,7 @@ from scipy.special import erfi as _erfi
 
 from .geometry import DomainSpec, SerrinAudit, check_serrin, check_gradient_condition
 from .grid import Grid, ScalarField
-from .operators import apply_Q, boundary_slope, foot_slopes, gradient
+from .operators import Evaluation, boundary_slope, foot_slopes, gradient
 
 _GEOM_DIM = 2     # planar domains; distance Laplacians use this, not the n parameter
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
@@ -246,14 +246,13 @@ class BoundaryDistance:
     grad d is the inner normal at the nearest boundary point, Hess d is
     -kappa_t T T^T on the tangent direction with kappa_t the parallel-curve
     curvature kappa/(1 - d kappa).  Valid strictly inside the smoothness
-    strip; a disk is special-cased (d is smooth away from the center).
+    strip 0 < d < smoothness_radius(); on a disk that is every point but the
+    centre, where 1 - d kappa = 0.
     """
 
-    def __init__(self, domain: DomainSpec, strip: Optional[float] = None):
+    def __init__(self, domain: DomainSpec):
         self.domain = domain
-        self._is_disk = domain.shape.tag == "disk"
-        self.strip = float(strip) if strip is not None else (
-            domain.shape.radius if self._is_disk else domain.smoothness_radius())
+        self.strip = domain.smoothness_radius()
         from scipy.spatial import cKDTree
         self._tree = cKDTree(domain.boundary.points)
 
@@ -266,11 +265,7 @@ class BoundaryDistance:
 
     def valid(self, pts):
         d = self.rho(pts)
-        ok = (d > 1e-12) & (d < self.strip * (1.0 - 1e-9))
-        if self._is_disk:
-            r = np.linalg.norm(pts - self.domain.shape.center, axis=-1)
-            ok = (d > 1e-12) & (r > 1e-9)
-        return ok
+        return (d > 1e-12) & (d < self.strip * (1.0 - 1e-9))
 
     def grad(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -284,9 +279,6 @@ class BoundaryDistance:
 
     def _kappa_t(self, pts):
         d = self.rho(pts)
-        if self._is_disk:
-            r = np.linalg.norm(pts - self.domain.shape.center, axis=-1)
-            return 1.0 / np.maximum(r, 1e-300)
         idx = self._nearest(pts)
         kap = self.domain.boundary.kappa[idx]
         return kap / (1.0 - d * kap)
@@ -396,12 +388,13 @@ def transform_radial(profile, phi, domain: DomainSpec, grid: Grid,
 
     phi is a constant or an object with analytic derivatives (grad/hess like a
     compiled expression); distance defaults to the boundary-distance model.
-    Nodes outside the model's validity region are excluded and counted.
+    Nodes outside the model's validity region are excluded and counted; the
+    model is evaluated only at the valid nodes.
     """
     dist = distance if distance is not None else BoundaryDistance(domain)
-    pts = grid.interior_xy
-    valid = dist.valid(pts)
-    t = np.where(valid, dist.rho(pts), 1.0)   # placeholder outside validity
+    valid = dist.valid(grid.interior_xy)
+    pts = grid.interior_xy[valid]
+    t = dist.rho(pts)
     p1 = np.asarray(profile.d1(t), dtype=float)
     p2 = np.asarray(profile.d2(t), dtype=float)
     p0 = np.asarray(profile(t), dtype=float)
@@ -430,10 +423,13 @@ def transform_radial(profile, phi, domain: DomainSpec, grid: Grid,
         w = p0 + phi(x, y)
         W = np.sqrt(w2)
 
-    m = np.where(valid, m, np.nan)
-    w = np.where(valid, w, np.nan)
-    W = np.where(valid, W, np.nan)
-    return TransformedField(grid, w, m, W, valid, int((~valid).sum()))
+    def on_valid(values):
+        out = np.full(grid.n_interior, np.nan)
+        out[valid] = values
+        return out
+
+    return TransformedField(grid, on_valid(w), on_valid(m), on_valid(W), valid,
+                            int((~valid).sum()))
 
 
 # ---------------------------------------------------------------------------
@@ -776,15 +772,12 @@ def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2,
     if u.grid is not v.grid:
         raise ValueError("comparison requires both fields on the same grid")
     grid = u.grid
-    qu = apply_Q(u, H, n=n)
-    qv = apply_Q(v, H, n=n)
+    qu = Evaluation(u, H, n).q
+    qv = Evaluation(v, H, n).q
     tol_q = 1e-9 * (1.0 + float(np.max(np.abs(qu))) + float(np.max(np.abs(qv))))
     if np.min(qu - qv) < -tol_q:
         return ComparisonResult("not-applicable", np.nan, np.nan,
                                 f"Q u >= Q v fails by {float(np.min(qu - qv)):.3g}")
-    if u.feet is None or v.feet is None:
-        return ComparisonResult("not-applicable", np.nan, np.nan,
-                                "boundary traces unavailable")
     bgap = float(np.max(u.feet - v.feet)) if grid.n_feet else 0.0
     if bgap > boundary_tol + 1e-12:
         return ComparisonResult("not-applicable", np.nan, np.nan,
@@ -854,7 +847,8 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
     the inner tangent circle takes half the allowed curvature excess, and R1,
     R2 come from geometric shrinking until the sampled continuity bounds hold
     strictly.  The final bisection for a runs in 60-digit arithmetic on log a,
-    targeting g(a) = eps/2, since certified radii routinely underflow float64.
+    targeting g(a) = eps/2, since certified radii routinely underflow float64;
+    it stops when the bracket stops shrinking.
     """
     import mpmath as mp
 
@@ -954,12 +948,14 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
             if hi - lo > mp.mpf("1e9"):
                 raise NotApplicable("bisection for the exclusion radius failed "
                                     "to bracket; eps may be too small")
-        for _ in range(300):
-            mid = (lo + hi) / 2
+        # bisect until the bracket stops shrinking in 60-digit arithmetic
+        mid = (lo + hi) / 2
+        while lo < mid < hi:
             if g_of_log(mid) < target:
                 lo = mid
             else:
                 hi = mid
+            mid = (lo + hi) / 2
     log_a = lo
     a_mp = mp.e**log_a
     g_val = g_of_log(log_a)

@@ -11,7 +11,12 @@ Conventions used throughout the package:
     level-set distances from a constrained Newton foot on the traced contour,
   * boundary curves are sampled counterclockwise, normals point into the domain,
   * curvature kappa is positive where the domain is convex (unit disk: +1/r),
-    negative on reentrant pieces.
+    negative on reentrant pieces,
+  * curvature has one source per shape: the closed form on disks, ellipses,
+    rectangles and annuli, the implicit curvature of F at the projected
+    samples on level sets; `boundary_curvature` reads the closed form where
+    there is one and the samples' own kappa otherwise, so the Serrin audit
+    and the non-existence certificate read the same kappa.
 
 The audits encode two pointwise conditions on the curvature data H:
   * Serrin margin:  min over boundary of (n-1)*kappa(y) - n*|H(y)|,
@@ -32,14 +37,11 @@ from scipy.spatial import cKDTree
 from .expressions import Expr2D, compile_expr
 
 _TWO_PI = 2.0 * math.pi
+_CONTOUR_GRID = 768      # lattice points per side on which a level set's contour is traced
 
 
 class MalformedDomainError(ValueError):
     """Boundary parametrization is degenerate or a level set has no usable contour."""
-
-
-class FocalPointError(ValueError):
-    """Parallel curve evaluated at or beyond the focal distance 1/kappa."""
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +386,9 @@ class _LevelSet:
 
     tag = "levelset"
 
-    def __init__(self, expr: str | Expr2D, bbox, contour_grid=768):
+    def __init__(self, expr: str | Expr2D, bbox):
         self.F = expr if isinstance(expr, Expr2D) else compile_expr(expr)
         self._bbox = tuple(float(v) for v in bbox)
-        self._contour_grid = int(contour_grid)
         self._trace_contour()
 
     def bbox(self):
@@ -395,7 +396,7 @@ class _LevelSet:
 
     def _trace_contour(self):
         x0, x1, y0, y1 = self._bbox
-        nx = ny = self._contour_grid
+        nx = ny = _CONTOUR_GRID
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
         X, Y = np.meshgrid(xs, ys, indexing="ij")
@@ -510,9 +511,6 @@ class _LevelSet:
         s2 = np.concatenate([[0.0], np.cumsum(seg2[:-1])])
         return out, normals, kappa, s2, float(np.sum(seg2))
 
-    def curvature_at(self, s):
-        raise NotImplementedError  # handled by DomainSpec via sample interpolation
-
     def arclength_of_point(self, pts):
         return _nearest_sample_arclength(self, pts)
 
@@ -624,18 +622,15 @@ class DomainSpec:
     # -- boundary lookups ----------------------------------------------------
 
     def boundary_curvature(self, s):
-        """Curvature at arclength s: analytic where the shape provides it,
-        4th-order periodic finite differences of the sampled parametrization otherwise."""
-        try:
-            return self.shape.curvature_at(np.asarray(s, dtype=float))
-        except NotImplementedError:
-            return self._fd_curvature(np.asarray(s, dtype=float))
-
-    def _fd_curvature(self, s):
+        """Curvature at arclength s: the shape's closed form where it has one,
+        otherwise the samples' own curvature at the first sample at or past s."""
+        s = np.asarray(s, dtype=float)
+        closed = getattr(self.shape, "curvature_at", None)
+        if closed is not None:
+            return closed(s)
         b = self.boundary
-        kap = _fd_curvature_of_samples(b.points)
-        idx = np.searchsorted(b.arclength, np.mod(s, b.total_length)) % len(kap)
-        return kap[idx]
+        idx = np.searchsorted(b.arclength, np.mod(s, b.total_length)) % len(b.kappa)
+        return b.kappa[idx]
 
     def arclength_of(self, pts):
         """Arclength coordinate of the boundary point nearest to pts."""
@@ -684,22 +679,6 @@ def _sampled_smoothness_radius(boundary: BoundarySamples) -> float:
     kmax = float(np.max(boundary.kappa))
     focal = 1.0 / kmax if kmax > 1e-12 else np.inf
     return float(min(focal, _medial_clearance(boundary.points, boundary.normals)))
-
-
-def _fd_curvature_of_samples(pts):
-    """Curvature from 4th-order centered differences of a closed uniform polyline."""
-    n = len(pts)
-    seg = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
-    ds = float(np.mean(seg))
-
-    def sh(k):
-        return np.roll(pts, -k, axis=0)
-
-    d1 = (-sh(2) + 8 * sh(1) - 8 * sh(-1) + sh(-2)) / (12 * ds)
-    d2 = (-sh(2) + 16 * sh(1) - 30 * pts + 16 * sh(-1) - sh(-2)) / (12 * ds * ds)
-    num = d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]
-    den = (d1[:, 0] ** 2 + d1[:, 1] ** 2) ** 1.5
-    return num / den
 
 
 def _max_pairwise_distance(pts, chunk=512):
@@ -920,17 +899,3 @@ def check_gradient_condition(domain: DomainSpec, H: PrescribedCurvature,
     margin = (n / (n - 1)) * H(pts) ** 2 - np.linalg.norm(H.gradient(pts), axis=-1)
     m = float(margin.min())
     return m >= 0.0, m
-
-
-def parallel_curvature(domain: DomainSpec, s, t):
-    """Curvature of the inner parallel curve at distance t: kappa/(1 - t*kappa).
-
-    Raises FocalPointError when 1 - t*kappa <= 0 (the parallel curve is no
-    longer embedded at that depth)."""
-    kappa = domain.boundary_curvature(s)
-    t = np.asarray(t, dtype=float)
-    denom = 1.0 - t * kappa
-    if np.any(denom <= 0.0):
-        raise FocalPointError(f"parallel curve hits the focal set: min(1 - t*kappa) = {denom.min():.3g}")
-    return kappa / denom
-

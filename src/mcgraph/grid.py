@@ -446,22 +446,21 @@ class ScalarField:
     """Nodal field: interior values plus the Dirichlet trace at boundary feet."""
 
     grid: Grid
-    values: np.ndarray                 # (n_interior,)
-    feet: Optional[np.ndarray] = None  # (n_feet,)
+    values: np.ndarray   # (n_interior,)
+    feet: np.ndarray     # (n_feet,)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.n_interior,):
             raise InvalidFieldError("field/interior size mismatch")
-        if self.feet is not None:
-            self.feet = np.asarray(self.feet, dtype=float)
-            if self.feet.shape != (self.grid.n_feet,):
-                raise InvalidFieldError("field/feet size mismatch")
+        self.feet = np.asarray(self.feet, dtype=float)
+        if self.feet.shape != (self.grid.n_feet,):
+            raise InvalidFieldError("field/feet size mismatch")
 
     def validate(self):
         if not np.all(np.isfinite(self.values)):
             raise InvalidFieldError("non-finite interior values")
-        if self.feet is not None and not np.all(np.isfinite(self.feet)):
+        if not np.all(np.isfinite(self.feet)):
             raise InvalidFieldError("non-finite boundary trace")
         return self
 
@@ -490,24 +489,20 @@ class ScalarField:
         return cls.from_data(grid, vals, data)
 
     def copy(self):
-        return ScalarField(self.grid, self.values.copy(),
-                           None if self.feet is None else self.feet.copy())
+        return ScalarField(self.grid, self.values.copy(), self.feet.copy())
 
     def shifted(self, c: float) -> "ScalarField":
         """Vertical translation u + c (trace shifts too)."""
-        return ScalarField(self.grid, self.values + c,
-                           None if self.feet is None else self.feet + c)
+        return ScalarField(self.grid, self.values + c, self.feet + c)
 
     def sup(self) -> float:
         m = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        if self.feet is not None and self.feet.size:
+        if self.feet.size:
             m = max(m, float(np.max(np.abs(self.feet))))
         return m
 
     def ghost_values(self) -> np.ndarray:
-        if self.feet is None:
-            raise InvalidFieldError("boundary trace required for ghost reconstruction")
         return self.grid.ghost_values(self.values, self.feet)
 
     def __sub__(self, other: "ScalarField"):
-        return ScalarField(self.grid, self.values - other.values, None)
+        return ScalarField(self.grid, self.values - other.values, self.feet - other.feet)

@@ -112,35 +112,6 @@ class LinearSystem:
     feet_values: np.ndarray          # Dirichlet trace at feet (already scaled)
     meta: dict = field(default_factory=dict)
 
-    def mmatrix_report(self) -> dict:
-        """Sign-structure diagnostics: off-diagonal positivity and row dominance.
-
-        The frozen operator has a maximum principle; its discretization is an
-        M-matrix when off-diagonal entries are nonpositive (after negating the
-        elliptic operator) and rows are weakly diagonally dominant.  Cross
-        terms break this in general, so violations are reported rather than
-        repaired; no artificial diffusion is added.
-        """
-        # convention: assembled operator has negative diagonal (like -Laplace
-        # after sign flip); check the Z-pattern of -A
-        diag = self.A.diagonal()
-        sgn = -1.0 if np.median(diag) < 0 else 1.0
-        M = sgn * self.A.tocoo()
-        off_vals = M.data[M.row != M.col]
-        bad_off = off_vals > 1e-14
-        worst_off = float(off_vals[bad_off].max()) if bad_off.any() else 0.0
-        rowsum = np.asarray(abs(sgn * self.A).sum(axis=1)).ravel()
-        mdiag = sgn * diag
-        slack = 2.0 * mdiag - rowsum       # >= -tol for weak dominance
-        bad_dom = slack < -1e-12 * np.maximum(1.0, np.abs(mdiag))
-        return {
-            "is_m_matrix": bool(not bad_off.any() and not bad_dom.any()),
-            "offdiag_violations": int(bad_off.sum()),
-            "worst_offdiag": worst_off,
-            "dominance_violations": int(bad_dom.sum()),
-            "worst_dominance_deficit": float(-slack.min()) if bad_dom.any() else 0.0,
-        }
-
 
 def assemble(v: ScalarField, H, data, n: int = DIMENSION,
              tau: float = 1.0) -> LinearSystem:

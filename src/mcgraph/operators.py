@@ -16,6 +16,16 @@ The defect against a prescribed curvature field H at load factor tau is
 
 so Q u = 0 is the equation in nondivergence form and Q applied to an exact
 solution measures pure truncation error.
+
+`Evaluation` is the one evaluator: it reads the five stencils of u in one
+mat-vec pair and holds the slopes p, W, the second differences, the
+coefficients of M, M u and Q u, with the (core, collar) sup norms of Q u.
+The solver, the Newton assembly, the reference self-test and the
+comparison principle all read from it.  Around it sit `apply_M` (M u alone),
+`apply_M_tensor` with `operator_agreement` (the expanded-form cross-check),
+`gradient` (the slopes alone), `foot_slopes` with `boundary_slope` (the
+one-sided slopes on the boundary links) and `coefficient_matrix` (A(p) with
+its eigenvalues).
 """
 
 from __future__ import annotations
@@ -34,9 +44,8 @@ def _stencils(u: ScalarField) -> np.ndarray:
     eliminated through the closures: one mat-vec pair."""
     u.validate()
     D, D_feet = u.grid.operators()
-    feet = u.feet if u.feet is not None else np.zeros(u.grid.n_feet)
     out = D @ u.values
-    out += D_feet @ feet
+    out += D_feet @ u.feet
     return out.reshape(len(STENCILS), -1)
 
 
@@ -48,7 +57,7 @@ def gradient(u: ScalarField) -> np.ndarray:
 def foot_slopes(u: ScalarField) -> np.ndarray:
     """One-sided slopes |u_owner - phi_foot| / (theta h), one per boundary link."""
     grid = u.grid
-    if grid.n_feet == 0 or u.feet is None:
+    if grid.n_feet == 0:
         return np.zeros(0)
     return np.abs(u.values[grid.foot_owner] - u.feet) / (grid.foot_theta * grid.h)
 
@@ -62,21 +71,6 @@ def boundary_slope(u: ScalarField) -> float:
     """
     s = foot_slopes(u)
     return float(np.max(s)) if len(s) else 0.0
-
-
-def hessian(u: ScalarField) -> np.ndarray:
-    """(n_interior, 2, 2) second differences; cross term one-sided at flagged nodes."""
-    uxx, uyy, uxy = _stencils(u)[:3]
-    H = np.empty((u.grid.n_interior, 2, 2))
-    H[:, 0, 0] = uxx
-    H[:, 1, 1] = uyy
-    H[:, 0, 1] = H[:, 1, 0] = uxy
-    return H
-
-
-def slope_factor(p: np.ndarray) -> np.ndarray:
-    """W = sqrt(1 + |p|^2) for slopes p of shape (..., 2)."""
-    return np.sqrt(1.0 + np.sum(np.asarray(p) ** 2, axis=-1))
 
 
 def coefficient_matrix(p) -> tuple[np.ndarray, tuple[float, float]]:
@@ -135,22 +129,9 @@ def apply_M(u: ScalarField) -> np.ndarray:
 
 def apply_M_tensor(u: ScalarField) -> np.ndarray:
     """Expanded-form evaluation W^2 tr(Hess) - <Hess p, p>; cross-check of apply_M."""
-    p = gradient(u)
-    Hs = hessian(u)
-    w2 = 1.0 + np.sum(p**2, axis=-1)
-    lap = Hs[:, 0, 0] + Hs[:, 1, 1]
-    Hp = np.einsum("nij,nj->ni", Hs, p)
-    return w2 * lap - np.einsum("ni,ni->n", Hp, p)
-
-
-def apply_Q(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0) -> np.ndarray:
-    """Defect Q u = M u - tau n H W^3 at interior nodes, for a PrescribedCurvature H."""
-    return Evaluation(u, H, n, tau).q
-
-
-def residual_norms(u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):
-    """(core, collar) sup norms of Q u; core excludes the 2h boundary collar."""
-    return Evaluation(u, H, n, tau).residual_norms()
+    uxx, uyy, uxy, ux, uy = _stencils(u)
+    w2 = 1.0 + ux**2 + uy**2
+    return w2 * (uxx + uyy) - (uxx * ux * ux + 2.0 * uxy * ux * uy + uyy * uy * uy)
 
 
 def operator_agreement(u: ScalarField) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 from .expressions import Expr2D, compile_expr
 from .geometry import DomainSpec, PrescribedCurvature, disk, rect, annulus
 from .grid import Grid, ScalarField
-from .operators import apply_Q
+from .operators import Evaluation
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,7 @@ def _self_test(entry: ReferenceSolution) -> None:
     for h in _SELF_TEST_H:
         grid = Grid(entry.domain, h)
         u = entry.field(grid)
-        q = apply_Q(u, entry.curvature, n=2, tau=1.0)
+        q = Evaluation(u, entry.curvature, n=2, tau=1.0).q
         core = grid.core_mask
         res.append(float(np.max(np.abs(q[core]))) if core.any() else 0.0)
     if res[0] > 0.05:

@@ -96,19 +96,16 @@ def write_fields_csv(path, u: ScalarField) -> None:
     values so near-boundary behavior is inspectable.
     """
     grid = u.grid
-    ghost_vals = u.ghost_values()
+    ij = np.concatenate([grid.interior_ij, grid.ghost_ij])
+    node_class = ["interior"] * grid.n_interior + ["ghost"] * len(grid.ghost_ij)
+    values = np.concatenate([u.values, u.ghost_values()])
+    rows = zip(ij[:, 0].tolist(), ij[:, 1].tolist(),
+               map(repr, grid.xs[ij[:, 0]].tolist()), map(repr, grid.ys[ij[:, 1]].tolist()),
+               node_class, map(repr, values.tolist()))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "x", "y", "class", "u"])
-        ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
-        for k in range(grid.n_interior):
-            writer.writerow([int(ii[k]), int(jj[k]),
-                             repr(float(grid.xs[ii[k]])), repr(float(grid.ys[jj[k]])),
-                             "interior", repr(float(u.values[k]))])
-        for k in range(len(grid.ghost_ij)):
-            gi, gj = int(grid.ghost_ij[k, 0]), int(grid.ghost_ij[k, 1])
-            writer.writerow([gi, gj, repr(float(grid.xs[gi])), repr(float(grid.ys[gj])),
-                             "ghost", repr(float(ghost_vals[k]))])
+        writer.writerows(rows)
 
 
 _COLOR_STOPS = (

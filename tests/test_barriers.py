@@ -12,7 +12,7 @@ import mcgraph.barriers
 
 from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      ScalarField, ZeroData, adversarial_boundary_data,
-                     apply_Q, barrier_pair_checks, boundary_gradient_package,
+                     barrier_pair_checks, boundary_gradient_package,
                      comparison_check, compile_expr, disk, ellipse,
                      estimate_ledger, global_gradient_bound, height_barrier,
                      height_bound, nonexistence_bound, nonexistence_witness,
@@ -475,6 +475,21 @@ def test_certificate_quality(certificate):
     assert c.a == 0.0
     assert c.a_mp > 0
     assert any("underflow" in w for w in c.warnings)
+
+
+def test_certificate_bisection_stops_when_the_bracket_stops_shrinking(unit_disk,
+                                                                     monkeypatch):
+    import mpmath
+    calls = []
+    erfi = mpmath.erfi
+    monkeypatch.setattr(mpmath, "erfi", lambda z: calls.append(z) or erfi(z))
+    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.55),
+                           (1.0, 0.0), 0.05, n=2)
+    # the 60-digit bracket stagnates after about 200 halvings
+    assert len(calls) <= 220
+    # the certified radius of a fixed 300-step bisection, bit for bit
+    assert (c.a_mp.man, c.a_mp.exp) == (
+        6703949787070854326103837476736467216884972499156685202383931, -18669)
 
 
 def test_certificate_params_embedding(certificate):

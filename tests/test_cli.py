@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +46,23 @@ def test_run_writes_artifacts(tmp_path, capsys):
     assert len(report["config_sha256"]) == 64
     stdout = capsys.readouterr().out
     assert "verdict: converged" in stdout
+
+
+def test_run_cap_reproduces_committed_artifacts(tmp_path):
+    # out/cap/ is the committed output of the cap scenario: every artifact
+    # but the wall time must come out byte for byte the same
+    root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "cap"
+    code = main(["run", "--config", str(root / "configs" / "cap.ini"),
+                 "--out", str(out), "--quiet"])
+    assert code == EXIT_OK
+    for name in ("fields.csv", "traces.csv", "heatmap.svg"):
+        assert (out / name).read_bytes() == (root / "out" / "cap" / name).read_bytes(), name
+    report, golden = (json.loads((d / "report.json").read_text())
+                      for d in (out, root / "out" / "cap"))
+    report.pop("wall_time_seconds")
+    golden.pop("wall_time_seconds")
+    assert report == golden
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):

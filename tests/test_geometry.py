@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mcgraph import (BumpData, ExpressionData, FocalPointError, Grid,
-                     MalformedDomainError, PrescribedCurvature, ZeroData,
-                     annulus, check_gradient_condition, check_serrin, disk,
-                     dumbbell, ellipse, levelset, make_domain,
-                     parallel_curvature, rect, rounded_rect, scherk_trace)
+from mcgraph import (BumpData, ExpressionData, Grid, MalformedDomainError,
+                     PrescribedCurvature, ZeroData, annulus,
+                     check_gradient_condition, check_serrin, disk, dumbbell,
+                     ellipse, levelset, make_domain, rect, rounded_rect,
+                     scherk_trace)
 
 
 def test_disk_basic_metrics():
@@ -161,18 +161,19 @@ def test_gradient_condition_steep_profile_fails():
     assert margin < 0
 
 
-def test_parallel_curvature_disk():
-    d = disk(radius=1.0)
-    s = np.array([0.0])
-    t = 0.25
-    k_t = np.atleast_1d(parallel_curvature(d, s, t))
-    assert k_t[0] == pytest.approx(1.0 / (1.0 - t), rel=1e-4)
-
-
-def test_parallel_curvature_focal_point():
-    d = disk(radius=1.0)
-    with pytest.raises(FocalPointError):
-        parallel_curvature(d, np.array([0.0]), 1.0)
+@pytest.mark.parametrize("make", [
+    lambda: dumbbell(1.0, 1.3),
+    lambda: levelset("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                     (-1.1, 1.1, -1.0, 1.0))], ids=["dumbbell", "rotated_ellipse"])
+def test_levelset_curvature_is_the_samples_kappa(make):
+    # a level set has no closed-form curvature along arclength: the lookup
+    # reads the implicit curvature stored with the samples, the same values
+    # the Serrin audit reads
+    d = make()
+    b = d.boundary
+    assert np.array_equal(d.boundary_curvature(b.arclength), b.kappa)
+    mid = 0.5 * (b.arclength[:-1] + b.arclength[1:])
+    assert np.array_equal(d.boundary_curvature(mid), b.kappa[1:])
 
 
 def test_smoothness_radius():

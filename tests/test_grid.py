@@ -155,7 +155,7 @@ def test_nonpositive_spacing_raises():
 
 def test_field_shape_validation(g16):
     with pytest.raises(InvalidFieldError):
-        ScalarField(g16, np.zeros(3))
+        ScalarField(g16, np.zeros(3), np.zeros(g16.n_feet))
     with pytest.raises(InvalidFieldError):
         ScalarField(g16, np.zeros(g16.n_interior), np.zeros(1))
 
@@ -174,6 +174,7 @@ def test_field_shift_and_sub(g16):
     assert np.allclose(v.feet - u.feet, 0.75)
     w = v - u
     assert np.allclose(w.values, 0.75)
+    assert np.allclose(w.feet, 0.75)
 
 
 def test_refinement_grows_quadratically():

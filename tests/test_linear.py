@@ -6,8 +6,8 @@ import scipy.sparse as sps
 
 from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ScalarField, SolverError, ZeroData, adversarial_boundary_data,
-                     annulus, apply_Q, assemble, correction_system, disk, dumbbell,
-                     ellipse, gradient, hessian, levelset, rounded_rect,
+                     annulus, assemble, correction_system, disk, dumbbell,
+                     ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
 from mcgraph.linear import DissectedLU, HeldFactor, LinearSystem
@@ -97,15 +97,6 @@ def test_backward_error_recorded(g32):
                       ZeroData(), n=2, tau=1.0)
     solve_linear(system)
     assert system.meta["relres"] <= 1e-10
-
-
-def test_mmatrix_report_keys(g32):
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
-                      ZeroData(), n=2, tau=1.0)
-    report = system.mmatrix_report()
-    for key in ("is_m_matrix", "offdiag_violations", "worst_offdiag",
-                "dominance_violations", "worst_dominance_deficit"):
-        assert key in report
 
 
 def test_sign_violations_confined_to_collar(g32):
@@ -244,7 +235,7 @@ def test_jacobian_matches_central_difference_of_Q(wavy_state):
     eps = 1e-6
 
     def Q(shift):
-        return apply_Q(ScalarField(u.grid, u.values + shift * v, u.feet), _CURVED, 2, 0.75)
+        return Evaluation(ScalarField(u.grid, u.values + shift * v, u.feet), _CURVED, 2, 0.75).q
 
     fd = (Q(eps) - Q(-eps)) / (2.0 * eps)
     Jv = J @ v
@@ -255,19 +246,20 @@ def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
     # J = A(u) + diag(b_x) Gx + diag(b_y) Gy entry by entry, on the frozen
     # operator's pattern
     u = wavy_state
-    p, Hs = gradient(u), hessian(u)
+    ev = Evaluation(u, _CURVED, 2, 0.75)
+    p = gradient(u)
     W = np.sqrt(1.0 + np.sum(p**2, axis=-1))
     load = 0.75 * 2 * _CURVED(u.grid.interior_xy)
-    bx = 2.0 * (p[:, 0] * Hs[:, 1, 1] - p[:, 1] * Hs[:, 0, 1]) - 3.0 * load * W * p[:, 0]
-    by = 2.0 * (p[:, 1] * Hs[:, 0, 0] - p[:, 0] * Hs[:, 0, 1]) - 3.0 * load * W * p[:, 1]
+    bx = 2.0 * (p[:, 0] * ev.uyy - p[:, 1] * ev.uxy) - 3.0 * load * W * p[:, 0]
+    by = 2.0 * (p[:, 1] * ev.uxx - p[:, 0] * ev.uxy) - 3.0 * load * W * p[:, 1]
     D = u.grid.operators()[0]
     A = assemble(u, _CURVED, ZeroData(), n=2, tau=0.75).A
     expect = A + sps.diags(bx) @ _block(D, u.grid, "Gx") + sps.diags(by) @ _block(D, u.grid, "Gy")
-    system = correction_system(Evaluation(u, _CURVED, 2, 0.75))
+    system = correction_system(ev)
     J = system.A
     assert abs(J - expect).max() <= 1e-13 * abs(expect).max()
     assert np.array_equal(J.indptr, A.indptr) and np.array_equal(J.indices, A.indices)
-    assert np.array_equal(system.b, -apply_Q(u, _CURVED, 2, 0.75))
+    assert np.array_equal(system.b, -Evaluation(u, _CURVED, 2, 0.75).q)
     assert np.all(system.feet_values == 0.0)
 
 

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from mcgraph import (Grid, PrescribedCurvature, ScalarField, apply_M,
-                     apply_M_tensor, apply_Q, coefficient_matrix, disk,
-                     gradient, hessian, operator_agreement, rect,
-                     residual_norms, slope_factor)
+from mcgraph import (Evaluation, Grid, PrescribedCurvature, ScalarField,
+                     apply_M, apply_M_tensor, coefficient_matrix, disk,
+                     gradient, operator_agreement, rect)
+
+_FLAT = PrescribedCurvature.constant(0.0)
 
 
 def test_coefficient_matrix_eigenvalues_random():
@@ -29,12 +30,6 @@ def test_coefficient_matrix_structure():
     assert np.allclose(A, expect, atol=1e-14)
     # eigenvector along p gets the small eigenvalue
     assert np.allclose(A @ p, p, atol=1e-12)
-
-
-def test_slope_factor():
-    p = np.array([[0.0, 0.0], [3.0, 4.0]])
-    w = slope_factor(p)
-    assert np.allclose(w, [1.0, np.sqrt(26.0)])
 
 
 @pytest.fixture(scope="module")
@@ -60,11 +55,11 @@ def test_gradient_exact_for_quadratics(disk20):
 def test_hessian_exact_for_quadratics(disk20):
     u = ScalarField.from_callable(disk20,
                                   lambda x, y: 0.5 * x**2 + 0.25 * x * y - y**2)
-    hess = hessian(u)
+    ev = Evaluation(u, _FLAT)
     core = disk20.core_mask
-    assert np.max(np.abs(hess[core, 0, 0] - 1.0)) < 1e-7
-    assert np.max(np.abs(hess[core, 1, 1] + 2.0)) < 1e-7
-    assert np.max(np.abs(hess[core, 0, 1] - 0.25)) < 1e-7
+    assert np.max(np.abs(ev.uxx[core] - 1.0)) < 1e-7
+    assert np.max(np.abs(ev.uyy[core] + 2.0)) < 1e-7
+    assert np.max(np.abs(ev.uxy[core] - 0.25)) < 1e-7
 
 
 def test_divergence_and_tensor_forms_agree(disk20):
@@ -78,10 +73,10 @@ def test_divergence_and_tensor_forms_agree(disk20):
 def test_apply_q_tau_scaling(disk20):
     u = ScalarField.from_callable(disk20, lambda x, y: 0.1 * (x**2 + y**2))
     H = PrescribedCurvature.constant(0.4)
-    q0 = apply_Q(u, H, n=2, tau=0.0)
+    q0 = Evaluation(u, H, n=2, tau=0.0).q
     m = apply_M(u)
     assert np.allclose(q0, m, atol=1e-13)
-    q1 = apply_Q(u, H, n=2, tau=1.0)
+    q1 = Evaluation(u, H, n=2, tau=1.0).q
     p = gradient(u)
     w3 = (1.0 + np.sum(p**2, axis=-1)) ** 1.5
     assert np.allclose(q1, m - 2 * 0.4 * w3, atol=1e-12)
@@ -91,7 +86,7 @@ def _scherk_residual(h):
     g = Grid(rect(0.6, 0.6), h)
     u = ScalarField.from_callable(
         g, lambda x, y: np.log(np.cos(x) / np.cos(y)))
-    core, _ = residual_norms(u, PrescribedCurvature.constant(0.0))
+    core, _ = Evaluation(u, _FLAT).residual_norms()
     return core
 
 
@@ -107,7 +102,7 @@ def _cap_residual(h):
     g = Grid(disk(radius=1.0), h)
     u = ScalarField.from_callable(
         g, lambda x, y: np.sqrt(5.25) - np.sqrt(6.25 - x**2 - y**2))
-    core, _ = residual_norms(u, PrescribedCurvature.constant(0.4))
+    core, _ = Evaluation(u, PrescribedCurvature.constant(0.4)).residual_norms()
     return core
 
 
@@ -125,7 +120,7 @@ def test_collar_residual_decays_first_order():
         g = Grid(disk(radius=1.0), h)
         u = ScalarField.from_callable(
             g, lambda x, y: np.sqrt(5.25) - np.sqrt(6.25 - x**2 - y**2))
-        return residual_norms(u, PrescribedCurvature.constant(0.4))[1]
+        return Evaluation(u, PrescribedCurvature.constant(0.4)).residual_norms()[1]
 
     c32 = collar(1.0 / 32.0)
     c64 = collar(1.0 / 64.0)
