@@ -40,11 +40,10 @@ class BoundaryData:
         if self.extension is None:
             raise ValueError(f"{self.kind} data has no C^2 extension; norms undefined")
         pts = domain.closure_samples(192)
-        x, y = pts[:, 0], pts[:, 1]
-        e = self.extension
-        p0 = float(np.max(np.abs(e(x, y))))
-        p1 = p0 + float(np.max(np.hypot(e.fx(x, y), e.fy(x, y))))
-        frob = np.sqrt(e.fxx(x, y) ** 2 + 2.0 * e.fxy(x, y) ** 2 + e.fyy(x, y) ** 2)
+        f, fx, fy, fxx, fxy, fyy = self.extension.jet(pts[:, 0], pts[:, 1])
+        p0 = float(np.max(np.abs(f)))
+        p1 = p0 + float(np.max(np.hypot(fx, fy)))
+        frob = np.sqrt(fxx ** 2 + 2.0 * fxy ** 2 + fyy ** 2)
         p2 = p1 + float(np.max(frob))
         return p0, p1, p2
 

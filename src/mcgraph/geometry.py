@@ -423,9 +423,7 @@ class _LevelSet:
         """Newton projection of points onto {F = 0} along grad F."""
         p = np.array(pts, dtype=float)
         for _ in range(iters):
-            f = self.F(p[:, 0], p[:, 1])
-            gx = self.F.fx(p[:, 0], p[:, 1])
-            gy = self.F.fy(p[:, 0], p[:, 1])
+            f, gx, gy, *_ = self.F.jet(p[:, 0], p[:, 1])
             g2 = gx * gx + gy * gy
             g2 = np.where(g2 < 1e-30, 1e-30, g2)
             p[:, 0] -= f * gx / g2
@@ -445,12 +443,7 @@ class _LevelSet:
         q = self._polyline[idx].copy()
         x = pts
         for _ in range(iters):
-            f = self.F(q[:, 0], q[:, 1])
-            gx = self.F.fx(q[:, 0], q[:, 1])
-            gy = self.F.fy(q[:, 0], q[:, 1])
-            hxx = self.F.fxx(q[:, 0], q[:, 1])
-            hxy = self.F.fxy(q[:, 0], q[:, 1])
-            hyy = self.F.fyy(q[:, 0], q[:, 1])
+            f, gx, gy, hxx, hxy, hyy = self.F.jet(q[:, 0], q[:, 1])
             rx, ry = x[:, 0] - q[:, 0], x[:, 1] - q[:, 1]
             # residuals: F = 0 and cross(r, g) = rx*gy - ry*gx = 0
             r1 = f
@@ -486,11 +479,13 @@ class _LevelSet:
         return out[0] if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
     def _implicit_kappa(self, pts):
-        x, y = pts[:, 0], pts[:, 1]
-        gx, gy = self.F.fx(x, y), self.F.fy(x, y)
-        hxx, hxy, hyy = self.F.fxx(x, y), self.F.fxy(x, y), self.F.fyy(x, y)
+        """Unit normals grad F / |grad F| (inward, F > 0 inside) and the
+        implicit curvature of {F = 0} at points on it, from one jet."""
+        _, gx, gy, hxx, hxy, hyy = self.F.jet(pts[:, 0], pts[:, 1])
         g = np.hypot(gx, gy)
-        return (2 * gx * gy * hxy - gx * gx * hyy - gy * gy * hxx) / np.where(g < 1e-30, 1e-30, g) ** 3
+        normals = np.stack([gx, gy], axis=-1) / g[:, None]
+        kappa = (2 * gx * gy * hxy - gx * gx * hyy - gy * gy * hxx) / np.where(g < 1e-30, 1e-30, g) ** 3
+        return normals, kappa
 
     def sample(self, m):
         pts = self._polyline
@@ -501,11 +496,7 @@ class _LevelSet:
         closed = np.vstack([pts, pts[:1]])
         out = np.stack([np.interp(targets, s, closed[:, 0]), np.interp(targets, s, closed[:, 1])], axis=-1)
         out = self._project(out)
-        gx = self.F.fx(out[:, 0], out[:, 1])
-        gy = self.F.fy(out[:, 0], out[:, 1])
-        g = np.hypot(gx, gy)
-        normals = np.stack([gx, gy], axis=-1) / g[:, None]   # grad points inward (F > 0 inside)
-        kappa = self._implicit_kappa(out)
+        normals, kappa = self._implicit_kappa(out)
         # recompute arclength after projection
         seg2 = np.linalg.norm(np.diff(out, axis=0, append=out[:1]), axis=1)
         s2 = np.concatenate([[0.0], np.cumsum(seg2[:-1])])
@@ -629,8 +620,11 @@ class DomainSpec:
         if closed is not None:
             return closed(s)
         b = self.boundary
-        idx = np.searchsorted(b.arclength, np.mod(s, b.total_length)) % len(b.kappa)
-        return b.kappa[idx]
+        L = b.total_length
+        # s = b.arclength + k L is rounded once when formed and once by the
+        # mod; the slack of a few ulps keeps it on its own sample
+        r = np.mod(s, L) - 4.0 * np.finfo(float).eps * (np.abs(s) + L)
+        return b.kappa[np.searchsorted(b.arclength, r) % len(b.kappa)]
 
     def arclength_of(self, pts):
         """Arclength coordinate of the boundary point nearest to pts."""

@@ -32,13 +32,12 @@ class ReferenceSolution:
 
     def field(self, grid: Grid) -> ScalarField:
         """Sample the exact solution at interior nodes and boundary feet."""
-        return ScalarField.from_callable(grid, lambda x, y: self.expr.f(x, y),
-                                         boundary=lambda x, y: self.expr.f(x, y))
+        return ScalarField.from_callable(grid, self.expr)
 
     def error(self, u: ScalarField) -> float:
         """Sup-norm error of a computed field against the exact solution."""
         pts = u.grid.interior_xy
-        return float(np.max(np.abs(u.values - self.expr.f(pts[:, 0], pts[:, 1]))))
+        return float(np.max(np.abs(u.values - self.expr(pts[:, 0], pts[:, 1]))))
 
 
 def _entries() -> Dict[str, ReferenceSolution]:

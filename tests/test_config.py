@@ -278,6 +278,14 @@ def test_syntax_error(tmp_path):
     expect_error(tmp_path, "not an ini file at all\n", "syntax error")
 
 
+def test_unknown_function_in_expression_exits_config(tmp_path, capsys):
+    from mcgraph.cli import EXIT_CONFIG, main
+    text = BASE.replace("constant = 0.4", 'expression = "foo(x)"')
+    assert main(["run", "--config", write(tmp_path, text)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "[curvature]" in err and "unknown function foo" in err
+
+
 def test_solver_defaults_without_section(tmp_path):
     scn = load_scenario(write(tmp_path, BASE))
     ref = SolveConfig()

@@ -172,6 +172,9 @@ def test_levelset_curvature_is_the_samples_kappa(make):
     d = make()
     b = d.boundary
     assert np.array_equal(d.boundary_curvature(b.arclength), b.kappa)
+    # periodic to the bit: whole turns either way land on the same samples
+    for k in (-1, 1, 2):
+        assert np.array_equal(d.boundary_curvature(b.arclength + k * b.total_length), b.kappa)
     mid = 0.5 * (b.arclength[:-1] + b.arclength[1:])
     assert np.array_equal(d.boundary_curvature(mid), b.kappa[1:])
 

@@ -21,7 +21,7 @@ def test_cap_entry_values():
     # zero trace on the unit circle, apex depth at the center
     pts_x = np.array([1.0, 0.0, 0.0])
     pts_y = np.array([0.0, 1.0, 0.0])
-    vals = cap.expr.f(pts_x, pts_y)
+    vals = cap.expr(pts_x, pts_y)
     assert vals[0] == pytest.approx(0.0, abs=1e-14)
     assert vals[1] == pytest.approx(0.0, abs=1e-14)
     assert vals[2] == pytest.approx(np.sqrt(5.25) - 2.5, rel=1e-14)
