@@ -1,0 +1,159 @@
+"""Linear-layer benchmark: the work of the sparse LU and its GMRES on the
+solves that share a grid and on single cap solves at fine spacings, each case
+in a fresh process.
+
+    python3 scripts/bench_linear.py [--checkout NAME=ROOT ...] [--repeats 3]
+                                    [--cases sweep,cap_64,...] [--out BENCH_linear.json]
+
+Each checkout's program is imported from ``ROOT/src``; without ``--checkout``
+the checkout holding this script is measured under the name ``this``.  The
+checkouts take turns, one fresh process at a time, so that a drift of the
+host's speed falls on all of them alike.  The cases are
+
+* ``sweep``: the nine caps H = 0.05, 0.10, ..., 0.45 with zero data on one
+  h = 1/32 disk grid, in that order (the perfbench ``curvature_sweep``);
+* ``cap_64``, ``cap_128``, ``cap_256``: the H = 0.4 cap on the unit disk at
+  h = 1/64, 1/128, 1/256, on a grid of its own.
+
+Per checkout and case it records the ``splu`` calls, the ``SuperLU.solve``
+calls, the solves' factorizations and Krylov iterations, the best and the
+median of the seconds spent in ``solve_dirichlet``, the process's peak RSS,
+and a sha256 of each solve's field.  The counts and the hashes must agree
+across the repeats of a checkout; ``same_fields`` says whether they agree
+across the checkouts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import resource
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CASES = {
+    "sweep": (1 / 32, tuple(0.05 * k for k in range(1, 10))),
+    "cap_64": (1 / 64, (0.4,)),
+    "cap_128": (1 / 128, (0.4,)),
+    "cap_256": (1 / 256, (0.4,)),
+}
+
+
+def _measure(root: str, case: str) -> dict:
+    sys.path.insert(0, str(Path(root) / "src"))
+    import scipy.sparse.linalg as spla
+    import mcgraph
+
+    counts = {"splu_calls": 0, "superlu_solve_calls": 0}
+    splu = spla.splu
+
+    class Counted:
+        """A SuperLU factor whose solves are counted."""
+
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            counts["superlu_solve_calls"] += 1
+            return self._lu.solve(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def counted_splu(*args, **kwargs):
+        counts["splu_calls"] += 1
+        return Counted(splu(*args, **kwargs))
+
+    spla.splu = counted_splu
+    h, curvatures = CASES[case]
+    grid = mcgraph.Grid(mcgraph.disk(1.0), h)
+    data = mcgraph.ZeroData()
+    seconds, hashes, verdicts = 0.0, [], []
+    factorizations = krylov = iterations = 0
+    for H in curvatures:
+        t0 = time.perf_counter()
+        report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H), data, n=2)
+        seconds += time.perf_counter() - t0
+        hashes.append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
+        verdicts.append(report.verdict)
+        factorizations += report.factorizations
+        krylov += report.krylov_iterations
+        iterations += report.iterations
+    return {**counts, "factorizations": factorizations, "krylov_iterations": krylov,
+            "newton_iterations": iterations, "verdicts": verdicts, "solve_s": seconds,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            "field_sha256": hashes}
+
+
+_EXACT = ("splu_calls", "superlu_solve_calls", "factorizations", "krylov_iterations",
+          "newton_iterations", "verdicts", "field_sha256")
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", action="append", metavar="NAME=ROOT",
+                    help="a checkout to measure (repeatable); default: this one")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--cases", default=",".join(CASES))
+    ap.add_argument("--out", default=str(ROOT / "BENCH_linear.json"))
+    ap.add_argument("--one", nargs=2, metavar=("ROOT", "CASE"), help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.one:
+        print(json.dumps(_measure(*args.one)))
+        return 0
+    checkouts = dict(c.split("=", 1) for c in (args.checkout or [f"this={ROOT}"]))
+    cases = args.cases.split(",")
+    results = {case: {} for case in cases}
+    for case in cases:
+        runs = {name: [] for name in checkouts}
+        for _ in range(args.repeats):
+            for name, root in checkouts.items():
+                out = subprocess.run(
+                    [sys.executable, __file__, "--one", str(Path(root).resolve()), case],
+                    check=True, capture_output=True, text=True).stdout
+                runs[name].append(json.loads(out.splitlines()[-1]))
+        for name, rows in runs.items():
+            first = rows[0]
+            if any(row[k] != first[k] for row in rows for k in _EXACT):
+                raise SystemExit(f"{case}, {name}: the repeats disagree")
+            times = [row["solve_s"] for row in rows]
+            results[case][name] = {
+                **{k: first[k] for k in _EXACT},
+                "solve_s_best": min(times), "solve_s_median": statistics.median(times),
+                "solve_s_runs": times,
+                "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows),
+            }
+            r = results[case][name]
+            print(f"{case:8} {name:8} splu {r['splu_calls']:2}, SuperLU.solve "
+                  f"{r['superlu_solve_calls']:4}, Krylov {r['krylov_iterations']:4}, "
+                  f"solve {r['solve_s_best']:.3f} s (median {r['solve_s_median']:.3f}), "
+                  f"{r['peak_rss_mb']:.1f} MB", flush=True)
+        hashes = {name: results[case][name]["field_sha256"] for name in checkouts}
+        results[case]["same_fields"] = len({json.dumps(v) for v in hashes.values()}) == 1
+    import numpy
+    import scipy
+    doc = {
+        "benchmark": "cap solves with zero data on the unit disk: nine H on one grid, "
+                     "single caps at fine h; one fresh process per case and checkout",
+        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(), "numpy": numpy.__version__,
+                    "scipy": scipy.__version__},
+        "repeats": args.repeats,
+        "checkouts": list(checkouts),
+        "cases": {case: {"h": CASES[case][0], "curvatures": list(CASES[case][1])}
+                  for case in cases},
+        "results": results,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,8 @@ from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
 from .expressions import Expr2D, compile_expr, ExpressionError
 from .grid import Grid, ScalarField, GridError, InvalidFieldError
-from .operators import (Evaluation, apply_M, apply_M_tensor, gradient,
-                        boundary_slope, coefficient_matrix, operator_agreement,
-                        DIMENSION)
+from .operators import (Evaluation, apply_M, gradient, boundary_slope,
+                        coefficient_matrix, DIMENSION)
 from .linear import (LinearSystem, assemble, correction_system,
                      solve as solve_linear, SolverError)
 from .solver import SolveConfig, SolveReport, solve_dirichlet, sup_slope
@@ -43,8 +42,7 @@ __all__ = [
     "scherk_trace",
     "Expr2D", "compile_expr", "ExpressionError",
     "Grid", "ScalarField", "GridError", "InvalidFieldError",
-    "Evaluation", "apply_M", "apply_M_tensor", "gradient", "coefficient_matrix",
-    "operator_agreement", "DIMENSION",
+    "Evaluation", "apply_M", "gradient", "coefficient_matrix", "DIMENSION",
     "LinearSystem", "assemble", "correction_system", "solve_linear", "SolverError",
     "SolveConfig", "SolveReport", "solve_dirichlet",
     "sup_slope", "boundary_slope",

@@ -92,6 +92,9 @@ class Grid:
         self._choose_cross_stencils()
         self._ops: Optional[tuple] = None
         self._pattern: Optional[StencilPattern] = None
+        # the most recent LU of a system on this grid (`linear.DissectedLU`),
+        # kept while the grid lives so that a later solve can reuse it
+        self.lu = None
 
     # -- construction --------------------------------------------------------
 

@@ -22,22 +22,32 @@ pattern (`Grid.pattern`), so the matrix action coincides exactly with the
 nodal evaluation; boundary values of a frozen system enter the right-hand
 side through the stacked foot block.
 
-Solves factor rarely (the chord idea, Kelley 1995).  A `HeldFactor` keeps the
-most recent sparse LU (`DissectedLU`).  Every LU is SuperLU's factorization
-of P A P^T in the given column order, where P is the grid's nested-dissection
-order of the interior nodes (`Grid.dissection`, George 1973): median lattice
-lines split the nodes recursively down to parts of 64, and each line comes
-after the two parts it separates.  On the stencil pattern the fill grows like
-N log N, and the factorization and its triangular solves are faster than
-with minimum degree on A^T + A (`scripts/bench_lu_ordering.py` measures
-both).  The factor's `solve` applies P on both sides.  A later system first
-runs one restart cycle of GMRES preconditioned by that LU, from the start
-x0 = LU^-1 b, and keeps the answer when its backward error is within a tenth
-of the gate.  Otherwise the stale factor is dropped and the system is
-factorized afresh.  When the factorization itself fails, the same GMRES runs
-without a preconditioner.  Every returned solution passes the backward-error gate
-|Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
-that bounds the error relative to the small step and defect, not to u.
+Solves factor rarely (the chord idea, Kelley 1995), and a grid keeps its
+most recent sparse LU (`DissectedLU`) with the matrix it factorized for as
+long as the grid lives.  Every LU is SuperLU's factorization of P A P^T in
+the given column order, where P is the grid's nested-dissection order of the
+interior nodes (`Grid.dissection`, George 1973): median lattice lines split
+the nodes recursively down to parts of 64, and each line comes after the two
+parts it separates.  On the stencil pattern the fill grows like N log N, and
+the factorization and its triangular solves are faster than with minimum
+degree on A^T + A (`scripts/bench_lu_ordering.py` measures both).  The
+factor's `solve` applies P on both sides.
+
+A system whose pattern and entries equal those of the grid's matrix is solved
+with the grid's LU, the answer a fresh factorization would give: with
+zero data the first Newton system of every solve is J(0), the same matrix for
+every H and load, so the solves of a sweep on one grid share one LU.  A
+`HeldFactor` carries the LU of one sequence of systems, a solve's.  A later
+system of the sequence first runs one restart cycle of GMRES preconditioned by
+that LU, from the start x0 = LU^-1 b, and keeps the answer when its backward
+error is within a tenth of the gate.  Otherwise the stale factor is dropped
+and the system is factorized afresh, the new LU taking the grid's place.
+When the factorization itself fails, the same GMRES runs without a
+preconditioner.  The GMRES is scipy's restarted GMRES (Saad & Schultz 1986)
+step for step, less one preconditioner solve per call.  Every returned
+solution passes the backward-error gate |Ax - b| / (|A| |x| + |b|) <= 1e-10
+in the infinity norm; in correction form that bounds the error relative to
+the small step and defect, not to u.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dlartg
 
 from .grid import STENCILS, Grid, ScalarField
 from .operators import DIMENSION, Evaluation
@@ -67,13 +78,16 @@ class SolverError(RuntimeError):
 
 
 class HeldFactor:
-    """The most recent sparse LU of a sequence of frozen systems, reused as a
-    GMRES preconditioner, and the counts of the work done for the sequence.
+    """The sparse LU of a sequence of frozen systems, reused as a GMRES
+    preconditioner, and the counts of the work done for the sequence.
 
-    The caller owns it and drops it when the sequence ends; `solve` with no
-    held factor uses a fresh one.  `fill_nnz` is the largest fill among the
-    factorizations that succeeded, 0 when none did: the entries of L and U
-    in SuperLU's supernodal storage, explicit zeros included.  (Reading
+    The caller owns it for one sequence; `solve` with no held factor uses a
+    fresh one.  Its LU is the grid's as long as the sequence does not
+    refactorize, and the grid keeps it after the sequence ends.
+    `factorizations` counts those the sequence made, not the grid LUs it
+    reused.  `fill_nnz` is the largest fill among the LUs the sequence
+    solved with, 0 when there were none: the entries of L and U in
+    SuperLU's supernodal storage, explicit zeros included.  (Reading
     SuperLU's L and U as matrices to count nnz(L) + nnz(U) would copy both
     factors and keep the copies as long as the factor.)
     """
@@ -91,9 +105,18 @@ class DissectedLU:
     to both sides.  Raises RuntimeError when SuperLU finds A singular."""
 
     def __init__(self, A: sps.spmatrix, order: np.ndarray):
+        self.matrix = A         # held, not copied: `factorized` compares against it
         self.order = order
         # through the module attribute, so that a wrapper of splu sees the call
         self.superlu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+
+    def factorized(self, A: sps.spmatrix) -> bool:
+        """Whether A has the pattern and the entries of the matrix factorized,
+        both in CSR form."""
+        M = self.matrix
+        return (A.format == M.format == "csr" and A.shape == M.shape
+                and all(np.array_equal(getattr(A, a), getattr(M, a))
+                        for a in ("indptr", "indices", "data")))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self.superlu.solve(b[self.order])
@@ -146,39 +169,43 @@ def correction_system(ev: Evaluation) -> LinearSystem:
 
 
 def solve(system: LinearSystem, held: Optional[HeldFactor] = None) -> ScalarField:
-    """Sparse solve with backward-error acceptance, reusing `held`'s LU.
+    """Sparse solve with backward-error acceptance, reusing the grid's LU
+    when it factorized this very matrix, and `held`'s LU otherwise.
 
     Raises SolverError when the system has non-finite entries or when no path
     reaches the backward-error tolerance.  `system.meta["relres"]` holds the
     backward error of the answer, also when the gate rejects it.
     """
-    A, b = system.A, system.b
+    A, b, grid = system.A, system.b, system.grid
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
         raise SolverError("assembled system has non-finite entries")
     held = HeldFactor() if held is None else held
     norm_A = spla.norm(A, np.inf)
+    lu = grid.lu if grid.lu is not None and grid.lu.factorized(A) else None
     x = None
-    if held.lu is not None:
+    if lu is None and held.lu is not None:
         x = _gmres(A, b, norm_A, held, held.lu.solve, cycles=1)
         if not _backward_error(A, b, x, norm_A) <= _REUSE_TOL:
             x = None
-    if x is None:
-        held.lu = None          # drop the stale factor first: two never share memory
+    if x is None and lu is None:
+        held.lu = grid.lu = None        # drop the stale factor first: two never share memory
         held.factorizations += 1
         try:
-            held.lu = DissectedLU(A, system.grid.dissection)
-            held.fill_nnz = max(held.fill_nnz, held.lu.superlu.nnz)
-            x = held.lu.solve(b)
-        except RuntimeError:    # SuperLU refuses an exactly singular matrix
+            lu = grid.lu = DissectedLU(A, grid.dissection)
+        except RuntimeError:            # SuperLU refuses an exactly singular matrix
             pass
-        if x is None or not np.all(np.isfinite(x)):
-            held.lu = None
-            x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
+    if x is None and lu is not None:
+        held.lu = lu
+        held.fill_nnz = max(held.fill_nnz, lu.superlu.nnz)
+        x = lu.solve(b)
+    if x is None or not np.all(np.isfinite(x)):
+        held.lu = grid.lu = None
+        x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
     relres = _backward_error(A, b, x, norm_A)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
-    return ScalarField(system.grid, x, system.feet_values.copy())
+    return ScalarField(grid, x, system.feet_values.copy())
 
 
 def _backward_error(A, b, x, norm_A) -> float:
@@ -192,16 +219,94 @@ def _gmres(A, b, norm_A, held: HeldFactor, precondition, cycles: int) -> np.ndar
     from x0 = precondition(b) or zero, for at most `cycles` restart cycles.
 
     It stops when the residual is _KRYLOV_RTOL of the backward-error
-    denominator at x0; its inner iterations are added to `held`.
+    denominator at x0; its inner iterations are added to `held`.  The steps
+    and their order are those of scipy 1.17's left-preconditioned `gmres`
+    (Saad & Schultz 1986): modified Gram-Schmidt, LAPACK `lartg` Givens
+    rotations, and the inner tolerance control of scipy gh-8400, so the
+    answer and the count are scipy's to the bit.  Unlike scipy it takes |M b|
+    from x0 = M b instead of solving again, and applies A and the
+    preconditioner without operator wrappers: k inner iterations of one cycle
+    cost k + 2 preconditioner solves.
     """
-    x0 = precondition(b) if precondition is not None else np.zeros_like(b)
-    atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x0, np.inf) + np.linalg.norm(b, np.inf))
-    M = (spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
-         if precondition is not None else None)
-
-    def count(_):
-        held.krylov_iterations += 1
-
-    x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART,
-                      maxiter=cycles, M=M, callback=count, callback_type="pr_norm")
+    if precondition is None:
+        precondition, x = _unchanged, np.zeros_like(b)
+        Mb_norm = np.linalg.norm(b)
+    else:
+        x = precondition(b)
+        Mb_norm = np.linalg.norm(x)
+    atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
+    b_norm = np.linalg.norm(b)
+    if b_norm == 0:
+        return b.copy()
+    eps = np.finfo(float).eps
+    restart = min(_RESTART, len(b))
+    # the inner loop's aim at the preconditioned residual (gh-8400)
+    ptol_factor = 1.0
+    ptol = Mb_norm * min(ptol_factor, atol / b_norm)
+    presid = 0.0
+    v = np.empty((restart + 1, len(b)))
+    h = np.zeros((restart, restart + 1))     # the Hessenberg matrix, transposed
+    givens = np.zeros((restart, 2))
+    r = b - A @ x if x.any() else b.copy()
+    if np.linalg.norm(r) < atol:
+        return x
+    for _ in range(cycles):
+        v[0] = precondition(r)
+        tmp = np.linalg.norm(v[0])
+        v[0] *= 1 / tmp
+        S = np.zeros(restart + 1)
+        S[0] = tmp
+        breakdown = False
+        for col in range(restart):
+            w = precondition(A @ v[col])
+            h0 = np.linalg.norm(w)
+            for k in range(col + 1):
+                tmp = np.dot(v[k], w)
+                h[col, k] = tmp
+                w -= tmp * v[k]
+            h1 = np.linalg.norm(w)
+            h[col, col + 1] = h1
+            v[col + 1] = w
+            if h1 <= eps * h0:       # the Krylov space holds the exact answer
+                h[col, col + 1] = 0
+                breakdown = True
+            else:
+                v[col + 1] *= 1 / h1
+            for k in range(col):
+                c, s = givens[k]
+                n0, n1 = h[col, k], h[col, k + 1]
+                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+            c, s, mag = dlartg(h[col, col], h[col, col + 1])
+            givens[col] = c, s
+            h[col, col], h[col, col + 1] = mag, 0
+            tmp = -s * S[col]
+            S[col], S[col + 1] = c * S[col], tmp
+            presid = np.abs(tmp)
+            held.krylov_iterations += 1
+            if presid <= ptol or breakdown:
+                break
+        # back substitution in the triangular h, a zero pivot dropped
+        if h[col, col] == 0:
+            S[col] = 0
+        y = S[:col + 1].copy()
+        for k in range(col, 0, -1):
+            if y[k] != 0:
+                y[k] /= h[k, k]
+                y[:k] -= y[k] * h[k, :k]
+        if y[0] != 0:
+            y[0] /= h[0, 0]
+        x += y @ v[:col + 1]
+        r = b - A @ x
+        r_norm = np.linalg.norm(r)
+        if r_norm <= atol or breakdown:
+            break
+        if presid <= ptol:           # the inner aim was met but not the outer one
+            ptol_factor = max(eps, 0.25 * ptol_factor)
+        else:
+            ptol_factor = min(1.0, 1.5 * ptol_factor)
+        ptol = presid * min(ptol_factor, atol / r_norm)
     return x
+
+
+def _unchanged(r: np.ndarray) -> np.ndarray:
+    return r

@@ -5,10 +5,7 @@ quasilinear operator is
 
     M u = (W^2 - u_x^2) u_xx - 2 u_x u_y u_xy + (W^2 - u_y^2) u_yy,
 
-equal to W^3 div(p / W).  Two algebraically equivalent evaluations are
-provided: the coefficient form above and the expanded form
-W^2 (u_xx + u_yy) - <Hess(u) p, p>.  They agree to rounding and the pair is
-kept as a cross-check on the tensor algebra.
+equal to W^3 div(p / W).
 
 The defect against a prescribed curvature field H at load factor tau is
 
@@ -22,7 +19,6 @@ mat-vec pair and holds the slopes p, W, the second differences, the
 coefficients of M, M u and Q u, with the (core, collar) sup norms of Q u.
 The solver, the Newton assembly, the reference self-test and the
 comparison principle all read from it.  Around it sit `apply_M` (M u alone),
-`apply_M_tensor` with `operator_agreement` (the expanded-form cross-check),
 `gradient` (the slopes alone), `foot_slopes` with `boundary_slope` (the
 one-sided slopes on the boundary links) and `coefficient_matrix` (A(p) with
 its eigenvalues).
@@ -125,15 +121,3 @@ class Evaluation:
 def apply_M(u: ScalarField) -> np.ndarray:
     """Coefficient-form evaluation of M u at interior nodes."""
     return Evaluation(u, _FLAT).m
-
-
-def apply_M_tensor(u: ScalarField) -> np.ndarray:
-    """Expanded-form evaluation W^2 tr(Hess) - <Hess p, p>; cross-check of apply_M."""
-    uxx, uyy, uxy, ux, uy = _stencils(u)
-    w2 = 1.0 + ux**2 + uy**2
-    return w2 * (uxx + uyy) - (uxx * ux * ux + 2.0 * uxy * ux * uy + uyy * uy * uy)
-
-
-def operator_agreement(u: ScalarField) -> float:
-    """Sup difference between the two M evaluations (rounding-level for valid fields)."""
-    return float(np.max(np.abs(apply_M(u) - apply_M_tensor(u))))

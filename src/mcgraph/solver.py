@@ -28,8 +28,10 @@ defect norms, the slope guard and the next Jacobian read from it.
 
 A solve holds one sparse LU across all its stages and iterates: each Newton
 system goes to GMRES preconditioned with it, and is factorized afresh only
-when that stalls (see `linear`).  The factor is released when the solve
-ends; the report keeps only the counts and the largest LU fill.
+when that stalls (see `linear`).  The grid keeps the last LU after the solve
+ends, and the next solve on the grid starts from it when its first system
+is the very matrix that LU factorized, as J(0) is for every zero-data solve;
+the report keeps the counts and the largest LU fill.
 
 A solve only solves: checking its answer against the a priori estimates is
 a separate step, taken once per run by the caller.
@@ -63,7 +65,6 @@ class SolveConfig:
     tau_schedule: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     grad_max: float = 1e4
     stagnation_window: int = 20
-    keep_stage_fields: bool = False
 
     def residual_tolerance(self, H, n: int, domain) -> float:
         if self.tol_residual is not None:
@@ -98,10 +99,10 @@ class SolveReport:
     iterations: int = 0
     wall_time: float = 0.0
     message: str = ""
-    stage_fields: list = field(default_factory=list)
-    factorizations: int = 0          # sparse LU factorizations of the solve
+    factorizations: int = 0          # sparse LU factorizations the solve made
     krylov_iterations: int = 0       # GMRES inner iterations of the solve
-    fill_nnz: int = 0                # largest LU fill (stored entries of L and U), 0 if none
+    fill_nnz: int = 0                # fill of the largest LU the solve used (stored
+                                     # entries of L and U), 0 if none
 
     @property
     def converged(self) -> bool:
@@ -153,7 +154,6 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     report.factorizations = held.factorizations
     report.krylov_iterations = held.krylov_iterations
     report.fill_nnz = held.fill_nnz
-    held.lu = None
     _finalize(report, verdict, message, ev, t0)
     return report
 
@@ -226,8 +226,6 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
         report.stages.append(StageSummary(tau, it, res_core, res_collar,
                                           last_update, sup_slope(u, ev.p), damping,
                                           stage_verdict))
-        if cfg.keep_stage_fields:
-            report.stage_fields.append((tau, u.copy()))
         if stage_verdict != VERDICT_CONVERGED:
             return (stage_verdict,
                     f"stage tau={tau:g} ended {stage_verdict} after "

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ScalarField, SolverError, ZeroData, adversarial_boundary_data,
@@ -10,11 +11,17 @@ from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
-from mcgraph.linear import DissectedLU, HeldFactor, LinearSystem
+from mcgraph.linear import (_FALLBACK_CYCLES, _KRYLOV_RTOL, _RESTART, DissectedLU,
+                            HeldFactor, LinearSystem, _gmres)
 
 
 @pytest.fixture(scope="module")
 def g32():
+    return Grid(disk(radius=1.0), 1.0 / 32.0)
+
+
+def _unsolved_g32():
+    # a grid of its own: a shared grid keeps the LU of the last system solved on it
     return Grid(disk(radius=1.0), 1.0 / 32.0)
 
 
@@ -145,7 +152,8 @@ def _tilted(grid, sx, sy):
     return ScalarField.from_callable(grid, lambda x, y: sx * x + sy * y)
 
 
-def test_held_factor_reused_on_nearby_system(g32):
+def test_held_factor_reused_on_nearby_system():
+    g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
     held = HeldFactor()
     solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
@@ -160,9 +168,10 @@ def test_held_factor_reused_on_nearby_system(g32):
     assert np.max(np.abs(u.values - fresh.values)) < 1e-10
 
 
-def test_stale_factor_on_steep_system_refactorizes(g32):
+def test_stale_factor_on_steep_system_refactorizes():
     # the zero state's factor is a poor preconditioner for a bowl of rim
     # slope 4, so one GMRES cycle stalls and the system is factorized afresh
+    g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
     held = HeldFactor()
     solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
@@ -177,7 +186,8 @@ def test_stale_factor_on_steep_system_refactorizes(g32):
     assert np.array_equal(u.values, fresh.values)
 
 
-def test_nonfinite_system_raises_with_held_factor(g32):
+def test_nonfinite_system_raises_with_held_factor():
+    g32 = _unsolved_g32()
     held = HeldFactor()
     zero = _zero_state(g32)
     solve_linear(assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(),
@@ -205,6 +215,69 @@ def test_failed_factorization_falls_back_to_gmres(g32):
     assert held.krylov_iterations > 0
     assert system.meta["relres"] <= 1e-10
     assert np.allclose(u.values * diag, b, rtol=0, atol=1e-12)
+
+
+class _CountedSolves:
+    """An LU's solve that counts its calls."""
+
+    def __init__(self, lu):
+        self.lu, self.calls = lu, 0
+
+    def __call__(self, b):
+        self.calls += 1
+        return self.lu.solve(b)
+
+
+def _scipy_gmres(A, b, norm_A, precondition, cycles):
+    """scipy's GMRES from the start, aim, restart and preconditioner of `_gmres`:
+    the answer and the inner-iteration count."""
+    x0 = precondition(b) if precondition is not None else np.zeros_like(b)
+    atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x0, np.inf) + np.linalg.norm(b, np.inf))
+    M = (spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
+         if precondition is not None else None)
+    count = []
+    x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART, maxiter=cycles,
+                      M=M, callback=count.append, callback_type="pr_norm")
+    return x, len(count)
+
+
+@pytest.mark.parametrize("slope, cycles", [(0.3, 1), (2.0, 3)])
+def test_gmres_is_scipys_with_one_solve_less(slope, cycles):
+    # the J(0) LU preconditions the Jacobian at a tilted bowl: the gentle one
+    # converges in the one cycle the solve allows, the steep one restarts
+    grid = _unsolved_g32()
+    H = PrescribedCurvature.constant(0.4)
+    lu = DissectedLU(correction_system(Evaluation(_zero_state(grid), H, 2, 0.25)).A,
+                     grid.dissection)
+    state = ScalarField.from_callable(grid, lambda x, y: slope * (x**2 + y**2) + 0.1 * x)
+    system = correction_system(Evaluation(state, H, 2, 1.0))
+    A, b = system.A, system.b
+    norm_A = spla.norm(A, np.inf)
+    ours, theirs, held = _CountedSolves(lu), _CountedSolves(lu), HeldFactor()
+    x = _gmres(A, b, norm_A, held, ours, cycles=cycles)
+    x_ref, iterations = _scipy_gmres(A, b, norm_A, theirs, cycles)
+    assert x.tobytes() == x_ref.tobytes()
+    assert held.krylov_iterations == iterations > 0
+    if cycles == 1:
+        assert ours.calls == iterations + 2 and theirs.calls == iterations + 3
+    else:
+        assert iterations > _RESTART
+
+
+def test_unpreconditioned_gmres_is_scipys(g32):
+    # the singular diagonal system of the factorization fallback
+    n = g32.n_interior
+    diag = np.resize([1.0, 2.0, 4.0], n)
+    diag[7] = 0.0
+    b = np.ones(n)
+    b[7] = 0.0
+    A = sps.diags(diag).tocsr()
+    norm_A = spla.norm(A, np.inf)
+    held = HeldFactor()
+    x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
+    x_ref, iterations = _scipy_gmres(A, b, norm_A, None, _FALLBACK_CYCLES)
+    assert x.tobytes() == x_ref.tobytes()
+    assert held.krylov_iterations == iterations > 0
 
 
 # -- Newton corrections -------------------------------------------------------
@@ -309,7 +382,8 @@ def test_dissected_lu_solves_systems_off_the_stencil(g32):
     assert np.array_equal(x, b / diag)
 
 
-def test_held_factor_records_largest_fill(g32):
+def test_held_factor_records_largest_fill():
+    g32 = _unsolved_g32()
     held = HeldFactor()
     system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
                       n=2, tau=1.0)

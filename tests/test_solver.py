@@ -190,20 +190,16 @@ def test_negative_curvature_flips_sign(cap_grid32):
     assert np.max(np.abs(r_neg.field.values + r_pos.field.values)) < 1e-7
 
 
-def test_keep_stage_fields(cap_grid32, cap_H):
-    cfg = SolveConfig(keep_stage_fields=True)
-    report = solve_dirichlet(cap_grid32, cap_H, ZeroData(), config=cfg)
-    assert [tau for tau, _ in report.stage_fields] == [0.25, 0.5, 0.75, 1.0]
-    assert all(isinstance(f, ScalarField) for _, f in report.stage_fields)
-
-
 def test_continuation_monotone_in_tau(cap_grid32, cap_H):
     # for H >= 0 and zero data, a larger load stage pushes the graph down,
-    # so the stage solutions decrease pointwise along the schedule
-    cfg = SolveConfig(keep_stage_fields=True)
-    report = solve_dirichlet(cap_grid32, cap_H, ZeroData(), config=cfg)
-    assert report.converged
-    fields = [f for _, f in report.stage_fields]
+    # so the stage solutions decrease pointwise along the schedule; each is
+    # the answer of a solve whose schedule ends at that stage
+    schedule = SolveConfig().tau_schedule
+    reports = [solve_dirichlet(cap_grid32, cap_H, ZeroData(),
+                               config=SolveConfig(tau_schedule=schedule[:k]))
+               for k in range(1, len(schedule) + 1)]
+    assert all(r.converged for r in reports)
+    fields = [r.field for r in reports]
     for coarse, fine in zip(fields, fields[1:]):
         assert np.max(fine.values - coarse.values) <= 1e-9
 
@@ -247,6 +243,50 @@ def test_factor_reuse_keeps_bump_pair(monkeypatch):
     for r, f in zip(reused, fresh):
         _assert_same_solve(r, f)
         assert r.factorizations < r.iterations
+
+
+@pytest.fixture(scope="module")
+def caps_on_one_grid():
+    # two zero-data caps on one grid, and the second again on a grid of its own
+    dom = disk(radius=1.0)
+    grid = Grid(dom, 1.0 / 32.0)
+    first = solve_dirichlet(grid, PrescribedCurvature.constant(0.4), ZeroData())
+    second = solve_dirichlet(grid, PrescribedCurvature.constant(0.15), ZeroData())
+    alone = solve_dirichlet(Grid(dom, 1.0 / 32.0), PrescribedCurvature.constant(0.15),
+                            ZeroData())
+    return grid, first, second, alone
+
+
+def test_second_zero_data_solve_makes_no_factorization(caps_on_one_grid):
+    # with zero data the first Jacobian is J(0) whatever H is: the grid's LU
+    # of the first solve's J(0) serves the second solve
+    _, first, second, alone = caps_on_one_grid
+    assert (first.factorizations, second.factorizations, alone.factorizations) == (1, 0, 1)
+    assert second.converged and second.krylov_iterations > 0
+
+
+def test_reused_lu_fill_reported(caps_on_one_grid):
+    grid, first, second, alone = caps_on_one_grid
+    assert second.fill_nnz == grid.lu.superlu.nnz == first.fill_nnz == alone.fill_nnz > 0
+    assert second.summary_dict()["fill_nnz"] == second.fill_nnz
+
+
+def test_reused_lu_gives_the_fresh_grids_field(caps_on_one_grid):
+    _, _, second, alone = caps_on_one_grid
+    assert second.field.values.tobytes() == alone.field.values.tobytes()
+    assert (second.iterations, second.krylov_iterations) == (alone.iterations,
+                                                             alone.krylov_iterations)
+
+
+def test_second_bump_leg_on_one_grid_factorizes():
+    # J(0) carries the load term's slope derivative, which is zero at u = 0
+    # only for zero data: on steep bump data each H has its own first Jacobian
+    dom = disk(radius=1.0)
+    grid = Grid(dom, 1.0 / 24.0)
+    data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
+    legs = [solve_dirichlet(grid, PrescribedCurvature.constant(H), data, n=2)
+            for H in (0.55, 0.45)]
+    assert [leg.factorizations for leg in legs] == [1, 1]
 
 
 def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
