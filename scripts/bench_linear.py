@@ -3,7 +3,7 @@ solves that share a grid and on single cap solves at fine spacings, each case
 in a fresh process.
 
     python3 scripts/bench_linear.py [--checkout NAME=ROOT ...] [--repeats 3]
-                                    [--cases sweep,cap_64,...] [--out BENCH_linear.json]
+                                    [--cases sweep,bump_legs,...] [--out BENCH_linear.json]
 
 Each checkout's program is imported from ``ROOT/src``; without ``--checkout``
 the checkout holding this script is measured under the name ``this``.  The
@@ -12,6 +12,10 @@ host's speed falls on all of them alike.  The cases are
 
 * ``sweep``: the nine caps H = 0.05, 0.10, ..., 0.45 with zero data on one
   h = 1/32 disk grid, in that order (the perfbench ``curvature_sweep``);
+* ``bump_legs``: the two A8 legs, H = 0.55 and then H = 0.45, with the A8
+  bump data (y0 = (1, 0), width 0.1, height 0.05) on one h = 1/24 and one
+  h = 1/48 grid, each leg solving on both grids in turn (the perfbench
+  ``nonexistence_pair``);
 * ``cap_64``, ``cap_128``, ``cap_256``: the H = 0.4 cap on the unit disk at
   h = 1/64, 1/128, 1/256, on a grid of its own.
 
@@ -19,8 +23,10 @@ Per checkout and case it records the ``splu`` calls, the ``SuperLU.solve``
 calls, the solves' factorizations and Krylov iterations, the best and the
 median of the seconds spent in ``solve_dirichlet``, the process's peak RSS,
 and a sha256 of each solve's field.  The counts and the hashes must agree
-across the repeats of a checkout; ``same_fields`` says whether they agree
-across the checkouts.
+across the repeats of a checkout.  ``same_fields`` says whether the hashes
+agree across the checkouts; for ``bump_legs``, whose second leg may start
+from another LU, ``max_field_difference`` records instead the largest
+difference of a solve's field from the first checkout's.
 """
 
 from __future__ import annotations
@@ -37,12 +43,17 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
+# name: (spacings, curvatures, bump data); every curvature solves on every
+# spacing's grid in turn, with zero data or the A8 bump
 CASES = {
-    "sweep": (1 / 32, tuple(0.05 * k for k in range(1, 10))),
-    "cap_64": (1 / 64, (0.4,)),
-    "cap_128": (1 / 128, (0.4,)),
-    "cap_256": (1 / 256, (0.4,)),
+    "sweep": ((1 / 32,), tuple(0.05 * k for k in range(1, 10)), False),
+    "bump_legs": ((1 / 24, 1 / 48), (0.55, 0.45), True),
+    "cap_64": ((1 / 64,), (0.4,), False),
+    "cap_128": ((1 / 128,), (0.4,), False),
+    "cap_256": ((1 / 256,), (0.4,), False),
 }
 
 
@@ -72,24 +83,30 @@ def _measure(root: str, case: str) -> dict:
         return Counted(splu(*args, **kwargs))
 
     spla.splu = counted_splu
-    h, curvatures = CASES[case]
-    grid = mcgraph.Grid(mcgraph.disk(1.0), h)
-    data = mcgraph.ZeroData()
-    seconds, hashes, verdicts = 0.0, [], []
+    spacings, curvatures, bump = CASES[case]
+    domain = mcgraph.disk(1.0)
+    grids = [mcgraph.Grid(domain, h) for h in spacings]
+    data = (mcgraph.adversarial_boundary_data(domain, (1.0, 0.0), 0.10, 0.05) if bump
+            else mcgraph.ZeroData())
+    seconds, hashes, verdicts, fields = 0.0, [], [], []
     factorizations = krylov = iterations = 0
     for H in curvatures:
-        t0 = time.perf_counter()
-        report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H), data, n=2)
-        seconds += time.perf_counter() - t0
-        hashes.append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
-        verdicts.append(report.verdict)
-        factorizations += report.factorizations
-        krylov += report.krylov_iterations
-        iterations += report.iterations
+        for grid in grids:
+            t0 = time.perf_counter()
+            report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H),
+                                             data, n=2)
+            seconds += time.perf_counter() - t0
+            hashes.append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
+            verdicts.append(report.verdict)
+            factorizations += report.factorizations
+            krylov += report.krylov_iterations
+            iterations += report.iterations
+            if bump:
+                fields.append(report.field.values.tolist())
     return {**counts, "factorizations": factorizations, "krylov_iterations": krylov,
             "newton_iterations": iterations, "verdicts": verdicts, "solve_s": seconds,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
-            "field_sha256": hashes}
+            "field_sha256": hashes, "fields": fields}
 
 
 _EXACT = ("splu_calls", "superlu_solve_calls", "factorizations", "krylov_iterations",
@@ -135,19 +152,26 @@ def main(argv=None) -> int:
                   f"{r['superlu_solve_calls']:4}, Krylov {r['krylov_iterations']:4}, "
                   f"solve {r['solve_s_best']:.3f} s (median {r['solve_s_median']:.3f}), "
                   f"{r['peak_rss_mb']:.1f} MB", flush=True)
-        hashes = {name: results[case][name]["field_sha256"] for name in checkouts}
-        results[case]["same_fields"] = len({json.dumps(v) for v in hashes.values()}) == 1
-    import numpy
+        if CASES[case][2]:
+            first = [np.array(f) for f in runs[next(iter(checkouts))][0]["fields"]]
+            results[case]["max_field_difference"] = max(
+                float(np.max(np.abs(np.array(f) - f0), initial=0.0))
+                for rows in runs.values() for f, f0 in zip(rows[0]["fields"], first))
+        else:
+            hashes = {name: results[case][name]["field_sha256"] for name in checkouts}
+            results[case]["same_fields"] = len({json.dumps(v) for v in hashes.values()}) == 1
     import scipy
     doc = {
-        "benchmark": "cap solves with zero data on the unit disk: nine H on one grid, "
-                     "single caps at fine h; one fresh process per case and checkout",
+        "benchmark": "solves on the unit disk: nine zero-data caps on one grid, the two "
+                     "A8 bump legs on shared grids, single caps at fine h; one fresh "
+                     "process per case and checkout",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": numpy.__version__,
+                    "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
         "repeats": args.repeats,
         "checkouts": list(checkouts),
-        "cases": {case: {"h": CASES[case][0], "curvatures": list(CASES[case][1])}
+        "cases": {case: {"h": list(CASES[case][0]), "curvatures": list(CASES[case][1]),
+                         "data": "A8 bump" if CASES[case][2] else "zero"}
                   for case in cases},
         "results": results,
     }

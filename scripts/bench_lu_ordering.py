@@ -13,7 +13,7 @@ the spacing with that ordering:
   at h = 1/256);
 * ``peak_rss_mb``: the process's peak resident set up to here;
 
-and then measures on the cap's first Jacobian (the held LU of every cap
+and then measures on the cap's first Jacobian (the one LU of every cap
 solve):
 
 * ``factor_s``: building the factor (for the dissection order: permuting the

@@ -13,8 +13,8 @@ quasilinear operator values come from the closed transformation formula, not
 from discrete differentiation, so barrier sign checks are exact up to profile
 rounding and independent of the grid stencils they certify.
 
-All geometric Laplacians (distance to the boundary, to a point, to a circle)
-are planar; the integer n entering the estimate formulas is the dimension
+All geometric Laplacians (of the distance to the boundary and, in the
+certificate, to the tangent circle) are planar; the integer n entering the estimate formulas is the dimension
 parameter of the equation and is carried symbolically.  Acceptance scenarios
 use n = 2 where both coincide.
 """
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.special import erfi as _erfi
 
 from .geometry import DomainSpec, SerrinAudit, check_serrin, check_gradient_condition
 from .grid import Grid, ScalarField
@@ -161,63 +160,24 @@ class LogProfile:
 
 
 class SqrtProfile:
-    """phi(t) = sqrt(2/nu)((a - e)^(1/2) - (t - e)^(1/2)) on (e, a].
+    """phi(t) = sqrt(2/nu)(a^(1/2) - t^(1/2)) on (0, a].
 
     The first barrier of the non-existence argument: nu phi'^3 + phi'' = 0,
-    phi(a) = 0, phi' -> -inf at t -> e+.
+    phi(a) = 0, phi' -> -inf at t -> 0+.
     """
 
-    def __init__(self, nu: float, a: float, eps_prime: float = 0.0):
-        if not 0.0 <= eps_prime < a:
-            raise ValueError("need 0 <= eps_prime < a")
+    def __init__(self, nu: float, a: float):
         self.nu = float(nu)
         self.a = float(a)
-        self.eps_prime = float(eps_prime)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        root = math.sqrt(2.0 / self.nu)
-        return root * (math.sqrt(self.a - self.eps_prime) - np.sqrt(t - self.eps_prime))
+        return math.sqrt(2.0 / self.nu) * (math.sqrt(self.a) - np.sqrt(np.asarray(t, dtype=float)))
 
     def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        return -0.5 * math.sqrt(2.0 / self.nu) / np.sqrt(t - self.eps_prime)
+        return -0.5 * math.sqrt(2.0 / self.nu) / np.sqrt(np.asarray(t, dtype=float))
 
     def d2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.25 * math.sqrt(2.0 / self.nu) * (t - self.eps_prime) ** -1.5
-
-
-class LogIntegralProfile:
-    """psi(t) = sqrt(2/(n-1)) int_t^delta (log(r/a))^(-1/2) dr on (a, delta].
-
-    The second barrier of the non-existence argument, in closed form through
-    the imaginary error function: the substitution r = a e^(s^2) gives
-    int = a sqrt(pi) (erfi(sqrt(log(delta/a))) - erfi(sqrt(log(t/a)))).
-    Satisfies psi'' = -((n-1)/(4t)) psi'^3, psi(delta) = 0, psi' -> -inf at a.
-    """
-
-    def __init__(self, a: float, delta: float, n: int = 2):
-        if not 0.0 < a < delta:
-            raise ValueError("need 0 < a < delta")
-        self.a = float(a)
-        self.delta = float(delta)
-        self.n = int(n)
-        self._pref = math.sqrt(2.0 / (self.n - 1))
-        self._top = float(_erfi(math.sqrt(math.log(self.delta / self.a))))
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        arg = np.sqrt(np.log(t / self.a))
-        return self._pref * self.a * math.sqrt(math.pi) * (self._top - _erfi(arg))
-
-    def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        return -self._pref / np.sqrt(np.log(t / self.a))
-
-    def d2(self, t):
-        t = np.asarray(t, dtype=float)
-        return 0.5 * self._pref * np.log(t / self.a) ** -1.5 / t
+        return 0.25 * math.sqrt(2.0 / self.nu) * np.asarray(t, dtype=float) ** -1.5
 
 
 class NegatedProfile:
@@ -293,70 +253,6 @@ class BoundaryDistance:
         return -kt[:, None, None] * t[:, :, None] * t[:, None, :]
 
 
-class RadialDistance:
-    """rho(x) = |x - y0|: grad = e, Hess = (I - e e^T)/rho, Lap = 1/rho."""
-
-    def __init__(self, y0, t_min: float = 1e-9, t_max: float = np.inf):
-        self.y0 = np.asarray(y0, dtype=float)
-        self.t_min = float(t_min)
-        self.t_max = float(t_max)
-
-    def rho(self, pts):
-        return np.linalg.norm(np.asarray(pts, dtype=float) - self.y0, axis=-1)
-
-    def valid(self, pts):
-        r = self.rho(pts)
-        return (r > self.t_min) & (r < self.t_max)
-
-    def grad(self, pts):
-        v = np.asarray(pts, dtype=float) - self.y0
-        return v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
-
-    def laplacian(self, pts):
-        return (_GEOM_DIM - 1) / np.maximum(self.rho(pts), 1e-300)
-
-    def hess(self, pts):
-        e = self.grad(pts)
-        r = np.maximum(self.rho(pts), 1e-300)
-        eye = np.eye(2)[None, :, :]
-        return (eye - e[:, :, None] * e[:, None, :]) / r[:, None, None]
-
-
-class CircleDistance:
-    """d(x) = R - |x - z|: signed distance into a circle of radius R at z.
-
-    Valid on the inside strip 0 < d < strip; grad d points at the center,
-    Lap d = -1/|x - z|, matching the parallel circles of shrinking radius.
-    """
-
-    def __init__(self, center, radius: float, strip: Optional[float] = None):
-        self.center = np.asarray(center, dtype=float)
-        self.radius = float(radius)
-        self.strip = float(strip) if strip is not None else self.radius
-
-    def rho(self, pts):
-        return self.radius - np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
-
-    def valid(self, pts):
-        d = self.rho(pts)
-        return (d > 0.0) & (d < self.strip * (1.0 - 1e-12))
-
-    def grad(self, pts):
-        v = np.asarray(pts, dtype=float) - self.center
-        return -v / np.maximum(np.linalg.norm(v, axis=-1, keepdims=True), 1e-300)
-
-    def laplacian(self, pts):
-        r = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
-        return -(_GEOM_DIM - 1) / np.maximum(r, 1e-300)
-
-    def hess(self, pts):
-        v = np.asarray(pts, dtype=float) - self.center
-        r = np.maximum(np.linalg.norm(v, axis=-1), 1e-300)
-        e = v / r[:, None]
-        eye = np.eye(2)[None, :, :]
-        return -(eye - e[:, :, None] * e[:, None, :]) / r[:, None, None]
-
-
 # ---------------------------------------------------------------------------
 # transformation formula
 
@@ -382,16 +278,16 @@ class TransformedField:
         return out
 
 
-def transform_radial(profile, phi, domain: DomainSpec, grid: Grid,
-                     distance=None) -> TransformedField:
+def transform_radial(profile, phi, grid: Grid, distance=None) -> TransformedField:
     """Closed-form M w for w = profile(rho) + phi at the grid's interior nodes.
 
     phi is a constant or an object with analytic derivatives (grad/hess like a
-    compiled expression); distance defaults to the boundary-distance model.
+    compiled expression); distance defaults to the boundary-distance model of
+    the grid's domain.
     Nodes outside the model's validity region are excluded and counted; the
     model is evaluated only at the valid nodes.
     """
-    dist = distance if distance is not None else BoundaryDistance(domain)
+    dist = distance if distance is not None else BoundaryDistance(grid.domain)
     valid = dist.valid(grid.interior_xy)
     pts = grid.interior_xy[valid]
     t = dist.rho(pts)
@@ -488,7 +384,7 @@ def height_barrier(domain: DomainSpec, H, grid: Grid, data=None,
     mu, delta = audit0.params["mu"], audit0.params["delta"]
     sup_phi = audit0.params["sup_phi"]
     profile = HeightProfile(mu, delta)
-    tf = transform_radial(profile, sup_phi, domain, grid)
+    tf = transform_radial(profile, sup_phi, grid)
     q = tf.q_values(H, n=n, tau=1.0)
     vals = q[tf.valid]
     worst = float(np.max(vals)) if len(vals) else -np.inf
@@ -614,8 +510,8 @@ def barrier_pair_checks(pkg: GradientPackage, u: ScalarField, H, data,
     if getattr(phi, "text", None) == "0":
         phi = 0.0
     dist = BoundaryDistance(domain)
-    up = transform_radial(pkg.psi, phi, domain, grid, distance=dist)
-    dn = transform_radial(NegatedProfile(pkg.psi), phi, domain, grid, distance=dist)
+    up = transform_radial(pkg.psi, phi, grid, distance=dist)
+    dn = transform_radial(NegatedProfile(pkg.psi), phi, grid, distance=dist)
     d = domain.signed_distance(grid.interior_xy)
     strip = up.valid & (d < a)
     n_strip = int(strip.sum())

@@ -75,6 +75,8 @@ def _say(quiet: bool, *parts) -> None:
 def _load(config_path: str, grid_h, out_override):
     scenario = load_scenario(config_path)
     if grid_h is not None:
+        if not grid_h > 0:
+            raise ConfigError(f"--grid-h must be positive, got {grid_h!r}")
         scenario.spacings = (float(grid_h),)
     if out_override is not None:
         scenario.outdir = out_override

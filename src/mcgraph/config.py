@@ -272,9 +272,14 @@ def _build_solver(raw: _Raw, sec: Optional[dict]) -> SolveConfig:
                 raw.fail("solver", key, "stages must increase to exactly 1.0")
             kw["tau_schedule"] = stages
         elif key in ("max_iters", "stagnation_window"):
-            kw[key] = int(_number(raw, "solver", key, val))
+            count = _number(raw, "solver", key, val)
+            if not (count >= 1 and count.is_integer()):
+                raw.fail("solver", key, f"expected a positive integer, got {val!r}")
+            kw[key] = int(count)
         else:
             kw[key] = _number(raw, "solver", key, val)
+            if not kw[key] > 0:     # NaN fails too
+                raw.fail("solver", key, f"expected a positive number, got {val!r}")
     return SolveConfig(**kw)
 
 

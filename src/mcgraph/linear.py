@@ -1,5 +1,5 @@
 """Linear subproblems of the continuation solve: frozen systems and Newton
-corrections on a held LU.
+corrections on the grid's LU.
 
 Linearizing about a slope field v freezes the coefficients of the quasilinear
 operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the frozen system is
@@ -22,32 +22,34 @@ pattern (`Grid.pattern`), so the matrix action coincides exactly with the
 nodal evaluation; boundary values of a frozen system enter the right-hand
 side through the stacked foot block.
 
-Solves factor rarely (the chord idea, Kelley 1995), and a grid keeps its
-most recent sparse LU (`DissectedLU`) with the matrix it factorized for as
-long as the grid lives.  Every LU is SuperLU's factorization of P A P^T in
-the given column order, where P is the grid's nested-dissection order of the
-interior nodes (`Grid.dissection`, George 1973): median lattice lines split
-the nodes recursively down to parts of 64, and each line comes after the two
-parts it separates.  On the stencil pattern the fill grows like N log N, and
-the factorization and its triangular solves are faster than with minimum
-degree on A^T + A (`scripts/bench_lu_ordering.py` measures both).  The
-factor's `solve` applies P on both sides.
+A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
+it, for as long as the grid lives, and every system solved on the grid
+follows one rule (the chord idea, Kelley 1995).  When the grid holds an LU,
+one restart cycle of GMRES preconditioned by it runs from the start
+x0 = LU^-1 b, and its answer is kept when its backward error is within a
+tenth of the gate.  Otherwise the grid's LU is dropped and the system is
+factorized afresh and solved directly, the new LU taking the grid's place;
+when the factorization itself fails, the same GMRES runs without a
+preconditioner.  On the matrix the LU factorized, the residual at x0 is
+rounding, below the GMRES aim, so GMRES stops there before its first
+iteration and the answer is the direct solve's: with zero data the
+first Newton system of every solve is J(0), the same matrix for every H, and
+the solves of a sweep on one grid share one LU.  The GMRES is scipy's
+restarted GMRES (Saad & Schultz 1986) step for step, less one
+preconditioner solve per call.
 
-A system whose pattern and entries equal those of the grid's matrix is solved
-with the grid's LU, the answer a fresh factorization would give: with
-zero data the first Newton system of every solve is J(0), the same matrix for
-every H and load, so the solves of a sweep on one grid share one LU.  A
-`HeldFactor` carries the LU of one sequence of systems, a solve's.  A later
-system of the sequence first runs one restart cycle of GMRES preconditioned by
-that LU, from the start x0 = LU^-1 b, and keeps the answer when its backward
-error is within a tenth of the gate.  Otherwise the stale factor is dropped
-and the system is factorized afresh, the new LU taking the grid's place.
-When the factorization itself fails, the same GMRES runs without a
-preconditioner.  The GMRES is scipy's restarted GMRES (Saad & Schultz 1986)
-step for step, less one preconditioner solve per call.  Every returned
-solution passes the backward-error gate |Ax - b| / (|A| |x| + |b|) <= 1e-10
-in the infinity norm; in correction form that bounds the error relative to
-the small step and defect, not to u.
+Every LU is SuperLU's factorization of P A P^T in the given column order,
+where P is the grid's nested-dissection order of the interior nodes
+(`Grid.dissection`, George 1973): median lattice lines split the nodes
+recursively down to parts of 64, and each line comes after the two parts it
+separates.  On the stencil pattern the fill grows like N log N, and the
+factorization and its triangular solves are faster than with minimum degree
+on A^T + A (`scripts/bench_lu_ordering.py` measures both).  The factor's
+`solve` applies P on both sides.
+
+Every returned solution passes the backward-error gate
+|Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
+that bounds the error relative to the small step and defect, not to u.
 """
 
 from __future__ import annotations
@@ -77,13 +79,9 @@ class SolverError(RuntimeError):
     """Linear subproblem failed: singular factorization or unacceptable error."""
 
 
-class HeldFactor:
-    """The sparse LU of a sequence of frozen systems, reused as a GMRES
-    preconditioner, and the counts of the work done for the sequence.
+class LinearCounts:
+    """The work done for a sequence of systems, a solve's.
 
-    The caller owns it for one sequence; `solve` with no held factor uses a
-    fresh one.  Its LU is the grid's as long as the sequence does not
-    refactorize, and the grid keeps it after the sequence ends.
     `factorizations` counts those the sequence made, not the grid LUs it
     reused.  `fill_nnz` is the largest fill among the LUs the sequence
     solved with, 0 when there were none: the entries of L and U in
@@ -93,7 +91,6 @@ class HeldFactor:
     """
 
     def __init__(self):
-        self.lu = None
         self.factorizations = 0
         self.krylov_iterations = 0
         self.fill_nnz = 0
@@ -105,18 +102,9 @@ class DissectedLU:
     to both sides.  Raises RuntimeError when SuperLU finds A singular."""
 
     def __init__(self, A: sps.spmatrix, order: np.ndarray):
-        self.matrix = A         # held, not copied: `factorized` compares against it
         self.order = order
         # through the module attribute, so that a wrapper of splu sees the call
         self.superlu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
-
-    def factorized(self, A: sps.spmatrix) -> bool:
-        """Whether A has the pattern and the entries of the matrix factorized,
-        both in CSR form."""
-        M = self.matrix
-        return (A.format == M.format == "csr" and A.shape == M.shape
-                and all(np.array_equal(getattr(A, a), getattr(M, a))
-                        for a in ("indptr", "indices", "data")))
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self.superlu.solve(b[self.order])
@@ -168,9 +156,9 @@ def correction_system(ev: Evaluation) -> LinearSystem:
     return LinearSystem(A=J, b=-ev.q, grid=grid, feet_values=np.zeros(grid.n_feet))
 
 
-def solve(system: LinearSystem, held: Optional[HeldFactor] = None) -> ScalarField:
-    """Sparse solve with backward-error acceptance, reusing the grid's LU
-    when it factorized this very matrix, and `held`'s LU otherwise.
+def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> ScalarField:
+    """Sparse solve with backward-error acceptance on the grid's LU, under
+    the module's one reuse rule; the work is added to `counts`.
 
     Raises SolverError when the system has non-finite entries or when no path
     reaches the backward-error tolerance.  `system.meta["relres"]` holds the
@@ -179,28 +167,25 @@ def solve(system: LinearSystem, held: Optional[HeldFactor] = None) -> ScalarFiel
     A, b, grid = system.A, system.b, system.grid
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
         raise SolverError("assembled system has non-finite entries")
-    held = HeldFactor() if held is None else held
+    counts = LinearCounts() if counts is None else counts
     norm_A = spla.norm(A, np.inf)
-    lu = grid.lu if grid.lu is not None and grid.lu.factorized(A) else None
     x = None
-    if lu is None and held.lu is not None:
-        x = _gmres(A, b, norm_A, held, held.lu.solve, cycles=1)
+    if grid.lu is not None:
+        x = _gmres(A, b, norm_A, counts, grid.lu.solve, cycles=1)
         if not _backward_error(A, b, x, norm_A) <= _REUSE_TOL:
-            x = None
-    if x is None and lu is None:
-        held.lu = grid.lu = None        # drop the stale factor first: two never share memory
-        held.factorizations += 1
+            x = grid.lu = None          # drop the stale factor first: two never share memory
+    if x is None:
+        counts.factorizations += 1
         try:
-            lu = grid.lu = DissectedLU(A, grid.dissection)
+            grid.lu = DissectedLU(A, grid.dissection)
+            x = grid.lu.solve(b)
         except RuntimeError:            # SuperLU refuses an exactly singular matrix
             pass
-    if x is None and lu is not None:
-        held.lu = lu
-        held.fill_nnz = max(held.fill_nnz, lu.superlu.nnz)
-        x = lu.solve(b)
+    if grid.lu is not None:
+        counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
     if x is None or not np.all(np.isfinite(x)):
-        held.lu = grid.lu = None
-        x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
+        grid.lu = None
+        x = _gmres(A, b, norm_A, counts, None, cycles=_FALLBACK_CYCLES)
     relres = _backward_error(A, b, x, norm_A)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
@@ -214,12 +199,12 @@ def _backward_error(A, b, x, norm_A) -> float:
     return float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
 
 
-def _gmres(A, b, norm_A, held: HeldFactor, precondition, cycles: int) -> np.ndarray:
+def _gmres(A, b, norm_A, counts: LinearCounts, precondition, cycles: int) -> np.ndarray:
     """Restarted GMRES(30) preconditioned by `precondition` (None: unpreconditioned),
     from x0 = precondition(b) or zero, for at most `cycles` restart cycles.
 
     It stops when the residual is _KRYLOV_RTOL of the backward-error
-    denominator at x0; its inner iterations are added to `held`.  The steps
+    denominator at x0; its inner iterations are added to `counts`.  The steps
     and their order are those of scipy 1.17's left-preconditioned `gmres`
     (Saad & Schultz 1986): modified Gram-Schmidt, LAPACK `lartg` Givens
     rotations, and the inner tolerance control of scipy gh-8400, so the
@@ -282,7 +267,7 @@ def _gmres(A, b, norm_A, held: HeldFactor, precondition, cycles: int) -> np.ndar
             tmp = -s * S[col]
             S[col], S[col + 1] = c * S[col], tmp
             presid = np.abs(tmp)
-            held.krylov_iterations += 1
+            counts.krylov_iterations += 1
             if presid <= ptol or breakdown:
                 break
         # back substitution in the triangular h, a zero pivot dropped

@@ -1,5 +1,5 @@
-"""Quasilinear solves by damped Newton continuation in correction form on a
-held LU.
+"""Quasilinear solves by damped Newton continuation in correction form on
+the grid's LU.
 
 Each stage of the load schedule tau in (0, 1] takes Newton steps about the
 current iterate: it solves J(u) delta = -Q(u) with delta = 0 at the feet and
@@ -26,12 +26,11 @@ data) or when the defect stops improving over a trailing window
 (stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
 defect norms, the slope guard and the next Jacobian read from it.
 
-A solve holds one sparse LU across all its stages and iterates: each Newton
-system goes to GMRES preconditioned with it, and is factorized afresh only
-when that stalls (see `linear`).  The grid keeps the last LU after the solve
-ends, and the next solve on the grid starts from it when its first system
-is the very matrix that LU factorized, as J(0) is for every zero-data solve;
-the report keeps the counts and the largest LU fill.
+Every Newton system goes to `linear.solve`, which keeps one sparse LU on the
+grid: GMRES preconditioned by it, and a fresh factorization only when that
+stalls.  The LU outlives the solve, so the next solve on the grid starts
+from it, whatever the H or the data; the report keeps the counts and the
+largest LU fill.
 
 A solve only solves: checking its answer against the a priori estimates is
 a separate step, taken once per run by the caller.
@@ -47,7 +46,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .operators import DIMENSION, Evaluation, boundary_slope, gradient
-from .linear import HeldFactor, correction_system, solve as linear_solve, SolverError
+from .linear import LinearCounts, correction_system, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged_gradient"
@@ -149,17 +148,17 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
-    held = HeldFactor()
-    verdict, message, ev = _continue(grid, H, data, n, cfg, report, held)
-    report.factorizations = held.factorizations
-    report.krylov_iterations = held.krylov_iterations
-    report.fill_nnz = held.fill_nnz
+    counts = LinearCounts()
+    verdict, message, ev = _continue(grid, H, data, n, cfg, report, counts)
+    report.factorizations = counts.factorizations
+    report.krylov_iterations = counts.krylov_iterations
+    report.fill_nnz = counts.fill_nnz
     _finalize(report, verdict, message, ev, t0)
     return report
 
 
 def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport,
-              held: HeldFactor):
+              counts: LinearCounts):
     """Run the load schedule, filling the report's stages, trace rows and
     iteration count; returns (verdict, message, evaluation of the last iterate)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
@@ -188,7 +187,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
         for it in range(1, cfg.max_iters + 1):
             report.iterations += 1
             try:
-                delta = linear_solve(correction_system(ev), held=held)
+                delta = linear_solve(correction_system(ev), counts)
             except SolverError as exc:
                 return VERDICT_LINEAR_FAILURE, str(exc), ev
             u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)

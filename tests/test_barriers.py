@@ -17,9 +17,8 @@ from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      estimate_ledger, global_gradient_bound, height_barrier,
                      height_bound, nonexistence_bound, nonexistence_witness,
                      rect, scherk_trace, solve_dirichlet)
-from mcgraph.barriers import (BarrierParams, BoundaryDistance, CircleDistance,
-                              EstimateAudit, HeightProfile, LogIntegralProfile,
-                              LogProfile, NegatedProfile, RadialDistance,
+from mcgraph.barriers import (BarrierParams, BoundaryDistance, EstimateAudit,
+                              HeightProfile, LogProfile, NegatedProfile,
                               SqrtProfile, transform_radial)
 
 # -- profiles ---------------------------------------------------------------
@@ -74,43 +73,6 @@ def test_sqrt_profile_identity():
     assert phi(np.array([0.3]))[0] == pytest.approx(0.0, abs=1e-15)
 
 
-def test_sqrt_profile_shifted_pole():
-    phi = SqrtProfile(0.0125, 0.3, eps_prime=0.1)
-    t = np.linspace(0.1 + 1e-6, 0.3, 1000)
-    lhs = 0.0125 * phi.d1(t) ** 3 + phi.d2(t)
-    assert np.max(np.abs(lhs) / np.abs(phi.d2(t))) < 1e-12
-    with pytest.raises(ValueError):
-        SqrtProfile(0.0125, 0.3, eps_prime=0.4)
-
-
-def test_log_integral_profile_against_quadrature():
-    # closed erfi form versus direct numerical integration of the defining
-    # integral: independent route to the same function
-    a, delta, n = 0.01, 2.0, 2
-    psi = LogIntegralProfile(a, delta, n)
-    pref = math.sqrt(2.0 / (n - 1))
-    for t in (0.013, 0.05, 0.3, 1.2, 1.9):
-        direct, err = quad(lambda r: pref / math.sqrt(math.log(r / a)),
-                           t, delta, limit=200)
-        assert err < 1e-7
-        assert psi(np.array([t]))[0] == pytest.approx(direct, rel=1e-7)
-
-
-def test_log_integral_profile_identity():
-    a, delta, n = 0.01, 2.0, 2
-    psi = LogIntegralProfile(a, delta, n)
-    t = np.linspace(a * 1.001, delta, 10_000)
-    lhs = psi.d2(t) + ((n - 1) / (4.0 * t)) * psi.d1(t) ** 3
-    scale = np.abs(psi.d2(t))
-    assert np.max(np.abs(lhs) / scale) < 1e-11
-    assert psi(np.array([delta]))[0] == pytest.approx(0.0, abs=1e-12)
-
-
-def test_log_integral_profile_blows_up_at_inner_edge():
-    psi = LogIntegralProfile(0.01, 2.0)
-    assert psi.d1(np.array([0.0100001]))[0] < -100.0
-
-
 def test_negated_profile():
     base = LogProfile(61.6, 1e4)
     neg = NegatedProfile(base)
@@ -161,22 +123,6 @@ def test_boundary_distance_ellipse_derivatives():
     assert np.allclose(d.rho(pts), 0.1, atol=1e-3)
 
 
-def test_radial_distance_derivatives():
-    d = RadialDistance((1.0, 0.0))
-    pts = np.array([[0.3, 0.2], [0.0, -0.5], [1.5, 0.75]])
-    _fd_check(d, pts)
-    assert d.laplacian(np.array([[0.5, 0.0]]))[0] == pytest.approx(2.0, rel=1e-12)
-
-
-def test_circle_distance_derivatives():
-    d = CircleDistance((1.0, 0.0), 0.99)
-    pts = np.array([[0.6, 0.1], [1.2, -0.2], [0.3, 0.0]])
-    _fd_check(d, pts)
-    # laplacian is -1/|x - z|
-    assert d.laplacian(np.array([[0.0, 0.0]]))[0] == pytest.approx(-1.0, rel=1e-12)
-    assert d.valid(np.array([[0.9, 0.0], [2.5, 0.0]])).tolist() == [True, False]
-
-
 # -- transformation formula ---------------------------------------------------
 
 
@@ -184,7 +130,7 @@ def test_transform_matches_discrete_operator_scalar_shift(cap_grid32):
     # route one: closed-form M(psi(d) + c); route two: the grid operator
     # applied to the sampled barrier
     prof = HeightProfile(0.8, 2.0)
-    tf = transform_radial(prof, 0.25, disk(radius=1.0), cap_grid32)
+    tf = transform_radial(prof, 0.25, cap_grid32)
     dist = BoundaryDistance(disk(radius=1.0))
 
     def w_fn(x, y):
@@ -206,7 +152,7 @@ def test_transform_matches_discrete_operator_scalar_shift(cap_grid32):
     assert err32 < 5e-3
     # refinement shrinks the disagreement like the scheme order
     g64 = Grid(disk(radius=1.0), 1.0 / 64.0)
-    tf64 = transform_radial(prof, 0.25, disk(radius=1.0), g64)
+    tf64 = transform_radial(prof, 0.25, g64)
     u64 = ScalarField.from_callable(g64, w_fn)
     m64 = apply_M(u64)
     sel64 = tf64.valid & g64.core_mask & (g64.interior_d < 0.5)
@@ -218,7 +164,7 @@ def test_transform_matches_discrete_operator_general_phi(cap_grid32):
     prof = HeightProfile(0.5, 2.0)
     phi = compile_expr("0.1*x**2 - 0.05*x*y + 0.2*y")
     dom = disk(radius=1.0)
-    tf = transform_radial(prof, phi, dom, cap_grid32)
+    tf = transform_radial(prof, phi, cap_grid32)
     dist = BoundaryDistance(dom)
 
     def w_fn(x, y):
@@ -234,14 +180,15 @@ def test_transform_matches_discrete_operator_general_phi(cap_grid32):
 
 
 def test_transform_radial_distance_model(cap_grid32):
-    # radial model centered outside the domain stays valid on the far side
-    prof = SqrtProfile(0.0125, 0.3, eps_prime=0.0)
-    rad = RadialDistance((2.0, 0.0), t_min=1.05, t_max=1.3)
-    tf = transform_radial(prof, 0.0, disk(radius=1.0), cap_grid32,
-                          distance=rad)
-    assert tf.valid.any()
-    assert not tf.valid.all()
+    # nodes outside the model's validity region are excluded and left NaN:
+    # the boundary distance of the disk is smooth everywhere but the centre
+    prof = SqrtProfile(0.0125, 0.3)
+    dist = BoundaryDistance(disk(radius=1.0))
+    tf = transform_radial(prof, 0.0, cap_grid32, distance=dist)
+    centre = np.all(cap_grid32.interior_xy == 0.0, axis=-1)
+    assert np.array_equal(~tf.valid, centre) and tf.excluded == 1
     assert np.all(np.isnan(tf.m_values[~tf.valid]))
+    assert np.all(np.isfinite(tf.m_values[tf.valid]))
 
 
 # -- height and gradient estimates -------------------------------------------
@@ -475,6 +422,20 @@ def test_certificate_quality(certificate):
     assert c.a == 0.0
     assert c.a_mp > 0
     assert any("underflow" in w for w in c.warnings)
+
+
+def test_certificate_psi_matches_quadrature(unit_disk):
+    # at a radius the grid can resolve, g(a) = psi(a) + sqrt(2 a / nu) with
+    # psi(a) = sqrt(2) int_a^delta log(r/a)^(-1/2) dr; r = a e^(s^2) turns
+    # the integral into int_0^sqrt(log(delta/a)) 2 a e^(s^2) ds
+    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.9), (1.0, 0.0), 4.0,
+                           n=2)
+    assert c.a == pytest.approx(0.0140, abs=1e-4)
+    top = math.sqrt(math.log(c.delta / c.a))
+    integral, _ = quad(lambda s: 2.0 * c.a * math.exp(s * s), 0.0, top, epsabs=0.0,
+                       epsrel=1e-13)
+    expect = math.sqrt(2.0) * integral + math.sqrt(2.0 * c.a / c.nu_ne)
+    assert c.g_value == pytest.approx(expect, rel=0, abs=1e-12)
 
 
 def test_certificate_bisection_stops_when_the_bracket_stops_shrinking(unit_disk,

@@ -292,3 +292,45 @@ def test_solver_defaults_without_section(tmp_path):
     assert scn.solver.max_iters == ref.max_iters
     assert scn.solver.tol_update == ref.tol_update
     assert tuple(scn.solver.tau_schedule) == tuple(ref.tau_schedule)
+
+
+def _solver_error(tmp_path, key, bad, expected):
+    for value in bad:
+        text = BASE + f"\n[solver]\n{key} = {value}\n"
+        expect_error(tmp_path, text, "[solver]", key, "(line 13)", expected)
+
+
+def test_max_iters_must_be_a_positive_integer(tmp_path):
+    # 2.7 was truncated to 2, and 0 ran to a stagnated verdict
+    _solver_error(tmp_path, "max_iters", ("2.7", "0", "-3", "nan"),
+                  "expected a positive integer")
+
+
+def test_stagnation_window_must_be_a_positive_integer(tmp_path):
+    # a window of 0 emptied itself and raised IndexError in the solve
+    _solver_error(tmp_path, "stagnation_window", ("0", "1.5", "-1"),
+                  "expected a positive integer")
+
+
+def test_tol_update_must_be_positive(tmp_path):
+    _solver_error(tmp_path, "tol_update", ("0", "-1e-9", "nan"), "expected a positive number")
+
+
+def test_tol_residual_must_be_positive(tmp_path):
+    _solver_error(tmp_path, "tol_residual", ("0", "-1e-6", "nan"),
+                  "expected a positive number")
+
+
+def test_grad_max_must_be_positive(tmp_path):
+    # -1 ran to a diverged_gradient verdict at the first iterate
+    _solver_error(tmp_path, "grad_max", ("-1", "0", "nan"), "expected a positive number")
+
+
+@pytest.mark.parametrize("h", ["0", "-0.125", "nan"])
+def test_grid_h_override_must_be_positive(tmp_path, capsys, h):
+    # --grid-h 0 died in the grid constructor with a traceback
+    from mcgraph.cli import EXIT_CONFIG, main
+    assert main(["run", "--config", write(tmp_path, BASE), "--out", str(tmp_path / "o"),
+                 "--grid-h", h]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "--grid-h" in err

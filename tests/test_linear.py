@@ -12,7 +12,7 @@ from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
 from mcgraph.linear import (_FALLBACK_CYCLES, _KRYLOV_RTOL, _RESTART, DissectedLU,
-                            HeldFactor, LinearSystem, _gmres)
+                            LinearCounts, LinearSystem, _gmres)
 
 
 @pytest.fixture(scope="module")
@@ -155,17 +155,23 @@ def _tilted(grid, sx, sy):
 def test_held_factor_reused_on_nearby_system():
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    held = HeldFactor()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
-    assert held.factorizations == 1 and held.krylov_iterations == 0
-    lu = held.lu
+    counts = LinearCounts()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), counts)
+    assert counts.factorizations == 1 and counts.krylov_iterations == 0
+    lu = g32.lu
+    assert lu is not None
     system = assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, held=held)
-    assert held.factorizations == 1 and held.lu is lu
-    assert held.krylov_iterations > 0
+    u = solve_linear(system, counts)
+    assert counts.factorizations == 1 and g32.lu is lu
+    assert counts.krylov_iterations > 0
     assert system.meta["relres"] <= 1e-11
-    fresh = solve_linear(assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
+    other = _unsolved_g32()
+    fresh = solve_linear(assemble(_tilted(other, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
     assert np.max(np.abs(u.values - fresh.values)) < 1e-10
+
+
+def _bowl(x, y):
+    return 2.0 * (x**2 + y**2)
 
 
 def test_stale_factor_on_steep_system_refactorizes():
@@ -173,46 +179,50 @@ def test_stale_factor_on_steep_system_refactorizes():
     # slope 4, so one GMRES cycle stalls and the system is factorized afresh
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    held = HeldFactor()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), held=held)
-    lu = held.lu
-    bowl = ScalarField.from_callable(g32, lambda x, y: 2.0 * (x**2 + y**2))
-    system = assemble(bowl, cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, held=held)
-    assert held.factorizations == 2 and held.lu is not lu
-    assert held.krylov_iterations == 30
+    counts = LinearCounts()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), counts)
+    lu = g32.lu
+    assert lu is not None
+    system = assemble(ScalarField.from_callable(g32, _bowl), cap, ZeroData(), n=2, tau=1.0)
+    u = solve_linear(system, counts)
+    assert counts.factorizations == 2 and g32.lu is not None and g32.lu is not lu
+    assert counts.krylov_iterations == 30
     assert system.meta["relres"] <= 1e-10
-    fresh = solve_linear(assemble(bowl, cap, ZeroData(), n=2, tau=1.0))
+    other = _unsolved_g32()
+    fresh = solve_linear(assemble(ScalarField.from_callable(other, _bowl), cap, ZeroData(),
+                                  n=2, tau=1.0))
     assert np.array_equal(u.values, fresh.values)
 
 
 def test_nonfinite_system_raises_with_held_factor():
     g32 = _unsolved_g32()
-    held = HeldFactor()
+    counts = LinearCounts()
     zero = _zero_state(g32)
     solve_linear(assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(),
-                          n=2, tau=1.0), held=held)
+                          n=2, tau=1.0), counts)
     system = assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(), n=2, tau=1.0)
     system.b[3] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        solve_linear(system, held=held)
-    assert held.factorizations == 1
+        solve_linear(system, counts)
+    assert counts.factorizations == 1
 
 
-def test_failed_factorization_falls_back_to_gmres(g32):
+def test_failed_factorization_falls_back_to_gmres():
     # an exactly singular but consistent system: SuperLU refuses it and the
-    # unpreconditioned GMRES solves it
+    # unpreconditioned GMRES solves it; on a grid of its own, no LU left by
+    # an earlier solve preconditions it
+    g32 = _unsolved_g32()
     n = g32.n_interior
     diag = np.resize([1.0, 2.0, 4.0], n)
     diag[7] = 0.0
     b = np.ones(n)
     b[7] = 0.0
-    held = HeldFactor()
+    counts = LinearCounts()
     system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
                           feet_values=np.zeros(g32.n_feet))
-    u = solve_linear(system, held=held)
-    assert held.factorizations == 1 and held.lu is None
-    assert held.krylov_iterations > 0
+    u = solve_linear(system, counts)
+    assert counts.factorizations == 1 and g32.lu is None
+    assert counts.krylov_iterations > 0
     assert system.meta["relres"] <= 1e-10
     assert np.allclose(u.values * diag, b, rtol=0, atol=1e-12)
 
@@ -253,11 +263,11 @@ def test_gmres_is_scipys_with_one_solve_less(slope, cycles):
     system = correction_system(Evaluation(state, H, 2, 1.0))
     A, b = system.A, system.b
     norm_A = spla.norm(A, np.inf)
-    ours, theirs, held = _CountedSolves(lu), _CountedSolves(lu), HeldFactor()
-    x = _gmres(A, b, norm_A, held, ours, cycles=cycles)
+    ours, theirs, counts = _CountedSolves(lu), _CountedSolves(lu), LinearCounts()
+    x = _gmres(A, b, norm_A, counts, ours, cycles=cycles)
     x_ref, iterations = _scipy_gmres(A, b, norm_A, theirs, cycles)
     assert x.tobytes() == x_ref.tobytes()
-    assert held.krylov_iterations == iterations > 0
+    assert counts.krylov_iterations == iterations > 0
     if cycles == 1:
         assert ours.calls == iterations + 2 and theirs.calls == iterations + 3
     else:
@@ -273,11 +283,11 @@ def test_unpreconditioned_gmres_is_scipys(g32):
     b[7] = 0.0
     A = sps.diags(diag).tocsr()
     norm_A = spla.norm(A, np.inf)
-    held = HeldFactor()
-    x = _gmres(A, b, norm_A, held, None, cycles=_FALLBACK_CYCLES)
+    counts = LinearCounts()
+    x = _gmres(A, b, norm_A, counts, None, cycles=_FALLBACK_CYCLES)
     x_ref, iterations = _scipy_gmres(A, b, norm_A, None, _FALLBACK_CYCLES)
     assert x.tobytes() == x_ref.tobytes()
-    assert held.krylov_iterations == iterations > 0
+    assert counts.krylov_iterations == iterations > 0
 
 
 # -- Newton corrections -------------------------------------------------------
@@ -384,28 +394,28 @@ def test_dissected_lu_solves_systems_off_the_stencil(g32):
 
 def test_held_factor_records_largest_fill():
     g32 = _unsolved_g32()
-    held = HeldFactor()
+    counts = LinearCounts()
     system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
                       n=2, tau=1.0)
-    solve_linear(system, held=held)
-    assert held.fill_nnz == held.lu.superlu.nnz > 0
+    solve_linear(system, counts)
+    assert counts.fill_nnz == g32.lu.superlu.nnz > 0
     small = LinearSystem(A=sps.identity(g32.n_interior, format="csr"), b=system.b,
                          grid=g32, feet_values=np.zeros(g32.n_feet))
-    held.lu = None
-    solve_linear(small, held=held)
-    assert held.factorizations == 2 and held.lu.superlu.nnz < held.fill_nnz
+    g32.lu = None
+    solve_linear(small, counts)
+    assert counts.factorizations == 2 and g32.lu.superlu.nnz < counts.fill_nnz
 
 
 def test_dissection_order_keeps_reference_solves():
     # counts and heights recorded with the minimum-degree LU ordering that
-    # the dissection order replaced: the held LU only starts and
+    # the dissection order replaced: the grid's LU only starts and
     # preconditions GMRES, so its order leaves the Newton path and the
-    # answer as they were
+    # answer as they were; each leg on a grid of its own factorizes, as the
+    # recorded legs did
     dom = disk(1.0)
     cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
-    grid = Grid(dom, 1.0 / 48.0)
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
-    legs = [solve_dirichlet(grid, PrescribedCurvature.constant(H), data, n=2)
+    legs = [solve_dirichlet(Grid(dom, 1.0 / 48.0), PrescribedCurvature.constant(H), data, n=2)
             for H in (0.55, 0.45)]
     expected = [(8, 1, 40, 0.2087100275413615), (11, 1, 110, 0.298989692410781),
                 (10, 1, 86, 0.23697423597353587)]

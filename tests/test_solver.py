@@ -206,7 +206,8 @@ def test_continuation_monotone_in_tau(cap_grid32, cap_H):
 
 def _fresh_factor_per_iterate(monkeypatch):
     # every Newton system factorized afresh: the answer the reuse must keep
-    def solve_fresh(system, held=None):
+    def solve_fresh(system, counts=None):
+        system.grid.lu = None
         return mcgraph.linear.solve(system)
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
@@ -278,15 +279,22 @@ def test_reused_lu_gives_the_fresh_grids_field(caps_on_one_grid):
                                                              alone.krylov_iterations)
 
 
-def test_second_bump_leg_on_one_grid_factorizes():
-    # J(0) carries the load term's slope derivative, which is zero at u = 0
-    # only for zero data: on steep bump data each H has its own first Jacobian
+def test_second_bump_leg_reuses_the_grids_lu():
+    # the second A8 leg's first Jacobian is not the matrix the first leg
+    # factorized (J(0) carries the H-dependent load term on bump data), but
+    # that LU preconditions it well enough: no factorization, the answer of
+    # a leg on a grid of its own
     dom = disk(radius=1.0)
-    grid = Grid(dom, 1.0 / 24.0)
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
-    legs = [solve_dirichlet(grid, PrescribedCurvature.constant(H), data, n=2)
-            for H in (0.55, 0.45)]
-    assert [leg.factorizations for leg in legs] == [1, 1]
+    H = PrescribedCurvature.constant(0.45)
+    grid = Grid(dom, 1.0 / 24.0)
+    solve_dirichlet(grid, PrescribedCurvature.constant(0.55), data, n=2)
+    second = solve_dirichlet(grid, H, data, n=2)
+    alone = solve_dirichlet(Grid(dom, 1.0 / 24.0), H, data, n=2)
+    assert second.factorizations == 0 and alone.factorizations >= 1
+    assert second.verdict == alone.verdict == "converged"
+    assert second.iterations == alone.iterations
+    assert np.max(np.abs(second.field.values - alone.field.values)) < 1e-12
 
 
 def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
