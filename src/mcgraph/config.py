@@ -261,25 +261,26 @@ def _build_spacings(raw: _Raw, sec: dict) -> tuple:
 
 
 def _build_solver(raw: _Raw, sec: Optional[dict]) -> SolveConfig:
+    """The [solver] section; SolveConfig checks each value, and its refusal
+    becomes the key's config error."""
     if not sec:
         return SolveConfig()
     kw = {}
     for key, val in sec.items():
         if key == "tau_stages":
-            stages = _number_list(raw, "solver", key, val)
-            if any(t <= 0 or t > 1 for t in stages) or \
-               any(b <= a for a, b in zip(stages, stages[1:])) or stages[-1] != 1.0:
-                raw.fail("solver", key, "stages must increase to exactly 1.0")
-            kw["tau_schedule"] = stages
-        elif key in ("max_iters", "stagnation_window"):
-            count = _number(raw, "solver", key, val)
-            if not (count >= 1 and count.is_integer()):
-                raw.fail("solver", key, f"expected a positive integer, got {val!r}")
-            kw[key] = int(count)
+            name, value = "tau_schedule", _number_list(raw, "solver", key, val)
         else:
-            kw[key] = _number(raw, "solver", key, val)
-            if not kw[key] > 0:     # NaN fails too
-                raw.fail("solver", key, f"expected a positive number, got {val!r}")
+            name, value = key, _number(raw, "solver", key, val)
+            if key in ("max_iters", "stagnation_window") and value.is_integer():
+                value = int(value)
+        try:
+            SolveConfig(**{name: value})
+            if name == "tau_schedule" and value[-1] != 1.0:
+                raise ValueError    # a scenario's solve ends at the full load
+        except ValueError as exc:
+            raw.fail("solver", key, "stages must increase to exactly 1.0"
+                     if name == "tau_schedule" else str(exc))
+        kw[name] = value
     return SolveConfig(**kw)
 
 

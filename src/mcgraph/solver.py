@@ -11,8 +11,22 @@ halving the damping factor whenever the defect grows while it is still above
 the residual tolerance (floor 0.125).  Growth below the tolerance is
 rounding, which damping cannot cure.
 
-Each stage after the first starts from the secant predictor through the last
-two stage answers,
+A solve first leaps: when the schedule has two or more rungs, one stage aims
+at the last rung from u = 0.  Newton from u = 0 reaches the full load
+directly whenever it contracts there, and the leap is kept only while it
+does (Deuflhard's natural monotonicity, *Newton Methods for Nonlinear
+Problems*, 2004): it runs on full steps, and it is rejected, its iterate
+discarded, at the first Newton correction no smaller than the one before
+it, ||delta_k|| >= ||delta_{k-1}|| in the infinity norm, at a defect rise
+that would cut the damping, at a slope-guard trip, at a failed linear
+solve, or when it stagnates or runs out of iterations.  A rejected leap
+records no stage summary, but its trace rows stay, at its tau, and count as
+iterations.  The solve then walks the whole schedule from u = 0; the
+schedule lists the loads a solve may stop at, and a one-rung schedule never
+leaps.
+
+Each stage of the walk after the first starts from the secant predictor
+through the last two stage answers,
 
     u_k + (tau - tau_k) / (tau_k - tau_{k-1}) * (u_k - u_{k-1}),
 
@@ -38,6 +52,7 @@ a separate step, taken once per run by the caller.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
@@ -64,6 +79,24 @@ class SolveConfig:
     tau_schedule: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
     grad_max: float = 1e4
     stagnation_window: int = 20
+
+    def __post_init__(self):
+        for name in ("max_iters", "stagnation_window"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
+               or value < 1:
+                raise ValueError(f"{name}: expected a positive integer, got {value!r}")
+        positive = ("tol_update", "grad_max") + (
+            () if self.tol_residual is None else ("tol_residual",))
+        for name in positive:
+            value = getattr(self, name)
+            if not value > 0:       # NaN fails too
+                raise ValueError(f"{name}: expected a positive number, got {value!r}")
+        taus = list(self.tau_schedule)
+        if not taus or not all(0 < t <= 1 for t in taus) or \
+           any(b <= a for a, b in zip(taus, taus[1:])):
+            raise ValueError(f"tau_schedule: expected loads increasing within (0, 1], "
+                             f"got {self.tau_schedule!r}")
 
     def residual_tolerance(self, H, n: int, domain) -> float:
         if self.tol_residual is not None:
@@ -159,78 +192,103 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
 
 def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport,
               counts: LinearCounts):
-    """Run the load schedule, filling the report's stages, trace rows and
-    iteration count; returns (verdict, message, evaluation of the last iterate)."""
+    """Leap to the last rung, and walk the schedule when the leap is rejected,
+    filling the report's stages, trace rows and iteration count; returns
+    (verdict, message, evaluation of the last iterate)."""
     tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
-    u = ScalarField.zeros(grid)
+    zero = np.zeros(grid.n_interior)
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
+    schedule = cfg.tau_schedule
+    if len(schedule) > 1:
+        tau = schedule[-1]
+        leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, cfg, tol_res,
+                      report, counts, final=True, leap=True)
+        if leap is not None:
+            return leap
     # (tau_{k-1}, u_{k-1}) and tau_k of the last two stage answers; u = 0
     # solves the problem at zero load exactly
-    tau_prev, u_prev, tau_k = 0.0, u.values, 0.0
-    for k, tau in enumerate(cfg.tau_schedule):
-        final = k == len(cfg.tau_schedule) - 1
-        values = u.values
+    tau_prev, u_prev, tau_k, values = 0.0, zero, 0.0, zero
+    for k, tau in enumerate(schedule):
+        start = values
         if tau_k != tau_prev:
             # secant predictor through the last two stage answers
-            values = values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
-        tau_prev, u_prev = tau_k, u.values
+            start = values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
+        tau_prev, u_prev = tau_k, values
         # re-anchor the start's trace at this stage's load, tau * phi
-        u = ScalarField(grid, values, tau * phi)
-        ev = Evaluation(u, H, n, tau)
-        damping = 1.0
-        prev_res = np.inf
-        window: list[float] = []
-        stage_verdict = VERDICT_STAGNATED
-        last_update = np.inf
-        res_core = res_collar = np.inf
-        it = 0
-        for it in range(1, cfg.max_iters + 1):
-            report.iterations += 1
-            try:
-                delta = linear_solve(correction_system(ev), counts)
-            except SolverError as exc:
-                return VERDICT_LINEAR_FAILURE, str(exc), ev
-            u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)
-            ev_new = Evaluation(u_new, H, n, tau)
-            g = sup_slope(u_new, ev_new.p)
-            if not np.isfinite(g) or g > cfg.grad_max:
-                report.stages.append(StageSummary(tau, it, np.inf, np.inf,
-                                                  np.inf, g, damping,
-                                                  VERDICT_DIVERGED))
-                return (VERDICT_DIVERGED,
-                        f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
-                        f"at tau={tau:g}, iteration {it}", ev_new)
-            res_core, res_collar = ev_new.residual_norms()
-            last_update = float(np.max(np.abs(u_new.values - u.values)))
-            report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
-                                 "residual_collar": res_collar, "update": last_update,
-                                 "sup_gradient": g, "damping": damping})
-            if res_core > max(tol_res, prev_res * (1.0 + 1e-12)) and damping > 0.125:
-                damping = max(0.125, 0.5 * damping)
-            prev_res = res_core
-            u, ev = u_new, ev_new
-            # an intermediate answer is only the next stage's start: its
-            # defect test suffices, the update test is the final stage's
-            if res_core <= tol_res and (last_update <= cfg.tol_update or not final):
-                stage_verdict = VERDICT_CONVERGED
-                break
-            window.append(res_core)
-            if len(window) > cfg.stagnation_window:
-                window.pop(0)
-                if window[-1] > 0.999 * window[0] and last_update > cfg.tol_update:
-                    stage_verdict = VERDICT_STAGNATED
-                    break
-        else:
-            stage_verdict = VERDICT_STAGNATED
-        report.stages.append(StageSummary(tau, it, res_core, res_collar,
-                                          last_update, sup_slope(u, ev.p), damping,
-                                          stage_verdict))
-        if stage_verdict != VERDICT_CONVERGED:
-            return (stage_verdict,
-                    f"stage tau={tau:g} ended {stage_verdict} after "
-                    f"{it} iterations (defect {res_core:.3e})", ev)
-        tau_k = tau
+        verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
+                                      cfg, tol_res, report, counts,
+                                      final=k == len(schedule) - 1, leap=False)
+        if verdict != VERDICT_CONVERGED:
+            return verdict, message, ev
+        tau_k, values = tau, ev.u.values
     return VERDICT_CONVERGED, "", ev
+
+
+def _stage(u: ScalarField, H, n: int, tau: float, cfg: SolveConfig, tol_res: float,
+           report: SolveReport, counts: LinearCounts, *, final: bool, leap: bool):
+    """Newton steps at load tau from u, adding their trace rows and iterations
+    to the report.  Returns (verdict, message, evaluation of the last iterate)
+    and records the stage's summary; a `leap` that is rejected returns None
+    and records no summary."""
+    grid = u.grid
+    ev = Evaluation(u, H, n, tau)
+    damping = 1.0
+    prev_res = np.inf
+    window: list[float] = []
+    verdict = VERDICT_STAGNATED
+    last_update = np.inf
+    res_core = res_collar = np.inf
+    it = 0
+    for it in range(1, cfg.max_iters + 1):
+        report.iterations += 1
+        try:
+            delta = linear_solve(correction_system(ev), counts)
+        except SolverError as exc:
+            return None if leap else (VERDICT_LINEAR_FAILURE, str(exc), ev)
+        u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)
+        ev_new = Evaluation(u_new, H, n, tau)
+        g = sup_slope(u_new, ev_new.p)
+        if not np.isfinite(g) or g > cfg.grad_max:
+            if leap:
+                return None
+            report.stages.append(StageSummary(tau, it, np.inf, np.inf, np.inf, g,
+                                              damping, VERDICT_DIVERGED))
+            return (VERDICT_DIVERGED,
+                    f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
+                    f"at tau={tau:g}, iteration {it}", ev_new)
+        res_core, res_collar = ev_new.residual_norms()
+        update = float(np.max(np.abs(u_new.values - u.values)))
+        report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
+                             "residual_collar": res_collar, "update": update,
+                             "sup_gradient": g, "damping": damping})
+        rise = res_core > max(tol_res, prev_res * (1.0 + 1e-12))
+        # a leap runs on full steps while Newton contracts: a correction no
+        # smaller than the one before it, or a rise that would cut the
+        # damping, rejects it
+        if leap and (rise or update >= last_update):
+            return None
+        if rise and damping > 0.125:
+            damping = max(0.125, 0.5 * damping)
+        prev_res, last_update = res_core, update
+        u, ev = u_new, ev_new
+        # an intermediate answer is only the next stage's start: its
+        # defect test suffices, the update test is the final stage's
+        if res_core <= tol_res and (last_update <= cfg.tol_update or not final):
+            verdict = VERDICT_CONVERGED
+            break
+        window.append(res_core)
+        if len(window) > cfg.stagnation_window:
+            window.pop(0)
+            if window[-1] > 0.999 * window[0] and last_update > cfg.tol_update:
+                break
+    if leap and verdict != VERDICT_CONVERGED:
+        return None
+    report.stages.append(StageSummary(tau, it, res_core, res_collar, last_update,
+                                      sup_slope(u, ev.p), damping, verdict))
+    if verdict != VERDICT_CONVERGED:
+        return (verdict, f"stage tau={tau:g} ended {verdict} after {it} iterations "
+                         f"(defect {res_core:.3e})", ev)
+    return verdict, "", ev
 
 
 def _finalize(report: SolveReport, verdict: str, message: str, ev: Evaluation, t0):

@@ -438,19 +438,32 @@ def test_certificate_psi_matches_quadrature(unit_disk):
     assert c.g_value == pytest.approx(expect, rel=0, abs=1e-12)
 
 
-def test_certificate_bisection_stops_when_the_bracket_stops_shrinking(unit_disk,
-                                                                     monkeypatch):
+@pytest.mark.parametrize("H, eps, log10_a", [
+    pytest.param(0.55, 0.05, -5559.1026582981185, id="A8"),
+    pytest.param(0.9, 4.0, -1.8541975011377136, id="resolvable"),
+    pytest.param(0.9, 0.5, -55.72553684304214, id="eps0.5"),
+    pytest.param(0.75, 1.0, -14.041487800642258, id="eps1"),
+])
+def test_certificate_root_find_stops_when_the_bracket_stops_shrinking(unit_disk, monkeypatch,
+                                                                      H, eps, log10_a):
     import mpmath
     calls = []
     erfi = mpmath.erfi
     monkeypatch.setattr(mpmath, "erfi", lambda z: calls.append(z) or erfi(z))
-    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.55),
-                           (1.0, 0.0), 0.05, n=2)
-    # the 60-digit bracket stagnates after about 200 halvings
-    assert len(calls) <= 220
-    # the certified radius of a fixed 300-step bisection, bit for bit
-    assert (c.a_mp.man, c.a_mp.exp) == (
-        6703949787070854326103837476736467216884972499156685202383931, -18669)
+    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(H), (1.0, 0.0), eps,
+                           n=2)
+    # a 60-digit bisection on the same bracket took 206-214 evaluations
+    assert len(calls) <= 50
+    # and certified the same radius, to the float
+    assert c.log10_a == log10_a
+    # the certified side: g(a) < eps/2 in 60 digits, g(a) = psi(a) + sqrt(2 a / nu)
+    with mpmath.workdps(60):
+        a = c.a_mp
+        g = (mpmath.sqrt(2) * a * mpmath.sqrt(mpmath.pi)
+             * erfi(mpmath.sqrt(mpmath.log(mpmath.mpf(c.delta) / a)))
+             + mpmath.sqrt(2 * a / mpmath.mpf(c.nu_ne)))
+        assert g < mpmath.mpf(eps) / 2
+        assert g > mpmath.mpf(eps) / 2 * (1 - mpmath.mpf("1e-40"))
 
 
 def test_certificate_params_embedding(certificate):

@@ -12,7 +12,7 @@ from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
 from mcgraph.linear import (_FALLBACK_CYCLES, _KRYLOV_RTOL, _RESTART, DissectedLU,
-                            LinearCounts, LinearSystem, _gmres)
+                            LinearCounts, LinearSystem, _gmres, _norm_inf)
 
 
 @pytest.fixture(scope="module")
@@ -325,6 +325,17 @@ def test_jacobian_matches_central_difference_of_Q(wavy_state):
     assert np.max(np.abs(Jv - fd)) <= 1e-6 * np.max(np.abs(Jv))
 
 
+def test_infinity_norm_is_scipys(wavy_state):
+    # the row sums of |A| that scipy's norm takes, to the bit, on a Jacobian
+    # and on a matrix with empty rows
+    J = correction_system(Evaluation(wavy_state, _CURVED, 2, 0.75)).A
+    assert _norm_inf(J) == spla.norm(J, np.inf)
+    gaps = sps.csr_matrix(np.array([[0.0, 0.0, 0.0], [-2.0, 0.0, 0.5], [0.0, 0.0, 0.0],
+                                    [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
+    assert _norm_inf(gaps) == spla.norm(gaps, np.inf) == 3.0
+    assert _norm_inf(sps.csr_matrix((3, 3))) == 0.0
+
+
 def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
     # J = A(u) + diag(b_x) Gx + diag(b_y) Gy entry by entry, on the frozen
     # operator's pattern
@@ -407,18 +418,18 @@ def test_held_factor_records_largest_fill():
 
 
 def test_dissection_order_keeps_reference_solves():
-    # counts and heights recorded with the minimum-degree LU ordering that
-    # the dissection order replaced: the grid's LU only starts and
-    # preconditions GMRES, so its order leaves the Newton path and the
-    # answer as they were; each leg on a grid of its own factorizes, as the
-    # recorded legs did
+    # heights recorded with the minimum-degree LU ordering that the
+    # dissection order replaced, counts with the leap to the full load: the
+    # grid's LU only starts and preconditions GMRES, so its order leaves the
+    # Newton path and the answer as they were; each leg on a grid of its own
+    # factorizes, as the recorded legs did
     dom = disk(1.0)
     cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
     legs = [solve_dirichlet(Grid(dom, 1.0 / 48.0), PrescribedCurvature.constant(H), data, n=2)
             for H in (0.55, 0.45)]
-    expected = [(8, 1, 40, 0.2087100275413615), (11, 1, 110, 0.298989692410781),
-                (10, 1, 86, 0.23697423597353587)]
+    expected = [(4, 1, 22, 0.2087100275413615), (5, 1, 54, 0.298989692410781),
+                (5, 1, 50, 0.23697423597353587)]
     for report, (iterations, factorizations, krylov, sup_u) in zip([cap, *legs], expected):
         assert report.verdict == "converged"
         assert (report.iterations, report.factorizations, report.krylov_iterations) == (

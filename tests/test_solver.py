@@ -26,8 +26,46 @@ def test_cap_error_against_exact(cap_solve32):
 
 
 def test_cap_stage_schedule(cap_solve32):
-    assert [s.tau for s in cap_solve32.stages] == [0.25, 0.5, 0.75, 1.0]
-    assert all(s.verdict == "converged" for s in cap_solve32.stages)
+    # Newton contracts from u = 0 at the full load, so the leap is accepted:
+    # one stage at tau = 1, in fewer steps than the 8 of the four-rung walk
+    assert [(s.tau, s.verdict) for s in cap_solve32.stages] == [(1.0, "converged")]
+    assert cap_solve32.iterations == cap_solve32.stages[0].iters < 8
+    assert {row["tau"] for row in cap_solve32.trace} == {1.0}
+
+
+@pytest.fixture(scope="module")
+def cap_walk32(cap_grid32, cap_H):
+    # three steps a stage: the leap, which takes four, is rejected at
+    # max_iters, and the solve walks the schedule from u = 0; a first solve
+    # on the grid, as for cap_solve32
+    cap_grid32.lu = None
+    return solve_dirichlet(cap_grid32, cap_H, ZeroData(), config=SolveConfig(max_iters=3))
+
+
+def test_rejected_leap_keeps_its_rows_but_no_stage(cap_walk32):
+    assert cap_walk32.verdict == "converged"
+    assert [s.tau for s in cap_walk32.stages] == [0.25, 0.5, 0.75, 1.0]
+    assert [row["tau"] for row in cap_walk32.trace[:3]] == [1.0] * 3
+    assert cap_walk32.iterations == len(cap_walk32.trace) == 3 + sum(
+        s.iters for s in cap_walk32.stages)
+
+
+def test_rejected_bump_leap_walks_the_schedule():
+    # the second full-load correction is 1.21 times the first and the defect
+    # rises 3.09 -> 5.14, so the leap is rejected after two steps; the walk
+    # then takes the steps and reaches the height of a walk without the
+    # leap, 17 steps, two fewer than in all
+    grid = Grid(disk(radius=1.0), 1.0 / 12.0)
+    data = BumpData(grid.domain, (0.997, -0.079), 0.82, 0.49)
+    report = solve_dirichlet(grid, PrescribedCurvature.constant(0.81), data)
+    assert report.verdict == "converged"
+    assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 5), (0.5, 2), (0.75, 3),
+                                                         (1.0, 7)]
+    leap = report.trace[:2]
+    assert [row["tau"] for row in leap] == [1.0, 1.0]
+    assert leap[1]["update"] / leap[0]["update"] == pytest.approx(1.206, abs=1e-3)
+    assert report.iterations == len(report.trace) == 19
+    assert report.sup_u == pytest.approx(0.4899861622199877, rel=0, abs=1e-12)
 
 
 def test_cap_residual_small(cap_solve32):
@@ -61,26 +99,27 @@ def test_newton_converges_in_few_iterations(cap_solve32):
     assert cap_solve32.factorizations == 1
 
 
-def test_predicted_stages_take_fewer_iterations(cap_solve32):
+def test_predicted_stages_take_fewer_iterations(cap_walk32):
     # secant-predicted starts and intermediate stages that stop at the defect
     # tolerance; restarting each stage from the last answer and solving it
     # to the update tolerance takes 13 iterations here
-    assert cap_solve32.iterations <= 9
-    assert all(s.verdict == "converged" for s in cap_solve32.stages)
-    final = cap_solve32.stages[-1]
+    assert sum(s.iters for s in cap_walk32.stages) <= 9
+    assert all(s.verdict == "converged" for s in cap_walk32.stages)
+    final = cap_walk32.stages[-1]
     assert final.update_norm <= SolveConfig().tol_update
     assert final.residual_core <= 1e-11
-    assert cap_solve32.factorizations == 1
+    assert cap_walk32.factorizations == 1
 
 
 def test_sweep_caps_keep_full_damping(cap_grid32):
     # defect growth at the rounding floor of a converged stage is no reason
-    # to damp: every stage of every sweep cap ends on full steps
+    # to damp: every sweep cap's leap is accepted, on full steps throughout
     for H in np.linspace(0.05, 0.45, 9):
         report = solve_dirichlet(cap_grid32, PrescribedCurvature.constant(float(H)),
                                  ZeroData())
         assert report.verdict == "converged"
-        assert [s.damping_final for s in report.stages] == [1.0] * 4, H
+        assert [(s.tau, s.damping_final) for s in report.stages] == [(1.0, 1.0)], H
+        assert {row["damping"] for row in report.trace} == {1.0}, H
 
 
 @pytest.fixture(scope="module")
@@ -172,13 +211,22 @@ def test_nonfinite_curvature_ends_in_linear_failure():
     assert "non-finite" in report.message
 
 
-def test_solution_independent_of_tau_path(cap_grid32, cap_H):
-    # same endpoint through a different continuation schedule
-    alt = SolveConfig(tau_schedule=(0.5, 1.0))
-    r1 = solve_dirichlet(cap_grid32, cap_H, ZeroData(), config=alt)
-    r2 = solve_dirichlet(cap_grid32, cap_H, ZeroData())
-    assert r1.verdict == r2.verdict == "converged"
-    assert np.max(np.abs(r1.field.values - r2.field.values)) < 1e-7
+def test_solution_independent_of_tau_path(cap_solve32, cap_walk32):
+    # same endpoint by the leap and by the walk through the schedule
+    assert cap_solve32.verdict == cap_walk32.verdict == "converged"
+    assert np.max(np.abs(cap_solve32.field.values - cap_walk32.field.values)) < 1e-7
+
+
+@pytest.mark.parametrize("values", [
+    {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True}, {"stagnation_window": 0},
+    {"tol_update": 0.0}, {"tol_residual": float("nan")}, {"grad_max": -1.0},
+    {"tau_schedule": ()}, {"tau_schedule": (0.0, 1.0)}, {"tau_schedule": (0.5, 0.5, 1.0)},
+    {"tau_schedule": (0.5, 1.5)}])
+def test_solve_config_refuses_bad_values(values):
+    # a window of 0 raised IndexError in the solve, and max_iters = 0 ended
+    # stagnated after 0 iterations
+    with pytest.raises(ValueError, match=next(iter(values))):
+        SolveConfig(**values)
 
 
 def test_negative_curvature_flips_sign(cap_grid32):
