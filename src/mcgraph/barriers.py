@@ -822,59 +822,59 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
         raise NotApplicable("could not find a continuity radius R2 for the "
                             "circle-distance Laplacian")
 
-    # root-find for a in log space, extended precision
-    mp.mp.dps = 60
-    delta = domain.diameter
-    nu_mp = mp.mpf(nu_ne)
-    delta_mp = mp.mpf(delta)
-    pref = mp.sqrt(mp.mpf(2) / (n - 1))
+    # root-find for a in log space, in 60 digits that end with it
+    with mp.workdps(60):
+        delta = domain.diameter
+        nu_mp = mp.mpf(nu_ne)
+        delta_mp = mp.mpf(delta)
+        pref = mp.sqrt(mp.mpf(2) / (n - 1))
 
-    def f_of_log(la):
-        """g(e^la) - eps/2, increasing in la."""
-        a_ = mp.e**la
-        psi_a = pref * a_ * mp.sqrt(mp.pi) * mp.erfi(mp.sqrt(mp.log(delta_mp / a_)))
-        return psi_a + mp.sqrt(2 * a_ / nu_mp) - target
+        def f_of_log(la):
+            """g(e^la) - eps/2, increasing in la."""
+            a_ = mp.e**la
+            psi_a = pref * a_ * mp.sqrt(mp.pi) * mp.erfi(mp.sqrt(mp.log(delta_mp / a_)))
+            return psi_a + mp.sqrt(2 * a_ / nu_mp) - target
 
-    target = mp.mpf(eps) / 2
-    hi = mp.log(mp.mpf(R2) * (1 - mp.mpf("1e-9")))
-    f_hi = f_of_log(hi)
-    lo, f_lo = hi, f_hi          # already small enough at the R2 cap when f < 0
-    width = mp.mpf(64)
-    while f_lo >= 0:
-        if width > mp.mpf("1e9"):
-            raise NotApplicable("root-find for the exclusion radius failed "
-                                "to bracket; eps may be too small")
-        hi, f_hi = lo, f_lo
-        lo = hi - width
-        f_lo = f_of_log(lo)
-        width *= 2
-    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the bracket
-    # f(lo) < 0 <= f(hi): the secant runs through (lo, s_lo) and (hi, s_hi),
-    # and the end kept twice in a row has its s halved.  It stops when the
-    # next point is no longer strictly inside the bracket.
-    s_lo, s_hi = f_lo, f_hi
-    kept = 0                     # -1: lo moved last, 1: hi moved last
-    while lo < hi:
-        x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
-        if not lo < x < hi:
-            break
-        f_x = f_of_log(x)
-        if f_x < 0:
-            lo, f_lo, s_lo = x, f_x, f_x
-            if kept == -1:
-                s_hi /= 2
-            kept = -1
-        else:
-            hi, s_hi = x, f_x
-            if kept == 1:
-                s_lo /= 2
-            kept = 1
-    log_a = lo
-    a_mp = mp.e**log_a
-    g_val = f_lo + target
-    assert a_mp > 0 and g_val < eps
-    a_float = float(a_mp)
-    log10_a = float(log_a / mp.log(10))
+        target = mp.mpf(eps) / 2
+        hi = mp.log(mp.mpf(R2) * (1 - mp.mpf("1e-9")))
+        f_hi = f_of_log(hi)
+        lo, f_lo = hi, f_hi          # already small enough at the R2 cap when f < 0
+        width = mp.mpf(64)
+        while f_lo >= 0:
+            if width > mp.mpf("1e9"):
+                raise NotApplicable("root-find for the exclusion radius failed "
+                                    "to bracket; eps may be too small")
+            hi, f_hi = lo, f_lo
+            lo = hi - width
+            f_lo = f_of_log(lo)
+            width *= 2
+        # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the bracket
+        # f(lo) < 0 <= f(hi): the secant runs through (lo, s_lo) and (hi, s_hi),
+        # and the end kept twice in a row has its s halved.  It stops when the
+        # next point is no longer strictly inside the bracket.
+        s_lo, s_hi = f_lo, f_hi
+        kept = 0                     # -1: lo moved last, 1: hi moved last
+        while lo < hi:
+            x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+            if not lo < x < hi:
+                break
+            f_x = f_of_log(x)
+            if f_x < 0:
+                lo, f_lo, s_lo = x, f_x, f_x
+                if kept == -1:
+                    s_hi /= 2
+                kept = -1
+            else:
+                hi, s_hi = x, f_x
+                if kept == 1:
+                    s_lo /= 2
+                kept = 1
+        log_a = lo
+        a_mp = mp.e**log_a
+        g_val = f_lo + target
+        assert a_mp > 0 and g_val < eps
+        a_float = float(a_mp)
+        log10_a = float(log_a / mp.log(10))
     if a_float == 0.0:
         warnings.append(
             f"certified radius a = 10^{log10_a:.1f} underflows float64 and any "

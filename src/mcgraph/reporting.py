@@ -9,7 +9,6 @@ fixed piecewise-linear map with the data range printed in the legend.
 
 from __future__ import annotations
 
-import csv
 import json
 from pathlib import Path
 from typing import Optional
@@ -76,17 +75,26 @@ def write_report(path, report: dict) -> None:
     Path(path).write_text(text)
 
 
+def _write_csv(path, header, rows) -> None:
+    """Write the header and the rows of strings as csv.writer's default
+    dialect would: comma-separated, every row ended by \r\n.  No field
+    written here (ints, float reprs, node classes) needs quoting."""
+    with open(path, "w", newline="") as fh:
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
+def _on_lines(strings, k: np.ndarray) -> list:
+    """strings[k] over an array of lattice-line indices k, so that each line
+    is formatted once rather than once per node on it."""
+    return np.array(list(strings), dtype=object)[k].tolist()
+
+
 def write_traces_csv(path, solve_report) -> None:
     """Per-iteration continuation history."""
-    rows = solve_report.trace
     fields = ["tau", "iter", "residual_core", "residual_collar", "update",
               "sup_gradient", "damping"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: repr(float(row[k])) if k != "iter" else row[k]
-                             for k in fields})
+    _write_csv(path, fields, ([str(row[k]) if k == "iter" else repr(float(row[k]))
+                               for k in fields] for row in solve_report.trace))
 
 
 def write_fields_csv(path, u: ScalarField) -> None:
@@ -96,35 +104,31 @@ def write_fields_csv(path, u: ScalarField) -> None:
     values so near-boundary behavior is inspectable.
     """
     grid = u.grid
-    ij = np.concatenate([grid.interior_ij, grid.ghost_ij])
+    i, j = np.concatenate([grid.interior_ij, grid.ghost_ij]).T
     node_class = ["interior"] * grid.n_interior + ["ghost"] * len(grid.ghost_ij)
     values = np.concatenate([u.values, u.ghost_values()])
-    rows = zip(ij[:, 0].tolist(), ij[:, 1].tolist(),
-               map(repr, grid.xs[ij[:, 0]].tolist()), map(repr, grid.ys[ij[:, 1]].tolist()),
-               node_class, map(repr, values.tolist()))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "x", "y", "class", "u"])
-        writer.writerows(rows)
+    _write_csv(path, ["i", "j", "x", "y", "class", "u"], zip(
+        _on_lines(map(str, range(grid.nx)), i), _on_lines(map(str, range(grid.ny)), j),
+        _on_lines(map(repr, grid.xs.tolist()), i), _on_lines(map(repr, grid.ys.tolist()), j),
+        node_class, map(repr, values.tolist())))
 
 
-_COLOR_STOPS = (
-    (0.00, (48, 18, 59)),
-    (0.25, (62, 117, 207)),
-    (0.50, (27, 208, 213)),
-    (0.75, (250, 186, 57)),
-    (1.00, (122, 4, 3)),
-)
+_STOP_T = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+_STOP_RGB = np.array([(48, 18, 59), (62, 117, 207), (27, 208, 213), (250, 186, 57),
+                      (122, 4, 3)], dtype=float)
 
 
-def _color(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(_COLOR_STOPS, _COLOR_STOPS[1:]):
-        if t <= t1:
-            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _COLOR_STOPS[-1][1]
+def _colors(t: np.ndarray) -> list:
+    """'#rrggbb' of each t under the piecewise-linear map through the stops.
+
+    t is clamped to [0, 1], NaN going to 0; t falls in the first segment whose
+    end is >= t, and each channel is rounded half to even."""
+    t = np.where(t > 0.0, np.minimum(t, 1.0), 0.0)
+    k = np.searchsorted(_STOP_T[1:], t, side="left")
+    w = (t - _STOP_T[k]) / (_STOP_T[k + 1] - _STOP_T[k])
+    c0, c1 = _STOP_RGB[k], _STOP_RGB[k + 1]
+    rgb = np.rint(c0 + w[:, None] * (c1 - c0)).astype(np.int64)
+    return [f"#{c:06x}" for c in (rgb @ [1 << 16, 1 << 8, 1]).tolist()]
 
 
 def write_heatmap_svg(path, u: ScalarField, title: str = "u",
@@ -136,8 +140,7 @@ def write_heatmap_svg(path, u: ScalarField, title: str = "u",
     """
     grid = u.grid
     vals = np.full((grid.nx, grid.ny), np.nan)
-    ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
-    vals[ii, jj] = u.values
+    vals[tuple(grid.interior_ij.T)] = u.values
     step = max(1, int(np.ceil(max(grid.nx, grid.ny) / max_cells)))
     sub = vals[::step, ::step]
     vmin = float(np.nanmin(vals)) if np.isfinite(vals).any() else 0.0
@@ -156,23 +159,19 @@ def write_heatmap_svg(path, u: ScalarField, title: str = "u",
         f'<rect width="100%" height="100%" fill="white"/>',
         f'<g transform="translate({margin},{margin})">',
     ]
-    nxs, nys = sub.shape
-    for a in range(nxs):
-        for b in range(nys):
-            v = sub[a, b]
-            if not np.isfinite(v):
-                continue
-            color = _color((v - vmin) / span)
-            # svg y grows downward; flip so the plot is in math orientation
-            lines.append(
-                f'<rect x="{a * cell}" y="{(nys - 1 - b) * cell}" '
-                f'width="{cell}" height="{cell}" fill="{color}"/>')
+    # the finite cells in a-major order; svg y grows downward, so b is
+    # flipped to put the plot in math orientation
+    a, b = np.nonzero(np.isfinite(sub))
+    lines += [f'<rect x="{x}" y="{y}" width="{cell}" height="{cell}" fill="{color}"/>'
+              for x, y, color in zip((a * cell).tolist(),
+                                     ((sub.shape[1] - 1 - b) * cell).tolist(),
+                                     _colors((sub[a, b] - vmin) / span))]
     lines.append("</g>")
     bar_y = h_px + margin + 10
-    for k in range(100):
+    for k, color in enumerate(_colors(np.arange(100) / 99.0)):
         lines.append(f'<rect x="{margin + k * (w_px / 100.0):.2f}" y="{bar_y}" '
                      f'width="{w_px / 100.0 + 0.5:.2f}" height="10" '
-                     f'fill="{_color(k / 99.0)}"/>')
+                     f'fill="{color}"/>')
     lines.append(
         f'<text x="{margin}" y="{bar_y + 24}" font-family="monospace" '
         f'font-size="12">{title}: min={vmin!r} max={vmax!r}</text>')

@@ -424,6 +424,20 @@ def test_certificate_quality(certificate):
     assert any("underflow" in w for w in c.warnings)
 
 
+def test_certificate_leaves_the_mpmath_precision_alone(unit_disk):
+    import mpmath
+    before = mpmath.mp.dps
+    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.55), (1.0, 0.0), 0.05,
+                           n=2)
+    assert mpmath.mp.dps == before
+    # the A8 certificate as it was when the root-find set 60 digits for good
+    assert c.log10_a == -5559.1026582981185
+    assert c.g_value == 0.025
+    # and the radius keeps the digits it was found in
+    with mpmath.workdps(60):
+        assert mpmath.nstr(c.a_mp, 40) == "7.894810351481292283630377135129978638834e-5560"
+
+
 def test_certificate_psi_matches_quadrature(unit_disk):
     # at a radius the grid can resolve, g(a) = psi(a) + sqrt(2 a / nu) with
     # psi(a) = sqrt(2) int_a^delta log(r/a)^(-1/2) dr; r = a e^(s^2) turns

@@ -1,16 +1,18 @@
 """Artifact emission: canonical JSON, CSV dumps, SVG heatmap."""
 
 import csv
+import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
-from mcgraph import (Grid, ScalarField, build_report, disk, load_scenario,
+from mcgraph import (Grid, ScalarField, annulus, build_report, disk, load_scenario,
                      solve_dirichlet, write_fields_csv, write_heatmap_svg,
                      write_report, write_traces_csv)
-from mcgraph.reporting import _jsonable, SCHEMA_VERSION
+from mcgraph.reporting import _colors, _jsonable, SCHEMA_VERSION
 
 
 @pytest.fixture(scope="module")
@@ -173,3 +175,84 @@ def test_artifacts_byte_identical_across_runs(small_solve, tmp_path):
         write_heatmap_svg(s, rep.field)
         blobs.append((t.read_bytes(), f.read_bytes(), s.read_bytes()))
     assert blobs[0] == blobs[1]
+
+
+# the scalar colour map the heatmap used before it was vectorised
+_ORACLE_STOPS = (
+    (0.00, (48, 18, 59)),
+    (0.25, (62, 117, 207)),
+    (0.50, (27, 208, 213)),
+    (0.75, (250, 186, 57)),
+    (1.00, (122, 4, 3)),
+)
+
+
+def _oracle_color(t: float) -> str:
+    t = min(1.0, max(0.0, t))
+    for (t0, c0), (t1, c1) in zip(_ORACLE_STOPS, _ORACLE_STOPS[1:]):
+        if t <= t1:
+            w = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
+            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
+            return "#%02x%02x%02x" % rgb
+    return "#%02x%02x%02x" % _ORACLE_STOPS[-1][1]
+
+
+def test_colors_match_the_scalar_map():
+    rng = np.random.default_rng(19)
+    t = np.concatenate([np.linspace(-0.1, 1.1, 10_001), rng.uniform(-0.1, 1.1, 2_000),
+                        [0.0, 0.25, 0.5, 0.75, 1.0, np.nextafter(0.25, 1.0), np.nan]])
+    assert _colors(t) == [_oracle_color(v) for v in t]
+    # the stops themselves
+    assert _colors(np.array([0.0, 0.25, 0.5, 0.75, 1.0])) == [
+        "#30123b", "#3e75cf", "#1bd0d5", "#faba39", "#7a0403"]
+    # at t = 0.3125 the blue channel is 207 + 0.25 = 208.5 exactly, which
+    # rounds half to even, down to 208 (0xd0)
+    assert _colors(np.array([0.3125])) == [_oracle_color(0.3125)] == ["#358cd0"]
+
+
+@pytest.fixture(scope="module")
+def annulus_field():
+    grid = Grid(annulus(0.5, 1.0), 1.0 / 16.0)
+    return ScalarField.from_callable(grid, lambda x, y: np.sin(3 * x) * y + x * x)
+
+
+def test_fields_csv_matches_csv_writer_on_annulus(annulus_field, tmp_path):
+    u = annulus_field
+    grid = u.grid
+    assert len(grid.ghost_ij) > 0
+    # oracle: the row-by-row csv.writer dump of repr'd coordinates and values
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["i", "j", "x", "y", "class", "u"])
+    for cls, ij, vals in (("interior", grid.interior_ij, u.values),
+                          ("ghost", grid.ghost_ij, u.ghost_values())):
+        for (i, j), v in zip(ij.tolist(), vals.tolist()):
+            writer.writerow([i, j, repr(float(grid.xs[i])), repr(float(grid.ys[j])),
+                             cls, repr(v)])
+    path = tmp_path / "fields.csv"
+    write_fields_csv(path, u)
+    assert path.read_bytes() == buf.getvalue().encode()
+
+
+@pytest.mark.parametrize("max_cells", [128, 16])
+def test_heatmap_svg_skips_the_hole_of_an_annulus(annulus_field, tmp_path, max_cells):
+    u = annulus_field
+    grid = u.grid
+    vals = np.full((grid.nx, grid.ny), np.nan)
+    vals[grid.interior_ij[:, 0], grid.interior_ij[:, 1]] = u.values
+    step = max(1, int(np.ceil(max(grid.nx, grid.ny) / max_cells)))
+    sub = vals[::step, ::step]
+    path = tmp_path / "heat.svg"
+    write_heatmap_svg(path, u, max_cells=max_cells)
+    text = path.read_text()
+    cells = [(int(x), int(y), int(w)) for x, y, w in
+             re.findall(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="\d+"', text)]
+    # one rect per finite subsampled cell, 100 legend rects, the background
+    assert len(cells) == np.isfinite(sub).sum()
+    assert text.count("<rect") == len(cells) + 100 + 1
+    # every cell sits on an interior node of the annulus, none in the hole
+    nys = sub.shape[1]
+    for x, y, cell in cells:
+        i, j = x // cell * step, (nys - 1 - y // cell) * step
+        assert grid.node_id[i, j] >= 0
+        assert math.hypot(grid.xs[i], grid.ys[j]) > 0.5
