@@ -1,0 +1,176 @@
+"""Grid benchmark: the seconds of each step of `Grid` construction and of its
+stencil operator build, against a parent commit, each case run in a fresh
+process, with a bit-identity check of what the steps build.
+
+    python3 scripts/bench_grid.py [--parent REV] [--repeats 3] [--calls 5]
+                                  [--spacings 32,64,128,256] [--out BENCH_grid.json]
+
+The parent is ``git archive REV`` of this repository unpacked in a temporary
+directory (default ``HEAD``: the working tree's change against its last
+commit; pass ``HEAD~1`` once the change is committed).  The cases are the
+six domains of the benchmark's ``domain_grids`` workload at every spacing
+h = 1/N given, plus the unit disk at h = 1/512.  For every case the parent
+and this checkout take turns, one fresh process at a time and each going
+first in every other repeat.  A process builds ``Grid(domain, h)`` and its
+``operators()`` ``--calls`` times, with the construction steps wrapped:
+
+* ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
+* ``intercepts``: ``Grid._find_intercepts`` (foot bisection);
+* ``closures``: ``Grid._close_ghosts``;
+* ``cross``: ``Grid._choose_cross_stencils``;
+* ``operators``: ``Grid._build_operators``.
+
+The least of a step's seconds over the calls is its time in that process,
+and the table gives the median over the repeats.  Each process also hashes
+(SHA-256 over dtype, shape and bytes) ``data``, ``indices`` and ``indptr``
+of both operator blocks, ``_cross_centred``, ``_cross_one_sided``,
+``_cross_quadrant`` and the flags; ``identical`` compares the parent's
+digests with this checkout's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+STEPS = {"classify": "_classify", "intercepts": "_find_intercepts",
+         "closures": "_close_ghosts", "cross": "_choose_cross_stencils",
+         "operators": "_build_operators"}
+LEVELSET_EXPR = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
+DOMAINS = {
+    "disk": ("disk", {"radius": 1.0}),
+    "ellipse": ("ellipse", {"a": 1.2, "b": 0.7}),
+    "rounded_rect": ("rounded_rect", {"hx": 1.0, "hy": 0.6, "corner_radius": 0.25}),
+    "annulus": ("annulus", {"r_in": 0.8, "r_out": 1.6}),
+    "dumbbell": ("dumbbell", {"waist": 1.0, "spread": 1.3}),
+    "levelset": ("levelset", {"expr": LEVELSET_EXPR, "bbox": (-1.1, 1.1, -1.0, 1.0)}),
+}
+
+
+def _digest(*arrays) -> str:
+    sha = hashlib.sha256()
+    for a in arrays:
+        sha.update(f"{a.dtype.str}{a.shape}".encode())
+        sha.update(a.tobytes())
+    return sha.hexdigest()
+
+
+def _measure(root: str, domain: str, N: int, calls: int) -> dict:
+    sys.path.insert(0, str(Path(root) / "src"))
+    import mcgraph
+    from mcgraph import Grid
+
+    seconds = {}
+
+    def timed(step, method):
+        def wrapper(self, *args, **kwargs):
+            t0 = time.perf_counter()
+            out = method(self, *args, **kwargs)
+            seconds[step] = min(seconds.get(step, float("inf")), time.perf_counter() - t0)
+            return out
+        return wrapper
+
+    for step, name in STEPS.items():
+        setattr(Grid, name, timed(step, getattr(Grid, name)))
+    factory, params = DOMAINS[domain]
+    dom = getattr(mcgraph, factory)(**params)
+    for _ in range(calls):
+        grid = Grid(dom, 1.0 / N)
+        D, D_feet = grid.operators()
+    digests = {f"{label}.{attr}": _digest(getattr(M, attr))
+               for label, M in (("D", D), ("D_feet", D_feet))
+               for attr in ("data", "indices", "indptr")}
+    for attr in ("_cross_centred", "_cross_one_sided", "_cross_quadrant"):
+        digests[attr] = _digest(getattr(grid, attr))
+    digests["flags"] = hashlib.sha256(json.dumps(grid.flags).encode()).hexdigest()
+    return {"seconds": seconds, "n_interior": grid.n_interior, "nnz": int(D.nnz),
+            "digests": digests}
+
+
+def _run(root: Path, domain: str, N: int, calls: int) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--one", str(root), domain, str(N),
+                          str(calls)], check=True, capture_output=True, text=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", default="HEAD", help="the commit to compare against")
+    ap.add_argument("--repeats", type=int, default=3)
+    ap.add_argument("--calls", type=int, default=5)
+    ap.add_argument("--spacings", default="32,64,128,256",
+                    help="the N of each spacing h = 1/N for the six domains")
+    ap.add_argument("--out", default=str(ROOT / "BENCH_grid.json"))
+    ap.add_argument("--one", nargs=4, metavar=("ROOT", "DOMAIN", "N", "CALLS"),
+                    help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.one:
+        root, domain, N, calls = args.one
+        print(json.dumps(_measure(root, domain, int(N), int(calls))))
+        return 0
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    cases = [(domain, int(N)) for N in args.spacings.split(",") for domain in DOMAINS]
+    cases.append(("disk", 512))
+    results = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        checkouts = {"parent": parent_root, "this": ROOT}
+        for domain, N in cases:
+            runs = {name: [] for name in checkouts}
+            for r in range(args.repeats):
+                order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+                for name in order:
+                    runs[name].append(_run(checkouts[name], domain, N, args.calls))
+            entry = {"n_interior": runs["this"][0]["n_interior"], "nnz": runs["this"][0]["nnz"]}
+            for name, rows in runs.items():
+                entry[name] = {
+                    "seconds_median": {s: statistics.median(row["seconds"][s] for row in rows)
+                                       for s in STEPS},
+                    "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in STEPS}}
+            entry["identical"] = all(row["digests"] == runs["parent"][0]["digests"]
+                                     for rows in runs.values() for row in rows)
+            results[f"{domain} 1/{N}"] = entry
+            p, t = entry["parent"]["seconds_median"], entry["this"]["seconds_median"]
+            print(f"{domain:13s} 1/{N:<4}" + ", ".join(
+                f"{s} {1e3 * p[s]:.1f} -> {1e3 * t[s]:.1f}" for s in ("cross", "operators"))
+                + f" ms, identical {entry['identical']}", flush=True)
+    totals = {name: {s: sum(e[name]["seconds_median"][s] for e in results.values())
+                     for s in STEPS} for name in ("parent", "this")}
+    import numpy as np
+    import scipy
+    doc = {
+        "benchmark": "Grid construction steps and the stencil operator build on the "
+                     "domain_grids domains and the disk at 1/512 against a parent commit: "
+                     "least seconds of --calls builds per process, median over the repeats, "
+                     "one fresh process per case, checkout and repeat",
+        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
+                    "python": platform.python_version(), "numpy": np.__version__,
+                    "scipy": scipy.__version__},
+        "parent": rev,
+        "repeats": args.repeats,
+        "calls": args.calls,
+        "seconds_total": totals,
+        "all_identical": all(e["identical"] for e in results.values()),
+        "results": results,
+    }
+    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

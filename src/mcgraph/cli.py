@@ -19,9 +19,10 @@ audits and constants from one `barriers.estimate_ledger` call.  An
 written all the same.
 
 Exit codes: 4 on a configuration error for every command, taken in `main`
-alone.  run, [experiment] runs included: 0 converged with all requested
-audits passing, 2 solver failure, 3 audit failure.  check-serrin exits 0 when
-the solvability condition holds and 1 when violated.
+alone; a spacing at which no grid can be built (`GridError`) is one.  run,
+[experiment] runs included: 0 converged with all requested audits passing,
+2 solver failure, 3 audit failure.  check-serrin exits 0 when the
+solvability condition holds and 1 when violated.
 
 MCGRAPH_THREADS caps BLAS thread pools; it is exported to the usual knobs
 (OPENBLAS_NUM_THREADS and friends) before heavy work starts, which is fully
@@ -31,6 +32,7 @@ effective only when the libraries have not spun up their pools yet.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -39,7 +41,7 @@ from . import barriers
 from .config import ConfigError, load_scenario
 from .geometry import (REQUIRED, SHAPE_PARAMETERS, MalformedDomainError,
                        PrescribedCurvature, check_serrin, make_domain)
-from .grid import Grid
+from .grid import Grid, GridError
 from .reference import get as get_reference
 from .reporting import (build_report, write_report, write_traces_csv,
                         write_fields_csv, write_heatmap_svg)
@@ -75,8 +77,8 @@ def _say(quiet: bool, *parts) -> None:
 def _load(config_path: str, grid_h, out_override):
     scenario = load_scenario(config_path)
     if grid_h is not None:
-        if not grid_h > 0:
-            raise ConfigError(f"--grid-h must be positive, got {grid_h!r}")
+        if not 0 < grid_h < math.inf:
+            raise ConfigError(f"--grid-h must be positive and finite, got {grid_h!r}")
         scenario.spacings = (float(grid_h),)
     if out_override is not None:
         scenario.outdir = out_override
@@ -359,7 +361,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, MalformedDomainError) as exc:
+    except (ConfigError, MalformedDomainError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

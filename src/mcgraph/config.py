@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -252,9 +253,9 @@ def _build_spacings(raw: _Raw, sec: dict) -> tuple:
         vals = (_number(raw, "grid", "spacing", sec["spacing"]),)
     else:
         vals = _number_list(raw, "grid", "spacings", sec["spacings"])
-    if any(v <= 0 for v in vals):
+    if not all(0 < v < math.inf for v in vals):
         raw.fail("grid", "spacing" if "spacing" in sec else "spacings",
-                 "spacings must be positive")
+                 "spacings must be positive and finite")
     if any(b >= a for a, b in zip(vals, vals[1:])):
         raw.fail("grid", "spacings", "spacings must be strictly decreasing")
     return vals

@@ -29,13 +29,18 @@ A ghost owned by several links takes the mean of their extrapolations.  The
 closures are built per boundary link into two sparse elimination matrices,
 ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  The
 finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) are stacked in
-that order into one sparse pair (interior block, foot block): their taps on
-interior nodes are written straight into the stacked arrays, and their taps
-on ghosts are eliminated through those matrices, once for the whole stack.
-All five stencils applied to a field are one mat-vec pair, and the ghost
-elimination is identical in nodal evaluation and linear-system assembly.  For assembly, the union pattern of the five interior
-blocks is built once per grid, so a frozen-coefficient matrix or a Newton
-Jacobian is one scatter of the stacked weights times their coefficients.
+that order into one sparse pair (interior block, foot block).  Lattice
+neighbours are 1-D takes on the flat index i ny + j, one per offset, and the
+rows are written in lattice order: interior nodes are numbered row-major, so
+taps in lexicographic (di, dj) order reach ascending columns, and each
+stencil fills fixed-width rows from which its ghost taps are compressed out.
+The ghost taps are eliminated through the closure matrices once for the
+whole stack, and one canonical merge adds them to the interior taps.  All
+five stencils applied to a field are one mat-vec pair, and the ghost
+elimination is identical in nodal evaluation and linear-system assembly.
+For assembly, the union pattern of the five interior blocks is built once
+per grid, so a frozen-coefficient matrix or a Newton Jacobian is one
+scatter of the stacked weights times their coefficients.
 For factorization, `Grid.dissection` orders the interior nodes by nested
 dissection on lattice lines; it is computed on first read, so grids that are
 never factorized do not pay for it.
@@ -81,8 +86,8 @@ class Grid:
     """Uniform grid over the domain bounding box plus a two-cell margin."""
 
     def __init__(self, domain: DomainSpec, h: float):
-        if h <= 0:
-            raise GridError("spacing h must be positive")
+        if not 0 < h < math.inf:
+            raise GridError("spacing h must be positive and finite")
         self.domain = domain
         self.h = float(h)
         self._build_nodes()
@@ -293,18 +298,25 @@ class Grid:
     def _choose_cross_stencils(self):
         """Cross derivative per interior node: centred where all four diagonals
         are usable, otherwise one-sided first order in one quadrant, preferring
-        a quadrant whose diagonal is interior."""
-        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        qi, qj = ii + _QUADRANTS[:, :1], jj + _QUADRANTS[:, 1:]
-        usable = (self.cls != NODE_EXTERIOR)[qi, qj]
-        inner = self.interior_mask[qi, qj]
-        one_sided = ~usable.all(axis=0) & usable.any(axis=0)
-        k = np.where(inner.any(axis=0), inner.argmax(axis=0), usable.argmax(axis=0))
-        self._cross_centred = usable.all(axis=0)    # a mask: smaller than indices on a kept grid
-        self._cross_one_sided = np.flatnonzero(one_sided)
+        a quadrant whose diagonal is interior.  Lattice neighbours are 1-D
+        takes on the flat index i ny + j; only the rows that are not centred
+        look at their quadrants."""
+        flat = self.interior_ij[:, 0] * self.ny + self.interior_ij[:, 1]
+        step = _QUADRANTS @ (self.ny, 1)            # flat offsets of the diagonals
+        usable = (self.cls != NODE_EXTERIOR).ravel()
+        centred = usable.take(flat + step[0])
+        for s in step[1:]:
+            centred &= usable.take(flat + s)
+        rest = np.flatnonzero(~centred)
+        near = flat[rest] + step[:, None]           # (quadrant, row)
+        usable_q, inner_q = usable.take(near), self.interior_mask.ravel().take(near)
+        one_sided = usable_q.any(axis=0)
+        k = np.where(inner_q.any(axis=0), inner_q.argmax(axis=0), usable_q.argmax(axis=0))
+        self._cross_centred = centred    # a mask: smaller than indices on a kept grid
+        self._cross_one_sided = rest[one_sided]
         self._cross_quadrant = _QUADRANTS[k[one_sided]]
         self.flags["cross_one_sided"] = int(one_sided.sum())
-        self.flags["cross_missing"] = int((~usable.any(axis=0)).sum())
+        self.flags["cross_missing"] = int((~one_sided).sum())
 
     # -- ghost helpers -------------------------------------------------------
 
@@ -323,58 +335,72 @@ class Grid:
         return self._ops
 
     def _build_operators(self):
-        h, Ni = self.h, self.n_interior
-        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        rows = np.arange(Ni)
-        centred, r1 = np.flatnonzero(self._cross_centred), self._cross_one_sided
-        a, b = self._cross_quadrant[:, 0], self._cross_quadrant[:, 1]
-        s, w4 = a * b / h**2, 0.25 / h**2
-        # each stencil as taps (rows, node offset, weight); every tap reaches
-        # an interior or ghost node, and no two taps of a row the same node
-        taps = {
-            "Dxx": [(rows, (1, 0), 1.0 / h**2), (rows, (-1, 0), 1.0 / h**2),
-                    (rows, (0, 0), -2.0 / h**2)],
-            "Dyy": [(rows, (0, 1), 1.0 / h**2), (rows, (0, -1), 1.0 / h**2),
-                    (rows, (0, 0), -2.0 / h**2)],
-            "Dxy": [(centred, (1, 1), w4), (centred, (-1, -1), w4),
-                    (centred, (1, -1), -w4), (centred, (-1, 1), -w4),
-                    (r1, (a, b), s), (r1, (a, 0), -s), (r1, (0, b), -s), (r1, (0, 0), s)],
-            "Gx": [(rows, (1, 0), 0.5 / h), (rows, (-1, 0), -0.5 / h)],
-            "Gy": [(rows, (0, 1), 0.5 / h), (rows, (0, -1), -0.5 / h)],
-        }
-        # column of every usable node: interior unknowns first, then ghosts
-        column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id)
-        # the interior taps of all five stencils are written, grouped by row,
-        # straight into stacked arrays sized for every tap; the few ghost taps
-        # are eliminated through the closures once, for the whole stack
-        size = sum(len(at) for stencil in taps.values() for at, _, _ in stencil)
-        index = np.int32 if size < 2**31 else np.int64
-        data, indices = np.empty(size), np.empty(size, dtype=index)
-        indptr = np.zeros(len(STENCILS) * Ni + 1, dtype=index)
-        ghost_taps = []
-        end = 0
+        stacked, S_gh = self._stencil_taps()
+        # both terms in canonical form, so their sum is scipy's sorted merge,
+        # which adds the two entries of a position and drops exact zeros;
+        # sorted rows keep each mat-vec's summation order fixed
+        M, D_feet = S_gh @ self.closure_int, S_gh @ self.closure_feet
+        M.sort_indices()
+        D_feet.sort_indices()
+        return stacked + M, D_feet
+
+    def _stencil_taps(self):
+        """The STENCILS' taps, stacked row block after row block: the taps on
+        interior nodes (rows x interior, canonical) and on ghosts (rows x
+        ghosts)."""
+        h, Ni, ny = self.h, self.n_interior, self.ny
+        # column of every node: interior unknowns first, then ghosts; an
+        # exterior node reads -1
+        column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id).ravel()
+        flat = self.interior_ij[:, 0] * ny + self.interior_ij[:, 1]
+        # node_id runs row-major over (i, j), so a row's taps taken in
+        # lexicographic (di, dj) order reach its interior columns in
+        # ascending order.  A tap is a flat offset di ny + dj, and each axis
+        # offset is one 1-D take, shared by the stencils that read it.
+        taps = {"Dxx": (-ny, 0, ny), "Dyy": (-1, 0, 1),
+                "Dxy": (-ny - 1, -ny + 1, ny - 1, ny + 1),
+                "Gx": (-ny, ny), "Gy": (-1, 1)}
+        second, first = (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), (-0.5 / h, 0.5 / h)
+        cross = np.array((1.0, -1.0, -1.0, 1.0))
+        weights = {"Dxx": second, "Dyy": second, "Dxy": cross * (0.25 / h**2),
+                   "Gx": first, "Gy": first}
+        near = {s: column.take(flat + s) for s in (-ny, -1, 1, ny)}
+        near[0] = np.arange(Ni)
+        # every stencil fills fixed-width rows, one block after another
+        width = np.repeat([len(taps[name]) for name in STENCILS], Ni)
+        index = np.int32 if width.sum() < 2**31 else np.int64
+        indptr = np.zeros(len(width) + 1, dtype=index)
+        np.cumsum(width, out=indptr[1:])
+        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
+        r1, (a, b) = self._cross_one_sided, self._cross_quadrant.T
         for k, name in enumerate(STENCILS):
-            # rows, columns and weights of one stencil's taps at a time, so
-            # that only one stencil's tap arrays are held at once
-            r, c, v = (np.concatenate(part) for part in zip(*(
-                (at, column[ii[at] + di, jj[at] + dj], np.broadcast_to(w, at.shape))
-                for at, (di, dj), w in taps[name])))
-            own = c < Ni
-            ghost_taps.append((r[~own] + k * Ni, c[~own] - Ni, v[~own]))
-            r, c, v = r[own], c[own], v[own]
-            order = np.argsort(r, kind="stable")
-            indices[end:end + len(r)] = c[order]
-            data[end:end + len(r)] = v[order]
-            indptr[k * Ni + 1:(k + 1) * Ni + 1] = end + np.cumsum(np.bincount(r, minlength=Ni))
-            end += len(r)
-        stacked = sps.csr_matrix((data[:end], indices[:end], indptr),
-                                 shape=(len(STENCILS) * Ni, Ni))
-        r, c, v = (np.concatenate(part) for part in zip(*ghost_taps))
-        S_gh = sps.csr_matrix((v, (r, c)), shape=(len(STENCILS) * Ni, self.n_ghost))
-        D, D_feet = stacked + S_gh @ self.closure_int, S_gh @ self.closure_feet
-        for M in (D, D_feet):
-            M.sort_indices()    # sorted rows keep each mat-vec's summation order fixed
-        return D, D_feet
+            block = slice(indptr[k * Ni], indptr[(k + 1) * Ni])
+            c = indices[block].reshape(Ni, len(taps[name]))
+            w = data[block].reshape(Ni, len(taps[name]))
+            w[...] = weights[name]
+            for t, s in enumerate(taps[name]):
+                c[:, t] = near[s] if s in near else column.take(flat + s)
+            if name == "Dxy":
+                # Dxy taps the corners (0, 0), (0, 1), (1, 0), (1, 1) of a
+                # cell with weights +, -, -, +: a centred row's cell is its
+                # four diagonals, a one-sided row's is its quadrant, and a
+                # row with neither reads four exterior diagonals
+                corner = flat[r1] + np.minimum(a, 0) * ny + np.minimum(b, 0)
+                c[r1] = column.take(corner[:, None] + (0, 1, ny, ny + 1))
+                w[r1] = cross * (1.0 / h**2)
+        ghost = np.flatnonzero(indices >= Ni)
+        S_gh = sps.csr_matrix((data[ghost], (np.searchsorted(indptr, ghost, side="right") - 1,
+                                             indices[ghost] - Ni)),
+                              shape=(len(STENCILS) * Ni, self.n_ghost))
+        # the ghost and exterior taps become explicit zeros, which
+        # eliminate_zeros compresses out in place (a weight that underflows
+        # to 0 goes too, as the merge would drop it anyway)
+        drop = (indices < 0) | (indices >= Ni)
+        data[drop] = 0.0
+        indices[drop] = 0
+        stacked = sps.csr_matrix((data, indices, indptr), shape=(len(STENCILS) * Ni, Ni))
+        stacked.eliminate_zeros()
+        return stacked, S_gh
 
     def pattern(self) -> "StencilPattern":
         """Union pattern of the STENCILS' interior blocks, built on first use

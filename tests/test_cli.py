@@ -83,6 +83,15 @@ def test_run_grid_override(tmp_path):
     assert report["spacings"] == [0.125]
 
 
+def test_run_spacing_that_builds_no_grid_exits_config(tmp_path, capsys):
+    # at h = 1e300 the grid constructor raises GridError, which escaped main
+    root = Path(__file__).resolve().parent.parent
+    code = main(["run", "--config", str(root / "configs" / "cap.ini"),
+                 "--out", str(tmp_path / "o"), "--grid-h", "1e300", "--quiet"])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_run_missing_section_exits_config(tmp_path, capsys):
     cfg = write(tmp_path, "[domain]\nshape = disk\n\n[grid]\nspacing = 1/16\n")
     code = main(["run", "--config", cfg])

@@ -226,6 +226,17 @@ def test_spacings_positive(tmp_path):
     expect_error(tmp_path, text, "[grid]", "positive")
 
 
+@pytest.mark.parametrize("line", ["spacing = nan", "spacing = inf", "spacings = inf, 1/16"])
+def test_spacings_finite(tmp_path, capsys, line):
+    # nan reached the grid constructor and inf an IndexError, each a traceback
+    from mcgraph.cli import EXIT_CONFIG, main
+    text = BASE.replace("spacing = 1/64", line)
+    expect_error(tmp_path, text, "[grid]", line.split()[0], "positive and finite")
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_tau_stages_must_climb_to_one(tmp_path):
     for bad in ("0.5, 0.75", "1.0, 0.5", "0.0, 1.0", "0.5, 0.5, 1.0"):
         text = BASE + f"\n[solver]\ntau_stages = {bad}\n"
@@ -326,7 +337,7 @@ def test_grad_max_must_be_positive(tmp_path):
     _solver_error(tmp_path, "grad_max", ("-1", "0", "nan"), "expected a positive number")
 
 
-@pytest.mark.parametrize("h", ["0", "-0.125", "nan"])
+@pytest.mark.parametrize("h", ["0", "-0.125", "nan", "inf"])
 def test_grid_h_override_must_be_positive(tmp_path, capsys, h):
     # --grid-h 0 died in the grid constructor with a traceback
     from mcgraph.cli import EXIT_CONFIG, main

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from hypothesis import given, strategies as st
 
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
                      disk, dumbbell, ellipse, levelset, rect, rounded_rect)
-from mcgraph.grid import _AXES, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
+from mcgraph.grid import _AXES, _QUADRANTS, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
 
 
 @pytest.fixture(scope="module")
@@ -148,9 +149,11 @@ def test_interior_reaching_lattice_edge_raises():
         Grid(levelset("x**2 + y**2 - 1", (-1.2, 1.2, -1.2, 1.2)), 1.0 / 8.0)
 
 
-def test_nonpositive_spacing_raises():
-    with pytest.raises(GridError):
-        Grid(disk(radius=1.0), 0.0)
+@pytest.mark.parametrize("h", [0.0, -1.0 / 16.0, float("nan"), float("inf")])
+def test_nonpositive_spacing_raises(h):
+    # nan raised ValueError and inf IndexError
+    with pytest.raises(GridError, match="positive and finite"):
+        Grid(disk(radius=1.0), h)
 
 
 def test_field_shape_validation(g16):
@@ -380,3 +383,118 @@ def test_operators_do_not_compute_dissection():
     grid.operators()
     grid.pattern()
     assert "dissection" not in vars(grid)
+
+
+# -- operator build: bit for bit against a tap-by-tap assembly --
+
+def _reference_cross_choice(grid):
+    """Per interior node, in _QUADRANTS order: centred when all four
+    diagonals are usable, else the first quadrant whose diagonal is interior,
+    else the first usable one, else none."""
+    centred, one_sided, quadrant, missing = [], [], [], 0
+    for n, (i, j) in enumerate(grid.interior_ij):
+        usable = [grid.cls[i + a, j + b] != NODE_EXTERIOR for a, b in _QUADRANTS]
+        inner = [bool(grid.interior_mask[i + a, j + b]) for a, b in _QUADRANTS]
+        centred.append(all(usable))
+        if all(usable):
+            continue
+        if not any(usable):
+            missing += 1
+            continue
+        one_sided.append(n)
+        quadrant.append(_QUADRANTS[inner.index(True) if any(inner) else usable.index(True)])
+    return (np.array(centred), np.array(one_sided, dtype=np.intp),
+            np.array(quadrant, dtype=_QUADRANTS.dtype).reshape(-1, 2), len(one_sided), missing)
+
+
+def _reference_operators(grid):
+    """D and D_feet assembled tap by tap: each stencil's taps as scipy COO,
+    split into interior and ghost columns, then S_int + S_gh @ closure_int
+    and S_gh @ closure_feet with sorted rows."""
+    h, Ni = grid.h, grid.n_interior
+    ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
+    rows = np.arange(Ni)
+    centred, r1 = np.flatnonzero(grid._cross_centred), grid._cross_one_sided
+    a, b = grid._cross_quadrant[:, 0], grid._cross_quadrant[:, 1]
+    s, w4 = a * b / h**2, 0.25 / h**2
+    taps = {
+        "Dxx": [(rows, (1, 0), 1.0 / h**2), (rows, (-1, 0), 1.0 / h**2),
+                (rows, (0, 0), -2.0 / h**2)],
+        "Dyy": [(rows, (0, 1), 1.0 / h**2), (rows, (0, -1), 1.0 / h**2),
+                (rows, (0, 0), -2.0 / h**2)],
+        "Dxy": [(centred, (1, 1), w4), (centred, (-1, -1), w4),
+                (centred, (1, -1), -w4), (centred, (-1, 1), -w4),
+                (r1, (a, b), s), (r1, (a, 0), -s), (r1, (0, b), -s), (r1, (0, 0), s)],
+        "Gx": [(rows, (1, 0), 0.5 / h), (rows, (-1, 0), -0.5 / h)],
+        "Gy": [(rows, (0, 1), 0.5 / h), (rows, (0, -1), -0.5 / h)],
+    }
+    column = np.where(grid.cls == NODE_GHOST, Ni + grid.ghost_id, grid.node_id)
+    interior, ghost = [], []
+    for name in STENCILS:
+        r, c, v = (np.concatenate(part) for part in zip(*(
+            (at, column[ii[at] + di, jj[at] + dj], np.broadcast_to(w, at.shape))
+            for at, (di, dj), w in taps[name])))
+        assert np.all(c >= 0)
+        own = c < Ni
+        interior.append(sps.coo_matrix((v[own], (r[own], c[own])), shape=(Ni, Ni)))
+        ghost.append(sps.coo_matrix((v[~own], (r[~own], c[~own] - Ni)),
+                                    shape=(Ni, grid.n_ghost)))
+    S_int, S_gh = sps.vstack(interior, format="csr"), sps.vstack(ghost, format="csr")
+    D, D_feet = S_int + S_gh @ grid.closure_int, S_gh @ grid.closure_feet
+    for X in (D, D_feet):
+        X.sort_indices()
+    # positions whose taps and eliminated ghost taps cancel to exactly 0
+    cancelled = (abs(S_int) + abs(S_gh) @ abs(grid.closure_int)).nnz - D.nnz
+    return D, D_feet, cancelled
+
+
+_OPERATOR_GRIDS = {
+    "disk": (lambda: disk(1.0), 1.0 / 32.0),
+    "annulus_on_lattice": (lambda: annulus(0.5, 1.0), 1.0 / 32.0),
+    "thin_ellipse": (lambda: ellipse(1.0, 0.09), 1.0 / 32.0),
+    "square": (lambda: rect(0.6, 0.6), 1.0 / 16.0),
+    "levelset": (lambda: levelset(_LEVELSET, (-1.1, 1.1, -1.0, 1.0)), 1.0 / 32.0),
+}
+
+
+@pytest.fixture(scope="module")
+def operator_grids():
+    return {name: Grid(make(), h) for name, (make, h) in _OPERATOR_GRIDS.items()}
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
+def test_cross_choice_matches_reference(operator_grids, name):
+    g = operator_grids[name]
+    centred, one_sided, quadrant, n_one, n_missing = _reference_cross_choice(g)
+    for got, want in ((g._cross_centred, centred), (g._cross_one_sided, one_sided),
+                      (g._cross_quadrant, quadrant)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert (g.flags["cross_one_sided"], g.flags["cross_missing"]) == (n_one, n_missing)
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
+def test_operators_match_tap_by_tap_assembly(operator_grids, name):
+    g = operator_grids[name]
+    D, D_feet = g.operators()
+    want_D, want_feet, _ = _reference_operators(g)
+    for got, want in ((D, want_D), (D_feet, want_feet)):
+        assert got.has_canonical_format
+        assert got.shape == want.shape
+        for attr in ("data", "indices", "indptr"):
+            x, y = getattr(got, attr), getattr(want, attr)
+            assert x.dtype == y.dtype, attr
+            assert np.array_equal(x, y), attr
+
+
+def test_operator_grids_cover_every_closure_and_cross_case(operator_grids):
+    # the grids above reach the linear fallback, the skip-owner closure,
+    # one-sided cross rows and entries that cancel to exactly 0
+    def skip_owner(g):
+        return int((g.foot_theta < 0.1).sum()) - g.flags["ghost_theta_clamped"]
+
+    grids = operator_grids.values()
+    assert sum(g.flags["ghost_linear_fallback"] for g in grids) > 0
+    assert sum(skip_owner(g) for g in grids) > 0
+    assert sum(g.flags["cross_one_sided"] for g in grids) > 0
+    assert _reference_operators(operator_grids["thin_ellipse"])[2] == 4
