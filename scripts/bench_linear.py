@@ -1,14 +1,16 @@
 """Linear-layer benchmark: the work of the sparse LU and its GMRES on the
-solves that share a grid and on single cap solves at fine spacings, each case
-in a fresh process.
+solves that share a grid and on single cap solves at fine spacings, against
+a parent commit, each case in a fresh process.
 
-    python3 scripts/bench_linear.py [--checkout NAME=ROOT ...] [--repeats 3]
+    python3 scripts/bench_linear.py [--parent REV] [--repeats 3]
                                     [--cases sweep,bump_legs,...] [--out BENCH_linear.json]
 
-Each checkout's program is imported from ``ROOT/src``; without ``--checkout``
-the checkout holding this script is measured under the name ``this``.  The
-checkouts take turns, one fresh process at a time, so that a drift of the
-host's speed falls on all of them alike.  The cases are
+The parent is ``git archive REV`` of this repository unpacked in a temporary
+directory (default ``HEAD``: the working tree's change against its last
+commit; pass ``HEAD~1`` once the change is committed).  For every case the
+parent and this checkout take turns, one fresh process at a time and each
+going first in every other repeat, so that a drift of the host's speed falls
+on both alike.  The cases are
 
 * ``sweep``: the nine caps H = 0.05, 0.10, ..., 0.45 with zero data on one
   h = 1/32 disk grid, in that order (the perfbench ``curvature_sweep``);
@@ -26,7 +28,7 @@ and a sha256 of each solve's field.  The counts and the hashes must agree
 across the repeats of a checkout.  ``same_fields`` says whether the hashes
 agree across the checkouts; for ``bump_legs``, whose second leg may start
 from another LU, ``max_field_difference`` records instead the largest
-difference of a solve's field from the first checkout's.
+difference of a solve's field from the parent's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -113,10 +116,15 @@ _EXACT = ("splu_calls", "superlu_solve_calls", "factorizations", "krylov_iterati
           "newton_iterations", "verdicts", "field_sha256")
 
 
+def _run(root: Path, case: str) -> dict:
+    out = subprocess.run([sys.executable, __file__, "--one", str(root), case],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", action="append", metavar="NAME=ROOT",
-                    help="a checkout to measure (repeatable); default: this one")
+    ap.add_argument("--parent", default="HEAD", help="the commit to compare against")
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--cases", default=",".join(CASES))
     ap.add_argument("--out", default=str(ROOT / "BENCH_linear.json"))
@@ -125,51 +133,57 @@ def main(argv=None) -> int:
     if args.one:
         print(json.dumps(_measure(*args.one)))
         return 0
-    checkouts = dict(c.split("=", 1) for c in (args.checkout or [f"this={ROOT}"]))
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
+                         capture_output=True, text=True).stdout.strip()
     cases = args.cases.split(",")
     results = {case: {} for case in cases}
-    for case in cases:
-        runs = {name: [] for name in checkouts}
-        for _ in range(args.repeats):
-            for name, root in checkouts.items():
-                out = subprocess.run(
-                    [sys.executable, __file__, "--one", str(Path(root).resolve()), case],
-                    check=True, capture_output=True, text=True).stdout
-                runs[name].append(json.loads(out.splitlines()[-1]))
-        for name, rows in runs.items():
-            first = rows[0]
-            if any(row[k] != first[k] for row in rows for k in _EXACT):
-                raise SystemExit(f"{case}, {name}: the repeats disagree")
-            times = [row["solve_s"] for row in rows]
-            results[case][name] = {
-                **{k: first[k] for k in _EXACT},
-                "solve_s_best": min(times), "solve_s_median": statistics.median(times),
-                "solve_s_runs": times,
-                "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows),
-            }
-            r = results[case][name]
-            print(f"{case:8} {name:8} splu {r['splu_calls']:2}, SuperLU.solve "
-                  f"{r['superlu_solve_calls']:4}, Krylov {r['krylov_iterations']:4}, "
-                  f"solve {r['solve_s_best']:.3f} s (median {r['solve_s_median']:.3f}), "
-                  f"{r['peak_rss_mb']:.1f} MB", flush=True)
-        if CASES[case][2]:
-            first = [np.array(f) for f in runs[next(iter(checkouts))][0]["fields"]]
-            results[case]["max_field_difference"] = max(
-                float(np.max(np.abs(np.array(f) - f0), initial=0.0))
-                for rows in runs.values() for f, f0 in zip(rows[0]["fields"], first))
-        else:
-            hashes = {name: results[case][name]["field_sha256"] for name in checkouts}
-            results[case]["same_fields"] = len({json.dumps(v) for v in hashes.values()}) == 1
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        checkouts = {"parent": parent_root, "this": ROOT}
+        for case in cases:
+            runs = {name: [] for name in checkouts}
+            for r in range(args.repeats):
+                order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+                for name in order:
+                    runs[name].append(_run(checkouts[name], case))
+            for name, rows in runs.items():
+                first = rows[0]
+                if any(row[k] != first[k] for row in rows for k in _EXACT):
+                    raise SystemExit(f"{case}, {name}: the repeats disagree")
+                times = [row["solve_s"] for row in rows]
+                results[case][name] = {
+                    **{k: first[k] for k in _EXACT},
+                    "solve_s_best": min(times), "solve_s_median": statistics.median(times),
+                    "solve_s_runs": times,
+                    "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows),
+                }
+                r = results[case][name]
+                print(f"{case:9} {name:6} splu {r['splu_calls']:2}, SuperLU.solve "
+                      f"{r['superlu_solve_calls']:4}, Krylov {r['krylov_iterations']:4}, "
+                      f"solve {r['solve_s_best']:.3f} s (median {r['solve_s_median']:.3f}), "
+                      f"{r['peak_rss_mb']:.1f} MB", flush=True)
+            if CASES[case][2]:
+                first = [np.array(f) for f in runs["parent"][0]["fields"]]
+                results[case]["max_field_difference"] = max(
+                    float(np.max(np.abs(np.array(f) - f0), initial=0.0))
+                    for rows in runs.values() for f, f0 in zip(rows[0]["fields"], first))
+            else:
+                hashes = {name: results[case][name]["field_sha256"] for name in checkouts}
+                results[case]["same_fields"] = len({json.dumps(v) for v in hashes.values()}) == 1
     import scipy
     doc = {
-        "benchmark": "solves on the unit disk: nine zero-data caps on one grid, the two "
-                     "A8 bump legs on shared grids, single caps at fine h; one fresh "
-                     "process per case and checkout",
+        "benchmark": "solves on the unit disk against a parent commit: nine zero-data "
+                     "caps on one grid, the two A8 bump legs on shared grids, single caps "
+                     "at fine h; one fresh process per case, checkout and repeat",
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": np.__version__,
                     "scipy": scipy.__version__},
+        "parent": rev,
         "repeats": args.repeats,
-        "checkouts": list(checkouts),
         "cases": {case: {"h": list(CASES[case][0]), "curvatures": list(CASES[case][1]),
                          "data": "A8 bump" if CASES[case][2] else "zero"}
                   for case in cases},

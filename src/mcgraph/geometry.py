@@ -788,11 +788,10 @@ class PrescribedCurvature:
     cached per domain object (weakly, so a freed domain's entry goes with it).
     """
 
-    def __init__(self, kind, func, grad_func, describe):
+    def __init__(self, kind, func, grad_func):
         self.kind = kind
         self._func = func
         self._grad = grad_func
-        self.describe = describe
         self._norm_cache = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
@@ -809,7 +808,7 @@ class PrescribedCurvature:
             pts = np.asarray(pts, dtype=float)
             return np.zeros(pts.shape[:-1] + (2,))
 
-        obj = cls("constant", f, g, f"H = {v}")
+        obj = cls("constant", f, g)
         obj.value = v
         return obj
 
@@ -825,9 +824,7 @@ class PrescribedCurvature:
             pts = np.asarray(pts, dtype=float)
             return e.grad(pts[..., 0], pts[..., 1])
 
-        obj = cls("expression", f, g, f"H = {text}")
-        obj.expr = e
-        return obj
+        return cls("expression", f, g)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -88,6 +88,10 @@ class Grid:
     def __init__(self, domain: DomainSpec, h: float):
         if not 0 < h < math.inf:
             raise GridError("spacing h must be positive and finite")
+        x0, x1, y0, y1 = domain.bbox
+        extent = max(x1 - x0, y1 - y0)
+        if h > extent:
+            raise GridError(f"spacing h = {h:g} exceeds the domain's extent {extent:g}")
         self.domain = domain
         self.h = float(h)
         self._build_nodes()

@@ -25,18 +25,16 @@ side through the stacked foot block.
 A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
 it, for as long as the grid lives, and every system solved on the grid
 follows one rule (the chord idea, Kelley 1995).  When the grid holds an LU,
-one restart cycle of GMRES preconditioned by it runs from the start
+one cycle of GMRES(30) preconditioned by it runs from the start
 x0 = LU^-1 b, and its answer is kept when its backward error is within a
 tenth of the gate.  Otherwise the grid's LU is dropped and the system is
-factorized afresh and solved directly, the new LU taking the grid's place;
-when the factorization itself fails, the same GMRES runs without a
-preconditioner.  On the matrix the LU factorized, the residual at x0 is
-rounding, below the GMRES aim, so GMRES stops there before its first
-iteration and the answer is the direct solve's: with zero data the
-first Newton system of every solve is J(0), the same matrix for every H, and
-the solves of a sweep on one grid share one LU.  The GMRES is scipy's
-restarted GMRES (Saad & Schultz 1986) step for step, less one
-preconditioner solve per call.
+factorized afresh and solved directly, the new LU taking the grid's place.
+On the matrix the LU factorized, the residual at x0 is rounding, below the
+GMRES aim, so GMRES stops there before its first iteration and the answer
+is the direct solve's: with zero data the first Newton system of every
+solve is J(0), the same matrix for every H, and the solves of a sweep on
+one grid share one LU.  The cycle is scipy's GMRES (Saad & Schultz 1986)
+step for step, less one preconditioner solve per call.
 
 Every LU is SuperLU's factorization of P A P^T in the given column order,
 where P is the grid's nested-dissection order of the interior nodes
@@ -72,11 +70,11 @@ _RELRES_TOL = 1e-10
 _KRYLOV_RTOL = 1e-14
 _REUSE_TOL = 1e-11
 _RESTART = 30
-_FALLBACK_CYCLES = 100       # restart cycles without a preconditioner
 
 
 class SolverError(RuntimeError):
-    """Linear subproblem failed: singular factorization or unacceptable error."""
+    """Linear subproblem failed: non-finite entries, a factorization SuperLU
+    refused, or an answer beyond the backward-error gate."""
 
 
 class LinearCounts:
@@ -140,8 +138,7 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     # the feet enter through the same coefficients as the interior stencils
     on_feet = (grid.operators()[1] @ feet_vals).reshape(len(STENCILS), -1)
     b = ev.load * ev.W**3 - sum(c * f for c, f in zip(coefficients, on_feet))
-    meta = {"tau": float(tau), "n": int(n), "nnz": int(A.nnz)}
-    return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals, meta=meta)
+    return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals)
 
 
 def correction_system(ev: Evaluation) -> LinearSystem:
@@ -160,9 +157,10 @@ def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> Scalar
     """Sparse solve with backward-error acceptance on the grid's LU, under
     the module's one reuse rule; the work is added to `counts`.
 
-    Raises SolverError when the system has non-finite entries or when no path
-    reaches the backward-error tolerance.  `system.meta["relres"]` holds the
-    backward error of the answer, also when the gate rejects it.
+    Raises SolverError when the system has non-finite entries, when SuperLU
+    refuses to factorize it, or when the answer misses the backward-error
+    gate; the last two leave the grid without an LU.  `system.meta["relres"]`
+    holds the backward error of the answer, also when the gate rejects it.
     """
     A, b, grid = system.A, system.b, system.grid
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
@@ -171,24 +169,22 @@ def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> Scalar
     norm_A = _norm_inf(A)
     x = None
     if grid.lu is not None:
-        x = _gmres(A, b, norm_A, counts, grid.lu.solve, cycles=1)
-        if not _backward_error(A, b, x, norm_A) <= _REUSE_TOL:
+        x = _gmres(A, b, norm_A, counts, grid.lu.solve)
+        relres = _backward_error(A, b, x, norm_A)
+        if not relres <= _REUSE_TOL:
             x = grid.lu = None          # drop the stale factor first: two never share memory
     if x is None:
         counts.factorizations += 1
         try:
             grid.lu = DissectedLU(A, grid.dissection)
-            x = grid.lu.solve(b)
-        except RuntimeError:            # SuperLU refuses an exactly singular matrix
-            pass
-    if grid.lu is not None:
-        counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
-    if x is None or not np.all(np.isfinite(x)):
-        grid.lu = None
-        x = _gmres(A, b, norm_A, counts, None, cycles=_FALLBACK_CYCLES)
-    relres = _backward_error(A, b, x, norm_A)
+        except RuntimeError as exc:     # SuperLU refuses an exactly singular matrix
+            raise SolverError(f"factorization failed: {exc}") from None
+        x = grid.lu.solve(b)
+        relres = _backward_error(A, b, x, norm_A)
+    counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
+        grid.lu = None
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
     return ScalarField(grid, x, system.feet_values.copy())
 
@@ -206,99 +202,75 @@ def _backward_error(A, b, x, norm_A) -> float:
     return float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
 
 
-def _gmres(A, b, norm_A, counts: LinearCounts, precondition, cycles: int) -> np.ndarray:
-    """Restarted GMRES(30) preconditioned by `precondition` (None: unpreconditioned),
-    from x0 = precondition(b) or zero, for at most `cycles` restart cycles.
+def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
+    """One cycle of GMRES(30) left-preconditioned by `precondition`, from
+    x0 = precondition(b).
 
-    It stops when the residual is _KRYLOV_RTOL of the backward-error
-    denominator at x0; its inner iterations are added to `counts`.  The steps
-    and their order are those of scipy 1.17's left-preconditioned `gmres`
-    (Saad & Schultz 1986): modified Gram-Schmidt, LAPACK `lartg` Givens
-    rotations, and the inner tolerance control of scipy gh-8400, so the
-    answer and the count are scipy's to the bit.  Unlike scipy it takes |M b|
-    from x0 = M b instead of solving again, and applies A and the
-    preconditioner without operator wrappers: k inner iterations of one cycle
-    cost k + 2 preconditioner solves.
+    It stops when the preconditioned residual reaches its share of the aim
+    _KRYLOV_RTOL of the backward-error denominator at x0, or after 30
+    iterations; they are added to `counts`.  The steps and their order are
+    those of one restart cycle of scipy 1.17's `gmres` (Saad & Schultz
+    1986): modified Gram-Schmidt, LAPACK `lartg` Givens rotations and the
+    inner aim of scipy gh-8400, so the answer and the count are scipy's with
+    `maxiter=1` to the bit.  Unlike scipy it takes |M b| from x0 = M b
+    instead of solving again, and applies A and the preconditioner without
+    operator wrappers: k iterations cost k + 2 preconditioner solves.
     """
-    if precondition is None:
-        precondition, x = _unchanged, np.zeros_like(b)
-        Mb_norm = np.linalg.norm(b)
-    else:
-        x = precondition(b)
-        Mb_norm = np.linalg.norm(x)
+    x = precondition(b)
     atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
     b_norm = np.linalg.norm(b)
     if b_norm == 0:
         return b.copy()
+    r = b - A @ x
+    if np.linalg.norm(r) < atol:
+        return x
     eps = np.finfo(float).eps
     restart = min(_RESTART, len(b))
-    # the inner loop's aim at the preconditioned residual (gh-8400)
-    ptol_factor = 1.0
-    ptol = Mb_norm * min(ptol_factor, atol / b_norm)
-    presid = 0.0
+    ptol = np.linalg.norm(x) * min(1.0, atol / b_norm)   # the aim at |M r| (gh-8400)
     v = np.empty((restart + 1, len(b)))
     h = np.zeros((restart, restart + 1))     # the Hessenberg matrix, transposed
     givens = np.zeros((restart, 2))
-    r = b - A @ x if x.any() else b.copy()
-    if np.linalg.norm(r) < atol:
-        return x
-    for _ in range(cycles):
-        v[0] = precondition(r)
-        tmp = np.linalg.norm(v[0])
-        v[0] *= 1 / tmp
-        S = np.zeros(restart + 1)
-        S[0] = tmp
-        breakdown = False
-        for col in range(restart):
-            w = precondition(A @ v[col])
-            h0 = np.linalg.norm(w)
-            for k in range(col + 1):
-                tmp = np.dot(v[k], w)
-                h[col, k] = tmp
-                w -= tmp * v[k]
-            h1 = np.linalg.norm(w)
-            h[col, col + 1] = h1
-            v[col + 1] = w
-            if h1 <= eps * h0:       # the Krylov space holds the exact answer
-                h[col, col + 1] = 0
-                breakdown = True
-            else:
-                v[col + 1] *= 1 / h1
-            for k in range(col):
-                c, s = givens[k]
-                n0, n1 = h[col, k], h[col, k + 1]
-                h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
-            c, s, mag = dlartg(h[col, col], h[col, col + 1])
-            givens[col] = c, s
-            h[col, col], h[col, col + 1] = mag, 0
-            tmp = -s * S[col]
-            S[col], S[col + 1] = c * S[col], tmp
-            presid = np.abs(tmp)
-            counts.krylov_iterations += 1
-            if presid <= ptol or breakdown:
-                break
-        # back substitution in the triangular h, a zero pivot dropped
-        if h[col, col] == 0:
-            S[col] = 0
-        y = S[:col + 1].copy()
-        for k in range(col, 0, -1):
-            if y[k] != 0:
-                y[k] /= h[k, k]
-                y[:k] -= y[k] * h[k, :k]
-        if y[0] != 0:
-            y[0] /= h[0, 0]
-        x += y @ v[:col + 1]
-        r = b - A @ x
-        r_norm = np.linalg.norm(r)
-        if r_norm <= atol or breakdown:
-            break
-        if presid <= ptol:           # the inner aim was met but not the outer one
-            ptol_factor = max(eps, 0.25 * ptol_factor)
+    v[0] = precondition(r)
+    tmp = np.linalg.norm(v[0])
+    v[0] *= 1 / tmp
+    S = np.zeros(restart + 1)
+    S[0] = tmp
+    for col in range(restart):
+        w = precondition(A @ v[col])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.dot(v[k], w)
+            h[col, k] = tmp
+            w -= tmp * v[k]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1] = w
+        breakdown = h1 <= eps * h0       # the Krylov space holds the exact answer
+        if breakdown:
+            h[col, col + 1] = 0
         else:
-            ptol_factor = min(1.0, 1.5 * ptol_factor)
-        ptol = presid * min(ptol_factor, atol / r_norm)
+            v[col + 1] *= 1 / h1
+        for k in range(col):
+            c, s = givens[k]
+            n0, n1 = h[col, k], h[col, k + 1]
+            h[col, k], h[col, k + 1] = c * n0 + s * n1, -s * n0 + c * n1
+        c, s, mag = dlartg(h[col, col], h[col, col + 1])
+        givens[col] = c, s
+        h[col, col], h[col, col + 1] = mag, 0
+        tmp = -s * S[col]
+        S[col], S[col + 1] = c * S[col], tmp
+        counts.krylov_iterations += 1
+        if np.abs(tmp) <= ptol or breakdown:
+            break
+    # back substitution in the triangular h, a zero pivot dropped
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[:col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            y[:k] -= y[k] * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x += y @ v[:col + 1]
     return x
-
-
-def _unchanged(r: np.ndarray) -> np.ndarray:
-    return r

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,12 +85,15 @@ def test_run_grid_override(tmp_path):
 
 
 def test_run_spacing_that_builds_no_grid_exits_config(tmp_path, capsys):
-    # at h = 1e300 the grid constructor raises GridError, which escaped main
+    # at h = 1e300 the grid constructor raises GridError, which escaped main;
+    # it is refused before the lattice coordinates overflow
     root = Path(__file__).resolve().parent.parent
-    code = main(["run", "--config", str(root / "configs" / "cap.ini"),
-                 "--out", str(tmp_path / "o"), "--grid-h", "1e300", "--quiet"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", str(root / "configs" / "cap.ini"),
+                     "--out", str(tmp_path / "o"), "--grid-h", "1e300", "--quiet"])
     assert code == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error: ")
+    assert capsys.readouterr().err.startswith("config error: spacing h = 1e+300 exceeds")
 
 
 def test_run_missing_section_exits_config(tmp_path, capsys):

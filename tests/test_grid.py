@@ -1,5 +1,7 @@
 """Embedded boundary grid: classification, feet, ghost closures."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -154,6 +156,18 @@ def test_nonpositive_spacing_raises(h):
     # nan raised ValueError and inf IndexError
     with pytest.raises(GridError, match="positive and finite"):
         Grid(disk(radius=1.0), h)
+
+
+@pytest.mark.parametrize("h", [3.0, 1e10, 1e150, 1e300])
+def test_spacing_beyond_domain_extent_raises(h):
+    # past the domain's extent a lattice has at most one node inside, and
+    # far past it the lattice coordinates lose the boundary or overflow
+    with pytest.raises(GridError, match=re.escape(f"h = {h:g} exceeds the domain's extent 2")):
+        Grid(disk(radius=1.0), h)
+
+
+def test_spacing_within_domain_extent_builds():
+    assert Grid(disk(radius=1.0), 1.5).n_interior >= 1
 
 
 def test_field_shape_validation(g16):

@@ -11,8 +11,8 @@ from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS
-from mcgraph.linear import (_FALLBACK_CYCLES, _KRYLOV_RTOL, _RESTART, DissectedLU,
-                            LinearCounts, LinearSystem, _gmres, _norm_inf)
+from mcgraph.linear import (_KRYLOV_RTOL, _RESTART, DissectedLU, LinearCounts,
+                            LinearSystem, _gmres, _norm_inf)
 
 
 @pytest.fixture(scope="module")
@@ -207,10 +207,10 @@ def test_nonfinite_system_raises_with_held_factor():
     assert counts.factorizations == 1
 
 
-def test_failed_factorization_falls_back_to_gmres():
-    # an exactly singular but consistent system: SuperLU refuses it and the
-    # unpreconditioned GMRES solves it; on a grid of its own, no LU left by
-    # an earlier solve preconditions it
+def test_failed_factorization_is_a_solver_error():
+    # an exactly singular system: SuperLU refuses it and the solve raises,
+    # leaving no LU on the grid; on a grid of its own, no LU left by an
+    # earlier solve preconditions it
     g32 = _unsolved_g32()
     n = g32.n_interior
     diag = np.resize([1.0, 2.0, 4.0], n)
@@ -220,11 +220,24 @@ def test_failed_factorization_falls_back_to_gmres():
     counts = LinearCounts()
     system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
                           feet_values=np.zeros(g32.n_feet))
-    u = solve_linear(system, counts)
+    with pytest.raises(SolverError, match="factorization"):
+        solve_linear(system, counts)
     assert counts.factorizations == 1 and g32.lu is None
-    assert counts.krylov_iterations > 0
-    assert system.meta["relres"] <= 1e-10
-    assert np.allclose(u.values * diag, b, rtol=0, atol=1e-12)
+    assert counts.krylov_iterations == 0
+
+
+def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
+    # with the gate at 0 the direct solve's rounding misses it: the solve
+    # raises, and no later solve on the grid is preconditioned by that LU
+    monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 0.0)
+    g32 = _unsolved_g32()
+    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
+                      n=2, tau=1.0)
+    counts = LinearCounts()
+    with pytest.raises(SolverError, match="backward error"):
+        solve_linear(system, counts)
+    assert counts.factorizations == 1 and g32.lu is None
+    assert 0 < system.meta["relres"] <= 1e-10
 
 
 class _CountedSolves:
@@ -238,23 +251,22 @@ class _CountedSolves:
         return self.lu.solve(b)
 
 
-def _scipy_gmres(A, b, norm_A, precondition, cycles):
-    """scipy's GMRES from the start, aim, restart and preconditioner of `_gmres`:
-    the answer and the inner-iteration count."""
-    x0 = precondition(b) if precondition is not None else np.zeros_like(b)
+def _scipy_gmres(A, b, norm_A, precondition):
+    """scipy's one-cycle GMRES from the start, aim, restart and preconditioner
+    of `_gmres`: the answer and the inner-iteration count."""
+    x0 = precondition(b)
     atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x0, np.inf) + np.linalg.norm(b, np.inf))
-    M = (spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
-         if precondition is not None else None)
+    M = spla.LinearOperator(A.shape, matvec=precondition, dtype=float)
     count = []
-    x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART, maxiter=cycles,
+    x, _ = spla.gmres(A, b, x0=x0, rtol=0.0, atol=atol, restart=_RESTART, maxiter=1,
                       M=M, callback=count.append, callback_type="pr_norm")
     return x, len(count)
 
 
-@pytest.mark.parametrize("slope, cycles", [(0.3, 1), (2.0, 3)])
-def test_gmres_is_scipys_with_one_solve_less(slope, cycles):
+@pytest.mark.parametrize("slope", [0.3, 2.0])
+def test_gmres_is_scipys_with_one_solve_less(slope):
     # the J(0) LU preconditions the Jacobian at a tilted bowl: the gentle one
-    # converges in the one cycle the solve allows, the steep one restarts
+    # converges within the cycle, the steep one runs the whole cycle
     grid = _unsolved_g32()
     H = PrescribedCurvature.constant(0.4)
     lu = DissectedLU(correction_system(Evaluation(_zero_state(grid), H, 2, 0.25)).A,
@@ -264,30 +276,12 @@ def test_gmres_is_scipys_with_one_solve_less(slope, cycles):
     A, b = system.A, system.b
     norm_A = spla.norm(A, np.inf)
     ours, theirs, counts = _CountedSolves(lu), _CountedSolves(lu), LinearCounts()
-    x = _gmres(A, b, norm_A, counts, ours, cycles=cycles)
-    x_ref, iterations = _scipy_gmres(A, b, norm_A, theirs, cycles)
+    x = _gmres(A, b, norm_A, counts, ours)
+    x_ref, iterations = _scipy_gmres(A, b, norm_A, theirs)
     assert x.tobytes() == x_ref.tobytes()
     assert counts.krylov_iterations == iterations > 0
-    if cycles == 1:
-        assert ours.calls == iterations + 2 and theirs.calls == iterations + 3
-    else:
-        assert iterations > _RESTART
-
-
-def test_unpreconditioned_gmres_is_scipys(g32):
-    # the singular diagonal system of the factorization fallback
-    n = g32.n_interior
-    diag = np.resize([1.0, 2.0, 4.0], n)
-    diag[7] = 0.0
-    b = np.ones(n)
-    b[7] = 0.0
-    A = sps.diags(diag).tocsr()
-    norm_A = spla.norm(A, np.inf)
-    counts = LinearCounts()
-    x = _gmres(A, b, norm_A, counts, None, cycles=_FALLBACK_CYCLES)
-    x_ref, iterations = _scipy_gmres(A, b, norm_A, None, _FALLBACK_CYCLES)
-    assert x.tobytes() == x_ref.tobytes()
-    assert counts.krylov_iterations == iterations > 0
+    assert (iterations == _RESTART) == (slope > 1.0)
+    assert ours.calls == iterations + 2 and theirs.calls == iterations + 3
 
 
 # -- Newton corrections -------------------------------------------------------

@@ -211,6 +211,20 @@ def test_nonfinite_curvature_ends_in_linear_failure():
     assert "non-finite" in report.message
 
 
+def test_refused_factorization_ends_in_linear_failure(monkeypatch):
+    # a matrix SuperLU refuses ends the solve in a verdict that names the
+    # factorization, not in an exception or a Krylov solve without an LU
+    def refuse(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(mcgraph.linear.spla, "splu", refuse)
+    g = Grid(disk(radius=1.0), 1.0 / 16.0)
+    report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData())
+    assert report.verdict == "linear_failure"
+    assert "factorization failed" in report.message
+    assert report.krylov_iterations == 0 and g.lu is None
+
+
 def test_solution_independent_of_tau_path(cap_solve32, cap_walk32):
     # same endpoint by the leap and by the walk through the schedule
     assert cap_solve32.verdict == cap_walk32.verdict == "converged"
