@@ -1,14 +1,16 @@
 """Set-up benchmark: `import mcgraph`, then the first `mcgraph.reference.catalog()`
 (whose self-test builds eight small grids), each timed in a fresh process.
 
-    python3 scripts/bench_setup.py [--checkout NAME=ROOT ...] [--repeats 7]
+    python3 scripts/bench_setup.py [--parent REV] [--repeats 7]
                                    [--out BENCH_setup.json]
 
-Each checkout's program is imported from ``ROOT/src``; without ``--checkout``
-the checkout holding this script is measured under the name ``this``.  The
-checkouts take turns, one fresh process at a time, so that a drift of the
-host's speed falls on all of them alike.  Per checkout the best of the
-repeats is reported for:
+The parent is ``git archive REV`` of this repository unpacked in a temporary
+directory (default ``HEAD``: the working tree's change against its last
+commit; pass ``HEAD~1`` once the change is committed).  Each checkout's
+program is imported from its ``src``.  The parent and this checkout take
+turns, one fresh process at a time and each going first in every other
+repeat, so that a drift of the host's speed falls on both alike.  Per
+checkout the best of the repeats is reported for:
 
 * ``import_s``: ``import mcgraph``;
 * ``catalog_s``: the first ``catalog()`` call;
@@ -28,6 +30,7 @@ import platform
 import resource
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -48,8 +51,7 @@ def _measure(root: str) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", action="append", metavar="NAME=ROOT",
-                    help="a checkout to measure (repeatable); default: this one")
+    ap.add_argument("--parent", default="HEAD", help="the commit to compare against")
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--out", default=str(ROOT / "BENCH_setup.json"))
     ap.add_argument("--one", metavar="ROOT", help=argparse.SUPPRESS)
@@ -57,16 +59,25 @@ def main(argv=None) -> int:
     if args.one:
         print(json.dumps(_measure(args.one)))
         return 0
-    checkouts = dict(c.split("=", 1) for c in (args.checkout or [f"this={ROOT}"]))
-    runs = {name: [] for name in checkouts}
-    for _ in range(args.repeats):
-        for name, root in checkouts.items():
-            t0 = time.perf_counter()
-            out = subprocess.run([sys.executable, __file__, "--one", str(Path(root).resolve())],
-                                 check=True, capture_output=True, text=True).stdout
-            row = json.loads(out.splitlines()[-1])
-            row["process_s"] = time.perf_counter() - t0
-            runs[name].append(row)
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
+                         capture_output=True, text=True).stdout.strip()
+    with tempfile.TemporaryDirectory() as tmp:
+        parent_root = Path(tmp) / "parent"
+        parent_root.mkdir()
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
+                                 capture_output=True).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
+        checkouts = {"parent": parent_root, "this": ROOT}
+        runs = {name: [] for name in checkouts}
+        for r in range(args.repeats):
+            order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
+            for name in order:
+                t0 = time.perf_counter()
+                out = subprocess.run([sys.executable, __file__, "--one", str(checkouts[name])],
+                                     check=True, capture_output=True, text=True).stdout
+                row = json.loads(out.splitlines()[-1])
+                row["process_s"] = time.perf_counter() - t0
+                runs[name].append(row)
     results = {}
     for name, rows in runs.items():
         best = {k: min(r[k] for r in rows)
@@ -84,6 +95,7 @@ def main(argv=None) -> int:
         "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
                     "python": platform.python_version(), "numpy": numpy.__version__,
                     "scipy": scipy.__version__},
+        "parent": rev,
         "repeats": args.repeats,
         "results": results,
     }

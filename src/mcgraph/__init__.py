@@ -19,7 +19,7 @@ from .operators import (Evaluation, apply_M, gradient, boundary_slope,
                         coefficient_matrix, DIMENSION)
 from .linear import (LinearSystem, assemble, correction_system,
                      solve as solve_linear, SolverError)
-from .solver import SolveConfig, SolveReport, solve_dirichlet, sup_slope
+from .solver import SolveReport, solve_dirichlet, sup_slope
 from .barriers import (EstimateAudit, BarrierParams, NotApplicable,
                        height_bound, height_barrier, boundary_gradient_package,
                        barrier_pair_checks, global_gradient_bound,
@@ -44,8 +44,7 @@ __all__ = [
     "Grid", "ScalarField", "GridError", "InvalidFieldError",
     "Evaluation", "apply_M", "gradient", "coefficient_matrix", "DIMENSION",
     "LinearSystem", "assemble", "correction_system", "solve_linear", "SolverError",
-    "SolveConfig", "SolveReport", "solve_dirichlet",
-    "sup_slope", "boundary_slope",
+    "SolveReport", "solve_dirichlet", "sup_slope", "boundary_slope",
     "EstimateAudit", "BarrierParams", "NotApplicable", "height_bound",
     "height_barrier", "boundary_gradient_package", "barrier_pair_checks",
     "global_gradient_bound", "comparison_check", "ComparisonResult",

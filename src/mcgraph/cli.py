@@ -100,8 +100,7 @@ def cmd_run(args) -> int:
                          f"use `sweep` for the full series")
     grid = Grid(scenario.domain, h)
     _say(args.quiet, f"grid h={h:g}: {grid.n_interior} interior nodes")
-    report = solve_dirichlet(grid, scenario.curvature, scenario.data,
-                             n=scenario.n, config=scenario.solver)
+    report = solve_dirichlet(grid, scenario.curvature, scenario.data, n=scenario.n)
     _say(args.quiet, f"verdict: {report.verdict} after {report.iterations} "
                      f"iterations, residual {report.residual_core:.3e}")
 
@@ -160,7 +159,7 @@ def _nonexistence(scenario, H, grids, quiet: bool):
                                               exp.width, exp.eps)
     reports = []
     for grid in grids:
-        rep = solve_dirichlet(grid, H, data, n=scenario.n, config=scenario.solver)
+        rep = solve_dirichlet(grid, H, data, n=scenario.n)
         _say(quiet, f"h={grid.h:g}: {rep.verdict} in {rep.iterations} iterations")
         reports.append(rep)
     witness = barriers.nonexistence_witness(reports, exp.y0, data, exp.eps,
@@ -282,8 +281,7 @@ def _sweep_refinement(scenario) -> list:
     rows = []
     for h in scenario.spacings:
         grid = Grid(scenario.domain, h)
-        rep = solve_dirichlet(grid, scenario.curvature, scenario.data,
-                              n=scenario.n, config=scenario.solver)
+        rep = solve_dirichlet(grid, scenario.curvature, scenario.data, n=scenario.n)
         err = reference.error(rep.field) if reference else rep.residual_core
         rows.append({"h": h, "verdict": rep.verdict, "iterations": rep.iterations,
                      "error": err})

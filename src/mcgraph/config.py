@@ -14,11 +14,13 @@ Sections:
   [data]       kind = zero|constant|expression|scherk|bump, with value,
                expression, or y0/eps/width as the kind requires
   [grid]       spacing = <number> or spacings = <strictly decreasing list>
-  [solver]     optional solver knobs (max_iters, tau_stages, ...)
   [audits]     names = comma list of estimate audits to run
   [experiment] optional non-existence pipeline: y0, eps, width
   [sweep]      optional: curvatures = <list> for curvature sweeps
   [output]     directory, plus optional reference = <catalog name>
+
+Any other section is an error.  The solver's settings are not config keys:
+they are constants in `solver`.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .geometry import (DomainSpec, PrescribedCurvature, REQUIRED,
                        SHAPE_PARAMETERS, make_domain)
 from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
-from .solver import SolveConfig
 
 
 class ConfigError(ValueError):
@@ -56,7 +57,6 @@ class Scenario:
     n: int
     data: BoundaryData
     spacings: tuple
-    solver: SolveConfig
     audits: tuple
     outdir: str
     reference: Optional[str] = None
@@ -71,8 +71,6 @@ _KNOWN_KEYS = {
     "curvature": {"constant", "expression", "n"},
     "data": {"kind", "value", "expression", "y0", "eps", "width"},
     "grid": {"spacing", "spacings"},
-    "solver": {"max_iters", "tau_stages", "tol_update",
-               "tol_residual", "grad_max", "stagnation_window"},
     "audits": {"names"},
     "experiment": {"y0", "eps", "width"},
     "sweep": {"curvatures"},
@@ -261,30 +259,6 @@ def _build_spacings(raw: _Raw, sec: dict) -> tuple:
     return vals
 
 
-def _build_solver(raw: _Raw, sec: Optional[dict]) -> SolveConfig:
-    """The [solver] section; SolveConfig checks each value, and its refusal
-    becomes the key's config error."""
-    if not sec:
-        return SolveConfig()
-    kw = {}
-    for key, val in sec.items():
-        if key == "tau_stages":
-            name, value = "tau_schedule", _number_list(raw, "solver", key, val)
-        else:
-            name, value = key, _number(raw, "solver", key, val)
-            if key in ("max_iters", "stagnation_window") and value.is_integer():
-                value = int(value)
-        try:
-            SolveConfig(**{name: value})
-            if name == "tau_schedule" and value[-1] != 1.0:
-                raise ValueError    # a scenario's solve ends at the full load
-        except ValueError as exc:
-            raw.fail("solver", key, "stages must increase to exactly 1.0"
-                     if name == "tau_schedule" else str(exc))
-        kw[name] = value
-    return SolveConfig(**kw)
-
-
 def _build_audits(raw: _Raw, sec: Optional[dict]) -> tuple:
     if not sec or "names" not in sec:
         return ("height", "gradient")
@@ -309,7 +283,6 @@ def load_scenario(path: str) -> Scenario:
     data = _build_data(raw, raw.section("data", required=False) or {"kind": "zero"},
                        domain)
     spacings = _build_spacings(raw, raw.section("grid"))
-    solver = _build_solver(raw, raw.section("solver", required=False))
     audits = _build_audits(raw, raw.section("audits", required=False))
 
     out_sec = raw.section("output", required=False) or {}
@@ -341,7 +314,7 @@ def load_scenario(path: str) -> Scenario:
                                         sweep_sec["curvatures"])
 
     return Scenario(domain=domain, curvature=H, n=n, data=data,
-                    spacings=spacings, solver=solver, audits=audits,
+                    spacings=spacings, audits=audits,
                     outdir=outdir, reference=reference, experiment=experiment,
                     sweep_curvatures=sweep_curvatures,
                     config_sha256=raw.sha256, source_path=str(raw.path))

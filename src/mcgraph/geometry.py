@@ -368,7 +368,10 @@ class _Annulus:
                 np.concatenate([s_out, s_in]), self.length)
 
     def curvature_at(self, s):
-        s = np.mod(np.asarray(s, dtype=float), self.length)
+        # a few ulps of slack, as in the level-set lookup, keep a sample's
+        # s + k L on its own circle where the circles meet
+        s = np.asarray(s, dtype=float)
+        s = np.mod(s + 4.0 * np.finfo(float).eps * (np.abs(s) + self.length), self.length)
         outer = s < self.r_out * _TWO_PI
         return np.where(outer, 1.0 / self.r_out, -1.0 / self.r_in)
 

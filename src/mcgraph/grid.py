@@ -521,9 +521,6 @@ class ScalarField:
             return cls(grid, vals, np.zeros(grid.n_feet))
         return cls.from_data(grid, vals, data)
 
-    def copy(self):
-        return ScalarField(self.grid, self.values.copy(), self.feet.copy())
-
     def shifted(self, c: float) -> "ScalarField":
         """Vertical translation u + c (trace shifts too)."""
         return ScalarField(self.grid, self.values + c, self.feet + c)

@@ -15,11 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import NODE_GHOST, NODE_INTERIOR, ScalarField
+from .grid import ScalarField
 
 SCHEMA_VERSION = 1
-
-_CLASS_NAMES = {NODE_INTERIOR: "interior", NODE_GHOST: "ghost"}
 
 
 def _jsonable(obj):

@@ -11,19 +11,18 @@ halving the damping factor whenever the defect grows while it is still above
 the residual tolerance (floor 0.125).  Growth below the tolerance is
 rounding, which damping cannot cure.
 
-A solve first leaps: when the schedule has two or more rungs, one stage aims
-at the last rung from u = 0.  Newton from u = 0 reaches the full load
-directly whenever it contracts there, and the leap is kept only while it
-does (Deuflhard's natural monotonicity, *Newton Methods for Nonlinear
-Problems*, 2004): it runs on full steps, and it is rejected, its iterate
-discarded, at the first Newton correction no smaller than the one before
-it, ||delta_k|| >= ||delta_{k-1}|| in the infinity norm, at a defect rise
-that would cut the damping, at a slope-guard trip, at a failed linear
-solve, or when it stagnates or runs out of iterations.  A rejected leap
-records no stage summary, but its trace rows stay, at its tau, and count as
-iterations.  The solve then walks the whole schedule from u = 0; the
-schedule lists the loads a solve may stop at, and a one-rung schedule never
-leaps.
+A solve first leaps: one stage aims at the full load, tau = 1, from u = 0.
+Newton from u = 0 reaches the full load directly whenever it contracts
+there, and the leap is kept only while it does (Deuflhard's natural
+monotonicity, *Newton Methods for Nonlinear Problems*, 2004): it runs on
+full steps, and it is rejected, its iterate discarded, at the first Newton
+correction no smaller than the one before it, ||delta_k|| >= ||delta_{k-1}||
+in the infinity norm, at a defect rise that would cut the damping, at a
+slope-guard trip, at a failed linear solve, or when it stagnates or runs out
+of iterations.  A rejected leap records no stage summary, but its trace rows
+stay, at its tau, and count as iterations.  The solve then walks the whole
+schedule, tau = 0.25, 0.5, 0.75, 1, from u = 0; the schedule lists the loads
+a solve may stop at.
 
 Each stage of the walk after the first starts from the secant predictor
 through the last two stage answers,
@@ -35,7 +34,7 @@ trace re-anchored at the stage's load.  An intermediate stage's answer is
 only the next stage's start, so it ends converged once its defect meets the
 residual tolerance; the update tolerance is tested on the final stage only.
 Guards abort a stage when the discrete slope blows past
-`grad_max` (gradient divergence, the signature of unattainable boundary
+`_GRAD_MAX` (gradient divergence, the signature of unattainable boundary
 data) or when the defect stops improving over a trailing window
 (stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
 defect norms, the slope guard and the next Jacobian read from it.
@@ -46,16 +45,18 @@ stalls.  The LU outlives the solve, so the next solve on the grid starts
 from it, whatever the H or the data; the report keeps the counts and the
 largest LU fill.
 
+The solver's settings are the module constants below, the same for every
+solve; the residual tolerance is 1e-6 (1 + n sup|H|).
+
 A solve only solves: checking its answer against the a priori estimates is
 a separate step, taken once per run by the caller.
 """
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import dataclass, field, asdict
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -69,39 +70,16 @@ VERDICT_STAGNATED = "stagnated"
 VERDICT_LINEAR_FAILURE = "linear_failure"
 
 
-@dataclass
-class SolveConfig:
-    """Knobs for the continuation solve; defaults suit unit-scale domains."""
+# The solver's settings, read by _continue and _stage at each call
+_TAU_SCHEDULE = (0.25, 0.5, 0.75, 1.0)   # the loads a solve may stop at
+_MAX_ITERS = 200                         # Newton steps per stage
+_TOL_UPDATE = 1e-9
+_GRAD_MAX = 1e4
+_STAGNATION_WINDOW = 20
 
-    tol_update: float = 1e-9
-    tol_residual: Optional[float] = None   # default: 1e-6 * (1 + n * sup|H|)
-    max_iters: int = 200
-    tau_schedule: Sequence[float] = (0.25, 0.5, 0.75, 1.0)
-    grad_max: float = 1e4
-    stagnation_window: int = 20
 
-    def __post_init__(self):
-        for name in ("max_iters", "stagnation_window"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) \
-               or value < 1:
-                raise ValueError(f"{name}: expected a positive integer, got {value!r}")
-        positive = ("tol_update", "grad_max") + (
-            () if self.tol_residual is None else ("tol_residual",))
-        for name in positive:
-            value = getattr(self, name)
-            if not value > 0:       # NaN fails too
-                raise ValueError(f"{name}: expected a positive number, got {value!r}")
-        taus = list(self.tau_schedule)
-        if not taus or not all(0 < t <= 1 for t in taus) or \
-           any(b <= a for a, b in zip(taus, taus[1:])):
-            raise ValueError(f"tau_schedule: expected loads increasing within (0, 1], "
-                             f"got {self.tau_schedule!r}")
-
-    def residual_tolerance(self, H, n: int, domain) -> float:
-        if self.tol_residual is not None:
-            return float(self.tol_residual)
-        return 1e-6 * (1.0 + n * float(H.h0(domain)))
+def _residual_tolerance(H, n: int, domain) -> float:
+    return 1e-6 * (1.0 + n * float(H.h0(domain)))
 
 
 @dataclass
@@ -170,19 +148,17 @@ def sup_slope(u: ScalarField, p: Optional[np.ndarray] = None) -> float:
     return max(m, boundary_slope(u))
 
 
-def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
-                    config: Optional[SolveConfig] = None) -> SolveReport:
+def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
     """Continuation solve of the prescribed-curvature Dirichlet problem.
 
     Returns a report whose verdict is one of converged, diverged_gradient,
     stagnated, or linear_failure; the field inside is the last iterate in
     every case so failures can be inspected.
     """
-    cfg = config or SolveConfig()
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
     counts = LinearCounts()
-    verdict, message, ev = _continue(grid, H, data, n, cfg, report, counts)
+    verdict, message, ev = _continue(grid, H, data, n, report, counts)
     report.factorizations = counts.factorizations
     report.krylov_iterations = counts.krylov_iterations
     report.fill_nnz = counts.fill_nnz
@@ -190,21 +166,19 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION,
     return report
 
 
-def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport,
-              counts: LinearCounts):
+def _continue(grid: Grid, H, data, n: int, report: SolveReport, counts: LinearCounts):
     """Leap to the last rung, and walk the schedule when the leap is rejected,
     filling the report's stages, trace rows and iteration count; returns
     (verdict, message, evaluation of the last iterate)."""
-    tol_res = cfg.residual_tolerance(H, n, domain=grid.domain)
+    tol_res = _residual_tolerance(H, n, grid.domain)
     zero = np.zeros(grid.n_interior)
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
-    schedule = cfg.tau_schedule
-    if len(schedule) > 1:
-        tau = schedule[-1]
-        leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, cfg, tol_res,
-                      report, counts, final=True, leap=True)
-        if leap is not None:
-            return leap
+    schedule = _TAU_SCHEDULE
+    tau = schedule[-1]
+    leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, tol_res, report, counts,
+                  final=True, leap=True)
+    if leap is not None:
+        return leap
     # (tau_{k-1}, u_{k-1}) and tau_k of the last two stage answers; u = 0
     # solves the problem at zero load exactly
     tau_prev, u_prev, tau_k, values = 0.0, zero, 0.0, zero
@@ -216,7 +190,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
         tau_prev, u_prev = tau_k, values
         # re-anchor the start's trace at this stage's load, tau * phi
         verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
-                                      cfg, tol_res, report, counts,
+                                      tol_res, report, counts,
                                       final=k == len(schedule) - 1, leap=False)
         if verdict != VERDICT_CONVERGED:
             return verdict, message, ev
@@ -224,7 +198,7 @@ def _continue(grid: Grid, H, data, n: int, cfg: SolveConfig, report: SolveReport
     return VERDICT_CONVERGED, "", ev
 
 
-def _stage(u: ScalarField, H, n: int, tau: float, cfg: SolveConfig, tol_res: float,
+def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
            report: SolveReport, counts: LinearCounts, *, final: bool, leap: bool):
     """Newton steps at load tau from u, adding their trace rows and iterations
     to the report.  Returns (verdict, message, evaluation of the last iterate)
@@ -239,7 +213,7 @@ def _stage(u: ScalarField, H, n: int, tau: float, cfg: SolveConfig, tol_res: flo
     last_update = np.inf
     res_core = res_collar = np.inf
     it = 0
-    for it in range(1, cfg.max_iters + 1):
+    for it in range(1, _MAX_ITERS + 1):
         report.iterations += 1
         try:
             delta = linear_solve(correction_system(ev), counts)
@@ -248,13 +222,13 @@ def _stage(u: ScalarField, H, n: int, tau: float, cfg: SolveConfig, tol_res: flo
         u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)
         ev_new = Evaluation(u_new, H, n, tau)
         g = sup_slope(u_new, ev_new.p)
-        if not np.isfinite(g) or g > cfg.grad_max:
+        if not np.isfinite(g) or g > _GRAD_MAX:
             if leap:
                 return None
             report.stages.append(StageSummary(tau, it, np.inf, np.inf, np.inf, g,
                                               damping, VERDICT_DIVERGED))
             return (VERDICT_DIVERGED,
-                    f"slope {g:.3e} exceeded grad_max={cfg.grad_max:g} "
+                    f"slope {g:.3e} exceeded grad_max={_GRAD_MAX:g} "
                     f"at tau={tau:g}, iteration {it}", ev_new)
         res_core, res_collar = ev_new.residual_norms()
         update = float(np.max(np.abs(u_new.values - u.values)))
@@ -273,13 +247,13 @@ def _stage(u: ScalarField, H, n: int, tau: float, cfg: SolveConfig, tol_res: flo
         u, ev = u_new, ev_new
         # an intermediate answer is only the next stage's start: its
         # defect test suffices, the update test is the final stage's
-        if res_core <= tol_res and (last_update <= cfg.tol_update or not final):
+        if res_core <= tol_res and (last_update <= _TOL_UPDATE or not final):
             verdict = VERDICT_CONVERGED
             break
         window.append(res_core)
-        if len(window) > cfg.stagnation_window:
+        if len(window) > _STAGNATION_WINDOW:
             window.pop(0)
-            if window[-1] > 0.999 * window[0] and last_update > cfg.tol_update:
+            if window[-1] > 0.999 * window[0] and last_update > _TOL_UPDATE:
                 break
     if leap and verdict != VERDICT_CONVERGED:
         return None

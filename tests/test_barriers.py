@@ -9,6 +9,7 @@ from hypothesis import example, given, strategies as st
 from scipy.integrate import quad
 
 import mcgraph.barriers
+import mcgraph.solver
 
 from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      ScalarField, ZeroData, adversarial_boundary_data,
@@ -535,14 +536,14 @@ def test_witness_no_witness_on_benign_pair(unit_disk):
     assert len(w.gradient_ratios) == 1
 
 
-def test_witness_fires_on_breakdown(unit_disk):
+def test_witness_fires_on_breakdown(unit_disk, monkeypatch):
     # a diverged fine-grid verdict is a witness clause on its own
     data = adversarial_boundary_data(unit_disk, (1.0, 0.0), 0.1, 0.05)
     h = PrescribedCurvature.constant(0.55)
-    from mcgraph import SolveConfig
     r1 = solve_dirichlet(Grid(unit_disk, 1.0 / 16.0), h, data)
-    cfg_bad = SolveConfig(grad_max=0.4, max_iters=40)
-    r2 = solve_dirichlet(Grid(unit_disk, 1.0 / 32.0), h, data, config=cfg_bad)
+    monkeypatch.setattr(mcgraph.solver, "_GRAD_MAX", 0.4)
+    monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 40)
+    r2 = solve_dirichlet(Grid(unit_disk, 1.0 / 32.0), h, data)
     assert r2.verdict == "diverged_gradient"
     w = nonexistence_witness([r1, r2], (1.0, 0.0), data, 0.05, radius_a=0.1)
     assert w.verdict == "WITNESS"

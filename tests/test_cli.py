@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import mcgraph.solver
 from mcgraph.cli import main, EXIT_OK, EXIT_SOLVER, EXIT_AUDIT, EXIT_CONFIG
 
 
@@ -126,8 +127,9 @@ def test_run_audit_failure_exits_three(tmp_path, capsys):
     assert report["audits"]["serrin"]["margin"] < 0
 
 
-def test_run_solver_failure_exits_two(tmp_path):
-    cfg = write(tmp_path, CAP + "\n[solver]\ngrad_max = 0.1\n")
+def test_run_solver_failure_exits_two(tmp_path, monkeypatch):
+    monkeypatch.setattr(mcgraph.solver, "_GRAD_MAX", 0.1)
+    cfg = write(tmp_path, CAP)
     out = tmp_path / "o"
     code = main(["run", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == EXIT_SOLVER

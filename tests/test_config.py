@@ -8,7 +8,6 @@ import pytest
 from mcgraph import (ConfigError, annulus, disk, dumbbell, ellipse,
                      load_scenario, rect, rounded_rect)
 from mcgraph.boundary import ZeroData, BumpData, ExpressionData
-from mcgraph.solver import SolveConfig
 
 
 BASE = """\
@@ -52,7 +51,7 @@ def test_fraction_and_plain_numbers(tmp_path):
     assert scn.spacings == (0.03125,)
 
 
-def test_full_scenario(tmp_path):
+def test_full_scenario(tmp_path, capsys):
     text = """\
 [domain]
 shape = ellipse
@@ -71,10 +70,6 @@ expression = "x*y"
 [grid]
 spacings = 1/16, 1/32, 1/64
 
-[solver]
-max_iters = 80
-tau_stages = 0.5, 1.0
-
 [audits]
 names = height, gradient, serrin
 
@@ -84,8 +79,6 @@ reference = cap
 """
     scn = load_scenario(write(tmp_path, text))
     assert scn.spacings == (1.0 / 16, 1.0 / 32, 1.0 / 64)
-    assert scn.solver.max_iters == 80
-    assert tuple(scn.solver.tau_schedule) == (0.5, 1.0)
     assert scn.audits == ("height", "gradient", "serrin")
     assert scn.outdir == "out/full"
     assert scn.reference == "cap"
@@ -93,6 +86,14 @@ reference = cap
     import numpy as np
     assert scn.curvature(np.array([[0.0, 0.0]]))[0] == pytest.approx(0.3)
     assert scn.n == 3
+    # the solver's settings are constants: [solver] is an unknown section
+    from mcgraph.cli import EXIT_CONFIG, main
+    text += "\n[solver]\nmax_iters = 80\ntau_stages = 0.5, 1.0\n"
+    expect_error(tmp_path, text, "unknown section [solver]", "(line 25)")
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and "unknown section [solver]" in err
 
 
 def test_bump_data_and_experiment(tmp_path):
@@ -237,13 +238,6 @@ def test_spacings_finite(tmp_path, capsys, line):
     assert "config error" in capsys.readouterr().err
 
 
-def test_tau_stages_must_climb_to_one(tmp_path):
-    for bad in ("0.5, 0.75", "1.0, 0.5", "0.0, 1.0", "0.5, 0.5, 1.0"):
-        text = BASE + f"\n[solver]\ntau_stages = {bad}\n"
-        expect_error(tmp_path, text, "[solver]", "tau_stages",
-                     "increase to exactly 1.0")
-
-
 def test_unknown_audit_name(tmp_path):
     text = BASE + "\n[audits]\nnames = height, entropy\n"
     expect_error(tmp_path, text, "[audits]", "unknown audit", "entropy")
@@ -268,6 +262,24 @@ def test_empty_sweep_list(tmp_path):
 def test_bump_data_missing_keys(tmp_path):
     text = BASE + "\n[data]\nkind = bump\ny0 = 1.0, 0.0\n"
     expect_error(tmp_path, text, "[data]", "required for kind = bump")
+
+
+def test_constant_data(tmp_path):
+    scn = load_scenario(write(tmp_path, BASE + "\n[data]\nkind = constant\nvalue = 0.25\n"))
+    assert np.array_equal(scn.data.trace(np.array([[1.0, 0.0], [0.0, -1.0]])), [0.25, 0.25])
+
+
+def test_scherk_data(tmp_path):
+    scn = load_scenario(write(tmp_path, BASE + "\n[data]\nkind = scherk\n"))
+    x, y = 0.3, -0.7
+    assert scn.data.trace(np.array([[x, y]]))[0] == pytest.approx(
+        np.log(np.cos(x) / np.cos(y)), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, key", [("constant", "value"), ("expression", "expression")])
+def test_data_kind_needs_its_key(tmp_path, kind, key):
+    text = BASE + f"\n[data]\nkind = {kind}\n"
+    expect_error(tmp_path, text, f"[data] {key}", "required key missing")
 
 
 def test_unknown_data_kind(tmp_path):
@@ -295,46 +307,6 @@ def test_unknown_function_in_expression_exits_config(tmp_path, capsys):
     assert main(["run", "--config", write(tmp_path, text)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "[curvature]" in err and "unknown function foo" in err
-
-
-def test_solver_defaults_without_section(tmp_path):
-    scn = load_scenario(write(tmp_path, BASE))
-    ref = SolveConfig()
-    assert scn.solver.max_iters == ref.max_iters
-    assert scn.solver.tol_update == ref.tol_update
-    assert tuple(scn.solver.tau_schedule) == tuple(ref.tau_schedule)
-
-
-def _solver_error(tmp_path, key, bad, expected):
-    for value in bad:
-        text = BASE + f"\n[solver]\n{key} = {value}\n"
-        expect_error(tmp_path, text, "[solver]", key, "(line 13)", expected)
-
-
-def test_max_iters_must_be_a_positive_integer(tmp_path):
-    # 2.7 was truncated to 2, and 0 ran to a stagnated verdict
-    _solver_error(tmp_path, "max_iters", ("2.7", "0", "-3", "nan"),
-                  "expected a positive integer")
-
-
-def test_stagnation_window_must_be_a_positive_integer(tmp_path):
-    # a window of 0 emptied itself and raised IndexError in the solve
-    _solver_error(tmp_path, "stagnation_window", ("0", "1.5", "-1"),
-                  "expected a positive integer")
-
-
-def test_tol_update_must_be_positive(tmp_path):
-    _solver_error(tmp_path, "tol_update", ("0", "-1e-9", "nan"), "expected a positive number")
-
-
-def test_tol_residual_must_be_positive(tmp_path):
-    _solver_error(tmp_path, "tol_residual", ("0", "-1e-6", "nan"),
-                  "expected a positive number")
-
-
-def test_grad_max_must_be_positive(tmp_path):
-    # -1 ran to a diverged_gradient verdict at the first iterate
-    _solver_error(tmp_path, "grad_max", ("-1", "0", "nan"), "expected a positive number")
 
 
 @pytest.mark.parametrize("h", ["0", "-0.125", "nan", "inf"])

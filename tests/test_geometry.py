@@ -179,6 +179,17 @@ def test_levelset_curvature_is_the_samples_kappa(make):
     assert np.array_equal(d.boundary_curvature(mid), b.kappa[1:])
 
 
+@pytest.mark.parametrize("radii", [(0.4, 1.3), (0.8, 1.6), (0.9, 1.0)])
+def test_annulus_curvature_is_periodic_to_the_bit(radii):
+    # s + k L is rounded when formed and by the mod; where the circles meet
+    # it must still land on its own circle (the first inner sample read
+    # +1/r_out at k = 1, and sample 0 read -1/r_in at k = 3)
+    d = annulus(*radii)
+    b = d.boundary
+    for k in (-3, -2, -1, 0, 1, 2, 3, 10):
+        assert np.array_equal(d.boundary_curvature(b.arclength + k * b.total_length), b.kappa)
+
+
 def test_smoothness_radius():
     assert disk(1.0).smoothness_radius() == pytest.approx(1.0, rel=1e-2)
     ring = annulus(0.8, 1.6)
@@ -344,6 +355,20 @@ def test_curvature_norms_follow_the_domain_not_its_address():
         d = disk(r)
         assert H.h0(d) == pytest.approx(r, rel=1e-12)
         del d
+
+
+def test_expression_curvature_norms_come_from_the_boundary_sample():
+    # x**2 peaks at the exact boundary sample (1, 0) of the unit disk, so
+    # sup |H| = 1 and sup |grad H| = 2 to the bit; the second h1 reads the
+    # per-domain cache
+    d = disk(1.0)
+    H = PrescribedCurvature.expression("x**2")
+    sample, calls = d.closure_samples, []
+    d.closure_samples = lambda m: calls.append(m) or sample(m)
+    assert H.h0(d) == 1.0
+    assert H.h1(d) == 2.0
+    assert H.h1(d) == 2.0
+    assert calls == [256]
 
 
 def test_annulus_foot_arclength_is_exact():

@@ -32,8 +32,7 @@ spacing = 1/16
 """)
     scn = load_scenario(str(cfg))
     grid = Grid(scn.domain, scn.spacings[0])
-    report = solve_dirichlet(grid, scn.curvature, scn.data, n=scn.n,
-                             config=scn.solver)
+    report = solve_dirichlet(grid, scn.curvature, scn.data, n=scn.n)
     assert report.verdict == "converged"
     return scn, grid, report
 

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 import mcgraph.linear
 import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature,
-                     ScalarField, SolveConfig, ZeroData,
+                     ScalarField, ZeroData,
                      adversarial_boundary_data, boundary_slope,
                      correction_system, disk, estimate_ledger, solve_dirichlet,
                      solve_linear, sup_slope)
@@ -36,10 +36,12 @@ def test_cap_stage_schedule(cap_solve32):
 @pytest.fixture(scope="module")
 def cap_walk32(cap_grid32, cap_H):
     # three steps a stage: the leap, which takes four, is rejected at
-    # max_iters, and the solve walks the schedule from u = 0; a first solve
+    # _MAX_ITERS, and the solve walks the schedule from u = 0; a first solve
     # on the grid, as for cap_solve32
     cap_grid32.lu = None
-    return solve_dirichlet(cap_grid32, cap_H, ZeroData(), config=SolveConfig(max_iters=3))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcgraph.solver, "_MAX_ITERS", 3)
+        return solve_dirichlet(cap_grid32, cap_H, ZeroData())
 
 
 def test_rejected_leap_keeps_its_rows_but_no_stage(cap_walk32):
@@ -106,7 +108,7 @@ def test_predicted_stages_take_fewer_iterations(cap_walk32):
     assert sum(s.iters for s in cap_walk32.stages) <= 9
     assert all(s.verdict == "converged" for s in cap_walk32.stages)
     final = cap_walk32.stages[-1]
-    assert final.update_norm <= SolveConfig().tol_update
+    assert final.update_norm <= mcgraph.solver._TOL_UPDATE
     assert final.residual_core <= 1e-11
     assert cap_walk32.factorizations == 1
 
@@ -178,26 +180,27 @@ def test_zero_curvature_zero_data_gives_zero():
     assert report.iterations <= len(report.stages) * 3
 
 
-def test_diverged_gradient_verdict():
+def test_diverged_gradient_verdict(monkeypatch):
     # supercritical curvature with a hostile guard threshold trips the
     # divergence verdict rather than looping
+    monkeypatch.setattr(mcgraph.solver, "_GRAD_MAX", 0.5)
+    monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 40)
     g = Grid(disk(radius=1.0), 1.0 / 16.0)
     data = BumpData(disk(radius=1.0), (1.0, 0.0), 0.1, 0.05)
-    cfg = SolveConfig(grad_max=0.5, max_iters=40)
-    report = solve_dirichlet(g, PrescribedCurvature.constant(0.55), data,
-                             config=cfg)
+    report = solve_dirichlet(g, PrescribedCurvature.constant(0.55), data)
     assert report.verdict == "diverged_gradient"
     assert report.message != ""
 
 
-def test_stagnation_verdict():
+def test_stagnation_verdict(monkeypatch):
     g = Grid(disk(radius=1.0), 1.0 / 16.0)
     # an absurdly tight update tolerance cannot be met; the stagnation
     # window must end the stage with an honest verdict
-    cfg = SolveConfig(tol_update=1e-17, tol_residual=1e-17, max_iters=60,
-                      stagnation_window=8)
-    report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData(),
-                             config=cfg)
+    monkeypatch.setattr(mcgraph.solver, "_TOL_UPDATE", 1e-17)
+    monkeypatch.setattr(mcgraph.solver, "_residual_tolerance", lambda H, n, domain: 1e-17)
+    monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 60)
+    monkeypatch.setattr(mcgraph.solver, "_STAGNATION_WINDOW", 8)
+    report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData())
     assert report.verdict == "stagnated"
 
 
@@ -231,18 +234,6 @@ def test_solution_independent_of_tau_path(cap_solve32, cap_walk32):
     assert np.max(np.abs(cap_solve32.field.values - cap_walk32.field.values)) < 1e-7
 
 
-@pytest.mark.parametrize("values", [
-    {"max_iters": 0}, {"max_iters": 2.5}, {"max_iters": True}, {"stagnation_window": 0},
-    {"tol_update": 0.0}, {"tol_residual": float("nan")}, {"grad_max": -1.0},
-    {"tau_schedule": ()}, {"tau_schedule": (0.0, 1.0)}, {"tau_schedule": (0.5, 0.5, 1.0)},
-    {"tau_schedule": (0.5, 1.5)}])
-def test_solve_config_refuses_bad_values(values):
-    # a window of 0 raised IndexError in the solve, and max_iters = 0 ended
-    # stagnated after 0 iterations
-    with pytest.raises(ValueError, match=next(iter(values))):
-        SolveConfig(**values)
-
-
 def test_negative_curvature_flips_sign(cap_grid32):
     r_pos = solve_dirichlet(cap_grid32, PrescribedCurvature.constant(0.4),
                             ZeroData())
@@ -252,14 +243,15 @@ def test_negative_curvature_flips_sign(cap_grid32):
     assert np.max(np.abs(r_neg.field.values + r_pos.field.values)) < 1e-7
 
 
-def test_continuation_monotone_in_tau(cap_grid32, cap_H):
+def test_continuation_monotone_in_tau(cap_grid32, cap_H, monkeypatch):
     # for H >= 0 and zero data, a larger load stage pushes the graph down,
     # so the stage solutions decrease pointwise along the schedule; each is
     # the answer of a solve whose schedule ends at that stage
-    schedule = SolveConfig().tau_schedule
-    reports = [solve_dirichlet(cap_grid32, cap_H, ZeroData(),
-                               config=SolveConfig(tau_schedule=schedule[:k]))
-               for k in range(1, len(schedule) + 1)]
+    schedule = mcgraph.solver._TAU_SCHEDULE
+    reports = []
+    for k in range(1, len(schedule) + 1):
+        monkeypatch.setattr(mcgraph.solver, "_TAU_SCHEDULE", schedule[:k])
+        reports.append(solve_dirichlet(cap_grid32, cap_H, ZeroData()))
     assert all(r.converged for r in reports)
     fields = [r.field for r in reports]
     for coarse, fine in zip(fields, fields[1:]):
