@@ -23,9 +23,8 @@ first in every other repeat.  A process builds ``Grid(domain, h)`` and its
 The least of a step's seconds over the calls is its time in that process,
 and the table gives the median over the repeats.  Each process also hashes
 (SHA-256 over dtype, shape and bytes) ``data``, ``indices`` and ``indptr``
-of both operator blocks, ``_cross_centred``, ``_cross_one_sided``,
-``_cross_quadrant`` and the flags; ``identical`` compares the parent's
-digests with this checkout's.
+of both operator blocks, ``_cross_one_sided``, ``_cross_quadrant`` and the
+flags; ``identical`` compares the parent's digests with this checkout's.
 """
 
 from __future__ import annotations
@@ -90,7 +89,7 @@ def _measure(root: str, domain: str, N: int, calls: int) -> dict:
     digests = {f"{label}.{attr}": _digest(getattr(M, attr))
                for label, M in (("D", D), ("D_feet", D_feet))
                for attr in ("data", "indices", "indptr")}
-    for attr in ("_cross_centred", "_cross_one_sided", "_cross_quadrant"):
+    for attr in ("_cross_one_sided", "_cross_quadrant"):
         digests[attr] = _digest(getattr(grid, attr))
     digests["flags"] = hashlib.sha256(json.dumps(grid.flags).encode()).hexdigest()
     return {"seconds": seconds, "n_interior": grid.n_interior, "nnz": int(D.nnz),

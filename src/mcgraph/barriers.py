@@ -34,6 +34,7 @@ from .operators import Evaluation, boundary_slope, foot_slopes, gradient
 
 _GEOM_DIM = 2     # planar domains; distance Laplacians use this, not the n parameter
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
+_CIRCLE_SAMPLES = 2048   # points on each circle the certificate samples
 
 
 class NotApplicable(RuntimeError):
@@ -434,7 +435,6 @@ def _distance_c2_norm(domain: DomainSpec, depth: float) -> float:
 
 def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
                               u_sup: Optional[float] = None,
-                              measured: Optional[float] = None,
                               serrin: Optional[SerrinAudit] = None) -> GradientPackage:
     """Constant ledger and log-barrier profile for the boundary gradient bound.
 
@@ -449,7 +449,7 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
 
     u_sup defaults to the height-estimate bound, making the package computable
     before any solve.  `serrin` is the domain's Serrin audit when the caller
-    has it already.
+    has it already.  Its audit measures nothing; `barrier_pair_checks` does.
     """
     serrin = serrin or check_serrin(domain, H, n)
     if not serrin.satisfied:
@@ -487,7 +487,6 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
     audit = EstimateAudit(
         name="boundary_gradient",
         bound=bound,
-        measured=measured,
         tolerance=1e-9,
         note=f"psi'(0) = k/nu = e^(nu M) = {exp_nm:.6g}",
         params={"C": C, "nu": nu, "k": k, "a": a, "M": M,
@@ -541,10 +540,12 @@ def barrier_pair_checks(pkg: GradientPackage, u: ScalarField, H, data,
 # global gradient estimate
 
 
-def global_gradient_bound(domain: DomainSpec, H, data=None, n: int = 2,
+def global_gradient_bound(domain: DomainSpec, H, n: int = 2,
                           sup_u: float = 0.0, boundary_gradient: float = 0.0,
                           measured: Optional[float] = None) -> EstimateAudit:
-    """sup |grad u| <= (sqrt(3) + sup_boundary |grad u|) exp(2 sup|u| (1 + 8 n |H|_C1))."""
+    """sup |grad u| <= (sqrt(3) + sup_boundary |grad u|) exp(2 sup|u| (1 + 8 n |H|_C1)).
+
+    The boundary data enter only through `sup_u` and `boundary_gradient`."""
     h0, h1 = _h_norms(H, domain)
     A = 1.0 + 8.0 * n * (h0 + h1)
     bound = (math.sqrt(3.0) + float(boundary_gradient)) * math.exp(2.0 * float(sup_u) * A)
@@ -607,7 +608,7 @@ def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
                      serrin=serrin)
     if not measured and height is not None:
         sup_u = height.bound
-    gradient = attempt("gradient", global_gradient_bound, domain, H, data, n=n,
+    gradient = attempt("gradient", global_gradient_bound, domain, H, n=n,
                        sup_u=sup_u,
                        boundary_gradient=boundary_slope(report.field) if measured else 0.0,
                        measured=report.sup_gradient if measured else None)
@@ -656,14 +657,13 @@ class ComparisonResult:
         return self.verdict == "pass"
 
 
-def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2,
-                     boundary_tol: float = 0.0) -> ComparisonResult:
+def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2) -> ComparisonResult:
     """If Q u >= Q v in the interior and u <= v on the boundary, then u <= v.
 
     The hypothesis is checked first; when it fails the verdict is
-    not-applicable, never a false assertion about the conclusion.  The
-    interior tolerance inflates the boundary tolerance by 10 h^2 times the
-    field scale to absorb scheme truncation.
+    not-applicable, never a false assertion about the conclusion.  u <= v
+    must hold at the feet to 1e-12; the interior tolerance is 10 h^2 times
+    the field scale, to absorb scheme truncation.
     """
     if u.grid is not v.grid:
         raise ValueError("comparison requires both fields on the same grid")
@@ -675,11 +675,11 @@ def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2,
         return ComparisonResult("not-applicable", np.nan, np.nan,
                                 f"Q u >= Q v fails by {float(np.min(qu - qv)):.3g}")
     bgap = float(np.max(u.feet - v.feet)) if grid.n_feet else 0.0
-    if bgap > boundary_tol + 1e-12:
+    if bgap > 1e-12:
         return ComparisonResult("not-applicable", np.nan, np.nan,
                                 f"u <= v on the boundary fails by {bgap:.3g}")
     scale = 1.0 + max(u.sup(), v.sup())
-    tol_interior = boundary_tol + 10.0 * grid.h**2 * scale
+    tol_interior = 10.0 * grid.h**2 * scale
     worst = float(np.max(u.values - v.values))
     verdict = "pass" if worst <= tol_interior else "fail"
     return ComparisonResult(verdict, worst, tol_interior)
@@ -707,7 +707,6 @@ class NonexistenceCertificate:
     circle_radius: float
     R1: float
     R2: float
-    tau_S: float
     delta: float
     a: float
     log10_a: float
@@ -722,10 +721,9 @@ class NonexistenceCertificate:
                              kappa_S=self.kappa_S)
 
 
-def _connected_on_boundary(domain: DomainSpec, y0, radius: float,
-                           samples: int = 2048) -> bool:
+def _connected_on_boundary(domain: DomainSpec, y0, radius: float) -> bool:
     """True when the circle of `radius` about y0 meets the domain in one arc."""
-    t = 2.0 * math.pi * np.arange(samples) / samples
+    t = 2.0 * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     pts = np.asarray(y0) + radius * np.stack([np.cos(t), np.sin(t)], axis=-1)
     inside = domain.signed_distance(pts) > 0.0
     if not inside.any():
@@ -750,12 +748,10 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
     import mpmath as mp
 
     y0 = np.asarray(y0, dtype=float)
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    d0 = float(np.atleast_1d(domain.signed_distance(y0[None, :]))[0])
-    if abs(d0) > 1e-6 * max(1.0, domain.diameter):
-        raise ValueError(f"y0 must lie on the domain boundary "
-                         f"(signed distance {d0:.3g})")
+    if not 0 < eps < math.inf:
+        raise ValueError("eps must be positive and finite")
+    if not domain.on_boundary(y0):
+        raise ValueError("y0 must lie on the domain boundary")
     s0 = float(np.atleast_1d(domain.arclength_of(y0))[0])
     kap0 = float(np.atleast_1d(domain.boundary_curvature(s0))[0])
     H0 = float(np.atleast_1d(H(y0[None, :]))[0])
@@ -796,15 +792,14 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
     idx = int(np.argmin(np.linalg.norm(domain.boundary.points - y0, axis=-1)))
     N0 = domain.boundary.normals[idx]
     z = y0 + R_S * N0
-    t = 2.0 * math.pi * np.arange(2048) / 2048
+    t = 2.0 * math.pi * np.arange(_CIRCLE_SAMPLES) / _CIRCLE_SAMPLES
     circle = z + R_S * np.stack([np.cos(t), np.sin(t)], axis=-1)
     if float(np.min(domain.signed_distance(circle))) < -1e-7 * max(1.0, R_S):
         raise NotApplicable("tangent circle of the required curvature does not "
                             "fit inside the domain (domain too thin near y0)")
-    tau_S = R_S
 
-    # R2: continuity of the Laplacian of the circle distance
-    R2 = 0.5 * min(tau_S, R1)
+    # R2: continuity of the Laplacian of the circle distance, inside S
+    R2 = 0.5 * min(R_S, R1)
     lap_at_y0 = -(_GEOM_DIM - 1) / R_S
     for _ in range(80):
         rr = np.linspace(1e-6, R2, 24)
@@ -812,7 +807,7 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
                + rr[:, None, None] * np.stack([np.cos(t[::8]), np.sin(t[::8])], axis=-1)[None, :, :])
         pts = pts.reshape(-1, 2)
         s = np.linalg.norm(pts - z, axis=-1)
-        strip = (s < R_S) & (s > R_S - tau_S)
+        strip = (s < R_S) & (s > 0.0)
         s = s[strip]
         ok = len(s) == 0 or float(np.max(np.abs(-(_GEOM_DIM - 1) / s - lap_at_y0))) < nu_ne
         if ok:
@@ -888,7 +883,7 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
         y0=(float(y0[0]), float(y0[1])), eps=float(eps), nu_ne=float(nu_ne),
         kappa_S=float(kappa_S), circle_center=(float(z[0]), float(z[1])),
         circle_radius=float(R_S), R1=float(R1), R2=float(R2),
-        tau_S=float(tau_S), delta=float(delta), a=a_float, log10_a=log10_a,
+        delta=float(delta), a=a_float, log10_a=log10_a,
         a_mp=a_mp, g_value=float(g_val), warnings=warnings)
 
 
@@ -953,20 +948,20 @@ def _extrapolated_boundary_value(report, y0) -> tuple[float, float]:
 
 
 def nonexistence_witness(reports: Sequence, y0, data, eps: float,
-                         radius_a: float, tol: Optional[float] = None) -> WitnessReport:
+                         radius_a: float) -> WitnessReport:
     """Refinement-based witness verdict for an adversarial boundary-data run.
 
     WITNESS when any solve diverged or stagnated, or when the local slope near
     y0 grows by >= 1.5 between consecutive refinements while the interior
     field still clings to the bump value that the certified estimate forbids.
     reports must come from >= 2 solves of the same problem at decreasing h.
+    The ceiling is the sup of the data away from y0 plus eps/2.
     """
     if len(reports) < 2:
         raise ValueError("witness evaluation needs solves at >= 2 spacings")
     hs = [r.field.grid.h for r in reports]
     if not all(b < a for a, b in zip(hs, hs[1:])):
         raise ValueError("reports must be ordered by strictly decreasing h")
-    tol = eps / 2.0 if tol is None else float(tol)
     reasons = []
     bad = [r.verdict for r in reports
            if r.verdict in ("diverged_gradient", "stagnated")]
@@ -986,7 +981,7 @@ def nonexistence_witness(reports: Sequence, y0, data, eps: float,
     outside = np.linalg.norm(b.points - np.asarray(y0), axis=-1) >= radius_a
     sup_out = (float(np.max(data.trace(b.points[outside], b.arclength[outside])))
                if outside.any() else 0.0)
-    threshold = sup_out + eps - tol
+    threshold = sup_out + eps - eps / 2.0
     exceeds = bool(np.isfinite(val) and val > threshold)
     if growth and exceeds:
         reasons.append(f"interior value {val:.4g} near y0 exceeds certified "

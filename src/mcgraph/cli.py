@@ -32,6 +32,7 @@ effective only when the libraries have not spun up their pools yet.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -188,12 +189,7 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
             "a": cert.a, "log10_a": cert.log10_a, "R1": cert.R1, "R2": cert.R2,
             "kappa_S": cert.kappa_S, "warnings": list(cert.warnings)}
         params = cert.params
-    extras["nonexistence_witness"] = {
-        "verdict": witness.verdict, "reasons": list(witness.reasons),
-        "gradient_ratios": list(witness.gradient_ratios),
-        "attainment_gap": witness.attainment_gap,
-        "boundary_excess": witness.boundary_excess,
-        "measure_radius": witness.measure_radius}
+    extras["nonexistence_witness"] = dataclasses.asdict(witness)
     extras["refinements"] = [{
         "h": rep.field.grid.h, "verdict": rep.verdict,
         "iterations": rep.iterations, "sup_gradient": rep.sup_gradient,

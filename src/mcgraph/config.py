@@ -12,10 +12,12 @@ Sections:
                shape is an unknown key
   [curvature]  constant = <number> or expression = "<formula in x, y>"; n
   [data]       kind = zero|constant|expression|scherk|bump, with value,
-               expression, or y0/eps/width as the kind requires
+               expression, or y0/eps/width as the kind requires (a bump's
+               eps finite, its width finite and > 0)
   [grid]       spacing = <number> or spacings = <strictly decreasing list>
   [audits]     names = comma list of estimate audits to run
-  [experiment] optional non-existence pipeline: y0, eps, width
+  [experiment] optional non-existence run: y0 on the domain boundary, and
+               eps and width finite and > 0
   [sweep]      optional: curvatures = <list> for curvature sweeps
   [output]     directory, plus optional reference = <catalog name>
 
@@ -173,6 +175,14 @@ def _get_number(raw, section, sec, key, default=None):
     return _number(raw, section, key, sec[key])
 
 
+def _finite(raw, section, sec, key, positive: bool) -> float:
+    """A required finite number, and a positive one when `positive`."""
+    v = _get_number(raw, section, sec, key)
+    if not math.isfinite(v) or (positive and v <= 0):
+        raw.fail(section, key, "must be " + "positive and " * positive + "finite")
+    return v
+
+
 # levelset takes an expression and a box, which config values do not spell
 _SHAPES = {tag: params for tag, params in SHAPE_PARAMETERS.items()
            if tag != "levelset"}
@@ -238,8 +248,8 @@ def _build_data(raw: _Raw, sec: dict, domain: DomainSpec) -> BoundaryData:
             if key not in sec:
                 raw.fail("data", key, "required for kind = bump")
         return BumpData(domain, _point(raw, "data", "y0", sec["y0"]),
-                        _get_number(raw, "data", sec, "width"),
-                        _get_number(raw, "data", sec, "eps"))
+                        _finite(raw, "data", sec, "width", positive=True),
+                        _finite(raw, "data", sec, "eps", positive=False))
     raw.fail("data", "kind", f"unknown kind {kind!r} (expected zero, "
                              f"constant, expression, scherk, or bump)")
 
@@ -297,13 +307,14 @@ def load_scenario(path: str) -> Scenario:
     exp_sec = raw.section("experiment", required=False)
     experiment = None
     if exp_sec:
-        for key in ("y0", "eps", "width"):
-            if key not in exp_sec:
-                raw.fail("experiment", key, "required key missing")
-        experiment = ExperimentSpec(
-            y0=_point(raw, "experiment", "y0", exp_sec["y0"]),
-            eps=_get_number(raw, "experiment", exp_sec, "eps"),
-            width=_get_number(raw, "experiment", exp_sec, "width"))
+        if "y0" not in exp_sec:
+            raw.fail("experiment", "y0", "required key missing")
+        y0 = _point(raw, "experiment", "y0", exp_sec["y0"])
+        if not domain.on_boundary(y0):
+            raw.fail("experiment", "y0", f"{y0} does not lie on the domain boundary")
+        eps, width = (_finite(raw, "experiment", exp_sec, key, positive=True)
+                      for key in ("eps", "width"))
+        experiment = ExperimentSpec(y0, eps, width)
 
     sweep_sec = raw.section("sweep", required=False)
     sweep_curvatures = ()

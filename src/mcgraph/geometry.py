@@ -9,7 +9,7 @@ Conventions used throughout the package:
     sets), d > 0 on the shapes whose distance is a closed form,
   * ellipse distances come from the exact nearest point (Eberly's bisection),
     level-set distances from a constrained Newton foot on the traced contour,
-  * boundary curves are sampled counterclockwise, normals point into the domain,
+  * boundaries carry `_N_SAMPLES` counterclockwise samples, inner normals,
   * curvature kappa is positive where the domain is convex (unit disk: +1/r),
     negative on reentrant pieces,
   * curvature has one source per shape: the closed form on disks, ellipses,
@@ -38,6 +38,7 @@ from .expressions import Expr2D, compile_expr
 
 _TWO_PI = 2.0 * math.pi
 _CONTOUR_GRID = 768      # lattice points per side on which a level set's contour is traced
+_N_SAMPLES = 4096        # boundary samples of every domain, read when one is built
 
 
 class MalformedDomainError(ValueError):
@@ -587,11 +588,10 @@ class DomainSpec:
     annulus, dumbbell, levelset) rather than directly.
     """
 
-    def __init__(self, shape, n_samples: int = 4096):
+    def __init__(self, shape):
         self.shape = shape
         self.tag = shape.tag
-        self.n_samples = int(n_samples)
-        pts, normals, kappa, s, length = shape.sample(self.n_samples)
+        pts, normals, kappa, s, length = shape.sample(_N_SAMPLES)
         if not np.all(np.isfinite(pts)) or not np.all(np.isfinite(kappa)):
             raise MalformedDomainError("non-finite boundary samples")
         self.boundary = BoundarySamples(pts, normals, kappa, s, float(length))
@@ -628,6 +628,11 @@ class DomainSpec:
         # mod; the slack of a few ulps keeps it on its own sample
         r = np.mod(s, L) - 4.0 * np.finfo(float).eps * (np.abs(s) + L)
         return b.kappa[np.searchsorted(b.arclength, r) % len(b.kappa)]
+
+    def on_boundary(self, point) -> bool:
+        """True when the point's |signed distance| is <= 1e-6 max(1, diameter)."""
+        d = np.atleast_1d(self.signed_distance(np.asarray(point, dtype=float)[None, :]))
+        return abs(float(d[0])) <= 1e-6 * max(1.0, self.diameter)
 
     def arclength_of(self, pts):
         """Arclength coordinate of the boundary point nearest to pts."""
@@ -714,29 +719,29 @@ def _medial_clearance(pts, normals, chunk=512):
 # factories
 
 
-def disk(radius=1.0, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
-    return DomainSpec(_Disk(center, radius), n_samples)
+def disk(radius=1.0, center=(0.0, 0.0)) -> DomainSpec:
+    return DomainSpec(_Disk(center, radius))
 
 
-def ellipse(a, b, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
-    return DomainSpec(_Ellipse(a, b, center), n_samples)
+def ellipse(a, b, center=(0.0, 0.0)) -> DomainSpec:
+    return DomainSpec(_Ellipse(a, b, center))
 
 
-def rect(hx, hy, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
-    return DomainSpec(_RoundedRect(hx, hy, 0.0, center), n_samples)
+def rect(hx, hy, center=(0.0, 0.0)) -> DomainSpec:
+    return DomainSpec(_RoundedRect(hx, hy, 0.0, center))
 
 
-def rounded_rect(hx, hy, corner_radius, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
+def rounded_rect(hx, hy, corner_radius, center=(0.0, 0.0)) -> DomainSpec:
     if corner_radius <= 0:
         raise MalformedDomainError("corner radius must lie in (0, min(hx, hy))")
-    return DomainSpec(_RoundedRect(hx, hy, corner_radius, center), n_samples)
+    return DomainSpec(_RoundedRect(hx, hy, corner_radius, center))
 
 
-def annulus(r_in, r_out, center=(0.0, 0.0), n_samples=4096) -> DomainSpec:
-    return DomainSpec(_Annulus(r_in, r_out, center), n_samples)
+def annulus(r_in, r_out, center=(0.0, 0.0)) -> DomainSpec:
+    return DomainSpec(_Annulus(r_in, r_out, center))
 
 
-def dumbbell(waist=1.0, spread=1.1, n_samples=4096) -> DomainSpec:
+def dumbbell(waist=1.0, spread=1.1) -> DomainSpec:
     """Cassini-oval peanut {((x^2+y^2)^2 - 2 c^2 (x^2 - y^2) + c^4 < a^4)} with a
     reentrant neck for c < a < c*sqrt(2).  waist = c, spread = a."""
     c, a = float(waist), float(spread)
@@ -746,37 +751,29 @@ def dumbbell(waist=1.0, spread=1.1, n_samples=4096) -> DomainSpec:
     xmax = math.sqrt(a * a + c * c)
     ymax = a * a / (2.0 * c)           # half-height of the lobes (the waist is lower)
     pad = 0.15 * xmax
-    return DomainSpec(_LevelSet(expr, (-xmax - pad, xmax + pad, -ymax - pad, ymax + pad)), n_samples)
+    return DomainSpec(_LevelSet(expr, (-xmax - pad, xmax + pad, -ymax - pad, ymax + pad)))
 
 
-def levelset(expr, bbox, n_samples=4096) -> DomainSpec:
-    return DomainSpec(_LevelSet(expr, bbox), n_samples)
+def levelset(expr, bbox) -> DomainSpec:
+    return DomainSpec(_LevelSet(expr, bbox))
 
 
-_FACTORIES = {
-    "disk": disk,
-    "ellipse": ellipse,
-    "rect": rect,
-    "rounded_rect": rounded_rect,
-    "annulus": annulus,
-    "dumbbell": dumbbell,
-    "levelset": levelset,
-}
+_FACTORIES = {f.__name__: f for f in (disk, ellipse, rect, rounded_rect, annulus,
+                                        dumbbell, levelset)}
 
 
-# the one shape table: each shape's factory parameters, n_samples aside, with
-# their defaults (REQUIRED where the factory has none)
+# the one shape table: each shape's factory signature, the parameters that
+# make_domain passes on, with their defaults (REQUIRED where there is none)
 REQUIRED = inspect.Parameter.empty
 SHAPE_PARAMETERS = {
-    tag: {p.name: p.default for p in inspect.signature(f).parameters.values()
-          if p.name != "n_samples"}
+    tag: {p.name: p.default for p in inspect.signature(f).parameters.values()}
     for tag, f in _FACTORIES.items()}
 
 
-def make_domain(tag: str, n_samples: int = 4096, **params) -> DomainSpec:
+def make_domain(tag: str, **params) -> DomainSpec:
     if tag not in _FACTORIES:
         raise MalformedDomainError(f"unknown shape {tag!r}; have {sorted(_FACTORIES)}")
-    return _FACTORIES[tag](n_samples=n_samples, **params)
+    return _FACTORIES[tag](**params)
 
 
 # ---------------------------------------------------------------------------

@@ -316,7 +316,6 @@ class Grid:
         usable_q, inner_q = usable.take(near), self.interior_mask.ravel().take(near)
         one_sided = usable_q.any(axis=0)
         k = np.where(inner_q.any(axis=0), inner_q.argmax(axis=0), usable_q.argmax(axis=0))
-        self._cross_centred = centred    # a mask: smaller than indices on a kept grid
         self._cross_one_sided = rest[one_sided]
         self._cross_quadrant = _QUADRANTS[k[one_sided]]
         self.flags["cross_one_sided"] = int(one_sided.sum())
@@ -498,11 +497,10 @@ class ScalarField:
         return self
 
     @classmethod
-    def from_callable(cls, grid: Grid, f: Callable, boundary: Optional[Callable] = None):
-        """Sample f(x, y) at interior nodes; boundary trace from `boundary` or f."""
+    def from_callable(cls, grid: Grid, f: Callable):
+        """Sample f(x, y) at the interior nodes and, for the trace, at the feet."""
         vals = f(grid.interior_xy[:, 0], grid.interior_xy[:, 1])
-        bf = boundary if boundary is not None else f
-        feet = (bf(grid.foot_xy[:, 0], grid.foot_xy[:, 1])
+        feet = (f(grid.foot_xy[:, 0], grid.foot_xy[:, 1])
                 if grid.n_feet else np.zeros(0))
         return cls(grid, np.asarray(vals, dtype=float),
                    np.asarray(feet, dtype=float)).validate()

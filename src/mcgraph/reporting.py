@@ -18,6 +18,7 @@ import numpy as np
 from .grid import ScalarField
 
 SCHEMA_VERSION = 1
+_MAX_CELLS = 128     # heatmap cells per axis, at most
 
 
 def _jsonable(obj):
@@ -129,17 +130,16 @@ def _colors(t: np.ndarray) -> list:
     return [f"#{c:06x}" for c in (rgb @ [1 << 16, 1 << 8, 1]).tolist()]
 
 
-def write_heatmap_svg(path, u: ScalarField, title: str = "u",
-                      max_cells: int = 128) -> None:
+def write_heatmap_svg(path, u: ScalarField) -> None:
     """Fixed-scale heatmap of the field over its grid, one rect per cell.
 
-    Grids finer than max_cells per axis are block-subsampled so the SVG stays
-    desk-sized; the legend prints the exact data range.
+    Grids finer than `_MAX_CELLS` (read at each call) per axis are block-
+    subsampled so the SVG stays desk-sized; the legend prints u's exact range.
     """
     grid = u.grid
     vals = np.full((grid.nx, grid.ny), np.nan)
     vals[tuple(grid.interior_ij.T)] = u.values
-    step = max(1, int(np.ceil(max(grid.nx, grid.ny) / max_cells)))
+    step = max(1, int(np.ceil(max(grid.nx, grid.ny) / _MAX_CELLS)))
     sub = vals[::step, ::step]
     vmin = float(np.nanmin(vals)) if np.isfinite(vals).any() else 0.0
     vmax = float(np.nanmax(vals)) if np.isfinite(vals).any() else 0.0
@@ -172,6 +172,6 @@ def write_heatmap_svg(path, u: ScalarField, title: str = "u",
                      f'fill="{color}"/>')
     lines.append(
         f'<text x="{margin}" y="{bar_y + 24}" font-family="monospace" '
-        f'font-size="12">{title}: min={vmin!r} max={vmax!r}</text>')
+        f'font-size="12">u: min={vmin!r} max={vmax!r}</text>')
     lines.append("</svg>")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -231,7 +231,7 @@ def test_height_barrier_supersolution(unit_disk, cap_H, cap_grid32):
 
 
 def test_global_gradient_bound_formula(unit_disk, cap_H):
-    audit = global_gradient_bound(unit_disk, cap_H, None, n=2,
+    audit = global_gradient_bound(unit_disk, cap_H, n=2,
                                   sup_u=0.2087, boundary_gradient=0.4324,
                                   measured=0.4362)
     expect = (math.sqrt(3.0) + 0.4324) * math.exp(2 * 0.2087 * (1 + 8 * 2 * 0.4))
@@ -508,6 +508,8 @@ def test_certificate_rejects_bad_inputs(unit_disk):
         nonexistence_bound(unit_disk, h, (0.5, 0.0), 0.05, n=2)
     with pytest.raises(ValueError):
         nonexistence_bound(unit_disk, h, (1.0, 0.0), 0.0, n=2)
+    with pytest.raises(ValueError, match="eps"):     # was an AssertionError
+        nonexistence_bound(unit_disk, h, (1.0, 0.0), math.nan, n=2)
 
 
 def test_adversarial_data_is_bump(unit_disk):

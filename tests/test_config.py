@@ -248,6 +248,61 @@ def test_experiment_missing_key(tmp_path):
     expect_error(tmp_path, text, "[experiment]", "width", "required key missing")
 
 
+EXPERIMENT = BASE + """
+[experiment]
+y0 = 1.0, 0.0
+eps = 0.05
+width = 0.2
+"""
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("eps", "0", "must be positive and finite"),        # ValueError traceback
+    ("eps", "-0.05", "must be positive and finite"),    # ValueError traceback
+    ("eps", "nan", "must be positive and finite"),      # AssertionError traceback
+    ("y0", "0.5, 0.0", "does not lie on the domain boundary"),   # ValueError traceback
+    ("width", "0", "must be positive and finite"),      # ran on a zero bump, exit 0
+    ("width", "-0.1", "must be positive and finite"),   # ran on a zero bump, exit 0
+    ("width", "inf", "must be positive and finite"),    # ran on a zero bump, exit 0
+])
+def test_bad_experiment_value_is_config_error(tmp_path, capsys, key, value, message):
+    from mcgraph.cli import EXIT_CONFIG, main
+    line = {"y0": "y0 = 1.0, 0.0", "eps": "eps = 0.05", "width": "width = 0.2"}[key]
+    text = EXPERIMENT.replace(line, f"{key} = {value}")
+    expect_error(tmp_path, text, f"[experiment] {key} (line ", message)
+    cfg = write(tmp_path, text)
+    for command in ("run", "sweep"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"[experiment] {key}" in err
+        assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("width", "0", "must be positive and finite"),
+    ("width", "-0.1", "must be positive and finite"),
+    ("width", "inf", "must be positive and finite"),
+    ("eps", "nan", "must be finite"),
+])
+def test_bad_bump_value_is_config_error(tmp_path, capsys, key, value, message):
+    from mcgraph.cli import EXIT_CONFIG, main
+    bump = {"y0": "1.0, 0.0", "eps": "0.05", "width": "0.2", key: value}
+    text = BASE + "\n[data]\nkind = bump\n" + "".join(f"{k} = {v}\n" for k, v in bump.items())
+    expect_error(tmp_path, text, f"[data] {key} (line ", message)
+    assert main(["run", "--config", write(tmp_path, text), "--out", str(tmp_path / "o"),
+                 "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"[data] {key}" in err and "Traceback" not in err
+
+
+def test_bump_data_takes_negative_eps(tmp_path):
+    # a bump may dip: only the [experiment]'s eps must be positive
+    text = BASE + "\n[data]\nkind = bump\ny0 = 1.0, 0.0\neps = -0.3\nwidth = 0.2\n"
+    scn = load_scenario(write(tmp_path, text))
+    assert scn.data.trace(np.array([[1.0, 0.0]]))[0] == -0.3
+
+
 def test_reference_must_be_in_catalog(tmp_path):
     text = BASE + "\n[output]\nreference = nonexistent_surface\n"
     expect_error(tmp_path, text, "[output]", "reference",

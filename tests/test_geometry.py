@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import mcgraph.geometry
 from mcgraph import (BumpData, ExpressionData, Grid, MalformedDomainError,
                      PrescribedCurvature, ZeroData, annulus,
                      check_gradient_condition, check_serrin, disk, dumbbell,
@@ -310,9 +311,16 @@ _semi_axis = st.floats(0.2, 2.0)
 _unit = st.floats(-1.6, 1.6)
 
 
+def _coarse_ellipse(a, b):
+    """ellipse(a, b) with 64 boundary samples."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mcgraph.geometry, "_N_SAMPLES", 64)
+        return ellipse(a, b)
+
+
 @given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
 def test_ellipse_distance_sign_matches_implicit_test(a, b, uv):
-    e = ellipse(a, b, n_samples=64)
+    e = _coarse_ellipse(a, b)
     pts = np.array(uv) * (a, b)
     F = (pts[:, 0] / a) ** 2 + (pts[:, 1] / b) ** 2 - 1.0
     sd = e.signed_distance(pts)
@@ -322,7 +330,7 @@ def test_ellipse_distance_sign_matches_implicit_test(a, b, uv):
 
 @given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
 def test_ellipse_foot_on_curve_along_normal(a, b, uv):
-    e = ellipse(a, b, n_samples=64)
+    e = _coarse_ellipse(a, b)
     pts = np.array(uv) * (a, b)
     foot, dist = e.shape._nearest(pts)
     assert np.allclose(np.abs(e.signed_distance(pts)), dist, rtol=0, atol=0)
@@ -335,7 +343,7 @@ def test_ellipse_foot_on_curve_along_normal(a, b, uv):
 
 @given(_semi_axis, _semi_axis, st.lists(st.tuples(_unit, _unit), min_size=1, max_size=16))
 def test_ellipse_distance_against_dense_parameter_sample(a, b, uv):
-    e = ellipse(a, b, n_samples=64)
+    e = _coarse_ellipse(a, b)
     pts = np.array(uv) * (a, b)
     t = np.linspace(0.0, 2.0 * math.pi, 20001)
     curve = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sps
 from hypothesis import given, strategies as st
 
+import mcgraph.geometry
 from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
                      disk, dumbbell, ellipse, levelset, rect, rounded_rect)
 from mcgraph.grid import _AXES, _QUADRANTS, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
@@ -347,7 +348,8 @@ def test_band_sees_hole_between_nodes(h, monkeypatch):
 
 @pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 64.0, 1.0 / 128.0])
 def test_band_widens_with_coarse_samples(h, monkeypatch):
-    grid, seen, _ = _build_recording(disk(1.0, n_samples=64), h, monkeypatch)
+    monkeypatch.setattr(mcgraph.geometry, "_N_SAMPLES", 64)
+    grid, seen, _ = _build_recording(disk(1.0), h, monkeypatch)
     _assert_matches_reference(grid, seen)
 
 
@@ -422,14 +424,15 @@ def _reference_cross_choice(grid):
 
 
 def _reference_operators(grid):
-    """D and D_feet assembled tap by tap: each stencil's taps as scipy COO,
-    split into interior and ghost columns, then S_int + S_gh @ closure_int
-    and S_gh @ closure_feet with sorted rows."""
+    """D and D_feet assembled tap by tap on the reference cross choice: each
+    stencil's taps as scipy COO, split into interior and ghost columns, then
+    S_int + S_gh @ closure_int and S_gh @ closure_feet with sorted rows."""
     h, Ni = grid.h, grid.n_interior
     ii, jj = grid.interior_ij[:, 0], grid.interior_ij[:, 1]
     rows = np.arange(Ni)
-    centred, r1 = np.flatnonzero(grid._cross_centred), grid._cross_one_sided
-    a, b = grid._cross_quadrant[:, 0], grid._cross_quadrant[:, 1]
+    centred, r1, quadrant, _, _ = _reference_cross_choice(grid)
+    centred = np.flatnonzero(centred)
+    a, b = quadrant[:, 0], quadrant[:, 1]
     s, w4 = a * b / h**2, 0.25 / h**2
     taps = {
         "Dxx": [(rows, (1, 0), 1.0 / h**2), (rows, (-1, 0), 1.0 / h**2),
@@ -479,9 +482,8 @@ def operator_grids():
 @pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
 def test_cross_choice_matches_reference(operator_grids, name):
     g = operator_grids[name]
-    centred, one_sided, quadrant, n_one, n_missing = _reference_cross_choice(g)
-    for got, want in ((g._cross_centred, centred), (g._cross_one_sided, one_sided),
-                      (g._cross_quadrant, quadrant)):
+    _, one_sided, quadrant, n_one, n_missing = _reference_cross_choice(g)
+    for got, want in ((g._cross_one_sided, one_sided), (g._cross_quadrant, quadrant)):
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert (g.flags["cross_one_sided"], g.flags["cross_missing"]) == (n_one, n_missing)

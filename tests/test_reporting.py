@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+import mcgraph.reporting
 from mcgraph import (Grid, ScalarField, annulus, build_report, disk, load_scenario,
                      solve_dirichlet, write_fields_csv, write_heatmap_svg,
                      write_report, write_traces_csv)
@@ -142,7 +143,7 @@ def test_fields_csv_row_count(small_solve, tmp_path):
 def test_heatmap_svg(small_solve, tmp_path):
     scn, grid, rep = small_solve
     path = tmp_path / "heat.svg"
-    write_heatmap_svg(path, rep.field, title="u")
+    write_heatmap_svg(path, rep.field)
     text = path.read_text()
     assert text.startswith("<svg ")
     assert text.rstrip().endswith("</svg>")
@@ -152,13 +153,14 @@ def test_heatmap_svg(small_solve, tmp_path):
     assert f"max={float(vmax)!r}" in text
 
 
-def test_heatmap_subsamples_fine_grids(tmp_path):
+def test_heatmap_subsamples_fine_grids(tmp_path, monkeypatch):
     grid = Grid(disk(radius=1.0), 1.0 / 256.0)
     u = ScalarField.from_callable(grid, lambda x, y: x * y)
     path = tmp_path / "big.svg"
-    write_heatmap_svg(path, u, max_cells=64)
+    monkeypatch.setattr(mcgraph.reporting, "_MAX_CELLS", 64)
+    write_heatmap_svg(path, u)
     text = path.read_text()
-    # block subsampling caps the rect count near max_cells^2 plus legend bar
+    # block subsampling caps the rect count near _MAX_CELLS^2 plus legend bar
     assert text.count("<rect") < 64 * 64 + 200
 
 
@@ -234,7 +236,8 @@ def test_fields_csv_matches_csv_writer_on_annulus(annulus_field, tmp_path):
 
 
 @pytest.mark.parametrize("max_cells", [128, 16])
-def test_heatmap_svg_skips_the_hole_of_an_annulus(annulus_field, tmp_path, max_cells):
+def test_heatmap_svg_skips_the_hole_of_an_annulus(annulus_field, tmp_path, monkeypatch,
+                                                  max_cells):
     u = annulus_field
     grid = u.grid
     vals = np.full((grid.nx, grid.ny), np.nan)
@@ -242,7 +245,8 @@ def test_heatmap_svg_skips_the_hole_of_an_annulus(annulus_field, tmp_path, max_c
     step = max(1, int(np.ceil(max(grid.nx, grid.ny) / max_cells)))
     sub = vals[::step, ::step]
     path = tmp_path / "heat.svg"
-    write_heatmap_svg(path, u, max_cells=max_cells)
+    monkeypatch.setattr(mcgraph.reporting, "_MAX_CELLS", max_cells)
+    write_heatmap_svg(path, u)
     text = path.read_text()
     cells = [(int(x), int(y), int(w)) for x, y, w in
              re.findall(r'<rect x="(\d+)" y="(\d+)" width="(\d+)" height="\d+"', text)]
