@@ -6,11 +6,8 @@ commit, each run in a fresh process.
                                        [--spacings 16,32,64,128,256]
                                        [--out BENCH_artifacts.json]
 
-The parent is ``git archive REV`` of this repository unpacked in a temporary
-directory (default ``HEAD``: the working tree's change against its last
-commit; pass ``HEAD~1`` once the change is committed).  For every spacing
-h = 1/N the parent and this checkout take turns, one fresh process at a time
-and each going first in every other repeat.  A process runs
+For every spacing h = 1/N the parent and this checkout take turns as
+`_parent` describes.  A process runs
 ``mcgraph run --config configs/cap.ini --grid-h h`` through
 ``mcgraph.cli.main`` with ``write_report``, ``write_traces_csv``,
 ``write_fields_csv`` and ``write_heatmap_svg`` wrapped: each call of a
@@ -28,15 +25,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import platform
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _parent
+from _parent import ROOT
+
 WRITERS = ("write_report", "write_traces_csv", "write_fields_csv", "write_heatmap_svg")
 ARTIFACTS = ("report.json", "traces.csv", "fields.csv", "heatmap.svg")
 
@@ -65,12 +62,6 @@ def _measure(root: str, h: float, calls: int, outdir: str) -> dict:
         raise SystemExit(f"mcgraph run exited {code} at h = {h!r}")
     return {"seconds": seconds,
             "bytes": {name: os.path.getsize(Path(outdir) / name) for name in ARTIFACTS}}
-
-
-def _run(root: Path, h: float, calls: int, outdir: Path) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--one", str(root), repr(h), str(calls),
-                          str(outdir)], check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.splitlines()[-1])
 
 
 def _identical(a: Path, b: Path) -> dict:
@@ -102,24 +93,13 @@ def main(argv=None) -> int:
         root, h, calls, outdir = args.one
         print(json.dumps(_measure(root, float(h), int(calls), outdir)))
         return 0
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
-                         capture_output=True, text=True).stdout.strip()
     results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
-        checkouts = {"parent": parent_root, "this": ROOT}
+    with _parent.checkouts(args.parent) as (rev, checkouts), \
+            tempfile.TemporaryDirectory() as tmp:
         for N in (int(s) for s in args.spacings.split(",")):
-            h = 1.0 / N
-            runs = {name: [] for name in checkouts}
-            for r in range(args.repeats):
-                order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-                for name in order:
-                    runs[name].append(_run(checkouts[name], h, args.calls,
-                                           Path(tmp) / f"{N}-{name}-{r}"))
+            runs = _parent.alternate(checkouts, args.repeats, lambda name, r: _parent.fresh(
+                __file__, checkouts[name], repr(1.0 / N), args.calls,
+                Path(tmp) / f"{N}-{name}-{r}"))
             entry = {}
             for name, rows in runs.items():
                 entry[name] = {
@@ -133,22 +113,17 @@ def main(argv=None) -> int:
             print(f"h = 1/{N:<4}" + ", ".join(
                 f"{w[6:]} {1e3 * p[w]:.1f} -> {1e3 * t[w]:.1f} ms" for w in WRITERS)
                 + f", identical {all(entry['identical'].values())}", flush=True)
-    import numpy as np
-    import scipy
-    doc = {
+    _parent.write(args.out, {
         "benchmark": "the four artifact writers of `mcgraph run` on the H = 0.4 cap "
                      "(configs/cap.ini with --grid-h) against a parent commit: least "
                      "seconds of --calls calls per process, median over the repeats, "
                      "one fresh process per spacing, checkout and repeat",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
+        "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
         "calls": args.calls,
         "results": results,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    })
     return 0
 
 

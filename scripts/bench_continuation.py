@@ -1,16 +1,12 @@
-"""Continuation benchmark: the Newton work, the time and the answers of the
-solves against a parent commit, each case in a fresh process.
+"""Continuation benchmark: the Newton and linear-layer work, the time and the
+answers of the solves against a parent commit, each case in a fresh process.
 
     python3 scripts/bench_continuation.py [--parent REV] [--repeats 3]
                                           [--cases sweep,bump_legs,...]
                                           [--draws 160] [--out BENCH_continuation.json]
 
-The parent is ``git archive REV`` of this repository unpacked in a temporary
-directory (default ``HEAD``: the working tree's change against its last
-commit; pass ``HEAD~1`` once the change is committed).  The parent and this
-checkout take turns, one fresh process at a time and each going first in
-every other repeat, so that a drift of the host's speed falls on both alike.
-The cases are
+The parent and this checkout take turns as `_parent` describes.  The cases
+are
 
 * ``sweep``: the nine caps H = 0.05, 0.10, ..., 0.45 with zero data on one
   h = 1/32 disk grid, in that order (the perfbench ``curvature_sweep``);
@@ -26,22 +22,25 @@ The cases are
   checkout and is tabulated as (parent verdict, this verdict) pairs.
 
 Per checkout and case it records the Newton steps, the Krylov iterations,
-the factorizations, the stages (tau, steps) of each solve, the verdicts and
-the seconds spent in ``solve_dirichlet``; the counts must agree across the
-repeats.  ``max_field_difference`` is the largest difference of a solve's
-field between the checkouts, over the solves that both end converged, and
-``converged_fields_beyond_1e-12`` counts those solves whose fields differ
-by more than 1e-12.
+the factorizations, the ``splu`` and ``SuperLU.solve`` calls (counted by a
+wrapper of ``scipy.sparse.linalg.splu``), the stages (tau, steps) of each
+solve, the verdicts, a sha256 of each solve's field, the seconds spent in
+``solve_dirichlet`` and the process's peak RSS; the counts and the hashes
+must agree across the repeats.  ``same_fields`` says whether the hashes
+agree across the checkouts.  ``max_field_difference`` is the largest
+difference of a solve's field between the checkouts, over the solves that
+both end converged, and ``converged_fields_beyond_1e-12`` counts those
+solves whose fields differ by more than 1e-12.  The counters and hashes are
+those of ``BENCH_linear.json``, which the former ``bench_linear.py`` wrote.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
-import os
-import platform
+import resource
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -50,7 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
+import _parent
+from _parent import ROOT
+
 # name: (spacings, curvatures, bump data); every curvature solves on every
 # spacing's grid in turn, with zero data or the A8 bump
 CASES = {
@@ -61,8 +62,8 @@ CASES = {
     "cap_256": ((1 / 256,), (0.4,), False),
 }
 SAMPLE_SEED = 20261019
-_EXACT = ("newton_iterations", "krylov_iterations", "factorizations", "stages",
-          "verdicts")
+_EXACT = ("newton_iterations", "krylov_iterations", "factorizations", "splu_calls",
+          "superlu_solve_calls", "stages", "verdicts", "field_sha256")
 
 
 def _solves(mcgraph, case: str, draws: int):
@@ -88,11 +89,33 @@ def _solves(mcgraph, case: str, draws: int):
 
 def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
     sys.path.insert(0, str(Path(root) / "src"))
+    import scipy.sparse.linalg as spla
     import mcgraph
 
+    counts = {"splu_calls": 0, "superlu_solve_calls": 0}
+    splu = spla.splu
+
+    class Counted:
+        """A SuperLU factor whose solves are counted."""
+
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            counts["superlu_solve_calls"] += 1
+            return self._lu.solve(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
+    def counted_splu(*args, **kwargs):
+        counts["splu_calls"] += 1
+        return Counted(splu(*args, **kwargs))
+
+    spla.splu = counted_splu
     seconds, fields = 0.0, []
     row = {"newton_iterations": [], "krylov_iterations": 0, "factorizations": 0,
-           "stages": [], "verdicts": []}
+           "stages": [], "verdicts": [], "field_sha256": []}
     for grid, H, data in _solves(mcgraph, case, draws):
         t0 = time.perf_counter()
         report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H),
@@ -103,15 +126,11 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
         row["factorizations"] += report.factorizations
         row["stages"].append([[s.tau, s.iters] for s in report.stages])
         row["verdicts"].append(report.verdict)
+        row["field_sha256"].append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
         fields.append(report.field.values)
     np.savez(fields_path, *fields)
-    return {**row, "solve_s": seconds}
-
-
-def _run(root: Path, case: str, draws: int, fields_path: Path) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--one", str(root), case, str(draws),
-                          str(fields_path)], check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return {**row, **counts, "solve_s": seconds,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0}
 
 
 def _field_differences(paths, converged) -> list:
@@ -153,24 +172,15 @@ def main(argv=None) -> int:
         root, case, draws, fields_path = args.one
         print(json.dumps(_measure(root, case, int(draws), fields_path)))
         return 0
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
-                         capture_output=True, text=True).stdout.strip()
     results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
-        checkouts = {"parent": parent_root, "this": ROOT}
+    with _parent.checkouts(args.parent) as (rev, checkouts), \
+            tempfile.TemporaryDirectory() as tmp:
         for case in args.cases.split(","):
-            repeats = 1 if case == "sample" else args.repeats
-            runs = {name: [] for name in checkouts}
             fields = {name: Path(tmp) / f"{case}-{name}.npz" for name in checkouts}
-            for r in range(repeats):
-                order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-                for name in order:
-                    runs[name].append(_run(checkouts[name], case, args.draws, fields[name]))
+            runs = _parent.alternate(
+                checkouts, 1 if case == "sample" else args.repeats,
+                lambda name, r: _parent.fresh(__file__, checkouts[name], case, args.draws,
+                                              fields[name]))
             entry = {}
             for name, rows in runs.items():
                 first = rows[0]
@@ -181,12 +191,18 @@ def main(argv=None) -> int:
                     "newton_iterations": sum(first["newton_iterations"]),
                     "krylov_iterations": first["krylov_iterations"],
                     "factorizations": first["factorizations"],
-                    "solve_s_median": statistics.median(times), "solve_s_runs": times}
+                    "splu_calls": first["splu_calls"],
+                    "superlu_solve_calls": first["superlu_solve_calls"],
+                    "solve_s_median": statistics.median(times), "solve_s_runs": times,
+                    "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows)}
                 if case != "sample":
-                    entry[name].update(verdicts=first["verdicts"], stages=first["stages"])
+                    entry[name].update(verdicts=first["verdicts"], stages=first["stages"],
+                                       field_sha256=first["field_sha256"])
             both = [p == t == "converged" for p, t in zip(runs["parent"][0]["verdicts"],
                                                           runs["this"][0]["verdicts"])]
             entry["same_verdicts"] = runs["parent"][0]["verdicts"] == runs["this"][0]["verdicts"]
+            entry["same_fields"] = (runs["parent"][0]["field_sha256"]
+                                    == runs["this"][0]["field_sha256"])
             differences = _field_differences([fields["parent"], fields["this"]], both)
             entry["max_field_difference"] = max(differences, default=0.0)
             entry["converged_fields_beyond_1e-12"] = sum(d > 1e-12 for d in differences)
@@ -197,18 +213,19 @@ def main(argv=None) -> int:
             print(f"{case:9} Newton {p['newton_iterations']:5} -> {t['newton_iterations']:5}, "
                   f"Krylov {p['krylov_iterations']:5} -> {t['krylov_iterations']:5}, "
                   f"LU {p['factorizations']} -> {t['factorizations']}, "
+                  f"splu {p['splu_calls']} -> {t['splu_calls']}, SuperLU.solve "
+                  f"{p['superlu_solve_calls']} -> {t['superlu_solve_calls']}, "
                   f"solve {p['solve_s_median']:.3f} -> {t['solve_s_median']:.3f} s, "
-                  f"same verdicts {entry['same_verdicts']}, "
-                  f"|du| {entry['max_field_difference']:.1e}", flush=True)
-    import scipy
-    doc = {
+                  f"{p['peak_rss_mb']:.0f} -> {t['peak_rss_mb']:.0f} MB, "
+                  f"same verdicts {entry['same_verdicts']}, same fields "
+                  f"{entry['same_fields']}, |du| {entry['max_field_difference']:.1e}",
+                  flush=True)
+    _parent.write(args.out, {
         "benchmark": "continuation solves on the unit disk against a parent commit: nine "
                      "zero-data caps on one grid, the two A8 bump legs on shared grids, "
                      "single caps at fine h, and a sample of bump-data draws; one fresh "
-                     "process per case and checkout",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
+                     "process per case, checkout and repeat",
+        "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
         "cases": {**{case: {"h": list(h), "curvatures": list(c),
@@ -217,8 +234,7 @@ def main(argv=None) -> int:
                   "sample": {"h": [1 / 12, 1 / 24], "draws": args.draws, "seed": SAMPLE_SEED,
                              "H": [-1.5, 1.5], "width": [0.05, 1.0], "eps": [-0.5, 0.5]}},
         "results": results,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    })
     return 0
 
 

@@ -5,13 +5,10 @@ process, with a bit-identity check of what the steps build.
     python3 scripts/bench_grid.py [--parent REV] [--repeats 3] [--calls 5]
                                   [--spacings 32,64,128,256] [--out BENCH_grid.json]
 
-The parent is ``git archive REV`` of this repository unpacked in a temporary
-directory (default ``HEAD``: the working tree's change against its last
-commit; pass ``HEAD~1`` once the change is committed).  The cases are the
-six domains of the benchmark's ``domain_grids`` workload at every spacing
-h = 1/N given, plus the unit disk at h = 1/512.  For every case the parent
-and this checkout take turns, one fresh process at a time and each going
-first in every other repeat.  A process builds ``Grid(domain, h)`` and its
+The cases are the six domains of the benchmark's ``domain_grids`` workload
+at every spacing h = 1/N given, plus the unit disk at h = 1/512.  For every
+case the parent and this checkout take turns as `_parent` describes.  A
+process builds ``Grid(domain, h)`` and its
 ``operators()`` ``--calls`` times, with the construction steps wrapped:
 
 * ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
@@ -32,16 +29,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _parent
+from _parent import ROOT
+
 STEPS = {"classify": "_classify", "intercepts": "_find_intercepts",
          "closures": "_close_ghosts", "cross": "_choose_cross_stencils",
          "operators": "_build_operators"}
@@ -96,12 +91,6 @@ def _measure(root: str, domain: str, N: int, calls: int) -> dict:
             "digests": digests}
 
 
-def _run(root: Path, domain: str, N: int, calls: int) -> dict:
-    out = subprocess.run([sys.executable, __file__, "--one", str(root), domain, str(N),
-                          str(calls)], check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.splitlines()[-1])
-
-
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", default="HEAD", help="the commit to compare against")
@@ -117,24 +106,13 @@ def main(argv=None) -> int:
         root, domain, N, calls = args.one
         print(json.dumps(_measure(root, domain, int(N), int(calls))))
         return 0
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
-                         capture_output=True, text=True).stdout.strip()
     cases = [(domain, int(N)) for N in args.spacings.split(",") for domain in DOMAINS]
     cases.append(("disk", 512))
     results = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
-        checkouts = {"parent": parent_root, "this": ROOT}
+    with _parent.checkouts(args.parent) as (rev, checkouts):
         for domain, N in cases:
-            runs = {name: [] for name in checkouts}
-            for r in range(args.repeats):
-                order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-                for name in order:
-                    runs[name].append(_run(checkouts[name], domain, N, args.calls))
+            runs = _parent.alternate(checkouts, args.repeats, lambda name, r: _parent.fresh(
+                __file__, checkouts[name], domain, N, args.calls))
             entry = {"n_interior": runs["this"][0]["n_interior"], "nnz": runs["this"][0]["nnz"]}
             for name, rows in runs.items():
                 entry[name] = {
@@ -150,24 +128,19 @@ def main(argv=None) -> int:
                 + f" ms, identical {entry['identical']}", flush=True)
     totals = {name: {s: sum(e[name]["seconds_median"][s] for e in results.values())
                      for s in STEPS} for name in ("parent", "this")}
-    import numpy as np
-    import scipy
-    doc = {
+    _parent.write(args.out, {
         "benchmark": "Grid construction steps and the stencil operator build on the "
                      "domain_grids domains and the disk at 1/512 against a parent commit: "
                      "least seconds of --calls builds per process, median over the repeats, "
                      "one fresh process per case, checkout and repeat",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": np.__version__,
-                    "scipy": scipy.__version__},
+        "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
         "calls": args.calls,
         "seconds_total": totals,
         "all_identical": all(e["identical"] for e in results.values()),
         "results": results,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    })
     return 0
 
 

@@ -31,15 +31,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import resource
-import subprocess
 import sys
 import time
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _parent
+from _parent import ROOT
+
 ORDERINGS = ("nested_dissection", "minimum_degree")
 
 
@@ -123,26 +121,19 @@ def main(argv=None) -> int:
     results = {}
     for n in (int(s) for s in args.spacings.split(",")):
         for ordering in ORDERINGS:
-            out = subprocess.run([sys.executable, __file__, "--one", ordering, str(n),
-                                  "--repeats", str(args.repeats)],
-                                 check=True, capture_output=True, text=True).stdout
-            results.setdefault(f"1/{n}", {})[ordering] = json.loads(out.splitlines()[-1])
+            results.setdefault(f"1/{n}", {})[ordering] = _parent.fresh(
+                __file__, ordering, n, "--repeats", args.repeats)
             row = results[f"1/{n}"][ordering]
             print(f"h = 1/{n:<4} {ordering:18} factor {row['factor_s']:.4f} s, "
                   f"solve {row['triangular_solve_s'] * 1e3:.2f} ms, "
                   f"nnz(L+U) {row['nnz_L_plus_U']}, cap {row['solve_dirichlet_s']:.3f} s, "
                   f"{row['peak_rss_mb']:.0f} MB", flush=True)
-    import numpy
-    import scipy
-    doc = {
+    _parent.write(args.out, {
         "benchmark": "first cap Jacobian factorized in each ordering, and the cap solve",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": numpy.__version__,
-                    "scipy": scipy.__version__},
+        "machine": _parent.machine(),
         "repeats": args.repeats,
         "results": results,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    })
     return 0
 
 

@@ -4,12 +4,7 @@
     python3 scripts/bench_setup.py [--parent REV] [--repeats 7]
                                    [--out BENCH_setup.json]
 
-The parent is ``git archive REV`` of this repository unpacked in a temporary
-directory (default ``HEAD``: the working tree's change against its last
-commit; pass ``HEAD~1`` once the change is committed).  Each checkout's
-program is imported from its ``src``.  The parent and this checkout take
-turns, one fresh process at a time and each going first in every other
-repeat, so that a drift of the host's speed falls on both alike.  Per
+The parent and this checkout take turns as `_parent` describes.  Per
 checkout the best of the repeats is reported for:
 
 * ``import_s``: ``import mcgraph``;
@@ -25,16 +20,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import resource
-import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+import _parent
+from _parent import ROOT
 
 
 def _measure(root: str) -> dict:
@@ -59,25 +51,13 @@ def main(argv=None) -> int:
     if args.one:
         print(json.dumps(_measure(args.one)))
         return 0
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", args.parent], check=True,
-                         capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory() as tmp:
-        parent_root = Path(tmp) / "parent"
-        parent_root.mkdir()
-        archive = subprocess.run(["git", "-C", str(ROOT), "archive", rev], check=True,
-                                 capture_output=True).stdout
-        subprocess.run(["tar", "-x", "-C", str(parent_root)], input=archive, check=True)
-        checkouts = {"parent": parent_root, "this": ROOT}
-        runs = {name: [] for name in checkouts}
-        for r in range(args.repeats):
-            order = list(checkouts) if r % 2 == 0 else list(reversed(checkouts))
-            for name in order:
-                t0 = time.perf_counter()
-                out = subprocess.run([sys.executable, __file__, "--one", str(checkouts[name])],
-                                     check=True, capture_output=True, text=True).stdout
-                row = json.loads(out.splitlines()[-1])
-                row["process_s"] = time.perf_counter() - t0
-                runs[name].append(row)
+    with _parent.checkouts(args.parent) as (rev, checkouts):
+        def run(name, r):
+            t0 = time.perf_counter()
+            row = _parent.fresh(__file__, checkouts[name])
+            return {**row, "process_s": time.perf_counter() - t0}
+
+        runs = _parent.alternate(checkouts, args.repeats, run)
     results = {}
     for name, rows in runs.items():
         best = {k: min(r[k] for r in rows)
@@ -88,18 +68,13 @@ def main(argv=None) -> int:
         print(f"{name:10} import {best['import_s']:.3f} s, catalog {best['catalog_s']:.3f} s, "
               f"process {best['process_s']:.3f} s, {best['peak_rss_mb']:.1f} MB, "
               f"imports {best['heavy_modules'] or 'neither sympy nor mpmath'}", flush=True)
-    import numpy
-    import scipy
-    doc = {
+    _parent.write(args.out, {
         "benchmark": "import mcgraph, then the first reference.catalog(), in fresh processes",
-        "machine": {"cpus": os.cpu_count(), "platform": platform.platform(),
-                    "python": platform.python_version(), "numpy": numpy.__version__,
-                    "scipy": scipy.__version__},
+        "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
         "results": results,
-    }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
+    })
     return 0
 
 

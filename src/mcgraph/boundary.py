@@ -93,8 +93,8 @@ class BumpData(BoundaryData):
     """Smooth bump of height eps supported within boundary-arclength a of y0.
 
     phi(s) = eps * exp(1 - 1/(1 - (rho/a)^2)) for rho < a, else 0, where rho is
-    the shortest boundary distance from s to y0.  Widths below float resolution
-    degenerate to the single point y0 (trace eps exactly there, 0 elsewhere).
+    the shortest boundary distance from s to y0; the width a must be positive
+    and finite.
     """
 
     kind = "bump"
@@ -104,24 +104,23 @@ class BumpData(BoundaryData):
         self.domain = domain
         self.y0 = np.asarray(y0, dtype=float)
         self.s0 = float(np.atleast_1d(domain.arclength_of(self.y0))[0])
-        self.width = width          # may be float or an mpmath mpf
+        if not 0.0 < width < math.inf:
+            raise ValueError(f"bump width must be positive and finite, got {width!r}")
+        self.width = float(width)
         self.eps = float(eps)
 
     def trace(self, pts, s=None):
         if s is None:
             s = self.domain.arclength_of(np.asarray(pts, dtype=float))
         rho = self.domain.arc_distance(np.asarray(s, dtype=float), self.s0)
-        a = float(self.width)
+        a = self.width
         out = np.zeros(np.shape(rho))
-        if a <= 0.0 or not math.isfinite(a):
-            out[rho == 0.0] = self.eps
-            return out
         inside = rho < a
         q = (rho[inside] / a) ** 2
         out[inside] = self.eps * np.exp(1.0 - 1.0 / (1.0 - q))
         return out
 
     def __repr__(self):
-        return (f"phi = bump(eps={self.eps}, width={float(self.width):.3g}, "
+        return (f"phi = bump(eps={self.eps}, width={self.width:.3g}, "
                 f"s0={self.s0:.4f})")
 

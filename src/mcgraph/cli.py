@@ -41,7 +41,7 @@ from pathlib import Path
 from . import barriers
 from .config import ConfigError, load_scenario
 from .geometry import (REQUIRED, SHAPE_PARAMETERS, MalformedDomainError,
-                       PrescribedCurvature, check_serrin, make_domain)
+                       PrescribedCurvature, check_serrin, dimension, make_domain)
 from .grid import Grid, GridError
 from .reference import get as get_reference
 from .reporting import (build_report, write_report, write_traces_csv,
@@ -203,6 +203,14 @@ def _run_experiment(scenario, outdir: Path, quiet: bool) -> int:
     return _exit_code(reports, extras["audits"])
 
 
+def _flag(flag: str, check, value):
+    """check(value), whose ValueError is a config error naming the flag."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 def cmd_check_serrin(args) -> int:
     given = {k: v for k, v in vars(args).items() if k in _SHAPE_FLAGS or k in _AUDIT_FLAGS}
     if args.config:
@@ -220,7 +228,8 @@ def cmd_check_serrin(args) -> int:
                               f"parameter of --shape {shape}")
         domain = make_domain(shape, **{k: given.get(k, _SHAPE_FLAGS[k])
                                        for k in params if k in _SHAPE_FLAGS})
-        H = PrescribedCurvature.constant(curvature)
+        H = _flag("--curvature", PrescribedCurvature.constant, curvature)
+        n = _flag("--n", dimension, n)
 
     audit = check_serrin(domain, H, n)
     state = "satisfied" if audit.satisfied else "violated"

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Optional
 
 from .geometry import (DomainSpec, PrescribedCurvature, REQUIRED,
-                       SHAPE_PARAMETERS, make_domain)
+                       SHAPE_PARAMETERS, dimension, make_domain)
 from .boundary import (BoundaryData, ZeroData, ExpressionData, BumpData,
                        constant_data, scherk_trace)
 
@@ -183,6 +183,14 @@ def _finite(raw, section, sec, key, positive: bool) -> float:
     return v
 
 
+def _checked(raw, section, key, check, value):
+    """check(value), whose ValueError is a config error at the key."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raw.fail(section, key, str(exc))
+
+
 # levelset takes an expression and a box, which config values do not spell
 _SHAPES = {tag: params for tag, params in SHAPE_PARAMETERS.items()
            if tag != "levelset"}
@@ -215,11 +223,10 @@ def _build_curvature(raw: _Raw, sec: dict) -> tuple:
     if has_c == has_e:
         raw.fail("curvature", None,
                  "exactly one of 'constant' or 'expression' is required")
-    n = int(_get_number(raw, "curvature", sec, "n", 2))
-    if n < 2:
-        raw.fail("curvature", "n", "dimension parameter must be >= 2")
+    n = _checked(raw, "curvature", "n", dimension, _get_number(raw, "curvature", sec, "n", 2))
     if has_c:
-        H = PrescribedCurvature.constant(_get_number(raw, "curvature", sec, "constant"))
+        H = _checked(raw, "curvature", "constant", PrescribedCurvature.constant,
+                     _get_number(raw, "curvature", sec, "constant"))
     else:
         try:
             H = PrescribedCurvature.expression(_unquote(sec["expression"]))
@@ -321,8 +328,9 @@ def load_scenario(path: str) -> Scenario:
     if sweep_sec:
         if "curvatures" not in sweep_sec or not sweep_sec["curvatures"].strip():
             raw.fail("sweep", "curvatures", "empty sweep list")
-        sweep_curvatures = _number_list(raw, "sweep", "curvatures",
-                                        sweep_sec["curvatures"])
+        sweep_curvatures = tuple(
+            _checked(raw, "sweep", "curvatures", PrescribedCurvature.constant, v).value
+            for v in _number_list(raw, "sweep", "curvatures", sweep_sec["curvatures"]))
 
     return Scenario(domain=domain, curvature=H, n=n, data=data,
                     spacings=spacings, audits=audits,

@@ -799,6 +799,8 @@ class PrescribedCurvature:
     @classmethod
     def constant(cls, value: float) -> "PrescribedCurvature":
         v = float(value)
+        if not math.isfinite(v):
+            raise ValueError(f"a constant curvature must be finite, got {value!r}")
 
         def f(pts):
             pts = np.asarray(pts, dtype=float)
@@ -871,6 +873,13 @@ class SerrinAudit:
         return (f"Serrin condition {state}: min over boundary of "
                 f"(n-1)*kappa - n*|H| = {self.margin:.6g} at point "
                 f"({self.worst_point[0]:.4f}, {self.worst_point[1]:.4f})")
+
+
+def dimension(n) -> int:
+    """The dimension parameter n as an int; ValueError unless it is an integer >= 2."""
+    if not (float(n).is_integer() and n >= 2):
+        raise ValueError(f"dimension parameter must be an integer >= 2, got {n!r}")
+    return int(n)
 
 
 def check_serrin(domain: DomainSpec, H: PrescribedCurvature, n: int = 2) -> SerrinAudit:

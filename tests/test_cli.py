@@ -193,6 +193,26 @@ def test_check_serrin_malformed_domain(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--curvature", "nan"], ["--curvature", "inf"],
+                                   ["--n", "1"]], ids=["nan", "inf", "n1"])
+def test_check_serrin_refuses_bad_curvature_and_dimension(capsys, flags):
+    assert main(["check-serrin", *flags]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "config error" in captured.err and flags[0] in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_refuses_a_non_finite_constant_curvature(tmp_path, capsys, value):
+    cfg = write(tmp_path, CAP.replace("constant = 0.4", f"constant = {value}"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "[curvature] constant" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_check_serrin_dumbbell_waist_violated(capsys):
     code = main(["check-serrin", "--shape", "dumbbell",
                  "--waist", "1.0", "--spread", "1.3"])

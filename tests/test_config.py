@@ -209,6 +209,28 @@ def test_dimension_must_be_at_least_two(tmp_path):
     expect_error(tmp_path, text, "[curvature]", "n", ">= 2")
 
 
+@pytest.mark.parametrize("n", ["2.7", "inf", "nan"])
+def test_dimension_must_be_an_integer(tmp_path, n):
+    text = BASE.replace("n = 2", f"n = {n}")
+    expect_error(tmp_path, text, "[curvature] n (line 7)", "an integer >= 2", n)
+
+
+def test_dimension_may_be_written_as_a_float(tmp_path):
+    scn = load_scenario(write(tmp_path, BASE.replace("n = 2", "n = 3.0")))
+    assert scn.n == 3 and isinstance(scn.n, int)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_constant_curvature_must_be_finite(tmp_path, value):
+    text = BASE.replace("constant = 0.4", f"constant = {value}")
+    expect_error(tmp_path, text, "[curvature] constant (line 6)", "must be finite")
+
+
+def test_sweep_curvatures_must_be_finite(tmp_path):
+    text = BASE + "\n[sweep]\ncurvatures = 0.3, nan\n"
+    expect_error(tmp_path, text, "[sweep] curvatures", "must be finite")
+
+
 def test_grid_requires_exactly_one_form(tmp_path):
     both = BASE.replace("spacing = 1/64",
                         "spacing = 1/64\nspacings = 1/16, 1/32")

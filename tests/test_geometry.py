@@ -255,6 +255,12 @@ def test_bump_data_support_width():
     assert bump.trace(outside)[0] == 0.0
 
 
+@pytest.mark.parametrize("width", [0.0, -0.1, math.inf, math.nan])
+def test_bump_data_refuses_a_width_that_is_not_positive_and_finite(width):
+    with pytest.raises(ValueError, match="positive and finite"):
+        BumpData(disk(radius=1.0), (1.0, 0.0), width, 0.05)
+
+
 def test_zero_and_scherk_data():
     d = rect(0.6, 0.6)
     z = ZeroData()
