@@ -81,7 +81,10 @@ class ExpressionData(BoundaryData):
 
 
 def constant_data(value: float) -> ExpressionData:
-    return ExpressionData(repr(float(value)))
+    v = float(value)
+    if not math.isfinite(v):
+        raise ValueError(f"constant data must be finite, got {value!r}")
+    return ExpressionData(repr(v))
 
 
 def scherk_trace() -> ExpressionData:

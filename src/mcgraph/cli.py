@@ -19,7 +19,8 @@ audits and constants from one `barriers.estimate_ledger` call.  An
 written all the same.
 
 Exit codes: 4 on a configuration error for every command, taken in `main`
-alone; a spacing at which no grid can be built (`GridError`) is one.  run,
+alone; a spacing at which no grid can be built (`GridError`) is one, and so
+is a command line argparse refuses (--help exits 0).  run,
 [experiment] runs included: 0 converged with all requested audits passing,
 2 solver failure, 3 audit failure.  check-serrin exits 0 when the
 solvability condition holds and 1 when violated.
@@ -318,8 +319,17 @@ def _sweep_curvature(scenario) -> list:
     return lines
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors (an unknown flag, a missing one, a
+    value it cannot convert) raised as config errors, not exit 2, which is
+    EXIT_SOLVER here; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mcgraph",
         description="Dirichlet solver and verification laboratory for "
                     "prescribed mean curvature graphs")
@@ -361,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     _apply_thread_env()
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, MalformedDomainError, GridError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

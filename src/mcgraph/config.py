@@ -240,7 +240,8 @@ def _build_data(raw: _Raw, sec: dict, domain: DomainSpec) -> BoundaryData:
     if kind == "zero":
         return ZeroData()
     if kind == "constant":
-        return constant_data(_get_number(raw, "data", sec, "value"))
+        return _checked(raw, "data", "value", constant_data,
+                        _get_number(raw, "data", sec, "value"))
     if kind == "expression":
         if "expression" not in sec:
             raw.fail("data", "expression", "required key missing")

@@ -82,6 +82,14 @@ _AXES = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)))
 _QUADRANTS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)))
 
 
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """(k, v) for every integer v in [lo[k], hi[k]], the ranges laid end to
+    end in order of k."""
+    width = np.maximum(hi - lo + 1, 0)
+    k = np.repeat(np.arange(len(lo)), width)
+    return k, np.arange(len(k)) - np.repeat(np.cumsum(width) - width - lo, width)
+
+
 class Grid:
     """Uniform grid over the domain bounding box plus a two-cell margin."""
 
@@ -220,23 +228,79 @@ class Grid:
         the line that separates them, and a part of at most _ND_LEAF nodes is
         left in interior order.  A stencil reaches one cell, so the line
         decouples the halves except where a ghost closure reaches past it
-        near the boundary; that costs fill, never correctness."""
-        ij = self.interior_ij
-        parts = []
+        near the boundary; that costs fill, never correctness.
 
-        def bisect(nodes):
-            if len(nodes) <= _ND_LEAF:
-                parts.append(nodes)
-                return
-            box = ij[nodes]
-            line = box[:, np.argmax(np.ptp(box, axis=0))]
-            median = np.partition(line, len(line) // 2)[len(line) // 2]
-            bisect(nodes[line < median])
-            bisect(nodes[line > median])
-            parts.append(nodes[line == median])
+        Every part is the set of interior nodes in an index box, so the
+        recursion runs one level at a time on the boxes alone: the nodes on
+        a lattice line of a box are a difference of running counts along the
+        lattice rows or columns, and a level costs the boxes' perimeters,
+        not their nodes.  A leaf or a line holds a run of consecutive
+        interior nodes on each lattice row it meets; the order lays those
+        runs end to end, the parts sorted by their path from the root
+        (below 0, above 1, the line 2)."""
+        inside = self.interior_mask
+        nx, ny = inside.shape
+        # runs[l, c]: the interior nodes before c on lattice line l, where the
+        # lines are the rows i = l and then the columns j = l - nx
+        runs = np.zeros((nx + ny, max(nx, ny) + 1), dtype=np.int64)
+        np.cumsum(inside, axis=1, out=runs[:nx, 1:ny + 1])
+        np.cumsum(inside.T, axis=1, out=runs[nx:, 1:nx + 1])
 
-        bisect(np.arange(self.n_interior))
-        return np.concatenate(parts)
+        def on(line, c0, c1):            # interior nodes on the line, c0 <= c <= c1
+            return runs[line, c1 + 1] - runs[line, c0]
+
+        def extent(lo, hi, c0, c1, lines):
+            """The first and last line in [lo, hi] of each box that holds a node."""
+            k, v = _ranges(lo, hi)
+            held = on(lines + v, c0[k], c1[k]) > 0
+            starts = np.cumsum(hi - lo + 1) - (hi - lo + 1)
+            return (np.minimum.reduceat(np.where(held, v, hi.max()), starts),
+                    np.maximum.reduceat(np.where(held, v, lo.min()), starts))
+
+        # the root is the whole lattice; each split box is first shrunk to its nodes
+        i0, i1 = np.zeros(1, dtype=np.int64), np.array([nx - 1])
+        j0, j1 = np.zeros(1, dtype=np.int64), np.array([ny - 1])
+        size, path, depth = np.array([self.n_interior]), np.zeros(1, dtype=np.int64), 0
+        done = []                        # (path, depth, i0, i1, j0, j1) of leaves and lines
+        while True:
+            leaf = (size > 0) & (size <= _ND_LEAF)
+            done.append((path[leaf], np.full(leaf.sum(), depth),
+                         i0[leaf], i1[leaf], j0[leaf], j1[leaf]))
+            split = size > _ND_LEAF
+            if not split.any():
+                break
+            i0, i1, j0, j1 = i0[split], i1[split], j0[split], j1[split]
+            size, path, depth = size[split], path[split], depth + 1
+            i0, i1, j0, j1 = (*extent(i0, i1, j0, j1, 0), *extent(j0, j1, i0, i1, nx))
+            # the median line across the longer extent, rank size // 2 of the
+            # nodes' lines, from the running count of nodes line by line
+            across = i1 - i0 >= j1 - j0          # lines i = m, else j = m
+            lo, hi = np.where(across, i0, j0), np.where(across, i1, j1)
+            k, v = _ranges(lo, hi)
+            on_line = on(np.where(across, 0, nx)[k] + v, np.where(across, j0, i0)[k],
+                         np.where(across, j1, i1)[k])
+            upto = np.cumsum(on_line)
+            starts = np.cumsum(hi - lo + 1) - (hi - lo + 1)
+            earlier = upto[starts] - on_line[starts]
+            at = np.searchsorted(upto, earlier + size // 2, side="right")
+            m = v[at]
+            below = upto[at] - on_line[at] - earlier
+            done.append((3 * path + 2, np.full(len(m), depth), np.where(across, m, i0),
+                         np.where(across, m, i1), np.where(across, j0, m), np.where(across, j1, m)))
+            i0, i1, j0, j1 = (np.concatenate([i0, np.where(across, m + 1, i0)]),
+                              np.concatenate([np.where(across, m - 1, i1), i1]),
+                              np.concatenate([j0, np.where(across, j0, m + 1)]),
+                              np.concatenate([np.where(across, j1, m - 1), j1]))
+            size = np.concatenate([below, size - below - on_line[at]])
+            path = np.concatenate([3 * path, 3 * path + 1])
+        path, level, i0, i1, j0, j1 = (np.concatenate(c) for c in zip(*done))
+        # paths padded to one length sort as the recursion visits the parts
+        rank = np.argsort(path * 3 ** (depth - level))
+        k, i = _ranges(i0[rank], i1[rank])
+        row_start = np.cumsum(runs[:nx, ny]) - runs[:nx, ny]
+        first = row_start[i] + runs[i, j0[rank][k]]
+        count = row_start[i] + runs[i, j1[rank][k] + 1] - first
+        return np.arange(self.n_interior) - np.repeat(np.cumsum(count) - count - first, count)
 
     def _find_intercepts(self):
         """One foot per interior->exterior axis link, all bisected together on

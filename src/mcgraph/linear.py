@@ -25,25 +25,31 @@ side through the stacked foot block.
 A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
 it, for as long as the grid lives, and every system solved on the grid
 follows one rule (the chord idea, Kelley 1995).  When the grid holds an LU,
-one cycle of GMRES(30) preconditioned by it runs from the start
+one cycle of GMRES(30) right-preconditioned by it runs from the start
 x0 = LU^-1 b, and its answer is kept when its backward error is within a
-tenth of the gate.  Otherwise the grid's LU is dropped and the system is
-factorized afresh and solved directly, the new LU taking the grid's place.
-On the matrix the LU factorized, the residual at x0 is rounding, below the
-GMRES aim, so GMRES stops there before its first iteration and the answer
-is the direct solve's: with zero data the first Newton system of every
-solve is J(0), the same matrix for every H, and the solves of a sweep on
-one grid share one LU.  The cycle is scipy's GMRES (Saad & Schultz 1986)
-step for step, less one preconditioner solve per call.
+tenth of the gate.  Otherwise the grid's LU is dropped, the system is
+factorized afresh, and the same GMRES runs on the new LU, the grid's LU from
+then on.  Right preconditioning (Saad & Schultz 1986; Saad 2003, section
+9.3) makes GMRES minimize the true residual |b - A x|_2, so it has one aim,
+the keep test itself: it stops once that residual is within 1e-11, a tenth
+of the gate, of |A| |x0| + |b|; the 2-norm bounds the infinity norm that the
+backward error reads.  On the matrix the LU factorized the residual at x0 is
+rounding, below that aim, so GMRES stops before its first iteration and the
+answer is the direct solve's: with zero data the first Newton system of
+every solve is J(0), the same matrix for every H, and the solves of a sweep
+on one grid share one LU.
 
 Every LU is SuperLU's factorization of P A P^T in the given column order,
-where P is the grid's nested-dissection order of the interior nodes
-(`Grid.dissection`, George 1973): median lattice lines split the nodes
-recursively down to parts of 64, and each line comes after the two parts it
-separates.  On the stencil pattern the fill grows like N log N, and the
-factorization and its triangular solves are faster than with minimum degree
-on A^T + A (`scripts/bench_lu_ordering.py` measures both).  The factor's
-`solve` applies P on both sides.
+its exact zeros dropped, where P is the grid's nested-dissection order of the
+interior nodes (`Grid.dissection`, George 1973): median lattice lines split
+the nodes recursively down to parts of 64, and each line comes after the two
+parts it separates.  The union pattern stores the entries a matrix lacks as
+zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU would fill
+them.  On the stencil pattern the fill grows like N log N.  Minimum degree
+on A^T + A leaves less fill on the cap's J(0), but from h = 1/128 on it
+factorizes slower (2.2 s against 1.2 s at 1/256, where the cap solves in
+4.0 s against 3.5 s; `scripts/bench_lu_ordering.py` measures both).  The
+factor's `solve` applies P on both sides.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -64,10 +70,8 @@ from .grid import STENCILS, Grid, ScalarField
 from .operators import DIMENSION, Evaluation
 
 _RELRES_TOL = 1e-10
-# GMRES aims at a residual 1e-14 of the backward-error denominator at its
-# start, near what a direct solve leaves.  Its answer is kept at backward
-# error 1e-11, a tenth of the gate.
-_KRYLOV_RTOL = 1e-14
+# a reused LU's answer is kept at backward error 1e-11, a tenth of the gate;
+# GMRES aims at the same bound
 _REUSE_TOL = 1e-11
 _RESTART = 30
 
@@ -101,8 +105,10 @@ class DissectedLU:
 
     def __init__(self, A: sps.spmatrix, order: np.ndarray):
         self.order = order
+        PAP = A.tocsr()[order][:, order]
+        PAP.eliminate_zeros()           # the union pattern's exact zeros would only fill
         # through the module attribute, so that a wrapper of splu sees the call
-        self.superlu = spla.splu(A.tocsr()[order][:, order].tocsc(), permc_spec="NATURAL")
+        self.superlu = spla.splu(PAP.tocsc(), permc_spec="NATURAL")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         y = self.superlu.solve(b[self.order])
@@ -167,19 +173,18 @@ def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> Scalar
         raise SolverError("assembled system has non-finite entries")
     counts = LinearCounts() if counts is None else counts
     norm_A = _norm_inf(A)
-    x = None
     if grid.lu is not None:
         x = _gmres(A, b, norm_A, counts, grid.lu.solve)
         relres = _backward_error(A, b, x, norm_A)
         if not relres <= _REUSE_TOL:
-            x = grid.lu = None          # drop the stale factor first: two never share memory
-    if x is None:
+            grid.lu = None              # drop the stale factor first: two never share memory
+    if grid.lu is None:
         counts.factorizations += 1
         try:
             grid.lu = DissectedLU(A, grid.dissection)
         except RuntimeError as exc:     # SuperLU refuses an exactly singular matrix
             raise SolverError(f"factorization failed: {exc}") from None
-        x = grid.lu.solve(b)
+        x = _gmres(A, b, norm_A, counts, grid.lu.solve)
         relres = _backward_error(A, b, x, norm_A)
     counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
     system.meta["relres"] = relres
@@ -203,40 +208,38 @@ def _backward_error(A, b, x, norm_A) -> float:
 
 
 def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
-    """One cycle of GMRES(30) left-preconditioned by `precondition`, from
+    """One cycle of GMRES(30) right-preconditioned by `precondition`, from
     x0 = precondition(b).
 
-    It stops when the preconditioned residual reaches its share of the aim
-    _KRYLOV_RTOL of the backward-error denominator at x0, or after 30
-    iterations; they are added to `counts`.  The steps and their order are
-    those of one restart cycle of scipy 1.17's `gmres` (Saad & Schultz
-    1986): modified Gram-Schmidt, LAPACK `lartg` Givens rotations and the
-    inner aim of scipy gh-8400, so the answer and the count are scipy's with
-    `maxiter=1` to the bit.  Unlike scipy it takes |M b| from x0 = M b
-    instead of solving again, and applies A and the preconditioner without
-    operator wrappers: k iterations cost k + 2 preconditioner solves.
+    GMRES on A M (Saad & Schultz 1986; Saad 2003, section 9.3) minimizes
+    the true residual |b - A x_k|_2 over x0 + M K_k, and the Givens
+    residual is that residual's norm.  It stops once that is within
+    _REUSE_TOL of |A| |x0| + |b| in the infinity norm, which the 2-norm
+    bounds, or after 30 iterations; they are added to `counts`.  Each
+    iteration stores z_j = M v_j and applies A to it, and the answer is
+    x0 + Z y: k iterations cost k + 1 preconditioner solves.  Modified
+    Gram-Schmidt and LAPACK `lartg` Givens rotations build the
+    least-squares problem.  When `precondition` is the matrix's own LU the
+    residual at x0 is rounding and x0 is returned as it is.
     """
     x = precondition(b)
-    atol = _KRYLOV_RTOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
-    b_norm = np.linalg.norm(b)
-    if b_norm == 0:
-        return b.copy()
+    atol = _REUSE_TOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
     r = b - A @ x
-    if np.linalg.norm(r) < atol:
+    beta = np.linalg.norm(r)
+    if beta <= atol:
         return x
     eps = np.finfo(float).eps
     restart = min(_RESTART, len(b))
-    ptol = np.linalg.norm(x) * min(1.0, atol / b_norm)   # the aim at |M r| (gh-8400)
     v = np.empty((restart + 1, len(b)))
+    z = np.empty((restart, len(b)))
     h = np.zeros((restart, restart + 1))     # the Hessenberg matrix, transposed
     givens = np.zeros((restart, 2))
-    v[0] = precondition(r)
-    tmp = np.linalg.norm(v[0])
-    v[0] *= 1 / tmp
+    v[0] = r / beta
     S = np.zeros(restart + 1)
-    S[0] = tmp
+    S[0] = beta
     for col in range(restart):
-        w = precondition(A @ v[col])
+        z[col] = precondition(v[col])
+        w = A @ z[col]
         h0 = np.linalg.norm(w)
         for k in range(col + 1):
             tmp = np.dot(v[k], w)
@@ -260,7 +263,7 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
         tmp = -s * S[col]
         S[col], S[col + 1] = c * S[col], tmp
         counts.krylov_iterations += 1
-        if np.abs(tmp) <= ptol or breakdown:
+        if np.abs(tmp) <= atol or breakdown:
             break
     # back substitution in the triangular h, a zero pivot dropped
     if h[col, col] == 0:
@@ -272,5 +275,5 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
             y[:k] -= y[k] * h[k, :k]
     if y[0] != 0:
         y[0] /= h[0, 0]
-    x += y @ v[:col + 1]
+    x += y @ z[:col + 1]
     return x

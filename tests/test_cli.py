@@ -202,6 +202,28 @@ def test_check_serrin_refuses_bad_curvature_and_dimension(capsys, flags):
     assert "config error" in captured.err and flags[0] in captured.err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["check-serrin", "--n", "2.7"], "--n"),
+    (["check-serrin", "--curvature", "abc"], "--curvature"),
+    (["run", "--config", "configs/cap.ini", "--grid-h", "abc"], "--grid-h"),
+    (["run", "--quiet"], "--config"),
+], ids=["n", "curvature", "grid-h", "missing"])
+def test_flag_argparse_refuses_is_a_config_error(capsys, argv, flag):
+    # argparse's own exit code, 2, is EXIT_SOLVER
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and flag in captured.err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["check-serrin", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert "usage: mcgraph" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_run_refuses_a_non_finite_constant_curvature(tmp_path, capsys, value):
     cfg = write(tmp_path, CAP.replace("constant = 0.4", f"constant = {value}"))
@@ -210,6 +232,15 @@ def test_run_refuses_a_non_finite_constant_curvature(tmp_path, capsys, value):
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
     assert code == EXIT_CONFIG
     assert "[curvature] constant" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_run_refuses_non_finite_constant_data(tmp_path, capsys, value):
+    cfg = write(tmp_path, CAP + f"\n[data]\nkind = constant\nvalue = {value}\n")
+    code = main(["run", "--config", cfg, "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == EXIT_CONFIG
+    assert "[data] value" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -226,6 +226,13 @@ def test_constant_curvature_must_be_finite(tmp_path, value):
     expect_error(tmp_path, text, "[curvature] constant (line 6)", "must be finite")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_constant_data_must_be_finite(tmp_path, value):
+    # was an ExpressionError traceback from compiling the text 'nan'
+    text = BASE + f"\n[data]\nkind = constant\nvalue = {value}\n"
+    expect_error(tmp_path, text, "[data] value (line 14)", "must be finite")
+
+
 def test_sweep_curvatures_must_be_finite(tmp_path):
     text = BASE + "\n[sweep]\ncurvatures = 0.3, nan\n"
     expect_error(tmp_path, text, "[sweep] curvatures", "must be finite")

@@ -374,6 +374,33 @@ def test_dissection_is_a_deterministic_permutation(name):
     assert grid.dissection is order            # computed once per grid
 
 
+def _recursive_dissection(grid):
+    """The nested-dissection order by recursive bisection, part by part."""
+    ij, parts = grid.interior_ij, []
+
+    def bisect(nodes):
+        if len(nodes) <= 64:
+            parts.append(nodes)
+            return
+        box = ij[nodes]
+        line = box[:, np.argmax(np.ptp(box, axis=0))]
+        median = np.partition(line, len(line) // 2)[len(line) // 2]
+        bisect(nodes[line < median])
+        bisect(nodes[line > median])
+        parts.append(nodes[line == median])
+
+    bisect(np.arange(grid.n_interior))
+    return np.concatenate(parts)
+
+
+@pytest.mark.parametrize("h", [1.0 / 4.0, 1.0 / 7.0, 1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("name", sorted(_BAND_DOMAINS))
+def test_dissection_is_the_recursive_bisection(name, h):
+    # the level-by-level pass on index boxes gives the recursion's order
+    grid = Grid(_BAND_DOMAINS[name](), h)
+    assert np.array_equal(grid.dissection, _recursive_dissection(grid))
+
+
 def test_dissection_orders_the_top_separator_last():
     # the last nodes are the median line across the longer extent; the
     # halves it splits come first, one after the other, and no stencil tap
