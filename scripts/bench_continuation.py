@@ -30,8 +30,7 @@ must agree across the repeats.  ``same_fields`` says whether the hashes
 agree across the checkouts.  ``max_field_difference`` is the largest
 difference of a solve's field between the checkouts, over the solves that
 both end converged, and ``converged_fields_beyond_1e-12`` counts those
-solves whose fields differ by more than 1e-12.  The counters and hashes are
-those of ``BENCH_linear.json``, which the former ``bench_linear.py`` wrote.
+solves whose fields differ by more than 1e-12.
 """
 
 from __future__ import annotations

@@ -1,6 +1,7 @@
 """Grid benchmark: the seconds of each step of `Grid` construction and of its
-stencil operator build, against a parent commit, each case run in a fresh
-process, with a bit-identity check of what the steps build.
+stencil operator build, and the bytes a grid keeps, against a parent commit,
+each case run in a fresh process, with a bit-identity check of what the
+grid computes.
 
     python3 scripts/bench_grid.py [--parent REV] [--repeats 3] [--calls 5]
                                   [--spacings 32,64,128,256] [--out BENCH_grid.json]
@@ -8,30 +9,40 @@ process, with a bit-identity check of what the steps build.
 The cases are the six domains of the benchmark's ``domain_grids`` workload
 at every spacing h = 1/N given, plus the unit disk at h = 1/512.  For every
 case the parent and this checkout take turns as `_parent` describes.  A
-process builds ``Grid(domain, h)`` and its
-``operators()`` ``--calls`` times, with the construction steps wrapped:
+process builds ``Grid(domain, h)`` and its ``operators()`` ``--calls``
+times, with these steps wrapped:
 
 * ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
 * ``intercepts``: ``Grid._find_intercepts`` (foot bisection);
 * ``closures``: ``Grid._close_ghosts``;
 * ``cross``: ``Grid._choose_cross_stencils``;
-* ``operators``: ``Grid._build_operators``.
+* ``operators``: the first ``Grid.operators()`` of a grid, which builds it.
 
 The least of a step's seconds over the calls is its time in that process,
-and the table gives the median over the repeats.  Each process also hashes
-(SHA-256 over dtype, shape and bytes) ``data``, ``indices`` and ``indptr``
-of both operator blocks, ``_cross_one_sided``, ``_cross_quadrant`` and the
-flags; ``identical`` compares the parent's digests with this checkout's.
+and the table gives the median over the repeats.  The process then builds
+one more grid under ``tracemalloc``: ``retained_bytes`` is what the grid
+holds after ``operators()``, as the ``domain_grids`` workload keeps it, and
+``retained_bytes_solving`` what it holds once ``pattern()`` is built too, as
+a solve keeps it.  Each process also hashes (SHA-256 over dtype, shape and
+bytes) what both sides of ``--parent`` compute alike: the five stencils of
+a fixed smooth field (``Evaluation``'s second differences and slopes),
+``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
+H = 0.4 cap (at u = 0) and of the Jacobian at the fixed field, the feet
+(owner, axis, theta, point, arclength), ``_cross_one_sided``,
+``_cross_quadrant`` and the flags; ``identical`` compares the parent's
+digests with this checkout's.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import _parent
@@ -39,7 +50,7 @@ from _parent import ROOT
 
 STEPS = {"classify": "_classify", "intercepts": "_find_intercepts",
          "closures": "_close_ghosts", "cross": "_choose_cross_stencils",
-         "operators": "_build_operators"}
+         "operators": "operators"}
 LEVELSET_EXPR = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
 DOMAINS = {
     "disk": ("disk", {"radius": 1.0}),
@@ -61,34 +72,67 @@ def _digest(*arrays) -> str:
 
 def _measure(root: str, domain: str, N: int, calls: int) -> dict:
     sys.path.insert(0, str(Path(root) / "src"))
+    import numpy as np
+
     import mcgraph
-    from mcgraph import Grid
+    from mcgraph import (Evaluation, Grid, PrescribedCurvature, ScalarField,
+                         correction_system)
 
     seconds = {}
 
     def timed(step, method):
         def wrapper(self, *args, **kwargs):
+            first = step != "operators" or self._ops is None
             t0 = time.perf_counter()
             out = method(self, *args, **kwargs)
-            seconds[step] = min(seconds.get(step, float("inf")), time.perf_counter() - t0)
+            if first:
+                seconds[step] = min(seconds.get(step, float("inf")),
+                                    time.perf_counter() - t0)
             return out
         return wrapper
 
+    originals = {name: getattr(Grid, name) for name in STEPS.values()}
     for step, name in STEPS.items():
-        setattr(Grid, name, timed(step, getattr(Grid, name)))
+        setattr(Grid, name, timed(step, originals[name]))
     factory, params = DOMAINS[domain]
     dom = getattr(mcgraph, factory)(**params)
     for _ in range(calls):
         grid = Grid(dom, 1.0 / N)
-        D, D_feet = grid.operators()
-    digests = {f"{label}.{attr}": _digest(getattr(M, attr))
-               for label, M in (("D", D), ("D_feet", D_feet))
-               for attr in ("data", "indices", "indptr")}
+        grid.operators()
+    for name, method in originals.items():
+        setattr(Grid, name, method)
+
+    H = PrescribedCurvature.constant(0.4)
+    field = ScalarField.from_callable(
+        grid, lambda x, y: np.sin(3.0 * x + 1.0) * np.cos(2.0 * y - 0.5) + 0.3 * x * y)
+    ev = Evaluation(field, H, 2, 0.75)
+    digests = {name: _digest(np.ascontiguousarray(a)) for name, a in (
+        ("uxx", ev.uxx), ("uyy", ev.uyy), ("uxy", ev.uxy), ("ux", ev.p[:, 0]),
+        ("uy", ev.p[:, 1]))}
+    first = correction_system(Evaluation(ScalarField.zeros(grid), H, 2, 1.0)).A
+    for label, J in (("J0", first), ("J", correction_system(ev).A)):
+        for attr in ("data", "indices", "indptr"):
+            digests[f"{label}.{attr}"] = _digest(getattr(J, attr))
+    digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,
+                              grid.foot_xy, grid.foot_s)
     for attr in ("_cross_one_sided", "_cross_quadrant"):
         digests[attr] = _digest(getattr(grid, attr))
     digests["flags"] = hashlib.sha256(json.dumps(grid.flags).encode()).hexdigest()
-    return {"seconds": seconds, "n_interior": grid.n_interior, "nnz": int(D.nnz),
-            "digests": digests}
+
+    del grid, field, ev, first, J
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.get_traced_memory()[0]
+    grid = Grid(dom, 1.0 / N)
+    grid.operators()
+    gc.collect()
+    retained = tracemalloc.get_traced_memory()[0] - base
+    grid.pattern()
+    gc.collect()
+    solving = tracemalloc.get_traced_memory()[0] - base
+    tracemalloc.stop()
+    return {"seconds": seconds, "n_interior": grid.n_interior, "retained_bytes": retained,
+            "retained_bytes_solving": solving, "digests": digests}
 
 
 def main(argv=None) -> int:
@@ -113,31 +157,41 @@ def main(argv=None) -> int:
         for domain, N in cases:
             runs = _parent.alternate(checkouts, args.repeats, lambda name, r: _parent.fresh(
                 __file__, checkouts[name], domain, N, args.calls))
-            entry = {"n_interior": runs["this"][0]["n_interior"], "nnz": runs["this"][0]["nnz"]}
+            entry = {"n_interior": runs["this"][0]["n_interior"]}
             for name, rows in runs.items():
                 entry[name] = {
                     "seconds_median": {s: statistics.median(row["seconds"][s] for row in rows)
                                        for s in STEPS},
-                    "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in STEPS}}
+                    "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in STEPS},
+                    "retained_bytes": statistics.median(row["retained_bytes"] for row in rows),
+                    "retained_bytes_solving": statistics.median(
+                        row["retained_bytes_solving"] for row in rows)}
             entry["identical"] = all(row["digests"] == runs["parent"][0]["digests"]
                                      for rows in runs.values() for row in rows)
             results[f"{domain} 1/{N}"] = entry
-            p, t = entry["parent"]["seconds_median"], entry["this"]["seconds_median"]
-            print(f"{domain:13s} 1/{N:<4}" + ", ".join(
-                f"{s} {1e3 * p[s]:.1f} -> {1e3 * t[s]:.1f}" for s in ("cross", "operators"))
-                + f" ms, identical {entry['identical']}", flush=True)
-    totals = {name: {s: sum(e[name]["seconds_median"][s] for e in results.values())
-                     for s in STEPS} for name in ("parent", "this")}
+            p, t = entry["parent"], entry["this"]
+            print(f"{domain:13s} 1/{N:<4} operators {1e3 * p['seconds_median']['operators']:.1f}"
+                  f" -> {1e3 * t['seconds_median']['operators']:.1f} ms, retained "
+                  f"{p['retained_bytes'] / 2**20:.1f} -> {t['retained_bytes'] / 2**20:.1f} MB, "
+                  f"with pattern {p['retained_bytes_solving'] / 2**20:.1f} -> "
+                  f"{t['retained_bytes_solving'] / 2**20:.1f} MB, identical {entry['identical']}",
+                  flush=True)
+    totals = {name: {**{s: sum(e[name]["seconds_median"][s] for e in results.values())
+                        for s in STEPS},
+                     **{b: sum(e[name][b] for e in results.values())
+                        for b in ("retained_bytes", "retained_bytes_solving")}}
+              for name in ("parent", "this")}
     _parent.write(args.out, {
-        "benchmark": "Grid construction steps and the stencil operator build on the "
-                     "domain_grids domains and the disk at 1/512 against a parent commit: "
-                     "least seconds of --calls builds per process, median over the repeats, "
-                     "one fresh process per case, checkout and repeat",
+        "benchmark": "Grid construction steps, the stencil operator build and the bytes "
+                     "a grid retains on the domain_grids domains and the disk at 1/512 "
+                     "against a parent commit: least seconds of --calls builds per process, "
+                     "median over the repeats, one fresh process per case, checkout and "
+                     "repeat",
         "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
         "calls": args.calls,
-        "seconds_total": totals,
+        "totals": totals,
         "all_identical": all(e["identical"] for e in results.values()),
         "results": results,
     })

@@ -9,8 +9,9 @@ Run from the root of a checkout; the program is imported from ``src/``.  Each
 peak RSS is its own.  The process solves a small cap first, then the cap at
 the spacing with that ordering:
 
-* ``solve_dirichlet_s``: the whole cap solve, best of the repeats (one run
-  at h = 1/256);
+* ``solve_dirichlet_s``: the whole cap solve, factorization included (each
+  repeat solves on a grid of its own, which holds no LU yet), best of the
+  repeats (one run at h = 1/256);
 * ``peak_rss_mb``: the process's peak resident set up to here;
 
 and then measures on the cap's first Jacobian (the one LU of every cap
@@ -68,9 +69,9 @@ def _measure(ordering: str, n: int, repeats: int) -> dict:
     factor = mcgraph.linear.DissectedLU
     dom, H = disk(1.0), PrescribedCurvature.constant(0.4)
     solve_dirichlet(Grid(dom, 1.0 / 16.0), H, ZeroData())      # first-solve start-up
-    grid = Grid(dom, 1.0 / n)
     cap_s = []
     for _ in range(repeats if n < 256 else 1):
+        grid = Grid(dom, 1.0 / n)       # a grid of its own: every solve factorizes
         t0 = time.perf_counter()
         report = solve_dirichlet(grid, H, ZeroData())
         cap_s.append(time.perf_counter() - t0)

@@ -507,7 +507,13 @@ class _LevelSet:
         return out, normals, kappa, s2, float(np.sum(seg2))
 
     def arclength_of_point(self, pts):
-        return _nearest_sample_arclength(self, pts)
+        """Arclength of the nearest of 8192 boundary samples; the samples and
+        their tree are built on first use and kept."""
+        if not hasattr(self, "_arclength_tree"):
+            ref_pts, _, _, self._arclength_table, _ = self.sample(8192)
+            self._arclength_tree = cKDTree(ref_pts)
+        _, idx = self._arclength_tree.query(np.atleast_2d(pts))
+        return self._arclength_table[idx]
 
 
 def _cell_segments(case, joined):
@@ -567,14 +573,6 @@ def _marching_squares(F):
         keep[0] |= not closed
         chains.append((pts[keep], closed))
     return chains
-
-
-def _nearest_sample_arclength(shape, pts):
-    """Arclength of the boundary point nearest to pts, via the shape's own samples."""
-    ref_pts, _, _, ref_s, _ = shape.sample(8192)
-    tree = cKDTree(ref_pts)
-    _, idx = tree.query(np.atleast_2d(pts))
-    return ref_s[idx]
 
 
 # ---------------------------------------------------------------------------

@@ -27,20 +27,28 @@ value at its foot by one-dimensional extrapolation along the link:
 
 A ghost owned by several links takes the mean of their extrapolations.  The
 closures are built per boundary link into two sparse elimination matrices,
-ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.  The
-finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) are stacked in
-that order into one sparse pair (interior block, foot block).  Lattice
-neighbours are 1-D takes on the flat index i ny + j, one per offset, and the
-rows are written in lattice order: interior nodes are numbered row-major, so
-taps in lexicographic (di, dj) order reach ascending columns, and each
-stencil fills fixed-width rows from which its ghost taps are compressed out.
-The ghost taps are eliminated through the closure matrices once for the
-whole stack, and one canonical merge adds them to the interior taps.  All
-five stencils applied to a field are one mat-vec pair, and the ghost
+ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.
+
+A row of the finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy)
+whose taps are all interior nodes is a lattice row: the same constant taps
+at every such node (the embedded-boundary view of Johansen & Colella,
+J. Comput. Phys. 147, 1998).  A grid stores only the other rows, the
+boundary rows: those that tap a ghost or an exterior node, or take the
+one-sided cross stencil (and the few centred cross rows beside a
+non-interior x-neighbour, see `Grid._lattice_rows`).  `Grid.operators`
+builds them once, ghosts eliminated through the closure matrices, as a
+sparse pair (interior block, foot block) over their stacked row indices
+k N + n.  `Grid.stencils` applies all five stencils to a field: the lattice
+taps by neighbour gathers (interior nodes are numbered row-major, so the
+y-neighbours are the field shifted by one and the other six are gathers at
+the x-neighbours' ids), then the boundary rows from the sparse pair.  Every
+row sums its taps in column order from 0, as a sparse mat-vec of the whole
+stacked operator would, so the answer is the same to the bit, and the ghost
 elimination is identical in nodal evaluation and linear-system assembly.
-For assembly, the union pattern of the five interior blocks is built once
-per grid, so a frozen-coefficient matrix or a Newton Jacobian is one
-scatter of the stacked weights times their coefficients.
+For assembly, `Grid.pattern` builds the union pattern of the five stencils
+once per grid: a frozen-coefficient matrix or a Newton Jacobian writes the
+9-point rows of the nodes whose neighbours are all interior from the
+coefficients directly, and the other rows by one small sparse product.
 For factorization, `Grid.dissection` orders the interior nodes by nested
 dissection on lattice lines; it is computed on first read, so grids that are
 never factorized do not pay for it.
@@ -51,7 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sps
@@ -66,6 +74,7 @@ STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
 _THETA_SWITCH = 0.1      # below this, extrapolation skips the owner node
 _FOOT_TOL = 1e-8         # |signed distance| at accepted foot points
 _ND_LEAF = 64            # largest part a nested dissection leaves unsplit
+_CHUNK = 4096            # nodes per pass of a Jacobian combine
 
 
 class GridError(RuntimeError):
@@ -393,87 +402,154 @@ class Grid:
 
     # -- stencil operators ----------------------------------------------------
 
-    def operators(self) -> tuple:
-        """Stacked sparse pair (interior block, foot block) of the STENCILS:
-        row block k, rows k N to (k + 1) N for N interior nodes, applies
-        STENCILS[k]."""
+    @property
+    def _flat(self) -> np.ndarray:
+        """Flat lattice index i ny + j of every interior node."""
+        return self.interior_ij[:, 0] * self.ny + self.interior_ij[:, 1]
+
+    @cached_property
+    def _taps(self) -> dict:
+        return _lattice_taps(self.h)
+
+    @cached_property
+    def _x_neighbours(self) -> np.ndarray:
+        """(2, n_interior): the ids of the nodes (i - 1, j) and (i + 1, j)
+        of every interior node (i, j), 0 where that node is not interior."""
+        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
+        return np.maximum(np.stack([self.node_id[ii - 1, jj], self.node_id[ii + 1, jj]]), 0)
+
+    def _lattice_rows(self) -> np.ndarray:
+        """(5, n_interior) mask of the stencil rows that are lattice rows:
+        row k of a node is STENCILS[k]'s lattice taps when all of them are
+        interior nodes, and for Dxy when the node's two x-neighbours are
+        too.  `stencils` reads the diagonals beside the x-neighbours' ids,
+        and a boundary can pass between an x-neighbour and its diagonals."""
+        inside, ny, taps, flat = self.interior_mask.ravel(), self.ny, self._taps, self._flat
+        out = np.ones((len(STENCILS), self.n_interior), dtype=bool)
+        for k, name in enumerate(STENCILS):
+            for di, dj in taps[name][0] + (((-1, 0), (1, 0)) if name == "Dxy" else ()):
+                if (di, dj) != (0, 0):
+                    out[k] &= inside.take(flat + (di * ny + dj))
+        return out
+
+    def operators(self) -> "BoundaryRows":
+        """The stencil rows that are not lattice rows, ghosts eliminated,
+        built on first use."""
         if self._ops is None:
             self._ops = self._build_operators()
         return self._ops
 
-    def _build_operators(self):
-        stacked, S_gh = self._stencil_taps()
+    def _build_operators(self) -> "BoundaryRows":
+        at, stacked, S_gh = self._boundary_taps()
         # both terms in canonical form, so their sum is scipy's sorted merge,
         # which adds the two entries of a position and drops exact zeros;
         # sorted rows keep each mat-vec's summation order fixed
         M, D_feet = S_gh @ self.closure_int, S_gh @ self.closure_feet
         M.sort_indices()
         D_feet.sort_indices()
-        return stacked + M, D_feet
+        return BoundaryRows(at, stacked + M, D_feet)
 
-    def _stencil_taps(self):
-        """The STENCILS' taps, stacked row block after row block: the taps on
-        interior nodes (rows x interior, canonical) and on ghosts (rows x
-        ghosts)."""
+    def _boundary_taps(self):
+        """The taps of the boundary rows, in stacked row order: the stacked
+        row index k N + n of each, the taps on interior nodes (rows x
+        interior, canonical) and on ghosts (rows x ghosts)."""
         h, Ni, ny = self.h, self.n_interior, self.ny
         # column of every node: interior unknowns first, then ghosts; an
         # exterior node reads -1
         column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id).ravel()
-        flat = self.interior_ij[:, 0] * ny + self.interior_ij[:, 1]
-        # node_id runs row-major over (i, j), so a row's taps taken in
-        # lexicographic (di, dj) order reach its interior columns in
-        # ascending order.  A tap is a flat offset di ny + dj, and each axis
-        # offset is one 1-D take, shared by the stencils that read it.
-        taps = {"Dxx": (-ny, 0, ny), "Dyy": (-1, 0, 1),
-                "Dxy": (-ny - 1, -ny + 1, ny - 1, ny + 1),
-                "Gx": (-ny, ny), "Gy": (-1, 1)}
-        second, first = (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), (-0.5 / h, 0.5 / h)
-        cross = np.array((1.0, -1.0, -1.0, 1.0))
-        weights = {"Dxx": second, "Dyy": second, "Dxy": cross * (0.25 / h**2),
-                   "Gx": first, "Gy": first}
-        near = {s: column.take(flat + s) for s in (-ny, -1, 1, ny)}
-        near[0] = np.arange(Ni)
-        # every stencil fills fixed-width rows, one block after another
-        width = np.repeat([len(taps[name]) for name in STENCILS], Ni)
-        index = np.int32 if width.sum() < 2**31 else np.int64
-        indptr = np.zeros(len(width) + 1, dtype=index)
-        np.cumsum(width, out=indptr[1:])
-        data, indices = np.empty(indptr[-1]), np.empty(indptr[-1], dtype=index)
-        r1, (a, b) = self._cross_one_sided, self._cross_quadrant.T
+        flat, taps = self._flat, self._taps
+        boundary = ~self._lattice_rows()
+        one_sided, (a, b) = self._cross_one_sided, self._cross_quadrant.T
+        rows, index, weight = [], [], []
         for k, name in enumerate(STENCILS):
-            block = slice(indptr[k * Ni], indptr[(k + 1) * Ni])
-            c = indices[block].reshape(Ni, len(taps[name]))
-            w = data[block].reshape(Ni, len(taps[name]))
-            w[...] = weights[name]
-            for t, s in enumerate(taps[name]):
-                c[:, t] = near[s] if s in near else column.take(flat + s)
+            offsets, w = taps[name]
+            at = np.flatnonzero(boundary[k])
+            # node_id runs row-major over (i, j), so taps in lexicographic
+            # (di, dj) order reach a row's interior columns in ascending order
+            c = column.take(flat[at, None] + [di * ny + dj for di, dj in offsets])
+            v = np.tile(w, (len(at), 1))
             if name == "Dxy":
                 # Dxy taps the corners (0, 0), (0, 1), (1, 0), (1, 1) of a
                 # cell with weights +, -, -, +: a centred row's cell is its
                 # four diagonals, a one-sided row's is its quadrant, and a
                 # row with neither reads four exterior diagonals
-                corner = flat[r1] + np.minimum(a, 0) * ny + np.minimum(b, 0)
+                r1 = np.searchsorted(at, one_sided)
+                corner = flat[one_sided] + np.minimum(a, 0) * ny + np.minimum(b, 0)
                 c[r1] = column.take(corner[:, None] + (0, 1, ny, ny + 1))
-                w[r1] = cross * (1.0 / h**2)
+                v[r1] = _CROSS * (1.0 / h**2)
+            rows.append(k * Ni + at)
+            index.append(c.ravel())
+            weight.append(v.ravel())
+        width = np.repeat([len(taps[name][0]) for name in STENCILS], [len(r) for r in rows])
+        indptr = np.zeros(len(width) + 1, dtype=np.int64)
+        np.cumsum(width, out=indptr[1:])
+        indices, data = np.concatenate(index), np.concatenate(weight)
         ghost = np.flatnonzero(indices >= Ni)
         S_gh = sps.csr_matrix((data[ghost], (np.searchsorted(indptr, ghost, side="right") - 1,
                                              indices[ghost] - Ni)),
-                              shape=(len(STENCILS) * Ni, self.n_ghost))
+                              shape=(len(width), self.n_ghost))
         # the ghost and exterior taps become explicit zeros, which
         # eliminate_zeros compresses out in place (a weight that underflows
         # to 0 goes too, as the merge would drop it anyway)
         drop = (indices < 0) | (indices >= Ni)
         data[drop] = 0.0
         indices[drop] = 0
-        stacked = sps.csr_matrix((data, indices, indptr), shape=(len(STENCILS) * Ni, Ni))
+        stacked = sps.csr_matrix((data, indices, indptr), shape=(len(width), Ni))
         stacked.eliminate_zeros()
-        return stacked, S_gh
+        return np.concatenate(rows), stacked, S_gh
+
+    def stencils(self, values: np.ndarray, feet: np.ndarray) -> np.ndarray:
+        """(5, n_interior) array whose row k applies STENCILS[k] to the field
+        with these interior and foot values, ghosts eliminated.
+
+        Every row is first the lattice taps, then the boundary rows are
+        overwritten from `operators()`.  Both sum a row's taps in column
+        order as a sparse mat-vec does, from 0, so a row reads the same to
+        the bit whichever way it is computed.  Interior nodes are numbered
+        row-major, so in a lattice row the y-neighbours of node n are nodes
+        n - 1 and n + 1, and the diagonals beside an x-neighbour m are nodes
+        m - 1 and m + 1: the values padded by one entry at each end give
+        the y-neighbours as slices and the other six as gathers at the
+        x-neighbours' ids."""
+        taps, N = self._taps, self.n_interior
+        (s1, s2, _), (f0, f1), cross = taps["Dxx"][1], taps["Gx"][1], taps["Dxy"][1]
+        padded = np.empty(N + 2)
+        padded[0] = padded[-1] = 0.0
+        padded[1:-1] = values
+        # the neighbours, x before y: (-1, 0), (0, -1), (1, 0), (0, 1), then
+        # the diagonals in lexicographic order ("clip" takes unbuffered)
+        near = np.empty((8, N))
+        below, above = self._x_neighbours
+        padded[1:].take(below, out=near[0], mode="clip")
+        near[1] = padded[:-2]
+        padded[1:].take(above, out=near[2], mode="clip")
+        near[3] = padded[2:]
+        for k, (m, start) in enumerate(((below, 0), (below, 2), (above, 0), (above, 2))):
+            padded[start:].take(m, out=near[4 + k], mode="clip")
+        out = np.empty((len(STENCILS), self.n_interior))
+        second, first = out[0:2], out[3:5]          # (Dxx, Dyy) and (Gx, Gy)
+        np.multiply(near[0:2], s1, out=second)
+        second += values * s2
+        second += near[2:4] * s1
+        np.multiply(near[0:2], f0, out=first)
+        first += near[2:4] * f1
+        diagonal = near[4:]
+        diagonal *= cross[:, None]
+        np.add(diagonal[0], diagonal[1], out=out[2])
+        out[2] += diagonal[2]
+        out[2] += diagonal[3]
+        out += 0.0                      # a sum from 0 is never -0
+        rows, D, D_feet = self.operators()
+        on_rows = D @ values
+        on_rows += D_feet @ feet
+        out.ravel()[rows] = on_rows
+        return out
 
     def pattern(self) -> "StencilPattern":
-        """Union pattern of the STENCILS' interior blocks, built on first use
-        so grids that are never solved on do not carry it."""
+        """Union pattern of the STENCILS' rows, built on first use so grids
+        that are never solved on do not carry it."""
         if self._pattern is None:
-            self._pattern = StencilPattern(self.operators()[0], self.n_interior)
+            self._pattern = StencilPattern(self)
         return self._pattern
 
     def __repr__(self):
@@ -481,56 +557,125 @@ class Grid:
                 f"ghosts={self.n_ghost}, feet={self.n_feet})")
 
 
-class StencilPattern:
-    """Union sparsity pattern of the STENCILS' interior blocks, stored as CSR
-    with sorted indices, and every stacked entry located in it.
+# the nine lattice offsets of a node and itself, in lexicographic order
+_NINE = tuple((di, dj) for di in (-1, 0, 1) for dj in (-1, 0, 1))
+_CROSS = np.array((1.0, -1.0, -1.0, 1.0))
 
-    A combination c_0 STENCILS[0] + ... + c_(k-1) STENCILS[k-1] with per-row
-    coefficients is then one multiply and one scatter over the entries of the
-    leading k row blocks.  Positions a stencil lacks get nothing from it, so
-    the combination equals the sum of the scaled operators entry by entry, and
-    its pattern is the same for every set of coefficients.
+
+def _lattice_taps(h: float) -> dict:
+    """Each stencil's lattice taps: the offsets (di, dj) in lexicographic
+    order and their weights."""
+    second, first = (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), (-0.5 / h, 0.5 / h)
+    return {"Dxx": (((-1, 0), (0, 0), (1, 0)), second),
+            "Dyy": (((0, -1), (0, 0), (0, 1)), second),
+            "Dxy": (((-1, -1), (-1, 1), (1, -1), (1, 1)), _CROSS * (0.25 / h**2)),
+            "Gx": (((-1, 0), (1, 0)), first),
+            "Gy": (((0, -1), (0, 1)), first)}
+
+
+class BoundaryRows(NamedTuple):
+    """The stencil rows that are not lattice rows, ghosts eliminated: row r
+    of `interior` (rows x interior nodes) and of `feet` (rows x feet) is
+    row `rows[r]` = k N + n of the stacked STENCILS, STENCILS[k] at interior
+    node n.  They are the rows that tap a ghost or an exterior node, or take
+    the one-sided cross stencil, and the centred cross rows beside a
+    non-interior x-neighbour (`Grid._lattice_rows`)."""
+
+    rows: np.ndarray
+    interior: sps.csr_matrix
+    feet: sps.csr_matrix
+
+
+class StencilPattern:
+    """Union sparsity pattern of the STENCILS' rows, CSR with sorted
+    indices, and the combination of the stencils with per-row coefficients
+    on it.
+
+    A node whose eight neighbours are interior (a lattice node) has the
+    9-point row, and a combination writes its entries from the coefficients
+    directly.  The rows of the other nodes (the edge nodes) are one sparse
+    product K c of the coefficients at those nodes, stacked in STENCILS
+    order, where K holds each stencil tap in the row position it falls on.
+    Both sum a position's terms in STENCILS order from 0, so a combination
+    equals the sum of the scaled stencils entry by entry, and its pattern
+    is the same for every set of coefficients: positions a stencil lacks
+    get nothing from it.
     """
 
-    def __init__(self, D: sps.csr_matrix, n: int):
-        self.row_length = np.diff(D.indptr)
-        row_start = np.arange(D.shape[0], dtype=np.int64) % n * n
-        keys = np.repeat(row_start, self.row_length) + D.indices
-        # each row block is sorted row-major, so the stable sort (a merge
-        # sort) finds five sorted runs; the union is every key that differs
-        # from the one before it
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        first = np.empty(len(keys), dtype=bool)
-        first[:1] = True
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        union = keys[first]           # row-major: CSR order
-        del keys
-        self.shape = (n, n)
-        self.indices = (union % n).astype(np.int32)
-        self.indptr = np.searchsorted(union // n, np.arange(n + 1)).astype(np.int32)
+    def __init__(self, grid: Grid):
+        N, ny, flat, node_id = grid.n_interior, grid.ny, grid._flat, grid.node_id.ravel()
+        taps = grid._taps
+        lattice_rows = grid._lattice_rows()
+        self.on_lattice = on_lattice = lattice_rows.all(axis=0)
+        self.edge = edge = np.flatnonzero(~on_lattice)
+        # the edge nodes' taps, (node, column, stencil, weight): their
+        # lattice rows, then their boundary rows
+        node, col, k, w = [], [], [], []
+        for s, name in enumerate(STENCILS):
+            offsets, weights = taps[name]
+            at = edge[lattice_rows[s, edge]]
+            node.append(np.repeat(at, len(offsets)))
+            col.append(node_id.take(flat[at, None] + [di * ny + dj for di, dj in offsets]).ravel())
+            k.append(np.full(len(at) * len(offsets), s))
+            w.append(np.tile(weights, len(at)))
+        rows, D, _ = grid.operators()
+        length = np.diff(D.indptr)
+        node.append(np.repeat(rows % N, length))
+        col.append(D.indices)
+        k.append(np.repeat(rows // N, length))
+        w.append(D.data)
+        node, col, k, w = (np.concatenate(a) for a in (node, col, k, w))
+        union, position = np.unique(node * N + col, return_inverse=True)
+        local = np.empty(N, dtype=np.int64)
+        local[edge] = np.arange(len(edge))
+        self.K = sps.csr_matrix((w, (position, k * len(edge) + local[node])),
+                                shape=(len(union), len(STENCILS) * len(edge)))
+        length = np.full(N, len(_NINE))
+        length[edge] = np.bincount(union // N, minlength=N)[edge]
+        self.shape = (N, N)
+        self.indptr = np.zeros(N + 1, dtype=np.int32)
+        np.cumsum(length, out=self.indptr[1:])
+        # the entries of the lattice rows as a mask, the others' positions
+        self.lattice_entries = np.repeat(on_lattice, length)
+        self.edge_entries = np.flatnonzero(~self.lattice_entries)
+        self.indices = np.empty(self.indptr[-1], dtype=np.int32)
+        self.indices[self.lattice_entries] = node_id.take(
+            flat[on_lattice, None] + [di * ny + dj for di, dj in _NINE]).ravel()
+        self.indices[self.edge_entries] = union % N
         # every combination shares the index arrays; freezing them makes an
         # in-place change to one combination's pattern raise
         self.indices.flags.writeable = False
         self.indptr.flags.writeable = False
-        # each stacked entry's position in the union, kept in the intp that
-        # bincount takes so that no combine casts a copy; entries are
-        # block-major, so a position's sum runs in STENCILS order
-        rank = np.cumsum(first)
-        rank -= 1
-        self.position = np.empty_like(rank)
-        self.position[order] = rank
-        self.weight = D.data
+        # the terms of each of the nine offsets: (stencil, weight) in STENCILS order
+        self.terms = [[(k, float(w)) for k, name in enumerate(STENCILS)
+                       for o, w in zip(*taps[name]) if o == offset] for offset in _NINE]
 
     def combine(self, *coefficients) -> sps.csr_matrix:
         """sum_k diag(c_k) STENCILS[k] for per-row coefficient arrays c_k
-        given in STENCILS order; the stencils past the last one given
-        contribute nothing."""
-        rows = len(coefficients) * self.shape[0]
-        values = np.repeat(np.concatenate(coefficients), self.row_length[:rows])
-        values *= self.weight[:len(values)]
-        data = np.bincount(self.position[:len(values)], weights=values,
-                           minlength=len(self.indices))
+        given in STENCILS order, the three second differences at least (each
+        of the nine offsets then has a term); the stencils past the last one
+        given contribute nothing."""
+        # the 9-point rows, offset by offset: the terms of the stencils that
+        # tap the offset, in STENCILS order, written for _CHUNK nodes at a
+        # time so that the work block stays in cache
+        N, given = self.shape[0], len(coefficients)
+        terms = [[(k, w) for k, w in t if k < given] for t in self.terms]
+        data = np.empty(len(self.indices))
+        work = np.empty((len(_NINE), min(_CHUNK, N)))
+        for a in range(0, N, _CHUNK):
+            b = min(a + _CHUNK, N)
+            block, part = work[:, :b - a], [c[a:b] for c in coefficients]
+            for j, ((k0, w0), *rest) in enumerate(terms):
+                np.multiply(part[k0], w0, out=block[j])
+                for k, w in rest:
+                    block[j] += part[k] * w
+            block += 0.0                # a sum from 0 is never -0
+            lo, hi = self.indptr[a], self.indptr[b]
+            data[lo:hi][self.lattice_entries[lo:hi]] = block.T[self.on_lattice[a:b]].ravel()
+        at_edge = np.zeros((len(STENCILS), len(self.edge)))
+        for k, c in enumerate(coefficients):
+            at_edge[k] = c[self.edge]
+        data[self.edge_entries] = self.K @ at_edge.ravel()
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 

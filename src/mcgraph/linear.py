@@ -17,10 +17,12 @@ coefficients and of the load W^3:
     b_x = 2 (p_x u_yy - p_y u_xy) - 3 tau n H W p_x,
     b_y = 2 (p_y u_xx - p_x u_xy) - 3 tau n H W p_y.
 
-Each is one combination of the grid's stacked stencils over their fixed union
-pattern (`Grid.pattern`), so the matrix action coincides exactly with the
-nodal evaluation; boundary values of a frozen system enter the right-hand
-side through the stacked foot block.
+Each is one combination of the grid's stencils over their fixed union
+pattern (`Grid.pattern`): the 9-point rows of the nodes whose neighbours are
+all interior are written from the coefficients directly, the other rows by
+one small sparse product, so the matrix action coincides exactly with the
+nodal evaluation.  Boundary values of a frozen system enter the right-hand
+side through the foot block of the grid's boundary rows.
 
 A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
 it, for as long as the grid lives, and every system solved on the grid
@@ -46,10 +48,10 @@ the nodes recursively down to parts of 64, and each line comes after the two
 parts it separates.  The union pattern stores the entries a matrix lacks as
 zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU would fill
 them.  On the stencil pattern the fill grows like N log N.  Minimum degree
-on A^T + A leaves less fill on the cap's J(0), but from h = 1/128 on it
-factorizes slower (2.2 s against 1.2 s at 1/256, where the cap solves in
-4.0 s against 3.5 s; `scripts/bench_lu_ordering.py` measures both).  The
-factor's `solve` applies P on both sides.
+on A^T + A leaves less fill on the cap's J(0), but at h = 1/256 it
+factorizes slower (2.0 s against 1.3 s, where the cap solves in 3.1 s
+against 2.7 s; `scripts/bench_lu_ordering.py` measures both).  The factor's
+`solve` applies P on both sides.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -141,8 +143,12 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     A = grid.pattern().combine(*coefficients)
     feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
                  if grid.n_feet else np.zeros(0))
-    # the feet enter through the same coefficients as the interior stencils
-    on_feet = (grid.operators()[1] @ feet_vals).reshape(len(STENCILS), -1)
+    # the feet enter through the same coefficients as the interior stencils,
+    # on the boundary rows alone
+    rows, _, D_feet = grid.operators()
+    on_feet = np.zeros(len(STENCILS) * grid.n_interior)
+    on_feet[rows] = D_feet @ feet_vals
+    on_feet = on_feet.reshape(len(STENCILS), -1)
     b = ev.load * ev.W**3 - sum(c * f for c, f in zip(coefficients, on_feet))
     return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals)
 

@@ -14,14 +14,15 @@ The defect against a prescribed curvature field H at load factor tau is
 so Q u = 0 is the equation in nondivergence form and Q applied to an exact
 solution measures pure truncation error.
 
-`Evaluation` is the one evaluator: it reads the five stencils of u in one
-mat-vec pair and holds the slopes p, W, the second differences, the
-coefficients of M, M u and Q u, with the (core, collar) sup norms of Q u.
-The solver, the Newton assembly, the reference self-test and the
-comparison principle all read from it.  Around it sit `apply_M` (M u alone),
-`gradient` (the slopes alone), `foot_slopes` with `boundary_slope` (the
-one-sided slopes on the boundary links) and `coefficient_matrix` (A(p) with
-its eigenvalues).
+`Evaluation` is the one evaluator: it reads the five stencils of u at once
+(`Grid.stencils`: neighbour gathers for the constant lattice taps, the
+grid's boundary rows for the rest) and holds the slopes p, W, the second
+differences, the coefficients of M, M u and Q u, with the (core, collar)
+sup norms of Q u.  The solver, the Newton assembly, the reference
+self-test and the comparison principle all read from it.  Around it sit
+`apply_M` (M u alone), `gradient` (the slopes alone), `foot_slopes` with
+`boundary_slope` (the one-sided slopes on the boundary links) and
+`coefficient_matrix` (A(p) with its eigenvalues).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import PrescribedCurvature
-from .grid import STENCILS, ScalarField
+from .grid import ScalarField
 
 DIMENSION = 2   # graphs over planar domains; n enters bounds explicitly
 _FLAT = PrescribedCurvature.constant(0.0)
@@ -37,12 +38,9 @@ _FLAT = PrescribedCurvature.constant(0.0)
 
 def _stencils(u: ScalarField) -> np.ndarray:
     """(5, n_interior) array whose row k applies STENCILS[k] to u, ghosts
-    eliminated through the closures: one mat-vec pair."""
+    eliminated through the closures (`Grid.stencils`)."""
     u.validate()
-    D, D_feet = u.grid.operators()
-    out = D @ u.values
-    out += D_feet @ u.feet
-    return out.reshape(len(STENCILS), -1)
+    return u.grid.stencils(u.values, u.feet)
 
 
 def gradient(u: ScalarField) -> np.ndarray:

@@ -131,6 +131,28 @@ def test_levelset_circle_traced_ccw_with_unit_curvature():
     assert b.total_length == pytest.approx(2 * math.pi, rel=1e-5)
 
 
+def test_levelset_arclength_is_the_nearest_samples_built_once(monkeypatch):
+    # the 8192 samples and their tree are made on the first lookup only, and
+    # a lookup returns the arclength of the nearest sample
+    d = levelset("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                 (-1.1, 1.1, -1.0, 1.0))
+    shape_cls = type(d.shape)
+    sample, sizes = shape_cls.sample, []
+
+    def counted(self, m):
+        sizes.append(m)
+        return sample(self, m)
+
+    monkeypatch.setattr(shape_cls, "sample", counted)
+    pts = np.random.default_rng(3).uniform(-1.0, 1.0, (50, 2))
+    first, second = d.arclength_of(pts), d.arclength_of(pts[::-1])
+    assert sizes == [8192]
+    ref_pts, _, _, ref_s, _ = sample(d.shape, 8192)
+    nearest = np.argmin(np.linalg.norm(pts[:, None] - ref_pts[None], axis=-1), axis=1)
+    assert np.array_equal(first, ref_s[nearest])
+    assert np.array_equal(second, first[::-1])
+
+
 def test_levelset_contour_leaving_bbox_raises():
     with pytest.raises(MalformedDomainError, match="not closed"):
         levelset("1 - x**2 - y**2", (-0.5, 1.2, -1.2, 1.2))

@@ -8,9 +8,13 @@ import scipy.sparse as sps
 from hypothesis import given, strategies as st
 
 import mcgraph.geometry
-from mcgraph import (Grid, GridError, InvalidFieldError, ScalarField, annulus,
-                     disk, dumbbell, ellipse, levelset, rect, rounded_rect)
+import mcgraph.grid
+from mcgraph import (Evaluation, Grid, GridError, InvalidFieldError, PrescribedCurvature,
+                     ScalarField, annulus, disk, dumbbell, ellipse, levelset, rect,
+                     rounded_rect)
 from mcgraph.grid import _AXES, _QUADRANTS, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
+
+from lattice_form import lattice_taps, stacked_operators
 
 
 @pytest.fixture(scope="module")
@@ -116,7 +120,7 @@ def test_stacked_operator_row_blocks(domain, h):
         return c0 + cx * x + cy * y + cxx * x**2 + cxy * x * y + cyy * y**2
 
     u = ScalarField.from_callable(g, q)
-    D, D_feet = g.operators()
+    D, D_feet = stacked_operators(g)
     assert D.shape == (5 * g.n_interior, g.n_interior)
     assert D_feet.shape == (5 * g.n_interior, g.n_feet)
     blocks = (D @ u.values + D_feet @ u.feet).reshape(5, g.n_interior)
@@ -413,7 +417,7 @@ def test_dissection_orders_the_top_separator_last():
     rest = ij[:-line.sum(), 0]
     k = np.sum(rest < median)
     assert np.all(rest[:k] < median) and np.all(rest[k:] > median)
-    D = grid.operators()[0]
+    D = stacked_operators(grid)[0]
     rank = np.empty(grid.n_interior, dtype=int)
     rank[grid.dissection] = np.arange(grid.n_interior)
     rows, cols = D.nonzero()
@@ -518,8 +522,10 @@ def test_cross_choice_matches_reference(operator_grids, name):
 
 @pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
 def test_operators_match_tap_by_tap_assembly(operator_grids, name):
+    # the lattice form (constant taps plus the stored boundary rows)
+    # materializes the tap-by-tap stacked operator to the bit
     g = operator_grids[name]
-    D, D_feet = g.operators()
+    D, D_feet = stacked_operators(g)
     want_D, want_feet, _ = _reference_operators(g)
     for got, want in ((D, want_D), (D_feet, want_feet)):
         assert got.has_canonical_format
@@ -532,7 +538,8 @@ def test_operators_match_tap_by_tap_assembly(operator_grids, name):
 
 def test_operator_grids_cover_every_closure_and_cross_case(operator_grids):
     # the grids above reach the linear fallback, the skip-owner closure,
-    # one-sided cross rows and entries that cancel to exactly 0
+    # one-sided cross rows, entries that cancel to exactly 0 and cross rows
+    # stored for an x-neighbour
     def skip_owner(g):
         return int((g.foot_theta < 0.1).sum()) - g.flags["ghost_theta_clamped"]
 
@@ -541,3 +548,103 @@ def test_operator_grids_cover_every_closure_and_cross_case(operator_grids):
     assert sum(skip_owner(g) for g in grids) > 0
     assert sum(g.flags["cross_one_sided"] for g in grids) > 0
     assert _reference_operators(operator_grids["thin_ellipse"])[2] == 4
+    # and a centred cross row whose node has a non-interior x-neighbour
+    g = operator_grids["annulus_on_lattice"]
+    ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+    diagonals = np.all([g.interior_mask[ii + a, jj + b] for a, b in _QUADRANTS], axis=0)
+    assert np.sum(diagonals & ~(g.interior_mask[ii - 1, jj] & g.interior_mask[ii + 1, jj])) == 2
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
+def test_evaluation_matches_reference_taps(operator_grids, name):
+    # the gathers plus the boundary rows give every stencil of the tap-by-tap
+    # operator to the bit, signed zeros included: a sum from 0 is +0 where
+    # all its terms are -0
+    g = operator_grids[name]
+    D, D_feet, _ = _reference_operators(g)
+    rng = np.random.default_rng(len(name))
+    signed_zero = np.where(rng.random(g.n_interior) < 0.5, -0.0, 0.0)
+    fields = [(rng.standard_normal(g.n_interior), rng.standard_normal(g.n_feet)),
+              (signed_zero, np.where(rng.random(g.n_feet) < 0.5, -0.0, 0.0)),
+              (np.where(rng.random(g.n_interior) < 0.8, signed_zero, 1.0), -np.zeros(g.n_feet))]
+    for values, feet in fields:
+        want = D @ values
+        want += D_feet @ feet
+        want = want.reshape(len(STENCILS), -1)
+        ev = Evaluation(ScalarField(g, values, feet), PrescribedCurvature.constant(0.0))
+        for got, k in ((ev.uxx, 0), (ev.uyy, 1), (ev.uxy, 2), (ev.p[:, 0], 3), (ev.p[:, 1], 4)):
+            assert np.ascontiguousarray(got).tobytes() == want[k].tobytes(), STENCILS[k]
+
+
+@pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
+def test_operators_store_only_rows_with_a_non_interior_tap(operator_grids, name):
+    # a row is stored when one of its stencil's lattice taps is not an
+    # interior node (a one-sided cross row always is one of them), and a
+    # cross row also when one of its node's x-neighbours is not: the
+    # gathers read the diagonals beside the x-neighbours.  Every stored row
+    # belongs to a node with a non-interior tap.
+    g = operator_grids[name]
+    ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
+    outside = {(di, dj): ~g.interior_mask[ii + di, jj + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)}
+    stored = np.zeros((len(STENCILS), g.n_interior), dtype=bool)
+    for k, (_, taps) in enumerate(lattice_taps(g.h).items()):
+        for offset, _ in taps:
+            stored[k] |= outside[offset]
+    stored[STENCILS.index("Dxy")] |= outside[-1, 0] | outside[1, 0]
+    rows, D, D_feet = g.operators()
+    assert np.array_equal(rows, np.flatnonzero(stored))
+    assert np.all(stored[STENCILS.index("Dxy"), g._cross_one_sided])
+    assert np.all(np.any(list(outside.values()), axis=0)[rows % g.n_interior])
+    assert D.shape == (len(rows), g.n_interior) and D_feet.shape == (len(rows), g.n_feet)
+    assert len(rows) < len(STENCILS) * g.n_interior
+
+
+def test_operators_and_pattern_keep_no_array_per_tap():
+    # after the boundary rows and the union pattern are built, no array the
+    # grid holds has an entry per stencil tap of every interior node (14 N)
+    grid = Grid(disk(1.0), 1.0 / 64.0)
+    grid.operators()
+    grid.pattern()
+    held = [v for v in vars(grid).values() if isinstance(v, np.ndarray)]
+    for part in (*grid.operators(), *vars(grid.pattern()).values()):
+        if isinstance(part, np.ndarray):
+            held.append(part)
+        elif sps.issparse(part):
+            held += [part.data, part.indices, part.indptr]
+    assert max(a.size for a in held) < 14 * grid.n_interior
+
+
+def _scattered_combination(D, n, coefficients):
+    """sum_k diag(c_k) STENCILS[k] from the stacked operator D entry by
+    entry: each entry's weight times its row's coefficient, added in entry
+    order (block after block) into its position in the union pattern of all
+    five blocks.  Returns (data, indices, indptr)."""
+    length = np.diff(D.indptr)
+    keys = np.repeat(np.arange(D.shape[0]) % n * n, length) + D.indices
+    union, position = np.unique(keys, return_inverse=True)
+    end = D.indptr[len(coefficients) * n]
+    values = np.repeat(np.concatenate(coefficients), length[:len(coefficients) * n]) * D.data[:end]
+    data = np.bincount(position[:end], weights=values, minlength=len(union))
+    return data, union % n, np.searchsorted(union // n, np.arange(n + 1))
+
+
+@pytest.mark.parametrize("chunk", [mcgraph.grid._CHUNK, 700])
+@pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
+def test_combine_matches_scatter_of_stacked_entries(operator_grids, name, chunk, monkeypatch):
+    # the 9-point rows written from the coefficients and the boundary nodes'
+    # sparse product give the entry-by-entry scatter to the bit, signed
+    # zeros included, for a frozen (three stencils) and a Jacobian (five),
+    # also when the rows are written in several passes
+    monkeypatch.setattr(mcgraph.grid, "_CHUNK", chunk)
+    g = operator_grids[name]
+    D, _, _ = _reference_operators(g)
+    rng = np.random.default_rng(7)
+    signed_zero = np.where(rng.random(g.n_interior) < 0.5, -0.0, 0.0)
+    for coefficients in ([rng.standard_normal(g.n_interior) for _ in range(5)],
+                         [rng.standard_normal(g.n_interior) for _ in range(3)],
+                         [signed_zero, -signed_zero, signed_zero, -np.zeros(g.n_interior),
+                          np.where(rng.random(g.n_interior) < 0.9, signed_zero, 1.0)]):
+        got = g.pattern().combine(*coefficients)
+        data, indices, indptr = _scattered_combination(D, g.n_interior, coefficients)
+        assert got.data.tobytes() == data.tobytes()
+        assert np.array_equal(got.indices, indices) and np.array_equal(got.indptr, indptr)

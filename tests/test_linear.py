@@ -14,6 +14,8 @@ from mcgraph.grid import STENCILS
 from mcgraph.linear import (_RESTART, _REUSE_TOL, DissectedLU, LinearCounts,
                             LinearSystem, _gmres, _norm_inf)
 
+from lattice_form import stacked_operators
+
 
 @pytest.fixture(scope="module")
 def g32():
@@ -139,7 +141,7 @@ def test_fixed_pattern_assembly_matches_scaled_operators(g32):
     w2 = 1.0 + np.sum(p**2, axis=-1)
     a11, a22, a12 = w2 - p[:, 0] ** 2, w2 - p[:, 1] ** 2, -p[:, 0] * p[:, 1]
     old = [sps.diags(a11) @ _block(M, g32, "Dxx") + sps.diags(a22) @ _block(M, g32, "Dyy")
-           + sps.diags(2.0 * a12) @ _block(M, g32, "Dxy") for M in g32.operators()]
+           + sps.diags(2.0 * a12) @ _block(M, g32, "Dxy") for M in stacked_operators(g32)]
     system = assemble(v, PrescribedCurvature.constant(0.4), ExpressionData("x*y"),
                       n=2, tau=0.75)
     assert abs(system.A - old[0]).max() == 0.0
@@ -334,7 +336,7 @@ def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
     load = 0.75 * 2 * _CURVED(u.grid.interior_xy)
     bx = 2.0 * (p[:, 0] * ev.uyy - p[:, 1] * ev.uxy) - 3.0 * load * W * p[:, 0]
     by = 2.0 * (p[:, 1] * ev.uxx - p[:, 0] * ev.uxy) - 3.0 * load * W * p[:, 1]
-    D = u.grid.operators()[0]
+    D = stacked_operators(u.grid)[0]
     A = assemble(u, _CURVED, ZeroData(), n=2, tau=0.75).A
     expect = A + sps.diags(bx) @ _block(D, u.grid, "Gx") + sps.diags(by) @ _block(D, u.grid, "Gy")
     system = correction_system(ev)
