@@ -347,11 +347,15 @@ def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
     interior curvature-growth hypothesis |grad H| <= n/(n-1) H^2 is checked
     globally and reported in the note (the estimate needs it only where the
     distance function is smooth, so a global failure is advisory).  `serrin`
-    is the domain's Serrin audit when the caller has it already.
+    is the domain's Serrin audit when the caller has it already.  Raises
+    NotApplicable when e^(mu delta) overflows.
     """
     h0, _ = _h_norms(H, domain)
     delta = domain.diameter
     mu = n * h0 * (1.0 + 1e-6) if h0 > 0 else 0.0
+    if mu * delta > _LOG_FLOAT_MAX:
+        raise NotApplicable(f"e^(mu delta) overflows: mu delta = {mu * delta:.3g} "
+                            f"(mu={mu:.3g}, delta={delta:.3g})")
     profile = HeightProfile(mu, delta)
     sup_phi = float(data.sup_abs(domain)) if data is not None else 0.0
     bound = sup_phi + profile.slack
@@ -545,10 +549,15 @@ def global_gradient_bound(domain: DomainSpec, H, n: int = 2,
                           measured: Optional[float] = None) -> EstimateAudit:
     """sup |grad u| <= (sqrt(3) + sup_boundary |grad u|) exp(2 sup|u| (1 + 8 n |H|_C1)).
 
-    The boundary data enter only through `sup_u` and `boundary_gradient`."""
+    The boundary data enter only through `sup_u` and `boundary_gradient`.
+    Raises NotApplicable when the exponential overflows."""
     h0, h1 = _h_norms(H, domain)
     A = 1.0 + 8.0 * n * (h0 + h1)
-    bound = (math.sqrt(3.0) + float(boundary_gradient)) * math.exp(2.0 * float(sup_u) * A)
+    exponent = 2.0 * float(sup_u) * A
+    if exponent > _LOG_FLOAT_MAX:
+        raise NotApplicable(f"e^(2 sup|u| A) overflows: 2 sup|u| A = {exponent:.3g} "
+                            f"(sup|u|={float(sup_u):.3g}, A={A:.3g})")
+    bound = (math.sqrt(3.0) + float(boundary_gradient)) * math.exp(exponent)
     return EstimateAudit(
         name="global_gradient",
         bound=bound,
@@ -606,8 +615,9 @@ def estimate_ledger(domain: DomainSpec, H, data, n: int = 2, report=None,
     serrin = attempt("serrin", check_serrin, domain, H, n)
     height = attempt("height", height_bound, domain, H, data, n=n, measured=sup_u,
                      serrin=serrin)
-    if not measured and height is not None:
-        sup_u = height.bound
+    if not measured:
+        # a refused height bound leaves sup|u| unbounded in floats
+        sup_u = height.bound if height else math.inf
     gradient = attempt("gradient", global_gradient_bound, domain, H, n=n,
                        sup_u=sup_u,
                        boundary_gradient=boundary_slope(report.field) if measured else 0.0,

@@ -248,15 +248,25 @@ def cmd_estimates(args) -> int:
     scenario = _load(args.config, None, None)
     ledger = barriers.estimate_ledger(scenario.domain, scenario.curvature,
                                       scenario.data, scenario.n, names=("serrin",))
-    serrin, height, grad = ledger.audits["serrin"], ledger.height, ledger.gradient
+    audits, height, grad = ledger.audits, ledger.height, ledger.gradient
+    serrin = audits["serrin"]
     print("a priori constant ledger")
-    print(f"  solvability margin      = {serrin['margin']:.9g} "
-          f"({'ok' if serrin['passed'] else 'VIOLATED'})")
-    print(f"  mu                      = {height.params['mu']!r}")
-    print(f"  delta (diameter)        = {height.params['delta']!r}")
-    print(f"  height bound            = {height.bound!r}")
-    print(f"  gradient exponent A     = {grad.params['A']!r}")
-    print(f"  global gradient bound   = {grad.bound!r}")
+    if "error" in serrin:
+        print(f"  solvability audit refused: {serrin['error']}")
+    else:
+        print(f"  solvability margin      = {serrin['margin']:.9g} "
+              f"({'ok' if serrin['passed'] else 'VIOLATED'})")
+    if height is not None:
+        print(f"  mu                      = {height.params['mu']!r}")
+        print(f"  delta (diameter)        = {height.params['delta']!r}")
+        print(f"  height bound            = {height.bound!r}")
+    else:
+        print(f"  height bound refused: {audits['height']['error']}")
+    if grad is not None:
+        print(f"  gradient exponent A     = {grad.params['A']!r}")
+        print(f"  global gradient bound   = {grad.bound!r}")
+    else:
+        print(f"  global gradient bound refused: {audits['gradient']['error']}")
     if ledger.package is not None:
         bg = ledger.package.audit
         for key in ("C", "nu", "k", "a", "M", "tau_strip"):

@@ -29,26 +29,26 @@ A ghost owned by several links takes the mean of their extrapolations.  The
 closures are built per boundary link into two sparse elimination matrices,
 ghosts x interior and ghosts x feet, so ghost values are two mat-vecs.
 
-A row of the finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy)
-whose taps are all interior nodes is a lattice row: the same constant taps
-at every such node (the embedded-boundary view of Johansen & Colella,
-J. Comput. Phys. 147, 1998).  A grid stores only the other rows, the
-boundary rows: those that tap a ghost or an exterior node, or take the
-one-sided cross stencil (and the few centred cross rows beside a
-non-interior x-neighbour, see `Grid._lattice_rows`).  `Grid.operators`
-builds them once, ghosts eliminated through the closure matrices, as a
-sparse pair (interior block, foot block) over their stacked row indices
-k N + n.  `Grid.stencils` applies all five stencils to a field: the lattice
-taps by neighbour gathers (interior nodes are numbered row-major, so the
+An interior node whose eight neighbours are all interior is a lattice node:
+the finite-difference stencils of STENCILS (Dxx, Dyy, Dxy, Gx, Gy) are the
+same constant taps at every one of them (the embedded-boundary view of
+Johansen & Colella, J. Comput. Phys. 147, 1998).  The other interior nodes
+are the edge nodes, and a grid stores only their rows: `Grid.operators`
+builds the five rows of every edge node once, ghosts eliminated through the
+closure matrices, as a sparse pair (interior block, foot block) whose row
+k E + e is STENCILS[k] at edge node e.  A one-sided or missing cross
+stencil has a non-interior diagonal, so it only ever sits at an edge node.
+`Grid.stencils` applies all five stencils to a field: the lattice taps by
+neighbour gathers (interior nodes are numbered row-major, so the
 y-neighbours are the field shifted by one and the other six are gathers at
-the x-neighbours' ids), then the boundary rows from the sparse pair.  Every
-row sums its taps in column order from 0, as a sparse mat-vec of the whole
-stacked operator would, so the answer is the same to the bit, and the ghost
-elimination is identical in nodal evaluation and linear-system assembly.
-For assembly, `Grid.pattern` builds the union pattern of the five stencils
-once per grid: a frozen-coefficient matrix or a Newton Jacobian writes the
-9-point rows of the nodes whose neighbours are all interior from the
-coefficients directly, and the other rows by one small sparse product.
+the x-neighbours' ids), then the edge nodes' rows from the sparse pair.
+Every row sums its taps in column order from 0, as a sparse mat-vec of the
+whole stacked operator would, so the answer is the same to the bit, and the
+ghost elimination is identical in nodal evaluation and linear-system
+assembly.  For assembly, `Grid.pattern` builds the union pattern of the
+five stencils once per grid: a frozen-coefficient matrix or a Newton
+Jacobian writes the 9-point rows of the lattice nodes from the coefficients
+directly, and the edge nodes' rows by one small sparse product.
 For factorization, `Grid.dissection` orders the interior nodes by nested
 dissection on lattice lines; it is computed on first read, so grids that are
 never factorized do not pay for it.
@@ -418,69 +418,64 @@ class Grid:
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
         return np.maximum(np.stack([self.node_id[ii - 1, jj], self.node_id[ii + 1, jj]]), 0)
 
-    def _lattice_rows(self) -> np.ndarray:
-        """(5, n_interior) mask of the stencil rows that are lattice rows:
-        row k of a node is STENCILS[k]'s lattice taps when all of them are
-        interior nodes, and for Dxy when the node's two x-neighbours are
-        too.  `stencils` reads the diagonals beside the x-neighbours' ids,
-        and a boundary can pass between an x-neighbour and its diagonals."""
-        inside, ny, taps, flat = self.interior_mask.ravel(), self.ny, self._taps, self._flat
-        out = np.ones((len(STENCILS), self.n_interior), dtype=bool)
-        for k, name in enumerate(STENCILS):
-            for di, dj in taps[name][0] + (((-1, 0), (1, 0)) if name == "Dxy" else ()):
-                if (di, dj) != (0, 0):
-                    out[k] &= inside.take(flat + (di * ny + dj))
-        return out
+    @cached_property
+    def _edge(self) -> np.ndarray:
+        """The edge nodes, ascending: the interior nodes with a non-interior
+        node among their eight neighbours."""
+        inside, flat = self.interior_mask.ravel(), self._flat
+        lattice = np.ones(self.n_interior, dtype=bool)
+        for di, dj in _NINE:
+            lattice &= inside.take(flat + (di * self.ny + dj))
+        return np.flatnonzero(~lattice)
 
     def operators(self) -> "BoundaryRows":
-        """The stencil rows that are not lattice rows, ghosts eliminated,
+        """The five stencil rows of every edge node, ghosts eliminated,
         built on first use."""
         if self._ops is None:
             self._ops = self._build_operators()
         return self._ops
 
     def _build_operators(self) -> "BoundaryRows":
-        at, stacked, S_gh = self._boundary_taps()
+        stacked, S_gh = self._edge_taps()
         # both terms in canonical form, so their sum is scipy's sorted merge,
         # which adds the two entries of a position and drops exact zeros;
         # sorted rows keep each mat-vec's summation order fixed
         M, D_feet = S_gh @ self.closure_int, S_gh @ self.closure_feet
         M.sort_indices()
         D_feet.sort_indices()
-        return BoundaryRows(at, stacked + M, D_feet)
+        return BoundaryRows(self._edge, stacked + M, D_feet)
 
-    def _boundary_taps(self):
-        """The taps of the boundary rows, in stacked row order: the stacked
-        row index k N + n of each, the taps on interior nodes (rows x
-        interior, canonical) and on ghosts (rows x ghosts)."""
+    def _edge_taps(self):
+        """The taps of the edge nodes' rows, row k E + e for STENCILS[k] at
+        edge node e: the taps on interior nodes (rows x interior,
+        canonical) and on ghosts (rows x ghosts)."""
         h, Ni, ny = self.h, self.n_interior, self.ny
         # column of every node: interior unknowns first, then ghosts; an
         # exterior node reads -1
         column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id).ravel()
-        flat, taps = self._flat, self._taps
-        boundary = ~self._lattice_rows()
-        one_sided, (a, b) = self._cross_one_sided, self._cross_quadrant.T
-        rows, index, weight = [], [], []
-        for k, name in enumerate(STENCILS):
+        taps, edge = self._taps, self._edge
+        at = self._flat[edge, None]
+        index, weight = [], []
+        for name in STENCILS:
             offsets, w = taps[name]
-            at = np.flatnonzero(boundary[k])
             # node_id runs row-major over (i, j), so taps in lexicographic
             # (di, dj) order reach a row's interior columns in ascending order
-            c = column.take(flat[at, None] + [di * ny + dj for di, dj in offsets])
-            v = np.tile(w, (len(at), 1))
+            c = column.take(at + [di * ny + dj for di, dj in offsets])
+            v = np.tile(w, (len(edge), 1))
             if name == "Dxy":
                 # Dxy taps the corners (0, 0), (0, 1), (1, 0), (1, 1) of a
                 # cell with weights +, -, -, +: a centred row's cell is its
                 # four diagonals, a one-sided row's is its quadrant, and a
-                # row with neither reads four exterior diagonals
-                r1 = np.searchsorted(at, one_sided)
-                corner = flat[one_sided] + np.minimum(a, 0) * ny + np.minimum(b, 0)
+                # row with neither reads four exterior diagonals; both of
+                # the latter have a non-interior diagonal, so are edge nodes
+                one_sided, (a, b) = self._cross_one_sided, self._cross_quadrant.T
+                r1 = np.searchsorted(edge, one_sided)
+                corner = at[r1, 0] + np.minimum(a, 0) * ny + np.minimum(b, 0)
                 c[r1] = column.take(corner[:, None] + (0, 1, ny, ny + 1))
                 v[r1] = _CROSS * (1.0 / h**2)
-            rows.append(k * Ni + at)
             index.append(c.ravel())
             weight.append(v.ravel())
-        width = np.repeat([len(taps[name][0]) for name in STENCILS], [len(r) for r in rows])
+        width = np.repeat([len(taps[name][0]) for name in STENCILS], len(edge))
         indptr = np.zeros(len(width) + 1, dtype=np.int64)
         np.cumsum(width, out=indptr[1:])
         indices, data = np.concatenate(index), np.concatenate(weight)
@@ -496,20 +491,20 @@ class Grid:
         indices[drop] = 0
         stacked = sps.csr_matrix((data, indices, indptr), shape=(len(width), Ni))
         stacked.eliminate_zeros()
-        return np.concatenate(rows), stacked, S_gh
+        return stacked, S_gh
 
     def stencils(self, values: np.ndarray, feet: np.ndarray) -> np.ndarray:
         """(5, n_interior) array whose row k applies STENCILS[k] to the field
         with these interior and foot values, ghosts eliminated.
 
-        Every row is first the lattice taps, then the boundary rows are
-        overwritten from `operators()`.  Both sum a row's taps in column
-        order as a sparse mat-vec does, from 0, so a row reads the same to
-        the bit whichever way it is computed.  Interior nodes are numbered
-        row-major, so in a lattice row the y-neighbours of node n are nodes
-        n - 1 and n + 1, and the diagonals beside an x-neighbour m are nodes
-        m - 1 and m + 1: the values padded by one entry at each end give
-        the y-neighbours as slices and the other six as gathers at the
+        Every node's rows are first the lattice taps, then the edge nodes'
+        rows are overwritten from `operators()`.  Both sum a row's taps in
+        column order as a sparse mat-vec does, from 0, so a row reads the
+        same to the bit whichever way it is computed.  Interior nodes are
+        numbered row-major, so at a lattice node n the y-neighbours are
+        nodes n - 1 and n + 1, and the diagonals beside an x-neighbour m are
+        nodes m - 1 and m + 1: the values padded by one entry at each end
+        give the y-neighbours as slices and the other six as gathers at the
         x-neighbours' ids."""
         taps, N = self._taps, self.n_interior
         (s1, s2, _), (f0, f1), cross = taps["Dxx"][1], taps["Gx"][1], taps["Dxy"][1]
@@ -539,10 +534,10 @@ class Grid:
         out[2] += diagonal[2]
         out[2] += diagonal[3]
         out += 0.0                      # a sum from 0 is never -0
-        rows, D, D_feet = self.operators()
-        on_rows = D @ values
-        on_rows += D_feet @ feet
-        out.ravel()[rows] = on_rows
+        edge, D, D_feet = self.operators()
+        on_edge = D @ values
+        on_edge += D_feet @ feet
+        out[:, edge] = on_edge.reshape(len(STENCILS), -1)
         return out
 
     def pattern(self) -> "StencilPattern":
@@ -574,14 +569,12 @@ def _lattice_taps(h: float) -> dict:
 
 
 class BoundaryRows(NamedTuple):
-    """The stencil rows that are not lattice rows, ghosts eliminated: row r
-    of `interior` (rows x interior nodes) and of `feet` (rows x feet) is
-    row `rows[r]` = k N + n of the stacked STENCILS, STENCILS[k] at interior
-    node n.  They are the rows that tap a ghost or an exterior node, or take
-    the one-sided cross stencil, and the centred cross rows beside a
-    non-interior x-neighbour (`Grid._lattice_rows`)."""
+    """The five stencil rows of every edge node, ghosts eliminated: row
+    k E + e of `interior` (rows x interior nodes) and of `feet` (rows x
+    feet) is STENCILS[k] at interior node `edge[e]`, where `edge` holds the
+    E edge nodes in ascending order."""
 
-    rows: np.ndarray
+    edge: np.ndarray
     interior: sps.csr_matrix
     feet: sps.csr_matrix
 
@@ -594,8 +587,9 @@ class StencilPattern:
     A node whose eight neighbours are interior (a lattice node) has the
     9-point row, and a combination writes its entries from the coefficients
     directly.  The rows of the other nodes (the edge nodes) are one sparse
-    product K c of the coefficients at those nodes, stacked in STENCILS
-    order, where K holds each stencil tap in the row position it falls on.
+    product K c of the coefficients at those nodes, stacked as the rows of
+    `Grid.operators()` are, where K holds each entry of those rows in the
+    row position it falls on.
     Both sum a position's terms in STENCILS order from 0, so a combination
     equals the sum of the scaled stencils entry by entry, and its pattern
     is the same for every set of coefficients: positions a stencil lacks
@@ -604,38 +598,21 @@ class StencilPattern:
 
     def __init__(self, grid: Grid):
         N, ny, flat, node_id = grid.n_interior, grid.ny, grid._flat, grid.node_id.ravel()
-        taps = grid._taps
-        lattice_rows = grid._lattice_rows()
-        self.on_lattice = on_lattice = lattice_rows.all(axis=0)
-        self.edge = edge = np.flatnonzero(~on_lattice)
-        # the edge nodes' taps, (node, column, stencil, weight): their
-        # lattice rows, then their boundary rows
-        node, col, k, w = [], [], [], []
-        for s, name in enumerate(STENCILS):
-            offsets, weights = taps[name]
-            at = edge[lattice_rows[s, edge]]
-            node.append(np.repeat(at, len(offsets)))
-            col.append(node_id.take(flat[at, None] + [di * ny + dj for di, dj in offsets]).ravel())
-            k.append(np.full(len(at) * len(offsets), s))
-            w.append(np.tile(weights, len(at)))
-        rows, D, _ = grid.operators()
-        length = np.diff(D.indptr)
-        node.append(np.repeat(rows % N, length))
-        col.append(D.indices)
-        k.append(np.repeat(rows // N, length))
-        w.append(D.data)
-        node, col, k, w = (np.concatenate(a) for a in (node, col, k, w))
-        union, position = np.unique(node * N + col, return_inverse=True)
-        local = np.empty(N, dtype=np.int64)
-        local[edge] = np.arange(len(edge))
-        self.K = sps.csr_matrix((w, (position, k * len(edge) + local[node])),
-                                shape=(len(union), len(STENCILS) * len(edge)))
+        edge, D, _ = grid.operators()
+        self.edge = edge
+        self.on_lattice = on_lattice = np.ones(N, dtype=bool)
+        on_lattice[edge] = False
+        # row k E + e of D is column k E + e of K: each entry of D goes to
+        # the position its column takes in its edge node's row
+        row = np.repeat(np.arange(D.shape[0]), np.diff(D.indptr))
+        union, position = np.unique(edge[row % len(edge)] * N + D.indices, return_inverse=True)
+        self.K = sps.csr_matrix((D.data, (position, row)), shape=(len(union), D.shape[0]))
         length = np.full(N, len(_NINE))
         length[edge] = np.bincount(union // N, minlength=N)[edge]
         self.shape = (N, N)
         self.indptr = np.zeros(N + 1, dtype=np.int32)
         np.cumsum(length, out=self.indptr[1:])
-        # the entries of the lattice rows as a mask, the others' positions
+        # the entries of the lattice nodes' rows as a mask, the others' positions
         self.lattice_entries = np.repeat(on_lattice, length)
         self.edge_entries = np.flatnonzero(~self.lattice_entries)
         self.indices = np.empty(self.indptr[-1], dtype=np.int32)
@@ -648,7 +625,7 @@ class StencilPattern:
         self.indptr.flags.writeable = False
         # the terms of each of the nine offsets: (stencil, weight) in STENCILS order
         self.terms = [[(k, float(w)) for k, name in enumerate(STENCILS)
-                       for o, w in zip(*taps[name]) if o == offset] for offset in _NINE]
+                       for o, w in zip(*grid._taps[name]) if o == offset] for offset in _NINE]
 
     def combine(self, *coefficients) -> sps.csr_matrix:
         """sum_k diag(c_k) STENCILS[k] for per-row coefficient arrays c_k

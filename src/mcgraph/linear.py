@@ -22,7 +22,7 @@ pattern (`Grid.pattern`): the 9-point rows of the nodes whose neighbours are
 all interior are written from the coefficients directly, the other rows by
 one small sparse product, so the matrix action coincides exactly with the
 nodal evaluation.  Boundary values of a frozen system enter the right-hand
-side through the foot block of the grid's boundary rows.
+side through the foot block of the grid's edge-node rows.
 
 A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
 it, for as long as the grid lives, and every system solved on the grid
@@ -144,11 +144,10 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
                  if grid.n_feet else np.zeros(0))
     # the feet enter through the same coefficients as the interior stencils,
-    # on the boundary rows alone
-    rows, _, D_feet = grid.operators()
-    on_feet = np.zeros(len(STENCILS) * grid.n_interior)
-    on_feet[rows] = D_feet @ feet_vals
-    on_feet = on_feet.reshape(len(STENCILS), -1)
+    # on the edge nodes' rows alone
+    edge, _, D_feet = grid.operators()
+    on_feet = np.zeros((len(STENCILS), grid.n_interior))
+    on_feet[:, edge] = (D_feet @ feet_vals).reshape(len(STENCILS), -1)
     b = ev.load * ev.W**3 - sum(c * f for c, f in zip(coefficients, on_feet))
     return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals)
 

@@ -16,9 +16,9 @@ solution measures pure truncation error.
 
 `Evaluation` is the one evaluator: it reads the five stencils of u at once
 (`Grid.stencils`: neighbour gathers for the constant lattice taps, the
-grid's boundary rows for the rest) and holds the slopes p, W, the second
-differences, the coefficients of M, M u and Q u, with the (core, collar)
-sup norms of Q u.  The solver, the Newton assembly, the reference
+edge nodes' stored rows for the rest) and holds the slopes p, W, the
+second differences, the coefficients of M, M u and Q u, with the (core,
+collar) sup norms of Q u.  The solver, the Newton assembly, the reference
 self-test and the comparison principle all read from it.  Around it sit
 `apply_M` (M u alone), `gradient` (the slopes alone), `foot_slopes` with
 `boundary_slope` (the one-sided slopes on the boundary links) and

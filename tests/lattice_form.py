@@ -1,9 +1,10 @@
 """The whole stacked stencil operator materialized from a grid's lattice form,
 for tests that compare it with a tap-by-tap assembly or read its row blocks.
 
-A grid stores only its boundary rows (`Grid.operators`); every other row of
-the stacked STENCILS is the stencil's constant lattice taps.  The constant
-taps are written out here on their own, not read from `mcgraph.grid`.
+A grid stores the five rows of each of its edge nodes (`Grid.operators`);
+every other row of the stacked STENCILS is the stencil's constant lattice
+taps.  The constant taps are written out here on their own, not read from
+`mcgraph.grid`.
 """
 
 import numpy as np
@@ -25,11 +26,13 @@ def lattice_taps(h):
 
 def stacked_operators(grid):
     """(D, D_feet): row k N + n applies STENCILS[k] at interior node n, as
-    canonical CSR with int32 indices.  The rows `grid.operators()` stores
-    are copied from it, and every other row is the lattice taps, which must
-    all be interior nodes."""
+    canonical CSR with int32 indices.  The edge nodes' rows are copied
+    from `grid.operators()`, and every other row is the lattice taps, which
+    must all be interior nodes."""
     N = grid.n_interior
-    rows, boundary, boundary_feet = grid.operators()
+    edge, boundary, boundary_feet = grid.operators()
+    # row k E + e of the stored rows is row k N + edge[e] of the stack
+    rows = (np.arange(len(STENCILS))[:, None] * N + edge).ravel()
     lattice = np.setdiff1d(np.arange(len(STENCILS) * N), rows)
     k, n = np.divmod(lattice, N)
     ii, jj = grid.interior_ij[n, 0], grid.interior_ij[n, 1]

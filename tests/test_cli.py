@@ -263,11 +263,21 @@ def test_estimates_prints_ledger(tmp_path, capsys):
 
 
 def test_estimates_refusal_when_unsolvable(tmp_path, capsys):
-    cfg = write(tmp_path, CAP.replace("constant = 0.4", "constant = 0.55"))
-    assert main(["estimates", "--config", cfg]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "VIOLATED" in out
-    assert "boundary gradient barrier refused" in out
+    # at H = 1.0 and 200 an exponential also leaves the floats, and the
+    # estimate it belongs to is refused by name instead of crashing the ledger
+    for constant, refused in (
+            ("0.55", ()),
+            ("1.0", ("global gradient bound refused: e^(2 sup|u| A) overflows: "
+                     "2 sup|u| A = 911",)),
+            ("200", ("height bound refused: e^(mu delta) overflows: mu delta = 800",
+                     "global gradient bound refused"))):
+        cfg = write(tmp_path, CAP.replace("constant = 0.4", f"constant = {constant}"))
+        assert main(["estimates", "--config", cfg]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "VIOLATED" in out
+        assert "boundary gradient barrier refused" in out
+        for needle in refused:
+            assert needle in out, (constant, needle)
 
 
 def test_sweep_refinement(tmp_path, capsys):

@@ -538,8 +538,8 @@ def test_operators_match_tap_by_tap_assembly(operator_grids, name):
 
 def test_operator_grids_cover_every_closure_and_cross_case(operator_grids):
     # the grids above reach the linear fallback, the skip-owner closure,
-    # one-sided cross rows, entries that cancel to exactly 0 and cross rows
-    # stored for an x-neighbour
+    # one-sided cross rows, entries that cancel to exactly 0 and an edge
+    # node whose four diagonals are interior
     def skip_owner(g):
         return int((g.foot_theta < 0.1).sum()) - g.flags["ghost_theta_clamped"]
 
@@ -548,7 +548,8 @@ def test_operator_grids_cover_every_closure_and_cross_case(operator_grids):
     assert sum(skip_owner(g) for g in grids) > 0
     assert sum(g.flags["cross_one_sided"] for g in grids) > 0
     assert _reference_operators(operator_grids["thin_ellipse"])[2] == 4
-    # and a centred cross row whose node has a non-interior x-neighbour
+    # and an edge node with four interior diagonals beside a non-interior
+    # x-neighbour, where the gathers would read the wrong diagonals
     g = operator_grids["annulus_on_lattice"]
     ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
     diagonals = np.all([g.interior_mask[ii + a, jj + b] for a, b in _QUADRANTS], axis=0)
@@ -577,26 +578,20 @@ def test_evaluation_matches_reference_taps(operator_grids, name):
 
 
 @pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
-def test_operators_store_only_rows_with_a_non_interior_tap(operator_grids, name):
-    # a row is stored when one of its stencil's lattice taps is not an
-    # interior node (a one-sided cross row always is one of them), and a
-    # cross row also when one of its node's x-neighbours is not: the
-    # gathers read the diagonals beside the x-neighbours.  Every stored row
-    # belongs to a node with a non-interior tap.
+def test_operators_store_the_five_rows_of_each_edge_node(operator_grids, name):
+    # the edge nodes are the interior nodes with a non-interior node among
+    # their eight neighbours; a one-sided cross row has a non-interior
+    # diagonal, so its node is always one of them
     g = operator_grids[name]
     ii, jj = g.interior_ij[:, 0], g.interior_ij[:, 1]
-    outside = {(di, dj): ~g.interior_mask[ii + di, jj + dj] for di in (-1, 0, 1) for dj in (-1, 0, 1)}
-    stored = np.zeros((len(STENCILS), g.n_interior), dtype=bool)
-    for k, (_, taps) in enumerate(lattice_taps(g.h).items()):
-        for offset, _ in taps:
-            stored[k] |= outside[offset]
-    stored[STENCILS.index("Dxy")] |= outside[-1, 0] | outside[1, 0]
-    rows, D, D_feet = g.operators()
-    assert np.array_equal(rows, np.flatnonzero(stored))
-    assert np.all(stored[STENCILS.index("Dxy"), g._cross_one_sided])
-    assert np.all(np.any(list(outside.values()), axis=0)[rows % g.n_interior])
-    assert D.shape == (len(rows), g.n_interior) and D_feet.shape == (len(rows), g.n_feet)
-    assert len(rows) < len(STENCILS) * g.n_interior
+    outside = np.any([~g.interior_mask[ii + di, jj + dj]
+                      for di in (-1, 0, 1) for dj in (-1, 0, 1)], axis=0)
+    edge, D, D_feet = g.operators()
+    assert np.array_equal(edge, np.flatnonzero(outside))
+    assert np.all(np.isin(g._cross_one_sided, edge))
+    rows = len(STENCILS) * len(edge)
+    assert D.shape == (rows, g.n_interior) and D_feet.shape == (rows, g.n_feet)
+    assert len(edge) < g.n_interior
 
 
 def test_operators_and_pattern_keep_no_array_per_tap():
