@@ -13,7 +13,9 @@ process builds ``Grid(domain, h)`` and its ``operators()`` ``--calls``
 times, with these steps wrapped:
 
 * ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
-* ``intercepts``: ``Grid._find_intercepts`` (foot bisection);
+* ``intercepts``: ``Grid._find_intercepts`` (the feet: the shape's
+  closed-form axis crossing, or a secant on the level function; the |d|
+  check and the feet's arclengths);
 * ``closures``: ``Grid._close_ghosts``;
 * ``cross``: ``Grid._choose_cross_stencils``;
 * ``operators``: the first ``Grid.operators()`` of a grid, which builds it.
@@ -28,9 +30,14 @@ bytes) what both sides of ``--parent`` compute alike: the five stencils of
 a fixed smooth field (``Evaluation``'s second differences and slopes),
 ``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
 H = 0.4 cap (at u = 0) and of the Jacobian at the fixed field, the feet
-(owner, axis, theta, point, arclength), ``_cross_one_sided``,
-``_cross_quadrant`` and the flags; ``identical`` compares the parent's
-digests with this checkout's.
+(owner, axis, theta, point, arclength), the classification (``cls``,
+``interior_ij``, ``ghost_ij``), ``_cross_one_sided``, ``_cross_quadrant``
+and the flags; ``identical`` compares the parent's digests with this
+checkout's and ``differing_digests`` names those that differ.  A change
+that moves the feet by rounding shows in ``max_foot_difference``: the
+largest difference between the checkouts of the feet's theta, point
+(either coordinate) and arclength (along the boundary), or null where
+their links differ.
 """
 
 from __future__ import annotations
@@ -41,9 +48,12 @@ import hashlib
 import json
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
+
+import numpy as np
 
 import _parent
 from _parent import ROOT
@@ -70,10 +80,22 @@ def _digest(*arrays) -> str:
     return sha.hexdigest()
 
 
-def _measure(root: str, domain: str, N: int, calls: int) -> dict:
-    sys.path.insert(0, str(Path(root) / "src"))
-    import numpy as np
+def _foot_difference(paths) -> dict | None:
+    """The largest |parent - this| of the feet's theta, point and
+    arclength, from the feet each checkout saved; None unless both have the
+    same links."""
+    with np.load(paths[0]) as a, np.load(paths[1]) as b:
+        if not all(np.array_equal(a[k], b[k]) for k in ("owner", "axis")):
+            return None
+        ds = np.abs(a["s"] - b["s"])
+        ds = np.minimum(ds, float(a["length"]) - ds)
+        return {"theta": float(np.max(np.abs(a["theta"] - b["theta"]), initial=0.0)),
+                "point": float(np.max(np.abs(a["xy"] - b["xy"]), initial=0.0)),
+                "arclength": float(np.max(ds, initial=0.0))}
 
+
+def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict:
+    sys.path.insert(0, str(Path(root) / "src"))
     import mcgraph
     from mcgraph import (Evaluation, Grid, PrescribedCurvature, ScalarField,
                          correction_system)
@@ -115,6 +137,9 @@ def _measure(root: str, domain: str, N: int, calls: int) -> dict:
             digests[f"{label}.{attr}"] = _digest(getattr(J, attr))
     digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,
                               grid.foot_xy, grid.foot_s)
+    digests["classification"] = _digest(grid.cls, grid.interior_ij, grid.ghost_ij)
+    np.savez(feet_path, owner=grid.foot_owner, axis=grid.foot_axis, theta=grid.foot_theta,
+             xy=grid.foot_xy, s=grid.foot_s, length=dom.boundary.total_length)
     for attr in ("_cross_one_sided", "_cross_quadrant"):
         digests[attr] = _digest(getattr(grid, attr))
     digests["flags"] = hashlib.sha256(json.dumps(grid.flags).encode()).hexdigest()
@@ -143,20 +168,22 @@ def main(argv=None) -> int:
     ap.add_argument("--spacings", default="32,64,128,256",
                     help="the N of each spacing h = 1/N for the six domains")
     ap.add_argument("--out", default=str(ROOT / "BENCH_grid.json"))
-    ap.add_argument("--one", nargs=4, metavar=("ROOT", "DOMAIN", "N", "CALLS"),
+    ap.add_argument("--one", nargs=5, metavar=("ROOT", "DOMAIN", "N", "CALLS", "FEET"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.one:
-        root, domain, N, calls = args.one
-        print(json.dumps(_measure(root, domain, int(N), int(calls))))
+        root, domain, N, calls, feet_path = args.one
+        print(json.dumps(_measure(root, domain, int(N), int(calls), feet_path)))
         return 0
     cases = [(domain, int(N)) for N in args.spacings.split(",") for domain in DOMAINS]
     cases.append(("disk", 512))
     results = {}
-    with _parent.checkouts(args.parent) as (rev, checkouts):
+    with _parent.checkouts(args.parent) as (rev, checkouts), \
+            tempfile.TemporaryDirectory() as tmp:
         for domain, N in cases:
+            feet = {name: Path(tmp) / f"{domain}-{N}-{name}.npz" for name in checkouts}
             runs = _parent.alternate(checkouts, args.repeats, lambda name, r: _parent.fresh(
-                __file__, checkouts[name], domain, N, args.calls))
+                __file__, checkouts[name], domain, N, args.calls, feet[name]))
             entry = {"n_interior": runs["this"][0]["n_interior"]}
             for name, rows in runs.items():
                 entry[name] = {
@@ -166,16 +193,21 @@ def main(argv=None) -> int:
                     "retained_bytes": statistics.median(row["retained_bytes"] for row in rows),
                     "retained_bytes_solving": statistics.median(
                         row["retained_bytes_solving"] for row in rows)}
-            entry["identical"] = all(row["digests"] == runs["parent"][0]["digests"]
+            parent_digests = runs["parent"][0]["digests"]
+            entry["identical"] = all(row["digests"] == parent_digests
                                      for rows in runs.values() for row in rows)
+            entry["differing_digests"] = sorted(
+                {k for rows in runs.values() for row in rows
+                 for k, v in row["digests"].items() if parent_digests.get(k) != v})
+            entry["max_foot_difference"] = _foot_difference([feet["parent"], feet["this"]])
             results[f"{domain} 1/{N}"] = entry
             p, t = entry["parent"], entry["this"]
             print(f"{domain:13s} 1/{N:<4} operators {1e3 * p['seconds_median']['operators']:.1f}"
                   f" -> {1e3 * t['seconds_median']['operators']:.1f} ms, retained "
                   f"{p['retained_bytes'] / 2**20:.1f} -> {t['retained_bytes'] / 2**20:.1f} MB, "
                   f"with pattern {p['retained_bytes_solving'] / 2**20:.1f} -> "
-                  f"{t['retained_bytes_solving'] / 2**20:.1f} MB, identical {entry['identical']}",
-                  flush=True)
+                  f"{t['retained_bytes_solving'] / 2**20:.1f} MB, identical {entry['identical']}, "
+                  f"feet moved by {entry['max_foot_difference']}", flush=True)
     totals = {name: {**{s: sum(e[name]["seconds_median"][s] for e in results.values())
                         for s in STEPS},
                      **{b: sum(e[name][b] for e in results.values())

@@ -4,11 +4,17 @@ curvature, and solvability audits.
 Conventions used throughout the package:
   * signed distance d is positive inside the domain, negative outside, zero on
     the boundary; for interior points d(x) = dist(x, boundary),
-  * the sign test `contains` is True strictly inside: an implicit inequality
-    where the shape has one (x^2/a^2 + y^2/b^2 < 1 on ellipses, F > 0 on level
-    sets), d > 0 on the shapes whose distance is a closed form,
-  * ellipse distances come from the exact nearest point (Eberly's bisection),
-    level-set distances from a constrained Newton foot on the traced contour,
+  * every shape has its own sign test `contains`, True strictly inside: an
+    inequality in closed form (|x - c|^2 < r^2 on disks, x^2/a^2 + y^2/b^2 < 1
+    on ellipses, the core rectangle pushed out by the corner radius on
+    rectangles, F > 0 on level sets),
+  * every shape gives `axis_crossing`, where a link along a lattice axis from
+    an inside point leaves the domain: a square root on the link's line on
+    the shapes with a closed form (disk, ellipse, rect, rounded_rect,
+    annulus), a bracketed secant on F on level sets,
+  * ellipse distances come from the exact nearest point (Eberly's root, found
+    by a bracketed Newton iteration), level-set distances from a constrained
+    Newton foot on the traced contour,
   * boundaries carry `_N_SAMPLES` counterclockwise samples, inner normals,
   * curvature kappa is positive where the domain is convex (unit disk: +1/r),
     negative on reentrant pieces,
@@ -39,6 +45,7 @@ from .expressions import Expr2D, compile_expr
 _TWO_PI = 2.0 * math.pi
 _CONTOUR_GRID = 768      # lattice points per side on which a level set's contour is traced
 _N_SAMPLES = 4096        # boundary samples of every domain, read when one is built
+_SECANT_TOL = 1e-13      # a level set's axis crossing stops at a step this short
 
 
 class MalformedDomainError(ValueError):
@@ -71,6 +78,22 @@ class BoundarySamples:
 # shape implementations
 
 
+def _axis_frame(rel, unit):
+    """Position along and distance across the line of each axis link: rel is
+    the link's start relative to the shape's centre, unit its direction,
+    (+-1, 0) or (0, +-1); both are exact."""
+    along = rel[:, 0] * unit[:, 0] + rel[:, 1] * unit[:, 1]
+    across = np.abs(rel[:, 0] * unit[:, 1] + rel[:, 1] * unit[:, 0])
+    return along, across
+
+
+def _half_chord(radius, w):
+    """Half the chord of a circle at distance 0 <= w <= radius from its
+    centre, sqrt(r^2 - w^2) written as sqrt((r - w)(r + w)), which keeps its
+    relative precision on near-tangent lines."""
+    return np.sqrt((radius - w) * (radius + w))
+
+
 class _Disk:
     tag = "disk"
 
@@ -85,8 +108,18 @@ class _Disk:
         r = self.radius
         return (cx - r, cx + r, cy - r, cy + r)
 
+    def contains(self, pts):
+        rel = pts - self.center
+        return rel[..., 0] ** 2 + rel[..., 1] ** 2 < self.radius ** 2
+
     def signed_distance(self, pts):
         return self.radius - np.linalg.norm(pts - self.center, axis=-1)
+
+    def axis_crossing(self, pts, unit, h):
+        """Fraction of the link pts -> pts + h unit at which it leaves the
+        disk, for inside points and axis directions unit."""
+        along, across = _axis_frame(pts - self.center, unit)
+        return (_half_chord(self.radius, across) - along) / h
 
     def sample(self, m):
         t = _TWO_PI * np.arange(m) / m
@@ -146,6 +179,14 @@ class _Ellipse:
         rel = pts - self.center
         return (rel[..., 0] / self.a) ** 2 + (rel[..., 1] / self.b) ** 2 < 1.0
 
+    def axis_crossing(self, pts, unit, h):
+        """As `_Disk.axis_crossing`: the half chord at distance w from the
+        axis along the link is (e_along / e_across) sqrt(e_across^2 - w^2)."""
+        along, across = _axis_frame(pts - self.center, unit)
+        x_link = unit[:, 0] != 0
+        e_along, e_across = np.where(x_link, self.a, self.b), np.where(x_link, self.b, self.a)
+        return (e_along / e_across * _half_chord(e_across, across) - along) / h
+
     def _nearest(self, pts):
         """Nearest boundary point and its distance, by Eberly's method ("Distance
         from a point to an ellipse, an ellipsoid, or a hyperellipsoid",
@@ -155,9 +196,17 @@ class _Ellipse:
         quadrant, the nearest point is x = (r0 y0 / (s + r0), y1 / (s + 1)),
         r0 = (e0/e1)^2, where s is the root of the decreasing function
         g(s) = (r0 z0 / (s + r0))^2 + (z1 / (s + 1))^2 - 1, z = y / e.  The
-        root is bisected in u = s + 1, which keeps its relative precision for
-        points near the major axis, until the bracket stops shrinking or g hits
-        exactly zero; points on an axis take the closed forms."""
+        root is found in u = s + 1, which keeps its relative precision for
+        points near the major axis, inside the bracket [z1, 1] (inside) or
+        [z1, |(r0 z0, z1)|] (outside).  g is convex and decreasing in u, so
+        Newton's method from max(z1, r0 z0 - r0 + 1), where g >= 0 and
+        neither of its terms exceeds 1, rises to the root; its step is
+        scaled by u so that it neither overflows nor underflows near the
+        major axis, a step that leaves the bracket bisects it instead, and
+        each iterate moves an end of the bracket by the sign of g.  A point
+        stops when its next iterate lands on an end of the bracket: it no
+        longer moves, g is exactly zero, or the bracket cannot shrink.
+        Points on an axis take the closed forms."""
         rel = np.atleast_2d(pts) - self.center
         swap = self.a < self.b
         e0, e1 = (self.b, self.a) if swap else (self.a, self.b)
@@ -183,18 +232,22 @@ class _Ellipse:
         n0, z1i = r0 * z0[idx], z1[idx]
         lo = z1i
         hi = np.where(g[idx] < 0, 1.0, np.hypot(n0, z1i))
+        c = r0 - 1.0
         u = np.empty(len(idx))
         todo = np.arange(len(idx))
+        # from z1 or n0 - c, where a term of g is 1 and the other at most 1
+        t = np.maximum(lo, n0 - c)
         while todo.size:
-            mid = 0.5 * (lo + hi)
-            gm = (n0[todo] / (mid + (r0 - 1.0))) ** 2 + (z1i[todo] / mid) ** 2 - 1.0
-            done = (mid == lo) | (mid == hi) | (gm == 0)
-            u[todo[done]] = mid[done]
+            a2, b2 = (n0[todo] / (t + c)) ** 2, (z1i[todo] / t) ** 2
+            g_t = a2 + b2 - 1.0
+            lo, hi = np.where(g_t > 0, t, lo), np.where(g_t > 0, hi, t)
+            nxt = t + t * g_t / (2.0 * (a2 * t / (t + c) + b2))    # t - g / g'
+            nxt = np.where(((nxt > lo) & (nxt < hi)) | (nxt == t), nxt, 0.5 * (lo + hi))
+            done = (nxt == lo) | (nxt == hi)
+            u[todo[done]] = nxt[done]
             keep = ~done
-            todo, lo, hi, mid, up = todo[keep], lo[keep], hi[keep], mid[keep], gm[keep] > 0
-            lo = np.where(up, mid, lo)
-            hi = np.where(up, hi, mid)
-        x0[idx] = r0 * y0[idx] / (u + (r0 - 1.0))
+            todo, lo, hi, t = todo[keep], lo[keep], hi[keep], nxt[keep]
+        x0[idx] = r0 * y0[idx] / (u + c)
         x1[idx] = y1[idx] / u
         dist = np.hypot(x0 - y0, x1 - y1)
         near = np.stack([np.copysign(x0, rel[:, 0]), np.copysign(x1, rel[:, 1])], axis=-1)
@@ -258,12 +311,27 @@ class _RoundedRect:
         cx, cy = self.center
         return (cx - self.hx, cx + self.hx, cy - self.hy, cy + self.hy)
 
+    def contains(self, pts):
+        # inside the core rectangle, or within r of it
+        q = np.abs(pts - self.center) - (self._ex, self._ey)
+        out = np.maximum(q, 0.0)
+        return ((q[..., 0] < 0) & (q[..., 1] < 0)) | (
+            out[..., 0] ** 2 + out[..., 1] ** 2 < self.r ** 2)
+
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
         q = np.abs(pts - self.center) - np.array([self._ex, self._ey])
         outside = np.linalg.norm(np.maximum(q, 0.0), axis=-1)
         inside = np.minimum(np.maximum(q[..., 0], q[..., 1]), 0.0)
         return self.r - (outside + inside)
+
+    def axis_crossing(self, pts, unit, h):
+        """As `_Disk.axis_crossing`: a link leaves across a straight edge, or
+        across a corner arc when its line passes the core rectangle at w > 0."""
+        along, across = _axis_frame(pts - self.center, unit)
+        x_link = unit[:, 0] != 0
+        w = np.maximum(across - np.where(x_link, self._ey, self._ex), 0.0)
+        return (np.where(x_link, self._ex, self._ey) + _half_chord(self.r, w) - along) / h
 
     def sample(self, m):
         # piecewise walk ccw: right edge, NE arc, top edge, NW arc, ...
@@ -347,9 +415,23 @@ class _Annulus:
         # half the ring's width: the widest ball fitting between the circles
         return 0.5 * (self.r_out - self.r_in)
 
+    def contains(self, pts):
+        rel = pts - self.center
+        rho2 = rel[..., 0] ** 2 + rel[..., 1] ** 2
+        return (self.r_in ** 2 < rho2) & (rho2 < self.r_out ** 2)
+
     def signed_distance(self, pts):
         rho = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
         return np.minimum(rho - self.r_in, self.r_out - rho)
+
+    def axis_crossing(self, pts, unit, h):
+        """As `_Disk.axis_crossing`, at the nearer of the outer circle's exit
+        and, on a link that heads into the hole, the inner circle's entry."""
+        along, across = _axis_frame(pts - self.center, unit)
+        leave = _half_chord(self.r_out, across) - along
+        hole = (across < self.r_in) & (along < 0)
+        enter = -_half_chord(self.r_in, np.minimum(across, self.r_in)) - along
+        return np.where(hole, np.minimum(leave, enter), leave) / h
 
     def sample(self, m):
         m_out = max(8, int(round(m * self.r_out / (self.r_in + self.r_out))))
@@ -474,6 +556,47 @@ class _LevelSet:
 
     def contains(self, pts):
         return self.F(pts[..., 0], pts[..., 1]) > 0.0
+
+    def axis_crossing(self, pts, unit, h):
+        """Fraction of each link pts -> pts + h unit, F(pts) > 0, at which F
+        changes sign.
+
+        A secant from the link's two ends, so that its first iterate is the
+        linear interpolation of their values, safeguarded as in Brent
+        (Algorithms for Minimization without Derivatives, 1973): F's sign
+        keeps a bracket lo < theta < hi (F > 0 at lo, F <= 0 at hi), and an
+        iterate outside it, or whose step is more than half the step before
+        the last, is the bracket's midpoint instead.  A link stops once its
+        step or its bracket is at most _SECANT_TOL or F is exactly 0 at its
+        iterate.  A link whose far end has F > 0 has theta = 1."""
+        step = h * unit
+
+        def level(t, rows):
+            q = pts[rows] + t[:, None] * step[rows]
+            return self.F(q[:, 0], q[:, 1])
+
+        n = len(pts)
+        theta = np.ones(n)
+        f_near, f_far = level(np.zeros(n), slice(None)), level(np.ones(n), slice(None))
+        todo = np.flatnonzero(f_far <= 0)
+        lo, hi = np.zeros(len(todo)), np.ones(len(todo))
+        # the last two iterates, and the last two steps
+        t0, f0, t1, f1 = lo, f_near[todo], hi, f_far[todo]
+        before = last = np.full(len(todo), np.inf)
+        while todo.size:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t = t1 - f1 * (t1 - t0) / (f1 - f0)
+            safe = (t > lo) & (t < hi) & (np.abs(t - t1) <= 0.5 * before)
+            t = np.where(safe, t, 0.5 * (lo + hi))
+            f = level(t, todo)
+            before, last = last, np.abs(t - t1)
+            lo, hi = np.where(f > 0, t, lo), np.where(f > 0, hi, t)
+            done = (last <= _SECANT_TOL) | (hi - lo <= _SECANT_TOL) | (f == 0)
+            theta[todo[done]] = t[done]
+            keep = ~done
+            todo, lo, hi, before, last = todo[keep], lo[keep], hi[keep], before[keep], last[keep]
+            t0, f0, t1, f1 = t1[keep], f1[keep], t[keep], f[keep]
+        return theta
 
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -604,12 +727,17 @@ class DomainSpec:
         return self.shape.signed_distance(np.asarray(pts, dtype=float))
 
     def contains(self, pts):
-        """Sign test, True strictly inside: the shape's implicit inequality
-        where it has one, the sign of the signed distance otherwise."""
-        test = getattr(self.shape, "contains", None)
-        if test is None:
-            return self.signed_distance(pts) > 0.0
-        return test(np.asarray(pts, dtype=float))
+        """Sign test, True strictly inside: the shape's own inequality."""
+        return self.shape.contains(np.asarray(pts, dtype=float))
+
+    def axis_crossing(self, pts, unit, h):
+        """Fraction theta of each link pts -> pts + h unit at which it leaves
+        the domain, for inside points pts (k, 2) and lattice axis directions
+        unit (k, 2), rows (+-1, 0) or (0, +-1): in closed form on the disk,
+        ellipse, rectangles and annulus, by a bracketed secant on F on level
+        sets.  theta may fall outside (0, 1) by rounding, or beyond 1 where
+        the link's far end is inside."""
+        return self.shape.axis_crossing(np.asarray(pts, dtype=float), unit, h)
 
     # -- boundary lookups ----------------------------------------------------
 

@@ -10,9 +10,12 @@ boundary, and a node off the band takes the sign test and is core.  `Grid.d`
 and `Grid.interior_d`, the distance at every node, are computed on first
 read.  Each interior-to-exterior axis link stores a boundary intercept:
 the fraction theta in (0, 1] of the link at which the boundary is crossed and
-the foot point itself.  The feet are bisected on the domain's sign test
-(`DomainSpec.contains`, an implicit inequality where the shape has one) and
-then checked once against the signed distance, |d| <= 1e-8.
+the foot point itself.  The domain's `axis_crossing` gives theta: in closed
+form, a square root on the link's line, on the disk, ellipse, rectangles and
+annulus, and on a level set {F > 0} a secant on F along the link, bracketed
+by F's sign and started from the linear interpolation of the link's end
+values.  Every foot is then checked once against the signed distance,
+|d| <= 1e-8.
 
 Each link closes its ghost in terms of interior unknowns and the Dirichlet
 value at its foot by one-dimensional extrapolation along the link:
@@ -73,6 +76,7 @@ STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
 
 _THETA_SWITCH = 0.1      # below this, extrapolation skips the owner node
 _FOOT_TOL = 1e-8         # |signed distance| at accepted foot points
+_THETA_MIN = 2.0 ** -53  # feet keep at least this fraction of a link from either end
 _ND_LEAF = 64            # largest part a nested dissection leaves unsplit
 _CHUNK = 4096            # nodes per pass of a Jacobian combine
 
@@ -312,23 +316,21 @@ class Grid:
         return np.arange(self.n_interior) - np.repeat(np.cumsum(count) - count - first, count)
 
     def _find_intercepts(self):
-        """One foot per interior->exterior axis link, all bisected together on
-        the domain's sign test; the feet are then checked once on |d|."""
-        ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        leaves = ~self.interior_mask[ii + _AXES[:, :1], jj + _AXES[:, 1:]]
-        axis, owner = np.nonzero(leaves)          # axis-major, owners ascending
-        p0 = self.interior_xy[owner]
-        direction = self.h * _AXES[axis]
-        lo = np.zeros(len(owner))
-        hi = np.ones(len(owner))
-        # p0 inside, p0 + dir not: bisect the sign change
-        for _ in range(52):
-            mid = 0.5 * (lo + hi)
-            pos = self.domain.contains(p0 + mid[:, None] * direction)
-            lo = np.where(pos, mid, lo)
-            hi = np.where(pos, hi, mid)
-        theta = 0.5 * (lo + hi)
-        foot = p0 + theta[:, None] * direction
+        """One foot per interior->exterior axis link, where the domain's
+        `axis_crossing` puts it; the feet are then checked once on |d|.
+        theta is kept in [2^-53, 1 - 2^-53], so a neighbour inside by less
+        than the classification's tolerance has its foot at the end of the
+        link."""
+        # the links leaving along each axis by lattice shifts of the mask (no
+        # interior node is on the lattice's edge, so none wraps round), the
+        # owners of each ascending, as node_id numbers them row-major
+        inside = self.interior_mask
+        found = [self.node_id[inside & ~np.roll(inside, -step, axis=(0, 1))] for step in _AXES]
+        owner = np.concatenate(found)
+        axis = np.repeat(np.arange(len(_AXES)), [len(f) for f in found])
+        p0, unit = self.interior_xy[owner], _AXES[axis]
+        theta = np.clip(self.domain.axis_crossing(p0, unit, self.h), _THETA_MIN, 1.0 - _THETA_MIN)
+        foot = p0 + theta[:, None] * (self.h * unit)
         dfoot = np.abs(self.domain.signed_distance(foot))
         if np.max(dfoot) > _FOOT_TOL:
             raise GridError(f"foot localization failed: |d| = {np.max(dfoot):.2e}")

@@ -453,3 +453,26 @@ def test_rect_is_rounded_rect_with_square_corners():
     assert not np.atleast_1d(d.boundary_curvature(d.boundary.arclength)).any()
     with pytest.raises(MalformedDomainError):
         rounded_rect(1.0, 0.37, 0.0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disk(0.93, center=(0.011, -0.02)), lambda: ellipse(1.2, 0.7, center=(0.1, -0.2)),
+    lambda: rect(0.55, 0.37, center=(0.013, 0.0)), lambda: rounded_rect(1.0, 0.6, 0.25),
+    lambda: annulus(0.8, 1.6), lambda: dumbbell(1.0, 1.3),
+    lambda: levelset("1 - x**2/1.21 - y**2/0.36", (-1.2, 1.2, -0.7, 0.7))],
+    ids=["disk", "ellipse", "rect", "rounded_rect", "annulus", "dumbbell", "levelset"])
+def test_every_shape_answers_its_own_sign_test(make, monkeypatch):
+    # the sign test never reads the distance, and agrees with its sign
+    # wherever the distance is not a rounding error
+    dom = make()
+    x0, x1, y0, y1 = dom.bbox
+    X, Y = np.meshgrid(np.linspace(x0 - 0.1, x1 + 0.1, 181),
+                       np.linspace(y0 - 0.1, y1 + 0.1, 173), indexing="ij")
+    pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+    d = dom.signed_distance(pts)
+    with monkeypatch.context() as mp:
+        mp.setattr(type(dom.shape), "signed_distance", None)
+        inside = dom.contains(pts)
+    far = np.abs(d) > 1e-12
+    assert far.sum() > 0.99 * len(d) and 0 < inside.sum() < len(d)
+    assert np.array_equal(inside[far], d[far] > 0)

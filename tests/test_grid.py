@@ -1,6 +1,8 @@
 """Embedded boundary grid: classification, feet, ghost closures."""
 
+import decimal
 import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -218,22 +220,71 @@ def test_ellipse_depths_on_major_axis_are_exact():
 
 
 _LEVELSET = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
+# a neighbour inside by 5e-13, under the classification's tolerance of 1e-12
+_JUST_OVER = 0.5 + 5e-13
+_FOOT_DOMAINS = {
+    "disk": lambda: disk(0.93, center=(0.011, -0.02)),
+    "ellipse": lambda: ellipse(1.2, 0.7),
+    "rect": lambda: rect(0.55, 0.37, center=(0.013, 0.0)),
+    "rounded_rect": lambda: rounded_rect(1.0, 0.6, 0.25),
+    "annulus": lambda: annulus(0.8, 1.6),
+    "dumbbell": lambda: dumbbell(1.0, 1.3),
+    "levelset": lambda: levelset(_LEVELSET, (-1.1, 1.1, -1.0, 1.0)),
+    # the rows y = +-1/2 pass 1e-5 inside the tangent lines: links along
+    # them leave at theta 0.05-0.08 on the lattice of spacing 1/16
+    "near_tangent_disk": lambda: disk(0.5 + 1e-5),
+    "near_tangent_ellipse": lambda: ellipse(0.75, 0.5 + 1e-5),
+    "inside_neighbour_disk": lambda: disk(_JUST_OVER),
+    "inside_neighbour_levelset": lambda: levelset(f"{_JUST_OVER**2!r} - x**2 - y**2",
+                                                  (-0.6, 0.6, -0.6, 0.6)),
+}
 
 
-@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
-@pytest.mark.parametrize("make", [lambda: ellipse(1.2, 0.7), lambda: dumbbell(1.0, 1.3),
-                                  lambda: levelset(_LEVELSET, (-1.1, 1.1, -1.0, 1.0))],
-                         ids=["ellipse", "dumbbell", "levelset"])
-def test_feet_bisected_on_sign_test_match_signed_distance(make, h, monkeypatch):
-    domain = make()
-    by_sign = Grid(domain, h)
-    monkeypatch.setattr(domain, "contains", lambda pts: domain.signed_distance(pts) > 0.0)
-    by_distance = Grid(domain, h)
-    assert np.array_equal(by_sign.foot_owner, by_distance.foot_owner)
-    assert np.array_equal(by_sign.foot_axis, by_distance.foot_axis)
-    assert np.max(np.abs(by_sign.foot_theta - by_distance.foot_theta)) <= 1e-12
-    assert np.max(np.abs(by_sign.foot_s - by_distance.foot_s)) <= 1e-14
-    assert by_sign.flags == by_distance.flags
+def _bisected_theta(g):
+    """theta of every foot by 52 halvings of the domain's sign test on its
+    link, kept at least 1e-12 as the grid keeps it."""
+    p0 = g.interior_xy[g.foot_owner]
+    direction = g.h * _AXES[g.foot_axis]
+    lo, hi = np.zeros(g.n_feet), np.ones(g.n_feet)
+    for _ in range(52):
+        mid = 0.5 * (lo + hi)
+        inside = g.domain.contains(p0 + mid[:, None] * direction)
+        lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
+    return np.maximum(0.5 * (lo + hi), 1e-12)
+
+
+@pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("name", sorted(_FOOT_DOMAINS))
+def test_feet_match_a_bisection_of_the_sign_test(name, h):
+    g = Grid(_FOOT_DOMAINS[name](), h)
+    theta = _bisected_theta(g)
+    assert np.max(np.abs(g.foot_theta - theta)) <= 1e-12
+    assert np.all((g.foot_theta >= 2.0 ** -53) & (g.foot_theta <= 1.0 - 2.0 ** -53))
+    if name == "annulus":
+        # links into the hole leave across the inner circle
+        assert (np.hypot(*g.foot_xy.T) < 1.2).sum() > 8
+    if name.startswith("near_tangent"):
+        # the links from (0, 1/2) along the row that passes 1e-5 inside the
+        # top keep their precision: the bisection itself is off by up to
+        # 7e-13 there, the feet by less than 1e-15
+        own = g.interior_xy[g.foot_owner]
+        row = (own[:, 0] == 0.0) & (own[:, 1] == 0.5) & (g.foot_axis < 2)
+        shape = g.domain.shape
+        a, b = (shape.a, shape.b) if name.endswith("ellipse") else (shape.radius,) * 2
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            exact = float(Decimal(a) * (1 - (Decimal(0.5) / Decimal(b)) ** 2).sqrt()
+                          / Decimal(h))
+        assert row.sum() == 2
+        assert 0.05 < exact < 0.5
+        assert np.max(np.abs(g.foot_theta[row] - exact)) <= 1e-15
+    if name.startswith("inside_neighbour"):
+        # (1/2, 0) is inside by 5e-13 and not interior: the foot of the link
+        # from its left neighbour sits at the end of the link, as the
+        # bisection puts it
+        far = g.foot_xy[:, 0] == 0.5
+        assert g.cls[np.flatnonzero(g.xs == 0.5)[0], np.flatnonzero(g.ys == 0.0)[0]] == NODE_GHOST
+        assert far.sum() >= 1 and np.all(g.foot_theta[far] == 1.0 - 2.0 ** -53)
 
 
 def _fallback_ghosts(g):
