@@ -14,8 +14,8 @@ times, with these steps wrapped:
 
 * ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
 * ``intercepts``: ``Grid._find_intercepts`` (the feet: the shape's
-  closed-form axis crossing, or a secant on the level function; the |d|
-  check and the feet's arclengths);
+  closed-form axis crossing, or a secant on the level function, and the
+  |d| check);
 * ``closures``: ``Grid._close_ghosts``;
 * ``cross``: ``Grid._choose_cross_stencils``;
 * ``operators``: the first ``Grid.operators()`` of a grid, which builds it.

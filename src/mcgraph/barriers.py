@@ -684,7 +684,7 @@ def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2) -> Compariso
     if np.min(qu - qv) < -tol_q:
         return ComparisonResult("not-applicable", np.nan, np.nan,
                                 f"Q u >= Q v fails by {float(np.min(qu - qv)):.3g}")
-    bgap = float(np.max(u.feet - v.feet)) if grid.n_feet else 0.0
+    bgap = float(np.max(u.feet - v.feet))
     if bgap > 1e-12:
         return ComparisonResult("not-applicable", np.nan, np.nan,
                                 f"u <= v on the boundary fails by {bgap:.3g}")
@@ -922,11 +922,9 @@ def _local_slope(report, y0, radius: float) -> float:
     if near.any():
         g = gradient(u)[near]
         m = float(np.max(np.linalg.norm(g, axis=-1)))
-    slopes = foot_slopes(u)
-    if len(slopes):
-        fnear = np.linalg.norm(grid.foot_xy - np.asarray(y0), axis=-1) < radius
-        if fnear.any():
-            m = max(m, float(np.max(slopes[fnear])))
+    fnear = np.linalg.norm(grid.foot_xy - np.asarray(y0), axis=-1) < radius
+    if fnear.any():
+        m = max(m, float(np.max(foot_slopes(u)[fnear])))
     return m
 
 
@@ -938,8 +936,6 @@ def _extrapolated_boundary_value(report, y0) -> tuple[float, float]:
     trace."""
     u = report.field
     grid = u.grid
-    if grid.n_feet == 0:
-        return np.nan, np.nan
     fi = int(np.argmin(np.linalg.norm(grid.foot_xy - np.asarray(y0), axis=-1)))
     owner = int(grid.foot_owner[fi])
     theta = float(grid.foot_theta[fi])
@@ -948,8 +944,8 @@ def _extrapolated_boundary_value(report, y0) -> tuple[float, float]:
     dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[axis]
     pi, pj = oi - dx, oj - dy     # one step inward, away from the foot
     u_o = float(u.values[owner])
-    if (0 <= pi < grid.nx and 0 <= pj < grid.ny
-            and grid.node_id[pi, pj] >= 0):
+    # the owner is at least two cells from the lattice edge, so (pi, pj) is on it
+    if grid.node_id[pi, pj] >= 0:
         u_in = float(u.values[grid.node_id[pi, pj]])
         val = u_o + theta * (u_o - u_in)
     else:

@@ -15,7 +15,9 @@ form, a square root on the link's line, on the disk, ellipse, rectangles and
 annulus, and on a level set {F > 0} a secant on F along the link, bracketed
 by F's sign and started from the linear interpolation of the link's end
 values.  Every foot is then checked once against the signed distance,
-|d| <= 1e-8.
+|d| <= 1e-8.  `Grid.foot_s`, the feet's boundary arclengths, is computed on
+first read: a solve never reads it, since bump data finds the arclength of
+the points it is given.
 
 Each link closes its ghost in terms of interior unknowns and the Dirichlet
 value at its foot by one-dimensional extrapolation along the link:
@@ -339,7 +341,11 @@ class Grid:
         self.foot_theta = np.maximum(theta, 1e-12)
         self.foot_xy = foot
         self.n_feet = len(theta)
-        self.foot_s = self.domain.arclength_of(foot)
+
+    @cached_property
+    def foot_s(self) -> np.ndarray:
+        """Boundary arclength of every foot, computed on first read."""
+        return self.domain.arclength_of(self.foot_xy)
 
     def _close_ghosts(self):
         """Ghost values as closure_int @ u + closure_feet @ phi, built per link."""
@@ -688,17 +694,14 @@ class ScalarField:
     def from_callable(cls, grid: Grid, f: Callable):
         """Sample f(x, y) at the interior nodes and, for the trace, at the feet."""
         vals = f(grid.interior_xy[:, 0], grid.interior_xy[:, 1])
-        feet = (f(grid.foot_xy[:, 0], grid.foot_xy[:, 1])
-                if grid.n_feet else np.zeros(0))
+        feet = f(grid.foot_xy[:, 0], grid.foot_xy[:, 1])
         return cls(grid, np.asarray(vals, dtype=float),
                    np.asarray(feet, dtype=float)).validate()
 
     @classmethod
     def from_data(cls, grid: Grid, values: np.ndarray, data) -> "ScalarField":
         """Interior values plus a BoundaryData trace evaluated at the feet."""
-        feet = (np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
-                if grid.n_feet else np.zeros(0))
-        return cls(grid, values, feet)
+        return cls(grid, values, np.asarray(data.trace(grid.foot_xy), dtype=float))
 
     @classmethod
     def zeros(cls, grid: Grid, data=None):
@@ -712,10 +715,7 @@ class ScalarField:
         return ScalarField(self.grid, self.values + c, self.feet + c)
 
     def sup(self) -> float:
-        m = float(np.max(np.abs(self.values))) if self.values.size else 0.0
-        if self.feet.size:
-            m = max(m, float(np.max(np.abs(self.feet))))
-        return m
+        return max(float(np.max(np.abs(self.values))), float(np.max(np.abs(self.feet))))
 
     def ghost_values(self) -> np.ndarray:
         return self.grid.ghost_values(self.values, self.feet)

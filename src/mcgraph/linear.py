@@ -50,7 +50,7 @@ zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU would fill
 them.  On the stencil pattern the fill grows like N log N.  Minimum degree
 on A^T + A leaves less fill on the cap's J(0), but at h = 1/256 it
 factorizes slower (2.0 s against 1.3 s, where the cap solves in 3.1 s
-against 2.7 s; `scripts/bench_lu_ordering.py` measures both).  The factor's
+against 2.7 s; CHANGES.md records the measurements).  The factor's
 `solve` applies P on both sides.
 
 Every returned solution passes the backward-error gate
@@ -141,8 +141,7 @@ def assemble(v: ScalarField, H, data, n: int = DIMENSION,
     ev = Evaluation(v, H, n, tau)
     coefficients = (ev.a11, ev.a22, 2.0 * ev.a12)
     A = grid.pattern().combine(*coefficients)
-    feet_vals = (tau * np.asarray(data.trace(grid.foot_xy, grid.foot_s), dtype=float)
-                 if grid.n_feet else np.zeros(0))
+    feet_vals = tau * np.asarray(data.trace(grid.foot_xy), dtype=float)
     # the feet enter through the same coefficients as the interior stencils,
     # on the edge nodes' rows alone
     edge, _, D_feet = grid.operators()

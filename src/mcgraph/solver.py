@@ -144,8 +144,7 @@ def sup_slope(u: ScalarField, p: Optional[np.ndarray] = None) -> float:
     `p` is u's interior slope field when it has been evaluated already.
     """
     g = gradient(u) if p is None else p
-    m = float(np.max(np.linalg.norm(g, axis=-1))) if len(g) else 0.0
-    return max(m, boundary_slope(u))
+    return max(float(np.max(np.linalg.norm(g, axis=-1))), boundary_slope(u))
 
 
 def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
