@@ -32,7 +32,14 @@ through the last two stage answers,
 with (tau_0, u_0) = (0, 0), the exact answer at zero load, and the start's
 trace re-anchored at the stage's load.  An intermediate stage's answer is
 only the next stage's start, so it ends converged once its defect meets the
-residual tolerance; the update tolerance is tested on the final stage only.
+residual tolerance.  The final stage also needs its answer within the update
+tolerance 1e-9 of the solution: either its last update is that small, or its
+last two steps, both full, contract by Theta = ||delta_k|| / ||delta_{k-1}||
+< 1/2 in the infinity norm and the bound Theta / (1 - Theta) * ||delta_k|| on
+the distance from the answer to the solution is (error-oriented termination,
+Deuflhard 2004, with Kelley's contraction bound, *Iterative Methods for
+Linear and Nonlinear Equations*, 1995).  So no step is spent only to see a
+small update, and a converged final stage's `update_norm` can exceed 1e-9.
 Guards abort a stage when the discrete slope blows past
 `_GRAD_MAX` (gradient divergence, the signature of unattainable boundary
 data) or when the defect stops improving over a trailing window
@@ -210,6 +217,7 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     window: list[float] = []
     verdict = VERDICT_STAGNATED
     last_update = np.inf
+    last_step = theta = np.nan   # the last correction's norm, the last contraction
     res_core = res_collar = np.inf
     it = 0
     for it in range(1, _MAX_ITERS + 1):
@@ -228,9 +236,16 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
                                               damping, VERDICT_DIVERGED))
             return (VERDICT_DIVERGED,
                     f"slope {g:.3e} exceeded grad_max={_GRAD_MAX:g} "
-                    f"at tau={tau:g}, iteration {it}", ev_new)
+                    f"at tau={tau:g}, iteration {it}; {_why(theta, window)}", ev_new)
         res_core, res_collar = ev_new.residual_norms()
         update = float(np.max(np.abs(u_new.values - u.values)))
+        # Newton's contraction Theta = ||delta_k|| / ||delta_{k-1}||, nan on a
+        # stage's first step; with Theta < 1/2 on full steps (the damping only
+        # falls within a stage, so the step before was full too), u_new is at
+        # most Theta / (1 - Theta) * update from the solution
+        step = update / damping
+        theta, last_step = (step / last_step if last_step else np.inf), step
+        bound = theta / (1.0 - theta) * update if damping == 1.0 and theta < 0.5 else np.inf
         report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
                              "residual_collar": res_collar, "update": update,
                              "sup_gradient": g, "damping": damping})
@@ -244,9 +259,10 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
             damping = max(0.125, 0.5 * damping)
         prev_res, last_update = res_core, update
         u, ev = u_new, ev_new
-        # an intermediate answer is only the next stage's start: its
-        # defect test suffices, the update test is the final stage's
-        if res_core <= tol_res and (last_update <= _TOL_UPDATE or not final):
+        # an intermediate answer is only the next stage's start: its defect
+        # test suffices.  The final answer must also be within _TOL_UPDATE of
+        # the solution, by its last update or by the contraction bound
+        if res_core <= tol_res and (not final or min(update, bound) <= _TOL_UPDATE):
             verdict = VERDICT_CONVERGED
             break
         window.append(res_core)
@@ -260,8 +276,15 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
                                       sup_slope(u, ev.p), damping, verdict))
     if verdict != VERDICT_CONVERGED:
         return (verdict, f"stage tau={tau:g} ended {verdict} after {it} iterations "
-                         f"(defect {res_core:.3e})", ev)
+                         f"(defect {res_core:.3e}); {_why(theta, window)}", ev)
     return verdict, "", ev
+
+
+def _why(theta: float, window: list) -> str:
+    """Why a failing stage stopped: its last contraction estimate and the
+    first and last defects of its stagnation window."""
+    defects = f"{window[0]:.3e} -> {window[-1]:.3e}" if window else "empty"
+    return f"last contraction {theta:.3g}, defect window {defects}"
 
 
 def _finalize(report: SolveReport, verdict: str, message: str, ev: Evaluation, t0):

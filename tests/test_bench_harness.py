@@ -35,10 +35,12 @@ def test_fresh_returns_the_json_on_the_last_stdout_line(tmp_path):
 
 
 # the scripts read Grid internals (_ops, _classify, _cross_one_sided, ...), so
-# a rename in src breaks them here rather than at the next re-record
+# a rename in src breaks them here rather than at the next re-record; the
+# continuation sample, the gate for stopping-rule changes, runs four draws
 @pytest.mark.parametrize("script, case, written, key", [
     ("bench_grid.py", ("disk", 32, 1), "feet.npz", "digests"),
     ("bench_continuation.py", ("sweep", 0), "fields.npz", "field_sha256"),
+    ("bench_continuation.py", ("sample", 4), "fields.npz", "field_sha256"),
 ])
 def test_script_measures_its_smallest_case(tmp_path, script, case, written, key):
     row = _parent.fresh(SCRIPTS / script, _parent.ROOT, *case, tmp_path / written)

@@ -56,17 +56,20 @@ def test_rejected_bump_leap_walks_the_schedule():
     # the second full-load correction is 1.21 times the first and the defect
     # rises 3.09 -> 5.14, so the leap is rejected after two steps; the walk
     # then takes the steps and reaches the height of a walk without the
-    # leap, 17 steps, two fewer than in all
+    # leap, 16 steps, two fewer than in all.  The final stage stops on the
+    # contraction bound: its last two updates, 6.7e-5 and 2.4e-8, bound the
+    # answer's distance to the solution by 8e-12
     grid = Grid(disk(radius=1.0), 1.0 / 12.0)
     data = BumpData(grid.domain, (0.997, -0.079), 0.82, 0.49)
     report = solve_dirichlet(grid, PrescribedCurvature.constant(0.81), data)
     assert report.verdict == "converged"
     assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 5), (0.5, 2), (0.75, 3),
-                                                         (1.0, 7)]
+                                                         (1.0, 6)]
     leap = report.trace[:2]
     assert [row["tau"] for row in leap] == [1.0, 1.0]
     assert leap[1]["update"] / leap[0]["update"] == pytest.approx(1.206, abs=1e-3)
-    assert report.iterations == len(report.trace) == 19
+    assert report.iterations == len(report.trace) == 18
+    assert _contraction_bound(report.trace[-2:]) <= mcgraph.solver._TOL_UPDATE
     assert report.sup_u == pytest.approx(0.4899861622199877, rel=0, abs=1e-12)
 
 
@@ -101,16 +104,86 @@ def test_newton_converges_in_few_iterations(cap_solve32):
     assert cap_solve32.factorizations == 1
 
 
-def test_predicted_stages_take_fewer_iterations(cap_walk32):
+def _contraction_bound(rows) -> float:
+    # Theta / (1 - Theta) * |delta_k| from a stage's last two trace rows,
+    # both full steps, Theta = |delta_k| / |delta_{k-1}|
+    assert [row["damping"] for row in rows] == [1.0, 1.0]
+    theta = rows[1]["update"] / rows[0]["update"]
+    assert theta < 0.5
+    return theta / (1.0 - theta) * rows[1]["update"]
+
+
+def _next_correction(report, H) -> float:
+    # the sup norm of one more Newton correction at the returned field
+    ev = Evaluation(report.field, H, 2, 1.0)
+    return float(np.max(np.abs(mcgraph.linear.solve(correction_system(ev)).values)))
+
+
+def test_predicted_stages_take_fewer_iterations(cap_walk32, cap_H):
     # secant-predicted starts and intermediate stages that stop at the defect
     # tolerance; restarting each stage from the last answer and solving it
-    # to the update tolerance takes 13 iterations here
+    # to the update tolerance takes 13 iterations here.  The final stage
+    # stops on the contraction bound of its last two steps (last update
+    # 2.6e-7), and one more Newton step would move the answer by less than
+    # the update tolerance
     assert sum(s.iters for s in cap_walk32.stages) <= 9
     assert all(s.verdict == "converged" for s in cap_walk32.stages)
     final = cap_walk32.stages[-1]
-    assert final.update_norm <= mcgraph.solver._TOL_UPDATE
+    assert final.iters >= 2
+    assert _contraction_bound(cap_walk32.trace[-2:]) <= mcgraph.solver._TOL_UPDATE
+    assert _next_correction(cap_walk32, cap_H) <= mcgraph.solver._TOL_UPDATE
     assert final.residual_core <= 1e-11
     assert cap_walk32.factorizations == 1
+
+
+def test_contraction_bound_saves_the_confirming_step():
+    # the nine sweep caps on one h = 1/32 disk grid and the A8 legs on one
+    # h = 1/24 and one h = 1/48 grid, with the Newton steps each took when
+    # the final stage stopped only on an update below _TOL_UPDATE.  Where
+    # the last update is above it the solve stopped on the contraction
+    # bound, one step sooner; the H = 0.05-0.15 caps end on a small update
+    # and the H = 0.40, 0.45 caps on a bound of 1.2e-9, so those take as
+    # many steps as before.  Either way one more Newton correction at the
+    # returned field is below _TOL_UPDATE
+    tol = mcgraph.solver._TOL_UPDATE
+    dom = disk(radius=1.0)
+    sweep = Grid(dom, 1.0 / 32.0)
+    solves = [(sweep, float(H), ZeroData(), steps) for H, steps in
+              zip(np.linspace(0.05, 0.45, 9), (3, 3, 3, 4, 4, 4, 4, 4, 4))]
+    data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
+    grids = [Grid(dom, 1.0 / 24.0), Grid(dom, 1.0 / 48.0)]
+    solves += [(grid, H, data, 5) for H in (0.55, 0.45) for grid in grids]
+    on_bound = 0
+    for grid, H, data, steps in solves:
+        H = PrescribedCurvature.constant(H)
+        report = solve_dirichlet(grid, H, data, n=2)
+        assert report.verdict == "converged"
+        assert _next_correction(report, H) <= tol
+        if report.trace[-1]["update"] > tol:
+            assert _contraction_bound(report.trace[-2:]) <= tol
+            assert report.iterations == steps - 1
+            on_bound += 1
+        else:
+            assert report.iterations == steps
+    assert on_bound == 8
+
+
+def test_stagnated_stage_says_why_it_stopped():
+    # zero data at H = 0.97 has no discrete answer on the h = 1/32 disk: the
+    # final stage stagnates, and its message names the last contraction and
+    # the first and last defects of the stagnation window
+    window = mcgraph.solver._STAGNATION_WINDOW
+    report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 32.0),
+                             PrescribedCurvature.constant(0.97), ZeroData())
+    assert report.verdict == "stagnated"
+    assert report.stages[-1].tau == 1.0 and report.stages[-1].iters == 30
+    last, before = report.trace[-1], report.trace[-2]
+    theta = (last["update"] / last["damping"]) / (before["update"] / before["damping"])
+    first = report.trace[-window]["residual_core"]
+    assert report.message == (
+        f"stage tau=1 ended stagnated after 30 iterations "
+        f"(defect {last['residual_core']:.3e}); last contraction {theta:.3g}, "
+        f"defect window {first:.3e} -> {last['residual_core']:.3e}")
 
 
 def test_sweep_caps_keep_full_damping(cap_grid32):
@@ -189,7 +262,7 @@ def test_diverged_gradient_verdict(monkeypatch):
     data = BumpData(disk(radius=1.0), (1.0, 0.0), 0.1, 0.05)
     report = solve_dirichlet(g, PrescribedCurvature.constant(0.55), data)
     assert report.verdict == "diverged_gradient"
-    assert report.message != ""
+    assert "last contraction" in report.message and "defect window" in report.message
 
 
 def test_stagnation_verdict(monkeypatch):
