@@ -22,9 +22,10 @@ are
   checkout and is tabulated as (parent verdict, this verdict) pairs.
 
 Per checkout and case it records the Newton steps, the Krylov iterations,
-the factorizations, the ``splu`` and ``SuperLU.solve`` calls (counted by a
-wrapper of ``scipy.sparse.linalg.splu``), the stages (tau, steps) of each
-solve, the verdicts, a sha256 of each solve's field, the seconds spent in
+the factorizations and the float64 ones among them, the ``splu`` and
+``SuperLU.solve`` calls (counted by a wrapper of
+``scipy.sparse.linalg.splu``), the stages (tau, steps) of each solve, the
+verdicts, a sha256 of each solve's field, the seconds spent in
 ``solve_dirichlet`` and the process's peak RSS; the counts and the hashes
 must agree across the repeats.  ``same_fields`` says whether the hashes
 agree across the checkouts.  ``max_field_difference`` is the largest
@@ -61,7 +62,8 @@ CASES = {
     "cap_256": ((1 / 256,), (0.4,), False),
 }
 SAMPLE_SEED = 20261019
-_EXACT = ("newton_iterations", "krylov_iterations", "factorizations", "splu_calls",
+_EXACT = ("newton_iterations", "krylov_iterations", "factorizations",
+          "float64_factorizations", "splu_calls",
           "superlu_solve_calls", "stages", "verdicts", "field_sha256")
 
 
@@ -114,7 +116,7 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
     spla.splu = counted_splu
     seconds, fields = 0.0, []
     row = {"newton_iterations": [], "krylov_iterations": 0, "factorizations": 0,
-           "stages": [], "verdicts": [], "field_sha256": []}
+           "float64_factorizations": 0, "stages": [], "verdicts": [], "field_sha256": []}
     for grid, H, data in _solves(mcgraph, case, draws):
         t0 = time.perf_counter()
         report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H),
@@ -123,6 +125,8 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
         row["newton_iterations"].append(report.iterations)
         row["krylov_iterations"] += report.krylov_iterations
         row["factorizations"] += report.factorizations
+        # a checkout without the float32 factor reports no fallback count
+        row["float64_factorizations"] += getattr(report, "float64_factorizations", 0)
         row["stages"].append([[s.tau, s.iters] for s in report.stages])
         row["verdicts"].append(report.verdict)
         row["field_sha256"].append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
@@ -190,6 +194,7 @@ def main(argv=None) -> int:
                     "newton_iterations": sum(first["newton_iterations"]),
                     "krylov_iterations": first["krylov_iterations"],
                     "factorizations": first["factorizations"],
+                    "float64_factorizations": first["float64_factorizations"],
                     "splu_calls": first["splu_calls"],
                     "superlu_solve_calls": first["superlu_solve_calls"],
                     "solve_s_median": statistics.median(times), "solve_s_runs": times,
@@ -211,7 +216,8 @@ def main(argv=None) -> int:
             p, t = entry["parent"], entry["this"]
             print(f"{case:9} Newton {p['newton_iterations']:5} -> {t['newton_iterations']:5}, "
                   f"Krylov {p['krylov_iterations']:5} -> {t['krylov_iterations']:5}, "
-                  f"LU {p['factorizations']} -> {t['factorizations']}, "
+                  f"LU {p['factorizations']} -> {t['factorizations']} "
+                  f"(float64 {t['float64_factorizations']}), "
                   f"splu {p['splu_calls']} -> {t['splu_calls']}, SuperLU.solve "
                   f"{p['superlu_solve_calls']} -> {t['superlu_solve_calls']}, "
                   f"solve {p['solve_s_median']:.3f} -> {t['solve_s_median']:.3f} s, "

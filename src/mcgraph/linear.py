@@ -35,23 +35,35 @@ then on.  Right preconditioning (Saad & Schultz 1986; Saad 2003, section
 9.3) makes GMRES minimize the true residual |b - A x|_2, so it has one aim,
 the keep test itself: it stops once that residual is within 1e-11, a tenth
 of the gate, of |A| |x0| + |b|; the 2-norm bounds the infinity norm that the
-backward error reads.  On the matrix the LU factorized the residual at x0 is
-rounding, below that aim, so GMRES stops before its first iteration and the
-answer is the direct solve's: with zero data the first Newton system of
-every solve is J(0), the same matrix for every H, and the solves of a sweep
-on one grid share one LU.
+backward error reads.  With zero data the first Newton system of every solve
+is J(0), the same matrix for every H, so the solves of a sweep on one grid
+share one LU.
 
-Every LU is SuperLU's factorization of P A P^T in the given column order,
-its exact zeros dropped, where P is the grid's nested-dissection order of the
-interior nodes (`Grid.dissection`, George 1973): median lattice lines split
-the nodes recursively down to parts of 64, and each line comes after the two
-parts it separates.  The union pattern stores the entries a matrix lacks as
-zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU would fill
-them.  On the stencil pattern the fill grows like N log N.  Minimum degree
-on A^T + A leaves less fill on the cap's J(0), but at h = 1/256 it
-factorizes slower (2.0 s against 1.3 s, where the cap solves in 3.1 s
-against 2.7 s; CHANGES.md records the measurements).  The factor's
-`solve` applies P on both sides.
+The LU only preconditions: GMRES, the keep test and the gate run in float64
+and fix the answer's accuracy, so the factor is made in float32, its values
+in half the memory (GMRES-based iterative refinement with a low-precision
+LU, Carson & Higham 2017, 2018).  On the matrix it factorized, x0 is then
+good to float32's rounding, and GMRES takes an iteration or two to reach the
+keep test.  A fresh float32 factorization falls back once to a float64 one,
+which the grid then keeps, when the cast has an entry beyond float32's
+range or one that flushes to zero and leaves the matrix singular, when
+SuperLU refuses the cast matrix, or when the answer misses the gate; only
+the float64 factorization's failure raises.  The sums of GMRES's inner
+products and norms are numpy's own, not BLAS's, whose threaded kernels split
+a sum by thread count: the answers do not depend on the number of BLAS
+threads.
+
+Every LU is SuperLU's factorization of P A P^T, in float32 or float64, in
+the given column order, its exact zeros dropped, where P is the grid's
+nested-dissection order of the interior nodes (`Grid.dissection`, George
+1973): median lattice lines split the nodes recursively down to parts of 64,
+and each line comes after the two parts it separates.  The union pattern
+stores the entries a matrix lacks as zeros (J(0) at u = 0 has no cross or
+slope terms), and SuperLU would fill them.  On the stencil pattern the fill
+grows like N log N.  Minimum degree on A^T + A leaves less fill on the
+cap's J(0), but at h = 1/256 it factorizes slower (2.0 s against 1.3 s,
+where the cap solves in 3.1 s against 2.7 s, both in float64; CHANGES.md
+records the measurements).  The factor's `solve` applies P on both sides.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -86,37 +98,50 @@ class SolverError(RuntimeError):
 class LinearCounts:
     """The work done for a sequence of systems, a solve's.
 
-    `factorizations` counts those the sequence made, not the grid LUs it
-    reused.  `fill_nnz` is the largest fill among the LUs the sequence
-    solved with, 0 when there were none: the entries of L and U in
-    SuperLU's supernodal storage, explicit zeros included.  (Reading
-    SuperLU's L and U as matrices to count nnz(L) + nnz(U) would copy both
-    factors and keep the copies as long as the factor.)
+    `factorizations` counts those the sequence made, refused ones
+    included, not the grid LUs it reused; `float64_factorizations` counts
+    those among them made in float64, the fallback from float32.
+    `fill_nnz` is the largest fill among the LUs the sequence solved with,
+    0 when there were none: the entries of L and U in SuperLU's supernodal
+    storage, explicit zeros included.  (Reading SuperLU's L and U as
+    matrices to count nnz(L) + nnz(U) would copy both factors and keep the
+    copies as long as the factor.)
     """
 
     def __init__(self):
         self.factorizations = 0
+        self.float64_factorizations = 0
         self.krylov_iterations = 0
         self.fill_nnz = 0
 
 
 class DissectedLU:
-    """Sparse LU of P A P^T for the nested-dissection order P of the
-    interior nodes, factorized by SuperLU in that order; `solve` applies P
-    to both sides.  Raises RuntimeError when SuperLU finds A singular."""
+    """Sparse LU of P A P^T cast to `dtype` (float32 unless asked otherwise)
+    for the nested-dissection order P of the interior nodes, factorized by
+    SuperLU in that order; `solve` applies P to both sides, casts the
+    right-hand side to `dtype` and the answer back to float64.  Raises
+    RuntimeError when the cast has a non-finite entry or SuperLU finds the
+    cast matrix singular."""
 
-    def __init__(self, A: sps.spmatrix, order: np.ndarray):
-        self.order = order
+    def __init__(self, A: sps.spmatrix, order: np.ndarray, dtype=np.float32):
+        self.order, self.dtype = order, dtype
+        # the inverse permutation: `solve` gathers, which is cheaper than a scatter
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = np.arange(len(order))
+        with np.errstate(over="ignore"):    # an entry cast to inf is refused below
+            A = A.astype(dtype, copy=False)
         PAP = A.tocsr()[order][:, order]
-        PAP.eliminate_zeros()           # the union pattern's exact zeros would only fill
+        # the union pattern's exact zeros, and the entries the cast flushed to
+        # zero, would only fill
+        PAP.eliminate_zeros()
+        if not np.all(np.isfinite(PAP.data)):
+            raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
         # through the module attribute, so that a wrapper of splu sees the call
         self.superlu = spla.splu(PAP.tocsc(), permc_spec="NATURAL")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.superlu.solve(b[self.order])
-        x = np.empty_like(y)
-        x[self.order] = y
-        return x
+        y = self.superlu.solve(b[self.order].astype(self.dtype))
+        return y[self.inverse].astype(np.float64)
 
 
 @dataclass
@@ -167,8 +192,8 @@ def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> Scalar
     """Sparse solve with backward-error acceptance on the grid's LU, under
     the module's one reuse rule; the work is added to `counts`.
 
-    Raises SolverError when the system has non-finite entries, when SuperLU
-    refuses to factorize it, or when the answer misses the backward-error
+    Raises SolverError when the system has non-finite entries, or when its
+    float64 fallback is refused by SuperLU or misses the backward-error
     gate; the last two leave the grid without an LU.  `system.meta["relres"]`
     holds the backward error of the answer, also when the gate rejects it.
     """
@@ -183,19 +208,33 @@ def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> Scalar
         if not relres <= _REUSE_TOL:
             grid.lu = None              # drop the stale factor first: two never share memory
     if grid.lu is None:
-        counts.factorizations += 1
         try:
-            grid.lu = DissectedLU(A, grid.dissection)
-        except RuntimeError as exc:     # SuperLU refuses an exactly singular matrix
-            raise SolverError(f"factorization failed: {exc}") from None
-        x = _gmres(A, b, norm_A, counts, grid.lu.solve)
-        relres = _backward_error(A, b, x, norm_A)
+            x, relres = _factorized_solve(A, b, norm_A, grid, counts, np.float32)
+        except SolverError:             # the cast or SuperLU refuses the float32 matrix
+            relres = np.nan
+        if not relres <= _RELRES_TOL:   # once more in float64, without the float32 factor
+            grid.lu = None
+            counts.float64_factorizations += 1
+            x, relres = _factorized_solve(A, b, norm_A, grid, counts, np.float64)
     counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         grid.lu = None
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
     return ScalarField(grid, x, system.feet_values.copy())
+
+
+def _factorized_solve(A, b, norm_A, grid: Grid, counts: LinearCounts, dtype):
+    """Factorize A in `dtype` as the grid's LU, which it lacks, and run GMRES
+    on it: the answer and its backward error.  Raises SolverError when the
+    factorization fails."""
+    counts.factorizations += 1
+    try:
+        grid.lu = DissectedLU(A, grid.dissection, dtype)
+    except RuntimeError as exc:     # a cast beyond the dtype's range, or a singular matrix
+        raise SolverError(f"factorization failed: {exc}") from None
+    x = _gmres(A, b, norm_A, counts, grid.lu.solve)
+    return x, _backward_error(A, b, x, norm_A)
 
 
 def _norm_inf(A: sps.csr_matrix) -> float:
@@ -223,13 +262,16 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
     iteration stores z_j = M v_j and applies A to it, and the answer is
     x0 + Z y: k iterations cost k + 1 preconditioner solves.  Modified
     Gram-Schmidt and LAPACK `lartg` Givens rotations build the
-    least-squares problem.  When `precondition` is the matrix's own LU the
-    residual at x0 is rounding and x0 is returned as it is.
+    least-squares problem.  Its inner products and norms are summed by
+    `np.einsum`, which never calls BLAS, so they round alike whatever the
+    number of BLAS threads.  When `precondition` solves with the matrix's
+    own float64 LU the residual at x0 is rounding and x0 is returned as it
+    is.
     """
     x = precondition(b)
     atol = _REUSE_TOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
     r = b - A @ x
-    beta = np.linalg.norm(r)
+    beta = np.sqrt(np.einsum("i,i->", r, r))
     if beta <= atol:
         return x
     eps = np.finfo(float).eps
@@ -244,12 +286,12 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
     for col in range(restart):
         z[col] = precondition(v[col])
         w = A @ z[col]
-        h0 = np.linalg.norm(w)
+        h0 = np.sqrt(np.einsum("i,i->", w, w))
         for k in range(col + 1):
-            tmp = np.dot(v[k], w)
+            tmp = np.einsum("i,i->", v[k], w)
             h[col, k] = tmp
             w -= tmp * v[k]
-        h1 = np.linalg.norm(w)
+        h1 = np.sqrt(np.einsum("i,i->", w, w))
         h[col, col + 1] = h1
         v[col + 1] = w
         breakdown = h1 <= eps * h0       # the Krylov space holds the exact answer
@@ -279,5 +321,5 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
             y[:k] -= y[k] * h[k, :k]
     if y[0] != 0:
         y[0] /= h[0, 0]
-    x += y @ z[:col + 1]
+    x += np.einsum("k,ki->i", y, z[:col + 1])
     return x

@@ -117,6 +117,7 @@ class SolveReport:
     wall_time: float = 0.0
     message: str = ""
     factorizations: int = 0          # sparse LU factorizations the solve made
+    float64_factorizations: int = 0  # those made in float64 after a float32 one failed
     krylov_iterations: int = 0       # GMRES inner iterations of the solve
     fill_nnz: int = 0                # fill of the largest LU the solve used (stored
                                      # entries of L and U), 0 if none
@@ -134,6 +135,7 @@ class SolveReport:
             "residual_collar": self.residual_collar,
             "iterations": self.iterations,
             "factorizations": self.factorizations,
+            "float64_factorizations": self.float64_factorizations,
             "krylov_iterations": self.krylov_iterations,
             "fill_nnz": self.fill_nnz,
             "wall_time_seconds": self.wall_time,
@@ -166,6 +168,7 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
     counts = LinearCounts()
     verdict, message, ev = _continue(grid, H, data, n, report, counts)
     report.factorizations = counts.factorizations
+    report.float64_factorizations = counts.float64_factorizations
     report.krylov_iterations = counts.krylov_iterations
     report.fill_nnz = counts.fill_nnz
     _finalize(report, verdict, message, ev, t0)

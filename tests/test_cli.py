@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -66,6 +68,24 @@ def test_run_cap_reproduces_committed_artifacts(tmp_path):
     report.pop("wall_time_seconds")
     golden.pop("wall_time_seconds")
     assert report == golden
+
+
+def test_cap_artifacts_do_not_depend_on_blas_threads(tmp_path):
+    # the same bytes, wall time aside, with one BLAS thread and with two
+    root = Path(__file__).resolve().parent.parent
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=os.pathsep.join(
+            p for p in (str(root / "src"), os.environ.get("PYTHONPATH")) if p))
+        subprocess.run([sys.executable, "-m", "mcgraph", "run", "--config",
+                        str(root / "configs" / "cap.ini"), "--out", str(out), "--quiet"],
+                       env=env, check=True, timeout=120)
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wall_time_seconds")
+        runs.append([report] + [(out / name).read_bytes()
+                                for name in ("fields.csv", "traces.csv", "heatmap.svg")])
+    assert runs[0] == runs[1]
 
 
 def test_run_quiet_silences_stdout(tmp_path, capsys):

@@ -159,13 +159,14 @@ def test_held_factor_reused_on_nearby_system():
     cap = PrescribedCurvature.constant(0.4)
     counts = LinearCounts()
     solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), counts)
-    assert counts.factorizations == 1 and counts.krylov_iterations == 0
+    # the float32 factor's x0 is good to its rounding: one iteration reaches the keep test
+    assert counts.factorizations == 1 and counts.krylov_iterations == 1
     lu = g32.lu
     assert lu is not None
     system = assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0)
     u = solve_linear(system, counts)
     assert counts.factorizations == 1 and g32.lu is lu
-    assert counts.krylov_iterations > 0
+    assert counts.krylov_iterations == 3
     assert system.meta["relres"] <= 1e-11
     other = _unsolved_g32()
     fresh = solve_linear(assemble(_tilted(other, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
@@ -178,7 +179,8 @@ def _bowl(x, y):
 
 def test_stale_factor_on_steep_system_refactorizes():
     # the zero state's factor is a poor preconditioner for a bowl of rim
-    # slope 4, so one GMRES cycle stalls and the system is factorized afresh
+    # slope 4, so one GMRES cycle stalls and the system is factorized afresh;
+    # each fresh float32 factor takes one iteration besides
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
     counts = LinearCounts()
@@ -188,7 +190,7 @@ def test_stale_factor_on_steep_system_refactorizes():
     system = assemble(ScalarField.from_callable(g32, _bowl), cap, ZeroData(), n=2, tau=1.0)
     u = solve_linear(system, counts)
     assert counts.factorizations == 2 and g32.lu is not None and g32.lu is not lu
-    assert counts.krylov_iterations == 30
+    assert counts.krylov_iterations == 1 + 30 + 1 and counts.float64_factorizations == 0
     assert system.meta["relres"] <= 1e-10
     other = _unsolved_g32()
     fresh = solve_linear(assemble(ScalarField.from_callable(other, _bowl), cap, ZeroData(),
@@ -210,9 +212,9 @@ def test_nonfinite_system_raises_with_held_factor():
 
 
 def test_failed_factorization_is_a_solver_error():
-    # an exactly singular system: SuperLU refuses it and the solve raises,
-    # leaving no LU on the grid; on a grid of its own, no LU left by an
-    # earlier solve preconditions it
+    # an exactly singular system: SuperLU refuses it in float32 and in
+    # float64, and the solve raises, leaving no LU on the grid; on a grid of
+    # its own, no LU left by an earlier solve preconditions it
     g32 = _unsolved_g32()
     n = g32.n_interior
     diag = np.resize([1.0, 2.0, 4.0], n)
@@ -222,15 +224,37 @@ def test_failed_factorization_is_a_solver_error():
     counts = LinearCounts()
     system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
                           feet_values=np.zeros(g32.n_feet))
-    with pytest.raises(SolverError, match="factorization"):
+    with pytest.raises(SolverError, match="factorization failed"):
         solve_linear(system, counts)
-    assert counts.factorizations == 1 and g32.lu is None
+    assert (counts.factorizations, counts.float64_factorizations) == (2, 1) and g32.lu is None
     assert counts.krylov_iterations == 0
 
 
+@pytest.mark.parametrize("entry", [1e-50, 1e39])
+def test_entry_beyond_float32_falls_back_to_float64(entry):
+    # 1e-50 flushes to zero in float32, leaving a singular matrix, and 1e39
+    # overflows to inf: the float32 factorization is refused, and the system
+    # solves on a float64 factor, which the grid keeps
+    g32 = _unsolved_g32()
+    n = g32.n_interior
+    diag = np.resize([1.0, 2.0, 4.0], n)
+    diag[7] = entry
+    b = np.ones(n)
+    b[7] = entry
+    counts = LinearCounts()
+    system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
+                          feet_values=np.zeros(g32.n_feet))
+    u = solve_linear(system, counts)
+    assert (counts.factorizations, counts.float64_factorizations) == (2, 1)
+    assert g32.lu.dtype == np.float64
+    assert system.meta["relres"] <= 1e-10
+    assert u.values[7] == 1.0 and np.array_equal(u.values, b / diag)
+
+
 def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
-    # with the gate at 0 the direct solve's rounding misses it: the solve
-    # raises, and no later solve on the grid is preconditioned by that LU
+    # with the gate at 0 the rounding of the float32 factor's answer misses
+    # it, and so does that of the float64 fallback: the solve raises, and no
+    # later solve on the grid is preconditioned by either LU
     monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 0.0)
     g32 = _unsolved_g32()
     system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
@@ -238,8 +262,22 @@ def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
     counts = LinearCounts()
     with pytest.raises(SolverError, match="backward error"):
         solve_linear(system, counts)
-    assert counts.factorizations == 1 and g32.lu is None
+    assert (counts.factorizations, counts.float64_factorizations) == (2, 1) and g32.lu is None
     assert 0 < system.meta["relres"] <= 1e-10
+
+
+def test_float32_answer_beyond_the_gate_falls_back_to_float64(monkeypatch):
+    # with the gate at 1e-14 the float32 factor's answer, which GMRES stops
+    # at the keep test (backward error 4.6e-13 here), misses it, and the
+    # float64 factor's direct answer (1.2e-16) meets it; the grid keeps it
+    monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 1e-14)
+    g32 = _unsolved_g32()
+    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
+                      n=2, tau=1.0)
+    counts = LinearCounts()
+    solve_linear(system, counts)
+    assert (counts.factorizations, counts.float64_factorizations) == (2, 1)
+    assert g32.lu.dtype == np.float64 and system.meta["relres"] <= 1e-14
 
 
 class _CountedSolves:
@@ -366,31 +404,48 @@ def _max_backward_error(A, b, x):
     return np.max(np.abs(A @ x - b)) / denom
 
 
+def _solved_on(grid, lu, A, b):
+    """linear.solve's answer to A x = b on the grid, started from `lu`,
+    which it keeps."""
+    grid.lu, counts = lu, LinearCounts()
+    x = solve_linear(LinearSystem(A=A, b=b, grid=grid, feet_values=np.zeros(grid.n_feet)),
+                     counts).values
+    assert counts.factorizations == 0 and grid.lu is lu
+    return x
+
+
 @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
 @pytest.mark.parametrize("name", sorted(_ORDERED_DOMAINS))
 def test_first_jacobian_solves_in_dissection_order(name, h):
+    # the float32 factor alone is good to float32's rounding; GMRES on it
+    # brings the answer to float64's
     grid = Grid(_ORDERED_DOMAINS[name](), h)
     zero = ScalarField.zeros(grid, ZeroData())
     system = correction_system(Evaluation(zero, PrescribedCurvature.constant(0.4), 2, 0.25))
     lu = DissectedLU(system.A, grid.dissection)
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
     for b in (system.b, rhs):
-        assert _max_backward_error(system.A, b, lu.solve(b)) <= 1e-12
+        assert _max_backward_error(system.A, b, lu.solve(b)) <= 1e-6
+        assert _max_backward_error(system.A, b, _solved_on(grid, lu, system.A, b)) <= 1e-12
 
 
-def test_dissected_lu_solves_systems_off_the_stencil(g32):
+def test_dissected_lu_solves_systems_off_the_stencil():
     # the order is a permutation of the unknowns, so a system whose pattern
-    # ignores the separators still solves exactly; it only fills more
+    # ignores the separators still solves; it only fills more.  A diagonal
+    # of powers of two divides the float32 right-hand side exactly
+    g32 = _unsolved_g32()
     n = g32.n_interior
     rng = np.random.default_rng(5)
     A = (sps.diags(4.0 + rng.random(n)) + sps.random(n, n, density=2.0 / n, random_state=rng)
          ).tocsr()
     b = rng.standard_normal(n)
-    x = DissectedLU(A, g32.dissection).solve(b)
-    assert _max_backward_error(A, b, x) <= 1e-12
+    lu = DissectedLU(A, g32.dissection)
+    assert _max_backward_error(A, b, lu.solve(b)) <= 1e-6
+    assert _max_backward_error(A, b, _solved_on(g32, lu, A, b)) <= 1e-12
     diag = np.resize([1.0, 2.0, 4.0], n)
     x = DissectedLU(sps.diags(diag).tocsr(), g32.dissection).solve(b)
-    assert np.array_equal(x, b / diag)
+    assert x.dtype == np.float64
+    assert np.array_equal(x, b.astype(np.float32).astype(np.float64) / diag)
 
 
 def test_held_factor_records_largest_fill():
@@ -414,19 +469,21 @@ def test_dissection_order_keeps_reference_solves():
     # preconditions GMRES, so its order leaves the Newton path and the answer
     # as they were; each leg on a grid of its own factorizes, as the
     # recorded legs did.  The legs stop on Newton's contraction bound, a
-    # step before their last update fell below 1e-9.  No GMRES cycle of
-    # these solves stops near its tolerance (the last residual is at most
-    # 0.8 of it, the one before at least 2.9 times it), so the Krylov
-    # counts do not follow the rounding of the feet
+    # step before their last update fell below 1e-9.  The float32 factor
+    # takes one or two iterations on the system it factorized.  No GMRES
+    # cycle of these solves stops near its tolerance (the last residual is
+    # at most 0.8 of it, the one before at least 2.6 times it), so the
+    # Krylov counts do not follow the rounding of the feet
     dom = disk(1.0)
     cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
     legs = [solve_dirichlet(Grid(dom, 1.0 / 48.0), PrescribedCurvature.constant(H), data, n=2)
             for H in (0.55, 0.45)]
-    expected = [(4, 1, 18, 0.2087100275413615), (4, 1, 32, 0.298989692410781),
-                (4, 1, 29, 0.23697423597353587)]
+    expected = [(4, 1, 20, 0.2087100275413615), (4, 1, 33, 0.298989692410781),
+                (4, 1, 30, 0.23697423597353587)]
     for report, (iterations, factorizations, krylov, sup_u) in zip([cap, *legs], expected):
         assert report.verdict == "converged"
         assert (report.iterations, report.factorizations, report.krylov_iterations) == (
             iterations, factorizations, krylov)
+        assert report.float64_factorizations == 0
         assert report.sup_u == pytest.approx(sup_u, rel=0, abs=1e-12)

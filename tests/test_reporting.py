@@ -68,6 +68,7 @@ def test_report_carries_linear_layer_counts(small_solve):
     scn, grid, rep = small_solve
     out = build_report(scenario=scn, solve_report=rep)
     assert out["factorizations"] == rep.factorizations >= 1
+    assert out["float64_factorizations"] == rep.float64_factorizations == 0
     assert out["krylov_iterations"] == rep.krylov_iterations >= 0
     assert out["fill_nnz"] == rep.fill_nnz > 0
 
