@@ -1,7 +1,7 @@
-"""Grid benchmark: the seconds of each step of `Grid` construction and of its
-stencil operator build, and the bytes a grid keeps, against a parent commit,
-each case run in a fresh process, with a bit-identity check of what the
-grid computes.
+"""Grid benchmark: the seconds of the domain's construction, of each step of
+`Grid` construction and of its stencil operator build, and the bytes a grid
+keeps, against a parent commit, each case run in a fresh process, with a
+bit-identity check of what the domain and the grid compute.
 
     python3 scripts/bench_grid.py [--parent REV] [--repeats 3] [--calls 5]
                                   [--spacings 32,64,128,256] [--out BENCH_grid.json]
@@ -9,9 +9,12 @@ grid computes.
 The cases are the six domains of the benchmark's ``domain_grids`` workload
 at every spacing h = 1/N given, plus the unit disk at h = 1/512.  For every
 case the parent and this checkout take turns as `_parent` describes.  A
-process builds ``Grid(domain, h)`` and its ``operators()`` ``--calls``
-times, with these steps wrapped:
+process builds the domain, then ``Grid(domain, h)`` and its
+``operators()``, each ``--calls`` times, with these steps timed:
 
+* ``domain``: the factory call that builds the domain, its shape and
+  `DomainSpec` with the boundary samples (a level set traces its contour
+  here), timed over ``--calls`` builds;
 * ``classify``: ``Grid._classify`` (sign test, narrow band, distances);
 * ``intercepts``: ``Grid._find_intercepts`` (the feet: the shape's
   closed-form axis crossing, or a secant on the level function, and the
@@ -26,12 +29,15 @@ one more grid under ``tracemalloc``: ``retained_bytes`` is what the grid
 holds after ``operators()``, as the ``domain_grids`` workload keeps it, and
 ``retained_bytes_solving`` what it holds once ``pattern()`` is built too, as
 a solve keeps it.  Each process also hashes (SHA-256 over dtype, shape and
-bytes) what both sides of ``--parent`` compute alike: the five stencils of
-a fixed smooth field (``Evaluation``'s second differences and slopes),
+bytes) what both sides of ``--parent`` compute alike: the domain's boundary
+samples (points, normals, kappa, arclength) and a level set's traced
+polyline, the five stencils of a fixed smooth field (``Evaluation``'s
+second differences and slopes),
 ``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
 H = 0.4 cap (at u = 0) and of the Jacobian at the fixed field, the feet
 (owner, axis, theta, point, arclength), the classification (``cls``,
-``interior_ij``, ``ghost_ij``), ``_cross_one_sided``, ``_cross_quadrant``
+``interior_ij``, ``ghost_ij``), the numbering (``node_id``, ``ghost_id``,
+``interior_xy``, ``core_mask``), ``_cross_one_sided``, ``_cross_quadrant``
 and the flags; ``identical`` compares the parent's digests with this
 checkout's and ``differing_digests`` names those that differ.  A change
 that moves the feet by rounding shows in ``max_foot_difference``: the
@@ -61,6 +67,7 @@ from _parent import ROOT
 STEPS = {"classify": "_classify", "intercepts": "_find_intercepts",
          "closures": "_close_ghosts", "cross": "_choose_cross_stencils",
          "operators": "operators"}
+TIMED = ("domain", *STEPS)              # the domain build, then the grid's steps
 LEVELSET_EXPR = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
 DOMAINS = {
     "disk": ("disk", {"radius": 1.0}),
@@ -117,7 +124,11 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     for step, name in STEPS.items():
         setattr(Grid, name, timed(step, originals[name]))
     factory, params = DOMAINS[domain]
-    dom = getattr(mcgraph, factory)(**params)
+    make = getattr(mcgraph, factory)
+    for _ in range(calls):
+        t0 = time.perf_counter()
+        dom = make(**params)
+        seconds["domain"] = min(seconds.get("domain", float("inf")), time.perf_counter() - t0)
     for _ in range(calls):
         grid = Grid(dom, 1.0 / N)
         grid.operators()
@@ -138,6 +149,11 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,
                               grid.foot_xy, grid.foot_s)
     digests["classification"] = _digest(grid.cls, grid.interior_ij, grid.ghost_ij)
+    digests["numbering"] = _digest(grid.node_id, grid.ghost_id, grid.interior_xy, grid.core_mask)
+    b = dom.boundary
+    digests["boundary"] = _digest(b.points, b.normals, b.kappa, b.arclength)
+    if hasattr(dom.shape, "_polyline"):
+        digests["polyline"] = _digest(dom.shape._polyline)
     np.savez(feet_path, owner=grid.foot_owner, axis=grid.foot_axis, theta=grid.foot_theta,
              xy=grid.foot_xy, s=grid.foot_s, length=dom.boundary.total_length)
     for attr in ("_cross_one_sided", "_cross_quadrant"):
@@ -188,8 +204,8 @@ def main(argv=None) -> int:
             for name, rows in runs.items():
                 entry[name] = {
                     "seconds_median": {s: statistics.median(row["seconds"][s] for row in rows)
-                                       for s in STEPS},
-                    "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in STEPS},
+                                       for s in TIMED},
+                    "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in TIMED},
                     "retained_bytes": statistics.median(row["retained_bytes"] for row in rows),
                     "retained_bytes_solving": statistics.median(
                         row["retained_bytes_solving"] for row in rows)}
@@ -202,23 +218,27 @@ def main(argv=None) -> int:
             entry["max_foot_difference"] = _foot_difference([feet["parent"], feet["this"]])
             results[f"{domain} 1/{N}"] = entry
             p, t = entry["parent"], entry["this"]
-            print(f"{domain:13s} 1/{N:<4} operators {1e3 * p['seconds_median']['operators']:.1f}"
+            print(f"{domain:13s} 1/{N:<4} domain {1e3 * p['seconds_median']['domain']:.1f}"
+                  f" -> {1e3 * t['seconds_median']['domain']:.1f} ms, classify "
+                  f"{1e3 * p['seconds_median']['classify']:.1f} -> "
+                  f"{1e3 * t['seconds_median']['classify']:.1f} ms, operators "
+                  f"{1e3 * p['seconds_median']['operators']:.1f}"
                   f" -> {1e3 * t['seconds_median']['operators']:.1f} ms, retained "
                   f"{p['retained_bytes'] / 2**20:.1f} -> {t['retained_bytes'] / 2**20:.1f} MB, "
                   f"with pattern {p['retained_bytes_solving'] / 2**20:.1f} -> "
                   f"{t['retained_bytes_solving'] / 2**20:.1f} MB, identical {entry['identical']}, "
                   f"feet moved by {entry['max_foot_difference']}", flush=True)
     totals = {name: {**{s: sum(e[name]["seconds_median"][s] for e in results.values())
-                        for s in STEPS},
+                        for s in TIMED},
                      **{b: sum(e[name][b] for e in results.values())
                         for b in ("retained_bytes", "retained_bytes_solving")}}
               for name in ("parent", "this")}
     _parent.write(args.out, {
-        "benchmark": "Grid construction steps, the stencil operator build and the bytes "
-                     "a grid retains on the domain_grids domains and the disk at 1/512 "
-                     "against a parent commit: least seconds of --calls builds per process, "
-                     "median over the repeats, one fresh process per case, checkout and "
-                     "repeat",
+        "benchmark": "Domain construction, grid construction steps, the stencil operator "
+                     "build and the bytes a grid retains on the domain_grids domains and "
+                     "the disk at 1/512 against a parent commit: least seconds of --calls "
+                     "builds per process, median over the repeats, one fresh process per "
+                     "case, checkout and repeat",
         "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,

@@ -4,10 +4,11 @@ curvature, and solvability audits.
 Conventions used throughout the package:
   * signed distance d is positive inside the domain, negative outside, zero on
     the boundary; for interior points d(x) = dist(x, boundary),
-  * every shape has its own sign test `contains`, True strictly inside: an
-    inequality in closed form (|x - c|^2 < r^2 on disks, x^2/a^2 + y^2/b^2 < 1
-    on ellipses, the core rectangle pushed out by the corner radius on
-    rectangles, F > 0 on level sets),
+  * every shape has its own sign test `contains(x, y)`, True strictly
+    inside: an inequality in closed form (|x - c|^2 < r^2 on disks,
+    x^2/a^2 + y^2/b^2 < 1 on ellipses, the core rectangle pushed out by the
+    corner radius on rectangles, F > 0 on level sets) at coordinate arrays
+    that broadcast, so that a lattice is tested on its axes,
   * every shape gives `axis_crossing`, where a link along a lattice axis from
     an inside point leaves the domain: a square root on the link's line on
     the shapes with a closed form (disk, ellipse, rect, rounded_rect,
@@ -108,9 +109,9 @@ class _Disk:
         r = self.radius
         return (cx - r, cx + r, cy - r, cy + r)
 
-    def contains(self, pts):
-        rel = pts - self.center
-        return rel[..., 0] ** 2 + rel[..., 1] ** 2 < self.radius ** 2
+    def contains(self, x, y):
+        cx, cy = self.center
+        return (x - cx) ** 2 + (y - cy) ** 2 < self.radius ** 2
 
     def signed_distance(self, pts):
         return self.radius - np.linalg.norm(pts - self.center, axis=-1)
@@ -175,9 +176,9 @@ class _Ellipse:
     def _param(self, t):
         return self.center + np.stack([self.a * np.cos(t), self.b * np.sin(t)], axis=-1)
 
-    def contains(self, pts):
-        rel = pts - self.center
-        return (rel[..., 0] / self.a) ** 2 + (rel[..., 1] / self.b) ** 2 < 1.0
+    def contains(self, x, y):
+        cx, cy = self.center
+        return ((x - cx) / self.a) ** 2 + ((y - cy) / self.b) ** 2 < 1.0
 
     def axis_crossing(self, pts, unit, h):
         """As `_Disk.axis_crossing`: the half chord at distance w from the
@@ -258,7 +259,8 @@ class _Ellipse:
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
         _, dist = self._nearest(pts)
-        out = np.where(self.contains(np.atleast_2d(pts)), dist, -dist)
+        p2 = np.atleast_2d(pts)
+        out = np.where(self.contains(p2[..., 0], p2[..., 1]), dist, -dist)
         return out[0] if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
     def _kappa_of_t(self, t):
@@ -311,12 +313,12 @@ class _RoundedRect:
         cx, cy = self.center
         return (cx - self.hx, cx + self.hx, cy - self.hy, cy + self.hy)
 
-    def contains(self, pts):
+    def contains(self, x, y):
         # inside the core rectangle, or within r of it
-        q = np.abs(pts - self.center) - (self._ex, self._ey)
-        out = np.maximum(q, 0.0)
-        return ((q[..., 0] < 0) & (q[..., 1] < 0)) | (
-            out[..., 0] ** 2 + out[..., 1] ** 2 < self.r ** 2)
+        cx, cy = self.center
+        qx, qy = np.abs(x - cx) - self._ex, np.abs(y - cy) - self._ey
+        return ((qx < 0) & (qy < 0)) | (
+            np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 < self.r ** 2)
 
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -415,9 +417,9 @@ class _Annulus:
         # half the ring's width: the widest ball fitting between the circles
         return 0.5 * (self.r_out - self.r_in)
 
-    def contains(self, pts):
-        rel = pts - self.center
-        rho2 = rel[..., 0] ** 2 + rel[..., 1] ** 2
+    def contains(self, x, y):
+        cx, cy = self.center
+        rho2 = (x - cx) ** 2 + (y - cy) ** 2
         return (self.r_in ** 2 < rho2) & (rho2 < self.r_out ** 2)
 
     def signed_distance(self, pts):
@@ -485,9 +487,7 @@ class _LevelSet:
         nx = ny = _CONTOUR_GRID
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
-        X, Y = np.meshgrid(xs, ys, indexing="ij")
-        Fv = self.F(X, Y)
-        loops = _marching_squares(Fv)
+        loops = _marching_squares(self.F(xs[:, None], ys[None, :]))
         if not loops:
             raise MalformedDomainError("level set has no zero contour inside the bbox")
         loop, closed = max(loops, key=lambda lc: len(lc[0]))
@@ -554,8 +554,8 @@ class _LevelSet:
             q[bad] = self._project(self._polyline[idx][bad])
         return q
 
-    def contains(self, pts):
-        return self.F(pts[..., 0], pts[..., 1]) > 0.0
+    def contains(self, x, y):
+        return self.F(x, y) > 0.0
 
     def axis_crossing(self, pts, unit, h):
         """Fraction of each link pts -> pts + h unit, F(pts) > 0, at which F
@@ -602,7 +602,7 @@ class _LevelSet:
         pts = np.asarray(pts, dtype=float)
         p2 = np.atleast_2d(pts)
         dist = np.linalg.norm(p2 - self._nearest_foot(p2), axis=-1)
-        out = np.where(self.contains(p2), dist, -dist)
+        out = np.where(self.contains(p2[..., 0], p2[..., 1]), dist, -dist)
         return out[0] if pts.ndim == 1 else out.reshape(pts.shape[:-1])
 
     def _implicit_kappa(self, pts):
@@ -655,8 +655,18 @@ def _cell_segments(case, joined):
                  for k in leaves)
 
 
-_CELL_SEGMENTS = {(case, joined): _cell_segments(case, joined)
-                  for case in range(1, 15) for joined in (False, True)}
+def _cell_table():
+    """The segments of a cell by [case, joined]: up to two (from, to) edge
+    pairs, then -1."""
+    table = np.full((16, 2, 2, 2), -1, dtype=np.intp)
+    for case in range(1, 15):
+        for joined in (0, 1):
+            segments = _cell_segments(case, joined)
+            table[case, joined, :len(segments)] = segments
+    return table
+
+
+_CELL_TABLE = _cell_table()
 
 
 def _marching_squares(F):
@@ -666,29 +676,64 @@ def _marching_squares(F):
     Points are fractional (i, j) index coordinates, linearly interpolated on
     lattice edges; every chain keeps {F > 0} on its left, so closed loops
     around an inside region run counterclockwise.  Open chains end on the
-    lattice border."""
-    inside = F > 0.0
-    corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:])
-    case = sum(inside[c].astype(np.int8) << k for k, c in enumerate(corners))
-    ci, cj = np.nonzero((case != 0) & (case != 15))
-    joined = sum(F[c][ci, cj] for c in corners) > 0.0
-    # lattice edges as (axis, i, j): axis 0 runs (i, j) -> (i+1, j), axis 1 (i, j) -> (i, j+1)
-    nxt = {}
-    for i, j, k, jn in zip(ci.tolist(), cj.tolist(), case[ci, cj].tolist(), joined.tolist()):
-        edges = ((0, i, j), (1, i + 1, j), (0, i, j + 1), (1, i, j))
-        for a, b in _CELL_SEGMENTS[k, jn]:
-            nxt[edges[a]] = edges[b]
+    lattice border.
+
+    A node has the number n = i ny + j, and so does the cell whose corner 0
+    it is; the edge from n to (i + 1, j) has the number n, the edge to
+    (i, j + 1) the number nx ny + n, so numbers sort as the edges' (axis, i,
+    j).  The mixed cells are those with a sign change on one of their four
+    edges.  Each looks up its segments in the (case, joined) table, the
+    cells in ascending order and a cell's segments in table order, and a
+    segment's successor is the segment that starts on its end edge, found
+    by a sorted search.  The open chains are followed first, in ascending
+    order of their first edges, then the closed loops, each from its first
+    segment in that order.  A chain's points are the crossings on its
+    segments' start edges, then on an open chain the last segment's end
+    edge."""
+    nx, ny = F.shape
+    N = nx * ny
+    F = F.ravel()
+    inside = (F > 0.0).view(np.uint8)
+    # sign changes on the edges to (i, j + 1) and to (i + 1, j); the first
+    # also compares the ends of consecutive rows, which no cell reads
+    across, along = inside[:-1] != inside[1:], inside[:-ny] != inside[ny:]
+    mixed = across[:N - ny - 1] | across[ny:N - 1] | along[:-1] | along[1:]
+    mixed[ny - 1::ny] = False
+    cell = np.flatnonzero(mixed)
+    if not len(cell):
+        return []
+    corner = cell[:, None] + (0, ny, ny + 1, 1)
+    case = (inside[corner] << np.arange(4, dtype=np.uint8)).sum(axis=1)
+    joined = F[corner[:, 0]] + F[corner[:, 1]] + F[corner[:, 2]] + F[corner[:, 3]] > 0.0
+    segments = _CELL_TABLE[case, joined.view(np.int8)].reshape(-1, 2)
+    real = segments[:, 0] >= 0
+    # a cell's edges 0-3 have its own number plus (0, N + ny, 1, N)
+    start, end = (np.repeat(cell, 2)[real, None] + np.array((0, N + ny, 1, N))[segments[real]]).T
+    order = np.argsort(start)
+    at = order[np.minimum(np.searchsorted(start, end, sorter=order), len(start) - 1)]
+    succ = np.where(start[at] == end, at, -1)
+    first = np.ones(len(start), dtype=bool)
+    first[succ[succ >= 0]] = False
+    heads = np.flatnonzero(first)
+    succ, start_l, end_l = succ.tolist(), start.tolist(), end.tolist()
+    seen = bytearray(len(start))
     chains = []
-    for start in sorted(set(nxt) - set(nxt.values())) + list(nxt):
-        if start not in nxt:
+    for s in heads[np.argsort(start[heads])].tolist() + list(range(len(start))):
+        if seen[s]:
             continue
-        chain = [start]
-        while chain[-1] in nxt:
-            chain.append(nxt.pop(chain[-1]))
-        closed = chain[-1] == chain[0]
-        e = np.array(chain[:-1] if closed else chain)
-        axis, i, j = e[:, 0], e[:, 1], e[:, 2]
-        f0, f1 = F[i, j], F[i + 1 - axis, j + axis]
+        edges = []
+        while s >= 0 and not seen[s]:
+            seen[s] = 1
+            edges.append(start_l[s])
+            last, s = s, succ[s]
+        closed = s >= 0
+        if not closed:
+            edges.append(end_l[last])
+        e = np.array(edges)
+        axis = e // N
+        node = e - axis * N
+        i, j = np.divmod(node, ny)
+        f0, f1 = F[node], F[node + (1 - axis) * ny + axis]
         t = f0 / (f0 - f1)
         pts = np.stack([i + (1 - axis) * t, j + axis * t], axis=-1)
         # a contour through a lattice node crosses two edges at that node
@@ -728,7 +773,14 @@ class DomainSpec:
 
     def contains(self, pts):
         """Sign test, True strictly inside: the shape's own inequality."""
-        return self.shape.contains(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        return self.shape.contains(pts[..., 0], pts[..., 1])
+
+    def contains_xy(self, x, y):
+        """The sign test at the points (x, y) of broadcastable coordinate
+        arrays, an array of their broadcast shape: on a lattice's axes,
+        ``contains_xy(xs[:, None], ys[None, :])``."""
+        return self.shape.contains(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def axis_crossing(self, pts, unit, h):
         """Fraction theta of each link pts -> pts + h unit at which it leaves

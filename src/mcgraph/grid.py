@@ -4,9 +4,11 @@ Nodes sit at integer multiples of the spacing h and are classified interior
 (signed distance > 0), ghost (exterior but axis-adjacent to an interior node),
 or exterior.  The classification reads the signed distance only near the
 boundary (the narrow band of Adalsteinsson & Sethian, J. Comput. Phys. 118,
-1995): the sign test runs on the whole lattice, the exact distance only in a
-band of a few cells that provably holds every node within 2h of the
-boundary, and a node off the band takes the sign test and is core.  `Grid.d`
+1995): the sign test runs on the lattice's axes, xs[:, None] and
+ys[None, :], broadcast, the exact distance only in a band of a few cells
+that provably holds every node within 2h of the boundary, and a node off
+the band takes the sign test and is core.  Interior and ghost nodes are
+numbered row-major from the flat indices of their masks.  `Grid.d`
 and `Grid.interior_d`, the distance at every node, are computed on first
 read.  Each interior-to-exterior axis link stores a boundary intercept:
 the fraction theta in (0, 1] of the link at which the boundary is crossed and
@@ -105,6 +107,17 @@ def _ranges(lo: np.ndarray, hi: np.ndarray):
     return k, np.arange(len(k)) - np.repeat(np.cumsum(width) - width - lo, width)
 
 
+def _number(flat: np.ndarray, nx: int, ny: int):
+    """The (i, j) index pairs, (k, 2), of the nodes at these ascending flat
+    indices i ny + j, and the (nx, ny) lattice of their numbers 0 ... k - 1,
+    -1 at every other node."""
+    ij = np.empty((len(flat), 2), dtype=np.intp)
+    np.divmod(flat, ny, out=(ij[:, 0], ij[:, 1]))
+    ids = np.full((nx, ny), -1, dtype=np.int64)
+    ids.ravel()[flat] = np.arange(len(flat))
+    return ij, ids
+
+
 class Grid:
     """Uniform grid over the domain bounding box plus a two-cell margin."""
 
@@ -141,11 +154,6 @@ class Grid:
         self.ys = h * np.arange(j0, j1 + 1)
         self.nx, self.ny = len(self.xs), len(self.ys)
 
-    def _lattice_points(self) -> np.ndarray:
-        """All node coordinates, (nx * ny, 2), row-major in (i, j)."""
-        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-        return np.stack([X.ravel(), Y.ravel()], axis=-1)
-
     def _band(self, inside: np.ndarray) -> np.ndarray:
         """Mask of the nodes that may lie within 2h of the boundary.
 
@@ -172,60 +180,66 @@ class Grid:
         seed[:, :-1] |= cut
         i, j = np.rint((b.points - (self.xs[0], self.ys[0])) / h).astype(np.intp).T
         seed[i, j] = True
-        for axis in (0, 1):
-            near = np.moveaxis(seed, axis, 0)
-            grown = near.copy()
-            for k in range(1, r + 1):
-                grown[k:] |= near[:-k]
-                grown[:-k] |= near[k:]
-            seed = np.moveaxis(grown, 0, axis)
-        return seed
+        grown = seed.copy()
+        for k in range(1, r + 1):
+            grown[k:] |= seed[:-k]
+            grown[:-k] |= seed[k:]
+        band = grown.copy()
+        for k in range(1, r + 1):
+            band[:, k:] |= grown[:, :-k]
+            band[:, :-k] |= grown[:, k:]
+        return band
 
     def _classify(self):
-        pts = self._lattice_points()
-        inside = self.domain.contains(pts).reshape(self.nx, self.ny)
+        nx, ny, xs, ys = self.nx, self.ny, self.xs, self.ys
+        inside = self.domain.contains_xy(xs[:, None], ys[None, :])
         band = self._band(inside)
         # the exact distance in the band; off it |d| >= 2h, so the sign test
         # classifies, interior nodes are core and no exterior node is a ghost
         # (a ghost is within h of the boundary; one off the band would read
         # -inf and fail the depth check below)
-        d = np.where(inside, np.inf, -np.inf)
-        d[band] = self.domain.signed_distance(pts[band.ravel()])
+        d = np.where(inside, np.inf, -np.inf).ravel()
+        at = np.flatnonzero(band)
+        bi, bj = np.divmod(at, ny)
+        d[at] = self.domain.signed_distance(np.stack([xs[bi], ys[bj]], axis=-1))
         tol = 1e-12 * max(1.0, max(abs(v) for v in self.domain.bbox))
-        interior = d > tol
+        interior = (d > tol).reshape(nx, ny)
         pad = np.pad(interior, 1)
         ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
-        cls = np.full((self.nx, self.ny), NODE_EXTERIOR, dtype=np.int8)
+        cls = np.full((nx, ny), NODE_EXTERIOR, dtype=np.int8)
         cls[interior] = NODE_INTERIOR
         cls[ghost] = NODE_GHOST
         self.cls = cls
         self.interior_mask = interior
-        ii, jj = np.nonzero(interior)
-        self.interior_ij = np.stack([ii, jj], axis=-1)
-        self.n_interior = len(ii)
+        # nodes are numbered row-major in (i, j), from their flat indices
+        flat = np.flatnonzero(interior)
+        self.n_interior = len(flat)
         if self.n_interior == 0:
             raise GridError("no interior nodes at this spacing")
         # closures and stencils reach two cells out from an interior node
-        if min(ii.min(), jj.min()) < 2 or ii.max() > self.nx - 3 or jj.max() > self.ny - 3:
+        if (interior[:2].any() or interior[-2:].any() or interior[:, :2].any()
+                or interior[:, -2:].any()):
             raise GridError("interior node within two cells of the lattice edge")
-        self.node_id = -np.ones((self.nx, self.ny), dtype=np.int64)
-        self.node_id[ii, jj] = np.arange(self.n_interior)
-        self.interior_xy = np.stack([self.xs[ii], self.ys[jj]], axis=-1)
+        self.interior_ij, self.node_id = _number(flat, nx, ny)
+        ii, jj = self.interior_ij.T
+        self.interior_xy = np.empty((self.n_interior, 2))
+        self.interior_xy[:, 0] = xs[ii]
+        self.interior_xy[:, 1] = ys[jj]
         # core region for residual reporting: at least 2h inside
-        self.core_mask = d[ii, jj] >= 2.0 * self.h - 1e-12
-        gii, gjj = np.nonzero(ghost)
-        self.ghost_ij = np.stack([gii, gjj], axis=-1)
-        self.n_ghost = len(gii)
-        self.ghost_id = -np.ones((self.nx, self.ny), dtype=np.int64)
-        self.ghost_id[gii, gjj] = np.arange(self.n_ghost)
-        if np.max(-d[gii, gjj]) > 2.0 * self.h + 1e-12:
+        self.core_mask = d.take(flat) >= 2.0 * self.h - 1e-12
+        flat = np.flatnonzero(ghost)
+        self.n_ghost = len(flat)
+        self.ghost_ij, self.ghost_id = _number(flat, nx, ny)
+        if np.max(-d.take(flat)) > 2.0 * self.h + 1e-12:
             raise GridError("ghost node farther than 2h from the boundary")
 
     @cached_property
     def d(self) -> np.ndarray:
         """Signed distance at every lattice node, (nx, ny), computed on first
         read: construction needs it only in the band."""
-        return self.domain.signed_distance(self._lattice_points()).reshape(self.nx, self.ny)
+        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
+        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
+        return self.domain.signed_distance(pts).reshape(self.nx, self.ny)
 
     @cached_property
     def interior_d(self) -> np.ndarray:
@@ -338,7 +352,7 @@ class Grid:
             raise GridError(f"foot localization failed: |d| = {np.max(dfoot):.2e}")
         self.foot_owner = owner
         self.foot_axis = axis.astype(np.int8)
-        self.foot_theta = np.maximum(theta, 1e-12)
+        self.foot_theta = theta
         self.foot_xy = foot
         self.n_feet = len(theta)
 

@@ -476,3 +476,157 @@ def test_every_shape_answers_its_own_sign_test(make, monkeypatch):
     far = np.abs(d) > 1e-12
     assert far.sum() > 0.99 * len(d) and 0 < inside.sum() < len(d)
     assert np.array_equal(inside[far], d[far] > 0)
+
+
+# -- marching squares: the chains on hand-built fields --------------------------
+
+_MAGNITUDES = (1.0, 2.0, 3.0, 0.5)      # |F| at corners 0..3 of a one-cell field
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def _cell_field(case, joined=None):
+    """A 2 x 2 field whose one cell has this case (bit k: corner k inside);
+    on a saddle, `joined` picks the sign of the corners' sum."""
+    F = np.empty((2, 2))
+    for k, (i, j) in enumerate(_CORNERS):
+        inside = case >> k & 1
+        if joined is None:
+            F[i, j] = _MAGNITUDES[k] if inside else -_MAGNITUDES[k]
+        else:
+            F[i, j] = (3.0 if inside else -1.0) if joined else (1.0 if inside else -3.0)
+    return F
+
+
+def _contour_fields():
+    fields = {}
+    for case in range(1, 15):
+        if case in (5, 10):
+            fields[f"case{case}_split"] = _cell_field(case, joined=False)
+            fields[f"case{case}_joined"] = _cell_field(case, joined=True)
+        else:
+            fields[f"case{case}"] = _cell_field(case)
+    i, j = np.meshgrid(np.arange(6.0), np.arange(5.0), indexing="ij")
+    fields["open_to_border"] = (i - 2.5) + 0.4 * (j - 2.0)
+    i, j = np.meshgrid(np.arange(10.0), np.arange(5.0), indexing="ij")
+    diamond = 1.5 - np.abs(i - 2) - np.abs(j - 2)
+    fields["two_loops"] = np.maximum(diamond, 1.25 - np.abs(i - 7) - 0.75 * np.abs(j - 2))
+    # the second bump reaches the lattice's bottom and top rows: two open chains
+    fields["open_and_closed"] = np.maximum(diamond, 1.25 - np.abs(i - 7) - 0.5 * np.abs(j - 2))
+    # F = 0 at lattice nodes with two inside axis neighbours: two cut edges
+    # meet at the node, and the chain keeps one point there
+    i, j = np.meshgrid(np.arange(7.0), np.arange(7.0), indexing="ij")
+    fields["through_nodes"] = 2.0 - np.abs(i - 3) - np.abs(j - 3)
+    i, j = np.meshgrid(np.arange(5.0), np.arange(5.0), indexing="ij")
+    fields["open_through_node"] = (i - 2.0) + 0.5 * (j - 2.0)
+    return fields
+
+
+# the chains, (points, closed), that the edge-keyed implementation traced:
+# open chains first, by their first edge, then closed loops from the first
+# cell that holds them, row-major
+_EXPECTED_CHAINS = {
+    "case1": [([(0.3333333333333333, 0.0), (0.0, 0.6666666666666666)], False)],
+    "case2": [([(1.0, 0.4), (0.3333333333333333, 0.0)], False)],
+    "case3": [([(1.0, 0.4), (0.0, 0.6666666666666666)], False)],
+    "case4": [([(0.14285714285714285, 1.0), (1.0, 0.4)], False)],
+    "case5_split": [([(0.25, 0.0), (0.0, 0.25)], False), ([(0.75, 1.0), (1.0, 0.75)], False)],
+    "case5_joined": [([(0.75, 0.0), (1.0, 0.25)], False), ([(0.25, 1.0), (0.0, 0.75)], False)],
+    "case6": [([(0.14285714285714285, 1.0), (0.3333333333333333, 0.0)], False)],
+    "case7": [([(0.14285714285714285, 1.0), (0.0, 0.6666666666666666)], False)],
+    "case8": [([(0.0, 0.6666666666666666), (0.14285714285714285, 1.0)], False)],
+    "case9": [([(0.3333333333333333, 0.0), (0.14285714285714285, 1.0)], False)],
+    "case10_split": [([(0.0, 0.75), (0.25, 1.0)], False), ([(1.0, 0.25), (0.75, 0.0)], False)],
+    "case10_joined": [([(0.0, 0.25), (0.25, 0.0)], False), ([(1.0, 0.75), (0.75, 1.0)], False)],
+    "case11": [([(1.0, 0.4), (0.14285714285714285, 1.0)], False)],
+    "case12": [([(0.0, 0.6666666666666666), (1.0, 0.4)], False)],
+    "case13": [([(0.3333333333333333, 0.0), (1.0, 0.4)], False)],
+    "case14": [([(0.0, 0.6666666666666666), (0.3333333333333333, 0.0)], False)],
+    "open_to_border": [
+        ([(1.7, 4.0), (2.0, 3.25), (2.1, 3.0), (2.5, 2.0), (2.9, 1.0), (3.0, 0.7500000000000001),
+          (3.3, 0.0)], False),
+    ],
+    "two_loops": [
+        ([(0.5, 2.0), (1.0, 1.5), (1.5, 1.0), (2.0, 0.5), (2.5, 1.0), (3.0, 1.5), (3.5, 2.0),
+          (3.0, 2.5), (2.5, 3.0), (2.0, 3.5), (1.5, 3.0), (1.0, 2.5)], True),
+        ([(5.75, 2.0), (6.0, 1.6666666666666665), (6.5, 1.0), (7.0, 0.3333333333333333),
+          (7.5, 1.0), (8.0, 1.6666666666666665), (8.25, 2.0), (8.0, 2.3333333333333335),
+          (7.5, 3.0), (7.0, 3.6666666666666665), (6.5, 3.0), (6.0, 2.3333333333333335)], True),
+    ],
+    "open_and_closed": [
+        ([(6.75, 4.0), (6.25, 3.0), (6.0, 2.5), (5.75, 2.0), (6.0, 1.5), (6.25, 1.0),
+          (6.75, 0.0)], False),
+        ([(7.25, 0.0), (7.75, 1.0), (8.0, 1.5), (8.25, 2.0), (8.0, 2.5), (7.75, 3.0),
+          (7.25, 4.0)], False),
+        ([(0.5, 2.0), (1.0, 1.5), (1.5, 1.0), (2.0, 0.5), (2.5, 1.0), (3.0, 1.5), (3.5, 2.0),
+          (3.0, 2.5), (2.5, 3.0), (2.0, 3.5), (1.5, 3.0), (1.0, 2.5)], True),
+    ],
+    "through_nodes": [
+        ([(1.0, 3.0), (2.0, 2.0), (3.0, 1.0), (4.0, 2.0), (5.0, 3.0), (4.0, 4.0), (3.0, 5.0),
+          (2.0, 4.0)], True),
+    ],
+    "open_through_node": [
+        ([(1.0, 4.0), (1.5, 3.0), (2.0, 2.0), (2.5, 1.0), (3.0, 0.0)], False),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", list(_EXPECTED_CHAINS))
+def test_marching_squares_chains_are_pinned(name):
+    chains = mcgraph.geometry._marching_squares(_contour_fields()[name])
+    expected = _EXPECTED_CHAINS[name]
+    assert [closed for _, closed in chains] == [closed for _, closed in expected]
+    for (pts, _), (want, _) in zip(chains, expected):
+        assert pts.dtype == np.float64 and pts.shape == (len(want), 2)
+        assert np.array_equal(pts, np.array(want))
+
+
+def _edge_keyed_marching_squares(F):
+    """The chains as the edge-keyed implementation traced them: a dict from
+    each segment's start edge (axis, i, j) to its end edge, cell by cell."""
+    inside = F > 0.0
+    corners = (np.s_[:-1, :-1], np.s_[1:, :-1], np.s_[1:, 1:], np.s_[:-1, 1:])
+    case = sum(inside[c].astype(np.int8) << k for k, c in enumerate(corners))
+    ci, cj = np.nonzero((case != 0) & (case != 15))
+    joined = sum(F[c][ci, cj] for c in corners) > 0.0
+    nxt = {}
+    for i, j, k, jn in zip(ci.tolist(), cj.tolist(), case[ci, cj].tolist(), joined.tolist()):
+        edges = ((0, i, j), (1, i + 1, j), (0, i, j + 1), (1, i, j))
+        for a, b in mcgraph.geometry._cell_segments(k, jn):
+            nxt[edges[a]] = edges[b]
+    chains = []
+    for start in sorted(set(nxt) - set(nxt.values())) + list(nxt):
+        if start not in nxt:
+            continue
+        chain = [start]
+        while chain[-1] in nxt:
+            chain.append(nxt.pop(chain[-1]))
+        closed = chain[-1] == chain[0]
+        e = np.array(chain[:-1] if closed else chain)
+        axis, i, j = e[:, 0], e[:, 1], e[:, 2]
+        f0, f1 = F[i, j], F[i + 1 - axis, j + axis]
+        t = f0 / (f0 - f1)
+        pts = np.stack([i + (1 - axis) * t, j + axis * t], axis=-1)
+        keep = np.any(pts != np.roll(pts, 1, axis=0), axis=1)
+        keep[0] |= not closed
+        chains.append((pts[keep], closed))
+    return chains
+
+
+def test_marching_squares_matches_the_edge_keyed_reference():
+    # random lattices with saddles, zeros at nodes, ties in the saddle sums
+    # and many chains, open and closed
+    rng = np.random.default_rng(20)
+    for trial in range(400):
+        shape = tuple(rng.integers(2, 16, 2))
+        kind = trial % 3
+        if kind == 0:
+            F = rng.integers(-2, 3, shape).astype(float)
+        elif kind == 1:
+            F = rng.standard_normal(shape)
+        else:
+            i, j = np.meshgrid(*map(np.arange, shape), indexing="ij")
+            F = np.sin(rng.uniform(0.3, 2.0) * i + rng.uniform(0.0, 3.0)) * np.cos(0.7 * j) - 0.2
+        got, want = mcgraph.geometry._marching_squares(F), _edge_keyed_marching_squares(F)
+        assert [c for _, c in got] == [c for _, c in want]
+        for (pts, _), (ref, _) in zip(got, want):
+            assert pts.shape == ref.shape and np.array_equal(pts, ref)

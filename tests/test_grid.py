@@ -242,7 +242,7 @@ _FOOT_DOMAINS = {
 
 def _bisected_theta(g):
     """theta of every foot by 52 halvings of the domain's sign test on its
-    link, kept at least 1e-12 as the grid keeps it."""
+    link."""
     p0 = g.interior_xy[g.foot_owner]
     direction = g.h * _AXES[g.foot_axis]
     lo, hi = np.zeros(g.n_feet), np.ones(g.n_feet)
@@ -250,7 +250,7 @@ def _bisected_theta(g):
         mid = 0.5 * (lo + hi)
         inside = g.domain.contains(p0 + mid[:, None] * direction)
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
-    return np.maximum(0.5 * (lo + hi), 1e-12)
+    return 0.5 * (lo + hi)
 
 
 @pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
@@ -260,6 +260,9 @@ def test_feet_match_a_bisection_of_the_sign_test(name, h):
     theta = _bisected_theta(g)
     assert np.max(np.abs(g.foot_theta - theta)) <= 1e-12
     assert np.all((g.foot_theta >= 2.0 ** -53) & (g.foot_theta <= 1.0 - 2.0 ** -53))
+    # every foot sits at the theta the closures read, to the bit
+    own = g.interior_xy[g.foot_owner]
+    assert np.array_equal(g.foot_xy, own + g.foot_theta[:, None] * (g.h * _AXES[g.foot_axis]))
     if name == "annulus":
         # links into the hole leave across the inner circle
         assert (np.hypot(*g.foot_xy.T) < 1.2).sum() > 8
@@ -339,7 +342,8 @@ _BAND_DOMAINS = {
 
 def _reference(grid):
     """cls, core mask (interior order) and ghost depths (ghost order) from
-    the signed distance at every lattice node."""
+    the signed distance at every lattice node, and the interior and ghost
+    masks."""
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     d = grid.domain.signed_distance(np.stack([X.ravel(), Y.ravel()], axis=-1)).reshape(X.shape)
     tol = 1e-12 * max(1.0, max(abs(v) for v in grid.domain.bbox))
@@ -347,7 +351,17 @@ def _reference(grid):
     pad = np.pad(interior, 1)
     ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
     cls = np.where(interior, NODE_INTERIOR, np.where(ghost, NODE_GHOST, NODE_EXTERIOR))
-    return cls, d[interior] >= 2.0 * grid.h - 1e-12, -d[ghost]
+    return cls, d[interior] >= 2.0 * grid.h - 1e-12, -d[ghost], interior, ghost
+
+
+def _reference_numbering(mask):
+    """The (i, j) pairs of the mask's nodes in row-major order, and the
+    lattice of their numbers, -1 elsewhere."""
+    ij = np.argwhere(mask)
+    ids = np.full(mask.shape, -1, dtype=np.int64)
+    for k, (i, j) in enumerate(ij):
+        ids[i, j] = k
+    return ij, ids
 
 
 def _build_recording(domain, h, monkeypatch):
@@ -373,9 +387,17 @@ def _build_recording(domain, h, monkeypatch):
 
 
 def _assert_matches_reference(grid, seen):
-    cls, core, depth = _reference(grid)
+    cls, core, depth, interior, ghost = _reference(grid)
     assert np.array_equal(grid.cls, cls)
     assert np.array_equal(grid.core_mask, core)
+    # the nodes and their numbers, row-major, with the dtypes the rest reads
+    for (ij, ids), mask in (((grid.interior_ij, grid.node_id), interior),
+                            ((grid.ghost_ij, grid.ghost_id), ghost)):
+        ref_ij, ref_ids = _reference_numbering(mask)
+        assert ij.dtype == np.intp and ij.shape == ref_ij.shape and np.array_equal(ij, ref_ij)
+        assert ids.dtype == np.int64 and np.array_equal(ids, ref_ids)
+    assert np.array_equal(grid.interior_xy, np.stack([grid.xs[grid.interior_ij[:, 0]],
+                                                      grid.ys[grid.interior_ij[:, 1]]], axis=-1))
     # every ghost's depth was evaluated during construction, and it is the reference's
     built = -seen[grid.ghost_ij[:, 0], grid.ghost_ij[:, 1]]
     assert not np.any(np.isnan(built))
@@ -414,6 +436,31 @@ def test_band_bounds_distance_evaluations(monkeypatch):
     grid, seen, evaluated = _build_recording(dumbbell(1.0, 1.3), 1.0 / 128.0, monkeypatch)
     assert evaluated <= 0.1 * grid.nx * grid.ny
     _assert_matches_reference(grid, seen)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: disk(0.93, center=(0.31, -0.2)),
+    lambda: ellipse(1.2, 0.7, center=(-0.4, 0.15)),
+    lambda: rect(0.55, 0.37, center=(0.013, 0.25)),
+    lambda: rounded_rect(1.0, 0.6, 0.25, center=(0.2, -0.35)),
+    lambda: annulus(0.5, 1.0, center=(-0.125, 0.3)),
+    lambda: dumbbell(1.0, 1.3),
+    lambda: levelset("1 - (x - 0.3)**2/1.21 - (y + 0.2)**2/0.36", (-0.9, 1.5, -0.9, 0.5))],
+    ids=["disk", "ellipse", "rect", "rounded_rect", "annulus", "dumbbell", "levelset"])
+def test_broadcast_sign_test_is_the_point_list_sign_test(make):
+    # on a grid's own axes and on axes through the boundary's extremes, the
+    # sign test on xs[:, None], ys[None, :] is contains() on the point list
+    dom = make()
+    x0, x1, y0, y1 = dom.bbox
+    grid = Grid(dom, 1.0 / 32.0)
+    for xs, ys in ((grid.xs, grid.ys),
+                   (np.linspace(x0 - 0.1, x1 + 0.1, 97), np.linspace(y0, y1, 64))):
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        listed = dom.contains(np.stack([X.ravel(), Y.ravel()], axis=-1))
+        inside = dom.contains_xy(xs[:, None], ys[None, :])
+        assert inside.dtype == bool and inside.shape == (len(xs), len(ys))
+        assert np.array_equal(inside.ravel(), listed)
+        assert 0 < listed.sum() < len(listed)
 
 
 # -- nested-dissection order ---------------------------------------------------
