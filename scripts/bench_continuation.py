@@ -18,8 +18,8 @@ are
 * ``sample``: ``--draws`` solves of constant H in [-1.5, 1.5] with
   ``BumpData`` of width 0.05-1 and height in [-0.5, 0.5] centred at a
   uniform angle on the unit circle, drawn from a fixed seed; the draws
-  alternate between one h = 1/12 and one h = 1/24 grid.  It runs once per
-  checkout and is tabulated as (parent verdict, this verdict) pairs.
+  alternate between one h = 1/12 and one h = 1/24 grid.  It is tabulated
+  as (parent verdict, this verdict) pairs.
 
 Per checkout and case it records the Newton steps, the Krylov iterations,
 the factorizations and the float64 ones among them, the ``splu`` and
@@ -181,7 +181,7 @@ def main(argv=None) -> int:
         for case in args.cases.split(","):
             fields = {name: Path(tmp) / f"{case}-{name}.npz" for name in checkouts}
             runs = _parent.alternate(
-                checkouts, 1 if case == "sample" else args.repeats,
+                checkouts, args.repeats,
                 lambda name, r: _parent.fresh(__file__, checkouts[name], case, args.draws,
                                               fields[name]))
             entry = {}

@@ -35,8 +35,8 @@ polyline, the five stencils of a fixed smooth field (``Evaluation``'s
 second differences and slopes),
 ``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
 H = 0.4 cap (at u = 0) and of the Jacobian at the fixed field, the feet
-(owner, axis, theta, point, arclength), the classification (``cls``,
-``interior_ij``, ``ghost_ij``), the numbering (``node_id``, ``ghost_id``,
+(owner, axis, theta, point, arclength), the classification
+(``interior_ij``, ``ghost_ij``), the numbering (``node_id``, ``ghost_id``,
 ``interior_xy``, ``core_mask``), ``_cross_one_sided``, ``_cross_quadrant``
 and the flags; ``identical`` compares the parent's digests with this
 checkout's and ``differing_digests`` names those that differ.  A change
@@ -148,7 +148,7 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
             digests[f"{label}.{attr}"] = _digest(getattr(J, attr))
     digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,
                               grid.foot_xy, grid.foot_s)
-    digests["classification"] = _digest(grid.cls, grid.interior_ij, grid.ghost_ij)
+    digests["classification"] = _digest(grid.interior_ij, grid.ghost_ij)
     digests["numbering"] = _digest(grid.node_id, grid.ghost_id, grid.interior_xy, grid.core_mask)
     b = dom.boundary
     digests["boundary"] = _digest(b.points, b.normals, b.kappa, b.arclength)

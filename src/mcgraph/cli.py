@@ -24,10 +24,6 @@ is a command line argparse refuses (--help exits 0).  run,
 [experiment] runs included: 0 converged with all requested audits passing,
 2 solver failure, 3 audit failure.  check-serrin exits 0 when the
 solvability condition holds and 1 when violated.
-
-MCGRAPH_THREADS caps BLAS thread pools; it is exported to the usual knobs
-(OPENBLAS_NUM_THREADS and friends) before heavy work starts, which is fully
-effective only when the libraries have not spun up their pools yet.
 """
 
 from __future__ import annotations
@@ -35,7 +31,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -60,15 +55,6 @@ _SHAPE_FLAGS = {"radius": 1.0, "a": 1.0, "b": 1.0, "hx": 1.0, "hy": 1.0,
                 "r_in": 0.5, "r_out": 1.0, "waist": 1.0, "spread": 1.1}
 # check-serrin's other flags besides --config, with their defaults
 _AUDIT_FLAGS = {"shape": "disk", "curvature": 0.0, "n": 2}
-
-
-def _apply_thread_env() -> None:
-    v = os.environ.get("MCGRAPH_THREADS")
-    if not v:
-        return
-    for knob in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ.setdefault(knob, v)
 
 
 def _say(quiet: bool, *parts) -> None:
@@ -384,7 +370,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_env()
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)

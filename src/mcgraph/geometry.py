@@ -771,15 +771,11 @@ class DomainSpec:
         """Positive inside, negative outside, zero on the boundary."""
         return self.shape.signed_distance(np.asarray(pts, dtype=float))
 
-    def contains(self, pts):
-        """Sign test, True strictly inside: the shape's own inequality."""
-        pts = np.asarray(pts, dtype=float)
-        return self.shape.contains(pts[..., 0], pts[..., 1])
-
-    def contains_xy(self, x, y):
-        """The sign test at the points (x, y) of broadcastable coordinate
-        arrays, an array of their broadcast shape: on a lattice's axes,
-        ``contains_xy(xs[:, None], ys[None, :])``."""
+    def contains(self, x, y):
+        """Sign test, True strictly inside (the shape's own inequality), at
+        the points (x, y) of broadcastable coordinate arrays, a bool array
+        of their broadcast shape: on a lattice's axes,
+        ``contains(xs[:, None], ys[None, :])``."""
         return self.shape.contains(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def axis_crossing(self, pts, unit, h):

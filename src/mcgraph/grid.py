@@ -8,18 +8,18 @@ boundary (the narrow band of Adalsteinsson & Sethian, J. Comput. Phys. 118,
 ys[None, :], broadcast, the exact distance only in a band of a few cells
 that provably holds every node within 2h of the boundary, and a node off
 the band takes the sign test and is core.  Interior and ghost nodes are
-numbered row-major from the flat indices of their masks.  `Grid.d`
-and `Grid.interior_d`, the distance at every node, are computed on first
-read.  Each interior-to-exterior axis link stores a boundary intercept:
-the fraction theta in (0, 1] of the link at which the boundary is crossed and
-the foot point itself.  The domain's `axis_crossing` gives theta: in closed
-form, a square root on the link's line, on the disk, ellipse, rectangles and
-annulus, and on a level set {F > 0} a secant on F along the link, bracketed
-by F's sign and started from the linear interpolation of the link's end
-values.  Every foot is then checked once against the signed distance,
-|d| <= 1e-8.  `Grid.foot_s`, the feet's boundary arclengths, is computed on
-first read: a solve never reads it, since bump data finds the arclength of
-the points it is given.
+numbered row-major from the flat indices of their masks, and the numbers,
+-1 off the set, are the classes: `node_id >= 0` marks the interior nodes
+and `ghost_id >= 0` the ghosts.  Each interior-to-exterior axis link stores
+a boundary intercept: the fraction theta in (0, 1] of the link at which the
+boundary is crossed and the foot point itself.  The domain's `axis_crossing`
+gives theta: in closed form, a square root on the link's line, on the disk,
+ellipse, rectangles and annulus, and on a level set {F > 0} a secant on F
+along the link, bracketed by F's sign and started from the linear
+interpolation of the link's end values.  Every foot is then checked once
+against the signed distance, |d| <= 1e-8.  `Grid.foot_s`, the feet's
+boundary arclengths, is computed on first read: a solve never reads it,
+since bump data finds the arclength of the points it is given.
 
 Each link closes its ghost in terms of interior unknowns and the Dirichlet
 value at its foot by one-dimensional extrapolation along the link:
@@ -73,7 +73,6 @@ import scipy.sparse as sps
 
 from .geometry import DomainSpec
 
-NODE_EXTERIOR, NODE_INTERIOR, NODE_GHOST = 0, 1, 2
 # row blocks of the stacked operator; second differences lead, so a frozen
 # operator combines the leading three and a Jacobian sums in this order
 STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
@@ -192,7 +191,7 @@ class Grid:
 
     def _classify(self):
         nx, ny, xs, ys = self.nx, self.ny, self.xs, self.ys
-        inside = self.domain.contains_xy(xs[:, None], ys[None, :])
+        inside = self.domain.contains(xs[:, None], ys[None, :])
         band = self._band(inside)
         # the exact distance in the band; off it |d| >= 2h, so the sign test
         # classifies, interior nodes are core and no exterior node is a ghost
@@ -206,10 +205,6 @@ class Grid:
         interior = (d > tol).reshape(nx, ny)
         pad = np.pad(interior, 1)
         ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
-        cls = np.full((nx, ny), NODE_EXTERIOR, dtype=np.int8)
-        cls[interior] = NODE_INTERIOR
-        cls[ghost] = NODE_GHOST
-        self.cls = cls
         self.interior_mask = interior
         # nodes are numbered row-major in (i, j), from their flat indices
         flat = np.flatnonzero(interior)
@@ -232,19 +227,6 @@ class Grid:
         self.ghost_ij, self.ghost_id = _number(flat, nx, ny)
         if np.max(-d.take(flat)) > 2.0 * self.h + 1e-12:
             raise GridError("ghost node farther than 2h from the boundary")
-
-    @cached_property
-    def d(self) -> np.ndarray:
-        """Signed distance at every lattice node, (nx, ny), computed on first
-        read: construction needs it only in the band."""
-        X, Y = np.meshgrid(self.xs, self.ys, indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        return self.domain.signed_distance(pts).reshape(self.nx, self.ny)
-
-    @cached_property
-    def interior_d(self) -> np.ndarray:
-        """Signed distance at the interior nodes, in interior order."""
-        return self.d[self.interior_ij[:, 0], self.interior_ij[:, 1]]
 
     @cached_property
     def dissection(self) -> np.ndarray:
@@ -402,7 +384,7 @@ class Grid:
         look at their quadrants."""
         flat = self.interior_ij[:, 0] * self.ny + self.interior_ij[:, 1]
         step = _QUADRANTS @ (self.ny, 1)            # flat offsets of the diagonals
-        usable = (self.cls != NODE_EXTERIOR).ravel()
+        usable = (self.interior_mask | (self.ghost_id >= 0)).ravel()
         centred = usable.take(flat + step[0])
         for s in step[1:]:
             centred &= usable.take(flat + s)
@@ -474,7 +456,7 @@ class Grid:
         h, Ni, ny = self.h, self.n_interior, self.ny
         # column of every node: interior unknowns first, then ghosts; an
         # exterior node reads -1
-        column = np.where(self.cls == NODE_GHOST, Ni + self.ghost_id, self.node_id).ravel()
+        column = np.where(self.ghost_id >= 0, Ni + self.ghost_id, self.node_id).ravel()
         taps, edge = self._taps, self._edge
         at = self._flat[edge, None]
         index, weight = [], []
@@ -713,16 +695,11 @@ class ScalarField:
                    np.asarray(feet, dtype=float)).validate()
 
     @classmethod
-    def from_data(cls, grid: Grid, values: np.ndarray, data) -> "ScalarField":
-        """Interior values plus a BoundaryData trace evaluated at the feet."""
-        return cls(grid, values, np.asarray(data.trace(grid.foot_xy), dtype=float))
-
-    @classmethod
     def zeros(cls, grid: Grid, data=None):
-        vals = np.zeros(grid.n_interior)
-        if data is None:
-            return cls(grid, vals, np.zeros(grid.n_feet))
-        return cls.from_data(grid, vals, data)
+        """Zero interior values; the trace is zero, or the BoundaryData
+        trace evaluated at the feet."""
+        feet = np.zeros(grid.n_feet) if data is None else data.trace(grid.foot_xy)
+        return cls(grid, np.zeros(grid.n_interior), feet)
 
     def shifted(self, c: float) -> "ScalarField":
         """Vertical translation u + c (trace shifts too)."""
@@ -733,6 +710,3 @@ class ScalarField:
 
     def ghost_values(self) -> np.ndarray:
         return self.grid.ghost_values(self.values, self.feet)
-
-    def __sub__(self, other: "ScalarField"):
-        return ScalarField(self.grid, self.values - other.values, self.feet - other.feet)

@@ -65,20 +65,15 @@ def boundary_slope(u: ScalarField) -> float:
 
 
 def coefficient_matrix(p) -> tuple[np.ndarray, tuple[float, float]]:
-    """A(p) = W^2 I - p p^T with its exact eigenvalue pair (1, 1 + |p|^2).
+    """A(p) = W^2 I - p p^T for one slope p = (p1, p2), with its exact
+    eigenvalue pair (1, 1 + |p|^2).
 
     The small eigenvalue 1 belongs to the direction of p, the large one
     1 + |p|^2 to the orthogonal direction, so the ellipticity ratio is W^2.
     """
     p = np.asarray(p, dtype=float)
-    squeeze = p.ndim == 1
-    p = np.atleast_2d(p)
-    w2 = 1.0 + np.sum(p**2, axis=-1)
-    A = w2[:, None, None] * np.eye(2) - p[:, :, None] * p[:, None, :]
-    lam = (1.0, float(w2[0]) if squeeze else w2)
-    if squeeze:
-        return A[0], lam
-    return A, (np.ones_like(w2), w2)
+    w2 = 1.0 + np.sum(p**2)
+    return w2 * np.eye(2) - p[:, None] * p[None, :], (1.0, float(w2))
 
 
 class Evaluation:

@@ -336,23 +336,6 @@ def test_sweep_needs_series_or_curvatures(tmp_path, capsys):
     assert "sweep needs" in capsys.readouterr().err
 
 
-def test_thread_env_knobs(monkeypatch):
-    for knob in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
-                 "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        monkeypatch.delenv(knob, raising=False)
-    monkeypatch.setenv("MCGRAPH_THREADS", "3")
-    main(["check-serrin", "--curvature", "0.1"])
-    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
-    assert os.environ["NUMEXPR_NUM_THREADS"] == "3"
-
-
-def test_thread_env_does_not_override(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "7")
-    monkeypatch.setenv("MCGRAPH_THREADS", "3")
-    main(["check-serrin", "--curvature", "0.1"])
-    assert os.environ["OMP_NUM_THREADS"] == "7"
-
-
 EXPERIMENT = """\
 [domain]
 shape = disk

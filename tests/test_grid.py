@@ -14,7 +14,7 @@ import mcgraph.grid
 from mcgraph import (Evaluation, Grid, GridError, InvalidFieldError, PrescribedCurvature,
                      ScalarField, annulus, disk, dumbbell, ellipse, levelset, rect,
                      rounded_rect)
-from mcgraph.grid import _AXES, _QUADRANTS, NODE_EXTERIOR, NODE_GHOST, NODE_INTERIOR, STENCILS
+from mcgraph.grid import _AXES, _QUADRANTS, STENCILS
 
 from lattice_form import lattice_taps, stacked_operators
 
@@ -25,21 +25,22 @@ def g16():
 
 
 def test_classification_partition(g16):
-    counts = {c: int(np.sum(g16.cls == c))
-              for c in (NODE_EXTERIOR, NODE_INTERIOR, NODE_GHOST)}
-    assert sum(counts.values()) == g16.nx * g16.ny
-    assert counts[NODE_INTERIOR] == g16.n_interior
-    assert counts[NODE_GHOST] == g16.n_ghost
-    assert counts[NODE_INTERIOR] > 0 and counts[NODE_GHOST] > 0
+    interior, ghost = g16.node_id >= 0, g16.ghost_id >= 0
+    assert g16.node_id.shape == g16.ghost_id.shape == (g16.nx, g16.ny)
+    assert not np.any(interior & ghost)
+    assert np.array_equal(interior, g16.interior_mask)
+    assert int(interior.sum()) == g16.n_interior
+    assert int(ghost.sum()) == g16.n_ghost
+    assert g16.n_interior > 0 and g16.n_ghost > 0
 
 
 def test_interior_nodes_strictly_inside(g16):
-    assert np.all(g16.interior_d > 0)
+    assert np.all(g16.domain.signed_distance(g16.interior_xy) > 0)
 
 
 def test_ghost_nodes_touch_interior(g16):
     # every ghost is the across-boundary neighbor of some interior node
-    interior = g16.cls == NODE_INTERIOR
+    interior = g16.node_id >= 0
     for i, j in g16.ghost_ij:
         neigh = []
         for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
@@ -50,7 +51,8 @@ def test_ghost_nodes_touch_interior(g16):
 
 
 def test_ghosts_within_collar(g16):
-    gd = -g16.d[g16.ghost_ij[:, 0], g16.ghost_ij[:, 1]]
+    ghost_xy = np.stack([g16.xs[g16.ghost_ij[:, 0]], g16.ys[g16.ghost_ij[:, 1]]], axis=-1)
+    gd = -g16.domain.signed_distance(ghost_xy)
     assert np.all(gd <= 2.0 * g16.h + 1e-12)
 
 
@@ -71,7 +73,8 @@ def test_foot_owner_links(g16):
 
 
 def test_core_mask_excludes_collar(g16):
-    assert np.all(g16.interior_d[g16.core_mask] >= 2.0 * g16.h - 1e-12)
+    d = g16.domain.signed_distance(g16.interior_xy)
+    assert np.all(d[g16.core_mask] >= 2.0 * g16.h - 1e-12)
     assert np.any(g16.core_mask)
     assert np.any(~g16.core_mask)
 
@@ -196,9 +199,6 @@ def test_field_shift_and_sub(g16):
     v = u.shifted(0.75)
     assert np.allclose(v.values - u.values, 0.75)
     assert np.allclose(v.feet - u.feet, 0.75)
-    w = v - u
-    assert np.allclose(w.values, 0.75)
-    assert np.allclose(w.feet, 0.75)
 
 
 def test_refinement_grows_quadratically():
@@ -216,7 +216,8 @@ def test_ellipse_depths_on_major_axis_are_exact():
     deep = np.abs(g.xs) < (a * a - b * b) / a
     exact = b * np.sqrt(1.0 - g.xs[deep] ** 2 / (a * a - b * b))
     assert deep.sum() == 51
-    assert np.max(np.abs(g.d[deep, j] - exact)) < 1e-15
+    d = g.domain.signed_distance(np.stack([g.xs[deep], np.full(deep.sum(), g.ys[j])], axis=-1))
+    assert np.max(np.abs(d - exact)) < 1e-15
 
 
 _LEVELSET = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
@@ -248,7 +249,7 @@ def _bisected_theta(g):
     lo, hi = np.zeros(g.n_feet), np.ones(g.n_feet)
     for _ in range(52):
         mid = 0.5 * (lo + hi)
-        inside = g.domain.contains(p0 + mid[:, None] * direction)
+        inside = g.domain.contains(*(p0 + mid[:, None] * direction).T)
         lo, hi = np.where(inside, mid, lo), np.where(inside, hi, mid)
     return 0.5 * (lo + hi)
 
@@ -286,7 +287,7 @@ def test_feet_match_a_bisection_of_the_sign_test(name, h):
         # from its left neighbour sits at the end of the link, as the
         # bisection puts it
         far = g.foot_xy[:, 0] == 0.5
-        assert g.cls[np.flatnonzero(g.xs == 0.5)[0], np.flatnonzero(g.ys == 0.0)[0]] == NODE_GHOST
+        assert g.ghost_id[np.flatnonzero(g.xs == 0.5)[0], np.flatnonzero(g.ys == 0.0)[0]] >= 0
         assert far.sum() >= 1 and np.all(g.foot_theta[far] == 1.0 - 2.0 ** -53)
 
 
@@ -341,8 +342,8 @@ _BAND_DOMAINS = {
 
 
 def _reference(grid):
-    """cls, core mask (interior order) and ghost depths (ghost order) from
-    the signed distance at every lattice node, and the interior and ghost
+    """Core mask (interior order) and ghost depths (ghost order) from the
+    signed distance at every lattice node, and the interior and ghost
     masks."""
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     d = grid.domain.signed_distance(np.stack([X.ravel(), Y.ravel()], axis=-1)).reshape(X.shape)
@@ -350,8 +351,7 @@ def _reference(grid):
     interior = d > tol
     pad = np.pad(interior, 1)
     ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
-    cls = np.where(interior, NODE_INTERIOR, np.where(ghost, NODE_GHOST, NODE_EXTERIOR))
-    return cls, d[interior] >= 2.0 * grid.h - 1e-12, -d[ghost], interior, ghost
+    return d[interior] >= 2.0 * grid.h - 1e-12, -d[ghost], interior, ghost
 
 
 def _reference_numbering(mask):
@@ -387,8 +387,7 @@ def _build_recording(domain, h, monkeypatch):
 
 
 def _assert_matches_reference(grid, seen):
-    cls, core, depth, interior, ghost = _reference(grid)
-    assert np.array_equal(grid.cls, cls)
+    core, depth, interior, ghost = _reference(grid)
     assert np.array_equal(grid.core_mask, core)
     # the nodes and their numbers, row-major, with the dtypes the rest reads
     for (ij, ids), mask in (((grid.interior_ij, grid.node_id), interior),
@@ -449,18 +448,28 @@ def test_band_bounds_distance_evaluations(monkeypatch):
     ids=["disk", "ellipse", "rect", "rounded_rect", "annulus", "dumbbell", "levelset"])
 def test_broadcast_sign_test_is_the_point_list_sign_test(make):
     # on a grid's own axes and on axes through the boundary's extremes, the
-    # sign test on xs[:, None], ys[None, :] is contains() on the point list
+    # sign test on the axes xs[:, None], ys[None, :] is the sign test on the
+    # list of the lattice's points, a meshgrid's flattened X, Y
     dom = make()
     x0, x1, y0, y1 = dom.bbox
     grid = Grid(dom, 1.0 / 32.0)
     for xs, ys in ((grid.xs, grid.ys),
                    (np.linspace(x0 - 0.1, x1 + 0.1, 97), np.linspace(y0, y1, 64))):
         X, Y = np.meshgrid(xs, ys, indexing="ij")
-        listed = dom.contains(np.stack([X.ravel(), Y.ravel()], axis=-1))
-        inside = dom.contains_xy(xs[:, None], ys[None, :])
+        listed = dom.contains(X.ravel(), Y.ravel())
+        inside = dom.contains(xs[:, None], ys[None, :])
+        assert listed.dtype == bool and listed.shape == (len(xs) * len(ys),)
         assert inside.dtype == bool and inside.shape == (len(xs), len(ys))
         assert np.array_equal(inside.ravel(), listed)
         assert 0 < listed.sum() < len(listed)
+
+
+def test_sign_test_of_one_point_is_a_0d_bool():
+    dom = disk(1.0)
+    for x, y, expected in ((0.0, 0.0, True), (1.5, 0.0, False)):
+        inside = dom.contains(x, y)
+        assert np.ndim(inside) == 0 and inside.dtype == bool
+        assert bool(inside) is expected
 
 
 # -- nested-dissection order ---------------------------------------------------
@@ -538,7 +547,8 @@ def _reference_cross_choice(grid):
     else the first usable one, else none."""
     centred, one_sided, quadrant, missing = [], [], [], 0
     for n, (i, j) in enumerate(grid.interior_ij):
-        usable = [grid.cls[i + a, j + b] != NODE_EXTERIOR for a, b in _QUADRANTS]
+        usable = [grid.node_id[i + a, j + b] >= 0 or grid.ghost_id[i + a, j + b] >= 0
+                  for a, b in _QUADRANTS]
         inner = [bool(grid.interior_mask[i + a, j + b]) for a, b in _QUADRANTS]
         centred.append(all(usable))
         if all(usable):
@@ -574,7 +584,7 @@ def _reference_operators(grid):
         "Gx": [(rows, (1, 0), 0.5 / h), (rows, (-1, 0), -0.5 / h)],
         "Gy": [(rows, (0, 1), 0.5 / h), (rows, (0, -1), -0.5 / h)],
     }
-    column = np.where(grid.cls == NODE_GHOST, Ni + grid.ghost_id, grid.node_id)
+    column = np.where(grid.ghost_id >= 0, Ni + grid.ghost_id, grid.node_id)
     interior, ghost = [], []
     for name in STENCILS:
         r, c, v = (np.concatenate(part) for part in zip(*(

@@ -117,7 +117,7 @@ def test_sign_violations_confined_to_collar(g32):
     bad = (M.row != M.col) & (M.data > 1e-12)
     bad_rows = np.unique(M.row[bad])
     assert len(bad_rows) > 0
-    assert np.max(g32.interior_d[bad_rows]) < 2.5 * g32.h
+    assert np.max(g32.domain.signed_distance(g32.interior_xy[bad_rows])) < 2.5 * g32.h
 
 
 def test_system_scaling_with_tau(g32):
