@@ -29,8 +29,10 @@ one more grid under ``tracemalloc``: ``retained_bytes`` is what the grid
 holds after ``operators()``, as the ``domain_grids`` workload keeps it, and
 ``retained_bytes_solving`` what it holds once ``pattern()`` is built too, as
 a solve keeps it.  Each process also hashes (SHA-256 over dtype, shape and
-bytes) what both sides of ``--parent`` compute alike: the domain's boundary
-samples (points, normals, kappa, arclength) and a level set's traced
+bytes, integer arrays widened to int64 so that a change of index width
+leaves their digests alone) what both sides of ``--parent`` compute alike:
+the domain's boundary samples (points, normals, kappa, arclength) and a
+level set's traced
 polyline, the five stencils of a fixed smooth field (``Evaluation``'s
 second differences and slopes),
 ``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
@@ -82,6 +84,8 @@ DOMAINS = {
 def _digest(*arrays) -> str:
     sha = hashlib.sha256()
     for a in arrays:
+        if a.dtype.kind in "iu":        # integers by value, whatever their width
+            a = a.astype(np.int64)
         sha.update(f"{a.dtype.str}{a.shape}".encode())
         sha.update(a.tobytes())
     return sha.hexdigest()

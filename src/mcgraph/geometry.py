@@ -45,6 +45,7 @@ from .expressions import Expr2D, compile_expr
 
 _TWO_PI = 2.0 * math.pi
 _CONTOUR_GRID = 768      # lattice points per side on which a level set's contour is traced
+_CONTOUR_ROWS = 64       # rows of that lattice per evaluation of the level function
 _N_SAMPLES = 4096        # boundary samples of every domain, read when one is built
 _SECANT_TOL = 1e-13      # a level set's axis crossing stops at a step this short
 
@@ -487,7 +488,12 @@ class _LevelSet:
         nx = ny = _CONTOUR_GRID
         xs = np.linspace(x0, x1, nx)
         ys = np.linspace(y0, y1, ny)
-        loops = _marching_squares(self.F(xs[:, None], ys[None, :]))
+        # F a block of rows at a time, so that each node of the expression
+        # makes a block-sized temporary, not a lattice-sized one
+        F = np.empty((nx, ny))
+        for a in range(0, nx, _CONTOUR_ROWS):
+            F[a:a + _CONTOUR_ROWS] = self.F(xs[a:a + _CONTOUR_ROWS, None], ys[None, :])
+        loops = _marching_squares(F)
         if not loops:
             raise MalformedDomainError("level set has no zero contour inside the bbox")
         loop, closed = max(loops, key=lambda lc: len(lc[0]))
@@ -858,10 +864,14 @@ def _sampled_smoothness_radius(boundary: BoundarySamples) -> float:
 
 
 def _max_pairwise_distance(pts, chunk=512):
+    """Largest distance between two of the points, from (chunk, n) blocks
+    of the coordinate differences, x and y apart."""
+    x, y = np.array(pts[:, 0]), np.array(pts[:, 1])
     best = 0.0
     for i in range(0, len(pts), chunk):
-        blk = pts[i:i + chunk]
-        d2 = np.sum((blk[:, None, :] - pts[None, :, :]) ** 2, axis=-1)
+        dx = x[i:i + chunk, None] - x
+        dy = y[i:i + chunk, None] - y
+        d2 = dx * dx + dy * dy
         best = max(best, float(np.sqrt(d2.max())))
     return best
 
@@ -871,15 +881,15 @@ def _medial_clearance(pts, normals, chunk=512):
 
     For each boundary sample this is the radius of the largest interior ball
     tangent at the sample that avoids every other sample (shrinking-ball
-    medial axis estimate)."""
+    medial axis estimate).  The pairs are taken in (chunk, n) blocks of the
+    coordinate differences, x and y apart."""
+    x, y = np.array(pts[:, 0]), np.array(pts[:, 1])
     best = np.inf
-    n = len(pts)
-    for i in range(0, n, chunk):
-        blk = pts[i:i + chunk]
-        nrm = normals[i:i + chunk]
-        diff = pts[None, :, :] - blk[:, None, :]          # (c, n, 2)
-        d2 = np.sum(diff * diff, axis=-1)
-        denom = 2.0 * np.sum(diff * nrm[:, None, :], axis=-1)
+    for i in range(0, len(pts), chunk):
+        dx = x - x[i:i + chunk, None]
+        dy = y - y[i:i + chunk, None]
+        d2 = dx * dx + dy * dy
+        denom = 2.0 * (dx * normals[i:i + chunk, 0:1] + dy * normals[i:i + chunk, 1:2])
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(denom > 1e-12, d2 / denom, np.inf)
         # ignore the self-pair and immediate neighbours (t -> curvature radius is fine,

@@ -7,12 +7,18 @@ boundary (the narrow band of Adalsteinsson & Sethian, J. Comput. Phys. 118,
 1995): the sign test runs on the lattice's axes, xs[:, None] and
 ys[None, :], broadcast, the exact distance only in a band of a few cells
 that provably holds every node within 2h of the boundary, and a node off
-the band takes the sign test and is core.  Interior and ghost nodes are
-numbered row-major from the flat indices of their masks, and the numbers,
--1 off the set, are the classes: `node_id >= 0` marks the interior nodes
-and `ghost_id >= 0` the ghosts.  Each interior-to-exterior axis link stores
-a boundary intercept: the fraction theta in (0, 1] of the link at which the
-boundary is crossed and the foot point itself.  The domain's `axis_crossing`
+the band takes the sign test and is core.  In the band the distance is
+measured only where it is read: at the nodes inside, whose class and core
+membership it decides, and then at the ghosts outside, whose depths are
+checked.  Interior and ghost nodes are numbered row-major from the flat
+indices of their masks, and the numbers, -1 off the set, are the classes:
+`node_id >= 0` marks the interior nodes and `ghost_id >= 0` the ghosts.
+The numbers and the index pairs `interior_ij`, `ghost_ij` are int32, so a
+grid retains about a third less than with int64; flat lattice indices and
+the x-neighbours that the stencil gathers read are intp.  Each
+interior-to-exterior axis link stores a boundary intercept: the fraction
+theta in (0, 1] of the link at which the boundary is crossed and the foot
+point itself.  The domain's `axis_crossing`
 gives theta: in closed form, a square root on the link's line, on the disk,
 ellipse, rectangles and annulus, and on a level set {F > 0} a secant on F
 along the link, bracketed by F's sign and started from the linear
@@ -48,7 +54,8 @@ stencil has a non-interior diagonal, so it only ever sits at an edge node.
 `Grid.stencils` applies all five stencils to a field: the lattice taps by
 neighbour gathers (interior nodes are numbered row-major, so the
 y-neighbours are the field shifted by one and the other six are gathers at
-the x-neighbours' ids), then the edge nodes' rows from the sparse pair.
+the x-neighbours' ids), a block of nodes at a time into a buffer of eight
+values a node, then the edge nodes' rows from the sparse pair.
 Every row sums its taps in column order from 0, as a sparse mat-vec of the
 whole stacked operator would, so the answer is the same to the bit, and the
 ghost elimination is identical in nodal evaluation and linear-system
@@ -82,6 +89,7 @@ _FOOT_TOL = 1e-8         # |signed distance| at accepted foot points
 _THETA_MIN = 2.0 ** -53  # feet keep at least this fraction of a link from either end
 _ND_LEAF = 64            # largest part a nested dissection leaves unsplit
 _CHUNK = 4096            # nodes per pass of a Jacobian combine
+_STENCIL_CHUNK = 16384   # nodes per pass of a stencil evaluation
 
 
 class GridError(RuntimeError):
@@ -109,11 +117,11 @@ def _ranges(lo: np.ndarray, hi: np.ndarray):
 def _number(flat: np.ndarray, nx: int, ny: int):
     """The (i, j) index pairs, (k, 2), of the nodes at these ascending flat
     indices i ny + j, and the (nx, ny) lattice of their numbers 0 ... k - 1,
-    -1 at every other node."""
-    ij = np.empty((len(flat), 2), dtype=np.intp)
+    -1 at every other node, both int32."""
+    ij = np.empty((len(flat), 2), dtype=np.int32)
     np.divmod(flat, ny, out=(ij[:, 0], ij[:, 1]))
-    ids = np.full((nx, ny), -1, dtype=np.int64)
-    ids.ravel()[flat] = np.arange(len(flat))
+    ids = np.full((nx, ny), -1, dtype=np.int32)
+    ids.ravel()[flat] = np.arange(len(flat), dtype=np.int32)
     return ij, ids
 
 
@@ -193,14 +201,15 @@ class Grid:
         nx, ny, xs, ys = self.nx, self.ny, self.xs, self.ys
         inside = self.domain.contains(xs[:, None], ys[None, :])
         band = self._band(inside)
-        # the exact distance in the band; off it |d| >= 2h, so the sign test
-        # classifies, interior nodes are core and no exterior node is a ghost
-        # (a ghost is within h of the boundary; one off the band would read
-        # -inf and fail the depth check below)
+        # the exact distance where it is read: off the band |d| >= 2h, so the
+        # sign test classifies, interior nodes are core and no exterior node
+        # is a ghost (a ghost is within h of the boundary; one off the band
+        # would read -inf and fail the depth check below).  In the band it
+        # is measured first at the nodes inside, which the classification
+        # reads, then at the ghosts outside, whose depths it checks; the
+        # other exterior nodes read -inf
         d = np.where(inside, np.inf, -np.inf).ravel()
-        at = np.flatnonzero(band)
-        bi, bj = np.divmod(at, ny)
-        d[at] = self.domain.signed_distance(np.stack([xs[bi], ys[bj]], axis=-1))
+        self._measure(d, np.flatnonzero(band & inside))
         tol = 1e-12 * max(1.0, max(abs(v) for v in self.domain.bbox))
         interior = (d > tol).reshape(nx, ny)
         pad = np.pad(interior, 1)
@@ -216,7 +225,7 @@ class Grid:
                 or interior[:, -2:].any()):
             raise GridError("interior node within two cells of the lattice edge")
         self.interior_ij, self.node_id = _number(flat, nx, ny)
-        ii, jj = self.interior_ij.T
+        ii, jj = self.interior_ij.astype(np.intp).T     # numpy gathers at intp
         self.interior_xy = np.empty((self.n_interior, 2))
         self.interior_xy[:, 0] = xs[ii]
         self.interior_xy[:, 1] = ys[jj]
@@ -225,8 +234,16 @@ class Grid:
         flat = np.flatnonzero(ghost)
         self.n_ghost = len(flat)
         self.ghost_ij, self.ghost_id = _number(flat, nx, ny)
+        self._measure(d, flat[band.ravel().take(flat) & ~inside.ravel().take(flat)])
         if np.max(-d.take(flat)) > 2.0 * self.h + 1e-12:
             raise GridError("ghost node farther than 2h from the boundary")
+
+    def _measure(self, d: np.ndarray, at: np.ndarray):
+        """Write the signed distance at the lattice nodes of these flat
+        indices into d."""
+        if len(at):
+            i, j = np.divmod(at, self.ny)
+            d[at] = self.domain.signed_distance(np.stack([self.xs[i], self.ys[j]], axis=-1))
 
     @cached_property
     def dissection(self) -> np.ndarray:
@@ -382,7 +399,7 @@ class Grid:
         a quadrant whose diagonal is interior.  Lattice neighbours are 1-D
         takes on the flat index i ny + j; only the rows that are not centred
         look at their quadrants."""
-        flat = self.interior_ij[:, 0] * self.ny + self.interior_ij[:, 1]
+        flat = self._flat
         step = _QUADRANTS @ (self.ny, 1)            # flat offsets of the diagonals
         usable = (self.interior_mask | (self.ghost_id >= 0)).ravel()
         centred = usable.take(flat + step[0])
@@ -409,7 +426,7 @@ class Grid:
     @property
     def _flat(self) -> np.ndarray:
         """Flat lattice index i ny + j of every interior node."""
-        return self.interior_ij[:, 0] * self.ny + self.interior_ij[:, 1]
+        return self.interior_ij[:, 0].astype(np.intp) * self.ny + self.interior_ij[:, 1]
 
     @cached_property
     def _taps(self) -> dict:
@@ -418,9 +435,11 @@ class Grid:
     @cached_property
     def _x_neighbours(self) -> np.ndarray:
         """(2, n_interior): the ids of the nodes (i - 1, j) and (i + 1, j)
-        of every interior node (i, j), 0 where that node is not interior."""
+        of every interior node (i, j), 0 where that node is not interior,
+        as intp, the index type the gathers take without a cast."""
         ii, jj = self.interior_ij[:, 0], self.interior_ij[:, 1]
-        return np.maximum(np.stack([self.node_id[ii - 1, jj], self.node_id[ii + 1, jj]]), 0)
+        near = np.stack([self.node_id[ii - 1, jj], self.node_id[ii + 1, jj]])
+        return np.maximum(near, 0).astype(np.intp)
 
     @cached_property
     def _edge(self) -> np.ndarray:
@@ -515,29 +534,34 @@ class Grid:
         padded = np.empty(N + 2)
         padded[0] = padded[-1] = 0.0
         padded[1:-1] = values
-        # the neighbours, x before y: (-1, 0), (0, -1), (1, 0), (0, 1), then
-        # the diagonals in lexicographic order ("clip" takes unbuffered)
-        near = np.empty((8, N))
-        below, above = self._x_neighbours
-        padded[1:].take(below, out=near[0], mode="clip")
-        near[1] = padded[:-2]
-        padded[1:].take(above, out=near[2], mode="clip")
-        near[3] = padded[2:]
-        for k, (m, start) in enumerate(((below, 0), (below, 2), (above, 0), (above, 2))):
-            padded[start:].take(m, out=near[4 + k], mode="clip")
-        out = np.empty((len(STENCILS), self.n_interior))
-        second, first = out[0:2], out[3:5]          # (Dxx, Dyy) and (Gx, Gy)
-        np.multiply(near[0:2], s1, out=second)
-        second += values * s2
-        second += near[2:4] * s1
-        np.multiply(near[0:2], f0, out=first)
-        first += near[2:4] * f1
-        diagonal = near[4:]
-        diagonal *= cross[:, None]
-        np.add(diagonal[0], diagonal[1], out=out[2])
-        out[2] += diagonal[2]
-        out[2] += diagonal[3]
-        out += 0.0                      # a sum from 0 is never -0
+        out = np.empty((len(STENCILS), N))
+        # _STENCIL_CHUNK nodes at a time, so that the neighbours' block
+        # (1 MB) stays in cache and no array of eight values a node is made
+        work, x_near = np.empty((8, min(_STENCIL_CHUNK, N))), self._x_neighbours
+        for a in range(0, N, _STENCIL_CHUNK):
+            b = min(a + _STENCIL_CHUNK, N)
+            near, rows = work[:, :b - a], out[:, a:b]
+            below, above = x_near[:, a:b]
+            # the neighbours, x before y: (-1, 0), (0, -1), (1, 0), (0, 1),
+            # then the diagonals in lexicographic order ("clip" takes unbuffered)
+            padded[1:].take(below, out=near[0], mode="clip")
+            near[1] = padded[a:b]
+            padded[1:].take(above, out=near[2], mode="clip")
+            near[3] = padded[a + 2:b + 2]
+            for k, (m, start) in enumerate(((below, 0), (below, 2), (above, 0), (above, 2))):
+                padded[start:].take(m, out=near[4 + k], mode="clip")
+            second, first = rows[0:2], rows[3:5]    # (Dxx, Dyy) and (Gx, Gy)
+            np.multiply(near[0:2], s1, out=second)
+            second += values[a:b] * s2
+            second += near[2:4] * s1
+            np.multiply(near[0:2], f0, out=first)
+            first += near[2:4] * f1
+            diagonal = near[4:]
+            diagonal *= cross[:, None]
+            np.add(diagonal[0], diagonal[1], out=rows[2])
+            rows[2] += diagonal[2]
+            rows[2] += diagonal[3]
+            rows += 0.0                 # a sum from 0 is never -0
         edge, D, D_feet = self.operators()
         on_edge = D @ values
         on_edge += D_feet @ feet

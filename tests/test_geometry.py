@@ -153,6 +153,19 @@ def test_levelset_arclength_is_the_nearest_samples_built_once(monkeypatch):
     assert np.array_equal(second, first[::-1])
 
 
+@pytest.mark.parametrize("rows", [100, 768])
+@pytest.mark.parametrize("expr, bbox", [
+    ("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36", (-1.1, 1.1, -1.0, 1.0)),
+    ("1 - x**2 - y**2 + 0.1*sin(3*x)*exp(y)", (-1.5, 1.5, -1.5, 1.5))],
+    ids=["rotated_ellipse", "transcendental"])
+def test_levelset_contour_does_not_depend_on_the_row_blocks(expr, bbox, rows, monkeypatch):
+    # the level function is evaluated a block of rows at a time; a partial
+    # last block or one block of the whole lattice traces the same contour
+    traced = levelset(expr, bbox).shape._polyline
+    monkeypatch.setattr(mcgraph.geometry, "_CONTOUR_ROWS", rows)
+    assert np.array_equal(levelset(expr, bbox).shape._polyline, traced)
+
+
 def test_levelset_contour_leaving_bbox_raises():
     with pytest.raises(MalformedDomainError, match="not closed"):
         levelset("1 - x**2 - y**2", (-0.5, 1.2, -1.2, 1.2))
@@ -228,6 +241,33 @@ def test_closed_form_scalars_match_sampled_scans(domain):
     scanned_radius = _sampled_smoothness_radius(domain.boundary)
     assert domain.diameter == pytest.approx(scanned_diameter, rel=1e-6)
     assert domain.smoothness_radius() == pytest.approx(scanned_radius, rel=1e-8)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rect(1.0, 0.6),
+    lambda: rounded_rect(1.0, 0.6, 0.25),
+    lambda: dumbbell(1.0, 1.3),
+    lambda: disk(1.0),
+    lambda: levelset("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                     (-1.1, 1.1, -1.0, 1.0))],
+    ids=["rect", "rounded_rect", "dumbbell", "disk", "levelset"])
+def test_boundary_scans_match_the_stacked_difference_formula(make):
+    # the scans on separate x and y arrays give, to the bit, the formula on
+    # (chunk, n, 2) differences summed over their last axis
+    from mcgraph.geometry import _max_pairwise_distance, _medial_clearance
+    b = make().boundary
+    pts, normals = b.points[::8], b.normals[::8]
+    assert len(pts) == 512
+    diff = pts[None, :, :] - pts[:, None, :]
+    d2 = np.sum(diff * diff, axis=-1)
+    denom = 2.0 * np.sum(diff * normals[:, None, :], axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denom > 1e-12, d2 / denom, np.inf)
+    t[d2 < 1e-20] = np.inf
+    diameter = float(np.sqrt(np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))))
+    for chunk in (512, 100):
+        assert _max_pairwise_distance(pts, chunk) == diameter
+        assert _medial_clearance(pts, normals, chunk) == float(t.min())
 
 
 def test_rounded_rect_curvature_bounded():

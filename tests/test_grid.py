@@ -393,8 +393,8 @@ def _assert_matches_reference(grid, seen):
     for (ij, ids), mask in (((grid.interior_ij, grid.node_id), interior),
                             ((grid.ghost_ij, grid.ghost_id), ghost)):
         ref_ij, ref_ids = _reference_numbering(mask)
-        assert ij.dtype == np.intp and ij.shape == ref_ij.shape and np.array_equal(ij, ref_ij)
-        assert ids.dtype == np.int64 and np.array_equal(ids, ref_ids)
+        assert ij.dtype == np.int32 and ij.shape == ref_ij.shape and np.array_equal(ij, ref_ij)
+        assert ids.dtype == np.int32 and np.array_equal(ids, ref_ids)
     assert np.array_equal(grid.interior_xy, np.stack([grid.xs[grid.interior_ij[:, 0]],
                                                       grid.ys[grid.interior_ij[:, 1]]], axis=-1))
     # every ghost's depth was evaluated during construction, and it is the reference's
@@ -435,6 +435,9 @@ def test_band_bounds_distance_evaluations(monkeypatch):
     grid, seen, evaluated = _build_recording(dumbbell(1.0, 1.3), 1.0 / 128.0, monkeypatch)
     assert evaluated <= 0.1 * grid.nx * grid.ny
     _assert_matches_reference(grid, seen)
+    # and of the nodes outside the sign test, at the ghosts only
+    outside = ~grid.domain.contains(grid.xs[:, None], grid.ys[None, :])
+    assert np.all(np.isnan(seen[outside & (grid.ghost_id < 0)]))
 
 
 @pytest.mark.parametrize("make", [
@@ -683,6 +686,27 @@ def test_evaluation_matches_reference_taps(operator_grids, name):
         ev = Evaluation(ScalarField(g, values, feet), PrescribedCurvature.constant(0.0))
         for got, k in ((ev.uxx, 0), (ev.uyy, 1), (ev.uxy, 2), (ev.p[:, 0], 3), (ev.p[:, 1], 4)):
             assert np.ascontiguousarray(got).tobytes() == want[k].tobytes(), STENCILS[k]
+
+
+@pytest.mark.parametrize("chunk", [mcgraph.grid._STENCIL_CHUNK, 4096])
+@pytest.mark.parametrize("make, h", [(lambda: disk(1.0), 1.0 / 64.0),
+                                     (lambda: annulus(0.5, 1.0), 1.0 / 64.0),
+                                     (lambda: disk(1.0), 1.0 / 32.0)],
+                         ids=["disk_64", "annulus_on_lattice_64", "disk_32"])
+def test_stencils_in_blocks_match_the_stacked_operator(make, h, chunk, monkeypatch):
+    # the stencils are evaluated a block of nodes at a time: in blocks of
+    # 4,096, several with a partial last one (disk 1/64: 12,849 nodes) and
+    # an annulus, and a grid of one block give the stacked operator's
+    # mat-vec to the bit
+    monkeypatch.setattr(mcgraph.grid, "_STENCIL_CHUNK", chunk)
+    g = Grid(make(), h)
+    if chunk == 4096:
+        assert (g.n_interior > chunk) == (h < 1.0 / 32.0)
+    D, D_feet = stacked_operators(g)
+    rng = np.random.default_rng(11)
+    values, feet = rng.standard_normal(g.n_interior), rng.standard_normal(g.n_feet)
+    want = (D @ values + D_feet @ feet).reshape(len(STENCILS), -1)
+    assert g.stencils(values, feet).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(_OPERATOR_GRIDS))
