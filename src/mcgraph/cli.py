@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 
 from . import barriers
-from .config import ConfigError, load_scenario
+from .config import ConfigError, load_scenario, number
 from .geometry import (REQUIRED, SHAPE_PARAMETERS, MalformedDomainError,
                        PrescribedCurvature, check_serrin, dimension, make_domain)
 from .grid import Grid, GridError
@@ -338,8 +338,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="execute a scenario config")
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--out", default=None, help="override output directory")
-    p_run.add_argument("--grid-h", type=float, default=None,
-                       help="override grid spacing")
+    p_run.add_argument("--grid-h", type=number, default=None,
+                       help="override grid spacing, a decimal or a fraction like 1/64")
     p_run.add_argument("--quiet", action="store_true")
     p_run.set_defaults(func=cmd_run)
 

@@ -142,14 +142,22 @@ def _unquote(s: str) -> str:
     return s
 
 
+def number(s: str) -> float:
+    """A decimal, or a fraction a/b of two decimals; ValueError otherwise."""
+    m = re.fullmatch(r"\s*([+-]?[\d.eE+-]+)\s*/\s*([\d.eE+-]+)\s*", s)
+    if not m:
+        return float(s)
+    try:
+        return float(m.group(1)) / float(m.group(2))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {s!r}") from None
+
+
 def _number(raw: _Raw, section: str, key: str, s: str) -> float:
     s = _unquote(s)
-    m = re.fullmatch(r"\s*([+-]?[\d.eE+-]+)\s*/\s*([\d.eE+-]+)\s*", s)
     try:
-        if m:
-            return float(m.group(1)) / float(m.group(2))
-        return float(s)
-    except (ValueError, ZeroDivisionError):
+        return number(s)
+    except ValueError:
         raw.fail(section, key, f"expected a number, got {s!r}")
 
 

@@ -15,7 +15,10 @@ Conventions used throughout the package:
     annulus), a bracketed secant on F on level sets,
   * ellipse distances come from the exact nearest point (Eberly's root, found
     by a bracketed Newton iteration), level-set distances from a constrained
-    Newton foot on the traced contour,
+    Newton foot started at the point itself, whose first step is the
+    gradient projection onto F = 0, or, where that foot is not certainly
+    the nearest, at the nearest vertex of the traced contour (a KD-tree of
+    scipy.spatial, imported on first use),
   * boundaries carry `_N_SAMPLES` counterclockwise samples, inner normals,
   * curvature kappa is positive where the domain is convex (unit disk: +1/r),
     negative on reentrant pieces,
@@ -35,11 +38,11 @@ from __future__ import annotations
 import inspect
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .expressions import Expr2D, compile_expr
 
@@ -48,6 +51,7 @@ _CONTOUR_GRID = 768      # lattice points per side on which a level set's contou
 _CONTOUR_ROWS = 64       # rows of that lattice per evaluation of the level function
 _N_SAMPLES = 4096        # boundary samples of every domain, read when one is built
 _SECANT_TOL = 1e-13      # a level set's axis crossing stops at a step this short
+_REACH_STRIDE = 16       # a level set's reach bound reads every 16th boundary sample
 
 
 class MalformedDomainError(ValueError):
@@ -471,13 +475,28 @@ class _Annulus:
 
 
 class _LevelSet:
-    """Domain {F > 0} for a C^2 level function given as an expression in x, y."""
+    """Domain {F > 0} for a C^2 level function given as an expression in x, y.
+
+    The boundary is the longest zero contour of F traced in the bbox.  A
+    point's nearest boundary point is found by a constrained Newton
+    iteration, F(q) = 0 with x - q along grad F(q), started at the point
+    itself, where its first step is the gradient projection step onto
+    F = 0.  Its foot is kept where the iteration converged on the curve
+    with grad F != 0 there, inside the bbox, and closer than half `_reach`,
+    a lower bound of the boundary's reach computed once from the boundary
+    samples: a normal foot that near the curve is the nearest point.  At
+    the critical points of F the iteration does not move, and the residual
+    test sends them, with every other point that fails a test, to
+    `_tree_foot`, whose Newton starts from the nearest vertex of the traced
+    polyline; scipy.spatial is imported there, on its first use.
+    """
 
     tag = "levelset"
 
     def __init__(self, expr: str | Expr2D, bbox):
         self.F = expr if isinstance(expr, Expr2D) else compile_expr(expr)
         self._bbox = tuple(float(v) for v in bbox)
+        self._samples = {}
         self._trace_contour()
 
     def bbox(self):
@@ -497,6 +516,7 @@ class _LevelSet:
         if not loops:
             raise MalformedDomainError("level set has no zero contour inside the bbox")
         loop, closed = max(loops, key=lambda lc: len(lc[0]))
+        self._one_contour = len(loops) == 1
         if not closed:
             raise MalformedDomainError("level-set zero contour is not closed in the bbox")
         pts = np.stack([
@@ -524,16 +544,52 @@ class _LevelSet:
                 break
         return p
 
-    def _nearest_foot(self, pts, iters=30):
-        """Nearest boundary point: nearest polyline vertex, then constrained Newton
-        on (F(q) = 0, (x - q) x grad F(q) = 0)."""
+    def _nearest_foot(self, pts):
+        """Nearest boundary point: the constrained Newton foot started at
+        each point itself, kept where it converged on the curve, off the
+        critical points of F, inside the bbox and closer than half the
+        reach bound; every other point takes `_tree_foot`, and so does at
+        once a point whose first-order distance |F| / |grad F| is not below
+        the reach bound."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        f, gx, gy, *_ = self.F.jet(pts[:, 0], pts[:, 1])
+        ok = np.abs(f) < self._reach * np.hypot(gx, gy)
+        q = np.empty_like(pts)
+        if ok.any():
+            near = pts[ok]
+            foot, kept = self._newton_foot(near, near.copy())
+            kept &= np.linalg.norm(near - foot, axis=-1) < 0.5 * self._reach
+            x0, x1, y0, y1 = self._bbox
+            kept &= (x0 < foot[:, 0]) & (foot[:, 0] < x1) & (y0 < foot[:, 1]) & (foot[:, 1] < y1)
+            q[ok] = foot
+            ok[ok] = kept
+        if not ok.all():
+            q[~ok] = self._tree_foot(pts[~ok])
+        return q
+
+    def _tree_foot(self, pts):
+        """Nearest boundary point: the constrained Newton foot from the
+        nearest vertex of the traced polyline, which a KD-tree finds, or
+        that vertex projected onto F = 0 where the foot is farther."""
         if not hasattr(self, "_tree"):
+            from scipy.spatial import cKDTree
             # wide leaves: fewer tree levels for the lattice-sized queries
             self._tree = cKDTree(self._polyline, leafsize=64)
         _, idx = self._tree.query(pts)
-        q = self._polyline[idx].copy()
-        x = pts
+        q, _ = self._newton_foot(pts, self._polyline[idx].copy())
+        d_poly = np.linalg.norm(pts - self._polyline[idx], axis=-1)
+        d_newt = np.linalg.norm(pts - q, axis=-1)
+        bad = d_newt > d_poly + 1e-9
+        if np.any(bad):
+            q[bad] = self._project(self._polyline[idx][bad])
+        return q
+
+    def _newton_foot(self, x, q, iters=30):
+        """Constrained Newton on (F(q) = 0, (x - q) x grad F(q) = 0) from the
+        starts q, updated in place; with the mask of the points whose last
+        residuals both passed the 1e-13 test with grad F != 0.  From q = x
+        the first step is the gradient projection step F grad F / |grad F|^2
+        of `_project`, each component clipped to 0.1 as every step is."""
         for _ in range(iters):
             f, gx, gy, hxx, hxy, hyy = self.F.jet(q[:, 0], q[:, 1])
             rx, ry = x[:, 0] - q[:, 0], x[:, 1] - q[:, 1]
@@ -552,13 +608,36 @@ class _LevelSet:
             q -= step
             if max(np.max(np.abs(r1)), np.max(np.abs(r2))) < 1e-13:
                 break
-        # guard: keep the Newton foot only while it stays consistent with the polyline
-        d_poly = np.linalg.norm(pts - self._polyline[idx], axis=-1)
-        d_newt = np.linalg.norm(pts - q, axis=-1)
-        bad = d_newt > d_poly + 1e-9
-        if np.any(bad):
-            q[bad] = self._project(self._polyline[idx][bad])
-        return q
+        converged = (np.abs(r1) < 1e-13) & (np.abs(r2) < 1e-13) & ((gx != 0) | (gy != 0))
+        return q, converged
+
+    @cached_property
+    def _reach(self):
+        """A lower bound of the reach of the boundary, from its _N_SAMPLES
+        samples: every point nearer to it than this has one nearest point,
+        the one normal foot at that distance (Federer, Trans. AMS 93, 1959).
+
+        The reach is the least of 1/max|kappa| and half the shortest
+        chord normal to the curve at both ends; the curve turns by at least
+        pi between such ends, so they lie at least pi/max|kappa| apart
+        along it.  Every _REACH_STRIDE-th sample stands in for the curve
+        within `gap`, the longest arc between two of them: half the
+        closest approach of those at least pi/max|kappa| - gap apart, less
+        gap, bounds half that chord from below.  It is 0, and every foot
+        comes from the tree, where F = 0 has another contour in the bbox,
+        on which a Newton foot could land."""
+        if not self._one_contour:
+            return 0.0
+        pts, _, kappa, s, length = self.sample(_N_SAMPLES)
+        kmax = float(np.max(np.abs(kappa)))
+        sub, s = pts[::_REACH_STRIDE], s[::_REACH_STRIDE]
+        gap = float(np.max(np.diff(s, append=s[0] + length)))
+        along = np.abs(s[:, None] - s[None, :])
+        along = np.minimum(along, length - along)
+        chord = np.hypot(sub[:, None, 0] - sub[None, :, 0], sub[:, None, 1] - sub[None, :, 1])
+        far = along >= math.pi / kmax - gap
+        closest = float(np.min(chord[far], initial=np.inf))
+        return max(min(1.0 / kmax, 0.5 * closest - gap), 0.0)
 
     def contains(self, x, y):
         return self.F(x, y) > 0.0
@@ -621,6 +700,10 @@ class _LevelSet:
         return normals, kappa
 
     def sample(self, m):
+        """m boundary samples, equally spaced along the traced polyline and
+        projected onto F = 0; made once for each m and kept."""
+        if m in self._samples:
+            return self._samples[m]
         pts = self._polyline
         seg = np.linalg.norm(np.diff(pts, axis=0, append=pts[:1]), axis=1)
         s = np.concatenate([[0.0], np.cumsum(seg)])
@@ -633,12 +716,14 @@ class _LevelSet:
         # recompute arclength after projection
         seg2 = np.linalg.norm(np.diff(out, axis=0, append=out[:1]), axis=1)
         s2 = np.concatenate([[0.0], np.cumsum(seg2[:-1])])
-        return out, normals, kappa, s2, float(np.sum(seg2))
+        self._samples[m] = out, normals, kappa, s2, float(np.sum(seg2))
+        return self._samples[m]
 
     def arclength_of_point(self, pts):
         """Arclength of the nearest of 8192 boundary samples; the samples and
         their tree are built on first use and kept."""
         if not hasattr(self, "_arclength_tree"):
+            from scipy.spatial import cKDTree
             ref_pts, _, _, self._arclength_table, _ = self.sample(8192)
             self._arclength_tree = cKDTree(ref_pts)
         _, idx = self._arclength_tree.query(np.atleast_2d(pts))

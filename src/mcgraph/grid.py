@@ -14,8 +14,9 @@ checked.  Interior and ghost nodes are numbered row-major from the flat
 indices of their masks, and the numbers, -1 off the set, are the classes:
 `node_id >= 0` marks the interior nodes and `ghost_id >= 0` the ghosts.
 The numbers and the index pairs `interior_ij`, `ghost_ij` are int32, so a
-grid retains about a third less than with int64; flat lattice indices and
-the x-neighbours that the stencil gathers read are intp.  Each
+grid retains about a third less than with int64; flat lattice indices,
+the x-neighbours that the stencil gathers read and the feet's owners
+`foot_owner`, which `operators.foot_slopes` gathers at, are intp.  Each
 interior-to-exterior axis link stores a boundary intercept: the fraction
 theta in (0, 1] of the link at which the boundary is crossed and the foot
 point itself.  The domain's `axis_crossing`
@@ -341,7 +342,8 @@ class Grid:
         # owners of each ascending, as node_id numbers them row-major
         inside = self.interior_mask
         found = [self.node_id[inside & ~np.roll(inside, -step, axis=(0, 1))] for step in _AXES]
-        owner = np.concatenate(found)
+        # intp: operators.foot_slopes gathers at the owners on every call
+        owner = np.concatenate(found).astype(np.intp)
         axis = np.repeat(np.arange(len(_AXES)), [len(f) for f in found])
         p0, unit = self.interior_xy[owner], _AXES[axis]
         theta = np.clip(self.domain.axis_crossing(p0, unit, self.h), _THETA_MIN, 1.0 - _THETA_MIN)

@@ -106,6 +106,22 @@ def test_run_grid_override(tmp_path):
     assert report["spacings"] == [0.125]
 
 
+def test_run_grid_override_takes_a_fraction(tmp_path):
+    # --grid-h 1/64 exited 4 with "invalid float value", although
+    # [grid] spacing = 1/64 loads; a fraction and its decimal run alike
+    cfg = write(tmp_path, CAP)
+    reports = []
+    for h in ("1/16", "0.0625"):
+        out = tmp_path / h.replace("/", "_")
+        assert main(["run", "--config", cfg, "--out", str(out), "--grid-h", h,
+                     "--quiet"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        report.pop("wall_time_seconds")
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["spacings"] == [0.0625]
+
+
 def test_run_spacing_that_builds_no_grid_exits_config(tmp_path, capsys):
     # at h = 1e300 the grid constructor raises GridError, which escaped main;
     # it is refused before the lattice coordinates overflow

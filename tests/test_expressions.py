@@ -201,3 +201,29 @@ def test_start_up_imports_neither_sympy_nor_mpmath():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[-2] == "[]"
+
+
+def test_start_up_and_grids_import_no_scipy_spatial():
+    # the KD-tree of scipy.spatial is a fallback of the level-set distance
+    # and of the barrier distance model: the catalog and a grid with its
+    # operators on every factory domain at h = 1/32 do without it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = """
+import sys, mcgraph
+from mcgraph.geometry import _FACTORIES
+mcgraph.reference.catalog()
+params = {"disk": {}, "ellipse": {"a": 1.2, "b": 0.7}, "rect": {"hx": 1.0, "hy": 0.6},
+          "rounded_rect": {"hx": 1.0, "hy": 0.6, "corner_radius": 0.25},
+          "annulus": {"r_in": 0.8, "r_out": 1.6}, "dumbbell": {},
+          "levelset": {"expr": "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                       "bbox": (-1.1, 1.1, -1.0, 1.0)}}
+assert sorted(params) == sorted(_FACTORIES)
+for name, kw in params.items():
+    mcgraph.Grid(_FACTORIES[name](**kw), 1 / 32).operators()
+print("scipy.spatial" in sys.modules)
+"""
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[-2] == "False"

@@ -173,6 +173,85 @@ def test_levelset_contour_leaving_bbox_raises():
         levelset("1 + x**2 + y**2", (-1.2, 1.2, -1.2, 1.2))
 
 
+_ROTATED_ELLIPSE = ("1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36",
+                    (-1.1, 1.1, -1.0, 1.0))
+# each level set with the critical points of its level function and half
+# its shortest chord normal at both ends: the neck sqrt(a^2 - c^2) of a
+# dumbbell, the minor semi-axis of the ellipse
+_LEVEL_SETS = {
+    "dumbbell": (dumbbell, [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)], math.sqrt(0.21)),
+    "dumbbell_1_3": (lambda: dumbbell(1.0, 1.3), [(0.0, 0.0), (1.0, 0.0), (-1.0, 0.0)],
+                     math.sqrt(0.69)),
+    "rotated_ellipse": (lambda: levelset(*_ROTATED_ELLIPSE), [(0.0, 0.0)], 0.6),
+}
+
+
+@pytest.mark.parametrize("name", list(_LEVEL_SETS))
+def test_levelset_newton_feet_match_the_tree_feet(name, monkeypatch):
+    # the Newton foot started at the point is the foot from the nearest
+    # polyline vertex, to 1e-15 in the signed distance, at lattice band
+    # points, random points of the bbox and the critical points of F; at
+    # h <= 1/32 every band point keeps its own Newton foot, and the
+    # critical points, where Newton does not move, take the tree's
+    make, critical, half_chord = _LEVEL_SETS[name]
+    dom = make()
+    shape_cls = type(dom.shape)
+    assert 0 < dom.shape._reach <= min(1.0 / np.max(np.abs(dom.boundary.kappa)), half_chord)
+    # at a critical point Newton does not move, and does not converge
+    foot, converged = dom.shape._newton_foot(np.array(critical), np.array(critical))
+    assert np.array_equal(foot, critical) and not converged.any()
+    tree_foot, from_tree = shape_cls._tree_foot, []
+
+    def counted(self, pts):
+        from_tree.append(len(pts))
+        return tree_foot(self, pts)
+
+    def tree_distance(pts):
+        dist = np.linalg.norm(pts - tree_foot(dom.shape, pts), axis=-1)
+        return np.where(dom.contains(pts[:, 0], pts[:, 1]), dist, -dist)
+
+    measure, band = dom.signed_distance, {}
+
+    def recorded(pts):
+        band.setdefault(N, []).append(np.array(pts))
+        return measure(pts)
+
+    monkeypatch.setattr(shape_cls, "_tree_foot", counted)
+    monkeypatch.setattr(dom, "signed_distance", recorded)
+    for N in (16, 32, 64, 128):
+        from_tree.clear()
+        Grid(dom, 1.0 / N)
+        if N >= 32:
+            assert from_tree == []
+    monkeypatch.undo()
+    x0, x1, y0, y1 = dom.bbox
+    rng = np.random.default_rng(11)
+    random = np.stack([rng.uniform(x0, x1, 2000), rng.uniform(y0, y1, 2000)], axis=-1)
+    for pts in [np.concatenate(b) for b in band.values()] + [random, np.array(critical)]:
+        assert np.max(np.abs(dom.signed_distance(pts) - tree_distance(pts))) <= 1e-15
+    monkeypatch.setattr(shape_cls, "_tree_foot", counted)
+    from_tree.clear()
+    assert np.all(np.abs(dom.signed_distance(np.array(critical))) > 0.1)
+    assert from_tree == [len(critical)]
+    for h in (1 / 4, 1 / 7, 1 / 32):
+        assert Grid(dom, h).n_feet > 0
+
+
+@pytest.mark.parametrize("expr, bbox", [
+    ("1 - 4*((x**2 - 1)**2 + y**2)", (-2.0, 2.0, -1.0, 1.0)),
+    ("(1 - x**2 - y**2)*(1.3 - x)", (-1.2, 1.2, -1.2, 1.2))],
+    ids=["second_loop_in_bbox", "zero_line_beyond_bbox"])
+def test_levelset_feet_never_land_on_another_zero_contour(expr, bbox):
+    # the boundary is the traced loop alone: a Newton foot on F's other
+    # loop, or on its zero line beyond the bbox, is not kept
+    dom = levelset(expr, bbox)
+    pts = np.random.default_rng(5).uniform(bbox[::2], bbox[1::2], (2000, 2))
+    foot = dom.shape._tree_foot(pts)
+    dist = np.linalg.norm(pts - foot, axis=-1)
+    tree = np.where(dom.contains(pts[:, 0], pts[:, 1]), dist, -dist)
+    assert np.max(np.abs(dom.signed_distance(pts) - tree)) <= 1e-15
+
+
 def test_serrin_higher_n_tightens():
     d = disk(radius=1.0)
     h = PrescribedCurvature.constant(0.45)

@@ -65,7 +65,9 @@ def test_feet_on_boundary(g16):
 
 
 def test_foot_owner_links(g16):
-    # each foot lies between its owner node and the boundary along one axis
+    # each foot lies between its owner node and the boundary along one
+    # axis; the owners are intp, the index type a gather takes without a cast
+    assert g16.foot_owner.dtype == np.intp
     axes = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
     owner_xy = g16.interior_xy[g16.foot_owner]
     step = axes[g16.foot_axis] * g16.h * g16.foot_theta[:, None]
