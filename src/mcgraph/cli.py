@@ -128,10 +128,9 @@ def _exit_code(reports, audits: dict) -> int:
 def _nonexistence(scenario, H, grids, quiet: bool):
     """The [experiment] pipeline at curvature H: certificate (or the
     NotApplicable that refused it), bump data, one solve per grid, coarsest
-    first, and the witness over them.  A grid's LU is dropped before the
-    next grid is solved, so only the finest keeps one.  Returns
-    (certificate, data, reports, witness); with fewer than two grids there
-    is nothing to witness, and it stops after the certificate."""
+    first, and the witness over them.  Returns (certificate, data, reports,
+    witness); with fewer than two grids there is nothing to witness, and it
+    stops after the certificate."""
     exp = scenario.experiment
     try:
         cert = barriers.nonexistence_bound(scenario.domain, H, exp.y0, exp.eps,
@@ -147,10 +146,7 @@ def _nonexistence(scenario, H, grids, quiet: bool):
     data = barriers.adversarial_boundary_data(scenario.domain, exp.y0,
                                               exp.width, exp.eps)
     reports = []
-    for k, grid in enumerate(grids):
-        if k:
-            # the coarser spacing is done: its LU goes before this one factorizes
-            grids[k - 1].lu = None
+    for grid in grids:
         rep = solve_dirichlet(grid, H, data, n=scenario.n)
         _say(quiet, f"h={grid.h:g}: {rep.verdict} in {rep.iterations} iterations")
         reports.append(rep)

@@ -65,8 +65,9 @@ five stencils once per grid: a frozen-coefficient matrix or a Newton
 Jacobian writes the 9-point rows of the lattice nodes from the coefficients
 directly, and the edge nodes' rows by one small sparse product.
 For factorization, `Grid.dissection` orders the interior nodes by nested
-dissection on lattice lines; it is computed on first read, so grids that are
-never factorized do not pay for it.
+dissection on lattice lines, and `DissectedLU` factorizes in that order;
+`Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy that every solve starts on,
+and the order are made on first read, so grids never solved on lack both.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 from .geometry import DomainSpec
 
@@ -145,9 +147,6 @@ class Grid:
         self._choose_cross_stencils()
         self._ops: Optional[tuple] = None
         self._pattern: Optional[StencilPattern] = None
-        # the most recent LU of a system on this grid (`linear.DissectedLU`),
-        # kept while the grid lives so that a later solve can reuse it
-        self.lu = None
 
     # -- construction --------------------------------------------------------
 
@@ -577,6 +576,15 @@ class Grid:
             self._pattern = StencilPattern(self)
         return self._pattern
 
+    @cached_property
+    def laplacian_lu(self) -> "DissectedLU":
+        """The float32 LU of J(0) = Dxx + Dyy, the Jacobian at u = 0 with zero
+        data whatever H, that every solve starts on (`linear.Factor`), made
+        on first read; SuperLU's refusal raises."""
+        n = self.n_interior
+        J0 = self.pattern().combine(*np.ones((2, n)), np.zeros(n)).astype(np.float32)
+        return DissectedLU(J0, self.dissection)     # no float64 J(0) alive in SuperLU
+
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "
                 f"ghosts={self.n_ghost}, feet={self.n_feet})")
@@ -684,6 +692,34 @@ class StencilPattern:
             at_edge[k] = c[self.edge]
         data[self.edge_entries] = self.K @ at_edge.ravel()
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
+
+
+class DissectedLU:
+    """SuperLU's LU of P A P^T cast to `dtype` (float32 by default), in the
+    nested-dissection order P of the interior nodes; `solve` applies P to
+    both sides, casts the right-hand side to `dtype` and the answer back to
+    float64.  Raises RuntimeError when the cast has a non-finite entry or
+    SuperLU finds the cast matrix singular."""
+
+    def __init__(self, A: sps.spmatrix, order: np.ndarray, dtype=np.float32):
+        self.order, self.dtype = order, dtype
+        # the inverse permutation: `solve` gathers, which is cheaper than a scatter
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = np.arange(len(order))
+        with np.errstate(over="ignore"):    # an entry cast to inf is refused below
+            A = A.astype(dtype, copy=False)
+        PAP = A.tocsr()[order][:, order]
+        # the union pattern's exact zeros, and the entries the cast flushed to
+        # zero, would only fill
+        PAP.eliminate_zeros()
+        if not np.all(np.isfinite(PAP.data)):
+            raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
+        # through the module attribute, so that a wrapper of splu sees the call
+        self.superlu = spla.splu(PAP.tocsc(), permc_spec="NATURAL")
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        y = self.superlu.solve(b[self.order].astype(self.dtype))
+        return y[self.inverse].astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Linear subproblems of the continuation solve: frozen systems and Newton
-corrections on the grid's LU.
+corrections on the solve's LU.
 
 Linearizing about a slope field v freezes the coefficients of the quasilinear
 operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the frozen system is
@@ -24,20 +24,19 @@ one small sparse product, so the matrix action coincides exactly with the
 nodal evaluation.  Boundary values of a frozen system enter the right-hand
 side through the foot block of the grid's edge-node rows.
 
-A grid keeps one sparse LU (`DissectedLU`), the most recent one made on
-it, for as long as the grid lives, and every system solved on the grid
-follows one rule (the chord idea, Kelley 1995).  When the grid holds an LU,
-one cycle of GMRES(30) right-preconditioned by it runs from the start
+The systems of one solve share one holder (`Factor`) of one sparse LU
+(`grid.DissectedLU`) and follow one rule (the chord idea, Kelley 1995).  A
+holder starts on the grid's LU of J(0) = Dxx + Dyy (`Grid.laplacian_lu`),
+the first Newton system of every zero-data solve whatever H, made once per
+grid.  One cycle of GMRES(30) right-preconditioned by the held LU runs from
 x0 = LU^-1 b, and its answer is kept when its backward error is within a
-tenth of the gate.  Otherwise the grid's LU is dropped, the system is
-factorized afresh, and the same GMRES runs on the new LU, the grid's LU from
+tenth of the gate.  Otherwise the holder drops its LU, the system is
+factorized afresh, and the same GMRES runs on the new LU, the holder's from
 then on.  Right preconditioning (Saad & Schultz 1986; Saad 2003, section
 9.3) makes GMRES minimize the true residual |b - A x|_2, so it has one aim,
 the keep test itself: it stops once that residual is within 1e-11, a tenth
 of the gate, of |A| |x0| + |b|; the 2-norm bounds the infinity norm that the
-backward error reads.  With zero data the first Newton system of every solve
-is J(0), the same matrix for every H, so the solves of a sweep on one grid
-share one LU.
+backward error reads.
 
 The LU only preconditions: GMRES, the keep test and the gate run in float64
 and fix the answer's accuracy, so the factor is made in float32, its values
@@ -45,13 +44,13 @@ in half the memory (GMRES-based iterative refinement with a low-precision
 LU, Carson & Higham 2017, 2018).  On the matrix it factorized, x0 is then
 good to float32's rounding, and GMRES takes an iteration or two to reach the
 keep test.  A fresh float32 factorization falls back once to a float64 one,
-which the grid then keeps, when the cast has an entry beyond float32's
+which the holder then keeps, when the cast has an entry beyond float32's
 range or one that flushes to zero and leaves the matrix singular, when
 SuperLU refuses the cast matrix, or when the answer misses the gate; only
-the float64 factorization's failure raises.  The sums of GMRES's inner
-products and norms are numpy's own, not BLAS's, whose threaded kernels split
-a sum by thread count: the answers do not depend on the number of BLAS
-threads.
+the float64 factorization's failure, or J(0)'s, raises.  GMRES's inner
+products and norms are summed by numpy itself, not by BLAS, whose threaded
+kernels split a sum by thread count: the answers do not depend on the
+number of BLAS threads.
 
 Every LU is SuperLU's factorization of P A P^T, in float32 or float64, in
 the given column order, its exact zeros dropped, where P is the grid's
@@ -61,9 +60,8 @@ and each line comes after the two parts it separates.  The union pattern
 stores the entries a matrix lacks as zeros (J(0) at u = 0 has no cross or
 slope terms), and SuperLU would fill them.  On the stencil pattern the fill
 grows like N log N.  Minimum degree on A^T + A leaves less fill on the
-cap's J(0), but at h = 1/256 it factorizes slower (2.0 s against 1.3 s,
-where the cap solves in 3.1 s against 2.7 s, both in float64; CHANGES.md
-records the measurements).  The factor's `solve` applies P on both sides.
+cap's J(0), but factorizes it slower at h = 1/256 (CHANGES.md).  The
+factor's `solve` applies P on both sides.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -77,10 +75,9 @@ from typing import Optional
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dlartg
 
-from .grid import STENCILS, Grid, ScalarField
+from .grid import STENCILS, DissectedLU, Grid, ScalarField
 from .operators import DIMENSION, Evaluation
 
 _RELRES_TOL = 1e-10
@@ -95,53 +92,22 @@ class SolverError(RuntimeError):
     refused, or an answer beyond the backward-error gate."""
 
 
-class LinearCounts:
-    """The work done for a sequence of systems, a solve's.
+@dataclass
+class Factor:
+    """The LU the systems of one solve, all on one grid, are solved with, and
+    the work done for them.  It starts on the grid's J(0) LU, read at the
+    first system unless given an `lu`; `lu` is None once a failure dropped
+    it.  `factorizations` counts the LUs it used, J(0)'s once and each one
+    it made, refused ones included; `float64_factorizations` the float64
+    fallbacks among them.  `fill_nnz` is the largest fill of the LUs it
+    solved with: the entries of L and U in SuperLU's supernodal storage,
+    explicit zeros included (reading L and U as matrices would copy them)."""
 
-    `factorizations` counts those the sequence made, refused ones
-    included, not the grid LUs it reused; `float64_factorizations` counts
-    those among them made in float64, the fallback from float32.
-    `fill_nnz` is the largest fill among the LUs the sequence solved with,
-    0 when there were none: the entries of L and U in SuperLU's supernodal
-    storage, explicit zeros included.  (Reading SuperLU's L and U as
-    matrices to count nnz(L) + nnz(U) would copy both factors and keep the
-    copies as long as the factor.)
-    """
-
-    def __init__(self):
-        self.factorizations = 0
-        self.float64_factorizations = 0
-        self.krylov_iterations = 0
-        self.fill_nnz = 0
-
-
-class DissectedLU:
-    """Sparse LU of P A P^T cast to `dtype` (float32 unless asked otherwise)
-    for the nested-dissection order P of the interior nodes, factorized by
-    SuperLU in that order; `solve` applies P to both sides, casts the
-    right-hand side to `dtype` and the answer back to float64.  Raises
-    RuntimeError when the cast has a non-finite entry or SuperLU finds the
-    cast matrix singular."""
-
-    def __init__(self, A: sps.spmatrix, order: np.ndarray, dtype=np.float32):
-        self.order, self.dtype = order, dtype
-        # the inverse permutation: `solve` gathers, which is cheaper than a scatter
-        self.inverse = np.empty_like(order)
-        self.inverse[order] = np.arange(len(order))
-        with np.errstate(over="ignore"):    # an entry cast to inf is refused below
-            A = A.astype(dtype, copy=False)
-        PAP = A.tocsr()[order][:, order]
-        # the union pattern's exact zeros, and the entries the cast flushed to
-        # zero, would only fill
-        PAP.eliminate_zeros()
-        if not np.all(np.isfinite(PAP.data)):
-            raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
-        # through the module attribute, so that a wrapper of splu sees the call
-        self.superlu = spla.splu(PAP.tocsc(), permc_spec="NATURAL")
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.superlu.solve(b[self.order].astype(self.dtype))
-        return y[self.inverse].astype(np.float64)
+    lu: Optional[DissectedLU] = None
+    factorizations: int = 0
+    float64_factorizations: int = 0
+    krylov_iterations: int = 0
+    fill_nnz: int = 0
 
 
 @dataclass
@@ -188,52 +154,56 @@ def correction_system(ev: Evaluation) -> LinearSystem:
     return LinearSystem(A=J, b=-ev.q, grid=grid, feet_values=np.zeros(grid.n_feet))
 
 
-def solve(system: LinearSystem, counts: Optional[LinearCounts] = None) -> ScalarField:
-    """Sparse solve with backward-error acceptance on the grid's LU, under
-    the module's one reuse rule; the work is added to `counts`.
-
-    Raises SolverError when the system has non-finite entries, or when its
-    float64 fallback is refused by SuperLU or misses the backward-error
-    gate; the last two leave the grid without an LU.  `system.meta["relres"]`
-    holds the backward error of the answer, also when the gate rejects it.
-    """
+def solve(system: LinearSystem, factor: Optional[Factor] = None) -> ScalarField:
+    """Sparse solve with backward-error acceptance on the holder's LU (a
+    fresh holder unless one is given) under the module's one reuse rule,
+    the work added to the holder.  Raises SolverError when the system has
+    non-finite entries, when SuperLU refuses J(0), or when the float64
+    fallback is refused or misses the gate; the last two leave the holder
+    without an LU.  `system.meta["relres"]` holds the answer's backward
+    error, also when the gate rejects it."""
     A, b, grid = system.A, system.b, system.grid
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
         raise SolverError("assembled system has non-finite entries")
-    counts = LinearCounts() if counts is None else counts
+    factor = Factor() if factor is None else factor
+    if factor.lu is None and factor.factorizations == 0:     # the holder's first system
+        factor.factorizations = 1
+        try:
+            factor.lu = grid.laplacian_lu
+        except RuntimeError as exc:     # SuperLU refuses J(0)
+            raise SolverError(f"factorization failed: {exc}") from None
     norm_A = _norm_inf(A)
-    if grid.lu is not None:
-        x = _gmres(A, b, norm_A, counts, grid.lu.solve)
+    if factor.lu is not None:
+        x = _gmres(A, b, norm_A, factor, factor.lu.solve)
         relres = _backward_error(A, b, x, norm_A)
         if not relres <= _REUSE_TOL:
-            grid.lu = None              # drop the stale factor first: two never share memory
-    if grid.lu is None:
+            factor.lu = None            # a stale LU of the solve's own goes before the next
+    if factor.lu is None:
         try:
-            x, relres = _factorized_solve(A, b, norm_A, grid, counts, np.float32)
+            x, relres = _factorized_solve(A, b, norm_A, grid, factor, np.float32)
         except SolverError:             # the cast or SuperLU refuses the float32 matrix
             relres = np.nan
         if not relres <= _RELRES_TOL:   # once more in float64, without the float32 factor
-            grid.lu = None
-            counts.float64_factorizations += 1
-            x, relres = _factorized_solve(A, b, norm_A, grid, counts, np.float64)
-    counts.fill_nnz = max(counts.fill_nnz, grid.lu.superlu.nnz)
+            factor.lu = None
+            factor.float64_factorizations += 1
+            x, relres = _factorized_solve(A, b, norm_A, grid, factor, np.float64)
+    factor.fill_nnz = max(factor.fill_nnz, factor.lu.superlu.nnz)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
-        grid.lu = None
+        factor.lu = None
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
     return ScalarField(grid, x, system.feet_values.copy())
 
 
-def _factorized_solve(A, b, norm_A, grid: Grid, counts: LinearCounts, dtype):
-    """Factorize A in `dtype` as the grid's LU, which it lacks, and run GMRES
-    on it: the answer and its backward error.  Raises SolverError when the
-    factorization fails."""
-    counts.factorizations += 1
+def _factorized_solve(A, b, norm_A, grid: Grid, factor: Factor, dtype):
+    """Make the holder's LU of A in `dtype` and run GMRES on it: the answer
+    and its backward error.  Raises SolverError when the factorization fails."""
+    factor.factorizations += 1
     try:
-        grid.lu = DissectedLU(A, grid.dissection, dtype)
+        factor.lu = DissectedLU(A, grid.dissection, dtype)
     except RuntimeError as exc:     # a cast beyond the dtype's range, or a singular matrix
         raise SolverError(f"factorization failed: {exc}") from None
-    x = _gmres(A, b, norm_A, counts, grid.lu.solve)
+    x = _gmres(A, b, norm_A, factor, factor.lu.solve)
     return x, _backward_error(A, b, x, norm_A)
 
 
@@ -247,10 +217,10 @@ def _norm_inf(A: sps.csr_matrix) -> float:
 def _backward_error(A, b, x, norm_A) -> float:
     """|Ax - b| / (|A| |x| + |b|) in the infinity norm."""
     denom = norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
-    return float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom > 0 else 0.0
+    return float(np.linalg.norm(A @ x - b, np.inf) / denom) if denom != 0 else 0.0
 
 
-def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
+def _gmres(A, b, norm_A, factor: Factor, precondition) -> np.ndarray:
     """One cycle of GMRES(30) right-preconditioned by `precondition`, from
     x0 = precondition(b).
 
@@ -258,7 +228,7 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
     the true residual |b - A x_k|_2 over x0 + M K_k, and the Givens
     residual is that residual's norm.  It stops once that is within
     _REUSE_TOL of |A| |x0| + |b| in the infinity norm, which the 2-norm
-    bounds, or after 30 iterations; they are added to `counts`.  Each
+    bounds, or after 30 iterations; they are added to `factor`'s.  Each
     iteration stores z_j = M v_j and applies A to it, and the answer is
     x0 + Z y: k iterations cost k + 1 preconditioner solves.  Modified
     Gram-Schmidt and LAPACK `lartg` Givens rotations build the
@@ -272,7 +242,7 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
     atol = _REUSE_TOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
     r = b - A @ x
     beta = np.sqrt(np.einsum("i,i->", r, r))
-    if beta <= atol:
+    if not beta > atol:                  # also a non-finite x0, which the keep test rejects
         return x
     eps = np.finfo(float).eps
     restart = min(_RESTART, len(b))
@@ -308,7 +278,7 @@ def _gmres(A, b, norm_A, counts: LinearCounts, precondition) -> np.ndarray:
         h[col, col], h[col, col + 1] = mag, 0
         tmp = -s * S[col]
         S[col], S[col + 1] = c * S[col], tmp
-        counts.krylov_iterations += 1
+        factor.krylov_iterations += 1
         if np.abs(tmp) <= atol or breakdown:
             break
     # back substitution in the triangular h, a zero pivot dropped

@@ -1,5 +1,5 @@
 """Quasilinear solves by damped Newton continuation in correction form on
-the grid's LU.
+one LU per solve.
 
 Each stage of the load schedule tau in (0, 1] takes Newton steps about the
 current iterate: it solves J(u) delta = -Q(u) with delta = 0 at the feet and
@@ -46,11 +46,11 @@ data) or when the defect stops improving over a trailing window
 (stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
 defect norms, the slope guard and the next Jacobian read from it.
 
-Every Newton system goes to `linear.solve`, which keeps one sparse LU on the
-grid: GMRES preconditioned by it, and a fresh factorization only when that
-stalls.  The LU outlives the solve, so the next solve on the grid starts
-from it, whatever the H or the data; the report keeps the counts and the
-largest LU fill.
+Every Newton system goes to `linear.solve` with the solve's one
+`linear.Factor`: GMRES preconditioned by its LU, the grid's LU of J(0) at
+first, and a fresh factorization only when that stalls.  An LU the solve
+makes ends with it, so a report does not depend on what was solved on the
+grid before; it keeps the counts and the largest LU fill.
 
 The solver's settings are the module constants below, the same for every
 solve; the residual tolerance is 1e-6 (1 + n sup|H|).
@@ -69,7 +69,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .operators import DIMENSION, Evaluation, boundary_slope, gradient
-from .linear import LinearCounts, correction_system, solve as linear_solve, SolverError
+from .linear import Factor, correction_system, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged_gradient"
@@ -116,7 +116,7 @@ class SolveReport:
     iterations: int = 0
     wall_time: float = 0.0
     message: str = ""
-    factorizations: int = 0          # sparse LU factorizations the solve made
+    factorizations: int = 0          # sparse LUs the solve used: J(0)'s and those it made
     float64_factorizations: int = 0  # those made in float64 after a float32 one failed
     krylov_iterations: int = 0       # GMRES inner iterations of the solve
     fill_nnz: int = 0                # fill of the largest LU the solve used (stored
@@ -165,17 +165,15 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
     """
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
-    counts = LinearCounts()
-    verdict, message, ev = _continue(grid, H, data, n, report, counts)
-    report.factorizations = counts.factorizations
-    report.float64_factorizations = counts.float64_factorizations
-    report.krylov_iterations = counts.krylov_iterations
-    report.fill_nnz = counts.fill_nnz
+    factor = Factor()
+    verdict, message, ev = _continue(grid, H, data, n, report, factor)
+    for name in ("factorizations", "float64_factorizations", "krylov_iterations", "fill_nnz"):
+        setattr(report, name, getattr(factor, name))
     _finalize(report, verdict, message, ev, t0)
     return report
 
 
-def _continue(grid: Grid, H, data, n: int, report: SolveReport, counts: LinearCounts):
+def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
     """Leap to the last rung, and walk the schedule when the leap is rejected,
     filling the report's stages, trace rows and iteration count; returns
     (verdict, message, evaluation of the last iterate)."""
@@ -184,7 +182,7 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, counts: LinearCo
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
     schedule = _TAU_SCHEDULE
     tau = schedule[-1]
-    leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, tol_res, report, counts,
+    leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, tol_res, report, factor,
                   final=True, leap=True)
     if leap is not None:
         return leap
@@ -199,7 +197,7 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, counts: LinearCo
         tau_prev, u_prev = tau_k, values
         # re-anchor the start's trace at this stage's load, tau * phi
         verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
-                                      tol_res, report, counts,
+                                      tol_res, report, factor,
                                       final=k == len(schedule) - 1, leap=False)
         if verdict != VERDICT_CONVERGED:
             return verdict, message, ev
@@ -208,7 +206,7 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, counts: LinearCo
 
 
 def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
-           report: SolveReport, counts: LinearCounts, *, final: bool, leap: bool):
+           report: SolveReport, factor: Factor, *, final: bool, leap: bool):
     """Newton steps at load tau from u, adding their trace rows and iterations
     to the report.  Returns (verdict, message, evaluation of the last iterate)
     and records the stage's summary; a `leap` that is rejected returns None
@@ -226,7 +224,7 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     for it in range(1, _MAX_ITERS + 1):
         report.iterations += 1
         try:
-            delta = linear_solve(correction_system(ev), counts)
+            delta = linear_solve(correction_system(ev), factor)
         except SolverError as exc:
             return None if leap else (VERDICT_LINEAR_FAILURE, str(exc), ev)
         u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)

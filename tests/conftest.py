@@ -30,9 +30,6 @@ def cap_grid32(unit_disk):
 
 @pytest.fixture(scope="session")
 def cap_solve32(cap_grid32, cap_H):
-    # a first solve on the grid, whichever test asks for it: a grid keeps the
-    # LU of its last solve, and an earlier cap would leave one that fits J(0)
-    cap_grid32.lu = None
     report = solve_dirichlet(cap_grid32, cap_H, ZeroData())
     assert report.verdict == "converged"
     return report

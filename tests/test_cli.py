@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import mcgraph.cli
 import mcgraph.solver
 from mcgraph.cli import main, EXIT_OK, EXIT_SOLVER, EXIT_AUDIT, EXIT_CONFIG
 
@@ -395,36 +394,6 @@ def test_run_experiment_pipeline(tmp_path, capsys):
     for name in ("experiment", "certificate", "nonexistence_witness",
                  "refinements", "barrier_params", "verdict", "stages"):
         assert name in report, name
-
-
-def test_run_experiment_keeps_only_the_finest_lu(tmp_path, monkeypatch):
-    # a spacing's LU is dropped once the next spacing is solved; the drop
-    # follows the coarse solve, so report.json is the one of a run that
-    # keeps every LU (made here by putting each dropped LU back)
-    solve, cfg = mcgraph.cli.solve_dirichlet, write(tmp_path, EXPERIMENT)
-
-    def run(out, keep):
-        solved = {}
-
-        def recording(grid, *args, **kwargs):
-            if keep:
-                for g, lu in solved.items():
-                    g.lu = lu
-            rep = solve(grid, *args, **kwargs)
-            solved[grid] = grid.lu
-            return rep
-
-        monkeypatch.setattr(mcgraph.cli, "solve_dirichlet", recording)
-        main(["run", "--config", cfg, "--out", str(out), "--quiet"])
-        report = json.loads((out / "report.json").read_text())
-        report.pop("wall_time_seconds")
-        return [g.lu is not None for g in solved], report
-
-    held, report = run(tmp_path / "drop", keep=False)
-    assert held == [False, True]
-    held_all, kept = run(tmp_path / "keep", keep=True)
-    assert held_all == [True, True]
-    assert report == kept
 
 
 def test_sweep_curvature_with_experiment(tmp_path, capsys):

@@ -10,9 +10,8 @@ from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      annulus, assemble, correction_system, disk, dumbbell,
                      ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
-from mcgraph.grid import STENCILS
-from mcgraph.linear import (_RESTART, _REUSE_TOL, DissectedLU, LinearCounts,
-                            LinearSystem, _gmres, _norm_inf)
+from mcgraph.grid import STENCILS, DissectedLU
+from mcgraph.linear import _RESTART, _REUSE_TOL, Factor, LinearSystem, _gmres, _norm_inf
 
 from lattice_form import stacked_operators
 
@@ -23,7 +22,7 @@ def g32():
 
 
 def _unsolved_g32():
-    # a grid of its own: a shared grid keeps the LU of the last system solved on it
+    # a grid of its own, its J(0) LU not yet made
     return Grid(disk(radius=1.0), 1.0 / 32.0)
 
 
@@ -157,16 +156,16 @@ def _tilted(grid, sx, sy):
 def test_held_factor_reused_on_nearby_system():
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    counts = LinearCounts()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), counts)
+    factor = Factor()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), factor)
     # the float32 factor's x0 is good to its rounding: one iteration reaches the keep test
-    assert counts.factorizations == 1 and counts.krylov_iterations == 1
-    lu = g32.lu
+    assert factor.factorizations == 1 and factor.krylov_iterations == 1
+    lu = factor.lu
     assert lu is not None
     system = assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, counts)
-    assert counts.factorizations == 1 and g32.lu is lu
-    assert counts.krylov_iterations == 3
+    u = solve_linear(system, factor)
+    assert factor.factorizations == 1 and factor.lu is lu
+    assert factor.krylov_iterations == 3
     assert system.meta["relres"] <= 1e-11
     other = _unsolved_g32()
     fresh = solve_linear(assemble(_tilted(other, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
@@ -183,14 +182,14 @@ def test_stale_factor_on_steep_system_refactorizes():
     # each fresh float32 factor takes one iteration besides
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    counts = LinearCounts()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), counts)
-    lu = g32.lu
+    factor = Factor()
+    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), factor)
+    lu = factor.lu
     assert lu is not None
     system = assemble(ScalarField.from_callable(g32, _bowl), cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, counts)
-    assert counts.factorizations == 2 and g32.lu is not None and g32.lu is not lu
-    assert counts.krylov_iterations == 1 + 30 + 1 and counts.float64_factorizations == 0
+    u = solve_linear(system, factor)
+    assert factor.factorizations == 2 and factor.lu is not None and factor.lu is not lu
+    assert factor.krylov_iterations == 1 + 30 + 1 and factor.float64_factorizations == 0
     assert system.meta["relres"] <= 1e-10
     other = _unsolved_g32()
     fresh = solve_linear(assemble(ScalarField.from_callable(other, _bowl), cap, ZeroData(),
@@ -200,84 +199,89 @@ def test_stale_factor_on_steep_system_refactorizes():
 
 def test_nonfinite_system_raises_with_held_factor():
     g32 = _unsolved_g32()
-    counts = LinearCounts()
+    factor = Factor()
     zero = _zero_state(g32)
     solve_linear(assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(),
-                          n=2, tau=1.0), counts)
+                          n=2, tau=1.0), factor)
     system = assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(), n=2, tau=1.0)
     system.b[3] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        solve_linear(system, counts)
-    assert counts.factorizations == 1
+        solve_linear(system, factor)
+    assert factor.factorizations == 1
 
 
 def test_failed_factorization_is_a_solver_error():
-    # an exactly singular system: SuperLU refuses it in float32 and in
-    # float64, and the solve raises, leaving no LU on the grid; on a grid of
-    # its own, no LU left by an earlier solve preconditions it
+    # an exactly singular system: the J(0) LU's GMRES cycle misses the keep
+    # test, SuperLU refuses the system in float32 and in float64, and the
+    # solve raises, leaving the holder without an LU
     g32 = _unsolved_g32()
     n = g32.n_interior
     diag = np.resize([1.0, 2.0, 4.0], n)
     diag[7] = 0.0
     b = np.ones(n)
     b[7] = 0.0
-    counts = LinearCounts()
+    factor = Factor()
     system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
                           feet_values=np.zeros(g32.n_feet))
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_linear(system, counts)
-    assert (counts.factorizations, counts.float64_factorizations) == (2, 1) and g32.lu is None
-    assert counts.krylov_iterations == 0
+        solve_linear(system, factor)
+    assert (factor.factorizations, factor.float64_factorizations) == (3, 1) and factor.lu is None
+    assert factor.krylov_iterations == _RESTART
 
 
 @pytest.mark.parametrize("entry", [1e-50, 1e39])
 def test_entry_beyond_float32_falls_back_to_float64(entry):
+    # the J(0) LU misses the keep test: its GMRES cycle stalls on 1e-50, and
+    # on 1e39 its float32 start is not finite, which ends the cycle at once;
     # 1e-50 flushes to zero in float32, leaving a singular matrix, and 1e39
-    # overflows to inf: the float32 factorization is refused, and the system
-    # solves on a float64 factor, which the grid keeps
+    # overflows to inf: the float32 factorization is refused, and the
+    # system solves on a float64 factor, which the holder keeps
     g32 = _unsolved_g32()
     n = g32.n_interior
     diag = np.resize([1.0, 2.0, 4.0], n)
     diag[7] = entry
     b = np.ones(n)
     b[7] = entry
-    counts = LinearCounts()
+    factor = Factor()
     system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
                           feet_values=np.zeros(g32.n_feet))
-    u = solve_linear(system, counts)
-    assert (counts.factorizations, counts.float64_factorizations) == (2, 1)
-    assert g32.lu.dtype == np.float64
+    u = solve_linear(system, factor)
+    assert (factor.factorizations, factor.float64_factorizations) == (3, 1)
+    assert factor.krylov_iterations == (0 if entry > 1.0 else _RESTART)
+    assert factor.lu.dtype == np.float64
     assert system.meta["relres"] <= 1e-10
     assert u.values[7] == 1.0 and np.array_equal(u.values, b / diag)
 
 
 def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
-    # with the gate at 0 the rounding of the float32 factor's answer misses
-    # it, and so does that of the float64 fallback: the solve raises, and no
-    # later solve on the grid is preconditioned by either LU
+    # the J(0) LU misses the keep test on the bowl's system; with the gate
+    # at 0 the rounding of the float32 factor's answer misses it, and so
+    # does that of the float64 fallback: the solve raises, and no later
+    # system of the holder is preconditioned by either LU
     monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 0.0)
     g32 = _unsolved_g32()
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
-                      n=2, tau=1.0)
-    counts = LinearCounts()
+    system = assemble(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4),
+                      ZeroData(), n=2, tau=1.0)
+    factor = Factor()
     with pytest.raises(SolverError, match="backward error"):
-        solve_linear(system, counts)
-    assert (counts.factorizations, counts.float64_factorizations) == (2, 1) and g32.lu is None
+        solve_linear(system, factor)
+    assert (factor.factorizations, factor.float64_factorizations) == (3, 1) and factor.lu is None
     assert 0 < system.meta["relres"] <= 1e-10
 
 
 def test_float32_answer_beyond_the_gate_falls_back_to_float64(monkeypatch):
-    # with the gate at 1e-14 the float32 factor's answer, which GMRES stops
-    # at the keep test (backward error 4.6e-13 here), misses it, and the
-    # float64 factor's direct answer (1.2e-16) meets it; the grid keeps it
+    # the J(0) LU misses the keep test on the bowl's system (backward error
+    # 1.8e-9); with the gate at 1e-14 the float32 factor's answer, which
+    # GMRES stops at the keep test (1.3e-13 here), misses it, and the
+    # float64 factor's direct answer (5.0e-17) meets it; the holder keeps it
     monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 1e-14)
     g32 = _unsolved_g32()
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
-                      n=2, tau=1.0)
-    counts = LinearCounts()
-    solve_linear(system, counts)
-    assert (counts.factorizations, counts.float64_factorizations) == (2, 1)
-    assert g32.lu.dtype == np.float64 and system.meta["relres"] <= 1e-14
+    system = assemble(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4),
+                      ZeroData(), n=2, tau=1.0)
+    factor = Factor()
+    solve_linear(system, factor)
+    assert (factor.factorizations, factor.float64_factorizations) == (3, 1)
+    assert factor.lu.dtype == np.float64 and system.meta["relres"] <= 1e-14
 
 
 class _CountedSolves:
@@ -305,16 +309,16 @@ def test_gmres_stops_on_the_keep_test_with_one_solve_per_iteration(slope):
     system = correction_system(Evaluation(state, H, 2, 1.0))
     A, b = system.A, system.b
     norm_A = spla.norm(A, np.inf)
-    solves, counts = _CountedSolves(lu), LinearCounts()
-    x = _gmres(A, b, norm_A, counts, solves)
-    iterations = counts.krylov_iterations
+    solves, factor = _CountedSolves(lu), Factor()
+    x = _gmres(A, b, norm_A, factor, solves)
+    iterations = factor.krylov_iterations
     assert iterations > 0 and solves.calls == iterations + 1
     aim = _REUSE_TOL * (norm_A * np.max(np.abs(lu.solve(b))) + np.max(np.abs(b)))
     assert (np.linalg.norm(A @ x - b) <= aim) == (slope < 1.0)
     assert (iterations == _RESTART) == (slope > 1.0)
-    grid.lu, counts = lu, LinearCounts()
-    solve_linear(system, counts)
-    assert counts.factorizations == (slope > 1.0) and (grid.lu is lu) == (slope < 1.0)
+    factor = Factor(lu=lu)
+    solve_linear(system, factor)
+    assert factor.factorizations == (slope > 1.0) and (factor.lu is lu) == (slope < 1.0)
     assert system.meta["relres"] <= (1e-10 if slope > 1.0 else _REUSE_TOL)
 
 
@@ -407,10 +411,10 @@ def _max_backward_error(A, b, x):
 def _solved_on(grid, lu, A, b):
     """linear.solve's answer to A x = b on the grid, started from `lu`,
     which it keeps."""
-    grid.lu, counts = lu, LinearCounts()
+    factor = Factor(lu=lu)
     x = solve_linear(LinearSystem(A=A, b=b, grid=grid, feet_values=np.zeros(grid.n_feet)),
-                     counts).values
-    assert counts.factorizations == 0 and grid.lu is lu
+                     factor).values
+    assert factor.factorizations == 0 and factor.lu is lu
     return x
 
 
@@ -450,37 +454,37 @@ def test_dissected_lu_solves_systems_off_the_stencil():
 
 def test_held_factor_records_largest_fill():
     g32 = _unsolved_g32()
-    counts = LinearCounts()
+    factor = Factor()
     system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
                       n=2, tau=1.0)
-    solve_linear(system, counts)
-    assert counts.fill_nnz == g32.lu.superlu.nnz > 0
+    solve_linear(system, factor)
+    assert factor.fill_nnz == factor.lu.superlu.nnz > 0
     small = LinearSystem(A=sps.identity(g32.n_interior, format="csr"), b=system.b,
                          grid=g32, feet_values=np.zeros(g32.n_feet))
-    g32.lu = None
-    solve_linear(small, counts)
-    assert counts.factorizations == 2 and g32.lu.superlu.nnz < counts.fill_nnz
+    factor.lu = None
+    solve_linear(small, factor)
+    assert factor.factorizations == 2 and factor.lu.superlu.nnz < factor.fill_nnz
 
 
 def test_dissection_order_keeps_reference_solves():
     # heights recorded with the minimum-degree LU ordering that the
     # dissection order replaced, counts with the leap to the full load and
-    # GMRES stopping on the keep test: the grid's LU only starts and
-    # preconditions GMRES, so its order leaves the Newton path and the answer
-    # as they were; each leg on a grid of its own factorizes, as the
-    # recorded legs did.  The legs stop on Newton's contraction bound, a
-    # step before their last update fell below 1e-9.  The float32 factor
-    # takes one or two iterations on the system it factorized.  No GMRES
-    # cycle of these solves stops near its tolerance (the last residual is
-    # at most 0.8 of it, the one before at least 2.6 times it), so the
-    # Krylov counts do not follow the rounding of the feet
+    # GMRES stopping on the keep test: an LU only starts and preconditions
+    # GMRES, so its order leaves the Newton path and the answer as they
+    # were.  Every solve here runs on the grid's J(0) LU alone, the one LU
+    # it counts.  The legs stop on Newton's contraction bound, a step before
+    # their last update fell below 1e-9.  The float32 factor takes one or
+    # two iterations on the system it factorized.  No GMRES cycle of these
+    # solves stops near its tolerance (the last residual is at most 0.8 of
+    # it, the one before at least 1.2 times it), so the Krylov counts do not
+    # follow the rounding of the feet
     dom = disk(1.0)
     cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
     legs = [solve_dirichlet(Grid(dom, 1.0 / 48.0), PrescribedCurvature.constant(H), data, n=2)
             for H in (0.55, 0.45)]
-    expected = [(4, 1, 20, 0.2087100275413615), (4, 1, 33, 0.298989692410781),
-                (4, 1, 30, 0.23697423597353587)]
+    expected = [(4, 1, 20, 0.2087100275413615), (4, 1, 43, 0.298989692410781),
+                (4, 1, 39, 0.23697423597353587)]
     for report, (iterations, factorizations, krylov, sup_u) in zip([cap, *legs], expected):
         assert report.verdict == "converged"
         assert (report.iterations, report.factorizations, report.krylov_iterations) == (

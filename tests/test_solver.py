@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
+import mcgraph.grid
 import mcgraph.linear
 import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature,
@@ -36,9 +39,7 @@ def test_cap_stage_schedule(cap_solve32):
 @pytest.fixture(scope="module")
 def cap_walk32(cap_grid32, cap_H):
     # three steps a stage: the leap, which takes four, is rejected at
-    # _MAX_ITERS, and the solve walks the schedule from u = 0; a first solve
-    # on the grid, as for cap_solve32
-    cap_grid32.lu = None
+    # _MAX_ITERS, and the solve walks the schedule from u = 0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mcgraph.solver, "_MAX_ITERS", 3)
         return solve_dirichlet(cap_grid32, cap_H, ZeroData())
@@ -293,12 +294,12 @@ def test_refused_factorization_ends_in_linear_failure(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(mcgraph.linear.spla, "splu", refuse)
+    monkeypatch.setattr(mcgraph.grid.spla, "splu", refuse)
     g = Grid(disk(radius=1.0), 1.0 / 16.0)
     report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData())
     assert report.verdict == "linear_failure"
     assert "factorization failed" in report.message
-    assert report.krylov_iterations == 0 and g.lu is None
+    assert report.krylov_iterations == 0 and "laplacian_lu" not in vars(g)
 
 
 def test_solution_independent_of_tau_path(cap_solve32, cap_walk32):
@@ -332,10 +333,11 @@ def test_continuation_monotone_in_tau(cap_grid32, cap_H, monkeypatch):
 
 
 def _fresh_factor_per_iterate(monkeypatch):
-    # every Newton system factorized afresh: the answer the reuse must keep
-    def solve_fresh(system, counts=None):
-        system.grid.lu = None
-        return mcgraph.linear.solve(system)
+    # every Newton system on a fresh holder of its own float32 LU: the
+    # answer the reuse must keep
+    def solve_fresh(system, factor):
+        lu = mcgraph.grid.DissectedLU(system.A, system.grid.dissection)
+        return mcgraph.linear.solve(system, mcgraph.linear.Factor(lu=lu))
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
 
@@ -386,16 +388,16 @@ def caps_on_one_grid():
 
 
 def test_second_zero_data_solve_makes_no_factorization(caps_on_one_grid):
-    # with zero data the first Jacobian is J(0) whatever H is: the grid's LU
-    # of the first solve's J(0) serves the second solve
+    # with zero data the first Jacobian is J(0) whatever H is: every solve
+    # starts on the grid's LU of it, made once, and counts it as used
     _, first, second, alone = caps_on_one_grid
-    assert (first.factorizations, second.factorizations, alone.factorizations) == (1, 0, 1)
+    assert (first.factorizations, second.factorizations, alone.factorizations) == (1, 1, 1)
     assert second.converged and second.krylov_iterations > 0
 
 
 def test_reused_lu_fill_reported(caps_on_one_grid):
     grid, first, second, alone = caps_on_one_grid
-    assert second.fill_nnz == grid.lu.superlu.nnz == first.fill_nnz == alone.fill_nnz > 0
+    assert second.fill_nnz == grid.laplacian_lu.superlu.nnz == first.fill_nnz == alone.fill_nnz > 0
     assert second.summary_dict()["fill_nnz"] == second.fill_nnz
 
 
@@ -406,11 +408,17 @@ def test_reused_lu_gives_the_fresh_grids_field(caps_on_one_grid):
                                                              alone.krylov_iterations)
 
 
+def _same_report(report, other):
+    summary, expected = report.summary_dict(), other.summary_dict()
+    del summary["wall_time_seconds"], expected["wall_time_seconds"]
+    assert summary == expected
+    assert report.field.values.tobytes() == other.field.values.tobytes()
+
+
 def test_second_bump_leg_reuses_the_grids_lu():
-    # the second A8 leg's first Jacobian is not the matrix the first leg
-    # factorized (J(0) carries the H-dependent load term on bump data), but
-    # that LU preconditions it well enough: no factorization, the answer of
-    # a leg on a grid of its own
+    # the second A8 leg starts on the grid's J(0) LU, as the first did, and
+    # not on an LU the first made: its report and field are those of a leg
+    # on a grid of its own
     dom = disk(radius=1.0)
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)
     H = PrescribedCurvature.constant(0.45)
@@ -418,10 +426,58 @@ def test_second_bump_leg_reuses_the_grids_lu():
     solve_dirichlet(grid, PrescribedCurvature.constant(0.55), data, n=2)
     second = solve_dirichlet(grid, H, data, n=2)
     alone = solve_dirichlet(Grid(dom, 1.0 / 24.0), H, data, n=2)
-    assert second.factorizations == 0 and alone.factorizations >= 1
-    assert second.verdict == alone.verdict == "converged"
-    assert second.iterations == alone.iterations
-    assert np.max(np.abs(second.field.values - alone.field.values)) < 1e-12
+    assert second.verdict == "converged"
+    _same_report(second, alone)
+
+
+def test_sweep_reports_do_not_depend_on_the_order():
+    # the nine sweep caps on one grid, ascending and then descending on a
+    # second grid: each H has one report whichever solves ran before it
+    dom = disk(radius=1.0)
+    curvatures = np.linspace(0.05, 0.45, 9)
+    reports = {}
+    for order in (curvatures, curvatures[::-1]):
+        grid = Grid(dom, 1.0 / 32.0)
+        for H in order:
+            reports.setdefault(H, []).append(
+                solve_dirichlet(grid, PrescribedCurvature.constant(H), ZeroData()))
+    for up, down in reports.values():
+        assert up.converged
+        _same_report(up, down)
+
+
+def test_solve_adds_only_lazy_caches_to_the_grid():
+    # a solve leaves on the grid only what any later solve may read: the
+    # operators, the pattern, the dissection order, J(0)'s LU and the
+    # stencil gathers; every other attribute is the one the grid was built with
+    grid = Grid(disk(radius=1.0), 1.0 / 16.0)
+    data = adversarial_boundary_data(grid.domain, (1.0, 0.0), 0.10, 0.05)
+    before = dict(vars(grid))
+    solve_dirichlet(grid, PrescribedCurvature.constant(0.55), data, n=2)
+    changed = {name for name, value in vars(grid).items()
+               if name not in before or before[name] is not value}
+    assert changed <= {"_ops", "_pattern", "dissection", "laplacian_lu", "_taps",
+                       "_x_neighbours", "_edge"}
+    assert "laplacian_lu" in changed
+
+
+def test_zero_data_cap_after_other_systems_makes_no_factorization(monkeypatch):
+    # a system of another kind solved on the grid leaves its LU with its
+    # own holder: the next cap starts on the grid's J(0) LU and calls splu
+    # no more
+    grid = Grid(disk(radius=1.0), 1.0 / 16.0)
+    cap = PrescribedCurvature.constant(0.4)
+    first = solve_dirichlet(grid, cap, ZeroData())
+    n = grid.n_interior
+    solve_linear(mcgraph.linear.LinearSystem(A=sps.identity(n, format="csr"), b=np.ones(n),
+                                             grid=grid, feet_values=np.zeros(grid.n_feet)))
+    calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu",
+                        lambda *args, **kwargs: calls.append(1) or splu(*args, **kwargs))
+    second = solve_dirichlet(grid, cap, ZeroData())
+    assert calls == [] and second.factorizations == 1
+    _same_report(second, first)
 
 
 def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
@@ -430,6 +486,6 @@ def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
     assert cap_solve32.factorizations == 1
     zero = ScalarField.zeros(cap_grid32, ZeroData())
     J = correction_system(Evaluation(zero, cap_H, 2, 0.25)).A
-    lu = mcgraph.linear.DissectedLU(J, cap_grid32.dissection)
+    lu = mcgraph.grid.DissectedLU(J, cap_grid32.dissection)
     assert cap_solve32.fill_nnz == lu.superlu.nnz > 0
     assert cap_solve32.summary_dict()["fill_nnz"] == cap_solve32.fill_nnz
