@@ -61,6 +61,10 @@ class ZeroData(BoundaryData):
         pts = np.asarray(pts, dtype=float)
         return np.zeros(pts.shape[:-1])
 
+    def norms(self, domain: DomainSpec):
+        """The zero extension's norms, without sampling."""
+        return 0.0, 0.0, 0.0
+
     def __repr__(self):
         return "phi = 0"
 

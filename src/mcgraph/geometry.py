@@ -1163,8 +1163,13 @@ def check_serrin(domain: DomainSpec, H: PrescribedCurvature, n: int = 2) -> Serr
 
 def check_gradient_condition(domain: DomainSpec, H: PrescribedCurvature,
                              n: int = 2) -> tuple[bool, float]:
-    """Interior condition |grad H| <= n/(n-1) * H^2, reported as (ok, margin)."""
-    pts = domain.closure_samples(201)
-    margin = (n / (n - 1)) * H(pts) ** 2 - np.linalg.norm(H.gradient(pts), axis=-1)
-    m = float(margin.min())
+    """Interior condition |grad H| <= n/(n-1) * H^2, reported as (ok, margin):
+    the minimum over the closure samples, or for a constant H the margin
+    n/(n-1) H^2 that every point has, without sampling."""
+    if H.kind == "constant":
+        m = (n / (n - 1)) * (H.value * H.value)
+    else:
+        pts = domain.closure_samples(201)
+        margin = (n / (n - 1)) * H(pts) ** 2 - np.linalg.norm(H.gradient(pts), axis=-1)
+        m = float(margin.min())
     return m >= 0.0, m

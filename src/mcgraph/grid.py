@@ -64,10 +64,15 @@ assembly.  For assembly, `Grid.pattern` builds the union pattern of the
 five stencils once per grid: a frozen-coefficient matrix or a Newton
 Jacobian writes the 9-point rows of the lattice nodes from the coefficients
 directly, and the edge nodes' rows by one small sparse product.
-For factorization, `Grid.dissection` orders the interior nodes by nested
-dissection on lattice lines, and `DissectedLU` factorizes in that order;
+For factorization, `SparseLU` holds SuperLU's LU in one of two orders.
 `Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy that every solve starts on,
-and the order are made on first read, so grids never solved on lack both.
+is ordered by SuperLU's own minimum degree: with its zeros dropped J(0) has
+the five-point pattern, on which that order stores about half the entries
+of nested dissection, and every Krylov iteration solves with it.  A
+Jacobian a solve factorizes itself has nine-point rows, and is ordered by
+`Grid.dissection`, nested dissection on lattice lines, which factorizes
+those faster at fine h.  Both are made on first read, so grids never
+solved on lack both, and zero-data solves never compute the dissection.
 """
 
 from __future__ import annotations
@@ -577,13 +582,14 @@ class Grid:
         return self._pattern
 
     @cached_property
-    def laplacian_lu(self) -> "DissectedLU":
+    def laplacian_lu(self) -> "SparseLU":
         """The float32 LU of J(0) = Dxx + Dyy, the Jacobian at u = 0 with zero
-        data whatever H, that every solve starts on (`linear.Factor`), made
-        on first read; SuperLU's refusal raises."""
+        data whatever H, that every solve starts on (`linear.Factor`), in
+        SuperLU's minimum-degree order, made on first read; SuperLU's
+        refusal raises."""
         n = self.n_interior
         J0 = self.pattern().combine(*np.ones((2, n)), np.zeros(n)).astype(np.float32)
-        return DissectedLU(J0, self.dissection)     # no float64 J(0) alive in SuperLU
+        return SparseLU(J0)         # no float64 J(0) alive in SuperLU
 
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "
@@ -694,32 +700,49 @@ class StencilPattern:
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 
-class DissectedLU:
-    """SuperLU's LU of P A P^T cast to `dtype` (float32 by default), in the
-    nested-dissection order P of the interior nodes; `solve` applies P to
-    both sides, casts the right-hand side to `dtype` and the answer back to
+class SparseLU:
+    """SuperLU's LU of A cast to `dtype` (float32 by default), its exact
+    zeros dropped, in one of two column orders.  Without an `order`,
+    SuperLU orders A itself by multiple minimum degree on A^T + A (Liu, ACM
+    TOMS 11, 1985), without relaxed supernodes, which would only pad the
+    factor: J(0)'s LU (`Grid.laplacian_lu`), whose five-point pattern it
+    factors in about half the entries nested dissection stores.  Given an
+    `order` P of the interior nodes, it factorizes P A P^T in that order,
+    and `solve` applies P to both sides: the Jacobians a solve factorizes,
+    whose nine-point rows `Grid.dissection` factorizes faster at fine h.
+    `solve` casts the right-hand side to `dtype` and the answer back to
     float64.  Raises RuntimeError when the cast has a non-finite entry or
     SuperLU finds the cast matrix singular."""
 
-    def __init__(self, A: sps.spmatrix, order: np.ndarray, dtype=np.float32):
+    def __init__(self, A: sps.spmatrix, order: Optional[np.ndarray] = None,
+                 dtype=np.float32):
         self.order, self.dtype = order, dtype
-        # the inverse permutation: `solve` gathers, which is cheaper than a scatter
-        self.inverse = np.empty_like(order)
-        self.inverse[order] = np.arange(len(order))
         with np.errstate(over="ignore"):    # an entry cast to inf is refused below
             A = A.astype(dtype, copy=False)
-        PAP = A.tocsr()[order][:, order]
+        if order is None:   # a copy: eliminate_zeros below works in place
+            A, spec = A.tocsc(copy=True), dict(permc_spec="MMD_AT_PLUS_A", relax=1)
+        else:
+            # the inverse permutation: `solve` gathers, which is cheaper than a scatter
+            self.inverse = np.empty_like(order)
+            self.inverse[order] = np.arange(len(order))
+            A, spec = A.tocsr()[order][:, order].tocsc(), dict(permc_spec="NATURAL")
         # the union pattern's exact zeros, and the entries the cast flushed to
         # zero, would only fill
-        PAP.eliminate_zeros()
-        if not np.all(np.isfinite(PAP.data)):
+        A.eliminate_zeros()
+        if not np.all(np.isfinite(A.data)):
             raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
         # through the module attribute, so that a wrapper of splu sees the call
-        self.superlu = spla.splu(PAP.tocsc(), permc_spec="NATURAL")
+        self.superlu = spla.splu(A, **spec)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = self.superlu.solve(b[self.order].astype(self.dtype))
-        return y[self.inverse].astype(np.float64)
+        if self.order is not None:
+            b = b[self.order]
+        with np.errstate(over="ignore"):    # an inf entry's answer fails the keep test
+            b = b.astype(self.dtype)
+        y = self.superlu.solve(b)
+        if self.order is not None:
+            y = y[self.inverse]
+        return y.astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

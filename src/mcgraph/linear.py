@@ -25,7 +25,7 @@ nodal evaluation.  Boundary values of a frozen system enter the right-hand
 side through the foot block of the grid's edge-node rows.
 
 The systems of one solve share one holder (`Factor`) of one sparse LU
-(`grid.DissectedLU`) and follow one rule (the chord idea, Kelley 1995).  A
+(`grid.SparseLU`) and follow one rule (the chord idea, Kelley 1995).  A
 holder starts on the grid's LU of J(0) = Dxx + Dyy (`Grid.laplacian_lu`),
 the first Newton system of every zero-data solve whatever H, made once per
 grid.  One cycle of GMRES(30) right-preconditioned by the held LU runs from
@@ -52,16 +52,23 @@ products and norms are summed by numpy itself, not by BLAS, whose threaded
 kernels split a sum by thread count: the answers do not depend on the
 number of BLAS threads.
 
-Every LU is SuperLU's factorization of P A P^T, in float32 or float64, in
-the given column order, its exact zeros dropped, where P is the grid's
-nested-dissection order of the interior nodes (`Grid.dissection`, George
-1973): median lattice lines split the nodes recursively down to parts of 64,
-and each line comes after the two parts it separates.  The union pattern
-stores the entries a matrix lacks as zeros (J(0) at u = 0 has no cross or
-slope terms), and SuperLU would fill them.  On the stencil pattern the fill
-grows like N log N.  Minimum degree on A^T + A leaves less fill on the
-cap's J(0), but factorizes it slower at h = 1/256 (CHANGES.md).  The
-factor's `solve` applies P on both sides.
+Every LU is SuperLU's factorization, in float32 or float64, of a matrix
+with its exact zeros dropped: the union pattern stores the entries a matrix
+lacks as zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU
+would fill them.  Each kind of matrix has its own order.  J(0) is left with
+the five-point pattern, and SuperLU orders it by multiple minimum degree on
+A^T + A (Liu 1985), without relaxed supernodes: its LU stores about half
+the entries of a dissection-ordered one, and every Krylov iteration of
+every solve reads it twice.  A Jacobian the solve factorizes itself has
+nine-point rows, and its LU is that of P A P^T in the given column order,
+where P is the grid's nested-dissection order of the interior nodes
+(`Grid.dissection`, George 1973): median lattice lines split the nodes
+recursively down to parts of 64, and each line comes after the two parts
+it separates.  On the stencil pattern the fill grows like N log N; minimum
+degree there stores more from h = 1/128 on, factorizes 1.5-1.8 times as
+slowly at 1/128 and 1/256, and costs the sampled solves more
+factorizations (CHANGES.md).  The factor's `solve` applies P on both
+sides.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -77,7 +84,7 @@ import numpy as np
 import scipy.sparse as sps
 from scipy.linalg.lapack import dlartg
 
-from .grid import STENCILS, DissectedLU, Grid, ScalarField
+from .grid import STENCILS, Grid, ScalarField, SparseLU
 from .operators import DIMENSION, Evaluation
 
 _RELRES_TOL = 1e-10
@@ -103,7 +110,7 @@ class Factor:
     solved with: the entries of L and U in SuperLU's supernodal storage,
     explicit zeros included (reading L and U as matrices would copy them)."""
 
-    lu: Optional[DissectedLU] = None
+    lu: Optional[SparseLU] = None
     factorizations: int = 0
     float64_factorizations: int = 0
     krylov_iterations: int = 0
@@ -200,7 +207,7 @@ def _factorized_solve(A, b, norm_A, grid: Grid, factor: Factor, dtype):
     and its backward error.  Raises SolverError when the factorization fails."""
     factor.factorizations += 1
     try:
-        factor.lu = DissectedLU(A, grid.dissection, dtype)
+        factor.lu = SparseLU(A, grid.dissection, dtype)
     except RuntimeError as exc:     # a cast beyond the dtype's range, or a singular matrix
         raise SolverError(f"factorization failed: {exc}") from None
     x = _gmres(A, b, norm_A, factor, factor.lu.solve)

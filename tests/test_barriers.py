@@ -14,13 +14,14 @@ import mcgraph.solver
 from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      ScalarField, ZeroData, adversarial_boundary_data,
                      barrier_pair_checks, boundary_gradient_package,
-                     comparison_check, compile_expr, disk, ellipse,
-                     estimate_ledger, global_gradient_bound, height_barrier,
-                     height_bound, nonexistence_bound, nonexistence_witness,
-                     rect, scherk_trace, solve_dirichlet)
+                     check_gradient_condition, comparison_check, compile_expr,
+                     disk, ellipse, estimate_ledger, global_gradient_bound,
+                     height_barrier, height_bound, nonexistence_bound,
+                     nonexistence_witness, rect, scherk_trace, solve_dirichlet)
 from mcgraph.barriers import (BarrierParams, BoundaryDistance, EstimateAudit,
                               HeightProfile, LogProfile, NegatedProfile,
                               SqrtProfile, transform_radial)
+from mcgraph.boundary import BoundaryData
 
 # -- profiles ---------------------------------------------------------------
 
@@ -330,6 +331,41 @@ def test_ledger_checks_serrin_once(unit_disk, cap_H, cap_solve32, monkeypatch):
     assert len(calls) == 1
     assert led.audits["serrin"]["passed"] is True
     assert led.package is not None and led.audits["sandwich"]["passed"] is True
+
+
+def _sampled_gradient_condition(domain, H, n=2):
+    # the interior condition's margin as the minimum over the closure samples
+    pts = domain.closure_samples(201)
+    margin = (n / (n - 1)) * H(pts) ** 2 - np.linalg.norm(H.gradient(pts), axis=-1)
+    m = float(margin.min())
+    return m >= 0.0, m
+
+
+def test_cap_ledger_takes_closed_forms_without_sampling(unit_disk, cap_H, cap_solve32,
+                                                        monkeypatch):
+    # a constant H's interior margin and zero data's norms have closed forms:
+    # they equal the sampled values to the bit, and the cap's ledger reads
+    # them without sampling the closure
+    curvatures = [PrescribedCurvature.constant(v) for v in (0.0, 0.4, -0.45, 1e-3, 0.7)]
+    sampled_margins = [_sampled_gradient_condition(unit_disk, H, n)
+                       for H in curvatures for n in (2, 3)]
+    sampled_norms = BoundaryData.norms(ZeroData(), unit_disk)
+    args, kw = (unit_disk, cap_H, ZeroData()), dict(n=2, report=cap_solve32,
+                                                     names=("serrin", "barrier_pair"))
+    with monkeypatch.context() as m:
+        m.setattr(mcgraph.barriers, "check_gradient_condition", _sampled_gradient_condition)
+        m.setattr(ZeroData, "norms", BoundaryData.norms)
+        sampled = estimate_ledger(*args, **kw)
+
+    def refuse(m):
+        raise AssertionError("the closure was sampled")
+    monkeypatch.setattr(unit_disk, "closure_samples", refuse)
+    assert [check_gradient_condition(unit_disk, H, n)
+            for H in curvatures for n in (2, 3)] == sampled_margins
+    assert ZeroData().norms(unit_disk) == sampled_norms == (0.0, 0.0, 0.0)
+    closed = estimate_ledger(*args, **kw)
+    assert closed.audits == sampled.audits and closed.params == sampled.params
+    assert closed.refusal == "" and "error" not in str(closed.audits)
 
 
 def test_ledger_keeps_a_raising_estimate_as_an_entry(scherk_square,

@@ -9,8 +9,7 @@ from hypothesis import given, strategies as st
 import mcgraph.grid
 import mcgraph.linear
 import mcgraph.solver
-from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature,
-                     ScalarField, ZeroData,
+from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature, ZeroData,
                      adversarial_boundary_data, boundary_slope,
                      correction_system, disk, estimate_ledger, solve_dirichlet,
                      solve_linear, sup_slope)
@@ -336,7 +335,7 @@ def _fresh_factor_per_iterate(monkeypatch):
     # every Newton system on a fresh holder of its own float32 LU: the
     # answer the reuse must keep
     def solve_fresh(system, factor):
-        lu = mcgraph.grid.DissectedLU(system.A, system.grid.dissection)
+        lu = mcgraph.grid.SparseLU(system.A, system.grid.dissection)
         return mcgraph.linear.solve(system, mcgraph.linear.Factor(lu=lu))
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
@@ -480,12 +479,9 @@ def test_zero_data_cap_after_other_systems_makes_no_factorization(monkeypatch):
     _same_report(second, first)
 
 
-def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32, cap_H):
-    # the cap solve factorizes once, its first Jacobian: the report carries
-    # the entries that LU stores
+def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32):
+    # the cap solve uses one LU, the grid's of J(0): the report carries the
+    # entries that LU stores
     assert cap_solve32.factorizations == 1
-    zero = ScalarField.zeros(cap_grid32, ZeroData())
-    J = correction_system(Evaluation(zero, cap_H, 2, 0.25)).A
-    lu = mcgraph.grid.DissectedLU(J, cap_grid32.dissection)
-    assert cap_solve32.fill_nnz == lu.superlu.nnz > 0
+    assert cap_solve32.fill_nnz == cap_grid32.laplacian_lu.superlu.nnz > 0
     assert cap_solve32.summary_dict()["fill_nnz"] == cap_solve32.fill_nnz
