@@ -123,10 +123,8 @@ class HeightProfile:
         return (math.exp(self.mu * self.delta) / self.mu) * (1.0 - np.exp(-self.mu * t))
 
     def d1(self, t):
-        t = np.asarray(t, dtype=float)
-        if self.mu == 0.0:
-            return np.ones_like(t)
-        return np.exp(self.mu * (self.delta - t))
+        # at mu = 0 this is e^0 = 1 exactly at every finite t
+        return np.exp(self.mu * (self.delta - np.asarray(t, dtype=float)))
 
     def d2(self, t):
         return -self.mu * self.d1(t)
@@ -179,22 +177,6 @@ class SqrtProfile:
 
     def d2(self, t):
         return 0.25 * math.sqrt(2.0 / self.nu) * np.asarray(t, dtype=float) ** -1.5
-
-
-class NegatedProfile:
-    """-psi, for the lower member of a barrier pair."""
-
-    def __init__(self, base):
-        self.base = base
-
-    def __call__(self, t):
-        return -self.base(t)
-
-    def d1(self, t):
-        return -self.base.d1(t)
-
-    def d2(self, t):
-        return -self.base.d2(t)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +315,6 @@ def transform_radial(profile, phi, grid: Grid, distance=None) -> TransformedFiel
 # height estimate
 
 
-def _h_norms(H, domain: DomainSpec) -> tuple[float, float]:
-    return float(H.h0(domain)), float(H.h1(domain))
-
-
 def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
                  measured: Optional[float] = None,
                  serrin: Optional[SerrinAudit] = None) -> EstimateAudit:
@@ -350,7 +328,7 @@ def height_bound(domain: DomainSpec, H, data=None, n: int = 2,
     is the domain's Serrin audit when the caller has it already.  Raises
     NotApplicable when e^(mu delta) overflows.
     """
-    h0, _ = _h_norms(H, domain)
+    h0 = H.h0(domain)
     delta = domain.diameter
     mu = n * h0 * (1.0 + 1e-6) if h0 > 0 else 0.0
     if mu * delta > _LOG_FLOAT_MAX:
@@ -466,7 +444,7 @@ def boundary_gradient_package(domain: DomainSpec, H, data, n: int = 2,
     tau_strip = domain.smoothness_radius()
     d_c2 = _distance_c2_norm(domain, 0.5 * tau_strip)
     C = 4.0 * n * (1.0 + d_c2 + 1.0 / tau_strip)
-    h0, h1 = _h_norms(H, domain)
+    h0, h1 = H.h0(domain), H.h1(domain)
     nu = C * (1.0 + (h0 + h1) + p2) * (1.0 + p1) ** 3
     if u_sup is None:
         u_sup = height_bound(domain, H, data, n, serrin=serrin).bound
@@ -503,8 +481,10 @@ def barrier_pair_checks(pkg: GradientPackage, u: ScalarField, H, data,
                         n: int = 2) -> dict:
     """Sign and sandwich checks for the pair w_pm = +-psi(d) + phi on the strip.
 
-    Returns audits: qwp_negative (max Q w+ < 0), qwm_positive (min Q w- > 0),
-    and sandwich (w- - tol <= u <= w+ + tol at strip nodes).
+    -psi is LogProfile(-nu, k): dividing by -nu negates exactly, so its
+    value and derivatives are those of psi with the sign flipped, bit for
+    bit.  Returns audits: qwp_negative (max Q w+ < 0), qwm_positive
+    (min Q w- > 0), and sandwich (w- - tol <= u <= w+ + tol at strip nodes).
     """
     grid = u.grid
     domain = grid.domain
@@ -514,7 +494,7 @@ def barrier_pair_checks(pkg: GradientPackage, u: ScalarField, H, data,
         phi = 0.0
     dist = BoundaryDistance(domain)
     up = transform_radial(pkg.psi, phi, grid, distance=dist)
-    dn = transform_radial(NegatedProfile(pkg.psi), phi, grid, distance=dist)
+    dn = transform_radial(LogProfile(-pkg.psi.nu, pkg.psi.k), phi, grid, distance=dist)
     d = domain.signed_distance(grid.interior_xy)
     strip = up.valid & (d < a)
     n_strip = int(strip.sum())
@@ -551,7 +531,7 @@ def global_gradient_bound(domain: DomainSpec, H, n: int = 2,
 
     The boundary data enter only through `sup_u` and `boundary_gradient`.
     Raises NotApplicable when the exponential overflows."""
-    h0, h1 = _h_norms(H, domain)
+    h0, h1 = H.h0(domain), H.h1(domain)
     A = 1.0 + 8.0 * n * (h0 + h1)
     exponent = 2.0 * float(sup_u) * A
     if exponent > _LOG_FLOAT_MAX:

@@ -531,10 +531,10 @@ class _LevelSet:
             pts = pts[::-1]
         self._polyline = pts
 
-    def _project(self, pts, iters=40):
-        """Newton projection of points onto {F = 0} along grad F."""
+    def _project(self, pts):
+        """Newton projection of points onto {F = 0} along grad F, at most 40 steps."""
         p = np.array(pts, dtype=float)
-        for _ in range(iters):
+        for _ in range(40):
             f, gx, gy, *_ = self.F.jet(p[:, 0], p[:, 1])
             g2 = gx * gx + gy * gy
             g2 = np.where(g2 < 1e-30, 1e-30, g2)
@@ -571,11 +571,7 @@ class _LevelSet:
         """Nearest boundary point: the constrained Newton foot from the
         nearest vertex of the traced polyline, which a KD-tree finds, or
         that vertex projected onto F = 0 where the foot is farther."""
-        if not hasattr(self, "_tree"):
-            from scipy.spatial import cKDTree
-            # wide leaves: fewer tree levels for the lattice-sized queries
-            self._tree = cKDTree(self._polyline, leafsize=64)
-        _, idx = self._tree.query(pts)
+        _, idx = self._polyline_tree.query(pts)
         q, _ = self._newton_foot(pts, self._polyline[idx].copy())
         d_poly = np.linalg.norm(pts - self._polyline[idx], axis=-1)
         d_newt = np.linalg.norm(pts - q, axis=-1)
@@ -584,13 +580,20 @@ class _LevelSet:
             q[bad] = self._project(self._polyline[idx][bad])
         return q
 
-    def _newton_foot(self, x, q, iters=30):
+    @cached_property
+    def _polyline_tree(self):
+        from scipy.spatial import cKDTree
+        # wide leaves: fewer tree levels for the lattice-sized queries
+        return cKDTree(self._polyline, leafsize=64)
+
+    def _newton_foot(self, x, q):
         """Constrained Newton on (F(q) = 0, (x - q) x grad F(q) = 0) from the
-        starts q, updated in place; with the mask of the points whose last
-        residuals both passed the 1e-13 test with grad F != 0.  From q = x
-        the first step is the gradient projection step F grad F / |grad F|^2
-        of `_project`, each component clipped to 0.1 as every step is."""
-        for _ in range(iters):
+        starts q, updated in place, at most 30 steps; with the mask of the
+        points whose last residuals both passed the 1e-13 test with
+        grad F != 0.  From q = x the first step is the gradient projection
+        step F grad F / |grad F|^2 of `_project`, each component clipped to
+        0.1 as every step is."""
+        for _ in range(30):
             f, gx, gy, hxx, hxy, hyy = self.F.jet(q[:, 0], q[:, 1])
             rx, ry = x[:, 0] - q[:, 0], x[:, 1] - q[:, 1]
             # residuals: F = 0 and cross(r, g) = rx*gy - ry*gx = 0
@@ -719,15 +722,18 @@ class _LevelSet:
         self._samples[m] = out, normals, kappa, s2, float(np.sum(seg2))
         return self._samples[m]
 
+    @cached_property
+    def _arclength_index(self):
+        """A tree of 8192 boundary samples and their arclengths."""
+        from scipy.spatial import cKDTree
+        ref_pts, _, _, s, _ = self.sample(8192)
+        return cKDTree(ref_pts), s
+
     def arclength_of_point(self, pts):
-        """Arclength of the nearest of 8192 boundary samples; the samples and
-        their tree are built on first use and kept."""
-        if not hasattr(self, "_arclength_tree"):
-            from scipy.spatial import cKDTree
-            ref_pts, _, _, self._arclength_table, _ = self.sample(8192)
-            self._arclength_tree = cKDTree(ref_pts)
-        _, idx = self._arclength_tree.query(np.atleast_2d(pts))
-        return self._arclength_table[idx]
+        """Arclength of the nearest of 8192 boundary samples."""
+        tree, s = self._arclength_index
+        _, idx = tree.query(np.atleast_2d(pts))
+        return s[idx]
 
 
 def _cell_segments(case, joined):
@@ -948,33 +954,34 @@ def _sampled_smoothness_radius(boundary: BoundarySamples) -> float:
     return float(min(focal, _medial_clearance(boundary.points, boundary.normals)))
 
 
-def _max_pairwise_distance(pts, chunk=512):
-    """Largest distance between two of the points, from (chunk, n) blocks
+def _max_pairwise_distance(pts):
+    """Largest distance between two of the points, from (512, n) blocks
     of the coordinate differences, x and y apart."""
     x, y = np.array(pts[:, 0]), np.array(pts[:, 1])
     best = 0.0
-    for i in range(0, len(pts), chunk):
-        dx = x[i:i + chunk, None] - x
-        dy = y[i:i + chunk, None] - y
+    for i in range(0, len(pts), 512):
+        dx = x[i:i + 512, None] - x
+        dy = y[i:i + 512, None] - y
         d2 = dx * dx + dy * dy
         best = max(best, float(np.sqrt(d2.max())))
     return best
 
 
-def _medial_clearance(pts, normals, chunk=512):
+def _medial_clearance(pts, normals):
     """min over samples i of min over j of |y_i－y_j|^2 / (2 N_i . (y_j - y_i)).
 
     For each boundary sample this is the radius of the largest interior ball
     tangent at the sample that avoids every other sample (shrinking-ball
-    medial axis estimate).  The pairs are taken in (chunk, n) blocks of the
+    medial axis estimate).  The pairs are taken in (512, n) blocks of the
     coordinate differences, x and y apart."""
     x, y = np.array(pts[:, 0]), np.array(pts[:, 1])
     best = np.inf
-    for i in range(0, len(pts), chunk):
-        dx = x - x[i:i + chunk, None]
-        dy = y - y[i:i + chunk, None]
+    for i in range(0, len(pts), 512):
+        rows = slice(i, i + 512)
+        dx = x - x[rows, None]
+        dy = y - y[rows, None]
         d2 = dx * dx + dy * dy
-        denom = 2.0 * (dx * normals[i:i + chunk, 0:1] + dy * normals[i:i + chunk, 1:2])
+        denom = 2.0 * (dx * normals[rows, 0:1] + dy * normals[rows, 1:2])
         with np.errstate(divide="ignore", invalid="ignore"):
             t = np.where(denom > 1e-12, d2 / denom, np.inf)
         # ignore the self-pair and immediate neighbours (t -> curvature radius is fine,
@@ -1050,17 +1057,18 @@ def make_domain(tag: str, **params) -> DomainSpec:
 
 
 class PrescribedCurvature:
-    """The inhomogeneity H(x): a constant or an expression in x, y.
+    """The inhomogeneity H(x): one compiled formula in x, y.
 
-    sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|) are
-    sample maxima over a 256 x 256 lattice plus the boundary samples,
-    cached per domain object (weakly, so a freed domain's entry goes with it).
+    A constant H keeps its float as `value` (None for an expression), and
+    its sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|)
+    are closed forms; otherwise they are sample maxima over a 256 x 256
+    lattice plus the boundary samples, cached per domain object (weakly, so
+    a freed domain's entry goes with it).
     """
 
-    def __init__(self, kind, func, grad_func):
-        self.kind = kind
-        self._func = func
-        self._grad = grad_func
+    def __init__(self, expr: Expr2D, value: Optional[float] = None):
+        self.expr = expr
+        self.value = value
         self._norm_cache = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
@@ -1070,50 +1078,31 @@ class PrescribedCurvature:
         v = float(value)
         if not math.isfinite(v):
             raise ValueError(f"a constant curvature must be finite, got {value!r}")
-
-        def f(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.full(pts.shape[:-1], v)
-
-        def g(pts):
-            pts = np.asarray(pts, dtype=float)
-            return np.zeros(pts.shape[:-1] + (2,))
-
-        obj = cls("constant", f, g)
-        obj.value = v
-        return obj
+        return cls(compile_expr(repr(v)), v)    # repr folds back to v, -0.0 too
 
     @classmethod
     def expression(cls, text: str) -> "PrescribedCurvature":
-        e = compile_expr(text)
-
-        def f(pts):
-            pts = np.asarray(pts, dtype=float)
-            return e(pts[..., 0], pts[..., 1])
-
-        def g(pts):
-            pts = np.asarray(pts, dtype=float)
-            return e.grad(pts[..., 0], pts[..., 1])
-
-        return cls("expression", f, g)
+        return cls(compile_expr(text))
 
     # -- evaluation ----------------------------------------------------------
 
     def __call__(self, pts):
-        return self._func(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        return self.expr(pts[..., 0], pts[..., 1])
 
     def gradient(self, pts):
-        return self._grad(np.asarray(pts, dtype=float))
+        pts = np.asarray(pts, dtype=float)
+        return self.expr.grad(pts[..., 0], pts[..., 1])
 
     def h0(self, domain: DomainSpec) -> float:
         """sup |H| over the closure (exact for constants, sampled otherwise)."""
-        if self.kind == "constant":
+        if self.value is not None:
             return abs(self.value)
         return self._norms(domain)[0]
 
     def h1(self, domain: DomainSpec) -> float:
         """sup |grad H| over the closure (0 for constants, sampled otherwise)."""
-        if self.kind == "constant":
+        if self.value is not None:
             return 0.0
         return self._norms(domain)[1]
 
@@ -1166,7 +1155,7 @@ def check_gradient_condition(domain: DomainSpec, H: PrescribedCurvature,
     """Interior condition |grad H| <= n/(n-1) * H^2, reported as (ok, margin):
     the minimum over the closure samples, or for a constant H the margin
     n/(n-1) H^2 that every point has, without sampling."""
-    if H.kind == "constant":
+    if H.value is not None:
         m = (n / (n - 1)) * (H.value * H.value)
     else:
         pts = domain.closure_samples(201)

@@ -1,7 +1,7 @@
 """Catalog of analytic reference solutions for validation and error studies.
 
 Each entry bundles an exact graph u(x, y), the curvature function it solves,
-and the domain it is valid on.  The catalog self-tests on first access: the
+and the domain it is valid on.  `catalog()` self-tests on its first call: the
 quasilinear operator applied to each analytic field must show the second
 order residual decay the discretization promises, which guards against typos
 in the expressions and sign conventions drifting apart.
@@ -9,8 +9,9 @@ in the expressions and sign conventions drifting apart.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -75,7 +76,6 @@ def _entries() -> Dict[str, ReferenceSolution]:
     }
 
 
-_CATALOG: Optional[Dict[str, ReferenceSolution]] = None
 _SELF_TEST_H = (1 / 16, 1 / 32)
 
 
@@ -102,15 +102,14 @@ def _self_test(entry: ReferenceSolution) -> None:
             f"refinement ({res[0]:.3g} -> {res[1]:.3g})")
 
 
+@functools.cache
 def catalog() -> Dict[str, ReferenceSolution]:
-    """The validated reference catalog (self-test runs once, lazily)."""
-    global _CATALOG
-    if _CATALOG is None:
-        entries = _entries()
-        for entry in entries.values():
-            _self_test(entry)
-        _CATALOG = entries
-    return _CATALOG
+    """The validated reference catalog: built and self-tested on the first
+    call, the same dict after it (a failed self-test keeps nothing)."""
+    entries = _entries()
+    for entry in entries.values():
+        _self_test(entry)
+    return entries
 
 
 def get(name: str) -> ReferenceSolution:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from mcgraph import (BumpData, Grid, NotApplicable, PrescribedCurvature,
                      height_barrier, height_bound, nonexistence_bound,
                      nonexistence_witness, rect, scherk_trace, solve_dirichlet)
 from mcgraph.barriers import (BarrierParams, BoundaryDistance, EstimateAudit,
-                              HeightProfile, LogProfile, NegatedProfile,
-                              SqrtProfile, transform_radial)
+                              HeightProfile, LogProfile, SqrtProfile,
+                              transform_radial)
 from mcgraph.boundary import BoundaryData
 
 # -- profiles ---------------------------------------------------------------
@@ -76,12 +77,13 @@ def test_sqrt_profile_identity():
 
 
 def test_negated_profile():
-    base = LogProfile(61.6, 1e4)
-    neg = NegatedProfile(base)
-    t = np.linspace(0.0, 0.01, 50)
-    assert np.allclose(neg(t), -base(t))
-    assert np.allclose(neg.d1(t), -base.d1(t))
-    assert np.allclose(neg.d2(t), -base.d2(t))
+    # the lower barrier's profile -psi is LogProfile(-nu, k), bit for bit
+    for nu, k in ((61.6, 1e4), (61.6, 2.3610440506e7), (0.37, 3.1)):
+        base, neg = LogProfile(nu, k), LogProfile(-nu, k)
+        t = np.linspace(0.0, 0.01, 50)
+        assert np.array_equal(neg(t), -base(t))
+        assert np.array_equal(neg.d1(t), -base.d1(t))
+        assert np.array_equal(neg.d2(t), -base.d2(t))
 
 
 # -- distance models ----------------------------------------------------------
@@ -231,6 +233,18 @@ def test_height_barrier_supersolution(unit_disk, cap_H, cap_grid32):
     assert audit.passed
     assert audit.measured < 0.0
     assert tf.valid.sum() > 0
+
+
+def test_minimal_height_barrier_is_the_linear_profile(unit_disk, cap_grid32):
+    # H = 0 takes mu = 0, where phi(t) = t, phi' = e^0 = 1 and phi'' = 0
+    # exactly, and Q w = M w = -(n-1) kappa_t (1 + 1) is negative on the strip
+    tf, audit = height_barrier(unit_disk, PrescribedCurvature.constant(0.0), cap_grid32, None, n=2)
+    assert audit.params["mu"] == 0.0
+    assert audit.passed and audit.measured < 0.0
+    p = HeightProfile(0.0, 2.0)
+    t = np.linspace(0.0, 1.0, 9)
+    assert np.array_equal(p(t), t) and np.array_equal(p.d1(t), np.ones(9))
+    assert np.array_equal(p.d2(t), np.zeros(9))
 
 
 def test_global_gradient_bound_formula(unit_disk, cap_H):
@@ -574,6 +588,18 @@ def test_witness_no_witness_on_benign_pair(unit_disk):
     w = nonexistence_witness(reports, (1.0, 0.0), data, 0.05, radius_a=0.1)
     assert w.verdict == "NO-WITNESS"
     assert len(w.gradient_ratios) == 1
+
+
+def test_extrapolation_without_an_inward_neighbour_keeps_the_owner_value():
+    # on a strip one node high the foot (0, 0.15) is owned by (0, 0) along
+    # +y, and the node one step inward, (0, -0.25), is not in the domain
+    grid = Grid(rect(1.0, 0.15), 0.25)
+    u = ScalarField.from_callable(grid, lambda x, y: x + 2.0 * y)
+    owner = int(np.flatnonzero(np.all(grid.interior_xy == 0.0, axis=1))[0])
+    val, trace = mcgraph.barriers._extrapolated_boundary_value(
+        types.SimpleNamespace(field=u), (0.0, 0.15))
+    assert val == u.values[owner] == 0.0
+    assert trace == pytest.approx(0.3, abs=1e-15)
 
 
 def test_witness_fires_on_breakdown(unit_disk, monkeypatch):

@@ -159,6 +159,18 @@ def test_results_are_fresh_arrays():
     assert x[0] == 0.25
 
 
+@pytest.mark.parametrize("text, expect", [("x**0", (1, 0, 0, 0, 0, 0)),
+                                          ("x**1", (0, 1, 0, 0, 0, 0)),
+                                          ("y**1", (0, 0, 1, 0, 0, 0))])
+def test_zeroth_and_first_powers_have_exact_jets_at_zero(text, expect):
+    # the generic rule c u^(c-1), c (c-1) u^(c-2) would give 0 * inf = nan here
+    zeros = np.zeros(3)
+    with np.errstate(all="raise"):
+        jet = compile_expr(text).jet(zeros, zeros)
+    for got, want in zip(jet, expect):
+        assert np.array_equal(got, np.full(3, float(want)))
+
+
 def test_negative_base_to_a_fractional_power_is_nan():
     with np.errstate(invalid="ignore"):
         assert np.isnan(compile_expr("x**(1/3)")(-8.0, 0.0))

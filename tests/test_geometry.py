@@ -331,12 +331,12 @@ def test_closed_form_scalars_match_sampled_scans(domain):
                      (-1.1, 1.1, -1.0, 1.0))],
     ids=["rect", "rounded_rect", "dumbbell", "disk", "levelset"])
 def test_boundary_scans_match_the_stacked_difference_formula(make):
-    # the scans on separate x and y arrays give, to the bit, the formula on
-    # (chunk, n, 2) differences summed over their last axis
+    # the scans on separate x and y arrays, in two blocks of 512 rows, give
+    # to the bit the formula on (n, n, 2) differences summed over their last axis
     from mcgraph.geometry import _max_pairwise_distance, _medial_clearance
     b = make().boundary
-    pts, normals = b.points[::8], b.normals[::8]
-    assert len(pts) == 512
+    pts, normals = b.points[::4], b.normals[::4]
+    assert len(pts) == 1024
     diff = pts[None, :, :] - pts[:, None, :]
     d2 = np.sum(diff * diff, axis=-1)
     denom = 2.0 * np.sum(diff * normals[:, None, :], axis=-1)
@@ -344,9 +344,8 @@ def test_boundary_scans_match_the_stacked_difference_formula(make):
         t = np.where(denom > 1e-12, d2 / denom, np.inf)
     t[d2 < 1e-20] = np.inf
     diameter = float(np.sqrt(np.max(np.sum((pts[:, None, :] - pts[None, :, :]) ** 2, axis=-1))))
-    for chunk in (512, 100):
-        assert _max_pairwise_distance(pts, chunk) == diameter
-        assert _medial_clearance(pts, normals, chunk) == float(t.min())
+    assert _max_pairwise_distance(pts) == diameter
+    assert _medial_clearance(pts, normals) == float(t.min())
 
 
 def test_rounded_rect_curvature_bounded():
@@ -371,6 +370,20 @@ def test_prescribed_curvature_norms_on_domain():
     assert h.h0(d) == pytest.approx(0.4)
     hx = PrescribedCurvature.expression("0.1*x")
     assert hx.h0(d) == pytest.approx(0.1, rel=1e-2)
+
+
+@pytest.mark.parametrize("v", [0.4, -0.45, -0.0, 1e-300])
+def test_constant_curvature_is_its_value_to_the_bit(v):
+    # a constant H is the compiled formula of its repr: a fresh array of v,
+    # the sign of zero included, and a gradient of exact zeros
+    H = PrescribedCurvature.constant(v)
+    assert H.value == v and math.copysign(1.0, H.value) == math.copysign(1.0, v)
+    for pts in (np.random.default_rng(0).uniform(-1.0, 1.0, (5, 2)), np.array([0.3, -0.2])):
+        got, want = H(pts), np.full(pts.shape[:-1], v)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        grad = H.gradient(pts)
+        assert grad.shape == pts.shape and grad.tobytes() == np.zeros(pts.shape).tobytes()
+    assert PrescribedCurvature.expression("0.4").value is None
 
 
 def test_bump_data_shape():

@@ -323,6 +323,30 @@ def test_gmres_stops_on_the_keep_test_with_one_solve_per_iteration(slope):
     assert system.meta["relres"] <= (1e-10 if slope > 1.0 else _REUSE_TOL)
 
 
+@pytest.mark.parametrize("b", [np.full(4, 2.0), np.random.default_rng(3).uniform(-1.0, 1.0, 40)],
+                         ids=["exact", "random"])
+def test_gmres_happy_breakdown_ends_the_cycle(b):
+    # with A = I and M = I/2 the first Krylov vector spans the answer: the
+    # cycle stops after one iteration without dividing by the vanished norm
+    # (exactly 0 for the "exact" b) and returns b
+    factor = Factor()
+    with np.errstate(all="raise"):
+        x = _gmres(sps.identity(len(b), format="csr"), b, 1.0, factor, lambda v: 0.5 * v)
+    assert factor.krylov_iterations == 1
+    assert np.allclose(x, b, rtol=1e-15, atol=0.0)
+
+
+def test_gmres_drops_a_zero_pivot():
+    # a preconditioner that returns zeros gives a zero Hessenberg column;
+    # its pivot is dropped, so x0 = M b = 0 comes back unchanged and finite
+    b = np.random.default_rng(4).uniform(-1.0, 1.0, 40)
+    factor = Factor()
+    with np.errstate(all="raise"):
+        x = _gmres(sps.identity(len(b), format="csr"), b, 1.0, factor, np.zeros_like)
+    assert factor.krylov_iterations == 1
+    assert np.array_equal(x, np.zeros_like(b))
+
+
 # -- Newton corrections -------------------------------------------------------
 
 _JACOBIAN_DOMAINS = {"disk": lambda: disk(radius=1.0), "ellipse": lambda: ellipse(1.2, 0.7),

@@ -11,6 +11,10 @@ def test_catalog_names():
     assert set(catalog()) == {"zero", "cap", "scherk", "catenoid"}
 
 
+def test_catalog_is_built_once():
+    assert catalog() is catalog()
+
+
 def test_get_unknown_name_lists_available():
     with pytest.raises(KeyError, match="available: cap, catenoid, scherk, zero"):
         get("soap_film")
