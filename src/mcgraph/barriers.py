@@ -683,10 +683,10 @@ def comparison_check(u: ScalarField, v: ScalarField, H, n: int = 2) -> Compariso
 class NonexistenceCertificate:
     """Certified exclusion radius a for the estimate u(y0) < sup u + eps.
 
-    The radius satisfies psi(a) + sqrt(2 a / nu) < eps with margin; it is
-    computed in extended precision because realistic eps push a far below
-    float64 range.  `a` is the float64 value (0.0 on underflow, see
-    log10_a and a_mp), `g_value` the certified left-hand side.
+    The radius satisfies psi(a) + sqrt(2 a / nu) < eps/2.  Realistic eps
+    push a far below float64 range, so `log10_a` is the record of the
+    radius and `a` its float64 value (0.0 on underflow); `g_value` is the
+    certified left-hand side.
     """
 
     y0: tuple
@@ -700,7 +700,6 @@ class NonexistenceCertificate:
     delta: float
     a: float
     log10_a: float
-    a_mp: object             # mpmath.mpf, exact certified radius
     g_value: float
     warnings: list = field(default_factory=list)
 
@@ -730,13 +729,13 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
     refuses otherwise.  The slack nu_ne takes an eighth of the curvature gap,
     the inner tangent circle takes half the allowed curvature excess, and R1,
     R2 come from geometric shrinking until the sampled continuity bounds hold
-    strictly.  The final root-find for a (Illinois regula falsi) runs in
-    60-digit arithmetic on log a, targeting g(a) = eps/2 and returning the
-    bracket's end with g(a) < eps/2, since certified radii routinely
-    underflow float64; it stops when the bracket stops shrinking.
+    strictly.  The final root-find for a (Illinois regula falsi) runs on
+    log a in float64, since certified radii routinely underflow: psi goes
+    through Dawson's integral of sqrt(log(delta/a)).  It targets g(a) =
+    eps/2 less 1e-12 relative, a margin over the float64 evaluation error,
+    and returns the bracket's end below that target, so g(a) < eps/2; it
+    stops when the bracket stops shrinking.
     """
-    import mpmath as mp
-
     y0 = np.asarray(y0, dtype=float)
     if not 0 < eps < math.inf:
         raise ValueError("eps must be positive and finite")
@@ -807,59 +806,64 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
         raise NotApplicable("could not find a continuity radius R2 for the "
                             "circle-distance Laplacian")
 
-    # root-find for a in log space, in 60 digits that end with it
-    with mp.workdps(60):
-        delta = domain.diameter
-        nu_mp = mp.mpf(nu_ne)
-        delta_mp = mp.mpf(delta)
-        pref = mp.sqrt(mp.mpf(2) / (n - 1))
+    # root-find for a in log space.  With x = sqrt(log(delta/a)), the profile
+    # psi(a) = sqrt(2/(n-1)) a sqrt(pi) erfi(x) equals 2 sqrt(2/(n-1)) delta
+    # D(x), D Dawson's integral (DLMF 7.5.1), so g(a) is a float64 sum even
+    # where a underflows.  dawsn is good to about 2e-15 relative, so the
+    # target sits 1e-12 below eps/2: f < 0 in float64 means g(a) < eps/2.
+    from scipy.special import dawsn
 
-        def f_of_log(la):
-            """g(e^la) - eps/2, increasing in la."""
-            a_ = mp.e**la
-            psi_a = pref * a_ * mp.sqrt(mp.pi) * mp.erfi(mp.sqrt(mp.log(delta_mp / a_)))
-            return psi_a + mp.sqrt(2 * a_ / nu_mp) - target
+    delta = domain.diameter
+    log_delta = math.log(delta)
+    c_psi = 2.0 * math.sqrt(2.0 / (n - 1)) * delta
+    c_sqrt = math.sqrt(2.0 / nu_ne)
+    target = eps / 2.0 * (1.0 - 1e-12)
 
-        target = mp.mpf(eps) / 2
-        hi = mp.log(mp.mpf(R2) * (1 - mp.mpf("1e-9")))
-        f_hi = f_of_log(hi)
-        lo, f_lo = hi, f_hi          # already small enough at the R2 cap when f < 0
-        width = mp.mpf(64)
-        while f_lo >= 0:
-            if width > mp.mpf("1e9"):
-                raise NotApplicable("root-find for the exclusion radius failed "
-                                    "to bracket; eps may be too small")
-            hi, f_hi = lo, f_lo
-            lo = hi - width
-            f_lo = f_of_log(lo)
-            width *= 2
-        # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the bracket
-        # f(lo) < 0 <= f(hi): the secant runs through (lo, s_lo) and (hi, s_hi),
-        # and the end kept twice in a row has its s halved.  It stops when the
-        # next point is no longer strictly inside the bracket.
-        s_lo, s_hi = f_lo, f_hi
-        kept = 0                     # -1: lo moved last, 1: hi moved last
-        while lo < hi:
-            x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+    def f_of_log(la):
+        """g(e^la) - target, increasing in la."""
+        return (c_psi * float(dawsn(math.sqrt(log_delta - la)))
+                + c_sqrt * math.exp(la / 2.0) - target)
+
+    hi = math.log(R2 * (1.0 - 1e-9))
+    f_hi = f_of_log(hi)
+    lo, f_lo = hi, f_hi          # already small enough at the R2 cap when f < 0
+    width = 64.0
+    while f_lo >= 0:
+        if width > 1e9:
+            raise NotApplicable("root-find for the exclusion radius failed "
+                                "to bracket; eps may be too small")
+        hi, f_hi = lo, f_lo
+        lo = hi - width
+        f_lo = f_of_log(lo)
+        width *= 2
+    # Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971) on the bracket
+    # f(lo) < 0 <= f(hi): the secant runs through (lo, s_lo) and (hi, s_hi),
+    # and the end kept twice in a row has its s halved.  In float64 one end
+    # can reach the root while the other is still far, and the secant then
+    # rounds onto that end: it bisects instead.  It stops when the midpoint
+    # is no longer strictly inside the bracket.
+    s_lo, s_hi = f_lo, f_hi
+    kept = 0                     # -1: lo moved last, 1: hi moved last
+    while lo < hi:
+        x = (lo * s_hi - hi * s_lo) / (s_hi - s_lo)
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
             if not lo < x < hi:
                 break
-            f_x = f_of_log(x)
-            if f_x < 0:
-                lo, f_lo, s_lo = x, f_x, f_x
-                if kept == -1:
-                    s_hi /= 2
-                kept = -1
-            else:
-                hi, s_hi = x, f_x
-                if kept == 1:
-                    s_lo /= 2
-                kept = 1
-        log_a = lo
-        a_mp = mp.e**log_a
-        g_val = f_lo + target
-        assert a_mp > 0 and g_val < eps
-        a_float = float(a_mp)
-        log10_a = float(log_a / mp.log(10))
+        f_x = f_of_log(x)
+        if f_x < 0:
+            lo, f_lo, s_lo = x, f_x, f_x
+            if kept == -1:
+                s_hi /= 2
+            kept = -1
+        else:
+            hi, s_hi = x, f_x
+            if kept == 1:
+                s_lo /= 2
+            kept = 1
+    g_val = f_lo + target
+    a_float = math.exp(lo)
+    log10_a = lo / math.log(10.0)
     if a_float == 0.0:
         warnings.append(
             f"certified radius a = 10^{log10_a:.1f} underflows float64 and any "
@@ -874,7 +878,7 @@ def nonexistence_bound(domain: DomainSpec, H, y0, eps: float,
         kappa_S=float(kappa_S), circle_center=(float(z[0]), float(z[1])),
         circle_radius=float(R_S), R1=float(R1), R2=float(R2),
         delta=float(delta), a=a_float, log10_a=log10_a,
-        a_mp=a_mp, g_value=float(g_val), warnings=warnings)
+        g_value=float(g_val), warnings=warnings)
 
 
 def adversarial_boundary_data(domain: DomainSpec, y0, a, eps: float):

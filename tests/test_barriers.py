@@ -463,32 +463,22 @@ def test_certificate_frozen_values(certificate):
     assert c.circle_radius == pytest.approx(1.0 / 1.00625, rel=1e-9)
     assert c.R1 == pytest.approx(1.0, rel=1e-6)
     assert c.R2 == pytest.approx(0.00776398, rel=1e-4)
-    assert c.log10_a == pytest.approx(-5559.1, abs=2.0)
+    # the A8 certificate, to the float
+    assert c.log10_a == -5559.102658309237
+    assert c.g_value == 0.024999999999974997
+    # and within 1e-9 of the radius the 60-digit root-find certified
+    assert c.log10_a == pytest.approx(-5559.1026582981185, rel=1e-9)
 
 
 def test_certificate_quality(certificate):
     c = certificate
-    # certified: the barrier sum stays below eps
-    assert c.g_value < c.eps
-    assert c.g_value == pytest.approx(c.eps / 2.0, rel=1e-3)
-    # the float radius underflows; the extended-precision value is positive
+    # certified: the barrier sum stays below eps/2, and close to it
+    assert c.g_value < c.eps / 2.0
+    assert c.g_value == pytest.approx(c.eps / 2.0, rel=1e-9)
+    # the float radius underflows; its logarithm records it
     assert c.a == 0.0
-    assert c.a_mp > 0
+    assert math.isfinite(c.log10_a)
     assert any("underflow" in w for w in c.warnings)
-
-
-def test_certificate_leaves_the_mpmath_precision_alone(unit_disk):
-    import mpmath
-    before = mpmath.mp.dps
-    c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.55), (1.0, 0.0), 0.05,
-                           n=2)
-    assert mpmath.mp.dps == before
-    # the A8 certificate as it was when the root-find set 60 digits for good
-    assert c.log10_a == -5559.1026582981185
-    assert c.g_value == 0.025
-    # and the radius keeps the digits it was found in
-    with mpmath.workdps(60):
-        assert mpmath.nstr(c.a_mp, 40) == "7.894810351481292283630377135129978638834e-5560"
 
 
 def test_certificate_psi_matches_quadrature(unit_disk):
@@ -505,32 +495,42 @@ def test_certificate_psi_matches_quadrature(unit_disk):
     assert c.g_value == pytest.approx(expect, rel=0, abs=1e-12)
 
 
-@pytest.mark.parametrize("H, eps, log10_a", [
-    pytest.param(0.55, 0.05, -5559.1026582981185, id="A8"),
-    pytest.param(0.9, 4.0, -1.8541975011377136, id="resolvable"),
-    pytest.param(0.9, 0.5, -55.72553684304214, id="eps0.5"),
-    pytest.param(0.75, 1.0, -14.041487800642258, id="eps1"),
+@pytest.mark.parametrize("H, eps, log10_a, log10_a_60", [
+    pytest.param(0.55, 0.05, -5559.102658309237, -5559.1026582981185, id="A8"),
+    pytest.param(0.9, 4.0, -1.8541975011395782, -1.8541975011377136, id="resolvable"),
+    pytest.param(0.9, 0.5, -55.72553684315334, -55.72553684304214, id="eps0.5"),
+    pytest.param(0.75, 1.0, -14.041487800670028, -14.041487800642258, id="eps1"),
+    # the secant rounds onto the upper end at the root while the lower end
+    # is 1.3e-8 (relative) short of eps/2; the root-find bisects to close the gap
+    pytest.param(0.55, 2.5194, -3.477211743107627, -3.4772117431046743, id="stall"),
+    # aimed at eps/2 itself, float64 puts this radius on the certified side
+    # with g(a) = eps/2 (1 + 8e-17) in 60 digits; the target sits 1e-12 lower
+    pytest.param(0.55, 0.0541, -4748.450889524681, -4748.450889515183, id="rounding"),
 ])
 def test_certificate_root_find_stops_when_the_bracket_stops_shrinking(unit_disk, monkeypatch,
-                                                                      H, eps, log10_a):
+                                                                      H, eps, log10_a,
+                                                                      log10_a_60):
     import mpmath
+    import scipy.special
     calls = []
-    erfi = mpmath.erfi
-    monkeypatch.setattr(mpmath, "erfi", lambda z: calls.append(z) or erfi(z))
+    dawsn = scipy.special.dawsn
+    monkeypatch.setattr(scipy.special, "dawsn", lambda x: calls.append(x) or dawsn(x))
     c = nonexistence_bound(unit_disk, PrescribedCurvature.constant(H), (1.0, 0.0), eps,
                            n=2)
     # a 60-digit bisection on the same bracket took 206-214 evaluations
-    assert len(calls) <= 50
-    # and certified the same radius, to the float
+    assert 0 < len(calls) <= 50
+    # the float radius, pinned, and the 60-digit root-find's within 1e-9
     assert c.log10_a == log10_a
-    # the certified side: g(a) < eps/2 in 60 digits, g(a) = psi(a) + sqrt(2 a / nu)
+    assert c.log10_a == pytest.approx(log10_a_60, rel=1e-9)
+    # the certified side, checked in 60 digits at the recorded radius:
+    # g(a) = psi(a) + sqrt(2 a / nu) with psi(a) = sqrt(2) a sqrt(pi) erfi(...)
     with mpmath.workdps(60):
-        a = c.a_mp
+        a = mpmath.mpf(10) ** mpmath.mpf(c.log10_a)
         g = (mpmath.sqrt(2) * a * mpmath.sqrt(mpmath.pi)
-             * erfi(mpmath.sqrt(mpmath.log(mpmath.mpf(c.delta) / a)))
+             * mpmath.erfi(mpmath.sqrt(mpmath.log(mpmath.mpf(c.delta) / a)))
              + mpmath.sqrt(2 * a / mpmath.mpf(c.nu_ne)))
         assert g < mpmath.mpf(eps) / 2
-        assert g > mpmath.mpf(eps) / 2 * (1 - mpmath.mpf("1e-40"))
+        assert g > mpmath.mpf(eps) / 2 * (1 - mpmath.mpf("1e-9"))
 
 
 def test_certificate_params_embedding(certificate):
@@ -562,6 +562,27 @@ def test_certificate_rejects_bad_inputs(unit_disk):
         nonexistence_bound(unit_disk, h, (1.0, 0.0), 0.0, n=2)
     with pytest.raises(ValueError, match="eps"):     # was an AssertionError
         nonexistence_bound(unit_disk, h, (1.0, 0.0), math.nan, n=2)
+
+
+def test_certificate_refuses_an_eps_too_small_to_bracket(unit_disk):
+    with pytest.raises(NotApplicable, match="failed to bracket"):
+        nonexistence_bound(unit_disk, PrescribedCurvature.constant(0.55),
+                           (1.0, 0.0), 1e-12, n=2)
+
+
+def test_certificate_refuses_negative_H_on_the_boundary(unit_disk):
+    # H(y0) = 0.55 is supercritical, but H = -0.55 at (-1, 0)
+    with pytest.raises(NotApplicable, match="needs H >= 0"):
+        nonexistence_bound(unit_disk, PrescribedCurvature.expression("0.55*x"),
+                           (1.0, 0.0), 0.05, n=2)
+
+
+def test_certificate_refuses_a_tangent_circle_that_does_not_fit():
+    # on the flat side of a 2 x 0.2 ellipse the boundary curvature is 0.05,
+    # so the tangent circle has radius near 12 in a strip 0.4 wide
+    with pytest.raises(NotApplicable, match="does not fit"):
+        nonexistence_bound(ellipse(2.0, 0.2), PrescribedCurvature.constant(0.3),
+                           (0.0, 0.2), 0.05, n=2)
 
 
 def test_adversarial_data_is_bump(unit_disk):

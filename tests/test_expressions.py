@@ -209,10 +209,22 @@ def test_start_up_imports_neither_sympy_nor_mpmath():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, mcgraph; mcgraph.reference.catalog(); mcgraph.ZeroData(); "
-            "print(sorted(m for m in ('sympy', 'mpmath') if m in sys.modules))")
+            "print(sorted(m for m in ('sympy', 'mpmath', 'scipy.special') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split("\n")[-2] == "[]"
+
+
+def test_certificate_imports_no_mpmath():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, mcgraph; mcgraph.nonexistence_bound(mcgraph.disk(), "
+            "mcgraph.PrescribedCurvature.constant(0.55), (1.0, 0.0), 0.05); "
+            "print('mpmath' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split("\n")[-2] == "False"
 
 
 def test_start_up_and_grids_import_no_scipy_spatial():
