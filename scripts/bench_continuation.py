@@ -15,6 +15,11 @@ are
   h = 1/48 grid, each leg solving on both grids in turn;
 * ``cap_64``, ``cap_128``, ``cap_256``: the H = 0.4 cap on the unit disk at
   h = 1/64, 1/128, 1/256, on a grid of its own;
+* ``scherk``: Scherk's minimal graph, H = 0 with its trace on the square
+  ``rect(0.6, 0.6)`` (the A3 problem), at h = 1/64 and then 1/128;
+* ``near_critical``: zero data on one h = 1/128 disk grid at H = 0.93 and
+  then 0.95, near the discrete fold, where a solve factorizes Jacobians of
+  its own;
 * ``sample``: ``--draws`` solves of constant H in [-1.5, 1.5] with
   ``BumpData`` of width 0.05-1 and height in [-0.5, 0.5] centred at a
   uniform angle on the unit circle, drawn from a fixed seed; the draws
@@ -52,14 +57,16 @@ import numpy as np
 import _parent
 from _parent import ROOT
 
-# name: (spacings, curvatures, bump data); every curvature solves on every
-# spacing's grid in turn, with zero data or the A8 bump
+# name: (domain, spacings, curvatures, data); every curvature solves on
+# every spacing's grid in turn
 CASES = {
-    "sweep": ((1 / 32,), tuple(0.05 * k for k in range(1, 10)), False),
-    "bump_legs": ((1 / 24, 1 / 48), (0.55, 0.45), True),
-    "cap_64": ((1 / 64,), (0.4,), False),
-    "cap_128": ((1 / 128,), (0.4,), False),
-    "cap_256": ((1 / 256,), (0.4,), False),
+    "sweep": ("unit disk", (1 / 32,), tuple(0.05 * k for k in range(1, 10)), "zero"),
+    "bump_legs": ("unit disk", (1 / 24, 1 / 48), (0.55, 0.45), "A8 bump"),
+    "cap_64": ("unit disk", (1 / 64,), (0.4,), "zero"),
+    "cap_128": ("unit disk", (1 / 128,), (0.4,), "zero"),
+    "cap_256": ("unit disk", (1 / 256,), (0.4,), "zero"),
+    "scherk": ("rect(0.6, 0.6)", (1 / 64, 1 / 128), (0.0,), "Scherk trace"),
+    "near_critical": ("unit disk", (1 / 128,), (0.93, 0.95), "zero"),
 }
 SAMPLE_SEED = 20261019
 _EXACT = ("newton_iterations", "krylov_iterations", "factorizations",
@@ -79,10 +86,11 @@ def _solves(mcgraph, case: str, draws: int):
             data = mcgraph.BumpData(disk, (np.cos(angle), np.sin(angle)), width, eps)
             yield grids[k % 2], float(H), data
         return
-    spacings, curvatures, bump = CASES[case]
-    grids = [mcgraph.Grid(disk, h) for h in spacings]
-    data = (mcgraph.adversarial_boundary_data(disk, (1.0, 0.0), 0.10, 0.05) if bump
-            else mcgraph.ZeroData())
+    domain, spacings, curvatures, data = CASES[case]
+    domain = disk if domain == "unit disk" else mcgraph.rect(0.6, 0.6)
+    grids = [mcgraph.Grid(domain, h) for h in spacings]
+    data = {"zero": mcgraph.ZeroData(), "Scherk trace": mcgraph.scherk_trace(),
+            "A8 bump": mcgraph.adversarial_boundary_data(disk, (1.0, 0.0), 0.10, 0.05)}[data]
     for H in curvatures:
         for grid in grids:
             yield grid, H, data
@@ -226,16 +234,16 @@ def main(argv=None) -> int:
                   f"{entry['same_fields']}, |du| {entry['max_field_difference']:.1e}",
                   flush=True)
     _parent.write(args.out, {
-        "benchmark": "continuation solves on the unit disk against a parent commit: nine "
-                     "zero-data caps on one grid, the two A8 bump legs on shared grids, "
-                     "single caps at fine h, and a sample of bump-data draws; one fresh "
-                     "process per case, checkout and repeat",
+        "benchmark": "continuation solves against a parent commit: nine zero-data caps "
+                     "on one disk grid, the two A8 bump legs on shared grids, single caps "
+                     "at fine h, Scherk's square, two near-critical caps, and a sample of "
+                     "bump-data draws; one fresh process per case, checkout and repeat",
         "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,
-        "cases": {**{case: {"h": list(h), "curvatures": list(c),
-                            "data": "A8 bump" if bump else "zero"}
-                     for case, (h, c, bump) in CASES.items()},
+        "cases": {**{case: {"domain": domain, "h": list(h), "curvatures": list(c),
+                            "data": data}
+                     for case, (domain, h, c, data) in CASES.items()},
                   "sample": {"h": [1 / 12, 1 / 24], "draws": args.draws, "seed": SAMPLE_SEED,
                              "H": [-1.5, 1.5], "width": [0.05, 1.0], "eps": [-0.5, 0.5]}},
         "results": results,

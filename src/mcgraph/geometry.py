@@ -4,11 +4,11 @@ curvature, and solvability audits.
 Conventions used throughout the package:
   * signed distance d is positive inside the domain, negative outside, zero on
     the boundary; for interior points d(x) = dist(x, boundary),
-  * every shape has its own sign test `contains(x, y)`, True strictly
-    inside: an inequality in closed form (|x - c|^2 < r^2 on disks,
-    x^2/a^2 + y^2/b^2 < 1 on ellipses, the core rectangle pushed out by the
-    corner radius on rectangles, F > 0 on level sets) at coordinate arrays
-    that broadcast, so that a lattice is tested on its axes,
+  * every shape has its own sign test `contains(x, y)`, True on the closed
+    domain: an inequality in closed form (|x - c|^2 <= r^2 on disks,
+    x^2/a^2 + y^2/b^2 <= 1 on ellipses, within the corner radius of the
+    core rectangle on rectangles, F >= 0 on level sets) at coordinate
+    arrays that broadcast, so that a lattice is tested on its axes,
   * every shape gives `axis_crossing`, where a link along a lattice axis from
     an inside point leaves the domain: a square root on the link's line on
     the shapes with a closed form (disk, ellipse, rect, rounded_rect,
@@ -116,7 +116,7 @@ class _Disk:
 
     def contains(self, x, y):
         cx, cy = self.center
-        return (x - cx) ** 2 + (y - cy) ** 2 < self.radius ** 2
+        return (x - cx) ** 2 + (y - cy) ** 2 <= self.radius ** 2
 
     def signed_distance(self, pts):
         return self.radius - np.linalg.norm(pts - self.center, axis=-1)
@@ -183,7 +183,7 @@ class _Ellipse:
 
     def contains(self, x, y):
         cx, cy = self.center
-        return ((x - cx) / self.a) ** 2 + ((y - cy) / self.b) ** 2 < 1.0
+        return ((x - cx) / self.a) ** 2 + ((y - cy) / self.b) ** 2 <= 1.0
 
     def axis_crossing(self, pts, unit, h):
         """As `_Disk.axis_crossing`: the half chord at distance w from the
@@ -319,11 +319,10 @@ class _RoundedRect:
         return (cx - self.hx, cx + self.hx, cy - self.hy, cy + self.hy)
 
     def contains(self, x, y):
-        # inside the core rectangle, or within r of it
+        # within r of the core rectangle
         cx, cy = self.center
         qx, qy = np.abs(x - cx) - self._ex, np.abs(y - cy) - self._ey
-        return ((qx < 0) & (qy < 0)) | (
-            np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 < self.r ** 2)
+        return np.maximum(qx, 0.0) ** 2 + np.maximum(qy, 0.0) ** 2 <= self.r ** 2
 
     def signed_distance(self, pts):
         pts = np.asarray(pts, dtype=float)
@@ -425,7 +424,7 @@ class _Annulus:
     def contains(self, x, y):
         cx, cy = self.center
         rho2 = (x - cx) ** 2 + (y - cy) ** 2
-        return (self.r_in ** 2 < rho2) & (rho2 < self.r_out ** 2)
+        return (self.r_in ** 2 <= rho2) & (rho2 <= self.r_out ** 2)
 
     def signed_distance(self, pts):
         rho = np.linalg.norm(np.asarray(pts, dtype=float) - self.center, axis=-1)
@@ -643,7 +642,7 @@ class _LevelSet:
         return max(min(1.0 / kmax, 0.5 * closest - gap), 0.0)
 
     def contains(self, x, y):
-        return self.F(x, y) > 0.0
+        return self.F(x, y) >= 0.0
 
     def axis_crossing(self, pts, unit, h):
         """Fraction of each link pts -> pts + h unit, F(pts) > 0, at which F
@@ -869,9 +868,9 @@ class DomainSpec:
         return self.shape.signed_distance(np.asarray(pts, dtype=float))
 
     def contains(self, x, y):
-        """Sign test, True strictly inside (the shape's own inequality), at
-        the points (x, y) of broadcastable coordinate arrays, a bool array
-        of their broadcast shape: on a lattice's axes,
+        """Sign test, True inside or on the boundary (the shape's own closed
+        inequality), at the points (x, y) of broadcastable coordinate
+        arrays, a bool array of their broadcast shape: on a lattice's axes,
         ``contains(xs[:, None], ys[None, :])``."""
         return self.shape.contains(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
@@ -916,12 +915,14 @@ class DomainSpec:
         return np.minimum(d, L - d)
 
     def closure_samples(self, m: int) -> np.ndarray:
-        """Sample points of the closure: the m x m lattice over the bounding
-        box where the signed distance is >= 0, then the boundary samples."""
+        """Sample points of the closure: the points of the m x m lattice over
+        the bounding box that the sign test keeps, then the boundary
+        samples."""
         x0, x1, y0, y1 = self.bbox
         X, Y = np.meshgrid(np.linspace(x0, x1, m), np.linspace(y0, y1, m), indexing="ij")
-        pts = np.stack([X.ravel(), Y.ravel()], axis=-1)
-        return np.concatenate([pts[self.signed_distance(pts) >= 0.0], self.boundary.points])
+        inside = self.contains(X, Y)
+        return np.concatenate([np.stack([X[inside], Y[inside]], axis=-1),
+                               self.boundary.points])
 
     # -- cached scalars -----------------------------------------------------
 

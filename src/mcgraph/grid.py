@@ -64,15 +64,10 @@ assembly.  For assembly, `Grid.pattern` builds the union pattern of the
 five stencils once per grid: a frozen-coefficient matrix or a Newton
 Jacobian writes the 9-point rows of the lattice nodes from the coefficients
 directly, and the edge nodes' rows by one small sparse product.
-For factorization, `SparseLU` holds SuperLU's LU in one of two orders.
-`Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy that every solve starts on,
-is ordered by SuperLU's own minimum degree: with its zeros dropped J(0) has
-the five-point pattern, on which that order stores about half the entries
-of nested dissection, and every Krylov iteration solves with it.  A
-Jacobian a solve factorizes itself has nine-point rows, and is ordered by
-`Grid.dissection`, nested dissection on lattice lines, which factorizes
-those faster at fine h.  Both are made on first read, so grids never
-solved on lack both, and zero-data solves never compute the dissection.
+For factorization, `SparseLU` holds SuperLU's LU in its minimum-degree
+order, and `Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy that every solve
+starts on and lifts its data with, is made on first read, so grids never
+solved on lack it.
 """
 
 from __future__ import annotations
@@ -95,7 +90,6 @@ STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
 _THETA_SWITCH = 0.1      # below this, extrapolation skips the owner node
 _FOOT_TOL = 1e-8         # |signed distance| at accepted foot points
 _THETA_MIN = 2.0 ** -53  # feet keep at least this fraction of a link from either end
-_ND_LEAF = 64            # largest part a nested dissection leaves unsplit
 _CHUNK = 4096            # nodes per pass of a Jacobian combine
 _STENCIL_CHUNK = 16384   # nodes per pass of a stencil evaluation
 
@@ -112,14 +106,6 @@ class InvalidFieldError(ValueError):
 # order the one-sided cross derivative tries them
 _AXES = np.array(((1, 0), (-1, 0), (0, 1), (0, -1)))
 _QUADRANTS = np.array(((1, 1), (1, -1), (-1, 1), (-1, -1)))
-
-
-def _ranges(lo: np.ndarray, hi: np.ndarray):
-    """(k, v) for every integer v in [lo[k], hi[k]], the ranges laid end to
-    end in order of k."""
-    width = np.maximum(hi - lo + 1, 0)
-    k = np.repeat(np.arange(len(lo)), width)
-    return k, np.arange(len(k)) - np.repeat(np.cumsum(width) - width - lo, width)
 
 
 def _number(flat: np.ndarray, nx: int, ny: int):
@@ -249,91 +235,6 @@ class Grid:
         if len(at):
             i, j = np.divmod(at, self.ny)
             d[at] = self.domain.signed_distance(np.stack([self.xs[i], self.ys[j]], axis=-1))
-
-    @cached_property
-    def dissection(self) -> np.ndarray:
-        """Nested-dissection order of the interior nodes (George, SIAM J.
-        Numer. Anal. 10, 1973), computed on first read: the k-th unknown of
-        the reordered system is interior node dissection[k].
-
-        The nodes are bisected recursively on the median lattice line across
-        the longer extent of their index box, each half is ordered before
-        the line that separates them, and a part of at most _ND_LEAF nodes is
-        left in interior order.  A stencil reaches one cell, so the line
-        decouples the halves except where a ghost closure reaches past it
-        near the boundary; that costs fill, never correctness.
-
-        Every part is the set of interior nodes in an index box, so the
-        recursion runs one level at a time on the boxes alone: the nodes on
-        a lattice line of a box are a difference of running counts along the
-        lattice rows or columns, and a level costs the boxes' perimeters,
-        not their nodes.  A leaf or a line holds a run of consecutive
-        interior nodes on each lattice row it meets; the order lays those
-        runs end to end, the parts sorted by their path from the root
-        (below 0, above 1, the line 2)."""
-        inside = self.interior_mask
-        nx, ny = inside.shape
-        # runs[l, c]: the interior nodes before c on lattice line l, where the
-        # lines are the rows i = l and then the columns j = l - nx
-        runs = np.zeros((nx + ny, max(nx, ny) + 1), dtype=np.int64)
-        np.cumsum(inside, axis=1, out=runs[:nx, 1:ny + 1])
-        np.cumsum(inside.T, axis=1, out=runs[nx:, 1:nx + 1])
-
-        def on(line, c0, c1):            # interior nodes on the line, c0 <= c <= c1
-            return runs[line, c1 + 1] - runs[line, c0]
-
-        def extent(lo, hi, c0, c1, lines):
-            """The first and last line in [lo, hi] of each box that holds a node."""
-            k, v = _ranges(lo, hi)
-            held = on(lines + v, c0[k], c1[k]) > 0
-            starts = np.cumsum(hi - lo + 1) - (hi - lo + 1)
-            return (np.minimum.reduceat(np.where(held, v, hi.max()), starts),
-                    np.maximum.reduceat(np.where(held, v, lo.min()), starts))
-
-        # the root is the whole lattice; each split box is first shrunk to its nodes
-        i0, i1 = np.zeros(1, dtype=np.int64), np.array([nx - 1])
-        j0, j1 = np.zeros(1, dtype=np.int64), np.array([ny - 1])
-        size, path, depth = np.array([self.n_interior]), np.zeros(1, dtype=np.int64), 0
-        done = []                        # (path, depth, i0, i1, j0, j1) of leaves and lines
-        while True:
-            leaf = (size > 0) & (size <= _ND_LEAF)
-            done.append((path[leaf], np.full(leaf.sum(), depth),
-                         i0[leaf], i1[leaf], j0[leaf], j1[leaf]))
-            split = size > _ND_LEAF
-            if not split.any():
-                break
-            i0, i1, j0, j1 = i0[split], i1[split], j0[split], j1[split]
-            size, path, depth = size[split], path[split], depth + 1
-            i0, i1, j0, j1 = (*extent(i0, i1, j0, j1, 0), *extent(j0, j1, i0, i1, nx))
-            # the median line across the longer extent, rank size // 2 of the
-            # nodes' lines, from the running count of nodes line by line
-            across = i1 - i0 >= j1 - j0          # lines i = m, else j = m
-            lo, hi = np.where(across, i0, j0), np.where(across, i1, j1)
-            k, v = _ranges(lo, hi)
-            on_line = on(np.where(across, 0, nx)[k] + v, np.where(across, j0, i0)[k],
-                         np.where(across, j1, i1)[k])
-            upto = np.cumsum(on_line)
-            starts = np.cumsum(hi - lo + 1) - (hi - lo + 1)
-            earlier = upto[starts] - on_line[starts]
-            at = np.searchsorted(upto, earlier + size // 2, side="right")
-            m = v[at]
-            below = upto[at] - on_line[at] - earlier
-            done.append((3 * path + 2, np.full(len(m), depth), np.where(across, m, i0),
-                         np.where(across, m, i1), np.where(across, j0, m), np.where(across, j1, m)))
-            i0, i1, j0, j1 = (np.concatenate([i0, np.where(across, m + 1, i0)]),
-                              np.concatenate([np.where(across, m - 1, i1), i1]),
-                              np.concatenate([j0, np.where(across, j0, m + 1)]),
-                              np.concatenate([np.where(across, j1, m - 1), j1]))
-            size = np.concatenate([below, size - below - on_line[at]])
-            path = np.concatenate([3 * path, 3 * path + 1])
-        path, level, i0, i1, j0, j1 = (np.concatenate(c) for c in zip(*done))
-        # paths padded to one length sort as the recursion visits the parts
-        rank = np.argsort(path * 3 ** (depth - level))
-        k, i = _ranges(i0[rank], i1[rank])
-        row_start = np.cumsum(runs[:nx, ny]) - runs[:nx, ny]
-        first = row_start[i] + runs[i, j0[rank][k]]
-        count = row_start[i] + runs[i, j1[rank][k] + 1] - first
-        return np.arange(self.n_interior) - np.repeat(np.cumsum(count) - count - first, count)
 
     def _find_intercepts(self):
         """One foot per interior->exterior axis link, where the domain's
@@ -584,9 +485,9 @@ class Grid:
     @cached_property
     def laplacian_lu(self) -> "SparseLU":
         """The float32 LU of J(0) = Dxx + Dyy, the Jacobian at u = 0 with zero
-        data whatever H, that every solve starts on (`linear.Factor`), in
-        SuperLU's minimum-degree order, made on first read; SuperLU's
-        refusal raises."""
+        data whatever H, that every solve lifts its data with
+        (`solver._lift`) and starts on (`linear.Factor`), made on first
+        read; SuperLU's refusal raises."""
         n = self.n_interior
         J0 = self.pattern().combine(*np.ones((2, n)), np.zeros(n)).astype(np.float32)
         return SparseLU(J0)         # no float64 J(0) alive in SuperLU
@@ -702,47 +603,29 @@ class StencilPattern:
 
 class SparseLU:
     """SuperLU's LU of A cast to `dtype` (float32 by default), its exact
-    zeros dropped, in one of two column orders.  Without an `order`,
-    SuperLU orders A itself by multiple minimum degree on A^T + A (Liu, ACM
-    TOMS 11, 1985), without relaxed supernodes, which would only pad the
-    factor: J(0)'s LU (`Grid.laplacian_lu`), whose five-point pattern it
-    factors in about half the entries nested dissection stores.  Given an
-    `order` P of the interior nodes, it factorizes P A P^T in that order,
-    and `solve` applies P to both sides: the Jacobians a solve factorizes,
-    whose nine-point rows `Grid.dissection` factorizes faster at fine h.
-    `solve` casts the right-hand side to `dtype` and the answer back to
-    float64.  Raises RuntimeError when the cast has a non-finite entry or
-    SuperLU finds the cast matrix singular."""
+    zeros dropped, in SuperLU's multiple minimum degree order on A^T + A
+    (Liu, ACM TOMS 11, 1985) with supernodes relaxed no further than one
+    column, which on these matrices factorizes faster than the default or
+    wider relaxation.  `solve` casts the right-hand side to `dtype` and the
+    answer back to float64.  Raises RuntimeError when the cast has a
+    non-finite entry or SuperLU finds the cast matrix singular."""
 
-    def __init__(self, A: sps.spmatrix, order: Optional[np.ndarray] = None,
-                 dtype=np.float32):
-        self.order, self.dtype = order, dtype
+    def __init__(self, A: sps.spmatrix, dtype=np.float32):
+        self.dtype = dtype
         with np.errstate(over="ignore"):    # an entry cast to inf is refused below
-            A = A.astype(dtype, copy=False)
-        if order is None:   # a copy: eliminate_zeros below works in place
-            A, spec = A.tocsc(copy=True), dict(permc_spec="MMD_AT_PLUS_A", relax=1)
-        else:
-            # the inverse permutation: `solve` gathers, which is cheaper than a scatter
-            self.inverse = np.empty_like(order)
-            self.inverse[order] = np.arange(len(order))
-            A, spec = A.tocsr()[order][:, order].tocsc(), dict(permc_spec="NATURAL")
+            A = A.astype(dtype, copy=False).tocsc(copy=True)
         # the union pattern's exact zeros, and the entries the cast flushed to
         # zero, would only fill
         A.eliminate_zeros()
         if not np.all(np.isfinite(A.data)):
             raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
         # through the module attribute, so that a wrapper of splu sees the call
-        self.superlu = spla.splu(A, **spec)
+        self.superlu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.order is not None:
-            b = b[self.order]
         with np.errstate(over="ignore"):    # an inf entry's answer fails the keep test
             b = b.astype(self.dtype)
-        y = self.superlu.solve(b)
-        if self.order is not None:
-            y = y[self.inverse]
-        return y.astype(np.float64)
+        return self.superlu.solve(b).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -55,20 +55,12 @@ number of BLAS threads.
 Every LU is SuperLU's factorization, in float32 or float64, of a matrix
 with its exact zeros dropped: the union pattern stores the entries a matrix
 lacks as zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU
-would fill them.  Each kind of matrix has its own order.  J(0) is left with
-the five-point pattern, and SuperLU orders it by multiple minimum degree on
-A^T + A (Liu 1985), without relaxed supernodes: its LU stores about half
-the entries of a dissection-ordered one, and every Krylov iteration of
-every solve reads it twice.  A Jacobian the solve factorizes itself has
-nine-point rows, and its LU is that of P A P^T in the given column order,
-where P is the grid's nested-dissection order of the interior nodes
-(`Grid.dissection`, George 1973): median lattice lines split the nodes
-recursively down to parts of 64, and each line comes after the two parts
-it separates.  On the stencil pattern the fill grows like N log N; minimum
-degree there stores more from h = 1/128 on, factorizes 1.5-1.8 times as
-slowly at 1/128 and 1/256, and costs the sampled solves more
-factorizations (CHANGES.md).  The factor's `solve` applies P on both
-sides.
+would fill them.  Every LU has one order, SuperLU's minimum degree
+(`grid.SparseLU`).  J(0) is left with the five-point pattern, on which that
+order stores about half the entries of SuperLU's default one, and every
+Krylov iteration of every solve reads it twice.  Since the solver starts
+from the harmonic lift of the data, only near-critical and failing solves
+factorize a Jacobian of their own.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -187,13 +179,13 @@ def solve(system: LinearSystem, factor: Optional[Factor] = None) -> ScalarField:
             factor.lu = None            # a stale LU of the solve's own goes before the next
     if factor.lu is None:
         try:
-            x, relres = _factorized_solve(A, b, norm_A, grid, factor, np.float32)
+            x, relres = _factorized_solve(A, b, norm_A, factor, np.float32)
         except SolverError:             # the cast or SuperLU refuses the float32 matrix
             relres = np.nan
         if not relres <= _RELRES_TOL:   # once more in float64, without the float32 factor
             factor.lu = None
             factor.float64_factorizations += 1
-            x, relres = _factorized_solve(A, b, norm_A, grid, factor, np.float64)
+            x, relres = _factorized_solve(A, b, norm_A, factor, np.float64)
     factor.fill_nnz = max(factor.fill_nnz, factor.lu.superlu.nnz)
     system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
@@ -202,12 +194,12 @@ def solve(system: LinearSystem, factor: Optional[Factor] = None) -> ScalarField:
     return ScalarField(grid, x, system.feet_values.copy())
 
 
-def _factorized_solve(A, b, norm_A, grid: Grid, factor: Factor, dtype):
+def _factorized_solve(A, b, norm_A, factor: Factor, dtype):
     """Make the holder's LU of A in `dtype` and run GMRES on it: the answer
     and its backward error.  Raises SolverError when the factorization fails."""
     factor.factorizations += 1
     try:
-        factor.lu = SparseLU(A, grid.dissection, dtype)
+        factor.lu = SparseLU(A, dtype)
     except RuntimeError as exc:     # a cast beyond the dtype's range, or a singular matrix
         raise SolverError(f"factorization failed: {exc}") from None
     x = _gmres(A, b, norm_A, factor, factor.lu.solve)

@@ -11,9 +11,13 @@ halving the damping factor whenever the defect grows while it is still above
 the residual tolerance (floor 0.125).  Growth below the tolerance is
 rounding, which damping cannot cure.
 
-A solve first leaps: one stage aims at the full load, tau = 1, from u = 0.
-Newton from u = 0 reaches the full load directly whenever it contracts
-there, and the leap is kept only while it does (Deuflhard's natural
+Every solve starts from the discrete harmonic lift L of its data (`_lift`):
+J(0) L = 0 with L = phi at the feet, so non-zero data starts without the
+boundary layer, of slope phi / (theta h) beside a foot, that u = 0 has;
+zero data lifts to 0.  A solve first leaps: one stage aims at the full
+load, tau = 1, from L.  Newton from L reaches the full load directly
+whenever it contracts there, and the leap is kept only while it does
+(Deuflhard's natural
 monotonicity, *Newton Methods for Nonlinear Problems*, 2004): it runs on
 full steps, and it is rejected, its iterate discarded, at the first Newton
 correction no smaller than the one before it, ||delta_k|| >= ||delta_{k-1}||
@@ -21,8 +25,8 @@ in the infinity norm, at a defect rise that would cut the damping, at a
 slope-guard trip, at a failed linear solve, or when it stagnates or runs out
 of iterations.  A rejected leap records no stage summary, but its trace rows
 stay, at its tau, and count as iterations.  The solve then walks the whole
-schedule, tau = 0.25, 0.5, 0.75, 1, from u = 0; the schedule lists the loads
-a solve may stop at.
+schedule, tau = 0.25, 0.5, 0.75, 1, its first stage from tau L, the lift of
+that stage's trace; the schedule lists the loads a solve may stop at.
 
 Each stage of the walk after the first starts from the secant predictor
 through the last two stage answers,
@@ -178,22 +182,22 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
     filling the report's stages, trace rows and iteration count; returns
     (verdict, message, evaluation of the last iterate)."""
     tol_res = _residual_tolerance(H, n, grid.domain)
-    zero = np.zeros(grid.n_interior)
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
+    lift = _lift(grid, phi)
     schedule = _TAU_SCHEDULE
     tau = schedule[-1]
-    leap = _stage(ScalarField(grid, zero, tau * phi), H, n, tau, tol_res, report, factor,
-                  final=True, leap=True)
+    leap = _stage(ScalarField(grid, tau * lift, tau * phi), H, n, tau, tol_res, report,
+                  factor, final=True, leap=True)
     if leap is not None:
         return leap
-    # (tau_{k-1}, u_{k-1}) and tau_k of the last two stage answers; u = 0
-    # solves the problem at zero load exactly
-    tau_prev, u_prev, tau_k, values = 0.0, zero, 0.0, zero
+    # (tau_k, u_k) of the last stage answer; u = 0 solves the problem at
+    # zero load exactly
+    tau_k, values = 0.0, np.zeros(grid.n_interior)
     for k, tau in enumerate(schedule):
-        start = values
-        if tau_k != tau_prev:
-            # secant predictor through the last two stage answers
-            start = values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
+        # the first stage starts from the lift of its trace, the later ones
+        # from the secant predictor through the last two stage answers
+        start = (tau * lift if k == 0 else
+                 values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev))
         tau_prev, u_prev = tau_k, values
         # re-anchor the start's trace at this stage's load, tau * phi
         verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
@@ -203,6 +207,25 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
             return verdict, message, ev
         tau_k, values = tau, ev.u.values
     return VERDICT_CONVERGED, "", ev
+
+
+def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
+    """The discrete harmonic lift L of the trace phi, J(0) L = 0 with L = phi
+    at the feet: one float32 solve on the grid's J(0) LU, since L only
+    starts Newton, with the right-hand side `linear.assemble` makes at
+    v = 0 and H = 0.  Zero data lifts to 0 without a solve, and so does
+    data whose lift SuperLU refuses (J(0) refused, which the first Newton
+    system then reports) or makes non-finite (beyond float32's range)."""
+    zero = np.zeros(grid.n_interior)
+    if not phi.any():
+        return zero
+    try:
+        lu = grid.laplacian_lu
+    except RuntimeError:
+        return zero
+    s = grid.stencils(zero, phi)
+    lift = lu.solve(-(s[0] + s[1]))
+    return lift if np.all(np.isfinite(lift)) else zero
 
 
 def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,

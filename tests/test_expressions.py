@@ -229,8 +229,9 @@ def test_certificate_imports_no_mpmath():
 
 def test_start_up_and_grids_import_no_scipy_spatial():
     # the KD-tree of scipy.spatial is a fallback of the level-set distance
-    # and of the barrier distance model: the catalog and a grid with its
-    # operators on every factory domain at h = 1/32 do without it
+    # and of the barrier distance model: the catalog, a grid with its
+    # operators on every factory domain at h = 1/32, and the sup of an
+    # expression H over the dumbbell's closure samples do without it
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -246,6 +247,7 @@ params = {"disk": {}, "ellipse": {"a": 1.2, "b": 0.7}, "rect": {"hx": 1.0, "hy":
 assert sorted(params) == sorted(_FACTORIES)
 for name, kw in params.items():
     mcgraph.Grid(_FACTORIES[name](**kw), 1 / 32).operators()
+mcgraph.PrescribedCurvature.expression("0.3 + 0.2*x*y").h0(_FACTORIES["dumbbell"]())
 print("scipy.spatial" in sys.modules)
 """
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

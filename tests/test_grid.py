@@ -477,73 +477,6 @@ def test_sign_test_of_one_point_is_a_0d_bool():
         assert bool(inside) is expected
 
 
-# -- nested-dissection order ---------------------------------------------------
-
-
-@pytest.mark.parametrize("name", ["disk", "annulus_on_lattice", "dumbbell", "thin_ellipse"])
-def test_dissection_is_a_deterministic_permutation(name):
-    grid = Grid(_BAND_DOMAINS[name](), 1.0 / 32.0)
-    order = grid.dissection
-    assert order.shape == (grid.n_interior,)
-    assert np.array_equal(np.sort(order), np.arange(grid.n_interior))
-    assert np.array_equal(order, Grid(_BAND_DOMAINS[name](), 1.0 / 32.0).dissection)
-    assert grid.dissection is order            # computed once per grid
-
-
-def _recursive_dissection(grid):
-    """The nested-dissection order by recursive bisection, part by part."""
-    ij, parts = grid.interior_ij, []
-
-    def bisect(nodes):
-        if len(nodes) <= 64:
-            parts.append(nodes)
-            return
-        box = ij[nodes]
-        line = box[:, np.argmax(np.ptp(box, axis=0))]
-        median = np.partition(line, len(line) // 2)[len(line) // 2]
-        bisect(nodes[line < median])
-        bisect(nodes[line > median])
-        parts.append(nodes[line == median])
-
-    bisect(np.arange(grid.n_interior))
-    return np.concatenate(parts)
-
-
-@pytest.mark.parametrize("h", [1.0 / 4.0, 1.0 / 7.0, 1.0 / 32.0, 1.0 / 64.0])
-@pytest.mark.parametrize("name", sorted(_BAND_DOMAINS))
-def test_dissection_is_the_recursive_bisection(name, h):
-    # the level-by-level pass on index boxes gives the recursion's order
-    grid = Grid(_BAND_DOMAINS[name](), h)
-    assert np.array_equal(grid.dissection, _recursive_dissection(grid))
-
-
-def test_dissection_orders_the_top_separator_last():
-    # the last nodes are the median line across the longer extent; the
-    # halves it splits come first, one after the other, and no stencil tap
-    # joins them (on this ellipse no ghost closure reaches across the line)
-    grid = Grid(ellipse(1.2, 0.7), 1.0 / 32.0)
-    ij = grid.interior_ij[grid.dissection]
-    median = np.sort(grid.interior_ij[:, 0])[grid.n_interior // 2]
-    line = ij[:, 0] == median
-    assert line.sum() > 0 and np.all(line[-line.sum():])
-    rest = ij[:-line.sum(), 0]
-    k = np.sum(rest < median)
-    assert np.all(rest[:k] < median) and np.all(rest[k:] > median)
-    D = stacked_operators(grid)[0]
-    rank = np.empty(grid.n_interior, dtype=int)
-    rank[grid.dissection] = np.arange(grid.n_interior)
-    rows, cols = D.nonzero()
-    r, c = rank[rows % grid.n_interior], rank[cols]
-    assert not np.any((r < k) & (c >= k) & (c < len(rest)))
-
-
-def test_operators_do_not_compute_dissection():
-    grid = Grid(disk(1.0), 1.0 / 32.0)
-    grid.operators()
-    grid.pattern()
-    assert "dissection" not in vars(grid)
-
-
 # -- operator build: bit for bit against a tap-by-tap assembly --
 
 def _reference_cross_choice(grid):

@@ -414,7 +414,7 @@ def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
     assert np.all(system.feet_values == 0.0)
 
 
-# -- the ordered LUs -----------------------------------------------------------
+# -- the LUs in minimum-degree order -----------------------------------------------------------
 
 _ORDERED_DOMAINS = {
     "disk": lambda: disk(1.0),
@@ -458,48 +458,60 @@ def _assert_solves_first_jacobian(grid, lu, system):
         assert _max_backward_error(system.A, b, _solved_on(grid, lu, system.A, b)) <= 1e-12
 
 
+def _colamd_nnz(A) -> int:
+    """The entries of the float32 LU of A, its zeros dropped, in SuperLU's
+    default column order (COLAMD)."""
+    A = A.astype(np.float32).tocsc()
+    A.eliminate_zeros()
+    return spla.splu(A).nnz
+
+
 @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
 @pytest.mark.parametrize("name", sorted(_ORDERED_DOMAINS))
-def test_first_jacobian_solves_in_dissection_order(name, h):
+def test_jacobian_solves_in_minimum_degree_order(name, h):
+    # a Jacobian a solve factorizes itself has nine-point rows; in SuperLU's
+    # minimum-degree order its LU stores at most 0.8 times the entries of
+    # the default order's (0.63-0.74 on these grids) and solves as well
     grid = Grid(_ORDERED_DOMAINS[name](), h)
-    system = _first_jacobian(grid)
-    _assert_solves_first_jacobian(grid, SparseLU(system.A, grid.dissection), system)
+    u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
+    system = correction_system(Evaluation(u, PrescribedCurvature.constant(0.4), 2, 1.0))
+    lu = SparseLU(system.A)
+    assert lu.superlu.nnz <= 0.8 * _colamd_nnz(system.A)
+    _assert_solves_first_jacobian(grid, lu, system)
 
 
 @pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
 @pytest.mark.parametrize("name", sorted(_ORDERED_DOMAINS))
 def test_laplacian_lu_in_minimum_degree_order(name, h):
     # the grid's J(0) LU, in SuperLU's minimum-degree order, stores at most
-    # 0.7 times the entries of the dissection-ordered LU of the same matrix
-    # (0.40-0.58 on these grids) and solves as well.  A zero-data cap solves
-    # on it alone, so its grid is never ordered by dissection
+    # 0.6 times the entries of the default order's LU of the same matrix
+    # (0.50-0.56 on these grids) and solves as well.  A zero-data cap solves
+    # on it alone
     grid = Grid(_ORDERED_DOMAINS[name](), h)
     system = _first_jacobian(grid)
     lu = grid.laplacian_lu
-    assert lu.order is None and "dissection" not in vars(grid)
-    assert lu.superlu.nnz <= 0.7 * SparseLU(system.A, grid.dissection).superlu.nnz
+    assert lu.superlu.nnz <= 0.6 * _colamd_nnz(system.A)
     _assert_solves_first_jacobian(grid, lu, system)
     fresh = Grid(_ORDERED_DOMAINS[name](), h)
     report = solve_dirichlet(fresh, PrescribedCurvature.constant(0.4), ZeroData())
     assert report.converged and report.factorizations == 1
-    assert "dissection" not in vars(fresh)
 
 
-def test_dissected_lu_solves_systems_off_the_stencil():
-    # the order is a permutation of the unknowns, so a system whose pattern
-    # ignores the separators still solves; it only fills more.  A diagonal
-    # of powers of two divides the float32 right-hand side exactly
+def test_lu_solves_systems_off_the_stencil():
+    # SuperLU orders any sparse matrix, so a system off the stencil pattern
+    # still solves.  A diagonal of powers of two divides the float32
+    # right-hand side exactly
     g32 = _unsolved_g32()
     n = g32.n_interior
     rng = np.random.default_rng(5)
     A = (sps.diags(4.0 + rng.random(n)) + sps.random(n, n, density=2.0 / n, random_state=rng)
          ).tocsr()
     b = rng.standard_normal(n)
-    lu = SparseLU(A, g32.dissection)
+    lu = SparseLU(A)
     assert _max_backward_error(A, b, lu.solve(b)) <= 1e-6
     assert _max_backward_error(A, b, _solved_on(g32, lu, A, b)) <= 1e-12
     diag = np.resize([1.0, 2.0, 4.0], n)
-    x = SparseLU(sps.diags(diag).tocsr(), g32.dissection).solve(b)
+    x = SparseLU(sps.diags(diag).tocsr()).solve(b)
     assert x.dtype == np.float64
     assert np.array_equal(x, b.astype(np.float32).astype(np.float64) / diag)
 
@@ -518,18 +530,17 @@ def test_held_factor_records_largest_fill():
     assert factor.factorizations == 2 and factor.lu.superlu.nnz < factor.fill_nnz
 
 
-def test_dissection_order_keeps_reference_solves():
-    # heights recorded with the minimum-degree LU ordering that the
-    # dissection order replaced, counts with the leap to the full load and
-    # GMRES stopping on the keep test: an LU only starts and preconditions
-    # GMRES, so its order leaves the Newton path and the answer as they
-    # were.  Every solve here runs on the grid's J(0) LU alone, the one LU
-    # it counts.  The legs stop on Newton's contraction bound, a step before
-    # their last update fell below 1e-9.  The float32 factor takes one or
-    # two iterations on the system it factorized.  No GMRES cycle of these
-    # solves stops near its tolerance (the last residual is at most 0.8 of
-    # it, the one before at least 1.2 times it), so the Krylov counts do not
-    # follow the rounding of the feet
+def test_lift_and_one_lu_order_keep_reference_solves():
+    # heights recorded before the lift and the one LU order, counts with
+    # the leap, from the lift on the legs, and GMRES stopping on the keep
+    # test: an LU only starts and preconditions GMRES, and the leap from
+    # the lift reaches the answer of the leap from u = 0.  Every solve here
+    # runs on the grid's J(0) LU alone, the one LU it counts.  The legs stop
+    # on Newton's contraction bound, a step before their last update fell
+    # below 1e-9.  No GMRES cycle of these solves stops within 5% of its
+    # tolerance (the closest, on the H = 0.55 leg, at 0.90-0.95 of it; the
+    # residual before a cycle's last is at least 1.25 times it), so the
+    # Krylov counts do not follow the rounding of the feet
     dom = disk(1.0)
     cap = solve_dirichlet(Grid(dom, 1.0 / 64.0), PrescribedCurvature.constant(0.4), ZeroData())
     data = adversarial_boundary_data(dom, (1.0, 0.0), 0.10, 0.05)

@@ -9,10 +9,10 @@ from hypothesis import given, strategies as st
 import mcgraph.grid
 import mcgraph.linear
 import mcgraph.solver
-from mcgraph import (BumpData, Evaluation, Grid, PrescribedCurvature, ZeroData,
-                     adversarial_boundary_data, boundary_slope,
-                     correction_system, disk, estimate_ledger, solve_dirichlet,
-                     solve_linear, sup_slope)
+from mcgraph import (BumpData, Evaluation, ExpressionData, Grid, PrescribedCurvature,
+                     ZeroData, adversarial_boundary_data, boundary_slope,
+                     correction_system, disk, estimate_ledger, levelset,
+                     rounded_rect, solve_dirichlet, solve_linear, sup_slope)
 from mcgraph.reference import get as get_reference
 
 
@@ -53,24 +53,62 @@ def test_rejected_leap_keeps_its_rows_but_no_stage(cap_walk32):
 
 
 def test_rejected_bump_leap_walks_the_schedule():
-    # the second full-load correction is 1.21 times the first and the defect
-    # rises 3.09 -> 5.14, so the leap is rejected after two steps; the walk
-    # then takes the steps and reaches the height of a walk without the
-    # leap, 16 steps, two fewer than in all.  The final stage stops on the
-    # contraction bound: its last two updates, 6.7e-5 and 2.4e-8, bound the
-    # answer's distance to the solution by 8e-12
+    # draw 90 of the continuation benchmark's sample (seed 20261019).  From
+    # the lift the leap's corrections contract, but its third step raises
+    # the defect 0.0149 -> 0.253, so the leap is rejected after three
+    # steps; the walk from a quarter of the lift then takes [2, 3, 3, 3]
+    # steps, 14 in all.  The final stage stops on the contraction bound:
+    # its last two updates, 1.8e-4 and 4.0e-7, bound the answer's distance
+    # to the solution by 8.7e-10.  A leap from u = 0 reaches the same
+    # height, in four steps
     grid = Grid(disk(radius=1.0), 1.0 / 12.0)
-    data = BumpData(grid.domain, (0.997, -0.079), 0.82, 0.49)
-    report = solve_dirichlet(grid, PrescribedCurvature.constant(0.81), data)
+    angle = 4.220611398153058
+    data = BumpData(grid.domain, (np.cos(angle), np.sin(angle)), 0.08181064604271274,
+                    0.17083554627395126)
+    report = solve_dirichlet(grid, PrescribedCurvature.constant(0.32662548806931513), data)
     assert report.verdict == "converged"
-    assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 5), (0.5, 2), (0.75, 3),
-                                                         (1.0, 6)]
-    leap = report.trace[:2]
-    assert [row["tau"] for row in leap] == [1.0, 1.0]
-    assert leap[1]["update"] / leap[0]["update"] == pytest.approx(1.206, abs=1e-3)
-    assert report.iterations == len(report.trace) == 18
+    assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 2), (0.5, 3), (0.75, 3),
+                                                         (1.0, 3)]
+    leap = report.trace[:3]
+    assert [row["tau"] for row in leap] == [1.0] * 3
+    assert leap[2]["update"] < leap[1]["update"] < leap[0]["update"]
+    assert leap[2]["residual_core"] > 10 * leap[1]["residual_core"]
+    assert report.iterations == len(report.trace) == 14
+    assert report.factorizations == 2 and report.float64_factorizations == 0
     assert _contraction_bound(report.trace[-2:]) <= mcgraph.solver._TOL_UPDATE
-    assert report.sup_u == pytest.approx(0.4899861622199877, rel=0, abs=1e-12)
+    assert report.sup_u == pytest.approx(0.1674660208073471, rel=0, abs=1e-12)
+
+
+# a manufactured solution u, its slope, its second derivatives and the
+# curvature H = M u / (2 W^3) it solves
+_U = "0.4*sin(1.3*x + 0.4)*cos(0.9*y) + 0.15*x*y"
+_UX = "(0.52*cos(1.3*x + 0.4)*cos(0.9*y) + 0.15*y)"
+_UY = "(-0.36*sin(1.3*x + 0.4)*sin(0.9*y) + 0.15*x)"
+_UXX = "(-0.676*sin(1.3*x + 0.4)*cos(0.9*y))"
+_UYY = "(-0.324*sin(1.3*x + 0.4)*cos(0.9*y))"
+_UXY = "(-0.468*cos(1.3*x + 0.4)*sin(0.9*y) + 0.15)"
+_U_CURVATURE = (f"((1 + {_UY}**2)*{_UXX} - 2*{_UX}*{_UY}*{_UXY} + (1 + {_UX}**2)*{_UYY})"
+                f" / (2*(1 + {_UX}**2 + {_UY}**2)**1.5)")
+
+
+@pytest.mark.parametrize("domain", [
+    rounded_rect(1.0, 0.6, 0.25),
+    levelset("1 - (x/1.1)**2 - (y/0.7)**2 - 0.2*x*y", (-1.3, 1.3, -1.0, 1.0))],
+    ids=["rounded_rect", "levelset"])
+def test_manufactured_solution_converges_at_second_order(domain):
+    # smooth data of slope up to 0.55 and a curvature that varies: both
+    # spacings converge, in three Newton steps on J(0)'s LU, and the error
+    # falls about 4x (to 1.59e-6 and 1.70e-6 at h = 1/64).  A spurious
+    # discrete answer at h = 1/64, with an error near 1e-2 and foot slopes
+    # near 13, fails the ratio
+    H, data = PrescribedCurvature.expression(_U_CURVATURE), ExpressionData(_U)
+    errors = []
+    for h in (1.0 / 32.0, 1.0 / 64.0):
+        report = solve_dirichlet(Grid(domain, h), H, data)
+        assert report.verdict == "converged", h
+        xy = report.field.grid.interior_xy
+        errors.append(np.max(np.abs(report.field.values - data.extension(xy[:, 0], xy[:, 1]))))
+    assert 3.0 <= errors[0] / errors[1] <= 5.0, errors
 
 
 def test_cap_residual_small(cap_solve32):
@@ -294,11 +332,26 @@ def test_refused_factorization_ends_in_linear_failure(monkeypatch):
         raise RuntimeError("Factor is exactly singular")
 
     monkeypatch.setattr(mcgraph.grid.spla, "splu", refuse)
-    g = Grid(disk(radius=1.0), 1.0 / 16.0)
-    report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData())
-    assert report.verdict == "linear_failure"
-    assert "factorization failed" in report.message
-    assert report.krylov_iterations == 0 and "laplacian_lu" not in vars(g)
+    # bump data asks for J(0)'s LU first for its lift, and starts from u = 0
+    # when it is refused
+    for data in (ZeroData(), BumpData(disk(radius=1.0), (1.0, 0.0), 0.3, 0.2)):
+        g = Grid(disk(radius=1.0), 1.0 / 16.0)
+        report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), data)
+        assert report.verdict == "linear_failure"
+        assert "factorization failed" in report.message
+        assert report.krylov_iterations == 0 and "laplacian_lu" not in vars(g)
+
+
+def test_data_beyond_float32_starts_from_zero(disk12):
+    # the lift is solved in float32, so bumps of height 1e37 and 1e300 lift
+    # to non-finite fields; such a solve starts from u = 0 instead, where
+    # the slope guard trips or the assembled system is non-finite
+    H = PrescribedCurvature.constant(0.3)
+    for eps, verdict in ((1e37, "diverged_gradient"), (1e300, "linear_failure")):
+        data = BumpData(disk12.domain, (1.0, 0.0), 0.3, eps)
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = solve_dirichlet(disk12, H, data)
+        assert report.verdict == verdict, eps
 
 
 def test_solution_independent_of_tau_path(cap_solve32, cap_walk32):
@@ -335,7 +388,7 @@ def _fresh_factor_per_iterate(monkeypatch):
     # every Newton system on a fresh holder of its own float32 LU: the
     # answer the reuse must keep
     def solve_fresh(system, factor):
-        lu = mcgraph.grid.SparseLU(system.A, system.grid.dissection)
+        lu = mcgraph.grid.SparseLU(system.A)
         return mcgraph.linear.solve(system, mcgraph.linear.Factor(lu=lu))
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
@@ -447,16 +500,16 @@ def test_sweep_reports_do_not_depend_on_the_order():
 
 def test_solve_adds_only_lazy_caches_to_the_grid():
     # a solve leaves on the grid only what any later solve may read: the
-    # operators, the pattern, the dissection order, J(0)'s LU and the
-    # stencil gathers; every other attribute is the one the grid was built with
+    # operators, the pattern, J(0)'s LU and the stencil gathers; every
+    # other attribute is the one the grid was built with
     grid = Grid(disk(radius=1.0), 1.0 / 16.0)
     data = adversarial_boundary_data(grid.domain, (1.0, 0.0), 0.10, 0.05)
     before = dict(vars(grid))
     solve_dirichlet(grid, PrescribedCurvature.constant(0.55), data, n=2)
     changed = {name for name, value in vars(grid).items()
                if name not in before or before[name] is not value}
-    assert changed <= {"_ops", "_pattern", "dissection", "laplacian_lu", "_taps",
-                       "_x_neighbours", "_edge"}
+    assert changed <= {"_ops", "_pattern", "laplacian_lu", "_taps", "_x_neighbours",
+                       "_edge"}
     assert "laplacian_lu" in changed
 
 
