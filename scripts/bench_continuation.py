@@ -30,6 +30,8 @@ Per checkout and case it records the Newton steps, the Krylov iterations,
 the factorizations and the float64 ones among them, the ``splu`` and
 ``SuperLU.solve`` calls (counted by a wrapper of
 ``scipy.sparse.linalg.splu``), the stages (tau, steps) of each solve, the
+longest stage of the case in Newton steps (``max_stage_iterations``, read
+from the trace rows, so a leap that did not converge counts too), the
 verdicts, a sha256 of each solve's field, the seconds spent in
 ``solve_dirichlet`` and the process's peak RSS; the counts and the hashes
 must agree across the repeats.  ``same_fields`` says whether the hashes
@@ -70,8 +72,8 @@ CASES = {
 }
 SAMPLE_SEED = 20261019
 _EXACT = ("newton_iterations", "krylov_iterations", "factorizations",
-          "float64_factorizations", "splu_calls",
-          "superlu_solve_calls", "stages", "verdicts", "field_sha256")
+          "float64_factorizations", "splu_calls", "superlu_solve_calls",
+          "max_stage_iterations", "stages", "verdicts", "field_sha256")
 
 
 def _solves(mcgraph, case: str, draws: int):
@@ -124,7 +126,8 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
     spla.splu = counted_splu
     seconds, fields = 0.0, []
     row = {"newton_iterations": [], "krylov_iterations": 0, "factorizations": 0,
-           "float64_factorizations": 0, "stages": [], "verdicts": [], "field_sha256": []}
+           "float64_factorizations": 0, "max_stage_iterations": 0, "stages": [],
+           "verdicts": [], "field_sha256": []}
     for grid, H, data in _solves(mcgraph, case, draws):
         t0 = time.perf_counter()
         report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H),
@@ -135,6 +138,8 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
         row["factorizations"] += report.factorizations
         # a checkout without the float32 factor reports no fallback count
         row["float64_factorizations"] += getattr(report, "float64_factorizations", 0)
+        row["max_stage_iterations"] = max([row["max_stage_iterations"],
+                                           *(r["iter"] for r in report.trace)])
         row["stages"].append([[s.tau, s.iters] for s in report.stages])
         row["verdicts"].append(report.verdict)
         row["field_sha256"].append(hashlib.sha256(report.field.values.tobytes()).hexdigest())
@@ -205,6 +210,7 @@ def main(argv=None) -> int:
                     "float64_factorizations": first["float64_factorizations"],
                     "splu_calls": first["splu_calls"],
                     "superlu_solve_calls": first["superlu_solve_calls"],
+                    "max_stage_iterations": first["max_stage_iterations"],
                     "solve_s_median": statistics.median(times), "solve_s_runs": times,
                     "peak_rss_mb": statistics.median(row["peak_rss_mb"] for row in rows)}
                 if case != "sample":
@@ -228,6 +234,8 @@ def main(argv=None) -> int:
                   f"(float64 {t['float64_factorizations']}), "
                   f"splu {p['splu_calls']} -> {t['splu_calls']}, SuperLU.solve "
                   f"{p['superlu_solve_calls']} -> {t['superlu_solve_calls']}, "
+                  f"longest stage {p['max_stage_iterations']} -> "
+                  f"{t['max_stage_iterations']}, "
                   f"solve {p['solve_s_median']:.3f} -> {t['solve_s_median']:.3f} s, "
                   f"{p['peak_rss_mb']:.0f} -> {t['peak_rss_mb']:.0f} MB, "
                   f"same verdicts {entry['same_verdicts']}, same fields "

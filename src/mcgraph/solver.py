@@ -1,32 +1,23 @@
-"""Quasilinear solves by damped Newton continuation in correction form on
-one LU per solve.
+"""Quasilinear solves by Newton continuation in correction form on one LU
+per solve.
 
-Each stage of the load schedule tau in (0, 1] takes Newton steps about the
-current iterate: it solves J(u) delta = -Q(u) with delta = 0 at the feet and
-sets
-
-    u_next = u + damping * delta,
-
-halving the damping factor whenever the defect grows while it is still above
-the residual tolerance (floor 0.125).  Growth below the tolerance is
-rounding, which damping cannot cure.
+Each stage of the load schedule tau in (0, 1] takes full Newton steps about
+the current iterate: it solves J(u) delta = -Q(u) with delta = 0 at the
+feet and sets u_next = u + delta.  A stage ends at the first defect that
+rises above the residual tolerance (Deuflhard's natural monotonicity,
+*Newton Methods for Nonlinear Problems*, 2004): Newton no longer contracts
+there, and damping on would only lengthen a failing solve.  Growth below
+the tolerance is rounding, not a failure.
 
 Every solve starts from the discrete harmonic lift L of its data (`_lift`):
 J(0) L = 0 with L = phi at the feet, so non-zero data starts without the
 boundary layer, of slope phi / (theta h) beside a foot, that u = 0 has;
-zero data lifts to 0.  A solve first leaps: one stage aims at the full
-load, tau = 1, from L.  Newton from L reaches the full load directly
-whenever it contracts there, and the leap is kept only while it does
-(Deuflhard's natural
-monotonicity, *Newton Methods for Nonlinear Problems*, 2004): it runs on
-full steps, and it is rejected, its iterate discarded, at the first Newton
-correction no smaller than the one before it, ||delta_k|| >= ||delta_{k-1}||
-in the infinity norm, at a defect rise that would cut the damping, at a
-slope-guard trip, at a failed linear solve, or when it stagnates or runs out
-of iterations.  A rejected leap records no stage summary, but its trace rows
-stay, at its tau, and count as iterations.  The solve then walks the whole
-schedule, tau = 0.25, 0.5, 0.75, 1, its first stage from tau L, the lift of
-that stage's trace; the schedule lists the loads a solve may stop at.
+zero data lifts to 0.  A solve first leaps: a walk of one stage, at the
+full load tau = 1, from L.  When the leap ends in any verdict but
+converged, its stage summary is dropped, its trace rows stay, at its tau,
+and count as iterations, and the solve walks the whole schedule,
+tau = 0.25, 0.5, 0.75, 1, its first stage from tau L, the lift of that
+stage's trace; the schedule lists the loads a solve may stop at.
 
 Each stage of the walk after the first starts from the secant predictor
 through the last two stage answers,
@@ -38,16 +29,18 @@ trace re-anchored at the stage's load.  An intermediate stage's answer is
 only the next stage's start, so it ends converged once its defect meets the
 residual tolerance.  The final stage also needs its answer within the update
 tolerance 1e-9 of the solution: either its last update is that small, or its
-last two steps, both full, contract by Theta = ||delta_k|| / ||delta_{k-1}||
-< 1/2 in the infinity norm and the bound Theta / (1 - Theta) * ||delta_k|| on
-the distance from the answer to the solution is (error-oriented termination,
+last two steps contract by Theta = ||delta_k|| / ||delta_{k-1}|| < 1/2 in the
+infinity norm and the bound Theta / (1 - Theta) * ||delta_k|| on the
+distance from the answer to the solution is (error-oriented termination,
 Deuflhard 2004, with Kelley's contraction bound, *Iterative Methods for
 Linear and Nonlinear Equations*, 1995).  So no step is spent only to see a
 small update, and a converged final stage's `update_norm` can exceed 1e-9.
-Guards abort a stage when the discrete slope blows past
-`_GRAD_MAX` (gradient divergence, the signature of unattainable boundary
-data) or when the defect stops improving over a trailing window
-(stagnation).  Each iterate is evaluated once (`operators.Evaluation`): the
+A stage that neither converges nor sees its defect rise ends `stagnated`
+after `_MAX_ITERS` steps; one whose discrete slope blows past `_GRAD_MAX`
+ends `diverged_gradient` (the signature of unattainable boundary data).
+Either message names the stage's last contraction; a stagnated one also
+names the defect's rise and the worst node, where |Q u| is largest.  The
+trace's `damping` and a stage's `damping_final` are always 1.  Each iterate is evaluated once (`operators.Evaluation`): the
 defect norms, the slope guard and the next Jacobian read from it.
 
 Every Newton system goes to `linear.solve` with the solve's one
@@ -86,7 +79,6 @@ _TAU_SCHEDULE = (0.25, 0.5, 0.75, 1.0)   # the loads a solve may stop at
 _MAX_ITERS = 200                         # Newton steps per stage
 _TOL_UPDATE = 1e-9
 _GRAD_MAX = 1e4
-_STAGNATION_WINDOW = 20
 
 
 def _residual_tolerance(H, n: int, domain) -> float:
@@ -178,35 +170,34 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
 
 
 def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
-    """Leap to the last rung, and walk the schedule when the leap is rejected,
-    filling the report's stages, trace rows and iteration count; returns
-    (verdict, message, evaluation of the last iterate)."""
+    """The leap, a walk of the last rung alone, then the whole schedule's walk
+    if the leap does not converge; fills the report's stages, trace rows and
+    iteration count and returns (verdict, message, last evaluation)."""
     tol_res = _residual_tolerance(H, n, grid.domain)
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
     lift = _lift(grid, phi)
-    schedule = _TAU_SCHEDULE
-    tau = schedule[-1]
-    leap = _stage(ScalarField(grid, tau * lift, tau * phi), H, n, tau, tol_res, report,
-                  factor, final=True, leap=True)
-    if leap is not None:
-        return leap
-    # (tau_k, u_k) of the last stage answer; u = 0 solves the problem at
-    # zero load exactly
-    tau_k, values = 0.0, np.zeros(grid.n_interior)
-    for k, tau in enumerate(schedule):
-        # the first stage starts from the lift of its trace, the later ones
-        # from the secant predictor through the last two stage answers
-        start = (tau * lift if k == 0 else
-                 values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev))
-        tau_prev, u_prev = tau_k, values
-        # re-anchor the start's trace at this stage's load, tau * phi
-        verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
-                                      tol_res, report, factor,
-                                      final=k == len(schedule) - 1, leap=False)
-        if verdict != VERDICT_CONVERGED:
-            return verdict, message, ev
-        tau_k, values = tau, ev.u.values
-    return VERDICT_CONVERGED, "", ev
+    for schedule in (_TAU_SCHEDULE[-1:], _TAU_SCHEDULE):
+        # a failed leap keeps its trace rows and iterations, not its stage
+        report.stages.clear()
+        # (tau_k, u_k) of the last stage answer; u = 0 solves the problem at
+        # zero load exactly
+        tau_k, values = 0.0, np.zeros(grid.n_interior)
+        for k, tau in enumerate(schedule):
+            # the first stage starts from the lift of its trace, the later
+            # ones from the secant predictor through the last two answers
+            start = (tau * lift if k == 0 else
+                     values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev))
+            tau_prev, u_prev = tau_k, values
+            # re-anchor the start's trace at this stage's load, tau * phi
+            verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
+                                          tol_res, report, factor,
+                                          final=k == len(schedule) - 1)
+            if verdict != VERDICT_CONVERGED:
+                break
+            tau_k, values = tau, ev.u.values
+        if verdict == VERDICT_CONVERGED:
+            break
+    return verdict, message, ev
 
 
 def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -229,59 +220,42 @@ def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
 
 
 def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
-           report: SolveReport, factor: Factor, *, final: bool, leap: bool):
-    """Newton steps at load tau from u, adding their trace rows and iterations
-    to the report.  Returns (verdict, message, evaluation of the last iterate)
-    and records the stage's summary; a `leap` that is rejected returns None
-    and records no summary."""
+           report: SolveReport, factor: Factor, *, final: bool):
+    """Full Newton steps at load tau from u, adding their trace rows and
+    iterations to the report.  Records the stage's summary unless a linear
+    solve fails, and returns (verdict, message, evaluation of the last
+    iterate)."""
     grid = u.grid
     ev = Evaluation(u, H, n, tau)
-    damping = 1.0
     prev_res = np.inf
-    window: list[float] = []
     verdict = VERDICT_STAGNATED
-    last_update = np.inf
-    last_step = theta = np.nan   # the last correction's norm, the last contraction
-    res_core = res_collar = np.inf
-    it = 0
+    update = theta = np.nan   # the last correction's norm, the last contraction
     for it in range(1, _MAX_ITERS + 1):
         report.iterations += 1
         try:
             delta = linear_solve(correction_system(ev), factor)
         except SolverError as exc:
-            return None if leap else (VERDICT_LINEAR_FAILURE, str(exc), ev)
-        u_new = ScalarField(grid, u.values + damping * delta.values, u.feet)
+            return VERDICT_LINEAR_FAILURE, str(exc), ev
+        u_new = ScalarField(grid, u.values + delta.values, u.feet)
         ev_new = Evaluation(u_new, H, n, tau)
         g = sup_slope(u_new, ev_new.p)
         if not np.isfinite(g) or g > _GRAD_MAX:
-            if leap:
-                return None
-            report.stages.append(StageSummary(tau, it, np.inf, np.inf, np.inf, g,
-                                              damping, VERDICT_DIVERGED))
+            report.stages.append(StageSummary(tau, it, np.inf, np.inf, np.inf, g, 1.0,
+                                              VERDICT_DIVERGED))
             return (VERDICT_DIVERGED,
                     f"slope {g:.3e} exceeded grad_max={_GRAD_MAX:g} "
-                    f"at tau={tau:g}, iteration {it}; {_why(theta, window)}", ev_new)
+                    f"at tau={tau:g}, iteration {it}; last contraction {theta:.3g}", ev_new)
         res_core, res_collar = ev_new.residual_norms()
-        update = float(np.max(np.abs(u_new.values - u.values)))
+        # the update is u_new - u, which rounds differently from delta.
         # Newton's contraction Theta = ||delta_k|| / ||delta_{k-1}||, nan on a
-        # stage's first step; with Theta < 1/2 on full steps (the damping only
-        # falls within a stage, so the step before was full too), u_new is at
-        # most Theta / (1 - Theta) * update from the solution
-        step = update / damping
-        theta, last_step = (step / last_step if last_step else np.inf), step
-        bound = theta / (1.0 - theta) * update if damping == 1.0 and theta < 0.5 else np.inf
+        # stage's first step; with Theta < 1/2, u_new is at most
+        # Theta / (1 - Theta) * update from the solution
+        last, update = update, float(np.max(np.abs(u_new.values - u.values)))
+        theta = update / last if last else np.inf
+        bound = theta / (1.0 - theta) * update if theta < 0.5 else np.inf
         report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
                              "residual_collar": res_collar, "update": update,
-                             "sup_gradient": g, "damping": damping})
-        rise = res_core > max(tol_res, prev_res * (1.0 + 1e-12))
-        # a leap runs on full steps while Newton contracts: a correction no
-        # smaller than the one before it, or a rise that would cut the
-        # damping, rejects it
-        if leap and (rise or update >= last_update):
-            return None
-        if rise and damping > 0.125:
-            damping = max(0.125, 0.5 * damping)
-        prev_res, last_update = res_core, update
+                             "sup_gradient": g, "damping": 1.0})
         u, ev = u_new, ev_new
         # an intermediate answer is only the next stage's start: its defect
         # test suffices.  The final answer must also be within _TOL_UPDATE of
@@ -289,26 +263,22 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
         if res_core <= tol_res and (not final or min(update, bound) <= _TOL_UPDATE):
             verdict = VERDICT_CONVERGED
             break
-        window.append(res_core)
-        if len(window) > _STAGNATION_WINDOW:
-            window.pop(0)
-            if window[-1] > 0.999 * window[0] and last_update > _TOL_UPDATE:
-                break
-    if leap and verdict != VERDICT_CONVERGED:
-        return None
-    report.stages.append(StageSummary(tau, it, res_core, res_collar, last_update,
-                                      sup_slope(u, ev.p), damping, verdict))
+        # a defect that rises above the tolerance ends the stage: Newton no
+        # longer contracts (growth below the tolerance is rounding)
+        if res_core > max(tol_res, prev_res * (1.0 + 1e-12)):
+            break
+        prev_res = res_core
+    report.stages.append(StageSummary(tau, it, res_core, res_collar, update,
+                                      sup_slope(u, ev.p), 1.0, verdict))
     if verdict != VERDICT_CONVERGED:
+        rose = f"defect rose {prev_res:.3e} -> {res_core:.3e}, " if res_core > prev_res else ""
+        worst = int(np.argmax(np.abs(ev.q)))
+        x, y = grid.interior_xy[worst]
         return (verdict, f"stage tau={tau:g} ended {verdict} after {it} iterations "
-                         f"(defect {res_core:.3e}); {_why(theta, window)}", ev)
+                         f"(defect {res_core:.3e}); {rose}last contraction {theta:.3g}; "
+                         f"worst node ({x:.4g}, {y:.4g}) in the "
+                         f"{'core' if grid.core_mask[worst] else 'collar'}", ev)
     return verdict, "", ev
-
-
-def _why(theta: float, window: list) -> str:
-    """Why a failing stage stopped: its last contraction estimate and the
-    first and last defects of its stagnation window."""
-    defects = f"{window[0]:.3e} -> {window[-1]:.3e}" if window else "empty"
-    return f"last contraction {theta:.3g}, defect window {defects}"
 
 
 def _finalize(report: SolveReport, verdict: str, message: str, ev: Evaluation, t0):

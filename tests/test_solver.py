@@ -55,7 +55,7 @@ def test_rejected_leap_keeps_its_rows_but_no_stage(cap_walk32):
 def test_rejected_bump_leap_walks_the_schedule():
     # draw 90 of the continuation benchmark's sample (seed 20261019).  From
     # the lift the leap's corrections contract, but its third step raises
-    # the defect 0.0149 -> 0.253, so the leap is rejected after three
+    # the defect 0.0149 -> 0.253, so the leap ends stagnated after three
     # steps; the walk from a quarter of the lift then takes [2, 3, 3, 3]
     # steps, 14 in all.  The final stage stops on the contraction bound:
     # its last two updates, 1.8e-4 and 4.0e-7, bound the answer's distance
@@ -208,25 +208,53 @@ def test_contraction_bound_saves_the_confirming_step():
 
 def test_stagnated_stage_says_why_it_stopped():
     # zero data at H = 0.97 has no discrete answer on the h = 1/32 disk: the
-    # final stage stagnates, and its message names the last contraction and
-    # the first and last defects of the stagnation window
-    window = mcgraph.solver._STAGNATION_WINDOW
-    report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 32.0),
-                             PrescribedCurvature.constant(0.97), ZeroData())
+    # leap and the final stage of the walk end at their first defect rise,
+    # 12 steps in all, and the message names the rise, the last contraction
+    # and the worst node, a collar node where |Q u| is largest
+    grid = Grid(disk(radius=1.0), 1.0 / 32.0)
+    report = solve_dirichlet(grid, PrescribedCurvature.constant(0.97), ZeroData())
     assert report.verdict == "stagnated"
-    assert report.stages[-1].tau == 1.0 and report.stages[-1].iters == 30
+    assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 2), (0.5, 2), (0.75, 3),
+                                                         (1.0, 3)]
+    assert report.iterations == len(report.trace) == 12
+    assert report.factorizations == 2
     last, before = report.trace[-1], report.trace[-2]
-    theta = (last["update"] / last["damping"]) / (before["update"] / before["damping"])
-    first = report.trace[-window]["residual_core"]
+    assert (before["residual_core"], last["residual_core"]) == pytest.approx((0.5719, 16.61),
+                                                                             rel=1e-3)
+    worst = int(np.argmax(np.abs(Evaluation(report.field, PrescribedCurvature.constant(0.97),
+                                            2, 1.0).q)))
+    x, y = grid.interior_xy[worst]
+    assert not grid.core_mask[worst]
     assert report.message == (
-        f"stage tau=1 ended stagnated after 30 iterations "
-        f"(defect {last['residual_core']:.3e}); last contraction {theta:.3g}, "
-        f"defect window {first:.3e} -> {last['residual_core']:.3e}")
+        f"stage tau=1 ended stagnated after 3 iterations "
+        f"(defect {last['residual_core']:.3e}); defect rose "
+        f"{before['residual_core']:.3e} -> {last['residual_core']:.3e}, "
+        f"last contraction {last['update'] / before['update']:.3g}; "
+        f"worst node ({x:.4g}, {y:.4g}) in the collar")
+
+
+def test_growing_correction_with_a_falling_defect_keeps_its_stage():
+    # a draw of a seed-7 sample on the h = 1/48 disk: the final stage's
+    # second correction is larger than its first (0.215 -> 0.276) while its
+    # defect falls (81 -> 58), and the stage then converges in 9 steps.  A
+    # stop on a growing correction would end it stagnated
+    grid = Grid(disk(radius=1.0), 1.0 / 48.0)
+    angle = 3.263916033722031
+    data = BumpData(grid.domain, (np.cos(angle), np.sin(angle)), 0.32608890055113937,
+                    -0.4489431494214864)
+    report = solve_dirichlet(grid, PrescribedCurvature.constant(-0.7189795527946068), data)
+    assert report.verdict == "converged"
+    assert [(s.tau, s.iters) for s in report.stages] == [(0.25, 3), (0.5, 3), (0.75, 4),
+                                                         (1.0, 9)]
+    assert report.sup_u == pytest.approx(0.44890503687114874, rel=0, abs=1e-12)
+    final = report.trace[-9:]
+    assert final[1]["update"] > final[0]["update"]
+    assert final[1]["residual_core"] < final[0]["residual_core"]
 
 
 def test_sweep_caps_keep_full_damping(cap_grid32):
     # defect growth at the rounding floor of a converged stage is no reason
-    # to damp: every sweep cap's leap is accepted, on full steps throughout
+    # to stop: every sweep cap's leap converges, on full steps throughout
     for H in np.linspace(0.05, 0.45, 9):
         report = solve_dirichlet(cap_grid32, PrescribedCurvature.constant(float(H)),
                                  ZeroData())
@@ -300,17 +328,17 @@ def test_diverged_gradient_verdict(monkeypatch):
     data = BumpData(disk(radius=1.0), (1.0, 0.0), 0.1, 0.05)
     report = solve_dirichlet(g, PrescribedCurvature.constant(0.55), data)
     assert report.verdict == "diverged_gradient"
-    assert "last contraction" in report.message and "defect window" in report.message
+    assert "last contraction" in report.message
 
 
 def test_stagnation_verdict(monkeypatch):
     g = Grid(disk(radius=1.0), 1.0 / 16.0)
-    # an absurdly tight update tolerance cannot be met; the stagnation
-    # window must end the stage with an honest verdict
+    # an absurdly tight update tolerance cannot be met; a defect rise at
+    # the rounding floor, or the step limit, must end the stage with an
+    # honest verdict
     monkeypatch.setattr(mcgraph.solver, "_TOL_UPDATE", 1e-17)
     monkeypatch.setattr(mcgraph.solver, "_residual_tolerance", lambda H, n, domain: 1e-17)
     monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 60)
-    monkeypatch.setattr(mcgraph.solver, "_STAGNATION_WINDOW", 8)
     report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), ZeroData())
     assert report.verdict == "stagnated"
 
