@@ -28,11 +28,15 @@ and the table gives the median over the repeats.  The process then builds
 one more grid under ``tracemalloc``: ``retained_bytes`` is what the grid
 holds after ``operators()``, as the ``domain_grids`` workload keeps it, and
 ``retained_bytes_solving`` what it holds once ``pattern()`` is built too, as
-a solve keeps it.  Each process also hashes (SHA-256 over dtype, shape and
-bytes, integer arrays widened to int64 so that a change of index width
-leaves their digests alone) what both sides of ``--parent`` compute alike:
-the domain's boundary samples (points, normals, kappa, arclength) and a
-level set's traced
+a solve keeps it; ``retained_by_attribute`` gives the ``nbytes`` of each
+array or sparse matrix in ``vars(grid)`` after ``operators()`` (the fields
+of a named tuple, such as ``_ops.interior``, one by one, and a sparse
+matrix as its data, indices and indptr; an array held under two names,
+``_edge`` and ``_ops.edge``, is listed under each).  Each process also
+hashes (SHA-256 over dtype, shape and bytes, integer arrays widened to
+int64 so that a change of index width leaves their digests alone) what
+both sides of ``--parent`` compute alike: the domain's boundary samples
+(points, normals, kappa, arclength) and a level set's traced
 polyline, the five stencils of a fixed smooth field (``Evaluation``'s
 second differences and slopes),
 ``data``, ``indices`` and ``indptr`` of the first Newton Jacobian of the
@@ -59,9 +63,11 @@ import sys
 import tempfile
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sps
 
 import _parent
 from _parent import ROOT
@@ -103,6 +109,25 @@ def _foot_difference(paths) -> dict | None:
         return {"theta": float(np.max(np.abs(a["theta"] - b["theta"]), initial=0.0)),
                 "point": float(np.max(np.abs(a["xy"] - b["xy"]), initial=0.0)),
                 "arclength": float(np.max(ds, initial=0.0))}
+
+
+def _nbytes(value) -> int | None:
+    """The bytes of an array or a sparse matrix, None for anything else."""
+    if sps.issparse(value):
+        return value.data.nbytes + value.indices.nbytes + value.indptr.nbytes
+    return value.nbytes if isinstance(value, np.ndarray) else None
+
+
+def _retained_by_attribute(grid) -> dict:
+    """The nbytes of each array or sparse matrix the grid holds, by name."""
+    out = {}
+    for key, value in vars(grid).items():
+        parts = value._asdict() if hasattr(value, "_asdict") else {"": value}
+        for field, part in parts.items():
+            n = _nbytes(part)
+            if n is not None:
+                out[f"{key}.{field}" if field else key] = n
+    return out
 
 
 def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict:
@@ -172,12 +197,14 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     grid.operators()
     gc.collect()
     retained = tracemalloc.get_traced_memory()[0] - base
+    by_attribute = _retained_by_attribute(grid)
     grid.pattern()
     gc.collect()
     solving = tracemalloc.get_traced_memory()[0] - base
     tracemalloc.stop()
     return {"seconds": seconds, "n_interior": grid.n_interior, "retained_bytes": retained,
-            "retained_bytes_solving": solving, "digests": digests}
+            "retained_bytes_solving": solving, "retained_by_attribute": by_attribute,
+            "digests": digests}
 
 
 def main(argv=None) -> int:
@@ -212,7 +239,8 @@ def main(argv=None) -> int:
                     "seconds_runs": {s: [row["seconds"][s] for row in rows] for s in TIMED},
                     "retained_bytes": statistics.median(row["retained_bytes"] for row in rows),
                     "retained_bytes_solving": statistics.median(
-                        row["retained_bytes_solving"] for row in rows)}
+                        row["retained_bytes_solving"] for row in rows),
+                    "retained_by_attribute": rows[0]["retained_by_attribute"]}
             parent_digests = runs["parent"][0]["digests"]
             entry["identical"] = all(row["digests"] == parent_digests
                                      for rows in runs.values() for row in rows)
@@ -235,7 +263,10 @@ def main(argv=None) -> int:
     totals = {name: {**{s: sum(e[name]["seconds_median"][s] for e in results.values())
                         for s in TIMED},
                      **{b: sum(e[name][b] for e in results.values())
-                        for b in ("retained_bytes", "retained_bytes_solving")}}
+                        for b in ("retained_bytes", "retained_bytes_solving")},
+                     "retained_by_attribute": dict(sum(
+                         (Counter(e[name]["retained_by_attribute"]) for e in results.values()),
+                         Counter()).most_common())}
               for name in ("parent", "this")}
     _parent.write(args.out, {
         "benchmark": "Domain construction, grid construction steps, the stencil operator "

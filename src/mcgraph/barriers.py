@@ -271,8 +271,9 @@ def transform_radial(profile, phi, grid: Grid, distance=None) -> TransformedFiel
     model is evaluated only at the valid nodes.
     """
     dist = distance if distance is not None else BoundaryDistance(grid.domain)
-    valid = dist.valid(grid.interior_xy)
-    pts = grid.interior_xy[valid]
+    xy = grid.interior_xy
+    valid = dist.valid(xy)
+    pts = xy[valid]
     t = dist.rho(pts)
     p1 = np.asarray(profile.d1(t), dtype=float)
     p2 = np.asarray(profile.d2(t), dtype=float)

@@ -13,8 +13,13 @@ membership it decides, and then at the ghosts outside, whose depths are
 checked.  Interior and ghost nodes are numbered row-major from the flat
 indices of their masks, and the numbers, -1 off the set, are the classes:
 `node_id >= 0` marks the interior nodes and `ghost_id >= 0` the ghosts.
-The numbers and the index pairs `interior_ij`, `ghost_ij` are int32, so a
-grid retains about a third less than with int64; flat lattice indices,
+A grid stores each of these facts once: the interior numbers `node_id`
+and the index pairs `interior_ij`, `ghost_ij`, all int32, so it retains
+about a third less than with int64.  The rest is derived on every read as
+a new array: `interior_mask` is `node_id >= 0`, `ghost_id` numbers the
+ghosts again from `ghost_ij`, and `interior_xy` gathers xs and ys at
+`interior_ij`, so a reader reads each once per call.  Construction shares
+the interior mask and the ghost numbers as locals.  Flat lattice indices,
 the x-neighbours that the stencil gathers read and the feet's owners
 `foot_owner`, which `operators.foot_slopes` gathers at, are intp.  Each
 interior-to-exterior axis link stores a boundary intercept: the fraction
@@ -114,13 +119,27 @@ def _number(flat: np.ndarray, nx: int, ny: int):
     -1 at every other node, both int32."""
     ij = np.empty((len(flat), 2), dtype=np.int32)
     np.divmod(flat, ny, out=(ij[:, 0], ij[:, 1]))
+    return ij, _numbers(flat, nx, ny)
+
+
+def _numbers(flat: np.ndarray, nx: int, ny: int) -> np.ndarray:
+    """The (nx, ny) int32 lattice numbering the nodes at these ascending
+    flat indices 0 ... k - 1, -1 at every other node."""
     ids = np.full((nx, ny), -1, dtype=np.int32)
     ids.ravel()[flat] = np.arange(len(flat), dtype=np.int32)
-    return ij, ids
+    return ids
 
 
 class Grid:
-    """Uniform grid over the domain bounding box plus a two-cell margin."""
+    """Uniform grid over the domain bounding box plus a two-cell margin.
+
+    Stored: the lattice axes `xs`, `ys`; the interior numbers `node_id`
+    ((nx, ny), -1 off the interior) and the index pairs `interior_ij`,
+    `ghost_ij`; `core_mask`; the feet (`foot_owner`, `foot_axis`,
+    `foot_theta`, `foot_xy`); the closure matrices and `flags`.  Derived
+    on read, a new array each time: `interior_xy`, `interior_mask` and
+    `ghost_id`.
+    """
 
     def __init__(self, domain: DomainSpec, h: float):
         if not 0 < h < math.inf:
@@ -132,10 +151,10 @@ class Grid:
         self.domain = domain
         self.h = float(h)
         self._build_nodes()
-        self._classify()
-        self._find_intercepts()
-        self._close_ghosts()
-        self._choose_cross_stencils()
+        interior, ghost_id = self._classify()
+        self._find_intercepts(interior)
+        self._close_ghosts(ghost_id)
+        self._choose_cross_stencils(interior, ghost_id)
         self._ops: Optional[tuple] = None
         self._pattern: Optional[StencilPattern] = None
 
@@ -205,7 +224,6 @@ class Grid:
         interior = (d > tol).reshape(nx, ny)
         pad = np.pad(interior, 1)
         ghost = (pad[2:, 1:-1] | pad[:-2, 1:-1] | pad[1:-1, 2:] | pad[1:-1, :-2]) & ~interior
-        self.interior_mask = interior
         # nodes are numbered row-major in (i, j), from their flat indices
         flat = np.flatnonzero(interior)
         self.n_interior = len(flat)
@@ -216,27 +234,30 @@ class Grid:
                 or interior[:, -2:].any()):
             raise GridError("interior node within two cells of the lattice edge")
         self.interior_ij, self.node_id = _number(flat, nx, ny)
-        ii, jj = self.interior_ij.astype(np.intp).T     # numpy gathers at intp
-        self.interior_xy = np.empty((self.n_interior, 2))
-        self.interior_xy[:, 0] = xs[ii]
-        self.interior_xy[:, 1] = ys[jj]
         # core region for residual reporting: at least 2h inside
         self.core_mask = d.take(flat) >= 2.0 * self.h - 1e-12
         flat = np.flatnonzero(ghost)
         self.n_ghost = len(flat)
-        self.ghost_ij, self.ghost_id = _number(flat, nx, ny)
+        self.ghost_ij, ghost_id = _number(flat, nx, ny)
         self._measure(d, flat[band.ravel().take(flat) & ~inside.ravel().take(flat)])
         if np.max(-d.take(flat)) > 2.0 * self.h + 1e-12:
             raise GridError("ghost node farther than 2h from the boundary")
+        return interior, ghost_id
+
+    def _xy(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        """(k, 2) coordinates of the lattice nodes (i, j)."""
+        xy = np.empty((len(i), 2))
+        xy[:, 0] = self.xs.take(i)      # take: about twice as fast as xs[i]
+        xy[:, 1] = self.ys.take(j)
+        return xy
 
     def _measure(self, d: np.ndarray, at: np.ndarray):
         """Write the signed distance at the lattice nodes of these flat
         indices into d."""
         if len(at):
-            i, j = np.divmod(at, self.ny)
-            d[at] = self.domain.signed_distance(np.stack([self.xs[i], self.ys[j]], axis=-1))
+            d[at] = self.domain.signed_distance(self._xy(*np.divmod(at, self.ny)))
 
-    def _find_intercepts(self):
+    def _find_intercepts(self, inside: np.ndarray):
         """One foot per interior->exterior axis link, where the domain's
         `axis_crossing` puts it; the feet are then checked once on |d|.
         theta is kept in [2^-53, 1 - 2^-53], so a neighbour inside by less
@@ -245,12 +266,11 @@ class Grid:
         # the links leaving along each axis by lattice shifts of the mask (no
         # interior node is on the lattice's edge, so none wraps round), the
         # owners of each ascending, as node_id numbers them row-major
-        inside = self.interior_mask
         found = [self.node_id[inside & ~np.roll(inside, -step, axis=(0, 1))] for step in _AXES]
         # intp: operators.foot_slopes gathers at the owners on every call
         owner = np.concatenate(found).astype(np.intp)
         axis = np.repeat(np.arange(len(_AXES)), [len(f) for f in found])
-        p0, unit = self.interior_xy[owner], _AXES[axis]
+        p0, unit = self._xy(*self.interior_ij[owner].T), _AXES[axis]
         theta = np.clip(self.domain.axis_crossing(p0, unit, self.h), _THETA_MIN, 1.0 - _THETA_MIN)
         foot = p0 + theta[:, None] * (self.h * unit)
         dfoot = np.abs(self.domain.signed_distance(foot))
@@ -267,13 +287,13 @@ class Grid:
         """Boundary arclength of every foot, computed on first read."""
         return self.domain.arclength_of(self.foot_xy)
 
-    def _close_ghosts(self):
+    def _close_ghosts(self, ghost_id: np.ndarray):
         """Ghost values as closure_int @ u + closure_feet @ phi, built per link."""
         t = self.foot_theta
         p = self.foot_owner
         step = _AXES[self.foot_axis]
         own = self.interior_ij[p]
-        ghost = self.ghost_id[own[:, 0] + step[:, 0], own[:, 1] + step[:, 1]]
+        ghost = ghost_id[own[:, 0] + step[:, 0], own[:, 1] + step[:, 1]]
         q = self.node_id[own[:, 0] - step[:, 0], own[:, 1] - step[:, 1]]    # next inward
         r = self.node_id[own[:, 0] - 2 * step[:, 0], own[:, 1] - 2 * step[:, 1]]
         quad = (q >= 0) & (t >= _THETA_SWITCH)
@@ -300,7 +320,7 @@ class Grid:
         self.closure_feet = sps.csr_matrix((foot_w * share, (ghost, np.arange(self.n_feet))),
                                            shape=(self.n_ghost, self.n_feet))
 
-    def _choose_cross_stencils(self):
+    def _choose_cross_stencils(self, interior: np.ndarray, ghost_id: np.ndarray):
         """Cross derivative per interior node: centred where all four diagonals
         are usable, otherwise one-sided first order in one quadrant, preferring
         a quadrant whose diagonal is interior.  Lattice neighbours are 1-D
@@ -308,19 +328,39 @@ class Grid:
         look at their quadrants."""
         flat = self._flat
         step = _QUADRANTS @ (self.ny, 1)            # flat offsets of the diagonals
-        usable = (self.interior_mask | (self.ghost_id >= 0)).ravel()
+        usable = (interior | (ghost_id >= 0)).ravel()
         centred = usable.take(flat + step[0])
         for s in step[1:]:
             centred &= usable.take(flat + s)
         rest = np.flatnonzero(~centred)
         near = flat[rest] + step[:, None]           # (quadrant, row)
-        usable_q, inner_q = usable.take(near), self.interior_mask.ravel().take(near)
+        usable_q, inner_q = usable.take(near), interior.ravel().take(near)
         one_sided = usable_q.any(axis=0)
         k = np.where(inner_q.any(axis=0), inner_q.argmax(axis=0), usable_q.argmax(axis=0))
         self._cross_one_sided = rest[one_sided]
         self._cross_quadrant = _QUADRANTS[k[one_sided]]
         self.flags["cross_one_sided"] = int(one_sided.sum())
         self.flags["cross_missing"] = int((~one_sided).sum())
+
+    # -- derived on read ------------------------------------------------------
+
+    @property
+    def interior_xy(self) -> np.ndarray:
+        """(n_interior, 2) coordinates of the interior nodes, from xs, ys
+        and interior_ij, a new array on every read."""
+        return self._xy(*self.interior_ij.T)
+
+    @property
+    def interior_mask(self) -> np.ndarray:
+        """(nx, ny) mask of the interior nodes, node_id >= 0, a new array on
+        every read."""
+        return self.node_id >= 0
+
+    @property
+    def ghost_id(self) -> np.ndarray:
+        """(nx, ny) int32 lattice of the ghost numbers, -1 off the ghosts,
+        from ghost_ij, a new array on every read."""
+        return _numbers(self._flat_of(self.ghost_ij), self.nx, self.ny)
 
     # -- ghost helpers -------------------------------------------------------
 
@@ -330,10 +370,14 @@ class Grid:
 
     # -- stencil operators ----------------------------------------------------
 
+    def _flat_of(self, ij: np.ndarray) -> np.ndarray:
+        """Flat lattice index i ny + j of the nodes (i, j), as intp."""
+        return ij[:, 0].astype(np.intp) * self.ny + ij[:, 1]
+
     @property
     def _flat(self) -> np.ndarray:
         """Flat lattice index i ny + j of every interior node."""
-        return self.interior_ij[:, 0].astype(np.intp) * self.ny + self.interior_ij[:, 1]
+        return self._flat_of(self.interior_ij)
 
     @cached_property
     def _taps(self) -> dict:
@@ -352,7 +396,7 @@ class Grid:
     def _edge(self) -> np.ndarray:
         """The edge nodes, ascending: the interior nodes with a non-interior
         node among their eight neighbours."""
-        inside, flat = self.interior_mask.ravel(), self._flat
+        inside, flat = self.node_id.ravel() >= 0, self._flat
         lattice = np.ones(self.n_interior, dtype=bool)
         for di, dj in _NINE:
             lattice &= inside.take(flat + (di * self.ny + dj))
@@ -382,7 +426,8 @@ class Grid:
         h, Ni, ny = self.h, self.n_interior, self.ny
         # column of every node: interior unknowns first, then ghosts; an
         # exterior node reads -1
-        column = np.where(self.ghost_id >= 0, Ni + self.ghost_id, self.node_id).ravel()
+        ghost_id = self.ghost_id
+        column = np.where(ghost_id >= 0, Ni + ghost_id, self.node_id).ravel()
         taps, edge = self._taps, self._edge
         at = self._flat[edge, None]
         index, weight = [], []
@@ -657,7 +702,8 @@ class ScalarField:
     @classmethod
     def from_callable(cls, grid: Grid, f: Callable):
         """Sample f(x, y) at the interior nodes and, for the trace, at the feet."""
-        vals = f(grid.interior_xy[:, 0], grid.interior_xy[:, 1])
+        xy = grid.interior_xy
+        vals = f(xy[:, 0], xy[:, 1])
         feet = f(grid.foot_xy[:, 0], grid.foot_xy[:, 1])
         return cls(grid, np.asarray(vals, dtype=float),
                    np.asarray(feet, dtype=float)).validate()

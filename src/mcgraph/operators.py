@@ -90,15 +90,24 @@ class Evaluation:
         self.u = u
         s = _stencils(u)
         self.uxx, self.uyy, self.uxy = s[:3]
-        self.p = p = s[3:].T
-        w2 = 1.0 + np.sum(p**2, axis=-1)
-        self.W = np.sqrt(w2)
-        self.a11 = w2 - p[:, 0] ** 2
-        self.a22 = w2 - p[:, 1] ** 2
-        self.a12 = -p[:, 0] * p[:, 1]
+        self.p = s[3:].T
+        ux, uy = s[3:]
+        # in place, each array the same to the bit as its formula: a11 and
+        # a22 overwrite the squares u_x^2, u_y^2, and W overwrites w2
+        self.a11, self.a22 = np.square(ux), np.square(uy)
+        w2 = self.a11 + self.a22
+        w2 += 1.0
+        np.subtract(w2, self.a11, out=self.a11)
+        np.subtract(w2, self.a22, out=self.a22)
+        self.W = np.sqrt(w2, out=w2)
+        self.a12 = np.negative(ux)
+        self.a12 *= uy
         self.m = self.a11 * self.uxx + 2.0 * self.a12 * self.uxy + self.a22 * self.uyy
         self.load = tau * n * np.asarray(H(u.grid.interior_xy), dtype=float)
-        self.q = self.m - self.load * self.W**3
+        # q = m - load W**3 in the buffer of W**3 (W * W * W rounds differently)
+        self.q = self.W**3
+        self.q *= self.load
+        np.subtract(self.m, self.q, out=self.q)
 
     def residual_norms(self) -> tuple[float, float]:
         """(core, collar) sup norms of q; core excludes the 2h boundary collar."""

@@ -273,7 +273,8 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     if verdict != VERDICT_CONVERGED:
         rose = f"defect rose {prev_res:.3e} -> {res_core:.3e}, " if res_core > prev_res else ""
         worst = int(np.argmax(np.abs(ev.q)))
-        x, y = grid.interior_xy[worst]
+        i, j = grid.interior_ij[worst]
+        x, y = grid.xs[i], grid.ys[j]
         return (verdict, f"stage tau={tau:g} ended {verdict} after {it} iterations "
                          f"(defect {res_core:.3e}); {rose}last contraction {theta:.3g}; "
                          f"worst node ({x:.4g}, {y:.4g}) in the "

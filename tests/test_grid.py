@@ -406,6 +406,31 @@ def _assert_matches_reference(grid, seen):
     assert np.max(depth) <= 2.0 * grid.h + 1e-12
 
 
+@pytest.mark.parametrize("name", ["disk", "ellipse", "rounded_rect", "annulus", "dumbbell",
+                                  "levelset"])
+def test_grid_keeps_no_derived_array(name):
+    # the coordinates, the interior mask and the ghost numbers follow from
+    # what a grid keeps, so it stores none of them and derives each on read
+    grid = Grid(_BAND_DOMAINS[name](), 1.0 / 32.0)
+    grid.operators()
+    lattice = (grid.nx, grid.ny)
+    for key, value in vars(grid).items():
+        if isinstance(value, np.ndarray):
+            assert value.dtype.kind != "f" or value.shape != (grid.n_interior, 2), key
+            assert value.shape != lattice or key == "node_id", key
+    ii, jj = grid.interior_ij.T
+    ghost_id = np.full(lattice, -1, dtype=np.int32)
+    ghost_id[grid.ghost_ij[:, 0], grid.ghost_ij[:, 1]] = np.arange(grid.n_ghost)
+    for attr, expected in (("interior_xy", np.stack([grid.xs[ii], grid.ys[jj]], axis=-1)),
+                           ("ghost_id", ghost_id), ("interior_mask", grid.node_id >= 0)):
+        derived = getattr(grid, attr)
+        assert derived.dtype == expected.dtype and np.array_equal(derived, expected), attr
+        # a new array on every read: flipping the low bit of each of its
+        # bytes leaves the grid's as it was
+        derived.view(np.uint8)[...] ^= 1
+        assert np.array_equal(getattr(grid, attr), expected), attr
+
+
 @pytest.mark.parametrize("h", [1.0 / 16.0, 1.0 / 32.0, 1.0 / 64.0])
 @pytest.mark.parametrize("name", sorted(_BAND_DOMAINS))
 def test_band_classification_matches_full_lattice(name, h, monkeypatch):

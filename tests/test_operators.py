@@ -127,3 +127,42 @@ def test_collar_residual_decays_first_order():
     c64 = collar(1.0 / 64.0)
     assert c32 < 0.5
     assert c32 / c64 > 1.5
+
+
+def _assert_evaluation_is_its_formulas(ev, H, n, tau):
+    # every array Evaluation builds in place is its formula to the bit
+    u = ev.u
+    grid = u.grid
+    s = grid.stencils(u.values, u.feet)
+    p = s[3:].T
+    w2 = 1.0 + np.sum(p**2, axis=-1)
+    a11 = w2 - p[:, 0] ** 2
+    a22 = w2 - p[:, 1] ** 2
+    a12 = -p[:, 0] * p[:, 1]
+    m = a11 * s[0] + 2.0 * a12 * s[2] + a22 * s[1]
+    load = tau * n * np.asarray(H(grid.interior_xy), dtype=float)
+    W = np.sqrt(w2)
+    q = m - load * W**3
+    for name, expected in (("uxx", s[0]), ("uyy", s[1]), ("uxy", s[2]), ("p", p), ("W", W),
+                           ("a11", a11), ("a22", a22), ("a12", a12), ("m", m),
+                           ("load", load), ("q", q)):
+        got = getattr(ev, name)
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == np.ascontiguousarray(expected).tobytes(), name
+
+
+def test_evaluation_is_its_formulas_on_a_random_field(disk20):
+    rng = np.random.default_rng(5)
+    values = rng.normal(scale=0.3, size=disk20.n_interior)
+    values[::5] = -0.0
+    values[1::5] = 0.0
+    feet = rng.normal(scale=0.3, size=disk20.n_feet)
+    feet[::3] = -0.0
+    u = ScalarField(disk20, values, feet)
+    H = PrescribedCurvature.expression("0.3 + 0.2*x*y")
+    _assert_evaluation_is_its_formulas(Evaluation(u, H, n=2, tau=0.75), H, 2, 0.75)
+
+
+def test_evaluation_is_its_formulas_on_the_cap(cap_solve32, cap_H):
+    ev = Evaluation(cap_solve32.field, cap_H)
+    _assert_evaluation_is_its_formulas(ev, cap_H, 2, 1.0)
