@@ -133,8 +133,7 @@ def _retained_by_attribute(grid) -> dict:
 def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict:
     sys.path.insert(0, str(Path(root) / "src"))
     import mcgraph
-    from mcgraph import (Evaluation, Grid, PrescribedCurvature, ScalarField,
-                         correction_system)
+    from mcgraph import Evaluation, Grid, PrescribedCurvature, ScalarField
 
     seconds = {}
 
@@ -171,8 +170,13 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     digests = {name: _digest(np.ascontiguousarray(a)) for name, a in (
         ("uxx", ev.uxx), ("uyy", ev.uyy), ("uxy", ev.uxy), ("ux", ev.p[:, 0]),
         ("uy", ev.p[:, 1]))}
-    first = correction_system(Evaluation(ScalarField.zeros(grid), H, 2, 1.0)).A
-    for label, J in (("J0", first), ("J", correction_system(ev).A)):
+    if hasattr(Evaluation, "jacobian"):
+        jacobian = Evaluation.jacobian
+    else:       # a parent commit from before Evaluation.jacobian
+        def jacobian(ev):
+            return mcgraph.linear.correction_system(ev).A
+    first = jacobian(Evaluation(ScalarField.zeros(grid), H, 2, 1.0))
+    for label, J in (("J0", first), ("J", jacobian(ev))):
         for attr in ("data", "indices", "indptr"):
             digests[f"{label}.{attr}"] = _digest(getattr(J, attr))
     digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,

@@ -17,8 +17,7 @@ from .expressions import Expr2D, compile_expr, ExpressionError
 from .grid import Grid, ScalarField, GridError, InvalidFieldError
 from .operators import (Evaluation, apply_M, gradient, boundary_slope,
                         coefficient_matrix, DIMENSION)
-from .linear import (LinearSystem, assemble, correction_system,
-                     solve as solve_linear, SolverError)
+from .linear import solve as solve_linear, SolverError
 from .solver import SolveReport, solve_dirichlet, sup_slope
 from .barriers import (EstimateAudit, BarrierParams, NotApplicable,
                        height_bound, height_barrier, boundary_gradient_package,
@@ -43,7 +42,7 @@ __all__ = [
     "Expr2D", "compile_expr", "ExpressionError",
     "Grid", "ScalarField", "GridError", "InvalidFieldError",
     "Evaluation", "apply_M", "gradient", "coefficient_matrix", "DIMENSION",
-    "LinearSystem", "assemble", "correction_system", "solve_linear", "SolverError",
+    "solve_linear", "SolverError",
     "SolveReport", "solve_dirichlet", "sup_slope", "boundary_slope",
     "EstimateAudit", "BarrierParams", "NotApplicable", "height_bound",
     "height_barrier", "boundary_gradient_package", "barrier_pair_checks",

@@ -64,15 +64,15 @@ the x-neighbours' ids), a block of nodes at a time into a buffer of eight
 values a node, then the edge nodes' rows from the sparse pair.
 Every row sums its taps in column order from 0, as a sparse mat-vec of the
 whole stacked operator would, so the answer is the same to the bit, and the
-ghost elimination is identical in nodal evaluation and linear-system
-assembly.  For assembly, `Grid.pattern` builds the union pattern of the
-five stencils once per grid: a frozen-coefficient matrix or a Newton
-Jacobian writes the 9-point rows of the lattice nodes from the coefficients
-directly, and the edge nodes' rows by one small sparse product.
+ghost elimination is identical in nodal evaluation and in the Newton
+Jacobian.  For the Jacobian, `Grid.pattern` builds the union pattern of the
+five stencils once per grid: a combination of the stencils writes the
+9-point rows of the lattice nodes from the coefficients directly, and the
+edge nodes' rows by one small sparse product.
 For factorization, `SparseLU` holds SuperLU's LU in its minimum-degree
-order, and `Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy that every solve
-starts on and lifts its data with, is made on first read, so grids never
-solved on lack it.
+order, and `Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy
+(`operators.Evaluation.zero`) that every solve starts on and lifts its data
+with, is made on first read, so grids never solved on lack it.
 """
 
 from __future__ import annotations
@@ -88,8 +88,7 @@ import scipy.sparse.linalg as spla
 
 from .geometry import DomainSpec
 
-# row blocks of the stacked operator; second differences lead, so a frozen
-# operator combines the leading three and a Jacobian sums in this order
+# row blocks of the stacked operator; a Jacobian sums its terms in this order
 STENCILS = ("Dxx", "Dyy", "Dxy", "Gx", "Gy")
 
 _THETA_SWITCH = 0.1      # below this, extrapolation skips the owner node
@@ -533,8 +532,8 @@ class Grid:
         data whatever H, that every solve lifts its data with
         (`solver._lift`) and starts on (`linear.Factor`), made on first
         read; SuperLU's refusal raises."""
-        n = self.n_interior
-        J0 = self.pattern().combine(*np.ones((2, n)), np.zeros(n)).astype(np.float32)
+        from .operators import Evaluation   # here, as operators imports grid
+        J0 = Evaluation.zero(self).jacobian().astype(np.float32)
         return SparseLU(J0)         # no float64 J(0) alive in SuperLU
 
     def __repr__(self):
@@ -618,31 +617,26 @@ class StencilPattern:
                        for o, w in zip(*grid._taps[name]) if o == offset] for offset in _NINE]
 
     def combine(self, *coefficients) -> sps.csr_matrix:
-        """sum_k diag(c_k) STENCILS[k] for per-row coefficient arrays c_k
-        given in STENCILS order, the three second differences at least (each
-        of the nine offsets then has a term); the stencils past the last one
-        given contribute nothing."""
+        """sum_k diag(c_k) STENCILS[k] for the five per-row coefficient
+        arrays c_k in STENCILS order."""
         # the 9-point rows, offset by offset: the terms of the stencils that
         # tap the offset, in STENCILS order, written for _CHUNK nodes at a
         # time so that the work block stays in cache
-        N, given = self.shape[0], len(coefficients)
-        terms = [[(k, w) for k, w in t if k < given] for t in self.terms]
+        N = self.shape[0]
         data = np.empty(len(self.indices))
         work = np.empty((len(_NINE), min(_CHUNK, N)))
         for a in range(0, N, _CHUNK):
             b = min(a + _CHUNK, N)
             block, part = work[:, :b - a], [c[a:b] for c in coefficients]
-            for j, ((k0, w0), *rest) in enumerate(terms):
+            for j, ((k0, w0), *rest) in enumerate(self.terms):
                 np.multiply(part[k0], w0, out=block[j])
                 for k, w in rest:
                     block[j] += part[k] * w
             block += 0.0                # a sum from 0 is never -0
             lo, hi = self.indptr[a], self.indptr[b]
             data[lo:hi][self.lattice_entries[lo:hi]] = block.T[self.on_lattice[a:b]].ravel()
-        at_edge = np.zeros((len(STENCILS), len(self.edge)))
-        for k, c in enumerate(coefficients):
-            at_edge[k] = c[self.edge]
-        data[self.edge_entries] = self.K @ at_edge.ravel()
+        at_edge = np.concatenate([c[self.edge] for c in coefficients])
+        data[self.edge_entries] = self.K @ at_edge
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
 
 

@@ -1,32 +1,13 @@
-"""Linear subproblems of the continuation solve: frozen systems and Newton
-corrections on the solve's LU.
+"""The linear systems of one solve, on one LU: the held factor and GMRES
+on a given matrix.
 
-Linearizing about a slope field v freezes the coefficients of the quasilinear
-operator: with p = grad(v) and W_v^2 = 1 + |p|^2 the frozen system is
-
-    (W_v^2 - v_x^2) u_xx - 2 v_x v_y u_xy + (W_v^2 - v_y^2) u_yy
-        = tau * n * H * W_v^3   in the interior,
-    u = tau * phi               on the boundary feet,
-
-for u (`assemble`).  The solver's damped Newton steps in correction form
-solve J(u) delta = -Q(u) with delta = 0 at the feet (`correction_system`);
-the Jacobian adds to the frozen operator at u the slope derivative of its
-coefficients and of the load W^3:
-
-    J = A(u) + diag(b_x) Gx + diag(b_y) Gy,
-    b_x = 2 (p_x u_yy - p_y u_xy) - 3 tau n H W p_x,
-    b_y = 2 (p_y u_xx - p_x u_xy) - 3 tau n H W p_y.
-
-Each is one combination of the grid's stencils over their fixed union
-pattern (`Grid.pattern`): the 9-point rows of the nodes whose neighbours are
-all interior are written from the coefficients directly, the other rows by
-one small sparse product, so the matrix action coincides exactly with the
-nodal evaluation.  Boundary values of a frozen system enter the right-hand
-side through the foot block of the grid's edge-node rows.
+The solver's Newton steps solve J(u) delta = -Q(u) (`operators.Evaluation`)
+with `solve`, which takes the matrix and the right-hand side and returns
+the answer with its backward error.
 
 The systems of one solve share one holder (`Factor`) of one sparse LU
 (`grid.SparseLU`) and follow one rule (the chord idea, Kelley 1995).  A
-holder starts on the grid's LU of J(0) = Dxx + Dyy (`Grid.laplacian_lu`),
+holder starts on its grid's LU of J(0) = Dxx + Dyy (`Grid.laplacian_lu`),
 the first Newton system of every zero-data solve whatever H, made once per
 grid.  One cycle of GMRES(30) right-preconditioned by the held LU runs from
 x0 = LU^-1 b, and its answer is kept when its backward error is within a
@@ -69,15 +50,14 @@ that bounds the error relative to the small step and defect, not to u.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import scipy.sparse as sps
 from scipy.linalg.lapack import dlartg
 
-from .grid import STENCILS, Grid, ScalarField, SparseLU
-from .operators import DIMENSION, Evaluation
+from .grid import Grid, SparseLU
 
 _RELRES_TOL = 1e-10
 # a reused LU's answer is kept at backward error 1e-11, a tenth of the gate;
@@ -94,7 +74,7 @@ class SolverError(RuntimeError):
 @dataclass
 class Factor:
     """The LU the systems of one solve, all on one grid, are solved with, and
-    the work done for them.  It starts on the grid's J(0) LU, read at the
+    the work done for them.  It starts on its grid's J(0) LU, read at the
     first system unless given an `lu`; `lu` is None once a failure dropped
     it.  `factorizations` counts the LUs it used, J(0)'s once and each one
     it made, refused ones included; `float64_factorizations` the float64
@@ -102,6 +82,7 @@ class Factor:
     solved with: the entries of L and U in SuperLU's supernodal storage,
     explicit zeros included (reading L and U as matrices would copy them)."""
 
+    grid: Optional[Grid] = None
     lu: Optional[SparseLU] = None
     factorizations: int = 0
     float64_factorizations: int = 0
@@ -109,66 +90,18 @@ class Factor:
     fill_nnz: int = 0
 
 
-@dataclass
-class LinearSystem:
-    """Assembled system A x = b, frozen or a Newton correction, with its boundary data."""
-
-    A: sps.csr_matrix
-    b: np.ndarray
-    grid: Grid
-    feet_values: np.ndarray          # Dirichlet trace at feet (already scaled)
-    meta: dict = field(default_factory=dict)
-
-
-def assemble(v: ScalarField, H, data, n: int = DIMENSION,
-             tau: float = 1.0) -> LinearSystem:
-    """Assemble the step equations about slope field v with trace tau * phi.
-
-    `data` is a BoundaryData; its trace at the grid feet is scaled by tau
-    here, matching the scaled curvature load on the right-hand side.
-    """
-    grid = v.grid
-    ev = Evaluation(v, H, n, tau)
-    coefficients = (ev.a11, ev.a22, 2.0 * ev.a12)
-    A = grid.pattern().combine(*coefficients)
-    feet_vals = tau * np.asarray(data.trace(grid.foot_xy), dtype=float)
-    # the feet enter through the same coefficients as the interior stencils,
-    # on the edge nodes' rows alone
-    edge, _, D_feet = grid.operators()
-    on_feet = np.zeros((len(STENCILS), grid.n_interior))
-    on_feet[:, edge] = (D_feet @ feet_vals).reshape(len(STENCILS), -1)
-    b = ev.load * ev.W**3 - sum(c * f for c, f in zip(coefficients, on_feet))
-    return LinearSystem(A=A, b=b, grid=grid, feet_values=feet_vals)
-
-
-def correction_system(ev: Evaluation) -> LinearSystem:
-    """Newton correction J(u) delta = -Q(u), delta = 0 at the feet, for the
-    evaluation ev of the iterate u."""
-    grid = ev.u.grid
-    px, py = ev.p[:, 0], ev.p[:, 1]
-    load_slope = 3.0 * ev.load * ev.W
-    bx = 2.0 * (px * ev.uyy - py * ev.uxy) - load_slope * px
-    by = 2.0 * (py * ev.uxx - px * ev.uxy) - load_slope * py
-    J = grid.pattern().combine(ev.a11, ev.a22, 2.0 * ev.a12, bx, by)
-    return LinearSystem(A=J, b=-ev.q, grid=grid, feet_values=np.zeros(grid.n_feet))
-
-
-def solve(system: LinearSystem, factor: Optional[Factor] = None) -> ScalarField:
-    """Sparse solve with backward-error acceptance on the holder's LU (a
-    fresh holder unless one is given) under the module's one reuse rule,
-    the work added to the holder.  Raises SolverError when the system has
-    non-finite entries, when SuperLU refuses J(0), or when the float64
-    fallback is refused or misses the gate; the last two leave the holder
-    without an LU.  `system.meta["relres"]` holds the answer's backward
-    error, also when the gate rejects it."""
-    A, b, grid = system.A, system.b, system.grid
+def solve(A: sps.csr_matrix, b: np.ndarray, factor: Factor) -> tuple[np.ndarray, float]:
+    """The answer to A x = b on the holder's LU under the module's one reuse
+    rule, and its backward error, the work added to the holder.  Raises
+    SolverError when the system has non-finite entries, when SuperLU
+    refuses J(0), or when the float64 fallback is refused or misses the
+    gate; the last two leave the holder without an LU."""
     if not (np.all(np.isfinite(A.data)) and np.all(np.isfinite(b))):
-        raise SolverError("assembled system has non-finite entries")
-    factor = Factor() if factor is None else factor
+        raise SolverError("system has non-finite entries")
     if factor.lu is None and factor.factorizations == 0:     # the holder's first system
         factor.factorizations = 1
         try:
-            factor.lu = grid.laplacian_lu
+            factor.lu = factor.grid.laplacian_lu
         except RuntimeError as exc:     # SuperLU refuses J(0)
             raise SolverError(f"factorization failed: {exc}") from None
     norm_A = _norm_inf(A)
@@ -187,11 +120,10 @@ def solve(system: LinearSystem, factor: Optional[Factor] = None) -> ScalarField:
             factor.float64_factorizations += 1
             x, relres = _factorized_solve(A, b, norm_A, factor, np.float64)
     factor.fill_nnz = max(factor.fill_nnz, factor.lu.superlu.nnz)
-    system.meta["relres"] = relres
     if not relres <= _RELRES_TOL:      # a NaN backward error fails too
         factor.lu = None
         raise SolverError(f"backward error {relres:.2e} exceeds {_RELRES_TOL:g}")
-    return ScalarField(grid, x, system.feet_values.copy())
+    return x, relres
 
 
 def _factorized_solve(A, b, norm_A, factor: Factor, dtype):

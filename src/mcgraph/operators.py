@@ -14,12 +14,27 @@ The defect against a prescribed curvature field H at load factor tau is
 so Q u = 0 is the equation in nondivergence form and Q applied to an exact
 solution measures pure truncation error.
 
+Its derivative at u along a field v, foot values included, is one
+combination of the five stencils,
+
+    Q'(u) v = a11 Dxx v + a22 Dyy v + 2 a12 Dxy v + b_x Gx v + b_y Gy v,
+    b_x = 2 (u_x u_yy - u_y u_xy) - 3 tau n H W u_x,
+    b_y = 2 (u_y u_xx - u_x u_xy) - 3 tau n H W u_y,
+
+the coefficients of M and the slope derivatives of those coefficients and
+of the load W^3.  Its matrix on the interior values is the Newton Jacobian
+J(u).  At u = 0 it is J(0) = Dxx + Dyy whatever H, the matrix of the
+grid's first LU (`Grid.laplacian_lu`), and the derivative along a field
+that is 0 inside and phi at the feet moves phi to the right-hand side of
+the harmonic lift (`solver._lift`).
+
 `Evaluation` is the one evaluator: it reads the five stencils of u at once
 (`Grid.stencils`: neighbour gathers for the constant lattice taps, the
 edge nodes' stored rows for the rest) and holds the slopes p, W, the
 second differences, the coefficients of M, M u and Q u, with the (core,
-collar) sup norms of Q u.  The solver, the Newton assembly, the reference
-self-test and the comparison principle all read from it.  Around it sit
+collar) sup norms of Q u, and gives J(u) (`jacobian`) and Q'(u) v
+(`derivative`).  The solver, the reference self-test and the comparison
+principle all read from it.  Around it sit
 `apply_M` (M u alone), `gradient` (the slopes alone), `foot_slopes` with
 `boundary_slope` (the one-sided slopes on the boundary links) and
 `coefficient_matrix` (A(p) with its eigenvalues).
@@ -28,6 +43,7 @@ self-test and the comparison principle all read from it.  Around it sit
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sps
 
 from .geometry import PrescribedCurvature
 from .grid import ScalarField
@@ -78,7 +94,8 @@ def coefficient_matrix(p) -> tuple[np.ndarray, tuple[float, float]]:
 
 class Evaluation:
     """One field u at load tau, evaluated once; the solver's defect norms,
-    slope guard and Newton Jacobian all read from it.
+    slope guard and Newton Jacobian all read from it.  `Evaluation.zero`
+    evaluates u = 0, whose Jacobian is J(0).
 
     Arrays are per interior node: p holds the slopes (n_interior, 2) and
     W = sqrt(1 + |p|^2); uxx, uyy, uxy the second differences; a11, a22, a12
@@ -108,6 +125,30 @@ class Evaluation:
         self.q = self.W**3
         self.q *= self.load
         np.subtract(self.m, self.q, out=self.q)
+
+    @classmethod
+    def zero(cls, grid) -> "Evaluation":
+        """u = 0 with zero trace and no load, whose Jacobian is J(0)."""
+        return cls(ScalarField.zeros(grid), _FLAT)
+
+    def _coefficients(self) -> tuple:
+        """The coefficients of Q'(u) in STENCILS order: a11, a22, 2 a12,
+        b_x, b_y."""
+        px, py = self.p[:, 0], self.p[:, 1]
+        load_slope = 3.0 * self.load * self.W
+        bx = 2.0 * (px * self.uyy - py * self.uxy) - load_slope * px
+        by = 2.0 * (py * self.uxx - px * self.uxy) - load_slope * py
+        return self.a11, self.a22, 2.0 * self.a12, bx, by
+
+    def jacobian(self) -> sps.csr_matrix:
+        """J(u), the matrix of Q'(u) on the interior values, on the grid's
+        union pattern (`Grid.pattern`)."""
+        return self.u.grid.pattern().combine(*self._coefficients())
+
+    def derivative(self, v: ScalarField) -> np.ndarray:
+        """Q'(u) v at the interior nodes, v's foot values included."""
+        stencils = self.u.grid.stencils(v.values, v.feet)
+        return sum(c * s for c, s in zip(self._coefficients(), stencils))
 
     def residual_norms(self) -> tuple[float, float]:
         """(core, collar) sup norms of q; core excludes the 2h boundary collar."""

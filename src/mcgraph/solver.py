@@ -40,14 +40,15 @@ after `_MAX_ITERS` steps; one whose discrete slope blows past `_GRAD_MAX`
 ends `diverged_gradient` (the signature of unattainable boundary data).
 Either message names the stage's last contraction; a stagnated one also
 names the defect's rise and the worst node, where |Q u| is largest.  The
-trace's `damping` and a stage's `damping_final` are always 1.  Each iterate is evaluated once (`operators.Evaluation`): the
-defect norms, the slope guard and the next Jacobian read from it.
+trace's `damping` and a stage's `damping_final` are always 1.
 
-Every Newton system goes to `linear.solve` with the solve's one
-`linear.Factor`: GMRES preconditioned by its LU, the grid's LU of J(0) at
-first, and a fresh factorization only when that stalls.  An LU the solve
-makes ends with it, so a report does not depend on what was solved on the
-grid before; it keeps the counts and the largest LU fill.
+Each iterate is evaluated once (`operators.Evaluation`): the defect norms,
+the slope guard and the next Jacobian read from it, and the lift's J(0) is
+the Jacobian at u = 0.  Every Newton system goes to `linear.solve` with the
+solve's one `linear.Factor`: GMRES preconditioned by its LU, the grid's LU
+of J(0) at first, and a fresh factorization only when that stalls.  An LU
+the solve makes ends with it, so a report does not depend on what was
+solved on the grid before; it keeps the counts and the largest LU fill.
 
 The solver's settings are the module constants below, the same for every
 solve; the residual tolerance is 1e-6 (1 + n sup|H|).
@@ -66,7 +67,7 @@ import numpy as np
 
 from .grid import Grid, ScalarField
 from .operators import DIMENSION, Evaluation, boundary_slope, gradient
-from .linear import Factor, correction_system, solve as linear_solve, SolverError
+from .linear import Factor, solve as linear_solve, SolverError
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged_gradient"
@@ -161,7 +162,7 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
     """
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
-    factor = Factor()
+    factor = Factor(grid)
     verdict, message, ev = _continue(grid, H, data, n, report, factor)
     for name in ("factorizations", "float64_factorizations", "krylov_iterations", "fill_nnz"):
         setattr(report, name, getattr(factor, name))
@@ -203,10 +204,11 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
 def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
     """The discrete harmonic lift L of the trace phi, J(0) L = 0 with L = phi
     at the feet: one float32 solve on the grid's J(0) LU, since L only
-    starts Newton, with the right-hand side `linear.assemble` makes at
-    v = 0 and H = 0.  Zero data lifts to 0 without a solve, and so does
-    data whose lift SuperLU refuses (J(0) refused, which the first Newton
-    system then reports) or makes non-finite (beyond float32's range)."""
+    starts Newton, whose right-hand side is the derivative of Q at u = 0
+    along the field that is 0 inside and phi at the feet, negated.  Zero
+    data lifts to 0 without a solve, and so does data whose lift SuperLU
+    refuses (J(0) refused, which the first Newton system then reports) or
+    makes non-finite (beyond float32's range)."""
     zero = np.zeros(grid.n_interior)
     if not phi.any():
         return zero
@@ -214,8 +216,7 @@ def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
         lu = grid.laplacian_lu
     except RuntimeError:
         return zero
-    s = grid.stencils(zero, phi)
-    lift = lu.solve(-(s[0] + s[1]))
+    lift = lu.solve(-Evaluation.zero(grid).derivative(ScalarField(grid, zero, phi)))
     return lift if np.all(np.isfinite(lift)) else zero
 
 
@@ -233,10 +234,10 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     for it in range(1, _MAX_ITERS + 1):
         report.iterations += 1
         try:
-            delta = linear_solve(correction_system(ev), factor)
+            delta, _ = linear_solve(ev.jacobian(), -ev.q, factor)
         except SolverError as exc:
             return VERDICT_LINEAR_FAILURE, str(exc), ev
-        u_new = ScalarField(grid, u.values + delta.values, u.feet)
+        u_new = ScalarField(grid, u.values + delta, u.feet)
         ev_new = Evaluation(u_new, H, n, tau)
         g = sup_slope(u_new, ev_new.p)
         if not np.isfinite(g) or g > _GRAD_MAX:

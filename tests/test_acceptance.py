@@ -26,14 +26,15 @@ import time
 import numpy as np
 import pytest
 
-from mcgraph import (Grid, ScalarField, PrescribedCurvature, ZeroData,
-                     ExpressionData, apply_M, assemble, barrier_pair_checks,
+from mcgraph import (Evaluation, Grid, ScalarField, PrescribedCurvature, ZeroData,
+                     ExpressionData, apply_M, barrier_pair_checks,
                      boundary_gradient_package, check_serrin,
                      coefficient_matrix, comparison_check, disk, estimate_ledger,
                      adversarial_boundary_data, get_reference, height_barrier,
                      nonexistence_bound, nonexistence_witness, rect,
                      scherk_trace, solve_dirichlet, solve_linear)
 from mcgraph.barriers import LogProfile, SqrtProfile
+from mcgraph.linear import Factor
 
 CAP_H = PrescribedCurvature.constant(0.4)
 MINIMAL = PrescribedCurvature.constant(0.0)
@@ -324,26 +325,30 @@ def test_A9_comparison_suite(cap_runs, capsys):
 def test_A10_linear_subproblem(capsys):
     t0 = time.perf_counter()
     grid = Grid(disk(radius=1.0), 1.0 / 32.0)
-    zero_state = ScalarField.zeros(grid)
+    zero = np.zeros(grid.n_interior)
+    J0 = Evaluation.zero(grid).jacobian()
+
+    def lift_rhs(data):
+        # J(0) u = 0 with u = phi at the feet moves phi to the right-hand side
+        trace = ScalarField(grid, zero, data.trace(grid.foot_xy))
+        return -Evaluation.zero(grid).derivative(trace), trace.feet
+
     # manufactured harmonic trace
-    sys_h = assemble(zero_state, MINIMAL, ExpressionData("x**2 - y**2"),
-                     n=2, tau=1.0)
-    u_h = solve_linear(sys_h)
+    b_h, _ = lift_rhs(ExpressionData("x**2 - y**2"))
+    u_h, _ = solve_linear(J0, b_h, Factor(grid))
     err_h = float(np.max(np.abs(
-        u_h.values - (grid.interior_xy[:, 0] ** 2 - grid.interior_xy[:, 1] ** 2))))
+        u_h - (grid.interior_xy[:, 0] ** 2 - grid.interior_xy[:, 1] ** 2))))
     # radial load: u = r^2 - 1 solves Laplace u = 4 with zero trace
-    sys_p = assemble(zero_state, PrescribedCurvature.constant(2.0), ZeroData(),
-                     n=2, tau=1.0)
-    u_p = solve_linear(sys_p)
+    load = Evaluation(ScalarField.zeros(grid), PrescribedCurvature.constant(2.0), 2, 1.0).load
+    u_p, _ = solve_linear(J0, load, Factor(grid))
     err_p = float(np.max(np.abs(
-        u_p.values - (np.sum(grid.interior_xy ** 2, axis=-1) - 1.0))))
+        u_p - (np.sum(grid.interior_xy ** 2, axis=-1) - 1.0))))
     # discrete maximum principle for the curvature-free problem
-    data = ExpressionData("0.3*sin(3*x) + 0.2*cos(2*y)")
-    sys_m = assemble(zero_state, MINIMAL, data, n=2, tau=1.0)
-    u_m = solve_linear(sys_m)
-    lo, hi = float(np.min(u_m.feet)), float(np.max(u_m.feet))
-    violation = max(float(np.max(u_m.values)) - hi,
-                    lo - float(np.min(u_m.values)), 0.0)
+    b_m, feet = lift_rhs(ExpressionData("0.3*sin(3*x) + 0.2*cos(2*y)"))
+    u_m, _ = solve_linear(J0, b_m, Factor(grid))
+    lo, hi = float(np.min(feet)), float(np.max(feet))
+    violation = max(float(np.max(u_m)) - hi,
+                    lo - float(np.min(u_m)), 0.0)
     elapsed = time.perf_counter() - t0
     ok = (err_h < 1e-8 and err_p < 1e-8 and violation <= 1e-9
           and elapsed < 5.0)

@@ -709,9 +709,8 @@ def _scattered_combination(D, n, coefficients):
     length = np.diff(D.indptr)
     keys = np.repeat(np.arange(D.shape[0]) % n * n, length) + D.indices
     union, position = np.unique(keys, return_inverse=True)
-    end = D.indptr[len(coefficients) * n]
-    values = np.repeat(np.concatenate(coefficients), length[:len(coefficients) * n]) * D.data[:end]
-    data = np.bincount(position[:end], weights=values, minlength=len(union))
+    values = np.repeat(np.concatenate(coefficients), length) * D.data
+    data = np.bincount(position, weights=values, minlength=len(union))
     return data, union % n, np.searchsorted(union // n, np.arange(n + 1))
 
 
@@ -720,15 +719,16 @@ def _scattered_combination(D, n, coefficients):
 def test_combine_matches_scatter_of_stacked_entries(operator_grids, name, chunk, monkeypatch):
     # the 9-point rows written from the coefficients and the boundary nodes'
     # sparse product give the entry-by-entry scatter to the bit, signed
-    # zeros included, for a frozen (three stencils) and a Jacobian (five),
-    # also when the rows are written in several passes
+    # zeros included, for random coefficients and for J(0)'s (1, 1, -0, 0,
+    # 0), also when the rows are written in several passes
     monkeypatch.setattr(mcgraph.grid, "_CHUNK", chunk)
     g = operator_grids[name]
     D, _, _ = _reference_operators(g)
     rng = np.random.default_rng(7)
     signed_zero = np.where(rng.random(g.n_interior) < 0.5, -0.0, 0.0)
     for coefficients in ([rng.standard_normal(g.n_interior) for _ in range(5)],
-                         [rng.standard_normal(g.n_interior) for _ in range(3)],
+                         [*np.ones((2, g.n_interior)), -np.zeros(g.n_interior),
+                          *np.zeros((2, g.n_interior))],
                          [signed_zero, -signed_zero, signed_zero, -np.zeros(g.n_interior),
                           np.where(rng.random(g.n_interior) < 0.9, signed_zero, 1.0)]):
         got = g.pattern().combine(*coefficients)

@@ -1,17 +1,18 @@
-"""Frozen-coefficient linear subproblem: recovery, structure, max principle."""
+"""Linear solves on the held LU: J(0) Dirichlet problems (recovery,
+structure, max principle), the Newton Jacobian, and the reuse rule."""
 
 import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import mcgraph.linear
 from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ScalarField, SolverError, ZeroData, adversarial_boundary_data,
-                     annulus, assemble, correction_system, disk, dumbbell,
-                     ellipse, gradient, levelset, rounded_rect,
+                     annulus, disk, dumbbell, ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
 from mcgraph.grid import STENCILS, SparseLU
-from mcgraph.linear import _RESTART, _REUSE_TOL, Factor, LinearSystem, _gmres, _norm_inf
+from mcgraph.linear import _RESTART, _REUSE_TOL, Factor, _gmres, _norm_inf
 
 from lattice_form import stacked_operators
 
@@ -30,6 +31,37 @@ def _zero_state(grid):
     return ScalarField.zeros(grid)
 
 
+def _dirichlet(grid, H, data, tau=1.0):
+    """J(0) u = tau n H with u = tau phi at the feet: J(0), the right-hand
+    side and the trace.  The right-hand side is the first Newton system's
+    at u = 0, -Q(0) = tau n H, less the derivative of Q at u = 0 along the
+    field that is 0 inside and the trace at the feet."""
+    ev = Evaluation(_zero_state(grid), H, 2, tau)
+    feet = tau * np.asarray(data.trace(grid.foot_xy), dtype=float)
+    trace = ScalarField(grid, np.zeros(grid.n_interior), feet)
+    return ev.jacobian(), -ev.q - ev.derivative(trace), feet
+
+
+def _newton(u, H, tau=1.0):
+    """The Newton system J(u) delta = -Q(u) at u."""
+    ev = Evaluation(u, H, 2, tau)
+    return ev.jacobian(), -ev.q
+
+
+def _frozen(v, H):
+    """The frozen-coefficient system at v with zero data and tau = 1: the
+    Jacobian at v without its slope terms, diag(a11) Dxx + diag(a22) Dyy
+    + diag(2 a12) Dxy, and the load tau n H W^3."""
+    ev = Evaluation(v, H, 2, 1.0)
+    zero = np.zeros(v.grid.n_interior)
+    return v.grid.pattern().combine(ev.a11, ev.a22, 2.0 * ev.a12, zero, zero), ev.load * ev.W**3
+
+
+def _solve(grid, A, b):
+    """linear.solve's answer to A x = b on a fresh holder of the grid."""
+    return solve_linear(A, b, Factor(grid))[0]
+
+
 @pytest.fixture(scope="module")
 def annulus32():
     # the lattice nodes (+-0.5, 0), (0, +-0.5) lie on the inner circle, so
@@ -39,52 +71,47 @@ def annulus32():
 
 @pytest.mark.parametrize("grid_name", ["g32", "annulus32"])
 def test_manufactured_harmonic_recovery(grid_name, request):
-    # frozen state v = 0, H = 0: the step equation is the Laplace problem,
-    # and the closure stencils reproduce quadratics exactly
+    # J(0) with H = 0 is the Laplace problem, and the closure stencils
+    # reproduce quadratics exactly
     grid = request.getfixturevalue(grid_name)
     data = ExpressionData("x**2 - y**2")
-    system = assemble(_zero_state(grid), PrescribedCurvature.constant(0.0),
-                      data, n=2, tau=1.0)
-    u = solve_linear(system)
+    A, b, _ = _dirichlet(grid, PrescribedCurvature.constant(0.0), data)
+    x = _solve(grid, A, b)
     exact = grid.interior_xy[:, 0] ** 2 - grid.interior_xy[:, 1] ** 2
-    assert np.max(np.abs(u.values - exact)) < 1e-8
+    assert np.max(np.abs(x - exact)) < 1e-8
 
 
 def test_poisson_radial_recovery(g32):
     # u = r^2 - 1 solves Laplace u = 4 with zero trace; with W = 1 at the
     # zero state the curvature load n H equals 4 when H = 2, n = 2
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(2.0),
-                      ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system)
+    A, b, _ = _dirichlet(g32, PrescribedCurvature.constant(2.0), ZeroData())
+    x = _solve(g32, A, b)
     r2 = np.sum(g32.interior_xy**2, axis=-1)
-    assert np.max(np.abs(u.values - (r2 - 1.0))) < 1e-8
+    assert np.max(np.abs(x - (r2 - 1.0))) < 1e-8
 
 
 def test_manufactured_tilted_state(g32):
-    # freeze a nonzero slope state so the matrix carries cross terms, then
-    # manufacture the load from a known interior vector
+    # the Jacobian at a nonzero slope state carries cross terms; manufacture
+    # the right-hand side from a known interior vector
     v = ScalarField.from_callable(g32, lambda x, y: 0.5 * x + 0.25 * y)
-    sys0 = assemble(v, PrescribedCurvature.constant(0.0), ZeroData(),
-                    n=2, tau=1.0)
+    A = Evaluation(v, PrescribedCurvature.constant(0.0), 2, 1.0).jacobian()
     x = g32.interior_xy[:, 0]
     y = g32.interior_xy[:, 1]
     exact = 0.3 * x**2 + 0.1 * x * y - 0.3 * y**2 + 0.2 * x
-    sys0.b = sys0.A @ exact
-    u = solve_linear(sys0)
-    assert np.max(np.abs(u.values - exact)) < 1e-8
+    u = _solve(g32, A, A @ exact)
+    assert np.max(np.abs(u - exact)) < 1e-8
 
 
 def test_maximum_principle_boundary_data(g32):
     # H = 0, random smooth boundary data: discrete solution stays inside the
     # data range
     data = ExpressionData("0.3*sin(3*x) + 0.2*cos(2*y)")
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
-                      data, n=2, tau=1.0)
-    u = solve_linear(system)
-    lo = float(np.min(u.feet))
-    hi = float(np.max(u.feet))
-    assert np.min(u.values) >= lo - 1e-9
-    assert np.max(u.values) <= hi + 1e-9
+    A, b, feet = _dirichlet(g32, PrescribedCurvature.constant(0.0), data)
+    u = _solve(g32, A, b)
+    lo = float(np.min(feet))
+    hi = float(np.max(feet))
+    assert np.min(u) >= lo - 1e-9
+    assert np.max(u) <= hi + 1e-9
 
 
 def test_maximum_principle_random_traces(g32):
@@ -93,26 +120,22 @@ def test_maximum_principle_random_traces(g32):
         coef = rng.uniform(-0.5, 0.5, 4)
         data = ExpressionData(
             f"{coef[0]}*x + {coef[1]}*y + {coef[2]}*x*y + {coef[3]}")
-        sys_k = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
-                         data, n=2, tau=1.0)
-        u = solve_linear(sys_k)
-        assert np.min(u.values) >= np.min(u.feet) - 1e-9
-        assert np.max(u.values) <= np.max(u.feet) + 1e-9
+        A, b, feet = _dirichlet(g32, PrescribedCurvature.constant(0.0), data)
+        u = _solve(g32, A, b)
+        assert np.min(u) >= np.min(feet) - 1e-9
+        assert np.max(u) <= np.max(feet) + 1e-9
 
 
 def test_backward_error_recorded(g32):
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4),
-                      ZeroData(), n=2, tau=1.0)
-    solve_linear(system)
-    assert system.meta["relres"] <= 1e-10
+    A, b, _ = _dirichlet(g32, PrescribedCurvature.constant(0.4), ZeroData())
+    _, relres = solve_linear(A, b, Factor(g32))
+    assert relres <= 1e-10
 
 
 def test_sign_violations_confined_to_collar(g32):
     # the quadratic ghost closures inject positive off-diagonals near the
     # boundary; regular five-point rows deeper inside must stay clean
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.0),
-                      ZeroData(), n=2, tau=1.0)
-    M = (-system.A).tocoo()
+    M = (-Evaluation.zero(g32).jacobian()).tocoo()
     bad = (M.row != M.col) & (M.data > 1e-12)
     bad_rows = np.unique(M.row[bad])
     assert len(bad_rows) > 0
@@ -121,9 +144,9 @@ def test_sign_violations_confined_to_collar(g32):
 
 def test_system_scaling_with_tau(g32):
     h_c = PrescribedCurvature.constant(0.4)
-    full = assemble(_zero_state(g32), h_c, ZeroData(), n=2, tau=1.0)
-    half = assemble(_zero_state(g32), h_c, ZeroData(), n=2, tau=0.5)
-    assert np.allclose(half.b, 0.5 * full.b, atol=1e-14)
+    _, full, _ = _dirichlet(g32, h_c, ZeroData(), tau=1.0)
+    _, half, _ = _dirichlet(g32, h_c, ZeroData(), tau=0.5)
+    assert np.allclose(half, 0.5 * full, atol=1e-14)
 
 
 def _block(M, grid, name):
@@ -132,21 +155,36 @@ def _block(M, grid, name):
     return M[k * grid.n_interior:(k + 1) * grid.n_interior]
 
 
-def test_fixed_pattern_assembly_matches_scaled_operators(g32):
-    # the fixed-pattern combination equals diag(a11) Dxx + diag(a22) Dyy
-    # + diag(2 a12) Dxy entry by entry; the feet enter b the same way
-    v = ScalarField.from_callable(g32, lambda x, y: 0.5 * x + 0.25 * y + 0.3 * x * y)
-    p = gradient(v)
+def _scaled_operators(u, H, tau):
+    """(sum_k diag(c_k) D_k, sum_k diag(c_k) D_feet_k) over the stacked
+    operators, the coefficients c_k of Q'(u) written out here: a11, a22,
+    2 a12 of M and the slope terms b_x, b_y."""
+    ev = Evaluation(u, H, 2, tau)
+    p = gradient(u)
     w2 = 1.0 + np.sum(p**2, axis=-1)
-    a11, a22, a12 = w2 - p[:, 0] ** 2, w2 - p[:, 1] ** 2, -p[:, 0] * p[:, 1]
-    old = [sps.diags(a11) @ _block(M, g32, "Dxx") + sps.diags(a22) @ _block(M, g32, "Dyy")
-           + sps.diags(2.0 * a12) @ _block(M, g32, "Dxy") for M in stacked_operators(g32)]
-    system = assemble(v, PrescribedCurvature.constant(0.4), ExpressionData("x*y"),
-                      n=2, tau=0.75)
-    assert abs(system.A - old[0]).max() == 0.0
-    assert system.A.nnz >= old[0].nnz
-    load = 0.75 * 2 * 0.4 * w2**1.5
-    assert np.allclose(system.b, load - old[1] @ system.feet_values, rtol=1e-13, atol=0)
+    W = np.sqrt(w2)
+    load = tau * 2 * H(u.grid.interior_xy)
+    bx = 2.0 * (p[:, 0] * ev.uyy - p[:, 1] * ev.uxy) - 3.0 * load * W * p[:, 0]
+    by = 2.0 * (p[:, 1] * ev.uxx - p[:, 0] * ev.uxy) - 3.0 * load * W * p[:, 1]
+    coefficients = (w2 - p[:, 0] ** 2, w2 - p[:, 1] ** 2, 2.0 * (-p[:, 0] * p[:, 1]), bx, by)
+    return [sum(sps.diags(c) @ _block(M, u.grid, name) for c, name in zip(coefficients, STENCILS))
+            for M in stacked_operators(u.grid)]
+
+
+def test_fixed_pattern_assembly_matches_scaled_operators(g32):
+    # the fixed-pattern Jacobian equals the sum of the scaled stencils entry
+    # by entry, and the derivative along the trace is the feet's blocks
+    # scaled the same way
+    v = ScalarField.from_callable(g32, lambda x, y: 0.5 * x + 0.25 * y + 0.3 * x * y)
+    H = PrescribedCurvature.constant(0.4)
+    old = _scaled_operators(v, H, 0.75)
+    ev = Evaluation(v, H, 2, 0.75)
+    J = ev.jacobian()
+    assert abs(J - old[0]).max() == 0.0
+    assert J.nnz >= old[0].nnz
+    feet = 0.75 * ExpressionData("x*y").trace(g32.foot_xy)
+    along = ev.derivative(ScalarField(g32, np.zeros(g32.n_interior), feet))
+    assert np.allclose(along, old[1] @ feet, rtol=1e-13, atol=0)
 
 
 def _tilted(grid, sx, sy):
@@ -156,20 +194,19 @@ def _tilted(grid, sx, sy):
 def test_held_factor_reused_on_nearby_system():
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    factor = Factor()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), factor)
+    factor = Factor(g32)
+    solve_linear(*_newton(_zero_state(g32), cap), factor)
     # the float32 factor's x0 is good to its rounding: one iteration reaches the keep test
     assert factor.factorizations == 1 and factor.krylov_iterations == 1
     lu = factor.lu
     assert lu is not None
-    system = assemble(_tilted(g32, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, factor)
+    u, relres = solve_linear(*_frozen(_tilted(g32, 0.05, 0.02), cap), factor)
     assert factor.factorizations == 1 and factor.lu is lu
     assert factor.krylov_iterations == 3
-    assert system.meta["relres"] <= 1e-11
+    assert relres <= 1e-11
     other = _unsolved_g32()
-    fresh = solve_linear(assemble(_tilted(other, 0.05, 0.02), cap, ZeroData(), n=2, tau=1.0))
-    assert np.max(np.abs(u.values - fresh.values)) < 1e-10
+    fresh = _solve(other, *_frozen(_tilted(other, 0.05, 0.02), cap))
+    assert np.max(np.abs(u - fresh)) < 1e-10
 
 
 def _bowl(x, y):
@@ -182,31 +219,28 @@ def test_stale_factor_on_steep_system_refactorizes():
     # each fresh float32 factor takes one iteration besides
     g32 = _unsolved_g32()
     cap = PrescribedCurvature.constant(0.4)
-    factor = Factor()
-    solve_linear(assemble(_zero_state(g32), cap, ZeroData(), n=2, tau=1.0), factor)
+    factor = Factor(g32)
+    solve_linear(*_newton(_zero_state(g32), cap), factor)
     lu = factor.lu
     assert lu is not None
-    system = assemble(ScalarField.from_callable(g32, _bowl), cap, ZeroData(), n=2, tau=1.0)
-    u = solve_linear(system, factor)
+    u, relres = solve_linear(*_frozen(ScalarField.from_callable(g32, _bowl), cap), factor)
     assert factor.factorizations == 2 and factor.lu is not None and factor.lu is not lu
     assert factor.krylov_iterations == 1 + 30 + 1 and factor.float64_factorizations == 0
-    assert system.meta["relres"] <= 1e-10
+    assert relres <= 1e-10
     other = _unsolved_g32()
-    fresh = solve_linear(assemble(ScalarField.from_callable(other, _bowl), cap, ZeroData(),
-                                  n=2, tau=1.0))
-    assert np.array_equal(u.values, fresh.values)
+    fresh = _solve(other, *_frozen(ScalarField.from_callable(other, _bowl), cap))
+    assert np.array_equal(u, fresh)
 
 
 def test_nonfinite_system_raises_with_held_factor():
     g32 = _unsolved_g32()
-    factor = Factor()
+    factor = Factor(g32)
     zero = _zero_state(g32)
-    solve_linear(assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(),
-                          n=2, tau=1.0), factor)
-    system = assemble(zero, PrescribedCurvature.constant(0.4), ZeroData(), n=2, tau=1.0)
-    system.b[3] = np.nan
+    solve_linear(*_newton(zero, PrescribedCurvature.constant(0.4)), factor)
+    A, b = _newton(zero, PrescribedCurvature.constant(0.4))
+    b[3] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
-        solve_linear(system, factor)
+        solve_linear(A, b, factor)
     assert factor.factorizations == 1
 
 
@@ -220,11 +254,9 @@ def test_failed_factorization_is_a_solver_error():
     diag[7] = 0.0
     b = np.ones(n)
     b[7] = 0.0
-    factor = Factor()
-    system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
-                          feet_values=np.zeros(g32.n_feet))
+    factor = Factor(g32)
     with pytest.raises(SolverError, match="factorization failed"):
-        solve_linear(system, factor)
+        solve_linear(sps.diags(diag).tocsr(), b, factor)
     assert (factor.factorizations, factor.float64_factorizations) == (3, 1) and factor.lu is None
     assert factor.krylov_iterations == _RESTART
 
@@ -244,15 +276,13 @@ def test_entry_beyond_float32_falls_back_to_float64(entry):
     diag[7] = entry
     b = np.ones(n)
     b[7] = entry
-    factor = Factor()
-    system = LinearSystem(A=sps.diags(diag).tocsr(), b=b, grid=g32,
-                          feet_values=np.zeros(g32.n_feet))
-    u = solve_linear(system, factor)
+    factor = Factor(g32)
+    u, relres = solve_linear(sps.diags(diag).tocsr(), b, factor)
     assert (factor.factorizations, factor.float64_factorizations) == (3, 1)
     assert factor.krylov_iterations == (0 if entry > 1.0 else _RESTART)
     assert factor.lu.dtype == np.float64
-    assert system.meta["relres"] <= 1e-10
-    assert u.values[7] == 1.0 and np.array_equal(u.values, b / diag)
+    assert relres <= 1e-10
+    assert u[7] == 1.0 and np.array_equal(u, b / diag)
 
 
 def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
@@ -262,13 +292,16 @@ def test_answer_beyond_the_gate_leaves_no_lu(monkeypatch):
     # system of the holder is preconditioned by either LU
     monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 0.0)
     g32 = _unsolved_g32()
-    system = assemble(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4),
-                      ZeroData(), n=2, tau=1.0)
-    factor = Factor()
+    measured = []
+    backward_error = mcgraph.linear._backward_error
+    monkeypatch.setattr("mcgraph.linear._backward_error",
+                        lambda *args: measured.append(backward_error(*args)) or measured[-1])
+    A, b = _frozen(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4))
+    factor = Factor(g32)
     with pytest.raises(SolverError, match="backward error"):
-        solve_linear(system, factor)
+        solve_linear(A, b, factor)
     assert (factor.factorizations, factor.float64_factorizations) == (3, 1) and factor.lu is None
-    assert 0 < system.meta["relres"] <= 1e-10
+    assert 0 < measured[-1] <= 1e-10
 
 
 def test_float32_answer_beyond_the_gate_falls_back_to_float64(monkeypatch):
@@ -278,12 +311,11 @@ def test_float32_answer_beyond_the_gate_falls_back_to_float64(monkeypatch):
     # float64 factor's direct answer (5.0e-17) meets it; the holder keeps it
     monkeypatch.setattr("mcgraph.linear._RELRES_TOL", 1e-14)
     g32 = _unsolved_g32()
-    system = assemble(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4),
-                      ZeroData(), n=2, tau=1.0)
-    factor = Factor()
-    solve_linear(system, factor)
+    A, b = _frozen(ScalarField.from_callable(g32, _bowl), PrescribedCurvature.constant(0.4))
+    factor = Factor(g32)
+    _, relres = solve_linear(A, b, factor)
     assert (factor.factorizations, factor.float64_factorizations) == (3, 1)
-    assert factor.lu.dtype == np.float64 and system.meta["relres"] <= 1e-14
+    assert factor.lu.dtype == np.float64 and relres <= 1e-14
 
 
 class _CountedSolves:
@@ -307,8 +339,7 @@ def test_gmres_stops_on_the_keep_test_with_one_solve_per_iteration(slope):
     H = PrescribedCurvature.constant(0.4)
     lu = grid.laplacian_lu
     state = ScalarField.from_callable(grid, lambda x, y: slope * (x**2 + y**2) + 0.1 * x)
-    system = correction_system(Evaluation(state, H, 2, 1.0))
-    A, b = system.A, system.b
+    A, b = _newton(state, H)
     norm_A = spla.norm(A, np.inf)
     solves, factor = _CountedSolves(lu), Factor()
     x = _gmres(A, b, norm_A, factor, solves)
@@ -317,10 +348,10 @@ def test_gmres_stops_on_the_keep_test_with_one_solve_per_iteration(slope):
     aim = _REUSE_TOL * (norm_A * np.max(np.abs(lu.solve(b))) + np.max(np.abs(b)))
     assert (np.linalg.norm(A @ x - b) <= aim) == (slope < 1.0)
     assert (iterations == _RESTART) == (slope > 1.0)
-    factor = Factor(lu=lu)
-    solve_linear(system, factor)
+    factor = Factor(grid, lu=lu)
+    _, relres = solve_linear(A, b, factor)
     assert factor.factorizations == (slope > 1.0) and (factor.lu is lu) == (slope < 1.0)
-    assert system.meta["relres"] <= (1e-10 if slope > 1.0 else _REUSE_TOL)
+    assert relres <= (1e-10 if slope > 1.0 else _REUSE_TOL)
 
 
 @pytest.mark.parametrize("b", [np.full(4, 2.0), np.random.default_rng(3).uniform(-1.0, 1.0, 40)],
@@ -369,7 +400,7 @@ def test_jacobian_matches_central_difference_of_Q(wavy_state):
     u = wavy_state
     x, y = u.grid.interior_xy[:, 0], u.grid.interior_xy[:, 1]
     v = np.cos(3.0 * x + 1.0) * np.sin(2.0 * y + 0.5)
-    J = correction_system(Evaluation(u, _CURVED, 2, 0.75)).A
+    J = Evaluation(u, _CURVED, 2, 0.75).jacobian()
     # Q is cubic in the differences of u, so the difference misses J v by
     # O(eps^2); short boundary links make that term largest, 1e-8 here
     eps = 1e-6
@@ -385,7 +416,7 @@ def test_jacobian_matches_central_difference_of_Q(wavy_state):
 def test_infinity_norm_is_scipys(wavy_state):
     # the row sums of |A| that scipy's norm takes, to the bit, on a Jacobian
     # and on a matrix with empty rows
-    J = correction_system(Evaluation(wavy_state, _CURVED, 2, 0.75)).A
+    J = Evaluation(wavy_state, _CURVED, 2, 0.75).jacobian()
     assert _norm_inf(J) == spla.norm(J, np.inf)
     gaps = sps.csr_matrix(np.array([[0.0, 0.0, 0.0], [-2.0, 0.0, 0.5], [0.0, 0.0, 0.0],
                                     [1.0, 1.0, 1.0], [0.0, 0.0, 0.0]]))
@@ -394,24 +425,19 @@ def test_infinity_norm_is_scipys(wavy_state):
 
 
 def test_fixed_pattern_jacobian_matches_scaled_operators(wavy_state):
-    # J = A(u) + diag(b_x) Gx + diag(b_y) Gy entry by entry, on the frozen
-    # operator's pattern
+    # J = A(u) + diag(b_x) Gx + diag(b_y) Gy entry by entry, on the grid's
+    # union pattern, and it is the matrix of Q'(u) on fields of zero trace
     u = wavy_state
     ev = Evaluation(u, _CURVED, 2, 0.75)
-    p = gradient(u)
-    W = np.sqrt(1.0 + np.sum(p**2, axis=-1))
-    load = 0.75 * 2 * _CURVED(u.grid.interior_xy)
-    bx = 2.0 * (p[:, 0] * ev.uyy - p[:, 1] * ev.uxy) - 3.0 * load * W * p[:, 0]
-    by = 2.0 * (p[:, 1] * ev.uxx - p[:, 0] * ev.uxy) - 3.0 * load * W * p[:, 1]
-    D = stacked_operators(u.grid)[0]
-    A = assemble(u, _CURVED, ZeroData(), n=2, tau=0.75).A
-    expect = A + sps.diags(bx) @ _block(D, u.grid, "Gx") + sps.diags(by) @ _block(D, u.grid, "Gy")
-    system = correction_system(ev)
-    J = system.A
+    expect = _scaled_operators(u, _CURVED, 0.75)[0]
+    J = ev.jacobian()
+    pattern = u.grid.pattern()
     assert abs(J - expect).max() <= 1e-13 * abs(expect).max()
-    assert np.array_equal(J.indptr, A.indptr) and np.array_equal(J.indices, A.indices)
-    assert np.array_equal(system.b, -Evaluation(u, _CURVED, 2, 0.75).q)
-    assert np.all(system.feet_values == 0.0)
+    assert np.array_equal(J.indptr, pattern.indptr) and np.array_equal(J.indices, pattern.indices)
+    v = np.cos(3.0 * u.grid.interior_xy[:, 0])
+    along = ev.derivative(ScalarField(u.grid, v, np.zeros(u.grid.n_feet)))
+    Jv = J @ v
+    assert np.max(np.abs(along - Jv)) <= 1e-13 * np.max(np.abs(Jv))
 
 
 # -- the LUs in minimum-degree order -----------------------------------------------------------
@@ -436,26 +462,25 @@ def _max_backward_error(A, b, x):
 def _solved_on(grid, lu, A, b):
     """linear.solve's answer to A x = b on the grid, started from `lu`,
     which it keeps."""
-    factor = Factor(lu=lu)
-    x = solve_linear(LinearSystem(A=A, b=b, grid=grid, feet_values=np.zeros(grid.n_feet)),
-                     factor).values
+    factor = Factor(grid, lu=lu)
+    x, _ = solve_linear(A, b, factor)
     assert factor.factorizations == 0 and factor.lu is lu
     return x
 
 
 def _first_jacobian(grid):
     """J(0) with its zero-data right-hand side: the cap's first Newton system."""
-    zero = ScalarField.zeros(grid, ZeroData())
-    return correction_system(Evaluation(zero, PrescribedCurvature.constant(0.4), 2, 0.25))
+    return _newton(ScalarField.zeros(grid, ZeroData()), PrescribedCurvature.constant(0.4), 0.25)
 
 
 def _assert_solves_first_jacobian(grid, lu, system):
     # the float32 factor alone is good to float32's rounding; GMRES on it
     # brings the answer to float64's
+    A, first = system
     rhs = np.random.default_rng(3).standard_normal(grid.n_interior)
-    for b in (system.b, rhs):
-        assert _max_backward_error(system.A, b, lu.solve(b)) <= 1e-6
-        assert _max_backward_error(system.A, b, _solved_on(grid, lu, system.A, b)) <= 1e-12
+    for b in (first, rhs):
+        assert _max_backward_error(A, b, lu.solve(b)) <= 1e-6
+        assert _max_backward_error(A, b, _solved_on(grid, lu, A, b)) <= 1e-12
 
 
 def _colamd_nnz(A) -> int:
@@ -474,9 +499,9 @@ def test_jacobian_solves_in_minimum_degree_order(name, h):
     # the default order's (0.63-0.74 on these grids) and solves as well
     grid = Grid(_ORDERED_DOMAINS[name](), h)
     u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
-    system = correction_system(Evaluation(u, PrescribedCurvature.constant(0.4), 2, 1.0))
-    lu = SparseLU(system.A)
-    assert lu.superlu.nnz <= 0.8 * _colamd_nnz(system.A)
+    system = _newton(u, PrescribedCurvature.constant(0.4))
+    lu = SparseLU(system[0])
+    assert lu.superlu.nnz <= 0.8 * _colamd_nnz(system[0])
     _assert_solves_first_jacobian(grid, lu, system)
 
 
@@ -490,7 +515,7 @@ def test_laplacian_lu_in_minimum_degree_order(name, h):
     grid = Grid(_ORDERED_DOMAINS[name](), h)
     system = _first_jacobian(grid)
     lu = grid.laplacian_lu
-    assert lu.superlu.nnz <= 0.6 * _colamd_nnz(system.A)
+    assert lu.superlu.nnz <= 0.6 * _colamd_nnz(system[0])
     _assert_solves_first_jacobian(grid, lu, system)
     fresh = Grid(_ORDERED_DOMAINS[name](), h)
     report = solve_dirichlet(fresh, PrescribedCurvature.constant(0.4), ZeroData())
@@ -518,15 +543,12 @@ def test_lu_solves_systems_off_the_stencil():
 
 def test_held_factor_records_largest_fill():
     g32 = _unsolved_g32()
-    factor = Factor()
-    system = assemble(_zero_state(g32), PrescribedCurvature.constant(0.4), ZeroData(),
-                      n=2, tau=1.0)
-    solve_linear(system, factor)
+    factor = Factor(g32)
+    A, b = _newton(_zero_state(g32), PrescribedCurvature.constant(0.4))
+    solve_linear(A, b, factor)
     assert factor.fill_nnz == factor.lu.superlu.nnz > 0
-    small = LinearSystem(A=sps.identity(g32.n_interior, format="csr"), b=system.b,
-                         grid=g32, feet_values=np.zeros(g32.n_feet))
     factor.lu = None
-    solve_linear(small, factor)
+    solve_linear(sps.identity(g32.n_interior, format="csr"), b, factor)
     assert factor.factorizations == 2 and factor.lu.superlu.nnz < factor.fill_nnz
 
 

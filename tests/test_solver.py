@@ -11,7 +11,7 @@ import mcgraph.linear
 import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ZeroData, adversarial_boundary_data, boundary_slope,
-                     correction_system, disk, estimate_ledger, levelset,
+                     disk, estimate_ledger, levelset,
                      rounded_rect, solve_dirichlet, solve_linear, sup_slope)
 from mcgraph.reference import get as get_reference
 
@@ -131,9 +131,11 @@ def test_trace_rows_complete(cap_solve32):
 
 def test_fixed_point_property(cap_solve32, cap_H):
     # one more Newton correction at the converged state barely moves
-    delta = solve_linear(correction_system(Evaluation(cap_solve32.field, cap_H, 2, 1.0)))
-    assert np.max(np.abs(delta.values)) < 1e-10
-    assert np.all(delta.feet == 0.0)
+    ev = Evaluation(cap_solve32.field, cap_H, 2, 1.0)
+    delta, _ = solve_linear(ev.jacobian(), -ev.q, mcgraph.linear.Factor(ev.u.grid))
+    assert np.max(np.abs(delta)) < 1e-10
+    # the correction lives on the interior values alone: delta = 0 at the feet
+    assert delta.shape == (ev.u.grid.n_interior,)
 
 
 def test_newton_converges_in_few_iterations(cap_solve32):
@@ -154,7 +156,8 @@ def _contraction_bound(rows) -> float:
 def _next_correction(report, H) -> float:
     # the sup norm of one more Newton correction at the returned field
     ev = Evaluation(report.field, H, 2, 1.0)
-    return float(np.max(np.abs(mcgraph.linear.solve(correction_system(ev)).values)))
+    delta, _ = mcgraph.linear.solve(ev.jacobian(), -ev.q, mcgraph.linear.Factor(ev.u.grid))
+    return float(np.max(np.abs(delta)))
 
 
 def test_predicted_stages_take_fewer_iterations(cap_walk32, cap_H):
@@ -370,10 +373,27 @@ def test_refused_factorization_ends_in_linear_failure(monkeypatch):
         assert report.krylov_iterations == 0 and "laplacian_lu" not in vars(g)
 
 
+def test_refused_j0_ends_the_solve_in_linear_failure(monkeypatch):
+    # SuperLU refuses J(0) itself: the leap's first system fails on it, and
+    # the walk's first system on its own float32 and float64 factorizations.
+    # Zero data and data with a lift alike end in a verdict, not an
+    # exception, after two Newton steps and three factorizations
+    def refuse(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(mcgraph.grid.spla, "splu", refuse)
+    for data in (ZeroData(), ExpressionData("0.2*x")):
+        report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 16.0),
+                                 PrescribedCurvature.constant(0.4), data)
+        assert report.verdict == "linear_failure"
+        assert report.message.startswith("factorization failed")
+        assert report.iterations == 2 and report.factorizations == 3
+
+
 def test_data_beyond_float32_starts_from_zero(disk12):
     # the lift is solved in float32, so bumps of height 1e37 and 1e300 lift
     # to non-finite fields; such a solve starts from u = 0 instead, where
-    # the slope guard trips or the assembled system is non-finite
+    # the slope guard trips or the Newton system is non-finite
     H = PrescribedCurvature.constant(0.3)
     for eps, verdict in ((1e37, "diverged_gradient"), (1e300, "linear_failure")):
         data = BumpData(disk12.domain, (1.0, 0.0), 0.3, eps)
@@ -415,9 +435,9 @@ def test_continuation_monotone_in_tau(cap_grid32, cap_H, monkeypatch):
 def _fresh_factor_per_iterate(monkeypatch):
     # every Newton system on a fresh holder of its own float32 LU: the
     # answer the reuse must keep
-    def solve_fresh(system, factor):
-        lu = mcgraph.grid.SparseLU(system.A)
-        return mcgraph.linear.solve(system, mcgraph.linear.Factor(lu=lu))
+    def solve_fresh(A, b, factor):
+        lu = mcgraph.grid.SparseLU(A)
+        return mcgraph.linear.solve(A, b, mcgraph.linear.Factor(lu=lu))
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
 
@@ -549,8 +569,7 @@ def test_zero_data_cap_after_other_systems_makes_no_factorization(monkeypatch):
     cap = PrescribedCurvature.constant(0.4)
     first = solve_dirichlet(grid, cap, ZeroData())
     n = grid.n_interior
-    solve_linear(mcgraph.linear.LinearSystem(A=sps.identity(n, format="csr"), b=np.ones(n),
-                                             grid=grid, feet_values=np.zeros(grid.n_feet)))
+    solve_linear(sps.identity(n, format="csr"), np.ones(n), mcgraph.linear.Factor(grid))
     calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu",
