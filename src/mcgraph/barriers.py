@@ -288,19 +288,19 @@ def transform_radial(profile, phi, grid: Grid, distance=None) -> TransformedFiel
     else:
         g_rho = dist.grad(pts)
         h_rho = dist.hess(pts)
-        x, y = pts[:, 0], pts[:, 1]
-        g_phi = phi.grad(x, y)
-        h_phi = phi.hess(x, y)
+        f, fx, fy, fxx, fxy, fyy = phi.jet(pts[:, 0], pts[:, 1])
+        g_phi = np.stack([fx, fy], axis=-1)
+        h_phi = np.stack([fxx, fxy, fxy, fyy], axis=-1).reshape(-1, 2, 2)
         slope = p1[:, None] * g_rho + g_phi
         w2 = 1.0 + np.sum(slope**2, axis=-1)
-        lap_phi = h_phi[:, 0, 0] + h_phi[:, 1, 1]
+        lap_phi = fxx + fyy
         hr_gp = np.einsum("nij,nj->ni", h_rho, g_phi)
         term1 = p1 * w2 * lap - p1 * np.einsum("ni,ni->n", hr_gp, g_phi)
         term2 = p2 * w2 - p2 * np.einsum("ni,ni->n", g_rho, slope) ** 2
         hp_s = np.einsum("nij,nj->ni", h_phi, slope)
         term3 = lap_phi * w2 - np.einsum("ni,ni->n", hp_s, slope)
         m = term1 + term2 + term3
-        w = p0 + phi(x, y)
+        w = p0 + f
         W = np.sqrt(w2)
 
     def on_valid(values):

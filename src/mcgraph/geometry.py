@@ -534,7 +534,7 @@ class _LevelSet:
         """Newton projection of points onto {F = 0} along grad F, at most 40 steps."""
         p = np.array(pts, dtype=float)
         for _ in range(40):
-            f, gx, gy, *_ = self.F.jet(p[:, 0], p[:, 1])
+            f, gx, gy = self.F.jet(p[:, 0], p[:, 1], order=1)
             g2 = gx * gx + gy * gy
             g2 = np.where(g2 < 1e-30, 1e-30, g2)
             p[:, 0] -= f * gx / g2
@@ -551,7 +551,7 @@ class _LevelSet:
         once a point whose first-order distance |F| / |grad F| is not below
         the reach bound."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        f, gx, gy, *_ = self.F.jet(pts[:, 0], pts[:, 1])
+        f, gx, gy = self.F.jet(pts[:, 0], pts[:, 1], order=1)
         ok = np.abs(f) < self._reach * np.hypot(gx, gy)
         q = np.empty_like(pts)
         if ok.any():

@@ -79,7 +79,7 @@ def _entries() -> Dict[str, ReferenceSolution]:
 _SELF_TEST_H = (1 / 16, 1 / 32)
 
 
-def _self_test(entry: ReferenceSolution) -> None:
+def _self_test(entry: ReferenceSolution, n: int = 2) -> None:
     """Residual of the analytic field must decay at least first order.
 
     Two spacings, core nodes only; the coarse residual must also be small in
@@ -89,7 +89,7 @@ def _self_test(entry: ReferenceSolution) -> None:
     for h in _SELF_TEST_H:
         grid = Grid(entry.domain, h)
         u = entry.field(grid)
-        q = Evaluation(u, entry.curvature, n=2, tau=1.0).q
+        q = Evaluation(u, entry.curvature, n=n, tau=1.0).q
         core = grid.core_mask
         res.append(float(np.max(np.abs(q[core]))) if core.any() else 0.0)
     if res[0] > 0.05:
@@ -100,6 +100,21 @@ def _self_test(entry: ReferenceSolution) -> None:
         raise AssertionError(
             f"reference '{entry.name}': residual fails to decay under "
             f"refinement ({res[0]:.3g} -> {res[1]:.3g})")
+
+
+def manufactured(u_text: str, domain: DomainSpec, n: int = 2) -> ReferenceSolution:
+    """The manufactured solution u = `u_text` on `domain` (Roache 2002; Salari
+    & Knupp, SAND2000-1444): its curvature is H = M u / (n W^3), a tree built
+    from u's own partials p, q, r, s, t = u_x, u_y, u_xx, u_xy, u_yy, so
+    that grad H is exact too.  Self-tested like the catalog."""
+    u = compile_expr(u_text)
+    monge = {k: u.partial(axes) for k, axes in zip("pqrst", ("x", "y", "xx", "xy", "yy"))}
+    H = compile_expr(f"((1 + q**2)*r - 2*p*q*s + (1 + p**2)*t) / ({n}*(1 + p**2 + q**2)**1.5)",
+                     **monge)
+    entry = ReferenceSolution(name="manufactured", expr=u, curvature=PrescribedCurvature(H),
+                              domain=domain, note=f"u = {u_text}, H = M u / ({n} W^3)")
+    _self_test(entry, n)
+    return entry
 
 
 @functools.cache

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcgraph.expressions import ExpressionError, compile_expr
+from mcgraph.geometry import PrescribedCurvature
 
 def _linear(g, g1, g2, a=0.7, b=-0.4):
     """(f, fx, fy, fxx, fxy, fyy) of g(a x + b y) from g, g' and g''."""
@@ -98,11 +99,6 @@ def test_jet_matches_closed_forms(case):
         np.testing.assert_allclose(g, want, rtol=1e-13, atol=1e-15, err_msg=f"{case} {name}")
     np.testing.assert_array_equal(e(x, y), got[0])
     np.testing.assert_array_equal(e.grad(x, y), np.stack(got[1:3], axis=-1))
-    h = e.hess(x, y)
-    np.testing.assert_array_equal(h[:, 0, 0], got[3])
-    np.testing.assert_array_equal(h[:, 0, 1], got[4])
-    np.testing.assert_array_equal(h[:, 1, 0], got[4])
-    np.testing.assert_array_equal(h[:, 1, 1], got[5])
 
 
 # formulas that stay smooth and bounded for |x|, |y| <= 1
@@ -139,6 +135,44 @@ def test_jet_matches_central_differences(text, x, y):
              (fyy, diff(2, 0, h))]
     for exact, fd in pairs:
         assert abs(exact - fd) <= 1e-6 * (1.0 + abs(exact)), (text, exact, fd)
+
+
+def test_derivative_trees_are_built_on_first_use_and_once():
+    # a value builds no derivative tree, a first-order jet the first-order
+    # trees alone, and a repeated jet nothing new; a constant's curvature,
+    # evaluated, builds none
+    e = compile_expr("sin(x*y) + x**2/(1 + y)")
+    e(0.3, 0.4)
+    assert not e._nodes.derivs
+    e.jet(0.3, 0.4, order=1)
+    first = set(e._nodes.derivs)
+    assert {var for _, var in first} == {"x", "y"}
+    e.jet(0.3, 0.4)
+    second = set(e._nodes.derivs)
+    assert second > first
+    e.jet(0.3, 0.4)
+    e.grad(0.3, 0.4)
+    assert set(e._nodes.derivs) == second
+    H = PrescribedCurvature.constant(0.4)
+    H(np.zeros((4, 2)))
+    assert not H.expr._nodes.derivs
+
+
+def test_partial_of_third_order_matches_its_closed_form():
+    x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 32))
+    e = compile_expr("sin(x*y)")
+    # d/dx d/dy d/dy sin(xy) = -2 x sin(xy) - x^2 y cos(xy)
+    np.testing.assert_allclose(e.partial("yyx")(x, y),
+                               -2 * x * np.sin(x * y) - x * x * y * np.cos(x * y),
+                               rtol=1e-13, atol=1e-15)
+
+
+def test_a_formula_too_deep_to_differentiate_is_refused_when_differentiated():
+    # 700 nested minus signs parse, but their derivative recursion is deeper
+    # than Python's stack allows
+    e = compile_expr("-" * 700 + "x")
+    with pytest.raises(ExpressionError, match="nested too deeply"):
+        e.jet(0.5, 0.5)
 
 
 def test_constant_broadcasts_to_the_input_shape():

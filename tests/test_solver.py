@@ -10,10 +10,10 @@ import mcgraph.grid
 import mcgraph.linear
 import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, ExpressionData, Grid, PrescribedCurvature,
-                     ZeroData, adversarial_boundary_data, boundary_slope,
-                     disk, estimate_ledger, levelset,
+                     ZeroData, adversarial_boundary_data, annulus, boundary_slope,
+                     disk, dumbbell, ellipse, estimate_ledger, levelset, rect,
                      rounded_rect, solve_dirichlet, solve_linear, sup_slope)
-from mcgraph.reference import get as get_reference
+from mcgraph.reference import get as get_reference, manufactured
 
 
 def test_cap_converges(cap_solve32):
@@ -79,36 +79,55 @@ def test_rejected_bump_leap_walks_the_schedule():
     assert report.sup_u == pytest.approx(0.1674660208073471, rel=0, abs=1e-12)
 
 
-# a manufactured solution u, its slope, its second derivatives and the
-# curvature H = M u / (2 W^3) it solves
+# a manufactured solution: u's curvature H = M u / (2 W^3) is built from u's
+# own derivative trees by `reference.manufactured`
 _U = "0.4*sin(1.3*x + 0.4)*cos(0.9*y) + 0.15*x*y"
-_UX = "(0.52*cos(1.3*x + 0.4)*cos(0.9*y) + 0.15*y)"
-_UY = "(-0.36*sin(1.3*x + 0.4)*sin(0.9*y) + 0.15*x)"
-_UXX = "(-0.676*sin(1.3*x + 0.4)*cos(0.9*y))"
-_UYY = "(-0.324*sin(1.3*x + 0.4)*cos(0.9*y))"
-_UXY = "(-0.468*cos(1.3*x + 0.4)*sin(0.9*y) + 0.15)"
-_U_CURVATURE = (f"((1 + {_UY}**2)*{_UXX} - 2*{_UX}*{_UY}*{_UXY} + (1 + {_UX}**2)*{_UYY})"
-                f" / (2*(1 + {_UX}**2 + {_UY}**2)**1.5)")
+
+_SHAPES = {
+    "disk": disk(radius=1.0),
+    "ellipse": ellipse(1.2, 0.7),
+    "rect": rect(0.6, 0.6),
+    "rounded_rect": rounded_rect(1.0, 0.6, 0.25),
+    "annulus": annulus(0.5, 1.0),
+    "dumbbell": dumbbell(1.0, 1.3),
+    "levelset": levelset("1 - (x/1.1)**2 - (y/0.7)**2 - 0.2*x*y", (-1.3, 1.3, -1.0, 1.0)),
+}
 
 
-@pytest.mark.parametrize("domain", [
-    rounded_rect(1.0, 0.6, 0.25),
-    levelset("1 - (x/1.1)**2 - (y/0.7)**2 - 0.2*x*y", (-1.3, 1.3, -1.0, 1.0))],
-    ids=["rounded_rect", "levelset"])
-def test_manufactured_solution_converges_at_second_order(domain):
-    # smooth data of slope up to 0.55 and a curvature that varies: both
-    # spacings converge, in three Newton steps on J(0)'s LU, and the error
-    # falls about 4x (to 1.59e-6 and 1.70e-6 at h = 1/64).  A spurious
-    # discrete answer at h = 1/64, with an error near 1e-2 and foot slopes
-    # near 13, fails the ratio
-    H, data = PrescribedCurvature.expression(_U_CURVATURE), ExpressionData(_U)
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_manufactured_solution_converges_at_second_order(shape):
+    # smooth data of slope up to 0.55 and a curvature that varies, on every
+    # kind of domain: each spacing converges and the error falls about 4x
+    # per halving, to 1.2e-7 (rect) ... 1.1e-6 (dumbbell) at h = 1/128.  A
+    # spurious discrete answer, with an error near 1e-2 and foot slopes near
+    # 13, fails the ratio.  The annulus's first ratio is 5.96: its feet's
+    # intercept fractions shift together from h = 1/32 to 1/64, so the
+    # closure error's coefficient jumps, as on A3's square; it is held to
+    # second order from below only
+    ref = manufactured(_U, _SHAPES[shape])
+    data = ExpressionData(_U)
     errors = []
-    for h in (1.0 / 32.0, 1.0 / 64.0):
-        report = solve_dirichlet(Grid(domain, h), H, data)
+    for h in (1.0 / 32.0, 1.0 / 64.0, 1.0 / 128.0):
+        report = solve_dirichlet(Grid(ref.domain, h), ref.curvature, data)
         assert report.verdict == "converged", h
-        xy = report.field.grid.interior_xy
-        errors.append(np.max(np.abs(report.field.values - data.extension(xy[:, 0], xy[:, 1]))))
-    assert 3.0 <= errors[0] / errors[1] <= 5.0, errors
+        errors.append(ref.error(report.field))
+    assert errors[-1] <= 2e-6, errors
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert 3.0 <= ratios[0] <= (np.inf if shape == "annulus" else 5.0), errors
+    assert 3.0 <= ratios[1] <= 5.0, errors
+
+
+def test_manufactured_curvature_gradient_matches_central_differences():
+    # grad H is a third derivative of u, differentiated from H's tree; it
+    # agrees with central differences of H at the step and tolerance of
+    # test_jet_matches_central_differences
+    H = manufactured(_U, disk(radius=1.0)).curvature
+    pts = np.random.default_rng(3).uniform(-0.9, 0.9, (200, 2))
+    h = 1e-5
+    exact = H.gradient(pts)
+    for k, step in enumerate(([h, 0.0], [0.0, h])):
+        fd = (H(pts + step) - H(pts - step)) / (2 * h)
+        assert np.all(np.abs(exact[:, k] - fd) <= 1e-6 * (1.0 + np.abs(exact[:, k])))
 
 
 def test_cap_residual_small(cap_solve32):
