@@ -21,10 +21,21 @@ process builds the domain, then ``Grid(domain, h)`` and its
   |d| check);
 * ``closures``: ``Grid._close_ghosts``;
 * ``cross``: ``Grid._choose_cross_stencils``;
-* ``operators``: the first ``Grid.operators()`` of a grid, which builds it.
+* ``operators``: the first ``Grid.operators()`` of a grid, which builds it;
+* ``laplacian_lu``: ``Grid.laplacian_lu``, J(0) and its float32 SuperLU
+  factor, made on ``--calls`` more grids once their operators are built,
+  after the steps above are timed.
 
 The least of a step's seconds over the calls is its time in that process,
-and the table gives the median over the repeats.  The process then builds
+and the table gives the median over the repeats.  The process's first
+SuperLU factorization, that of its first ``laplacian_lu``, also gives
+``lu_nnz``, its ``superlu.nnz``, and ``lu_transient_mb``, the memory it
+touched and gave back: VmHWM less VmRSS (``/proc/self/status``) right
+after ``splu``.  That is the rise of VmHWM less the rise of VmRSS across
+the call plus ``lu_headroom_mb``, VmHWM less VmRSS right before it (J(0)'s
+assembly may have touched more than it keeps); it is exact whenever the
+factorization raised VmHWM, as it does when it keeps more than that
+headroom, and an upper bound otherwise.  The process then builds
 one more grid under ``tracemalloc``: ``retained_bytes`` is what the grid
 holds after ``operators()``, as the ``domain_grids`` workload keeps it, and
 ``retained_bytes_solving`` what it holds once ``pattern()`` is built too, as
@@ -75,7 +86,8 @@ from _parent import ROOT
 STEPS = {"classify": "_classify", "intercepts": "_find_intercepts",
          "closures": "_close_ghosts", "cross": "_choose_cross_stencils",
          "operators": "operators"}
-TIMED = ("domain", *STEPS)              # the domain build, then the grid's steps
+# the domain build, then the grid's steps and its J(0) LU
+TIMED = ("domain", *STEPS, "laplacian_lu")
 LEVELSET_EXPR = "1 - (0.8*x + 0.6*y)**2/1.21 - (0.8*y - 0.6*x)**2/0.36"
 DOMAINS = {
     "disk": ("disk", {"radius": 1.0}),
@@ -130,6 +142,13 @@ def _retained_by_attribute(grid) -> dict:
     return out
 
 
+def _memory_mb() -> dict:
+    """VmHWM and VmRSS of this process, in MB."""
+    with open("/proc/self/status") as status:
+        fields = dict(line.split(":", 1) for line in status)
+    return {k: int(fields[k].split()[0]) / 1024 for k in ("VmHWM", "VmRSS")}
+
+
 def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict:
     sys.path.insert(0, str(Path(root) / "src"))
     import mcgraph
@@ -162,6 +181,32 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
         grid.operators()
     for name, method in originals.items():
         setattr(Grid, name, method)
+
+    # the LUs come after the steps: the large blocks a factorization frees
+    # raise glibc's mmap threshold, which changes how fast later steps run
+    splu, lu = mcgraph.grid.spla.splu, {}
+
+    def first_splu(A, **kwargs):
+        if lu:
+            return splu(A, **kwargs)
+        before = _memory_mb()
+        superlu = splu(A, **kwargs)
+        after = _memory_mb()
+        lu.update(lu_nnz=superlu.nnz, lu_transient_mb=after["VmHWM"] - after["VmRSS"],
+                  lu_headroom_mb=before["VmHWM"] - before["VmRSS"])
+        return superlu
+
+    mcgraph.grid.spla.splu = first_splu
+    for _ in range(calls):
+        grid = None             # one grid and its LU alive at a time
+        grid = Grid(dom, 1.0 / N)
+        grid.operators()
+        gc.collect()
+        t0 = time.perf_counter()
+        grid.laplacian_lu
+        seconds["laplacian_lu"] = min(seconds.get("laplacian_lu", float("inf")),
+                                      time.perf_counter() - t0)
+    mcgraph.grid.spla.splu = splu
 
     H = PrescribedCurvature.constant(0.4)
     field = ScalarField.from_callable(
@@ -206,7 +251,7 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     gc.collect()
     solving = tracemalloc.get_traced_memory()[0] - base
     tracemalloc.stop()
-    return {"seconds": seconds, "n_interior": grid.n_interior, "retained_bytes": retained,
+    return {"seconds": seconds, **lu, "n_interior": grid.n_interior, "retained_bytes": retained,
             "retained_bytes_solving": solving, "retained_by_attribute": by_attribute,
             "digests": digests}
 
@@ -244,7 +289,11 @@ def main(argv=None) -> int:
                     "retained_bytes": statistics.median(row["retained_bytes"] for row in rows),
                     "retained_bytes_solving": statistics.median(
                         row["retained_bytes_solving"] for row in rows),
-                    "retained_by_attribute": rows[0]["retained_by_attribute"]}
+                    "retained_by_attribute": rows[0]["retained_by_attribute"],
+                    "lu_nnz": rows[0]["lu_nnz"],
+                    "lu_transient_mb": statistics.median(row["lu_transient_mb"] for row in rows),
+                    "lu_transient_mb_runs": [row["lu_transient_mb"] for row in rows],
+                    "lu_headroom_mb": max(row["lu_headroom_mb"] for row in rows)}
             parent_digests = runs["parent"][0]["digests"]
             entry["identical"] = all(row["digests"] == parent_digests
                                      for rows in runs.values() for row in rows)
@@ -259,7 +308,10 @@ def main(argv=None) -> int:
                   f"{1e3 * p['seconds_median']['classify']:.1f} -> "
                   f"{1e3 * t['seconds_median']['classify']:.1f} ms, operators "
                   f"{1e3 * p['seconds_median']['operators']:.1f}"
-                  f" -> {1e3 * t['seconds_median']['operators']:.1f} ms, retained "
+                  f" -> {1e3 * t['seconds_median']['operators']:.1f} ms, J(0) LU "
+                  f"{1e3 * p['seconds_median']['laplacian_lu']:.1f} -> "
+                  f"{1e3 * t['seconds_median']['laplacian_lu']:.1f} ms, transient "
+                  f"{p['lu_transient_mb']:.1f} -> {t['lu_transient_mb']:.1f} MB, retained "
                   f"{p['retained_bytes'] / 2**20:.1f} -> {t['retained_bytes'] / 2**20:.1f} MB, "
                   f"with pattern {p['retained_bytes_solving'] / 2**20:.1f} -> "
                   f"{t['retained_bytes_solving'] / 2**20:.1f} MB, identical {entry['identical']}, "
@@ -274,7 +326,8 @@ def main(argv=None) -> int:
               for name in ("parent", "this")}
     _parent.write(args.out, {
         "benchmark": "Domain construction, grid construction steps, the stencil operator "
-                     "build and the bytes a grid retains on the domain_grids domains and "
+                     "build, the J(0) LU (seconds, nnz and transient memory) and the "
+                     "bytes a grid retains on the domain_grids domains and "
                      "the disk at 1/512 against a parent commit: least seconds of --calls "
                      "builds per process, median over the repeats, one fresh process per "
                      "case, checkout and repeat",

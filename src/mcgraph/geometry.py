@@ -549,14 +549,17 @@ class _LevelSet:
         critical points of F, inside the bbox and closer than half the
         reach bound; every other point takes `_tree_foot`, and so does at
         once a point whose first-order distance |F| / |grad F| is not below
-        the reach bound."""
+        the reach bound.  One jet of F at the points gives that screen and
+        the first Newton step."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        f, gx, gy = self.F.jet(pts[:, 0], pts[:, 1], order=1)
+        jet = self.F.jet(pts[:, 0], pts[:, 1])
+        f, gx, gy = jet[:3]
         ok = np.abs(f) < self._reach * np.hypot(gx, gy)
         q = np.empty_like(pts)
         if ok.any():
             near = pts[ok]
-            foot, kept = self._newton_foot(near, near.copy())
+            jet = jet if ok.all() else tuple(a[ok] for a in jet)
+            foot, kept = self._newton_foot(near, near.copy(), jet)
             kept &= np.linalg.norm(near - foot, axis=-1) < 0.5 * self._reach
             x0, x1, y0, y1 = self._bbox
             kept &= (x0 < foot[:, 0]) & (foot[:, 0] < x1) & (y0 < foot[:, 1]) & (foot[:, 1] < y1)
@@ -585,15 +588,17 @@ class _LevelSet:
         # wide leaves: fewer tree levels for the lattice-sized queries
         return cKDTree(self._polyline, leafsize=64)
 
-    def _newton_foot(self, x, q):
+    def _newton_foot(self, x, q, jet=None):
         """Constrained Newton on (F(q) = 0, (x - q) x grad F(q) = 0) from the
         starts q, updated in place, at most 30 steps; with the mask of the
         points whose last residuals both passed the 1e-13 test with
-        grad F != 0.  From q = x the first step is the gradient projection
-        step F grad F / |grad F|^2 of `_project`, each component clipped to
-        0.1 as every step is."""
+        grad F != 0.  `jet`, where given, is F's order-2 jet at the starts,
+        which the first step reads.  From q = x the first step is the
+        gradient projection step F grad F / |grad F|^2 of `_project`, each
+        component clipped to 0.1 as every step is."""
         for _ in range(30):
-            f, gx, gy, hxx, hxy, hyy = self.F.jet(q[:, 0], q[:, 1])
+            f, gx, gy, hxx, hxy, hyy = self.F.jet(q[:, 0], q[:, 1]) if jet is None else jet
+            jet = None
             rx, ry = x[:, 0] - q[:, 0], x[:, 1] - q[:, 1]
             # residuals: F = 0 and cross(r, g) = rx*gy - ry*gx = 0
             r1 = f
@@ -1099,20 +1104,29 @@ class PrescribedCurvature:
         """sup |H| over the closure (exact for constants, sampled otherwise)."""
         if self.value is not None:
             return abs(self.value)
-        return self._norms(domain)[0]
+        return self._sampled_sup(domain, "h0")
 
     def h1(self, domain: DomainSpec) -> float:
         """sup |grad H| over the closure (0 for constants, sampled otherwise)."""
         if self.value is not None:
             return 0.0
-        return self._norms(domain)[1]
+        return self._sampled_sup(domain, "h1")
 
-    def _norms(self, domain):
-        if domain not in self._norm_cache:
-            pts = domain.closure_samples(256)
-            grads = np.linalg.norm(self.gradient(pts), axis=-1)
-            self._norm_cache[domain] = (float(np.abs(self(pts)).max()), float(grads.max()))
-        return self._norm_cache[domain]
+    def _sampled_sup(self, domain, name):
+        """h0 or h1 over the domain's closure samples, each evaluated on its
+        first read, so that h0 alone never evaluates grad H.  The samples are
+        taken once per domain and kept until both norms are read."""
+        norms = self._norm_cache.get(domain)
+        if norms is None:
+            norms = self._norm_cache[domain] = {"samples": domain.closure_samples(256)}
+        if name not in norms:
+            pts = norms["samples"]
+            sizes = (np.abs(self(pts)) if name == "h0"
+                     else np.linalg.norm(self.gradient(pts), axis=-1))
+            norms[name] = float(sizes.max())
+            if "h0" in norms and "h1" in norms:
+                del norms["samples"]
+        return norms[name]
 
 
 # ---------------------------------------------------------------------------

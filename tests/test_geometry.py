@@ -539,6 +539,25 @@ def test_expression_curvature_norms_come_from_the_boundary_sample():
     assert calls == [256]
 
 
+def test_expression_curvature_h0_never_evaluates_its_gradient(monkeypatch):
+    # a solve reads h0 alone, so h0 samples H without grad H, which is read
+    # on h1's first call; each is the sup of its sampled definition
+    d = ellipse(1.2, 0.7)
+    H = PrescribedCurvature.expression("sin(2*x) + x*y**2")
+    pts = d.closure_samples(256)
+    h0 = float(np.max(np.abs(H(pts))))
+    h1 = float(np.max(np.linalg.norm(H.gradient(pts), axis=-1)))
+
+    def refuse(self, pts):
+        raise AssertionError("h0 evaluated grad H")
+
+    monkeypatch.setattr(PrescribedCurvature, "gradient", refuse)
+    assert H.h0(d) == h0
+    monkeypatch.undo()
+    assert H.h1(d) == h1
+    assert H.h0(d) == h0
+
+
 def test_annulus_foot_arclength_is_exact():
     g = Grid(annulus(0.8, 1.6), 1.0 / 64.0)
     outer = g.foot_s < 2.0 * math.pi * 1.6

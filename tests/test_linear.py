@@ -522,6 +522,30 @@ def test_laplacian_lu_in_minimum_degree_order(name, h):
     assert report.converged and report.factorizations == 1
 
 
+@pytest.mark.parametrize("name", ["disk", "levelset"])
+def test_lu_factorizes_in_two_column_panels(name, monkeypatch):
+    # J(0) and a nine-point Jacobian are factorized in panels of two
+    # columns, beside the minimum-degree order and one-column supernodes:
+    # the pivots, the column order and the fill are those of SuperLU's
+    # default panel of 20 columns, whose work arrays the narrow panel spares
+    splu, calls = spla.splu, []
+    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+                        lambda A, **kwargs: calls.append((A, kwargs)) or splu(A, **kwargs))
+    grid = Grid(_ORDERED_DOMAINS[name](), 1.0 / 32.0)
+    grid.laplacian_lu
+    u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
+    A, b = _newton(u, PrescribedCurvature.constant(0.4))
+    mcgraph.linear._factorized_solve(A, b, 1.0, Factor(grid), np.float32)
+    assert len(calls) == 2 and calls[1][0].nnz > 1.5 * calls[0][0].nnz    # nine-point rows
+    for matrix, kwargs in calls:
+        assert kwargs == {"permc_spec": "MMD_AT_PLUS_A", "relax": 1, "panel_size": 2}
+        wide = splu(matrix, permc_spec="MMD_AT_PLUS_A", relax=1)
+        lu = splu(matrix, **kwargs)
+        assert np.array_equal(lu.perm_r, wide.perm_r)
+        assert np.array_equal(lu.perm_c, wide.perm_c)
+        assert lu.nnz == wide.nnz
+
+
 def test_lu_solves_systems_off_the_stencil():
     # SuperLU orders any sparse matrix, so a system off the stencil pattern
     # still solves.  A diagonal of powers of two divides the float32
