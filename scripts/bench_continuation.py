@@ -13,8 +13,13 @@ are
 * ``bump_legs``: the two A8 legs, H = 0.55 and then H = 0.45, with the A8
   bump data (y0 = (1, 0), width 0.1, height 0.05) on one h = 1/24 and one
   h = 1/48 grid, each leg solving on both grids in turn;
-* ``cap_64``, ``cap_128``, ``cap_256``: the H = 0.4 cap on the unit disk at
-  h = 1/64, 1/128, 1/256, on a grid of its own;
+* ``cap_64``, ``cap_128``, ``cap_256``, ``cap_512``: the H = 0.4 cap on the
+  unit disk at h = 1/64, 1/128, 1/256, 1/512, on a grid of its own; the
+  last is the memory yardstick of the refinement studies;
+* ``manufactured_256``: the manufactured solution u = ``MANUFACTURED_U`` on
+  ``rounded_rect(1, 0.6, 0.25)`` at h = 1/256, with its curvature
+  H = M u / (2 W^3) (`reference.manufactured`), an expression, and the
+  trace of u as ``ExpressionData``;
 * ``scherk``: Scherk's minimal graph, H = 0 with its trace on the square
   ``rect(0.6, 0.6)`` (the A3 problem), at h = 1/64 and then 1/128;
 * ``near_critical``: zero data on one h = 1/128 disk grid at H = 0.93 and
@@ -61,12 +66,16 @@ from _parent import ROOT
 
 # name: (domain, spacings, curvatures, data); every curvature solves on
 # every spacing's grid in turn
+MANUFACTURED_U = "0.4*sin(1.3*x + 0.4)*cos(0.9*y) + 0.15*x*y"
 CASES = {
     "sweep": ("unit disk", (1 / 32,), tuple(0.05 * k for k in range(1, 10)), "zero"),
     "bump_legs": ("unit disk", (1 / 24, 1 / 48), (0.55, 0.45), "A8 bump"),
     "cap_64": ("unit disk", (1 / 64,), (0.4,), "zero"),
     "cap_128": ("unit disk", (1 / 128,), (0.4,), "zero"),
     "cap_256": ("unit disk", (1 / 256,), (0.4,), "zero"),
+    "cap_512": ("unit disk", (1 / 512,), (0.4,), "zero"),
+    "manufactured_256": ("rounded_rect(1, 0.6, 0.25)", (1 / 256,), ("M u / (2 W^3)",),
+                         "manufactured u"),
     "scherk": ("rect(0.6, 0.6)", (1 / 64, 1 / 128), (0.0,), "Scherk trace"),
     "near_critical": ("unit disk", (1 / 128,), (0.93, 0.95), "zero"),
 }
@@ -77,7 +86,8 @@ _EXACT = ("newton_iterations", "krylov_iterations", "factorizations",
 
 
 def _solves(mcgraph, case: str, draws: int):
-    """(grid, H, data) of each solve of the case, in order."""
+    """(grid, H, data) of each solve of the case, in order, H a
+    `PrescribedCurvature`."""
     disk = mcgraph.disk(1.0)
     if case == "sample":
         grids = [mcgraph.Grid(disk, h) for h in (1 / 12, 1 / 24)]
@@ -86,13 +96,22 @@ def _solves(mcgraph, case: str, draws: int):
             H, angle, width, eps = (rng.uniform(-1.5, 1.5), rng.uniform(0.0, 2.0 * np.pi),
                                     rng.uniform(0.05, 1.0), rng.uniform(-0.5, 0.5))
             data = mcgraph.BumpData(disk, (np.cos(angle), np.sin(angle)), width, eps)
-            yield grids[k % 2], float(H), data
+            yield grids[k % 2], mcgraph.PrescribedCurvature.constant(H), data
         return
     domain, spacings, curvatures, data = CASES[case]
-    domain = disk if domain == "unit disk" else mcgraph.rect(0.6, 0.6)
+    domain = {"unit disk": lambda: disk, "rect(0.6, 0.6)": lambda: mcgraph.rect(0.6, 0.6),
+              "rounded_rect(1, 0.6, 0.25)": lambda: mcgraph.rounded_rect(1.0, 0.6, 0.25)
+              }[domain]()
     grids = [mcgraph.Grid(domain, h) for h in spacings]
-    data = {"zero": mcgraph.ZeroData(), "Scherk trace": mcgraph.scherk_trace(),
-            "A8 bump": mcgraph.adversarial_boundary_data(disk, (1.0, 0.0), 0.10, 0.05)}[data]
+    if data == "manufactured u":
+        from mcgraph.reference import manufactured
+        curvatures = [manufactured(MANUFACTURED_U, domain).curvature]
+        data = mcgraph.ExpressionData(MANUFACTURED_U)
+    else:
+        curvatures = [mcgraph.PrescribedCurvature.constant(H) for H in curvatures]
+        data = {"zero": mcgraph.ZeroData(), "Scherk trace": mcgraph.scherk_trace(),
+                "A8 bump": mcgraph.adversarial_boundary_data(disk, (1.0, 0.0), 0.10, 0.05)
+                }[data]
     for H in curvatures:
         for grid in grids:
             yield grid, H, data
@@ -130,8 +149,7 @@ def _measure(root: str, case: str, draws: int, fields_path: str) -> dict:
            "verdicts": [], "field_sha256": []}
     for grid, H, data in _solves(mcgraph, case, draws):
         t0 = time.perf_counter()
-        report = mcgraph.solve_dirichlet(grid, mcgraph.PrescribedCurvature.constant(H),
-                                         data, n=2)
+        report = mcgraph.solve_dirichlet(grid, H, data, n=2)
         seconds += time.perf_counter() - t0
         row["newton_iterations"].append(report.iterations)
         row["krylov_iterations"] += report.krylov_iterations
@@ -244,8 +262,9 @@ def main(argv=None) -> int:
     _parent.write(args.out, {
         "benchmark": "continuation solves against a parent commit: nine zero-data caps "
                      "on one disk grid, the two A8 bump legs on shared grids, single caps "
-                     "at fine h, Scherk's square, two near-critical caps, and a sample of "
-                     "bump-data draws; one fresh process per case, checkout and repeat",
+                     "at fine h, Scherk's square, two near-critical caps, a manufactured "
+                     "solution with an expression H, and a sample of bump-data draws; one "
+                     "fresh process per case, checkout and repeat",
         "machine": _parent.machine(),
         "parent": rev,
         "repeats": args.repeats,

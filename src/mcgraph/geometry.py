@@ -1069,13 +1069,15 @@ class PrescribedCurvature:
     its sup norms over a domain closure (h0 = sup |H|, h1 = sup |grad H|)
     are closed forms; otherwise they are sample maxima over a 256 x 256
     lattice plus the boundary samples, cached per domain object (weakly, so
-    a freed domain's entry goes with it).
+    a freed domain's entry goes with it).  An expression's values at a
+    grid's interior nodes are cached per grid alike (`at_interior`).
     """
 
     def __init__(self, expr: Expr2D, value: Optional[float] = None):
         self.expr = expr
         self.value = value
         self._norm_cache = weakref.WeakKeyDictionary()
+        self._node_cache = weakref.WeakKeyDictionary()
 
     # -- constructors -------------------------------------------------------
 
@@ -1099,6 +1101,17 @@ class PrescribedCurvature:
     def gradient(self, pts):
         pts = np.asarray(pts, dtype=float)
         return self.expr.grad(pts[..., 0], pts[..., 1])
+
+    def at_interior(self, grid) -> np.ndarray:
+        """H at the grid's interior nodes, read-only: sampled on the first
+        read and kept while the grid lives, so that every load of a solve
+        reads the same samples."""
+        values = self._node_cache.get(grid)
+        if values is None:
+            values = np.array(self(grid.interior_xy), dtype=float)
+            values.flags.writeable = False
+            self._node_cache[grid] = values
+        return values
 
     def h0(self, domain: DomainSpec) -> float:
         """sup |H| over the closure (exact for constants, sampled otherwise)."""

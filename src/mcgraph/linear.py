@@ -22,7 +22,9 @@ backward error reads.
 The LU only preconditions: GMRES, the keep test and the gate run in float64
 and fix the answer's accuracy, so the factor is made in float32, its values
 in half the memory (GMRES-based iterative refinement with a low-precision
-LU, Carson & Higham 2017, 2018).  On the matrix it factorized, x0 is then
+LU, Carson & Higham 2017, 2018).  GMRES keeps its preconditioned basis in
+float32 as well: the LU's answers are float32 numbers, which that basis
+holds exactly.  On the matrix it factorized, x0 is then
 good to float32's rounding, and GMRES takes an iteration or two to reach the
 keep test.  A fresh float32 factorization falls back once to a float64 one,
 which the holder then keeps, when the cast has an entry beyond float32's
@@ -34,14 +36,15 @@ kernels split a sum by thread count: the answers do not depend on the
 number of BLAS threads.
 
 Every LU is SuperLU's factorization, in float32 or float64, of a matrix
-with its exact zeros dropped: the union pattern stores the entries a matrix
-lacks as zeros (J(0) at u = 0 has no cross or slope terms), and SuperLU
-would fill them.  Every LU has one order, SuperLU's minimum degree
-(`grid.SparseLU`).  J(0) is left with the five-point pattern, on which that
-order stores about half the entries of SuperLU's default one, and every
-Krylov iteration of every solve reads it twice.  Since the solver starts
-from the harmonic lift of the data, only near-critical and failing solves
-factorize a Jacobian of their own.
+with its exact zeros dropped before SuperLU's CSC copy is made
+(`grid.lean`): the union pattern stores the entries a matrix lacks as zeros
+(J(0) at u = 0 has no cross or slope terms), and SuperLU would fill them.
+Every LU has one order, SuperLU's minimum degree (`grid.SparseLU`).  J(0)
+is left with the five-point pattern, on which that order stores about half
+the entries of SuperLU's default one, and every Krylov iteration of every
+solve reads it twice.  Since the solver starts from the harmonic lift of
+the data, only near-critical and failing solves factorize a Jacobian of
+their own.
 
 Every returned solution passes the backward-error gate
 |Ax - b| / (|A| |x| + |b|) <= 1e-10 in the infinity norm; in correction form
@@ -106,7 +109,7 @@ def solve(A: sps.csr_matrix, b: np.ndarray, factor: Factor) -> tuple[np.ndarray,
             raise SolverError(f"factorization failed: {exc}") from None
     norm_A = _norm_inf(A)
     if factor.lu is not None:
-        x = _gmres(A, b, norm_A, factor, factor.lu.solve)
+        x = _gmres(A, b, norm_A, factor, factor.lu.precondition)
         relres = _backward_error(A, b, x, norm_A)
         if not relres <= _REUSE_TOL:
             factor.lu = None            # a stale LU of the solve's own goes before the next
@@ -134,7 +137,7 @@ def _factorized_solve(A, b, norm_A, factor: Factor, dtype):
         factor.lu = SparseLU(A, dtype)
     except RuntimeError as exc:     # a cast beyond the dtype's range, or a singular matrix
         raise SolverError(f"factorization failed: {exc}") from None
-    x = _gmres(A, b, norm_A, factor, factor.lu.solve)
+    x = _gmres(A, b, norm_A, factor, factor.lu.precondition)
     return x, _backward_error(A, b, x, norm_A)
 
 
@@ -161,7 +164,12 @@ def _gmres(A, b, norm_A, factor: Factor, precondition) -> np.ndarray:
     _REUSE_TOL of |A| |x0| + |b| in the infinity norm, which the 2-norm
     bounds, or after 30 iterations; they are added to `factor`'s.  Each
     iteration stores z_j = M v_j and applies A to it, and the answer is
-    x0 + Z y: k iterations cost k + 1 preconditioner solves.  Modified
+    x0 + Z y: k iterations cost k + 1 preconditioner solves.  The basis Z
+    is kept in the dtype `precondition` answers in, as x0 comes from it: a
+    float32 LU's answers are float32 numbers, so a float32 Z holds them
+    exactly in half the memory, and A z_j and x0 + Z y read the same
+    values as from a float64 Z (both products widen each entry to
+    float64); x0 and the rest of GMRES are float64.  Modified
     Gram-Schmidt and LAPACK `lartg` Givens rotations build the
     least-squares problem.  Its inner products and norms are summed by
     `np.einsum`, which never calls BLAS, so they round alike whatever the
@@ -170,6 +178,8 @@ def _gmres(A, b, norm_A, factor: Factor, precondition) -> np.ndarray:
     is.
     """
     x = precondition(b)
+    basis = x.dtype
+    x = x.astype(np.float64, copy=False)
     atol = _REUSE_TOL * (norm_A * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf))
     r = b - A @ x
     beta = np.sqrt(np.einsum("i,i->", r, r))
@@ -178,7 +188,7 @@ def _gmres(A, b, norm_A, factor: Factor, precondition) -> np.ndarray:
     eps = np.finfo(float).eps
     restart = min(_RESTART, len(b))
     v = np.empty((restart + 1, len(b)))
-    z = np.empty((restart, len(b)))
+    z = np.empty((restart, len(b)), dtype=basis)
     h = np.zeros((restart, restart + 1))     # the Hessenberg matrix, transposed
     givens = np.zeros((restart, 2))
     v[0] = r / beta

@@ -100,7 +100,10 @@ class Evaluation:
     Arrays are per interior node: p holds the slopes (n_interior, 2) and
     W = sqrt(1 + |p|^2); uxx, uyy, uxy the second differences; a11, a22, a12
     the coefficients of M; load the curvature load tau n H; m = M u and
-    q = Q u = m - load W^3.
+    q = Q u = m - load W^3.  For a constant H the load is the one float
+    tau n H, seen as a read-only (n_interior,) array of stride 0; for an
+    expression it is tau n times H's samples at the interior nodes, taken
+    once per grid (`PrescribedCurvature.at_interior`).
     """
 
     def __init__(self, u: ScalarField, H, n: int = DIMENSION, tau: float = 1.0):
@@ -120,7 +123,10 @@ class Evaluation:
         self.a12 = np.negative(ux)
         self.a12 *= uy
         self.m = self.a11 * self.uxx + 2.0 * self.a12 * self.uxy + self.a22 * self.uyy
-        self.load = tau * n * np.asarray(H(u.grid.interior_xy), dtype=float)
+        if H.value is None:
+            self.load = tau * n * H.at_interior(u.grid)
+        else:
+            self.load = np.broadcast_to(tau * n * H.value, (u.grid.n_interior,))
         # q = m - load W**3 in the buffer of W**3 (W * W * W rounds differently)
         self.q = self.W**3
         self.q *= self.load

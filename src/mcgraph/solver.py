@@ -46,9 +46,12 @@ Each iterate is evaluated once (`operators.Evaluation`): the defect norms,
 the slope guard and the next Jacobian read from it, and the lift's J(0) is
 the Jacobian at u = 0.  Every Newton system goes to `linear.solve` with the
 solve's one `linear.Factor`: GMRES preconditioned by its LU, the grid's LU
-of J(0) at first, and a fresh factorization only when that stalls.  An LU
-the solve makes ends with it, so a report does not depend on what was
-solved on the grid before; it keeps the counts and the largest LU fill.
+of J(0) at first, and a fresh factorization only when that stalls.  A
+solve's memory peaks in GMRES, so only the Newton system lives through it:
+the iterate's evaluation goes before, and J(0)'s LU is made before the
+first iterate is evaluated.  An LU the solve makes ends with it, so a
+report does not depend on what was solved on the grid before; it keeps the
+counts and the largest LU fill.
 
 The solver's settings are the module constants below, the same for every
 solve; the residual tolerance is 1e-6 (1 + n sup|H|).
@@ -189,6 +192,7 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
             start = (tau * lift if k == 0 else
                      values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev))
             tau_prev, u_prev = tau_k, values
+            ev = None       # the last stage's evaluation goes before this stage's solves
             # re-anchor the start's trace at this stage's load, tau * phi
             verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
                                           tol_res, report, factor,
@@ -208,13 +212,15 @@ def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
     along the field that is 0 inside and phi at the feet, negated.  Zero
     data lifts to 0 without a solve, and so does data whose lift SuperLU
     refuses (J(0) refused, which the first Newton system then reports) or
-    makes non-finite (beyond float32's range)."""
+    makes non-finite (beyond float32's range).  J(0)'s LU is read first,
+    zero data or not, so that SuperLU factorizes it before the solve
+    evaluates any iterate."""
     zero = np.zeros(grid.n_interior)
-    if not phi.any():
-        return zero
     try:
         lu = grid.laplacian_lu
     except RuntimeError:
+        return zero
+    if not phi.any():
         return zero
     lift = lu.solve(-Evaluation.zero(grid).derivative(ScalarField(grid, zero, phi)))
     return lift if np.all(np.isfinite(lift)) else zero
@@ -225,7 +231,10 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     """Full Newton steps at load tau from u, adding their trace rows and
     iterations to the report.  Records the stage's summary unless a linear
     solve fails, and returns (verdict, message, evaluation of the last
-    iterate)."""
+    iterate).  While GMRES runs only the iterate's Newton system, its
+    Jacobian and right-hand side, is alive, not its evaluation: that goes
+    before the linear solve, and a failed solve evaluates the iterate again
+    for the report, to the same bits."""
     grid = u.grid
     ev = Evaluation(u, H, n, tau)
     prev_res = np.inf
@@ -233,20 +242,23 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
     update = theta = np.nan   # the last correction's norm, the last contraction
     for it in range(1, _MAX_ITERS + 1):
         report.iterations += 1
+        A, b = ev.jacobian(), -ev.q
+        del ev
         try:
-            delta, _ = linear_solve(ev.jacobian(), -ev.q, factor)
+            delta, _ = linear_solve(A, b, factor)
         except SolverError as exc:
-            return VERDICT_LINEAR_FAILURE, str(exc), ev
+            return VERDICT_LINEAR_FAILURE, str(exc), Evaluation(u, H, n, tau)
         u_new = ScalarField(grid, u.values + delta, u.feet)
-        ev_new = Evaluation(u_new, H, n, tau)
-        g = sup_slope(u_new, ev_new.p)
+        del A, b, delta
+        ev = Evaluation(u_new, H, n, tau)
+        g = sup_slope(u_new, ev.p)
         if not np.isfinite(g) or g > _GRAD_MAX:
             report.stages.append(StageSummary(tau, it, np.inf, np.inf, np.inf, g, 1.0,
                                               VERDICT_DIVERGED))
             return (VERDICT_DIVERGED,
                     f"slope {g:.3e} exceeded grad_max={_GRAD_MAX:g} "
-                    f"at tau={tau:g}, iteration {it}; last contraction {theta:.3g}", ev_new)
-        res_core, res_collar = ev_new.residual_norms()
+                    f"at tau={tau:g}, iteration {it}; last contraction {theta:.3g}", ev)
+        res_core, res_collar = ev.residual_norms()
         # the update is u_new - u, which rounds differently from delta.
         # Newton's contraction Theta = ||delta_k|| / ||delta_{k-1}||, nan on a
         # stage's first step; with Theta < 1/2, u_new is at most
@@ -257,7 +269,7 @@ def _stage(u: ScalarField, H, n: int, tau: float, tol_res: float,
         report.trace.append({"tau": tau, "iter": it, "residual_core": res_core,
                              "residual_collar": res_collar, "update": update,
                              "sup_gradient": g, "damping": 1.0})
-        u, ev = u_new, ev_new
+        u = u_new
         # an intermediate answer is only the next stage's start: its defect
         # test suffices.  The final answer must also be within _TOL_UPDATE of
         # the solution, by its last update or by the contraction bound

@@ -546,6 +546,97 @@ def test_lu_factorizes_in_two_column_panels(name, monkeypatch):
         assert lu.nnz == wide.nnz
 
 
+
+def _lean_j0(grid):
+    """J(0) cast to float32 with its zeros dropped, in CSC: the matrix of
+    the grid's LU, made here the way SparseLU made it before it took J(0)
+    lean."""
+    A = Evaluation.zero(grid).jacobian().astype(np.float32).tocsc()
+    A.eliminate_zeros()
+    return A
+
+
+@pytest.mark.parametrize("h", [1.0 / 32.0, 1.0 / 64.0])
+@pytest.mark.parametrize("name", sorted(_ORDERED_DOMAINS))
+def test_laplacian_lu_is_superlus_factor_of_the_lean_j0(name, h, monkeypatch):
+    # SuperLU gets J(0) with the five-point entries only and factorizes it
+    # as it would the float32 cast of the union-pattern J(0) with its zeros
+    # dropped: the same pivots, column order, fill and solves
+    splu, given = spla.splu, []
+    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+                        lambda A, **kwargs: given.append(A) or splu(A, **kwargs))
+    grid = Grid(_ORDERED_DOMAINS[name](), h)
+    lu = grid.laplacian_lu
+    A = _lean_j0(grid)
+    expected = splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
+    (matrix,) = given
+    assert matrix.format == "csc" and matrix.nnz == A.nnz < 0.6 * grid.pattern().indptr[-1]
+    assert np.array_equal(lu.superlu.perm_r, expected.perm_r)
+    assert np.array_equal(lu.superlu.perm_c, expected.perm_c)
+    assert lu.superlu.nnz == expected.nnz
+    b = np.random.default_rng(6).standard_normal(grid.n_interior)
+    assert lu.solve(b).tobytes() == expected.solve(b.astype(np.float32)).astype(float).tobytes()
+
+
+def _arrays(A):
+    return [a.copy() for a in (A.data, A.indices, A.indptr)]
+
+
+def test_sparse_lu_leaves_its_matrix_alone(monkeypatch):
+    # SparseLU factorizes a lean copy of a matrix with zeros or of another
+    # dtype or format, and a lean float32 CSC as it is; it changes neither
+    splu, given = spla.splu, []
+    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+                        lambda A, **kwargs: given.append(A) or splu(A, **kwargs))
+    grid = _unsolved_g32()
+    J0 = Evaluation.zero(grid).jacobian()
+    lean = _lean_j0(grid)
+    unsorted = lean.copy()
+    unsorted.indices[[0, 1]] = unsorted.indices[[1, 0]]
+    unsorted.data[[0, 1]] = unsorted.data[[1, 0]]
+    unsorted.has_sorted_indices = False
+    for A in (J0, J0.astype(np.float32).tocsc(), unsorted, lean):
+        before = _arrays(A)
+        lu = SparseLU(A)
+        assert all(np.array_equal(a, b) for a, b in zip(_arrays(A), before))
+        assert (given[-1] is A) == (A is lean)
+        assert lu.superlu.nnz == grid.laplacian_lu.superlu.nnz
+
+
+class _Operands:
+    """A matrix whose products record the dtype of what they multiply."""
+
+    def __init__(self, A):
+        self.A, self.dtypes = A, []
+
+    def __matmul__(self, x):
+        self.dtypes.append(x.dtype)
+        return self.A @ x
+
+
+@pytest.mark.parametrize("name", ["disk", "levelset"])
+def test_gmres_keeps_a_float32_basis_with_the_same_answer(name):
+    # on a float32 LU GMRES stores z_j = M v_j in float32, where the LU's
+    # answers are exact, and returns the bytes and the iterations of GMRES
+    # with a float64 basis of the same numbers: on J(0) and on a nine-point
+    # Jacobian, each on its own LU and the Jacobian also on J(0)'s
+    grid = Grid(_ORDERED_DOMAINS[name](), 1.0 / 32.0)
+    u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
+    J0, first = _first_jacobian(grid)
+    J, b = _newton(u, PrescribedCurvature.constant(0.4))
+    for A, rhs, lu in ((J0, first, grid.laplacian_lu), (J, b, SparseLU(J)),
+                       (J, b, grid.laplacian_lu)):
+        answers = []
+        for precondition, basis in ((lu.precondition, np.float32), (lu.solve, np.float64)):
+            operands, factor = _Operands(A), Factor()
+            answers.append((_gmres(operands, rhs, _norm_inf(A), factor, precondition),
+                            factor.krylov_iterations))
+            assert operands.dtypes == [np.float64] + [basis] * factor.krylov_iterations
+        (x32, k32), (x64, k64) = answers
+        assert x32.dtype == np.float64 and k32 == k64 > 0
+        assert x32.tobytes() == x64.tobytes()
+
+
 def test_lu_solves_systems_off_the_stencil():
     # SuperLU orders any sparse matrix, so a system off the stencil pattern
     # still solves.  A diagonal of powers of two divides the float32

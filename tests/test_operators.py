@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from mcgraph import (Evaluation, Grid, PrescribedCurvature, ScalarField,
-                     apply_M, coefficient_matrix, disk, gradient, rect)
+from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature, ScalarField,
+                     apply_M, coefficient_matrix, disk, gradient, rect, solve_dirichlet)
 
 _FLAT = PrescribedCurvature.constant(0.0)
 
@@ -166,3 +166,45 @@ def test_evaluation_is_its_formulas_on_a_random_field(disk20):
 def test_evaluation_is_its_formulas_on_the_cap(cap_solve32, cap_H):
     ev = Evaluation(cap_solve32.field, cap_H)
     _assert_evaluation_is_its_formulas(ev, cap_H, 2, 1.0)
+
+
+def test_constant_load_is_one_float(disk20, monkeypatch):
+    # a constant H's load tau n H is one float seen as an array of stride 0:
+    # the evaluation reads no node coordinates, and every array is still
+    # its formula
+    rng = np.random.default_rng(7)
+    u = ScalarField(disk20, rng.normal(scale=0.3, size=disk20.n_interior),
+                    rng.normal(scale=0.3, size=disk20.n_feet))
+    H = PrescribedCurvature.constant(0.4)
+
+    def unread(grid):
+        raise AssertionError("interior_xy read")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(Grid, "interior_xy", property(unread))
+        ev = Evaluation(u, H, n=2, tau=0.75)
+    assert ev.load.shape == (disk20.n_interior,) and ev.load.strides == (0,)
+    assert not ev.load.flags.writeable
+    _assert_evaluation_is_its_formulas(ev, H, 2, 0.75)
+
+
+def test_expression_load_sampled_once_per_solve():
+    # an expression H is evaluated at the grid's interior nodes once, on the
+    # first iterate, and every later load reads those samples
+    grid = Grid(disk(radius=1.0), 1.0 / 16.0)
+    H = PrescribedCurvature.expression("0.3 + 0.1*x - 0.05*y*y")
+    x = grid.interior_xy[:, 0]
+    expr, at_nodes = H.expr, []
+
+    class Counted:
+        def __call__(self, xs, ys):
+            at_nodes.append(np.array_equal(xs, x))
+            return expr(xs, ys)
+
+        def __getattr__(self, name):
+            return getattr(expr, name)
+
+    H.expr = Counted()
+    report = solve_dirichlet(grid, H, ExpressionData("0.1*x"))
+    assert report.converged and report.iterations > 1
+    assert sum(at_nodes) == 1

@@ -1,5 +1,7 @@
 """Continuation solver: convergence, verdicts, slope bookkeeping."""
 
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -407,6 +409,62 @@ def test_refused_j0_ends_the_solve_in_linear_failure(monkeypatch):
         assert report.verdict == "linear_failure"
         assert report.message.startswith("factorization failed")
         assert report.iterations == 2 and report.factorizations == 3
+
+
+
+def _track_solver(monkeypatch):
+    """Record, in order, each splu call and each Evaluation the solver
+    makes, and at each linear solve how many of those are alive."""
+    events, made, alive = [], [], []
+    splu = spla.splu
+    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+                        lambda *args, **kwargs: events.append("splu") or splu(*args, **kwargs))
+
+    class Tracked(Evaluation):
+        def __init__(self, *args, **kwargs):
+            events.append("evaluation")
+            made.append(weakref.ref(self))
+            super().__init__(*args, **kwargs)
+
+    def counted(A, b, factor):
+        alive.append(sum(ref() is not None for ref in made))
+        return linear_solve(A, b, factor)
+
+    linear_solve = mcgraph.solver.linear_solve
+    monkeypatch.setattr(mcgraph.solver, "Evaluation", Tracked)
+    monkeypatch.setattr(mcgraph.solver, "linear_solve", counted)
+    return events, alive
+
+
+def test_zero_data_solve_factorizes_j0_before_its_first_iterate(monkeypatch):
+    # J(0)'s LU is made before the first iterate's evaluation, so its
+    # factorization's work arrays never sit beside one
+    events, _ = _track_solver(monkeypatch)
+    report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 16.0),
+                             PrescribedCurvature.constant(0.4), ZeroData())
+    assert report.converged and report.factorizations == 1
+    assert events[:2] == ["splu", "evaluation"] and events.count("splu") == 1
+
+
+@pytest.mark.parametrize("case", ["leap", "walk", "bump_walk"])
+def test_no_evaluation_lives_through_a_linear_solve(case, monkeypatch):
+    # only the Newton system lives through GMRES: neither the iterate's
+    # evaluation nor the last stage's is alive while a linear solve runs.
+    # The walk takes three steps a stage, as cap_walk32 does; the bump walk
+    # is test_rejected_bump_leap_walks_the_schedule's, which lifts its data
+    # and factorizes a Jacobian of its own
+    _, alive = _track_solver(monkeypatch)
+    H, data, h = PrescribedCurvature.constant(0.4), ZeroData(), 1.0 / 32.0
+    if case == "walk":
+        monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 3)
+    if case == "bump_walk":
+        angle, h = 4.220611398153058, 1.0 / 12.0
+        H = PrescribedCurvature.constant(0.32662548806931513)
+        data = BumpData(disk(radius=1.0), (np.cos(angle), np.sin(angle)),
+                        0.08181064604271274, 0.17083554627395126)
+    report = solve_dirichlet(Grid(disk(radius=1.0), h), H, data)
+    assert report.converged and len(report.stages) == (1 if case == "leap" else 4)
+    assert alive == [0] * report.iterations
 
 
 def test_data_beyond_float32_starts_from_zero(disk12):
