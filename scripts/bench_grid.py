@@ -22,9 +22,10 @@ process builds the domain, then ``Grid(domain, h)`` and its
 * ``closures``: ``Grid._close_ghosts``;
 * ``cross``: ``Grid._choose_cross_stencils``;
 * ``operators``: the first ``Grid.operators()`` of a grid, which builds it;
-* ``laplacian_lu``: ``Grid.laplacian_lu``, J(0) and its float32 SuperLU
-  factor, made on ``--calls`` more grids once their operators are built,
-  after the steps above are timed.
+* ``laplacian_lu``: J(0) and its float32 SuperLU factor, through the
+  entry point of the checkout (``linear.laplacian_lu(grid)``, or
+  ``Grid.laplacian_lu`` in a parent that has it), made on ``--calls`` more
+  grids once their operators are built, after the steps above are timed.
 
 The least of a step's seconds over the calls is its time in that process,
 and the table gives the median over the repeats.  The process's first
@@ -79,6 +80,7 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sps
+import scipy.sparse.linalg as spla
 
 import _parent
 from _parent import ROOT
@@ -183,8 +185,10 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
         setattr(Grid, name, method)
 
     # the LUs come after the steps: the large blocks a factorization frees
-    # raise glibc's mmap threshold, which changes how fast later steps run
-    splu, lu = mcgraph.grid.spla.splu, {}
+    # raise glibc's mmap threshold, which changes how fast later steps run.
+    # Both checkouts call splu through scipy's module attribute
+    splu, lu = spla.splu, {}
+    laplacian_lu = getattr(mcgraph.linear, "laplacian_lu", lambda grid: grid.laplacian_lu)
 
     def first_splu(A, **kwargs):
         if lu:
@@ -196,17 +200,17 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
                   lu_headroom_mb=before["VmHWM"] - before["VmRSS"])
         return superlu
 
-    mcgraph.grid.spla.splu = first_splu
+    spla.splu = first_splu
     for _ in range(calls):
         grid = None             # one grid and its LU alive at a time
         grid = Grid(dom, 1.0 / N)
         grid.operators()
         gc.collect()
         t0 = time.perf_counter()
-        grid.laplacian_lu
+        laplacian_lu(grid)
         seconds["laplacian_lu"] = min(seconds.get("laplacian_lu", float("inf")),
                                       time.perf_counter() - t0)
-    mcgraph.grid.spla.splu = splu
+    spla.splu = splu
 
     H = PrescribedCurvature.constant(0.4)
     field = ScalarField.from_callable(
@@ -215,13 +219,8 @@ def _measure(root: str, domain: str, N: int, calls: int, feet_path: str) -> dict
     digests = {name: _digest(np.ascontiguousarray(a)) for name, a in (
         ("uxx", ev.uxx), ("uyy", ev.uyy), ("uxy", ev.uxy), ("ux", ev.p[:, 0]),
         ("uy", ev.p[:, 1]))}
-    if hasattr(Evaluation, "jacobian"):
-        jacobian = Evaluation.jacobian
-    else:       # a parent commit from before Evaluation.jacobian
-        def jacobian(ev):
-            return mcgraph.linear.correction_system(ev).A
-    first = jacobian(Evaluation(ScalarField.zeros(grid), H, 2, 1.0))
-    for label, J in (("J0", first), ("J", jacobian(ev))):
+    first = Evaluation(ScalarField.zeros(grid), H, 2, 1.0).jacobian()
+    for label, J in (("J0", first), ("J", ev.jacobian())):
         for attr in ("data", "indices", "indptr"):
             digests[f"{label}.{attr}"] = _digest(getattr(J, attr))
     digests["feet"] = _digest(grid.foot_owner, grid.foot_axis, grid.foot_theta,

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .geometry import DomainSpec, SerrinAudit, check_serrin, check_gradient_condition
-from .grid import Grid, ScalarField
+from .grid import _AXES, Grid, ScalarField
 from .operators import Evaluation, boundary_slope, foot_slopes, gradient
 
 _GEOM_DIM = 2     # planar domains; distance Laplacians use this, not the n parameter
@@ -924,10 +924,8 @@ def _extrapolated_boundary_value(report, y0) -> tuple[float, float]:
     fi = int(np.argmin(np.linalg.norm(grid.foot_xy - np.asarray(y0), axis=-1)))
     owner = int(grid.foot_owner[fi])
     theta = float(grid.foot_theta[fi])
-    oi, oj = grid.interior_ij[owner]
-    axis = int(grid.foot_axis[fi])
-    dx, dy = ((1, 0), (-1, 0), (0, 1), (0, -1))[axis]
-    pi, pj = oi - dx, oj - dy     # one step inward, away from the foot
+    # one step inward, away from the foot, along the foot's axis
+    pi, pj = grid.interior_ij[owner] - _AXES[grid.foot_axis[fi]]
     u_o = float(u.values[owner])
     # the owner is at least two cells from the lattice edge, so (pi, pj) is on it
     if grid.node_id[pi, pj] >= 0:

@@ -69,10 +69,6 @@ Jacobian.  For the Jacobian, `Grid.pattern` builds the union pattern of the
 five stencils once per grid: a combination of the stencils writes the
 9-point rows of the lattice nodes from the coefficients directly, and the
 edge nodes' rows by one small sparse product.
-For factorization, `SparseLU` holds SuperLU's LU in its minimum-degree
-order of a `lean` matrix, and `Grid.laplacian_lu`, the LU of J(0) = Dxx + Dyy
-(`operators.Evaluation.zero`) that every solve starts on and lifts its data
-with, is made on first read, so grids never solved on lack it.
 """
 
 from __future__ import annotations
@@ -84,7 +80,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .geometry import DomainSpec
 
@@ -526,18 +521,6 @@ class Grid:
             self._pattern = StencilPattern(self)
         return self._pattern
 
-    @cached_property
-    def laplacian_lu(self) -> "SparseLU":
-        """The float32 LU of J(0) = Dxx + Dyy, the Jacobian at u = 0 with zero
-        data whatever H, that every solve lifts its data with
-        (`solver._lift`) and starts on (`linear.Factor`), made on first
-        read; SuperLU's refusal raises.  SuperLU gets J(0) `lean`: in
-        float32, its exact zeros dropped before the CSC copy, so the copy
-        holds the five-point entries, not the union pattern's nine, and no
-        other copy of J(0) is alive while it factorizes."""
-        from .operators import Evaluation   # here, as operators imports grid
-        return SparseLU(lean(Evaluation.zero(self).jacobian(), np.float32))
-
     def __repr__(self):
         return (f"Grid(h={self.h:g}, interior={self.n_interior}, "
                 f"ghosts={self.n_ghost}, feet={self.n_feet})")
@@ -640,63 +623,6 @@ class StencilPattern:
         at_edge = np.concatenate([c[self.edge] for c in coefficients])
         data[self.edge_entries] = self.K @ at_edge
         return sps.csr_matrix((data, self.indices, self.indptr), shape=self.shape)
-
-
-def lean(A: sps.spmatrix, dtype) -> sps.csc_matrix:
-    """A copy of A cast to `dtype`, CSC, without the exact zeros, which
-    SuperLU would fill: the union pattern's (J(0) at u = 0 has no cross or
-    slope terms) and those of entries the cast flushed to zero.  They are
-    dropped before the CSC copy is made, so it holds only the other
-    entries; A itself is never changed."""
-    with np.errstate(over="ignore"):    # an entry cast to inf is refused by SparseLU
-        A = A.astype(dtype)
-    A.eliminate_zeros()
-    return A.tocsc()
-
-
-class SparseLU:
-    """SuperLU's LU of A cast to `dtype` (float32 by default), its exact
-    zeros dropped, in SuperLU's multiple minimum degree order on A^T + A
-    (Liu, ACM TOMS 11, 1985) with supernodes relaxed no further than one
-    column, which on these matrices factorizes faster than the default or
-    wider relaxation, and in panels of two columns.  SuperLU's default
-    panel of 20 columns (Demmel et al., SIAM J. Matrix Anal. Appl. 20,
-    1999) keeps work arrays of about 3 x 20 x N words while it factorizes:
-    on the disk's J(0) VmHWM stood 51.7 MB above VmRSS right after `splu`
-    at h = 1/256 and 207 MB at 1/512, which raised a cap solve's peak.
-    Two columns leave nothing there, give the same pivots, column order and
-    fill, and make J(0)'s LU faster (0.90 -> 0.77 s at 1/256, 5.94 -> 5.59 s
-    at 1/512); one column factorizes alike but rounds a nine-point
-    Jacobian's factor worse.
-
-    A matrix that is already `lean` in `dtype` (CSC in canonical form
-    without zeros) is factorized as it is, without a copy; any other is
-    factorized from its `lean` copy.  Neither is changed.  `solve` casts
-    the right-hand side to `dtype` and the answer back to float64;
-    `precondition` returns the answer in `dtype`, which a float32 Krylov
-    basis stores exactly (`linear._gmres`).  Raises RuntimeError when the
-    cast has a non-finite entry or SuperLU finds the cast matrix
-    singular."""
-
-    def __init__(self, A: sps.spmatrix, dtype=np.float32):
-        self.dtype = dtype
-        if not (A.format == "csc" and A.dtype == dtype and A.has_canonical_format
-                and A.data.all()):
-            A = lean(A, dtype)
-        if not np.all(np.isfinite(A.data)):
-            raise RuntimeError(f"an entry lies beyond {np.dtype(dtype).name} range")
-        # through the module attribute, so that a wrapper of splu sees the call
-        self.superlu = spla.splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
-
-    def precondition(self, b: np.ndarray) -> np.ndarray:
-        """The answer to LU x = b in `dtype`."""
-        with np.errstate(over="ignore"):    # an inf entry's answer fails the keep test
-            b = b.astype(self.dtype)
-        return self.superlu.solve(b)
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """The answer to LU x = b in float64."""
-        return self.precondition(b).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------

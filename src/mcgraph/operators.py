@@ -24,7 +24,7 @@ combination of the five stencils,
 the coefficients of M and the slope derivatives of those coefficients and
 of the load W^3.  Its matrix on the interior values is the Newton Jacobian
 J(u).  At u = 0 it is J(0) = Dxx + Dyy whatever H, the matrix of the
-grid's first LU (`Grid.laplacian_lu`), and the derivative along a field
+grid's first LU (`linear.laplacian_lu`), and the derivative along a field
 that is 0 inside and phi at the feet moves phi to the right-hand side of
 the harmonic lift (`solver._lift`).
 

@@ -43,15 +43,16 @@ names the defect's rise and the worst node, where |Q u| is largest.  The
 trace's `damping` and a stage's `damping_final` are always 1.
 
 Each iterate is evaluated once (`operators.Evaluation`): the defect norms,
-the slope guard and the next Jacobian read from it, and the lift's J(0) is
-the Jacobian at u = 0.  Every Newton system goes to `linear.solve` with the
-solve's one `linear.Factor`: GMRES preconditioned by its LU, the grid's LU
-of J(0) at first, and a fresh factorization only when that stalls.  A
-solve's memory peaks in GMRES, so only the Newton system lives through it:
-the iterate's evaluation goes before, and J(0)'s LU is made before the
-first iterate is evaluated.  An LU the solve makes ends with it, so a
-report does not depend on what was solved on the grid before; it keeps the
-counts and the largest LU fill.
+the slope guard and the next Jacobian read from it.  A solve first makes
+its one `linear.Factor`, on the grid's LU of J(0), the Jacobian at u = 0,
+which lifts the data; a refused J(0) ends the solve there, in
+`linear_failure` at its start.  Every Newton system goes to `linear.solve`
+with it: GMRES preconditioned by its LU, and a fresh factorization only
+when that stalls.  Only the Newton system lives through GMRES, where a
+solve's memory peaks: the iterate's evaluation goes before, a stage's
+start after its first step.  An LU the solve makes ends with it, so a
+report does not depend on earlier solves on the grid; it keeps the counts
+and the largest LU fill.
 
 The solver's settings are the module constants below, the same for every
 solve; the residual tolerance is 1e-6 (1 + n sup|H|).
@@ -165,7 +166,13 @@ def solve_dirichlet(grid: Grid, H, data, n: int = DIMENSION) -> SolveReport:
     """
     t0 = time.perf_counter()
     report = SolveReport(verdict=VERDICT_CONVERGED, field=None)
-    factor = Factor(grid)
+    try:
+        factor = Factor(grid)       # J(0)'s LU, before any iterate is evaluated
+    except SolverError as exc:      # SuperLU refuses J(0): the solve ends at its start
+        report.factorizations = 1
+        _finalize(report, VERDICT_LINEAR_FAILURE, str(exc),
+                  Evaluation(ScalarField.zeros(grid, data), H, n, 1.0), t0)
+        return report
     verdict, message, ev = _continue(grid, H, data, n, report, factor)
     for name in ("factorizations", "float64_factorizations", "krylov_iterations", "fill_nnz"):
         setattr(report, name, getattr(factor, name))
@@ -179,47 +186,43 @@ def _continue(grid: Grid, H, data, n: int, report: SolveReport, factor: Factor):
     iteration count and returns (verdict, message, last evaluation)."""
     tol_res = _residual_tolerance(H, n, grid.domain)
     phi = ScalarField.zeros(grid, data).feet   # the trace at the feet, once per solve
-    lift = _lift(grid, phi)
+    lift = _lift(grid, phi, factor.lu)
     for schedule in (_TAU_SCHEDULE[-1:], _TAU_SCHEDULE):
         # a failed leap keeps its trace rows and iterations, not its stage
         report.stages.clear()
-        # (tau_k, u_k) of the last stage answer; u = 0 solves the problem at
+        # the last stage answers (tau_k, u_k); u = 0 solves the problem at
         # zero load exactly
-        tau_k, values = 0.0, np.zeros(grid.n_interior)
+        answers = [(0.0, np.zeros(grid.n_interior))]
         for k, tau in enumerate(schedule):
-            # the first stage starts from the lift of its trace, the later
-            # ones from the secant predictor through the last two answers
-            start = (tau * lift if k == 0 else
-                     values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev))
-            tau_prev, u_prev = tau_k, values
             ev = None       # the last stage's evaluation goes before this stage's solves
-            # re-anchor the start's trace at this stage's load, tau * phi
-            verdict, message, ev = _stage(ScalarField(grid, start, tau * phi), H, n, tau,
-                                          tol_res, report, factor,
-                                          final=k == len(schedule) - 1)
+            # the first stage starts from the lift of its trace, the later ones
+            # from the secant predictor, the trace re-anchored at tau * phi; the
+            # start has no name here, so it goes after the stage's first step
+            verdict, message, ev = _stage(
+                ScalarField(grid, tau * lift if k == 0 else _secant(tau, answers), tau * phi),
+                H, n, tau, tol_res, report, factor, final=k == len(schedule) - 1)
             if verdict != VERDICT_CONVERGED:
                 break
-            tau_k, values = tau, ev.u.values
+            answers.append((tau, ev.u.values))
         if verdict == VERDICT_CONVERGED:
             break
     return verdict, message, ev
 
 
-def _lift(grid: Grid, phi: np.ndarray) -> np.ndarray:
+def _secant(tau: float, answers: list) -> np.ndarray:
+    """The secant predictor at tau through `answers`, the older of which it drops."""
+    (tau_prev, u_prev), (tau_k, values) = answers.pop(0), answers[0]
+    return values + (tau - tau_k) / (tau_k - tau_prev) * (values - u_prev)
+
+
+def _lift(grid: Grid, phi: np.ndarray, lu) -> np.ndarray:
     """The discrete harmonic lift L of the trace phi, J(0) L = 0 with L = phi
-    at the feet: one float32 solve on the grid's J(0) LU, since L only
-    starts Newton, whose right-hand side is the derivative of Q at u = 0
-    along the field that is 0 inside and phi at the feet, negated.  Zero
-    data lifts to 0 without a solve, and so does data whose lift SuperLU
-    refuses (J(0) refused, which the first Newton system then reports) or
-    makes non-finite (beyond float32's range).  J(0)'s LU is read first,
-    zero data or not, so that SuperLU factorizes it before the solve
-    evaluates any iterate."""
+    at the feet: one float32 solve on J(0)'s LU `lu`, since L only starts
+    Newton, whose right-hand side is the derivative of Q at u = 0 along the
+    field that is 0 inside and phi at the feet, negated.  Zero data lifts
+    to 0 without a solve, and so does data whose lift is not finite
+    (beyond float32's range)."""
     zero = np.zeros(grid.n_interior)
-    try:
-        lu = grid.laplacian_lu
-    except RuntimeError:
-        return zero
     if not phi.any():
         return zero
     lift = lu.solve(-Evaluation.zero(grid).derivative(ScalarField(grid, zero, phi)))

@@ -1,18 +1,23 @@
 """Linear solves on the held LU: J(0) Dirichlet problems (recovery,
 structure, max principle), the Newton Jacobian, and the reuse rule."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+import mcgraph.grid
 import mcgraph.linear
 from mcgraph import (Evaluation, ExpressionData, Grid, PrescribedCurvature,
                      ScalarField, SolverError, ZeroData, adversarial_boundary_data,
                      annulus, disk, dumbbell, ellipse, gradient, levelset, rounded_rect,
                      solve_dirichlet, solve_linear)
-from mcgraph.grid import STENCILS, SparseLU
-from mcgraph.linear import _RESTART, _REUSE_TOL, Factor, _gmres, _norm_inf
+from mcgraph.grid import STENCILS
+from mcgraph.linear import (_RESTART, _REUSE_TOL, Factor, SparseLU, _gmres, _norm_inf,
+                            laplacian_lu)
 
 from lattice_form import stacked_operators
 
@@ -337,7 +342,7 @@ def test_gmres_stops_on_the_keep_test_with_one_solve_per_iteration(slope):
     # solve factorizes afresh
     grid = _unsolved_g32()
     H = PrescribedCurvature.constant(0.4)
-    lu = grid.laplacian_lu
+    lu = laplacian_lu(grid)
     state = ScalarField.from_callable(grid, lambda x, y: slope * (x**2 + y**2) + 0.1 * x)
     A, b = _newton(state, H)
     norm_A = spla.norm(A, np.inf)
@@ -514,7 +519,7 @@ def test_laplacian_lu_in_minimum_degree_order(name, h):
     # on it alone
     grid = Grid(_ORDERED_DOMAINS[name](), h)
     system = _first_jacobian(grid)
-    lu = grid.laplacian_lu
+    lu = laplacian_lu(grid)
     assert lu.superlu.nnz <= 0.6 * _colamd_nnz(system[0])
     _assert_solves_first_jacobian(grid, lu, system)
     fresh = Grid(_ORDERED_DOMAINS[name](), h)
@@ -529,10 +534,10 @@ def test_lu_factorizes_in_two_column_panels(name, monkeypatch):
     # the pivots, the column order and the fill are those of SuperLU's
     # default panel of 20 columns, whose work arrays the narrow panel spares
     splu, calls = spla.splu, []
-    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+    monkeypatch.setattr(mcgraph.linear.spla, "splu",
                         lambda A, **kwargs: calls.append((A, kwargs)) or splu(A, **kwargs))
     grid = Grid(_ORDERED_DOMAINS[name](), 1.0 / 32.0)
-    grid.laplacian_lu
+    laplacian_lu(grid)
     u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
     A, b = _newton(u, PrescribedCurvature.constant(0.4))
     mcgraph.linear._factorized_solve(A, b, 1.0, Factor(grid), np.float32)
@@ -545,6 +550,21 @@ def test_lu_factorizes_in_two_column_panels(name, monkeypatch):
         assert np.array_equal(lu.perm_c, wide.perm_c)
         assert lu.nnz == wide.nnz
 
+
+
+def test_j0_lu_is_made_and_held_by_the_linear_layer():
+    # the grid module neither factorizes nor holds an LU; laplacian_lu makes
+    # a grid's J(0) LU once, and it goes with its grid
+    assert not any(hasattr(mcgraph.grid, name)
+                   for name in ("SparseLU", "lean", "spla", "laplacian_lu"))
+    assert not hasattr(Grid, "laplacian_lu")
+    grid = _unsolved_g32()
+    lu = laplacian_lu(grid)
+    assert laplacian_lu(grid) is lu
+    ref = weakref.ref(lu)
+    del grid, lu
+    gc.collect()
+    assert ref() is None
 
 
 def _lean_j0(grid):
@@ -563,10 +583,10 @@ def test_laplacian_lu_is_superlus_factor_of_the_lean_j0(name, h, monkeypatch):
     # as it would the float32 cast of the union-pattern J(0) with its zeros
     # dropped: the same pivots, column order, fill and solves
     splu, given = spla.splu, []
-    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+    monkeypatch.setattr(mcgraph.linear.spla, "splu",
                         lambda A, **kwargs: given.append(A) or splu(A, **kwargs))
     grid = Grid(_ORDERED_DOMAINS[name](), h)
-    lu = grid.laplacian_lu
+    lu = laplacian_lu(grid)
     A = _lean_j0(grid)
     expected = splu(A, permc_spec="MMD_AT_PLUS_A", relax=1, panel_size=2)
     (matrix,) = given
@@ -586,7 +606,7 @@ def test_sparse_lu_leaves_its_matrix_alone(monkeypatch):
     # SparseLU factorizes a lean copy of a matrix with zeros or of another
     # dtype or format, and a lean float32 CSC as it is; it changes neither
     splu, given = spla.splu, []
-    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+    monkeypatch.setattr(mcgraph.linear.spla, "splu",
                         lambda A, **kwargs: given.append(A) or splu(A, **kwargs))
     grid = _unsolved_g32()
     J0 = Evaluation.zero(grid).jacobian()
@@ -600,7 +620,7 @@ def test_sparse_lu_leaves_its_matrix_alone(monkeypatch):
         lu = SparseLU(A)
         assert all(np.array_equal(a, b) for a, b in zip(_arrays(A), before))
         assert (given[-1] is A) == (A is lean)
-        assert lu.superlu.nnz == grid.laplacian_lu.superlu.nnz
+        assert lu.superlu.nnz == laplacian_lu(grid).superlu.nnz
 
 
 class _Operands:
@@ -624,8 +644,8 @@ def test_gmres_keeps_a_float32_basis_with_the_same_answer(name):
     u = ScalarField.from_callable(grid, lambda x, y: 0.3 * x * x - 0.2 * x * y + 0.1 * y)
     J0, first = _first_jacobian(grid)
     J, b = _newton(u, PrescribedCurvature.constant(0.4))
-    for A, rhs, lu in ((J0, first, grid.laplacian_lu), (J, b, SparseLU(J)),
-                       (J, b, grid.laplacian_lu)):
+    for A, rhs, lu in ((J0, first, laplacian_lu(grid)), (J, b, SparseLU(J)),
+                       (J, b, laplacian_lu(grid))):
         answers = []
         for precondition, basis in ((lu.precondition, np.float32), (lu.solve, np.float64)):
             operands, factor = _Operands(A), Factor()

@@ -8,13 +8,12 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from hypothesis import given, strategies as st
 
-import mcgraph.grid
 import mcgraph.linear
 import mcgraph.solver
 from mcgraph import (BumpData, Evaluation, ExpressionData, Grid, PrescribedCurvature,
-                     ZeroData, adversarial_boundary_data, annulus, boundary_slope,
-                     disk, dumbbell, ellipse, estimate_ledger, levelset, rect,
-                     rounded_rect, solve_dirichlet, solve_linear, sup_slope)
+                     ScalarField, ZeroData, adversarial_boundary_data, annulus,
+                     boundary_slope, disk, dumbbell, ellipse, estimate_ledger, levelset,
+                     rect, rounded_rect, solve_dirichlet, solve_linear, sup_slope)
 from mcgraph.reference import get as get_reference, manufactured
 
 
@@ -383,7 +382,7 @@ def test_refused_factorization_ends_in_linear_failure(monkeypatch):
     def refuse(*args, **kwargs):
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(mcgraph.grid.spla, "splu", refuse)
+    monkeypatch.setattr(mcgraph.linear.spla, "splu", refuse)
     # bump data asks for J(0)'s LU first for its lift, and starts from u = 0
     # when it is refused
     for data in (ZeroData(), BumpData(disk(radius=1.0), (1.0, 0.0), 0.3, 0.2)):
@@ -391,25 +390,36 @@ def test_refused_factorization_ends_in_linear_failure(monkeypatch):
         report = solve_dirichlet(g, PrescribedCurvature.constant(0.4), data)
         assert report.verdict == "linear_failure"
         assert "factorization failed" in report.message
-        assert report.krylov_iterations == 0 and "laplacian_lu" not in vars(g)
+        assert report.krylov_iterations == 0 and g not in mcgraph.linear._J0_LUS
 
 
 def test_refused_j0_ends_the_solve_in_linear_failure(monkeypatch):
-    # SuperLU refuses J(0) itself: the leap's first system fails on it, and
-    # the walk's first system on its own float32 and float64 factorizations.
-    # Zero data and data with a lift alike end in a verdict, not an
-    # exception, after two Newton steps and three factorizations
+    # SuperLU refuses J(0) itself when the solve makes its holder, the one
+    # splu call: zero data and data with a lift alike end in a verdict, not
+    # an exception, before any Newton step, with J(0)'s one factorization,
+    # no stage and no trace row.  The field is the start, zero inside and
+    # the trace at the feet, with that start's defect norms at full load
+    calls = []
+
     def refuse(*args, **kwargs):
+        calls.append(1)
         raise RuntimeError("Factor is exactly singular")
 
-    monkeypatch.setattr(mcgraph.grid.spla, "splu", refuse)
+    monkeypatch.setattr(mcgraph.linear.spla, "splu", refuse)
+    H = PrescribedCurvature.constant(0.4)
     for data in (ZeroData(), ExpressionData("0.2*x")):
-        report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 16.0),
-                                 PrescribedCurvature.constant(0.4), data)
+        calls.clear()
+        grid = Grid(disk(radius=1.0), 1.0 / 16.0)
+        report = solve_dirichlet(grid, H, data)
         assert report.verdict == "linear_failure"
         assert report.message.startswith("factorization failed")
-        assert report.iterations == 2 and report.factorizations == 3
-
+        assert report.iterations == 0 and report.factorizations == 1
+        assert len(calls) == 1 and report.stages == [] and report.trace == []
+        start = ScalarField.zeros(grid, data)
+        assert not report.field.values.any()
+        assert report.field.feet.tobytes() == start.feet.tobytes()
+        assert (report.residual_core, report.residual_collar) == Evaluation(
+            start, H, 2, 1.0).residual_norms()
 
 
 def _track_solver(monkeypatch):
@@ -417,7 +427,7 @@ def _track_solver(monkeypatch):
     makes, and at each linear solve how many of those are alive."""
     events, made, alive = [], [], []
     splu = spla.splu
-    monkeypatch.setattr(mcgraph.grid.spla, "splu",
+    monkeypatch.setattr(mcgraph.linear.spla, "splu",
                         lambda *args, **kwargs: events.append("splu") or splu(*args, **kwargs))
 
     class Tracked(Evaluation):
@@ -467,6 +477,36 @@ def test_no_evaluation_lives_through_a_linear_solve(case, monkeypatch):
     assert alive == [0] * report.iterations
 
 
+def test_stage_start_goes_after_its_first_step(monkeypatch):
+    # a stage's start is alive at its first linear solve only: no later
+    # solve of the stage, or of a later stage, has it alive.  The walk
+    # takes three steps a stage, as cap_walk32 does
+    monkeypatch.setattr(mcgraph.solver, "_MAX_ITERS", 3)
+    starts, alive = [], []
+    stage, linear_solve = mcgraph.solver._stage, mcgraph.solver.linear_solve
+
+    def tracked(u, H, n, tau, tol_res, report, factor, *, final):
+        starts.append(weakref.ref(u.values))
+        alive.append([])
+        handed = [u]
+        del u           # _stage gets the start under its one name
+        return stage(handed.pop(), H, n, tau, tol_res, report, factor, final=final)
+
+    def counted(A, b, factor):
+        alive[-1].append([ref() is not None for ref in starts])
+        return linear_solve(A, b, factor)
+
+    monkeypatch.setattr(mcgraph.solver, "_stage", tracked)
+    monkeypatch.setattr(mcgraph.solver, "linear_solve", counted)
+    report = solve_dirichlet(Grid(disk(radius=1.0), 1.0 / 32.0),
+                             PrescribedCurvature.constant(0.4), ZeroData())
+    assert report.converged and len(starts) == 5        # the leap, then four stages
+    assert [len(solves) for solves in alive] == [3, 2, 1, 2, 2]
+    for k, solves in enumerate(alive):
+        assert solves[0] == [j == k for j in range(k + 1)]
+        assert not any(any(seen) for seen in solves[1:])
+
+
 def test_data_beyond_float32_starts_from_zero(disk12):
     # the lift is solved in float32, so bumps of height 1e37 and 1e300 lift
     # to non-finite fields; such a solve starts from u = 0 instead, where
@@ -513,7 +553,7 @@ def _fresh_factor_per_iterate(monkeypatch):
     # every Newton system on a fresh holder of its own float32 LU: the
     # answer the reuse must keep
     def solve_fresh(A, b, factor):
-        lu = mcgraph.grid.SparseLU(A)
+        lu = mcgraph.linear.SparseLU(A)
         return mcgraph.linear.solve(A, b, mcgraph.linear.Factor(lu=lu))
     monkeypatch.setattr(mcgraph.solver, "linear_solve", solve_fresh)
 
@@ -574,7 +614,8 @@ def test_second_zero_data_solve_makes_no_factorization(caps_on_one_grid):
 
 def test_reused_lu_fill_reported(caps_on_one_grid):
     grid, first, second, alone = caps_on_one_grid
-    assert second.fill_nnz == grid.laplacian_lu.superlu.nnz == first.fill_nnz == alone.fill_nnz > 0
+    held = mcgraph.linear.laplacian_lu(grid).superlu.nnz
+    assert second.fill_nnz == held == first.fill_nnz == alone.fill_nnz > 0
     assert second.summary_dict()["fill_nnz"] == second.fill_nnz
 
 
@@ -625,17 +666,17 @@ def test_sweep_reports_do_not_depend_on_the_order():
 
 def test_solve_adds_only_lazy_caches_to_the_grid():
     # a solve leaves on the grid only what any later solve may read: the
-    # operators, the pattern, J(0)'s LU and the stencil gathers; every
-    # other attribute is the one the grid was built with
+    # operators, the pattern and the stencil gathers; every other attribute
+    # is the one the grid was built with.  J(0)'s LU is kept by the linear
+    # layer, for that grid
     grid = Grid(disk(radius=1.0), 1.0 / 16.0)
     data = adversarial_boundary_data(grid.domain, (1.0, 0.0), 0.10, 0.05)
     before = dict(vars(grid))
     solve_dirichlet(grid, PrescribedCurvature.constant(0.55), data, n=2)
     changed = {name for name, value in vars(grid).items()
                if name not in before or before[name] is not value}
-    assert changed <= {"_ops", "_pattern", "laplacian_lu", "_taps", "_x_neighbours",
-                       "_edge"}
-    assert "laplacian_lu" in changed
+    assert changed <= {"_ops", "_pattern", "_taps", "_x_neighbours", "_edge"}
+    assert grid in mcgraph.linear._J0_LUS
 
 
 def test_zero_data_cap_after_other_systems_makes_no_factorization(monkeypatch):
@@ -660,5 +701,5 @@ def test_fill_of_the_held_lu_reported(cap_solve32, cap_grid32):
     # the cap solve uses one LU, the grid's of J(0): the report carries the
     # entries that LU stores
     assert cap_solve32.factorizations == 1
-    assert cap_solve32.fill_nnz == cap_grid32.laplacian_lu.superlu.nnz > 0
+    assert cap_solve32.fill_nnz == mcgraph.linear.laplacian_lu(cap_grid32).superlu.nnz > 0
     assert cap_solve32.summary_dict()["fill_nnz"] == cap_solve32.fill_nnz
